@@ -178,6 +178,22 @@ def _opt_str(value):
     return None if value is None else _as_str(value)
 
 
+def _path(fmt):
+    """Artifact paths must end in their format's suffix: artifacts are
+    validated by suffix, so a mismatch would fail after the write."""
+    def coerce(value):
+        text = _as_str(value)
+        if Path(text).suffix != f".{fmt}":
+            raise ConfigError(f"expected a path ending in .{fmt}, got {text!r}")
+        return text
+    return coerce
+
+
+def _opt_path(fmt):
+    path = _path(fmt)
+    return lambda value: None if value is None else path(value)
+
+
 def _seed_value(value):
     n = _as_int(value)
     if not 0 <= n < 2 ** 64:
@@ -708,9 +724,9 @@ COMMANDS = {
                       "also reconstruct the state from x, y, z runs", is_flag=True),
                 Param("sweep_g", _float_list, None,
                       "comma-separated couplings for an error-vs-g CSV"),
-                Param("per_step_csv", _opt_str, None,
+                Param("per_step_csv", _opt_path("csv"), None,
                       "write the per-cycle survival/pointer log to this CSV"),
-                Param("dump_joint", _opt_str, None,
+                Param("dump_joint", _opt_path("json"), None,
                       "write the final joint system+pointer state to this JSON"),
             ),
             runner=_run_protective,
@@ -874,7 +890,7 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
     seed = pick("seed", namespace.seed, _seed_value, DEFAULT_SEED)
     fmt = pick("format", getattr(namespace, "format", _UNSET),
                _choice(*spec.formats), spec.formats[0])
-    output = pick("output", namespace.output, _as_str, f"{spec.name}.{fmt}")
+    output = pick("output", namespace.output, _path(fmt), f"{spec.name}.{fmt}")
     params = {
         param.name: pick(param.name, getattr(namespace, param.name),
                          param.coerce, param.default)

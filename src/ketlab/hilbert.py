@@ -267,6 +267,14 @@ def equal_up_to_phase(a: StateVector, b: StateVector, tol: float = PHASE_TOL) ->
     return abs(abs(inner_product(a, b)) - 1.0) <= tol
 
 
+def canonical_phase(vec: np.ndarray) -> np.ndarray:
+    """Rotate the largest-magnitude component onto the positive real axis."""
+    pivot = vec[int(np.argmax(np.abs(vec)))]
+    if abs(pivot) == 0.0:
+        return vec
+    return vec * (abs(pivot) / pivot)
+
+
 # ---------------------------------------------------------------------------
 # common states and observables
 

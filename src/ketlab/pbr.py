@@ -26,6 +26,7 @@ from .hilbert import (
     EigenDecomposition,
     HermitianOperator,
     StateVector,
+    canonical_phase,
     eigendecompose,
     inner_product,
     ket_minus,
@@ -267,7 +268,7 @@ def epr_steering(alice_basis: str, seed) -> SteeringSample:
     sample = strong_measure(state, eig, seed)
     bob_rho = _bob_reduced(sample.collapsed.amplitudes)
     _, vecs = np.linalg.eigh(bob_rho)
-    bob_state = StateVector.normalized(_fix_phase(vecs[:, -1]))
+    bob_state = StateVector.normalized(canonical_phase(vecs[:, -1]))
     # exact average over outcomes, from projections rather than samples
     averaged = np.zeros((2, 2), dtype=complex)
     mat = eig.basis_matrix
@@ -284,11 +285,6 @@ def epr_steering(alice_basis: str, seed) -> SteeringSample:
         bob_conditional=bob_state,
         bob_marginal_check=check,
     )
-
-
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    pivot = vec[int(np.argmax(np.abs(vec)))]
-    return vec * (abs(pivot) / pivot) if abs(pivot) > 0 else vec
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,12 @@ Two modes:
 Protecting a state other than the prepared one models a mismatched
 protection apparatus: the first cycles leak the system into the protected
 state, with survival probability |<protected|prepared>|^2.
+
+A successful protection leaves the system exactly in the protected state,
+so the engine never carries the system along: after the first cycle the
+joint state is |protected> (x) pointer, and each cycle acts on the pointer
+alone, as one multiplication in momentum space and one inverse FFT. The
+survivor of any run with n > 0 is the protected state itself.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .errors import NotPureError, PreconditionError, WraparoundError
 from .hilbert import (
     HermitianOperator,
     StateVector,
+    canonical_phase,
     eigendecompose,
     inner_product,
 )
@@ -40,8 +47,6 @@ from .measurement import (
     PointerGrid,
     default_grid,
     make_pointer,
-    pointer_position_mean,
-    product_state,
     couple_pointer,
 )
 from .rngs import as_generator
@@ -110,7 +115,18 @@ def _protective_loop(initial: StateVector, protected: StateVector,
                      grid: PointerGrid, width: float,
                      mode: str, seed) -> tuple:
     """Shared engine: couple, protect, renormalize, log. Returns
-    (log, survival, aborted_at_step, final_joint)."""
+    (log, survival, aborted_at_step, final_joint).
+
+    A successful protection leaves the system exactly in |protected>, so the
+    joint state is |protected> (x) phi and the run is a recursion on the
+    pointer alone. In momentum space a cycle multiplies phi's spectrum by
+    M(p) = sum_j |<v_j|c>|^2 exp(-i g a_j p) over the eigenpairs (a_j, v_j)
+    of op, with c the protected state; the first cycle, which starts from
+    the prepared state, uses M1(p) = sum_j <c|v_j><v_j|prepared> exp(-i g a_j p).
+    The squared norm of the product is that cycle's survival weight.
+    final_joint is |protected> (x) phi after the last cycle, the product
+    state before any cycle ran, or the coupled state of a sampled abort.
+    """
     eig = eigendecompose(op)
     max_eig = max(abs(v) for v in eig.eigenvalues)
     total_shift = abs(g) * n * max_eig
@@ -121,24 +137,34 @@ def _protective_loop(initial: StateVector, protected: StateVector,
             f"{4.0 * total_shift:.4g}"
         )
     rng = as_generator(seed if seed is not None else 0) if mode == "sampled" else None
-    joint = product_state(initial, make_pointer(grid, width))
-    c = protected.amplitudes
+    pointer = make_pointer(grid, width).amplitudes
+    to_protected = protected.amplitudes.conj() @ eig.basis_matrix
+    phases = np.exp(-1j * g * np.outer(eig.eigenvalues, grid.momenta))
+    multiplier = (to_protected * (eig.basis_matrix.conj().T @ initial.amplitudes)) @ phases
+    repeated = np.abs(to_protected) ** 2 @ phases
+    spectrum = np.fft.fft(pointer)
     survival = 1.0
     log = []
     aborted = None
     for step in range(1, n + 1):
-        joint = couple_pointer(joint, op, g, decomposition=eig)
-        conditional = c.conj() @ joint.amplitudes
-        weight = float(np.sum(np.abs(conditional) ** 2) * grid.spacing)
+        spectrum = spectrum * multiplier
+        phi = np.fft.ifft(spectrum)
+        density = np.abs(phi) ** 2
+        weight = float(np.sum(density) * grid.spacing)
         if mode == "sampled" and rng.random() > weight:
             aborted = step
             break
         survival *= min(weight, 1.0)
-        joint = JointSystemPointerState(
-            joint.system_dim, grid, np.outer(c, conditional) / math.sqrt(weight)
-        )
-        mean_shift = pointer_position_mean(joint) - grid.center
-        log.append(StepRecord(step, survival, mean_shift))
+        norm = math.sqrt(weight)
+        spectrum /= norm
+        pointer = phi / norm
+        mean = float(np.sum(grid.positions * density) * grid.spacing) / weight
+        log.append(StepRecord(step, survival, mean - grid.center))
+        multiplier = repeated
+    system = protected if log else initial
+    joint = JointSystemPointerState(system.dim, grid, np.outer(system.amplitudes, pointer))
+    if aborted is not None:
+        joint = couple_pointer(joint, op, g, decomposition=eig)
     return log, max(min(survival, 1.0), 0.0), aborted, joint
 
 
@@ -192,6 +218,8 @@ def protection_leak(prepared: StateVector, protected: StateVector,
     state. An orthogonal pair returns the explicit empty result: survival
     0 and no surviving state.
     """
+    if n < 0:
+        raise PreconditionError(f"step count must be >= 0, got {n}")
     if prepared.dim != protected.dim or op.dim != prepared.dim:
         raise PreconditionError(
             f"dimension mismatch: prepared {prepared.dim}, protected {protected.dim}, "
@@ -201,22 +229,12 @@ def protection_leak(prepared: StateVector, protected: StateVector,
         return LeakResult(survival=0.0, surviving_state=None)
     if grid is None:
         grid = default_grid(width)
-    log, survival, _, joint = _protective_loop(
+    _, survival, _, _ = _protective_loop(
         prepared, protected, op, n, g, grid, width, "deterministic", None
     )
-    # read the surviving system state back out of the joint state
-    rho = (joint.amplitudes * grid.spacing) @ joint.amplitudes.conj().T
-    vals, vecs = np.linalg.eigh(rho)
-    surviving = _canonical_phase(vecs[:, -1])
-    return LeakResult(survival=survival, surviving_state=StateVector.normalized(surviving))
-
-
-def _canonical_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate the largest-magnitude component onto the positive real axis."""
-    pivot = vec[int(np.argmax(np.abs(vec)))]
-    if abs(pivot) == 0.0:
-        return vec
-    return vec * (abs(pivot) / pivot)
+    surviving = (protected if n > 0 else prepared).amplitudes
+    return LeakResult(survival=survival,
+                      surviving_state=StateVector.normalized(canonical_phase(surviving)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,39 +323,29 @@ def reconstruct_state(data: TomographySet) -> StateVector:
             f"reconstructed density matrix has largest eigenvalue {vals[-1]:.6f} "
             f"< {1.0 - NOT_PURE_TOL}; input expectations are not those of a pure state"
         )
-    return StateVector.normalized(_canonical_phase(vecs[:, -1]))
+    return StateVector.normalized(canonical_phase(vecs[:, -1]))
 
 
 def protective_tomography(psi: StateVector, operators, n: int = DEFAULT_STEPS,
                           g: float = DEFAULT_COUPLING, grid: PointerGrid | None = None,
                           width: float = 1.0) -> tuple[StateVector, float]:
-    """Measure each operator protectively on the same evolving system.
+    """Measure each operator protectively on one and the same system.
 
-    The pointer is reset between operators; the system is carried over
-    (each deterministic protection returns it to |psi>, so the chain keeps
-    measuring one and the same system). Returns the reconstructed state
-    and the probability that the whole chain survived protection.
+    The pointer is reset between operators. The system needs no carrying
+    over: every successful protection returns it exactly to |psi>, so each
+    operator's run starts from |psi>. Returns the reconstructed state and
+    the probability that the whole chain survived protection.
     """
     operators = tuple(operators)
-    if grid is None:
-        grid = default_grid(width)
-    system = psi
     total_survival = 1.0
     inferred = []
     for op in operators:
-        run = protective_measure(system, op, n=n, g=g, grid=grid, width=width)
+        run = protective_measure(psi, op, n=n, g=g, grid=grid, width=width)
         if run.inferred_expectation is None:
             raise PreconditionError(
                 "tomography needs n > 0 steps and g != 0 to infer expectations"
             )
         total_survival *= run.survival_probability
         inferred.append(run.inferred_expectation)
-        # carry the surviving system over to the next operator (protection
-        # returns it to |psi> up to phase; read it back out of the joint
-        # state rather than assuming so)
-        joint = run.final_joint
-        rho = (joint.amplitudes * grid.spacing) @ joint.amplitudes.conj().T
-        _, vecs = np.linalg.eigh(rho)
-        system = StateVector.normalized(_canonical_phase(vecs[:, -1]))
     reconstructed = reconstruct_state(TomographySet(operators, tuple(inferred)))
     return reconstructed, total_survival

@@ -220,6 +220,25 @@ def test_precondition_exits(tmp_path, monkeypatch):
     assert main(["pbr", "--trials", "-5"]) == 3
 
 
+def test_leak_negative_steps_exits_3(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["leak", "--n", "-5"]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "-o", "x.json"],
+    ["pbr", "-o", "x.json"],
+    ["pbr", "--format", "json", "-o", "x.csv"],
+    ["protective", "--per-step-csv", "steps.json"],
+    ["protective", "--dump-joint", "joint.csv"],
+])
+def test_output_suffix_must_match_format(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_internal_error_exit(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("solver unavailable")

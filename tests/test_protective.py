@@ -31,6 +31,16 @@ from ketlab import (
     sigma_z,
     substream,
 )
+from ketlab.hilbert import eigendecompose
+from ketlab.measurement import (
+    JointSystemPointerState,
+    couple_pointer,
+    make_pointer,
+    pointer_position_mean,
+    product_state,
+)
+from ketlab.protective import StepRecord, _protective_loop
+from ketlab.rngs import as_generator
 
 
 @pytest.fixture
@@ -173,6 +183,17 @@ def test_leak_rejects_dimension_mismatch():
         protection_leak(ket_zero(), ket_plus(), HermitianOperator(3, np.eye(3)))
 
 
+def test_leak_rejects_negative_steps():
+    with pytest.raises(PreconditionError):
+        protection_leak(ket_plus(), ket_zero(), sigma_z(), n=-5)
+
+
+def test_leak_without_cycles_keeps_the_prepared_state():
+    result = protection_leak(ket_plus(), ket_zero(), sigma_z(), n=0)
+    assert result.survival == 1.0
+    assert equal_up_to_phase(result.surviving_state, ket_plus())
+
+
 # ---------------------------------------------------------------------------
 # tomography
 
@@ -220,3 +241,90 @@ def test_protective_tomography_recovers_the_state():
 def test_protective_tomography_needs_nonzero_coupling():
     with pytest.raises(PreconditionError):
         protective_tomography(ket_plus(), pauli_operators(), n=0)
+
+
+# ---------------------------------------------------------------------------
+# the pointer-only engine against the joint-state loop it replaced
+
+
+def reference_loop(initial, protected, op, n, g, grid, width, mode, seed):
+    """The former engine, kept as an oracle: every cycle couples the full
+    system (x) pointer state, projects it onto the protected state and
+    renormalizes it."""
+    eig = eigendecompose(op)
+    max_eig = max(abs(v) for v in eig.eigenvalues)
+    total_shift = abs(g) * n * max_eig
+    if total_shift > grid.extent / 4.0:
+        raise WraparoundError(
+            f"accumulated pointer shift {total_shift:.4g} exceeds a quarter of the "
+            f"grid extent ({grid.extent / 4.0:.4g}); the grid needs extent >= "
+            f"{4.0 * total_shift:.4g}"
+        )
+    rng = as_generator(seed if seed is not None else 0) if mode == "sampled" else None
+    joint = product_state(initial, make_pointer(grid, width))
+    c = protected.amplitudes
+    survival = 1.0
+    log = []
+    aborted = None
+    for step in range(1, n + 1):
+        joint = couple_pointer(joint, op, g, decomposition=eig)
+        conditional = c.conj() @ joint.amplitudes
+        weight = float(np.sum(np.abs(conditional) ** 2) * grid.spacing)
+        if mode == "sampled" and rng.random() > weight:
+            aborted = step
+            break
+        survival *= min(weight, 1.0)
+        joint = JointSystemPointerState(
+            joint.system_dim, grid, np.outer(c, conditional) / math.sqrt(weight)
+        )
+        mean_shift = pointer_position_mean(joint) - grid.center
+        log.append(StepRecord(step, survival, mean_shift))
+    return log, max(min(survival, 1.0), 0.0), aborted, joint
+
+
+def assert_engines_agree(initial, protected, op, n, g, mode="deterministic", seed=None):
+    grid = default_grid(1.0)
+    args = (initial, protected, op, n, g, grid, 1.0, mode, seed)
+    log, survival, aborted, joint = _protective_loop(*args)
+    ref_log, ref_survival, ref_aborted, ref_joint = reference_loop(*args)
+    assert len(log) == len(ref_log)
+    assert aborted == ref_aborted
+    np.testing.assert_allclose([r.pointer_mean for r in log],
+                               [r.pointer_mean for r in ref_log], rtol=0, atol=1e-10)
+    np.testing.assert_allclose([r.survival for r in log],
+                               [r.survival for r in ref_log], rtol=0, atol=1e-10)
+    assert survival == pytest.approx(ref_survival, abs=1e-10)
+    np.testing.assert_allclose(joint.amplitudes, ref_joint.amplitudes, rtol=0, atol=1e-12)
+    return aborted
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_engine_matches_reference_on_haar_states(dim, rng):
+    for _ in range(4):
+        psi = haar_random_state(dim, rng)
+        assert_engines_agree(psi, psi, random_observable(dim, rng), n=200, g=5e-3)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_engine_matches_reference_when_protecting_another_state(dim, rng):
+    for _ in range(4):
+        prepared = haar_random_state(dim, rng)
+        protected = haar_random_state(dim, rng)
+        assert_engines_agree(prepared, protected, random_observable(dim, rng), n=100, g=0.01)
+    assert_engines_agree(ket_plus(), ket_zero(), sigma_z(), n=400, g=5e-3)
+
+
+def test_engine_matches_reference_without_cycles(rng):
+    prepared = haar_random_state(3, rng)
+    assert_engines_agree(prepared, haar_random_state(3, rng), random_observable(3, rng),
+                         n=0, g=5e-3)
+    assert_engines_agree(ket_plus(), ket_plus(), sigma_x(), n=0, g=5e-3, mode="sampled",
+                         seed=1)
+
+
+def test_engine_matches_reference_on_sampled_aborts():
+    psi = qubit_state(math.pi / 4.0, 0.0)
+    aborts = [assert_engines_agree(psi, psi, sigma_z(), n=100, g=0.05,
+                                   mode="sampled", seed=seed)
+              for seed in range(60)]
+    assert any(step is not None for step in aborts)
