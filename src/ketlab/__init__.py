@@ -88,11 +88,13 @@ from .pbr import (
     PbrBasis,
     PbrCounts,
     SteeringSample,
+    SteeringTable,
     epr_steering,
     overlap_preservation_check,
     pbr_basis,
     pbr_experiment,
     preparation_states,
+    steering_table,
 )
 from .protective import (
     LeakResult,

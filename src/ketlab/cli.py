@@ -25,12 +25,14 @@ import math
 import platform
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import scipy
+from jsonschema.exceptions import best_match
 
 from . import __version__
 from .errors import ConfigError, InternalError, LabError, PreconditionError
@@ -63,7 +65,7 @@ from .ontology import (
     predict,
     qubit_scenario,
 )
-from .pbr import epr_steering, overlap_preservation_check, pbr_experiment
+from .pbr import overlap_preservation_check, pbr_experiment, steering_table
 from .protective import protection_leak, protective_measure, protective_tomography
 from .rngs import substream
 from .serialize import dump_json, load_json, to_builtin, write_csv
@@ -370,6 +372,16 @@ _CSV_CELL_PARSERS = {
 }
 
 
+@cache
+def _validator(kind: str):
+    """The validator for one artifact kind, built on first use. Its schema
+    is checked against the metaschema then, not on every artifact."""
+    schema = SCHEMAS[kind]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_artifact(path) -> None:
     """Check a written artifact against its schema; InternalError on failure."""
     path = Path(path)
@@ -377,15 +389,13 @@ def validate_artifact(path) -> None:
         data = load_json(path)
         if not isinstance(data, dict) or "kind" not in data:
             raise InternalError(f"artifact {path.name} lacks a 'kind' field")
-        schema = SCHEMAS.get(data["kind"])
-        if schema is None:
+        if data["kind"] not in SCHEMAS:
             raise InternalError(f"no schema for artifact kind {data['kind']!r}")
-        try:
-            jsonschema.validate(data, schema)
-        except jsonschema.ValidationError as exc:
+        error = best_match(_validator(data["kind"]).iter_errors(data))
+        if error is not None:
             raise InternalError(
-                f"artifact {path.name} fails its schema: {exc.message}"
-            ) from exc
+                f"artifact {path.name} fails its schema: {error.message}"
+            ) from error
     elif path.suffix == ".csv":
         lines = path.read_text(encoding="utf-8").splitlines()
         if not lines:
@@ -463,8 +473,7 @@ def _run_protective(cfg: RunConfig):
             rows.append((g, point.inferred_expectation,
                          abs(point.inferred_expectation - true),
                          point.survival_probability))
-        sweep_path = cfg.output.with_name(cfg.output.stem + ".sweep.csv")
-        artifacts.append(Artifact(sweep_path, "csv", (SWEEP_HEADER, rows)))
+        artifacts.append(Artifact(_sweep_path(cfg.output), "csv", (SWEEP_HEADER, rows)))
     if p["dump_joint"] is not None:
         payload = {"kind": "ketlab/joint-state", **result.final_joint.to_json_dict()}
         artifacts.append(Artifact(Path(p["dump_joint"]), "json", payload))
@@ -561,20 +570,25 @@ def _run_pbr(cfg: RunConfig):
 
 
 def _run_steer(cfg: RunConfig):
+    """Steering rounds per basis. Round i of the run (counted across bases)
+    draws from substream i of the seed against the basis's outcome table,
+    which is computed once per basis rather than once per round."""
     p = cfg.params
     bases = ("z", "x") if p["basis"] == "both" else (p["basis"],)
     stream = 0
     out = {}
     for basis in bases:
+        table = steering_table(basis)
         outcome_counts: dict = {}
         bob_states: dict = {}
         marginal = None
         for _ in range(p["trials"]):
-            sample = epr_steering(basis, substream(cfg.seed, stream))
+            sample = table.sample(substream(cfg.seed, stream))
             stream += 1
             key = f"{sample.alice_outcome:+g}"
             outcome_counts[key] = outcome_counts.get(key, 0) + 1
-            bob_states.setdefault(key, sample.bob_conditional.to_json_dict())
+            if key not in bob_states:
+                bob_states[key] = sample.bob_conditional.to_json_dict()
             marginal = sample.bob_marginal_check
         out[basis] = {
             "outcome_counts": outcome_counts,
@@ -896,10 +910,36 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
                          param.coerce, param.default)
         for param in spec.params
     }
+    _check_distinct_artifacts(Path(output), params)
     return RunConfig(
         subcommand=spec.name, seed=seed, output=Path(output), format=fmt,
         params=params,
     )
+
+
+def _manifest_path(output: Path) -> Path:
+    return Path(str(output) + ".manifest.json")
+
+
+def _sweep_path(output: Path) -> Path:
+    return output.with_name(output.stem + ".sweep.csv")
+
+
+def _check_distinct_artifacts(output: Path, params: dict) -> None:
+    """Every artifact of one run needs its own path: a later write would
+    replace an earlier artifact, and the manifest would list it twice."""
+    named = [("--output", output), ("the manifest", _manifest_path(output))]
+    if params.get("sweep_g") is not None:
+        named.append(("the --sweep-g CSV", _sweep_path(output)))
+    for name in ("per_step_csv", "dump_joint"):
+        if params.get(name) is not None:
+            named.append(("--" + name.replace("_", "-"), Path(params[name])))
+    seen = {}
+    for label, path in named:
+        key = path.resolve()
+        if key in seen:
+            raise ConfigError(f"{label} and {seen[key]} both write {path}")
+        seen[key] = label
 
 
 def _manifest(cfg: RunConfig, paths: list) -> dict:
@@ -937,7 +977,7 @@ def run(cfg: RunConfig) -> list:
                 header, rows = artifact.payload
                 write_csv(artifact.path, header, rows)
             paths.append(artifact.path)
-        manifest_path = Path(str(cfg.output) + ".manifest.json")
+        manifest_path = _manifest_path(cfg.output)
         dump_json(_manifest(cfg, paths), manifest_path)
         paths.append(manifest_path)
     except OSError as exc:

@@ -193,6 +193,23 @@ def born_probabilities(psi: StateVector, basis: EigenDecomposition) -> np.ndarra
     return np.abs(overlaps) ** 2
 
 
+def draw_outcome(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of the outcome that one uniform from `rng` selects.
+
+    Walks the cumulative weights in order and stops at the first that
+    exceeds the uniform scaled to their total (the last outcome catches
+    round-off). Every sampler of a fixed outcome table draws through here,
+    so it stays draw-for-draw identical to `strong_measure`.
+    """
+    u = rng.random() * float(weights.sum())
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
 def strong_measure(psi: StateVector, basis: EigenDecomposition, seed) -> OutcomeSample:
     """Sample one projective outcome and collapse.
 
@@ -213,14 +230,7 @@ def strong_measure(psi: StateVector, basis: EigenDecomposition, seed) -> Outcome
         raise DegenerateInputError(
             f"all outcome probabilities vanished (total {total:.3e})"
         )
-    u = rng.random() * total
-    acc = 0.0
-    k = len(groups) - 1
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            k = i
-            break
+    k = draw_outcome(weights, rng)
     value, idx = groups[k]
     idx = list(idx)
     projected = basis.basis_matrix[:, idx] @ overlaps[idx]

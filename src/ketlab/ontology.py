@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CertificationError, InternalError, PreconditionError
 from .hilbert import (
@@ -59,6 +58,19 @@ ONTIC_OVERLAP_TOL = 1e-12    # below this, preparations share no lambda support
 FORBIDDEN_BORN_TOL = 1e-12   # Born weight counting as a forbidden outcome
 
 SHARED_REALITY_LABELS = ("shared", "zero_only", "plus_only")
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first call.
+
+    Only `pbr_min_violation` solves a linear program, and importing
+    `scipy.optimize` costs more than most commands' physics, so a process
+    that never solves never loads it. The name stays a plain module
+    attribute, so tests and tracers can replace it.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
@@ -488,7 +500,9 @@ def pbr_min_violation(q: float, resolution: int = 8) -> ViolationBound:
 
 def _refine_with_lp(weights: np.ndarray, forbidden, n_pairs: int, n_out: int):
     """Solve the exact minimax LP; returns (responses, dual weights) or None
-    when the solver is unavailable or fails (the grid candidate then stands)."""
+    when the solve fails (the grid candidate then stands). A solver that
+    raises anything but RuntimeError or ValueError, such as an ImportError
+    from a broken install, is not a failed solve and propagates."""
     n_vars = 1 + n_pairs * n_out   # t, then row-major response entries
     c = np.zeros(n_vars)
     c[0] = 1.0
@@ -508,7 +522,7 @@ def _refine_with_lp(weights: np.ndarray, forbidden, n_pairs: int, n_out: int):
             bounds=[(0.0, 1.0)] * n_vars,
             method="highs",
         )
-    except Exception:
+    except (RuntimeError, ValueError):
         return None
     if not res.success:
         return None

@@ -37,8 +37,8 @@ from .hilbert import (
     sigma_z,
     tensor,
 )
-from .measurement import born_probabilities, strong_measure
-from .rngs import SubstreamSampler
+from .measurement import born_probabilities, draw_outcome
+from .rngs import SubstreamSampler, as_generator
 
 ORTHONORMAL_TOL = 1e-12   # basis Gram deviation allowed
 FORBIDDEN_TOL = 1e-12     # |<xi|preparation>| certifying a forbidden pairing
@@ -252,39 +252,79 @@ def _bob_reduced(joint_amps: np.ndarray) -> np.ndarray:
     return c.T @ c.conj()
 
 
-def epr_steering(alice_basis: str, seed) -> SteeringSample:
-    """Alice measures her half of the singlet; Bob's half steers.
+@dataclass(frozen=True, eq=False)
+class SteeringTable:
+    """Alice's outcomes in one basis, with everything a round needs.
+
+    `eigenvalues[k]`, `weights[k]` and `bob_states[k]` are outcome k's
+    eigenvalue, Born weight and Bob's conditional state;
+    `bob_marginal_check` is the trace distance of Bob's exactly averaged
+    marginal from 1/2. None of them depends on the draw, so a run computes
+    them once per basis and each round only draws an outcome.
+    """
+
+    alice_basis: str
+    eigenvalues: tuple
+    weights: np.ndarray
+    bob_states: tuple
+    bob_marginal_check: float
+
+    def sample(self, seed) -> SteeringSample:
+        """One round: a single uniform from `seed` (a master seed or a
+        Generator) picks Alice's outcome, as `strong_measure` would."""
+        k = draw_outcome(self.weights, as_generator(seed))
+        return SteeringSample(
+            alice_basis=self.alice_basis,
+            alice_outcome=self.eigenvalues[k],
+            bob_conditional=self.bob_states[k],
+            bob_marginal_check=self.bob_marginal_check,
+        )
+
+
+def steering_table(alice_basis: str) -> SteeringTable:
+    """Tabulate Alice's measurement of her half of the singlet.
 
     In the z basis (outcome operator |1><1| - |0><0|) outcome +1 leaves Bob
     in |0> and outcome -1 in |1>; in the x basis outcome +1 leaves Bob in
-    |-> and -1 in |+>. Either way each outcome has probability 1/2 and the
-    unconditioned Bob marginal stays maximally mixed: bob_marginal_check is
-    the trace distance of the exactly-averaged marginal from 1/2, computed
-    from Born weights rather than the sampled outcome.
+    |-> and -1 in |+>. Either way each outcome has probability 1/2, and the
+    marginal check averages Bob's reduced state over the projections with
+    their Born weights, not over sampled outcomes.
     """
     state = _singlet()
-    op = _alice_observable(alice_basis)
-    eig = eigendecompose(op)
-    sample = strong_measure(state, eig, seed)
-    bob_rho = _bob_reduced(sample.collapsed.amplitudes)
-    _, vecs = np.linalg.eigh(bob_rho)
-    bob_state = StateVector.normalized(canonical_phase(vecs[:, -1]))
-    # exact average over outcomes, from projections rather than samples
-    averaged = np.zeros((2, 2), dtype=complex)
+    eig = eigendecompose(_alice_observable(alice_basis))
     mat = eig.basis_matrix
     overlaps = mat.conj().T @ state.amplitudes
-    for _, idx in eig.groups:
+    per_vector = np.abs(overlaps) ** 2
+    eigenvalues, weights, bob_states = [], [], []
+    averaged = np.zeros((2, 2), dtype=complex)
+    for value, idx in eig.groups:
         idx = list(idx)
         projected = mat[:, idx] @ overlaps[idx]
         averaged += _bob_reduced(projected)
+        collapsed = StateVector.normalized(projected)
+        _, vecs = np.linalg.eigh(_bob_reduced(collapsed.amplitudes))
+        eigenvalues.append(value)
+        weights.append(per_vector[idx].sum())
+        bob_states.append(StateVector.normalized(canonical_phase(vecs[:, -1])))
     deviation = averaged - np.eye(2) / 2.0
-    check = float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(deviation))))
-    return SteeringSample(
+    weights = np.array(weights)
+    weights.setflags(write=False)
+    return SteeringTable(
         alice_basis=alice_basis,
-        alice_outcome=sample.eigenvalue,
-        bob_conditional=bob_state,
-        bob_marginal_check=check,
+        eigenvalues=tuple(eigenvalues),
+        weights=weights,
+        bob_states=tuple(bob_states),
+        bob_marginal_check=float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(deviation)))),
     )
+
+
+def epr_steering(alice_basis: str, seed) -> SteeringSample:
+    """Alice measures her half of the singlet; Bob's half steers.
+
+    One round drawn from `steering_table(alice_basis)`; runs of many rounds
+    build the table once and call its `sample` per round instead.
+    """
+    return steering_table(alice_basis).sample(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ import json
 import math
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import ketlab.ontology
-from ketlab import ConfigError, JointSystemPointerState
-from ketlab.cli import main, parse_state_spec, validate_artifact
-from ketlab.serialize import load_json
+from ketlab import ConfigError, InternalError, JointSystemPointerState
+from ketlab.cli import SCHEMAS, main, parse_state_spec, validate_artifact
+from ketlab.serialize import dump_json, load_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -239,6 +240,34 @@ def test_output_suffix_must_match_format(tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["protective", "--dump-joint", "protective.json"],
+    ["protective", "-o", "run.json", "--dump-joint", "./sub/../run.json"],
+    ["protective", "--dump-joint", "protective.json.manifest.json"],
+    ["protective", "--sweep-g", "0.005", "--per-step-csv", "protective.sweep.csv"],
+])
+def test_artifact_paths_must_be_distinct(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_every_schema_is_valid_against_its_metaschema(kind):
+    schema = SCHEMAS[kind]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_schema_violation_raises_internal_error(tmp_path):
+    path = tmp_path / "bad.json"
+    dump_json({"kind": "ketlab/steering", "command": "steer", "trials": "many"}, path)
+    with pytest.raises(InternalError, match="bad.json fails its schema"):
+        validate_artifact(path)
+    # the cached validator must keep rejecting on a second artifact of the kind
+    with pytest.raises(InternalError, match="fails its schema"):
+        validate_artifact(path)
+
+
 def test_internal_error_exit(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("solver unavailable")
@@ -286,3 +315,11 @@ def test_default_runs_match_golden(tmp_path, monkeypatch, argv, artifact):
         assert_close_payload(load_json(fresh), load_json(golden))
     else:
         compare_csv(fresh, golden)
+
+
+def test_default_steer_is_byte_identical_to_golden(tmp_path, monkeypatch):
+    """Steering rounds draw against a per-basis outcome table; the default
+    run must still write the checked-in artifact byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["steer"]) == 0
+    assert (tmp_path / "steer.json").read_bytes() == (GOLDEN_DIR / "steer.json").read_bytes()

@@ -1,0 +1,54 @@
+"""Cold-start cost: importing the package must not load the LP solver.
+
+Each check runs in a fresh interpreter, because this test process has
+long since imported `scipy.optimize` through other tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code: str, cwd) -> dict:
+    """Run `code` in a new interpreter with the package on its path and
+    return the JSON object it prints last."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_does_not_load_the_lp_solver(tmp_path):
+    seen = run_fresh(
+        "import json, sys\n"
+        "import ketlab\n"
+        "after_package = 'scipy.optimize' in sys.modules\n"
+        "import ketlab.cli\n"
+        "after_cli = 'scipy.optimize' in sys.modules\n"
+        "print(json.dumps([after_package, after_cli]))\n",
+        tmp_path,
+    )
+    assert seen == [False, False]
+
+
+def test_onto_still_certifies_after_a_cold_start(tmp_path):
+    seen = run_fresh(
+        "import json, sys\n"
+        "from ketlab.cli import main\n"
+        "code = main(['onto', '--resolution', '1', '--q', '1.0'])\n"
+        "print(json.dumps([code, 'scipy.optimize' in sys.modules]))\n",
+        tmp_path,
+    )
+    assert seen == [0, True]
+    data = json.loads((tmp_path / "onto.json").read_text())
+    assert data["duality_gap"] <= 1e-6
+    assert abs(data["violation_lower_bound"] - 0.25) <= 1e-9

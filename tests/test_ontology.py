@@ -251,6 +251,17 @@ def test_min_violation_reports_indeterminate_instead_of_guessing(monkeypatch):
         pbr_min_violation(1.0, resolution=1)
 
 
+def test_min_violation_does_not_mistake_a_missing_solver_for_a_failed_solve(monkeypatch):
+    """The solver module loads on the first solve; if that import breaks,
+    the error must surface, not silently fall back to the grid candidate."""
+    def missing(*args, **kwargs):
+        raise ImportError("No module named 'scipy.optimize'")
+
+    monkeypatch.setattr(ketlab.ontology, "linprog", missing)
+    with pytest.raises(ImportError, match="scipy.optimize"):
+        pbr_min_violation(0.5, resolution=8)
+
+
 def test_lp_alone_certifies_a_coarse_grid():
     # resolution 1 cannot split the shared row, but the refinement step can
     bound = pbr_min_violation(1.0, resolution=1)

@@ -9,6 +9,8 @@ import pytest
 from ketlab import (
     PbrCounts,
     PreconditionError,
+    StateVector,
+    eigendecompose,
     epr_steering,
     equal_up_to_phase,
     haar_random_unitary,
@@ -20,9 +22,12 @@ from ketlab import (
     pbr_basis,
     pbr_experiment,
     preparation_states,
+    steering_table,
     strong_measure,
     substream,
 )
+from ketlab.hilbert import canonical_phase
+from ketlab.pbr import SteeringSample, _alice_observable, _bob_reduced, _singlet
 
 KET0 = np.array([1.0, 0.0])
 KETP = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -204,6 +209,57 @@ def test_steering_outcomes_are_unbiased():
     ups = sum(epr_steering("z", seed).alice_outcome == 1.0 for seed in range(400))
     # 5 sigma around 200 at sd = 10
     assert 150 <= ups <= 250
+
+
+def reference_steering(alice_basis, seed):
+    """The former `epr_steering`, kept verbatim as the oracle for the
+    tabulated rounds: a full eigensolve and `strong_measure` per round."""
+    state = _singlet()
+    op = _alice_observable(alice_basis)
+    eig = eigendecompose(op)
+    sample = strong_measure(state, eig, seed)
+    bob_rho = _bob_reduced(sample.collapsed.amplitudes)
+    _, vecs = np.linalg.eigh(bob_rho)
+    bob_state = StateVector.normalized(canonical_phase(vecs[:, -1]))
+    # exact average over outcomes, from projections rather than samples
+    averaged = np.zeros((2, 2), dtype=complex)
+    mat = eig.basis_matrix
+    overlaps = mat.conj().T @ state.amplitudes
+    for _, idx in eig.groups:
+        idx = list(idx)
+        projected = mat[:, idx] @ overlaps[idx]
+        averaged += _bob_reduced(projected)
+    deviation = averaged - np.eye(2) / 2.0
+    check = float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(deviation))))
+    return SteeringSample(
+        alice_basis=alice_basis,
+        alice_outcome=sample.eigenvalue,
+        bob_conditional=bob_state,
+        bob_marginal_check=check,
+    )
+
+
+@pytest.mark.parametrize("alice_basis", ["z", "x"])
+@pytest.mark.parametrize("seed", [7, 11, 12345])
+def test_steering_table_matches_reference_round_by_round(alice_basis, seed):
+    table = steering_table(alice_basis)
+    for i in range(200):
+        got = table.sample(substream(seed, i))
+        want = reference_steering(alice_basis, substream(seed, i))
+        assert got.alice_basis == want.alice_basis
+        assert got.alice_outcome == want.alice_outcome
+        np.testing.assert_allclose(got.bob_conditional.amplitudes,
+                                   want.bob_conditional.amplitudes, rtol=0, atol=1e-12)
+        assert got.bob_marginal_check == want.bob_marginal_check
+
+
+def test_steering_single_round_matches_reference_from_a_master_seed():
+    for seed in range(20):
+        got = epr_steering("x", seed)
+        want = reference_steering("x", seed)
+        assert got.alice_outcome == want.alice_outcome
+        np.testing.assert_allclose(got.bob_conditional.amplitudes,
+                                   want.bob_conditional.amplitudes, rtol=0, atol=1e-12)
 
 
 def test_steering_rejects_unknown_basis():
