@@ -105,7 +105,7 @@ from .protective import (
     protective_tomography,
     reconstruct_state,
 )
-from .rngs import SubstreamSampler, as_generator, substream
+from .rngs import SubstreamSampler, as_generator, substream, substream_uniforms
 from .weak import (
     WeakValueResult,
     direct_wavefunction_scan,

@@ -52,7 +52,7 @@ from .hilbert import (
     sigma_y,
     sigma_z,
 )
-from .measurement import GridWavefunction, default_grid
+from .measurement import GridWavefunction, default_grid, inverse_cdf
 from .ontology import (
     OntologicalModel,
     born_consistency_gap,
@@ -67,7 +67,7 @@ from .ontology import (
 )
 from .pbr import overlap_preservation_check, pbr_experiment, steering_table
 from .protective import protection_leak, protective_measure, protective_tomography
-from .rngs import substream
+from .rngs import substream, uniform_chunks
 from .serialize import dump_json, load_json, to_builtin, write_csv
 from .weak import direct_wavefunction_scan, momentum_zero_amplitude
 
@@ -252,6 +252,18 @@ _NUM = {"type": "number"}
 _OPT_NUM = {"type": ["number", "null"]}
 _INT = {"type": "integer"}
 _STR = {"type": "string"}
+_COUNT = {"type": "integer", "minimum": 0}
+_COUNT_ROW = {"type": "array", "items": _COUNT}
+_MONTE_CARLO = {
+    "type": "object",
+    "properties": {
+        "trials": _COUNT,
+        "counts": {
+            "type": "object",
+            "additionalProperties": {"type": "object", "additionalProperties": _COUNT_ROW},
+        },
+    },
+}
 
 SCHEMAS = {
     "ketlab/protective-run": {
@@ -294,7 +306,14 @@ SCHEMAS = {
         "type": "object",
         "required": ["kind", "command", "trials", "seed", "preparations",
                      "counts", "forbidden_outcome"],
-        "properties": {"kind": {"const": "ketlab/pbr-counts"}, "trials": _INT},
+        "properties": {
+            "kind": {"const": "ketlab/pbr-counts"},
+            "trials": _INT,
+            "counts": {
+                "type": "object",
+                "additionalProperties": {**_COUNT_ROW, "minItems": 4, "maxItems": 4},
+            },
+        },
     },
     "ketlab/steering": {
         "type": "object",
@@ -307,7 +326,10 @@ SCHEMAS = {
                     "type": "object",
                     "required": ["outcome_counts", "bob_states",
                                  "marginal_trace_distance"],
-                    "properties": {"marginal_trace_distance": _OPT_NUM},
+                    "properties": {
+                        "outcome_counts": {"type": "object", "additionalProperties": _COUNT},
+                        "marginal_trace_distance": _OPT_NUM,
+                    },
                 },
             },
         },
@@ -323,6 +345,7 @@ SCHEMAS = {
             "violation_lower_bound": _NUM,
             "upper_bound": _NUM,
             "duality_gap": _NUM,
+            "monte_carlo": _MONTE_CARLO,
         },
     },
     "ketlab/model-eval": {
@@ -332,6 +355,7 @@ SCHEMAS = {
             "kind": {"const": "ketlab/model-eval"},
             "overlaps": {"type": "array"},
             "born_gaps": {"type": "object"},
+            "monte_carlo": _MONTE_CARLO,
         },
     },
     "ketlab/nogo": {
@@ -372,14 +396,21 @@ _CSV_CELL_PARSERS = {
 }
 
 
+def _is_strict_integer(checker, instance) -> bool:
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
 @cache
 def _validator(kind: str):
     """The validator for one artifact kind, built on first use. Its schema
-    is checked against the metaschema then, not on every artifact."""
+    is checked against the metaschema then, not on every artifact. An
+    "integer" must be written as one: a count that reads back as 3.0 was
+    computed as a float, so it fails even though the dialect accepts it."""
     schema = SCHEMAS[kind]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    strict = cls.TYPE_CHECKER.redefine("integer", _is_strict_integer)
+    return jsonschema.validators.extend(cls, type_checker=strict)(schema)
 
 
 def validate_artifact(path) -> None:
@@ -571,29 +602,25 @@ def _run_pbr(cfg: RunConfig):
 
 def _run_steer(cfg: RunConfig):
     """Steering rounds per basis. Round i of the run (counted across bases)
-    draws from substream i of the seed against the basis's outcome table,
-    which is computed once per basis rather than once per round."""
+    draws the first uniform of substream i of the seed against the basis's
+    outcome table, which is computed once per basis; `uniform_chunks`
+    draws a basis's rounds as arrays and `inverse_cdf` walks them."""
     p = cfg.params
     bases = ("z", "x") if p["basis"] == "both" else (p["basis"],)
     stream = 0
     out = {}
     for basis in bases:
         table = steering_table(basis)
-        outcome_counts: dict = {}
-        bob_states: dict = {}
-        marginal = None
-        for _ in range(p["trials"]):
-            sample = table.sample(substream(cfg.seed, stream))
-            stream += 1
-            key = f"{sample.alice_outcome:+g}"
-            outcome_counts[key] = outcome_counts.get(key, 0) + 1
-            if key not in bob_states:
-                bob_states[key] = sample.bob_conditional.to_json_dict()
-            marginal = sample.bob_marginal_check
+        counts = np.zeros(len(table.eigenvalues), dtype=np.int64)
+        for uniforms in uniform_chunks(cfg.seed, stream, stream + p["trials"]):
+            drawn = inverse_cdf(table.weights, uniforms[:, 0])
+            counts += np.bincount(drawn, minlength=len(counts))
+        stream += p["trials"]
+        keys = {k: f"{table.eigenvalues[k]:+g}" for k in np.flatnonzero(counts)}
         out[basis] = {
-            "outcome_counts": outcome_counts,
-            "bob_states": bob_states,
-            "marginal_trace_distance": marginal,
+            "outcome_counts": {key: int(counts[k]) for k, key in keys.items()},
+            "bob_states": {key: table.bob_states[k].to_json_dict() for k, key in keys.items()},
+            "marginal_trace_distance": table.bob_marginal_check if p["trials"] > 0 else None,
         }
     data = {
         "kind": "ketlab/steering",
@@ -910,7 +937,7 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
                          param.coerce, param.default)
         for param in spec.params
     }
-    _check_distinct_artifacts(Path(output), params)
+    _check_distinct_artifacts(Path(output), params, namespace.config)
     return RunConfig(
         subcommand=spec.name, seed=seed, output=Path(output), format=fmt,
         params=params,
@@ -925,20 +952,21 @@ def _sweep_path(output: Path) -> Path:
     return output.with_name(output.stem + ".sweep.csv")
 
 
-def _check_distinct_artifacts(output: Path, params: dict) -> None:
+def _check_distinct_artifacts(output: Path, params: dict, config: str | None) -> None:
     """Every artifact of one run needs its own path: a later write would
-    replace an earlier artifact, and the manifest would list it twice."""
+    replace an earlier artifact, and the manifest would list it twice. No
+    artifact may replace the --config file the run was read from either."""
     named = [("--output", output), ("the manifest", _manifest_path(output))]
     if params.get("sweep_g") is not None:
         named.append(("the --sweep-g CSV", _sweep_path(output)))
     for name in ("per_step_csv", "dump_joint"):
         if params.get(name) is not None:
             named.append(("--" + name.replace("_", "-"), Path(params[name])))
-    seen = {}
+    seen = {} if config is None else {Path(config).resolve(): "--config"}
     for label, path in named:
         key = path.resolve()
         if key in seen:
-            raise ConfigError(f"{label} and {seen[key]} both write {path}")
+            raise ConfigError(f"{label} would overwrite {seen[key]} at {path}")
         seen[key] = label
 
 
@@ -964,11 +992,9 @@ def _manifest(cfg: RunConfig, paths: list) -> dict:
     }
 
 
-def run(cfg: RunConfig) -> list:
-    """Execute one resolved configuration; returns the written paths."""
-    spec = COMMANDS[cfg.subcommand]
-    artifacts, summary = spec.runner(cfg)
-    paths = []
+def _write_artifacts(cfg: RunConfig, artifacts: list, paths: list) -> None:
+    """Write each artifact and the manifest, appending each path to `paths`
+    once written, then validate them all."""
     try:
         for artifact in artifacts:
             if artifact.fmt == "json":
@@ -984,6 +1010,22 @@ def run(cfg: RunConfig) -> list:
         raise ConfigError(f"cannot write artifact: {exc}") from exc
     for path in paths:
         validate_artifact(path)
+
+
+def run(cfg: RunConfig) -> list:
+    """Execute one resolved configuration; returns the written paths.
+
+    A run that fails while writing or validating removes every file it has
+    written, so no invalid or partial set of artifacts is left on disk."""
+    spec = COMMANDS[cfg.subcommand]
+    artifacts, summary = spec.runner(cfg)
+    paths = []
+    try:
+        _write_artifacts(cfg, artifacts, paths)
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
     print(summary)
     print("wrote: " + ", ".join(str(p) for p in paths))
     return paths

@@ -193,21 +193,27 @@ def born_probabilities(psi: StateVector, basis: EigenDecomposition) -> np.ndarra
     return np.abs(overlaps) ** 2
 
 
-def draw_outcome(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of the outcome that one uniform from `rng` selects.
+def inverse_cdf(weights, uniforms) -> np.ndarray:
+    """Outcome indices that `uniforms` select from nonnegative `weights`.
 
-    Walks the cumulative weights in order and stops at the first that
-    exceeds the uniform scaled to their total (the last outcome catches
-    round-off). Every sampler of a fixed outcome table draws through here,
-    so it stays draw-for-draw identical to `strong_measure`.
+    The inverse-CDF walk every sampler of this package draws through: a
+    uniform u picks the first outcome whose cumulative weight exceeds
+    u * total, where total is the weights' sum, and the last outcome
+    catches round-off. `weights` holds one table of n outcomes, or one per
+    uniform (shape (m, n) against m uniforms); the cumulative sums are
+    sequential, so a draw matches a walk that adds the weights one by one.
     """
-    u = rng.random() * float(weights.sum())
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
+    weights = np.asarray(weights, dtype=float)
+    cdf = np.cumsum(weights, axis=-1)
+    scaled = np.asarray(uniforms) * weights.sum(axis=-1)
+    passed = np.sum(cdf <= scaled[..., None], axis=-1)
+    return np.minimum(passed, weights.shape[-1] - 1)
+
+
+def draw_outcome(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of the outcome that one uniform from `rng` selects, by
+    `inverse_cdf`, so it stays draw-for-draw identical to `strong_measure`."""
+    return int(inverse_cdf(weights, rng.random()))
 
 
 def strong_measure(psi: StateVector, basis: EigenDecomposition, seed) -> OutcomeSample:

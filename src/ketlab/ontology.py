@@ -20,12 +20,12 @@ For the four-outcome antidistinguishability measurement on two independent
 shared-reality qubits, `pbr_min_violation` computes how badly the best
 possible response table must violate the quantum prediction that each
 preparation's forbidden outcome never fires. The answer is certified: a
-grid search seeds a candidate, an exact linear program refines it, and a
-dual feasible point provides a matching lower bound. Preparation
-independence -- the lambda pair distribution of a product preparation is
-the product of the single-system distributions -- is assumed by the
-construction and asserted in tests; it is the one extra premise the
-argument needs.
+grid search seeds a candidate and a dual feasible point provides a
+matching lower bound; an exact linear program refines both only when the
+grid leaves a gap. Preparation independence -- the lambda pair
+distribution of a product preparation is the product of the single-system
+distributions -- is assumed by the construction and asserted in tests; it
+is the one extra premise the argument needs.
 """
 
 from __future__ import annotations
@@ -447,11 +447,16 @@ def pbr_min_violation(q: float, resolution: int = 8) -> ViolationBound:
     Searches all response tables for the antidistinguishability measurement
     over lambda pairs of two independent shared-reality qubits, minimizing
     the worst forbidden-outcome probability across the four preparations.
-    A simplex-grid search (resolution points per row) seeds the candidate;
-    an exact linear program refines it; the LP's dual weights feed a
-    closed-form lower bound. The gap between achieved candidate and lower
-    bound must close below DUALITY_GAP_TOL or the result is reported as
-    indeterminate (CertificationError), never silently rounded.
+    A simplex-grid search (resolution points per row) seeds the candidate,
+    and the uniform weighting of the preparations gives a closed-form
+    lower bound. When that certificate already closes within
+    DUALITY_GAP_TOL (at the default resolution it closes exactly), it is
+    returned as it stands and no linear program is solved, so
+    `scipy.optimize` is never imported. Otherwise an exact linear program
+    refines the candidate and its dual weights feed a second closed-form
+    lower bound. The gap between achieved candidate and lower bound must
+    close below DUALITY_GAP_TOL or the result is reported as indeterminate
+    (CertificationError), never silently rounded.
     """
     if not 0.0 <= q <= 1.0:
         raise PreconditionError(f"shared weight q must lie in [0, 1], got {q!r}")
@@ -462,18 +467,18 @@ def pbr_min_violation(q: float, resolution: int = 8) -> ViolationBound:
     n_out = len(forbidden)
     candidate = _grid_candidate(weights, forbidden, resolution)
     upper = _max_violation(weights, forbidden, candidate)
-    mu_candidates = [np.full(n_out, 1.0 / n_out)]
+    lower = _dual_lower_bound(weights, forbidden, np.full(n_out, 1.0 / n_out))
 
-    lp = _refine_with_lp(weights, forbidden, n_pairs, n_out)
+    lp = (_refine_with_lp(weights, forbidden, n_pairs, n_out)
+          if upper - lower > DUALITY_GAP_TOL else None)
     if lp is not None:
         refined, mu = lp
         refined_upper = _max_violation(weights, forbidden, refined)
         if refined_upper < upper:
             candidate, upper = refined, refined_upper
         if mu is not None:
-            mu_candidates.append(mu)
+            lower = max(lower, _dual_lower_bound(weights, forbidden, mu))
 
-    lower = max(_dual_lower_bound(weights, forbidden, mu) for mu in mu_candidates)
     gap = upper - lower
     if gap > DUALITY_GAP_TOL:
         raise CertificationError(
@@ -500,7 +505,8 @@ def pbr_min_violation(q: float, resolution: int = 8) -> ViolationBound:
 
 def _refine_with_lp(weights: np.ndarray, forbidden, n_pairs: int, n_out: int):
     """Solve the exact minimax LP; returns (responses, dual weights) or None
-    when the solve fails (the grid candidate then stands). A solver that
+    when the solve fails (the grid candidate then stands). Called only when
+    the grid certificate leaves a gap above DUALITY_GAP_TOL. A solver that
     raises anything but RuntimeError or ValueError, such as an ImportError
     from a broken install, is not a failed solve and propagates."""
     n_vars = 1 + n_pairs * n_out   # t, then row-major response entries

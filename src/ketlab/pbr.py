@@ -37,8 +37,8 @@ from .hilbert import (
     sigma_z,
     tensor,
 )
-from .measurement import born_probabilities, draw_outcome
-from .rngs import SubstreamSampler, as_generator
+from .measurement import born_probabilities, draw_outcome, inverse_cdf
+from .rngs import as_generator, uniform_chunks
 
 ORTHONORMAL_TOL = 1e-12   # basis Gram deviation allowed
 FORBIDDEN_TOL = 1e-12     # |<xi|preparation>| certifying a forbidden pairing
@@ -170,9 +170,11 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     are independent and reproducible regardless of execution order.
 
     The preparations are fixed, so their outcome weights are computed once
-    up front; each trial then draws from the same inverse CDF that
-    `strong_measure` would walk, one uniform per stage. A unit test pins
-    the equivalence trial by trial.
+    up front. The trials then run as arrays, SUBSTREAM_CHUNK at a time:
+    both uniforms of every trial come from one `uniform_chunks` block, one
+    `inverse_cdf` walk picks the preparations, a second walks each trial's
+    Born row as `strong_measure` would, and a `bincount` tallies the cells.
+    Unit tests pin the equivalence with the per-trial loop.
     """
     if trials < 0:
         raise PreconditionError(f"trials must be >= 0, got {trials}")
@@ -185,34 +187,15 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
         )
     basis = pbr_basis()
     preps = preparation_states()
-    mix_cdf = [float(c) for c in np.cumsum(weights)]
-    outcome_weights = {}
-    outcome_totals = {}
-    for p in PREPARATION_IDS:
-        born = born_probabilities(preps[p], basis.measurement)
-        outcome_weights[p] = [float(w) for w in born]
-        outcome_totals[p] = float(born.sum())
-    counts = {p: [0, 0, 0, 0] for p in PREPARATION_IDS}
-    sampler = SubstreamSampler(seed)
-    for t in range(trials):
-        rng = sampler.select(t)
-        u = rng.random() * mix_cdf[-1]
-        which = 3
-        for i in range(4):
-            if u < mix_cdf[i]:
-                which = i
-                break
-        prep_id = PREPARATION_IDS[which]
-        row = outcome_weights[prep_id]
-        u = rng.random() * outcome_totals[prep_id]
-        acc = 0.0
-        outcome = 3
-        for i in range(4):
-            acc += row[i]
-            if u < acc:
-                outcome = i
-                break
-        counts[prep_id][outcome] += 1
+    born = np.stack([born_probabilities(preps[p], basis.measurement)
+                     for p in PREPARATION_IDS])
+    cells = np.zeros(16, dtype=np.int64)
+    for uniforms in uniform_chunks(seed, 0, trials, k=2):
+        which = inverse_cdf(weights, uniforms[:, 0])
+        outcome = inverse_cdf(born[which], uniforms[:, 1])
+        cells += np.bincount(4 * which + outcome, minlength=16)
+    counts = {p: [int(c) for c in row]
+              for p, row in zip(PREPARATION_IDS, cells.reshape(4, 4))}
     return PbrCounts(counts=counts, trials=trials, seed=int(seed),
                      forbidden_map=basis.forbidden_map)
 

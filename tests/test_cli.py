@@ -1,6 +1,7 @@
 """End-to-end checks of the `ketlab` command line: configuration layering,
 artifact writing and validation, exit codes, and the golden default runs."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,8 +10,15 @@ import jsonschema
 import pytest
 
 import ketlab.ontology
-from ketlab import ConfigError, InternalError, JointSystemPointerState
-from ketlab.cli import SCHEMAS, main, parse_state_spec, validate_artifact
+import ketlab.rngs
+from ketlab import (
+    ConfigError,
+    InternalError,
+    JointSystemPointerState,
+    steering_table,
+    substream,
+)
+from ketlab.cli import COMMANDS, SCHEMAS, Artifact, main, parse_state_spec, validate_artifact
 from ketlab.serialize import dump_json, load_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -250,6 +258,100 @@ def test_artifact_paths_must_be_distinct(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config,argv", [
+    ("protective.json", ["protective", "--n", "5"]),
+    ("run.json", ["protective", "-o", "run.json"]),
+    ("steer.json.manifest.json", ["steer"]),
+    ("steps.csv", ["protective", "--per-step-csv", "steps.csv"]),
+])
+def test_artifacts_may_not_overwrite_the_config_file(tmp_path, monkeypatch, config, argv):
+    monkeypatch.chdir(tmp_path)
+    text = '{"seed": 3}'
+    (tmp_path / config).write_text(text)
+    assert main(["--config", config, *argv]) == 2
+    assert (tmp_path / config).read_text() == text
+    assert [p.name for p in tmp_path.iterdir()] == [config]
+
+
+def test_a_run_that_fails_validation_leaves_no_files(tmp_path, monkeypatch):
+    def invalid_runner(cfg):
+        good = {"kind": "ketlab/nogo", "command": "nogo", "sweeps": 0, "seed": 7,
+                "ready": "0", "pair": ["0", "+"], "overlap_before": 0.5,
+                "max_abs_change": None, "mean_overlap_after": None}
+        bad = {"kind": "ketlab/steering", "command": "steer", "trials": 1, "seed": 7,
+               "bases": {"z": {"outcome_counts": {"+1": 0.5}, "bob_states": {},
+                               "marginal_trace_distance": 0.0}}}
+        return [Artifact(tmp_path / "good.json", "json", good),
+                Artifact(cfg.output, "json", bad)], "summary"
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(COMMANDS, "steer",
+                        dataclasses.replace(COMMANDS["steer"], runner=invalid_runner))
+    assert main(["steer"]) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def _set_pbr_count(data, value):
+    data["counts"]["0+"][0] = value
+
+
+def _set_steering_count(data, value):
+    data["bases"]["z"]["outcome_counts"]["+1"] = value
+
+
+def _set_monte_carlo_count(data, value):
+    data["monte_carlo"]["counts"]["00"]["xi"][1] = value
+
+
+@pytest.mark.parametrize("argv,output,mutate", [
+    (["pbr", "--format", "json", "--trials", "40"], "pbr.json", _set_pbr_count),
+    (["steer", "--trials", "40"], "steer.json", _set_steering_count),
+    (["onto", "--mc-trials", "40"], "onto.json", _set_monte_carlo_count),
+])
+@pytest.mark.parametrize("count", [3.0, 2.5, -1])
+def test_counts_must_be_nonnegative_integers(tmp_path, monkeypatch, argv, output, mutate,
+                                             count):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    data = load_json(tmp_path / output)
+    mutate(data, count)
+    dump_json(data, tmp_path / "bad.json")
+    with pytest.raises(InternalError, match="bad.json fails its schema"):
+        validate_artifact(tmp_path / "bad.json")
+
+
+def reference_steer_bases(seed, bases, trials):
+    """The former round loop of `ketlab steer`, one substream per round,
+    kept as the oracle for the array draws."""
+    stream = 0
+    out = {}
+    for basis in bases:
+        table = steering_table(basis)
+        outcome_counts, bob_states = {}, {}
+        for _ in range(trials):
+            sample = table.sample(substream(seed, stream))
+            stream += 1
+            key = f"{sample.alice_outcome:+g}"
+            outcome_counts[key] = outcome_counts.get(key, 0) + 1
+            if key not in bob_states:
+                bob_states[key] = sample.bob_conditional.to_json_dict()
+        out[basis] = (outcome_counts, bob_states)
+    return out
+
+
+@pytest.mark.parametrize("seed", [7, 12345, 2 ** 64 - 1])
+def test_steer_matches_the_round_loop_across_chunks(tmp_path, monkeypatch, seed):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ketlab.rngs, "SUBSTREAM_CHUNK", 8)
+    assert main(["steer", "--trials", "37", "--seed", str(seed)]) == 0
+    data = json.loads((tmp_path / "steer.json").read_text())
+    want = reference_steer_bases(seed, ("z", "x"), 37)
+    for basis, (counts, states) in want.items():
+        got = data["bases"][basis]
+        assert got["outcome_counts"] == counts
+        assert_close_payload(got["bob_states"], states)
 
 
 @pytest.mark.parametrize("kind", sorted(SCHEMAS))

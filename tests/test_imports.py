@@ -1,4 +1,5 @@
-"""Cold-start cost: importing the package must not load the LP solver.
+"""Cold-start cost: importing the package, and running the commands whose
+certificate closes without it, must not load the LP solver.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported `scipy.optimize` through other tests.
@@ -38,6 +39,18 @@ def test_importing_the_package_does_not_load_the_lp_solver(tmp_path):
         tmp_path,
     )
     assert seen == [False, False]
+
+
+def test_default_commands_do_not_load_the_lp_solver(tmp_path):
+    seen = run_fresh(
+        "import json, sys\n"
+        "from ketlab.cli import main\n"
+        "codes = [main(['onto']), main(['onto', '--mc-trials', '1000']),\n"
+        "         main(['pbr']), main(['steer'])]\n"
+        "print(json.dumps([codes, 'scipy.optimize' in sys.modules]))\n",
+        tmp_path,
+    )
+    assert seen == [[0, 0, 0, 0], False]
 
 
 def test_onto_still_certifies_after_a_cold_start(tmp_path):

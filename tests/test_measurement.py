@@ -26,6 +26,8 @@ from ketlab.measurement import (
     born_probabilities,
     couple_pointer,
     default_grid,
+    draw_outcome,
+    inverse_cdf,
     make_pointer,
     pointer_marginal,
     pointer_position_mean,
@@ -109,6 +111,50 @@ def test_born_probabilities_on_sigma_z(theta):
     # ascending eigenvalue order: outcome 0 is the -1 eigenvector |1>
     assert abs(probs[0] - math.sin(theta) ** 2) < 1e-12
     assert abs(probs[1] - math.cos(theta) ** 2) < 1e-12
+
+
+def sequential_walk(weights, u):
+    """The inverse-CDF walk as a loop, one weight at a time: the oracle
+    for `inverse_cdf`."""
+    scaled = u * float(np.sum(weights))
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if scaled < acc:
+            return i
+    return len(weights) - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9, 17])
+def test_inverse_cdf_matches_the_sequential_walk(n):
+    rng = np.random.default_rng(n)
+    weights = rng.random(n)
+    weights[rng.random(n) < 0.3] = 0.0
+    uniforms = np.concatenate([rng.random(500), [0.0, 1.0 - 2.0 ** -53]])
+    got = inverse_cdf(weights, uniforms)
+    assert list(got) == [sequential_walk(weights, u) for u in uniforms]
+    assert [draw_outcome(weights, np.random.Generator(np.random.Philox(key=s)))
+            for s in range(20)] == [
+        sequential_walk(weights, np.random.Generator(np.random.Philox(key=s)).random())
+        for s in range(20)
+    ]
+
+
+def test_inverse_cdf_skips_outcomes_whose_cumulative_weight_it_reaches():
+    # u * total equal to a cumulative weight selects the next outcome, so a
+    # zero-weight outcome is never drawn, not even by u = 0
+    weights = np.array([0.0, 1.0, 1.0])
+    uniforms = [0.0, 0.5, 1.0 - 2.0 ** -53]
+    assert list(inverse_cdf(weights, uniforms)) == [1, 2, 2]
+    assert [sequential_walk(weights, u) for u in uniforms] == [1, 2, 2]
+
+
+def test_inverse_cdf_walks_one_table_per_uniform():
+    rng = np.random.default_rng(3)
+    tables = rng.random((400, 4))
+    uniforms = rng.random(400)
+    got = inverse_cdf(tables, uniforms)
+    assert list(got) == [sequential_walk(t, u) for t, u in zip(tables, uniforms)]
 
 
 def test_strong_measure_on_eigenstate_is_deterministic():

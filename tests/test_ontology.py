@@ -259,7 +259,20 @@ def test_min_violation_does_not_mistake_a_missing_solver_for_a_failed_solve(monk
 
     monkeypatch.setattr(ketlab.ontology, "linprog", missing)
     with pytest.raises(ImportError, match="scipy.optimize"):
-        pbr_min_violation(0.5, resolution=8)
+        pbr_min_violation(1.0, resolution=1)
+
+
+def test_default_resolution_certifies_without_the_solver(monkeypatch):
+    """At the default resolution the grid candidate and the uniform dual
+    point close the gap exactly, so the linear program is never solved."""
+    def forbidden(*args, **kwargs):
+        pytest.fail("linprog was called although the grid certificate closes")
+
+    monkeypatch.setattr(ketlab.ontology, "linprog", forbidden)
+    for q in np.linspace(0.0, 1.0, 201):
+        bound = pbr_min_violation(float(q))
+        assert bound.duality_gap == 0.0
+        assert bound.upper_bound == pytest.approx(q * q / 4.0, abs=1e-12)
 
 
 def test_lp_alone_certifies_a_coarse_grid():

@@ -27,7 +27,15 @@ from ketlab import (
     substream,
 )
 from ketlab.hilbert import canonical_phase
-from ketlab.pbr import SteeringSample, _alice_observable, _bob_reduced, _singlet
+from ketlab.measurement import born_probabilities
+from ketlab.pbr import (
+    PREPARATION_IDS,
+    SteeringSample,
+    _alice_observable,
+    _bob_reduced,
+    _singlet,
+)
+from ketlab.rngs import SUBSTREAM_CHUNK, SubstreamSampler
 
 KET0 = np.array([1.0, 0.0])
 KETP = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -134,6 +142,63 @@ def test_experiment_replays_trial_by_trial_through_strong_measure(basis):
         sample = strong_measure(preps[prep_id], basis.measurement, rng)
         replay[prep_id][sample.outcome_index] += 1
     assert replay == result.counts
+
+
+def reference_pbr_counts(trials, mixture_weights, seed):
+    """The former per-trial loop of `pbr_experiment`, kept verbatim as the
+    oracle for the array version: one substream and two walks per trial."""
+    weights = np.asarray(mixture_weights, dtype=float)
+    basis = pbr_basis()
+    preps = preparation_states()
+    mix_cdf = [float(c) for c in np.cumsum(weights)]
+    outcome_weights = {}
+    outcome_totals = {}
+    for p in PREPARATION_IDS:
+        born = born_probabilities(preps[p], basis.measurement)
+        outcome_weights[p] = [float(w) for w in born]
+        outcome_totals[p] = float(born.sum())
+    counts = {p: [0, 0, 0, 0] for p in PREPARATION_IDS}
+    sampler = SubstreamSampler(seed)
+    for t in range(trials):
+        rng = sampler.select(t)
+        u = rng.random() * mix_cdf[-1]
+        which = 3
+        for i in range(4):
+            if u < mix_cdf[i]:
+                which = i
+                break
+        prep_id = PREPARATION_IDS[which]
+        row = outcome_weights[prep_id]
+        u = rng.random() * outcome_totals[prep_id]
+        acc = 0.0
+        outcome = 3
+        for i in range(4):
+            acc += row[i]
+            if u < acc:
+                outcome = i
+                break
+        counts[prep_id][outcome] += 1
+    return counts
+
+
+def _random_mixture(seed):
+    w = np.random.default_rng(seed).random(4)
+    return tuple(w / w.sum())
+
+
+@pytest.mark.parametrize("trials,weights,seed", [
+    (3000, _random_mixture(1), 0),
+    (3000, _random_mixture(2), 12345),
+    (3000, _random_mixture(3), 2 ** 64 - 1),
+    (3000, (0.0, 0.5, 0.0, 0.5), 4),
+    (3000, (1.0, 0.0, 0.0, 0.0), 5),
+    (0, (0.25, 0.25, 0.25, 0.25), 6),
+    (SUBSTREAM_CHUNK + 1, _random_mixture(4), 7),
+])
+def test_experiment_matches_the_per_trial_reference(trials, weights, seed):
+    got = pbr_experiment(trials, weights, seed=seed)
+    assert got.counts == reference_pbr_counts(trials, weights, seed)
+    assert all(type(c) is int for row in got.counts.values() for c in row)
 
 
 def test_experiment_rejects_bad_mixture_weights():

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from ketlab.errors import PreconditionError
-from ketlab.rngs import STREAM_STRIDE, SubstreamSampler, as_generator, substream
+from ketlab.rngs import (
+    STREAM_STRIDE,
+    SUBSTREAM_CHUNK,
+    SubstreamSampler,
+    as_generator,
+    substream,
+    substream_uniforms,
+    uniform_chunks,
+)
 
 
 def test_substream_is_deterministic():
@@ -61,3 +69,50 @@ def test_as_generator_accepts_integer_seeds():
     a = as_generator(11).random(4)
     b = as_generator(11).random(4)
     np.testing.assert_array_equal(a, b)
+
+
+UNIFORM_INDICES = [0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1, 2 ** 64 + 12345])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_substream_uniforms_match_substreams_bit_for_bit(seed, k):
+    got = substream_uniforms(seed, UNIFORM_INDICES, k)
+    want = np.array([substream(seed, i).random(k) for i in UNIFORM_INDICES])
+    np.testing.assert_array_equal(got, want)
+
+
+def test_substream_uniforms_accept_integer_arrays():
+    indices = np.arange(1000, 1300, 7)
+    got = substream_uniforms(11, indices, 2)
+    want = np.array([substream(11, int(i)).random(2) for i in indices])
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("indices", [[-1], [0, 2 ** 64], np.array([3, -2])])
+def test_substream_uniforms_reject_out_of_range_indices(indices):
+    with pytest.raises(PreconditionError, match="outside"):
+        substream_uniforms(0, indices)
+
+
+def test_substream_uniforms_reject_bad_seeds_and_block_sizes():
+    with pytest.raises(PreconditionError):
+        substream_uniforms(-1, [0])
+    with pytest.raises(PreconditionError):
+        substream_uniforms(2 ** 128, [0])
+    with pytest.raises(PreconditionError):
+        substream_uniforms(0, [0], k=5)
+
+
+def test_uniform_chunks_cover_the_range_in_order():
+    start, stop = 5, 2 * SUBSTREAM_CHUNK + 9
+    blocks = list(uniform_chunks(3, start, stop, k=2))
+    assert [len(u) for u in blocks] == [SUBSTREAM_CHUNK, SUBSTREAM_CHUNK, 4]
+    joined = np.concatenate(blocks)
+    np.testing.assert_array_equal(joined, substream_uniforms(3, np.arange(start, stop), 2))
+    assert list(uniform_chunks(3, 4, 4)) == []
+
+
+def test_uniform_chunks_reject_ranges_past_the_last_substream():
+    with pytest.raises(PreconditionError):
+        list(uniform_chunks(0, 2 ** 64 - 1, 2 ** 64 + 1))
