@@ -90,8 +90,8 @@ def parse_state_spec(spec: str) -> StateVector:
         parts = spec.split(":")
         if len(parts) == 2:
             try:
-                return qubit_state(float(parts[0]), float(parts[1]))
-            except ValueError:
+                return qubit_state(_as_float(parts[0]), _as_float(parts[1]))
+            except ConfigError:
                 pass
     raise ConfigError(
         f"cannot parse state {spec!r}: expected one of 0, 1, +, - or 'theta:phi'"
@@ -118,16 +118,19 @@ def _as_int(value):
 
 
 def _as_float(value):
+    """A finite float: no experiment has a meaning for nan or inf, and
+    they would slip through every later range check."""
     if isinstance(value, bool):
         raise ConfigError("expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+    number = math.nan
+    if isinstance(value, (int, float, str)):
         try:
-            return float(value)
-        except ValueError:
+            number = float(value)
+        except (ValueError, OverflowError):   # OverflowError: ints past 1e308
             pass
-    raise ConfigError(f"expected a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _as_bool(value):
@@ -308,7 +311,7 @@ SCHEMAS = {
                      "counts", "forbidden_outcome"],
         "properties": {
             "kind": {"const": "ketlab/pbr-counts"},
-            "trials": _INT,
+            "trials": _COUNT,
             "counts": {
                 "type": "object",
                 "additionalProperties": {**_COUNT_ROW, "minItems": 4, "maxItems": 4},
@@ -320,6 +323,7 @@ SCHEMAS = {
         "required": ["kind", "command", "trials", "seed", "bases"],
         "properties": {
             "kind": {"const": "ketlab/steering"},
+            "trials": _COUNT,
             "bases": {
                 "type": "object",
                 "additionalProperties": {
@@ -364,6 +368,7 @@ SCHEMAS = {
                      "overlap_before", "max_abs_change", "mean_overlap_after"],
         "properties": {
             "kind": {"const": "ketlab/nogo"},
+            "sweeps": _COUNT,
             "overlap_before": _NUM,
             "max_abs_change": _OPT_NUM,
             "mean_overlap_after": _OPT_NUM,
@@ -510,6 +515,8 @@ def _run_protective(cfg: RunConfig):
         artifacts.append(Artifact(Path(p["dump_joint"]), "json", payload))
     if result.aborted_at_step is not None:
         summary = f"sampled run aborted at protection step {result.aborted_at_step}"
+    elif result.inferred_expectation is None:
+        summary = f"no expectation inferred from {p['n']} cycles at g={p['g']}"
     else:
         summary = (
             f"inferred expectation {result.inferred_expectation:.6f} "
@@ -551,7 +558,7 @@ def _run_leak(cfg: RunConfig):
 def _scan_input(p) -> GridWavefunction:
     grid = default_grid(p["width"], p["grid_points"])
     x = grid.positions
-    w = p["width"]
+    w = np.float64(p["width"])   # w ** 2 overflows to inf, as in make_pointer
     if p["profile"] == "gaussian":
         amps = np.exp(-((x - p["offset"]) ** 2) / (4.0 * w ** 2)).astype(complex)
     else:
@@ -606,6 +613,8 @@ def _run_steer(cfg: RunConfig):
     outcome table, which is computed once per basis; `uniform_chunks`
     draws a basis's rounds as arrays and `inverse_cdf` walks them."""
     p = cfg.params
+    if p["trials"] < 0:
+        raise PreconditionError(f"trials must be >= 0, got {p['trials']}")
     bases = ("z", "x") if p["basis"] == "both" else (p["basis"],)
     stream = 0
     out = {}
@@ -643,6 +652,8 @@ def _run_steer(cfg: RunConfig):
 
 def _run_onto(cfg: RunConfig):
     p = cfg.params
+    if p["mc_trials"] < 0:
+        raise PreconditionError(f"mc_trials must be >= 0, got {p['mc_trials']}")
     if p["model"] is None:
         if p["prep"] is not None or p["meas"] is not None:
             raise ConfigError("--prep/--meas only apply when --model is given")
@@ -667,7 +678,7 @@ def _run_onto(cfg: RunConfig):
         model = orthodox_model(scenario)
         model_name = "orthodox"
     else:
-        model = OntologicalModel.from_json_dict(load_json(Path(p["model"])))
+        model = OntologicalModel.from_json_dict(_read_json(p["model"], "model file"))
         model_name = Path(p["model"]).name
     overlaps = [
         {
@@ -710,6 +721,8 @@ def _run_onto(cfg: RunConfig):
 
 def _run_nogo(cfg: RunConfig):
     p = cfg.params
+    if p["sweeps"] < 0:
+        raise PreconditionError(f"sweeps must be >= 0, got {p['sweeps']}")
     ready = parse_state_spec(p["ready"])
     s1 = parse_state_spec(p["pair"][0])
     s2 = parse_state_spec(p["pair"][1])
@@ -888,13 +901,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str, spec: CommandSpec) -> dict:
+def _read_json(path: str, what: str):
+    """The JSON in an input file; ConfigError when it cannot be read or
+    parsed."""
     try:
-        data = load_json(Path(path))
+        return load_json(Path(path))
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _load_config_file(path: str, spec: CommandSpec) -> dict:
+    data = _read_json(path, "config file")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     known = {"subcommand", "seed", "output", "format"}

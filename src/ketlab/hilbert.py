@@ -56,7 +56,7 @@ class StateVector:
                 f"expected {dim} amplitudes, got shape {np.shape(self.amplitudes)}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise PreconditionError(
                 f"state norm^2 = {norm_sq!r} differs from 1 by more than {NORM_TOL}"
             )

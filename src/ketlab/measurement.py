@@ -87,7 +87,9 @@ class PointerGrid:
 def default_grid(width: float = 1.0, n_points: int = DEFAULT_GRID_POINTS,
                  center: float = 0.0) -> PointerGrid:
     """Grid with the default extent of 40 pointer widths."""
-    return PointerGrid(n_points, DEFAULT_EXTENT_WIDTHS * width / n_points, center)
+    extent = DEFAULT_EXTENT_WIDTHS * width
+    # n_points 0 reaches PointerGrid's check instead of a ZeroDivisionError
+    return PointerGrid(n_points, extent / n_points if n_points else extent, center)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +107,7 @@ class GridWavefunction:
                 f"{np.shape(self.amplitudes)}"
             )
         norm = float(np.sum(np.abs(amps) ** 2) * self.grid.spacing)
-        if abs(norm - 1.0) > GRID_NORM_TOL:
+        if not abs(norm - 1.0) <= GRID_NORM_TOL:
             raise PreconditionError(
                 f"grid wavefunction norm {norm!r} differs from 1 by more than {GRID_NORM_TOL}"
             )
@@ -138,7 +140,7 @@ class JointSystemPointerState:
                 f"expected shape {(d, self.grid.n_points)}, got {np.shape(self.amplitudes)}"
             )
         norm = float(np.sum(np.abs(amps) ** 2) * self.grid.spacing)
-        if abs(norm - 1.0) > GRID_NORM_TOL:
+        if not abs(norm - 1.0) <= GRID_NORM_TOL:
             raise PreconditionError(
                 f"joint state norm {norm!r} differs from 1 by more than {GRID_NORM_TOL}"
             )
@@ -216,35 +218,46 @@ def draw_outcome(weights: np.ndarray, rng: np.random.Generator) -> int:
     return int(inverse_cdf(weights, rng.random()))
 
 
-def strong_measure(psi: StateVector, basis: EigenDecomposition, seed) -> OutcomeSample:
-    """Sample one projective outcome and collapse.
+def born_outcomes(psi: StateVector, basis: EigenDecomposition) -> tuple:
+    """(eigenvalues, weights, projections) of measuring `basis` on `psi`.
 
     Outcomes are the distinct eigenvalue groups of the basis (degenerate
-    eigenvalues within DEGENERACY_TOL count as one outcome); the collapsed
-    state is the normalized projection of psi onto the outcome eigenspace.
-    `seed` may be a master seed or a Generator; one uniform draw is used.
+    eigenvalues within DEGENERACY_TOL count as one outcome). weights[k] is
+    outcome k's Born weight and projections[k] the unnormalized projection
+    of psi onto its eigenspace.
     """
-    rng = as_generator(seed)
     if psi.dim != basis.dim:
         raise PreconditionError(f"dimension mismatch: state {psi.dim} vs basis {basis.dim}")
     overlaps = basis.basis_matrix.conj().T @ psi.amplitudes
     per_vector = np.abs(overlaps) ** 2
-    groups = basis.groups
-    weights = np.array([per_vector[list(idx)].sum() for _, idx in groups])
+    eigenvalues, weights, projections = [], [], []
+    for value, idx in basis.groups:
+        idx = list(idx)
+        eigenvalues.append(value)
+        weights.append(per_vector[idx].sum())
+        projections.append(basis.basis_matrix[:, idx] @ overlaps[idx])
+    return tuple(eigenvalues), np.array(weights), tuple(projections)
+
+
+def strong_measure(psi: StateVector, basis: EigenDecomposition, seed) -> OutcomeSample:
+    """Sample one projective outcome of `born_outcomes` and collapse.
+
+    The collapsed state is the normalized projection of psi onto the
+    outcome eigenspace. `seed` may be a master seed or a Generator; one
+    uniform draw is used.
+    """
+    rng = as_generator(seed)
+    eigenvalues, weights, projections = born_outcomes(psi, basis)
     total = float(weights.sum())
     if total <= DEGENERATE_PROB_TOL:
         raise DegenerateInputError(
             f"all outcome probabilities vanished (total {total:.3e})"
         )
     k = draw_outcome(weights, rng)
-    value, idx = groups[k]
-    idx = list(idx)
-    projected = basis.basis_matrix[:, idx] @ overlaps[idx]
-    collapsed = StateVector.normalized(projected)
     return OutcomeSample(
-        eigenvalue=value,
+        eigenvalue=eigenvalues[k],
         outcome_index=k,
-        collapsed=collapsed,
+        collapsed=StateVector.normalized(projections[k]),
         probability=float(min(weights[k], 1.0)),
     )
 
@@ -265,7 +278,9 @@ def make_pointer(grid: PointerGrid, width: float) -> GridWavefunction:
             f"needs >= {EXTENT_WIDTH_FACTOR * width}"
         )
     x = grid.positions - grid.center
-    chi = np.exp(-(x ** 2) / (4.0 * width ** 2)).astype(complex)
+    # a numpy power: the same bits as float's, but an overflow gives inf (and
+    # a norm the wavefunction check rejects) instead of an OverflowError
+    chi = np.exp(-(x ** 2) / (4.0 * np.float64(width) ** 2)).astype(complex)
     chi /= math.sqrt(float(np.sum(np.abs(chi) ** 2) * grid.spacing))
     return GridWavefunction(grid, chi)
 

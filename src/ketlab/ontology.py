@@ -20,12 +20,13 @@ For the four-outcome antidistinguishability measurement on two independent
 shared-reality qubits, `pbr_min_violation` computes how badly the best
 possible response table must violate the quantum prediction that each
 preparation's forbidden outcome never fires. The answer is certified: a
-grid search seeds a candidate and a dual feasible point provides a
-matching lower bound; an exact linear program refines both only when the
-grid leaves a gap. Preparation independence -- the lambda pair
-distribution of a product preparation is the product of the single-system
-distributions -- is assumed by the construction and asserted in tests; it
-is the one extra premise the argument needs.
+simplex-grid table gives the upper bound and the uniform dual point a
+matching closed-form lower bound; an exact linear program re-tables the
+candidate only when the grid is too coarse to meet it. Preparation
+independence -- the lambda pair distribution of a product preparation is
+the product of the single-system distributions -- is assumed by the
+construction and asserted in tests; it is the one extra premise the
+argument needs.
 """
 
 from __future__ import annotations
@@ -73,11 +74,18 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
+def _as_real_array(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"{what} must hold real numbers, got {value!r}") from exc
+
+
 def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(vec, dtype=float).reshape(-1)
+    arr = _as_real_array(vec, what).reshape(-1)
     if np.any(arr < -DISTRIBUTION_TOL):
         raise PreconditionError(f"{what} has negative entries")
-    if abs(float(arr.sum()) - 1.0) > DISTRIBUTION_TOL:
+    if not abs(float(arr.sum()) - 1.0) <= DISTRIBUTION_TOL:
         raise PreconditionError(
             f"{what} sums to {float(arr.sum())!r}, expected 1 within {DISTRIBUTION_TOL}"
         )
@@ -126,7 +134,7 @@ class OntologicalModel:
             preps[str(key)] = arr
         resps = {}
         for key, table in dict(self.responses).items():
-            arr = np.asarray(table, dtype=float)
+            arr = _as_real_array(table, f"response table {key!r}")
             if arr.ndim != 2 or arr.shape[0] != size:
                 raise PreconditionError(
                     f"response table {key!r} must have one row per lambda value"
@@ -152,9 +160,16 @@ class OntologicalModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OntologicalModel":
+        if not isinstance(data, dict):
+            raise PreconditionError("a model must be a JSON object")
         missing = {"lambda", "preparations", "responses"} - set(data)
         if missing:
             raise PreconditionError(f"missing model fields: {sorted(missing)}")
+        if not isinstance(data["lambda"], list):
+            raise PreconditionError(f"model 'lambda' must be a list, got {data['lambda']!r}")
+        for field in ("preparations", "responses"):
+            if not isinstance(data[field], dict):
+                raise PreconditionError(f"model {field!r} must map ids to entries")
         return cls(
             lambda_space=LambdaSpace(tuple(data["lambda"])),
             preparations=data["preparations"],
@@ -282,6 +297,22 @@ def orthodox_model(scenario: Scenario) -> OntologicalModel:
     )
 
 
+def _scenario_responses(model: OntologicalModel, scenario: Scenario,
+                        meas_id: str) -> np.ndarray:
+    """The model's response table for a scenario measurement, which needs
+    one outcome per basis vector of that measurement."""
+    if meas_id not in model.responses:
+        raise PreconditionError(f"model lacks measurement {meas_id!r}")
+    table = model.responses[meas_id]
+    outcomes = scenario.measurements[meas_id].dim
+    if table.shape[1] != outcomes:
+        raise PreconditionError(
+            f"response table {meas_id!r} has {table.shape[1]} outcomes; "
+            f"the scenario measures {outcomes}"
+        )
+    return table
+
+
 def born_consistency_gap(model: OntologicalModel, scenario: Scenario,
                          prep_ids, meas_id: str) -> float:
     """Summed total-variation distance between model predictions and Born.
@@ -292,6 +323,7 @@ def born_consistency_gap(model: OntologicalModel, scenario: Scenario,
     """
     gap = 0.0
     basis = scenario.measurements[meas_id]
+    _scenario_responses(model, scenario, meas_id)
     for pid in prep_ids:
         target = born_probabilities(scenario.preparations[pid], basis)
         got = predict(model, pid, meas_id)
@@ -392,53 +424,37 @@ class ViolationBound:
         }
 
 
-def _forbidden_weight_matrix(q: float) -> tuple:
-    """(W, forbidden, pair_labels): W[p, pair] is the probability that
-    preparation p lands on that lambda pair; forbidden[p] its dead outcome."""
+def _forbidden_cost(q: float) -> tuple:
+    """(cost, forbidden, pair_labels) of two shared-reality qubits at q.
+
+    forbidden[p] is the outcome preparation p never fires. Row k of `cost`
+    holds the weights over lambda pairs of the preparation that forbids
+    outcome k: what a response table pays, in that preparation's
+    violation, per unit of mass it puts on outcome k in a pair's row."""
     basis = pbr_basis()
     model = paired_shared_reality_model(q)
     weights = np.stack([model.preparations[p] for p in PREPARATION_IDS])
     forbidden = tuple(basis.forbidden_map[p] for p in PREPARATION_IDS)
-    return weights, forbidden, model.lambda_space.labels
+    return weights[np.argsort(forbidden)], forbidden, model.lambda_space.labels
 
 
-def _max_violation(weights: np.ndarray, forbidden, responses: np.ndarray) -> float:
-    per_prep = [
-        float(weights[p] @ responses[:, forbidden[p]])
-        for p in range(len(forbidden))
-    ]
-    return max(per_prep)
+def _violations(cost: np.ndarray, forbidden, table: np.ndarray) -> list:
+    """Forbidden-outcome probability of each preparation under `table`."""
+    return [float(cost[k] @ table[:, k]) for k in forbidden]
 
 
-def _grid_candidate(weights: np.ndarray, forbidden, resolution: int) -> np.ndarray:
-    """Greedy simplex-grid seed: each lambda-pair row spreads its mass over
-    the outcomes whose preparations weight that pair least."""
-    n_pairs = weights.shape[1]
-    n_out = len(forbidden)
-    prep_of_outcome = {forbidden[p]: p for p in range(n_out)}
-    table = np.zeros((n_pairs, n_out))
-    for pair in range(n_pairs):
-        cost = np.array([weights[prep_of_outcome[k], pair] for k in range(n_out)])
-        support = np.flatnonzero(cost <= cost.min() + 1e-15)
-        counts = np.zeros(n_out, dtype=int)
-        base, extra = divmod(resolution, len(support))
-        counts[support] = base
-        counts[support[:extra]] += 1
-        table[pair] = counts / resolution
-    return table
+def _grid_candidate(cost: np.ndarray, resolution: int) -> np.ndarray:
+    """Simplex-grid table with `resolution` points per lambda-pair row.
 
-
-def _dual_lower_bound(weights: np.ndarray, forbidden, mu: np.ndarray) -> float:
-    """Exact lower bound from any distribution mu over preparations:
-    min over response tables of the mu-average violation, in closed form."""
-    prep_of_outcome = {forbidden[p]: p for p in range(len(forbidden))}
-    total = 0.0
-    for pair in range(weights.shape[1]):
-        total += min(
-            mu[prep_of_outcome[k]] * weights[prep_of_outcome[k], pair]
-            for k in range(len(forbidden))
-        )
-    return total
+    Each row splits its points evenly over its cheapest outcomes (cost
+    within 1e-15 of the column minimum); when they do not divide evenly,
+    the first `resolution mod ties` of them in outcome order, ranked by a
+    cumulative sum, get one point more.
+    """
+    cheapest = cost <= cost.min(axis=0) + 1e-15
+    base, extra = divmod(resolution, cheapest.sum(axis=0))
+    points = cheapest * (base + (np.cumsum(cheapest, axis=0) <= extra))
+    return points.T / resolution
 
 
 def pbr_min_violation(q: float, resolution: int = 8) -> ViolationBound:
@@ -447,38 +463,33 @@ def pbr_min_violation(q: float, resolution: int = 8) -> ViolationBound:
     Searches all response tables for the antidistinguishability measurement
     over lambda pairs of two independent shared-reality qubits, minimizing
     the worst forbidden-outcome probability across the four preparations.
-    A simplex-grid search (resolution points per row) seeds the candidate,
-    and the uniform weighting of the preparations gives a closed-form
-    lower bound. When that certificate already closes within
-    DUALITY_GAP_TOL (at the default resolution it closes exactly), it is
-    returned as it stands and no linear program is solved, so
-    `scipy.optimize` is never imported. Otherwise an exact linear program
-    refines the candidate and its dual weights feed a second closed-form
-    lower bound. The gap between achieved candidate and lower bound must
-    close below DUALITY_GAP_TOL or the result is reported as indeterminate
-    (CertificationError), never silently rounded.
+    The certificate is the uniform weighting of the preparations: no table
+    can push their average violation below the sum over lambda pairs of
+    each pair's cheapest outcome cost, divided by four, so that sum is the
+    lower bound. A simplex-grid table (resolution points per row) gives the
+    upper bound. When the two close within DUALITY_GAP_TOL (at the default
+    resolution they close exactly) no linear program is solved, so
+    `scipy.optimize` is never imported. Otherwise the grid is too coarse
+    to split the shared row evenly, and an exact linear program re-tables
+    it; its table replaces the grid's only if it does better. The gap must
+    then close below DUALITY_GAP_TOL or the result is reported as
+    indeterminate (CertificationError), never silently rounded.
     """
     if not 0.0 <= q <= 1.0:
         raise PreconditionError(f"shared weight q must lie in [0, 1], got {q!r}")
     if resolution < 1:
         raise PreconditionError(f"grid resolution must be >= 1, got {resolution}")
-    weights, forbidden, pair_labels = _forbidden_weight_matrix(q)
-    n_pairs = weights.shape[1]
-    n_out = len(forbidden)
-    candidate = _grid_candidate(weights, forbidden, resolution)
-    upper = _max_violation(weights, forbidden, candidate)
-    lower = _dual_lower_bound(weights, forbidden, np.full(n_out, 1.0 / n_out))
-
-    lp = (_refine_with_lp(weights, forbidden, n_pairs, n_out)
-          if upper - lower > DUALITY_GAP_TOL else None)
-    if lp is not None:
-        refined, mu = lp
-        refined_upper = _max_violation(weights, forbidden, refined)
-        if refined_upper < upper:
-            candidate, upper = refined, refined_upper
-        if mu is not None:
-            lower = max(lower, _dual_lower_bound(weights, forbidden, mu))
-
+    cost, forbidden, pair_labels = _forbidden_cost(q)
+    candidate = _grid_candidate(cost, resolution)
+    violations = _violations(cost, forbidden, candidate)
+    lower = sum(cost.min(axis=0) / len(forbidden))
+    if max(violations) - lower > DUALITY_GAP_TOL:
+        refined = _refine_with_lp(cost, forbidden)
+        if refined is not None:
+            refined_violations = _violations(cost, forbidden, refined)
+            if max(refined_violations) < max(violations):
+                candidate, violations = refined, refined_violations
+    upper = max(violations)
     gap = upper - lower
     if gap > DUALITY_GAP_TOL:
         raise CertificationError(
@@ -494,38 +505,32 @@ def pbr_min_violation(q: float, resolution: int = 8) -> ViolationBound:
         pair_labels=tuple(pair_labels),
         preparation_ids=PREPARATION_IDS,
         forbidden_outcomes=forbidden,
-        forbidden_sum=float(sum(
-            weights[p] @ candidate[:, forbidden[p]] for p in range(n_out)
-        )),
-        forbidden_mean=float(np.mean([
-            weights[p] @ candidate[:, forbidden[p]] for p in range(n_out)
-        ])),
+        forbidden_sum=float(sum(violations)),
+        forbidden_mean=float(np.mean(violations)),
     )
 
 
-def _refine_with_lp(weights: np.ndarray, forbidden, n_pairs: int, n_out: int):
-    """Solve the exact minimax LP; returns (responses, dual weights) or None
-    when the solve fails (the grid candidate then stands). Called only when
-    the grid certificate leaves a gap above DUALITY_GAP_TOL. A solver that
-    raises anything but RuntimeError or ValueError, such as an ImportError
-    from a broken install, is not a failed solve and propagates."""
-    n_vars = 1 + n_pairs * n_out   # t, then row-major response entries
-    c = np.zeros(n_vars)
-    c[0] = 1.0
-    a_ub = np.zeros((n_out, n_vars))
-    for p in range(n_out):
-        a_ub[p, 0] = -1.0
-        for pair in range(n_pairs):
-            a_ub[p, 1 + pair * n_out + forbidden[p]] = weights[p, pair]
-    a_eq = np.zeros((n_pairs, n_vars))
-    for pair in range(n_pairs):
-        a_eq[pair, 1 + pair * n_out: 1 + (pair + 1) * n_out] = 1.0
+def _refine_with_lp(cost: np.ndarray, forbidden):
+    """Solve the exact minimax LP: minimize t subject to each preparation's
+    violation <= t, every table row a distribution. Returns the table, or
+    None when the solve fails (the grid candidate then stands). Called only
+    when the grid leaves a gap above DUALITY_GAP_TOL; the lower bound stays
+    the uniform dual one. A solver that raises anything but RuntimeError or
+    ValueError, such as an ImportError from a broken install, is not a
+    failed solve and propagates."""
+    n_out, n_pairs = cost.shape
+    # variables: t, then the table row-major; kron row k * (n_out + 1)
+    # prices outcome k of every pair at cost[k]
+    priced = np.kron(cost, np.eye(n_out))[(n_out + 1) * np.asarray(forbidden)]
+    a_ub = np.hstack([-np.ones((n_out, 1)), priced])
+    a_eq = np.hstack([np.zeros((n_pairs, 1)), np.kron(np.eye(n_pairs), np.ones(n_out))])
+    c = np.eye(1, a_ub.shape[1])[0]
     try:
         res = linprog(
             c,
             A_ub=a_ub, b_ub=np.zeros(n_out),
             A_eq=a_eq, b_eq=np.ones(n_pairs),
-            bounds=[(0.0, 1.0)] * n_vars,
+            bounds=[(0.0, 1.0)] * len(c),
             method="highs",
         )
     except (RuntimeError, ValueError):
@@ -533,14 +538,7 @@ def _refine_with_lp(weights: np.ndarray, forbidden, n_pairs: int, n_out: int):
     if not res.success:
         return None
     table = np.clip(res.x[1:].reshape(n_pairs, n_out), 0.0, None)
-    table /= table.sum(axis=1, keepdims=True)
-    mu = None
-    marginals = getattr(getattr(res, "ineqlin", None), "marginals", None)
-    if marginals is not None:
-        raw = np.clip(-np.asarray(marginals, dtype=float), 0.0, None)
-        if raw.sum() > 1e-12:
-            mu = raw / raw.sum()
-    return table, mu
+    return table / table.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +582,10 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
             raise PreconditionError(f"model lacks preparation {prep_id!r}")
         counts[prep_id] = {}
         for meas_id in scenario.measurements:
-            if meas_id not in model.responses:
-                raise PreconditionError(f"model lacks measurement {meas_id!r}")
+            table = _scenario_responses(model, scenario, meas_id)
             rng = substream(seed, cell)
             cell += 1
             prep = model.preparations[prep_id]
-            table = model.responses[meas_id]
             n_out = table.shape[1]
             lam_cdf = np.cumsum(prep)
             lam = np.searchsorted(lam_cdf, rng.random(trials), side="right")

@@ -37,7 +37,7 @@ from .hilbert import (
     sigma_z,
     tensor,
 )
-from .measurement import born_probabilities, draw_outcome, inverse_cdf
+from .measurement import born_outcomes, born_probabilities, draw_outcome, inverse_cdf
 from .rngs import as_generator, uniform_chunks
 
 ORTHONORMAL_TOL = 1e-12   # basis Gram deviation allowed
@@ -181,7 +181,7 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     weights = np.asarray(mixture_weights, dtype=float)
     if weights.shape != (4,) or np.any(weights < 0):
         raise PreconditionError("mixture_weights must be four nonnegative reals")
-    if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
+    if not abs(float(weights.sum()) - 1.0) <= WEIGHT_SUM_TOL:
         raise PreconditionError(
             f"mixture_weights sum to {float(weights.sum())!r}, expected 1"
         )
@@ -273,28 +273,20 @@ def steering_table(alice_basis: str) -> SteeringTable:
     marginal check averages Bob's reduced state over the projections with
     their Born weights, not over sampled outcomes.
     """
-    state = _singlet()
     eig = eigendecompose(_alice_observable(alice_basis))
-    mat = eig.basis_matrix
-    overlaps = mat.conj().T @ state.amplitudes
-    per_vector = np.abs(overlaps) ** 2
-    eigenvalues, weights, bob_states = [], [], []
+    eigenvalues, weights, projections = born_outcomes(_singlet(), eig)
     averaged = np.zeros((2, 2), dtype=complex)
-    for value, idx in eig.groups:
-        idx = list(idx)
-        projected = mat[:, idx] @ overlaps[idx]
+    bob_states = []
+    for projected in projections:
         averaged += _bob_reduced(projected)
         collapsed = StateVector.normalized(projected)
         _, vecs = np.linalg.eigh(_bob_reduced(collapsed.amplitudes))
-        eigenvalues.append(value)
-        weights.append(per_vector[idx].sum())
         bob_states.append(StateVector.normalized(canonical_phase(vecs[:, -1])))
     deviation = averaged - np.eye(2) / 2.0
-    weights = np.array(weights)
     weights.setflags(write=False)
     return SteeringTable(
         alice_basis=alice_basis,
-        eigenvalues=tuple(eigenvalues),
+        eigenvalues=eigenvalues,
         weights=weights,
         bob_states=tuple(bob_states),
         bob_marginal_check=float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(deviation)))),

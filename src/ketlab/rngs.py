@@ -44,10 +44,11 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 def as_generator(seed) -> np.random.Generator:
-    """Accept either a master seed or an already-built Generator."""
+    """Accept either a master seed or an already-built Generator; a master
+    seed means its substream 0."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return substream(int(seed), 0)
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple:
@@ -127,28 +128,19 @@ def uniform_chunks(seed: int, start: int, stop: int, k: int = 1):
 
 
 class SubstreamSampler:
-    """Fast repeated access to the substreams of one master seed.
+    """The substreams of one master seed, selected by index.
 
-    Equivalent to calling `substream(seed, i)` for each trial (a test pins
-    bit-for-bit agreement) but reuses one bit generator, resetting its
-    counter in place. No sampler in the package calls it: they draw
-    through `substream_uniforms`. It is kept because the benchmark tracer
+    `select(i)` is `substream(seed, i)` with its index range-checked. No
+    sampler in the package calls it: they draw through
+    `substream_uniforms`. It is kept because the benchmark tracer
     (`perfbench/tracer.py`) binds `SubstreamSampler.select` when it installs.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._bitgen = np.random.Philox(key=self.seed)
-        self.generator = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
 
     def select(self, index: int) -> np.random.Generator:
-        """Point the shared Generator at substream `index` and return it."""
+        """A fresh Generator for substream `index`."""
         if not 0 <= index < 2 ** 64:
             raise PreconditionError(f"substream index {index} outside [0, 2**64)")
-        counter = self._state["state"]["counter"]
-        counter[...] = 0
-        counter[2] = index          # counter word 2 holds multiples of 2**128
-        self._state["buffer_pos"] = 4  # drop any buffered output
-        self._bitgen.state = self._state
-        return self.generator
+        return substream(self.seed, index)

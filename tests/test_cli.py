@@ -236,6 +236,76 @@ def test_leak_negative_steps_exits_3(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ["protective", "--theta", "inf"],
+    ["pbr", "--weights", "nan,0,0,1", "--trials", "1000"],
+    ["scan", "--phase", "nan"],
+    ["leak", "--prepared", "nan:0"],
+])
+def test_non_finite_numbers_exit_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"q": NaN}', id="nan"),
+    pytest.param('{"q": 1e400}', id="inf"),
+    pytest.param('{"q": 1%s}' % ("0" * 400), id="int-past-1e308"),
+])
+def test_non_finite_numbers_in_a_config_file_exit_2(tmp_path, monkeypatch, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(text)
+    assert main(["--config", "cfg.json", "onto"]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["steer", "--trials", "-3"],
+    ["nogo", "--sweeps", "-2"],
+    ["onto", "--mc-trials", "-1"],
+    ["onto", "--model", "orthodox", "--mc-trials", "-1"],
+])
+def test_negative_counts_exit_3(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text,code", [
+    pytest.param(None, 2, id="missing"),
+    pytest.param("{not json", 2, id="not-json"),
+    pytest.param('{"lambda": 3, "preparations": {}, "responses": {}}', 3,
+                 id="lambda-not-a-list"),
+    pytest.param("[1, 2]", 3, id="not-an-object"),
+    pytest.param('{"lambda": ["a"], "preparations": {"0": ["x"]}, "responses": {}}', 3,
+                 id="text-weights"),
+    pytest.param('{"lambda": ["a"], "preparations": {"0": [1.0]}, '
+                 '"responses": {"z": [[0.5, 0.25, 0.25]]}}', 3, id="three-outcomes-for-z"),
+])
+def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text, code):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "model.json").write_text(text)
+    assert main(["onto", "--model", "model.json", "--scenario", "qubit",
+                 "--mc-trials", "10"]) == code
+    assert [p.name for p in tmp_path.iterdir()] == ([] if text is None else ["model.json"])
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["protective", "--n", "0"], 0),        # nothing to infer: no expectation
+    (["protective", "--g", "0"], 0),
+    (["leak", "--grid-points", "0"], 3),
+    (["scan", "--width", "1e200"], 3),      # the pointer's width ** 2 overflows
+    (["protective", "--width", "1e200"], 3),
+])
+def test_degenerate_sizes_keep_the_exit_code_contract(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    if code:
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
     ["scan", "-o", "x.json"],
     ["pbr", "-o", "x.json"],
     ["pbr", "--format", "json", "-o", "x.csv"],
@@ -305,10 +375,21 @@ def _set_monte_carlo_count(data, value):
     data["monte_carlo"]["counts"]["00"]["xi"][1] = value
 
 
+def _set_trials(data, value):
+    data["trials"] = value
+
+
+def _set_sweeps(data, value):
+    data["sweeps"] = value
+
+
 @pytest.mark.parametrize("argv,output,mutate", [
     (["pbr", "--format", "json", "--trials", "40"], "pbr.json", _set_pbr_count),
     (["steer", "--trials", "40"], "steer.json", _set_steering_count),
     (["onto", "--mc-trials", "40"], "onto.json", _set_monte_carlo_count),
+    (["pbr", "--format", "json", "--trials", "40"], "pbr.json", _set_trials),
+    (["steer", "--trials", "40"], "steer.json", _set_trials),
+    (["nogo", "--sweeps", "2"], "nogo.json", _set_sweeps),
 ])
 @pytest.mark.parametrize("count", [3.0, 2.5, -1])
 def test_counts_must_be_nonnegative_integers(tmp_path, monkeypatch, argv, output, mutate,

@@ -43,6 +43,11 @@ def test_state_requires_unit_norm():
         StateVector(2, np.array([1.0, 1.0]))
 
 
+def test_state_rejects_nan_amplitudes():
+    with pytest.raises(PreconditionError):
+        StateVector(2, np.array([np.nan, 0.0]))
+
+
 def test_state_requires_matching_length():
     with pytest.raises(PreconditionError):
         StateVector(3, np.array([1.0, 0.0]))

@@ -74,6 +74,14 @@ def test_grid_wavefunction_norm_enforced():
         GridWavefunction(grid, np.ones(64))
 
 
+def test_grid_and_joint_states_reject_nan_amplitudes():
+    grid = PointerGrid(64, 0.25)
+    with pytest.raises(PreconditionError):
+        GridWavefunction(grid, np.full(64, np.nan))
+    with pytest.raises(PreconditionError):
+        JointSystemPointerState(2, grid, np.full((2, 64), np.nan))
+
+
 # ---------------------------------------------------------------------------
 # ready pointer
 

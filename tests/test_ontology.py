@@ -15,6 +15,7 @@ from ketlab import (
     LambdaSpace,
     OntologicalModel,
     PreconditionError,
+    ViolationBound,
     born_consistency_gap,
     born_probabilities,
     build_shared_reality_model,
@@ -22,11 +23,13 @@ from ketlab import (
     orthodox_model,
     overlap,
     paired_shared_reality_model,
+    pbr_basis,
     pbr_min_violation,
     pbr_scenario,
     predict,
     qubit_scenario,
 )
+from ketlab.ontology import DUALITY_GAP_TOL
 
 # q**2 / 4, pinned for the values the acceptance run sweeps
 EXPECTED_MIN_VIOLATION = {
@@ -65,6 +68,35 @@ def test_model_rejects_malformed_response_tables():
         OntologicalModel(space, prep, {"m": [[0.5, 0.4], [0.5, 0.5]]})
     with pytest.raises(PreconditionError):
         OntologicalModel(space, prep, {"m": [0.5, 0.5]})  # not a table
+
+
+def test_model_rejects_nan_distributions():
+    space = LambdaSpace(("a", "b"))
+    with pytest.raises(PreconditionError):
+        OntologicalModel(space, {"p": [np.nan, 1.0]}, {})
+    with pytest.raises(PreconditionError):
+        OntologicalModel(space, {"p": [0.5, 0.5]}, {"m": [[np.nan, 1.0], [0.5, 0.5]]})
+
+
+@pytest.mark.parametrize("data", [
+    [1, 2],
+    {"lambda": 3, "preparations": {}, "responses": {}},
+    {"lambda": ["a"], "preparations": [], "responses": {}},
+    {"lambda": ["a"], "preparations": {"p": ["x"]}, "responses": {}},
+    {"lambda": ["a"], "preparations": {}, "responses": {"m": [[1.0], ["x"]]}},
+])
+def test_model_json_rejects_malformed_fields(data):
+    with pytest.raises(PreconditionError):
+        OntologicalModel.from_json_dict(data)
+
+
+def test_scenario_measurements_need_one_outcome_per_basis_vector():
+    scenario = qubit_scenario()
+    model = OntologicalModel(LambdaSpace(("a",)), {"0": [1.0]}, {"z": [[0.5, 0.25, 0.25]]})
+    with pytest.raises(PreconditionError, match="3 outcomes"):
+        born_consistency_gap(model, scenario, ["0"], "z")
+    with pytest.raises(PreconditionError, match="3 outcomes"):
+        monte_carlo_onto(model, scenario, 10)
 
 
 def test_model_json_round_trip():
@@ -280,6 +312,115 @@ def test_lp_alone_certifies_a_coarse_grid():
     bound = pbr_min_violation(1.0, resolution=1)
     assert bound.upper_bound == pytest.approx(0.25, abs=1e-9)
     assert bound.duality_gap <= 1e-6
+
+
+def reference_min_violation(q, resolution=8):
+    """The former `pbr_min_violation`, with its per-pair loops and its
+    second lower bound from the LP's dual weights, kept as the oracle."""
+    from scipy.optimize import linprog
+
+    basis = pbr_basis()
+    model = paired_shared_reality_model(q)
+    weights = np.stack([model.preparations[p] for p in PREPARATION_IDS])
+    forbidden = tuple(basis.forbidden_map[p] for p in PREPARATION_IDS)
+    n_pairs, n_out = weights.shape[1], len(forbidden)
+    prep_of_outcome = {forbidden[p]: p for p in range(n_out)}
+
+    def max_violation(responses):
+        return max(float(weights[p] @ responses[:, forbidden[p]]) for p in range(n_out))
+
+    def dual_lower_bound(mu):
+        total = 0.0
+        for pair in range(n_pairs):
+            total += min(mu[prep_of_outcome[k]] * weights[prep_of_outcome[k], pair]
+                         for k in range(n_out))
+        return total
+
+    candidate = np.zeros((n_pairs, n_out))
+    for pair in range(n_pairs):
+        cost = np.array([weights[prep_of_outcome[k], pair] for k in range(n_out)])
+        support = np.flatnonzero(cost <= cost.min() + 1e-15)
+        counts = np.zeros(n_out, dtype=int)
+        base, extra = divmod(resolution, len(support))
+        counts[support] = base
+        counts[support[:extra]] += 1
+        candidate[pair] = counts / resolution
+    upper = max_violation(candidate)
+    lower = dual_lower_bound(np.full(n_out, 1.0 / n_out))
+
+    if upper - lower > DUALITY_GAP_TOL:
+        n_vars = 1 + n_pairs * n_out
+        c = np.zeros(n_vars)
+        c[0] = 1.0
+        a_ub = np.zeros((n_out, n_vars))
+        for p in range(n_out):
+            a_ub[p, 0] = -1.0
+            for pair in range(n_pairs):
+                a_ub[p, 1 + pair * n_out + forbidden[p]] = weights[p, pair]
+        a_eq = np.zeros((n_pairs, n_vars))
+        for pair in range(n_pairs):
+            a_eq[pair, 1 + pair * n_out: 1 + (pair + 1) * n_out] = 1.0
+        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n_out), A_eq=a_eq,
+                      b_eq=np.ones(n_pairs), bounds=[(0.0, 1.0)] * n_vars,
+                      method="highs")
+        if res.success:
+            refined = np.clip(res.x[1:].reshape(n_pairs, n_out), 0.0, None)
+            refined /= refined.sum(axis=1, keepdims=True)
+            refined_upper = max_violation(refined)
+            if refined_upper < upper:
+                candidate, upper = refined, refined_upper
+            raw = np.clip(-np.asarray(res.ineqlin.marginals, dtype=float), 0.0, None)
+            if raw.sum() > 1e-12:
+                lower = max(lower, dual_lower_bound(raw / raw.sum()))
+
+    gap = upper - lower
+    if gap > DUALITY_GAP_TOL:
+        raise CertificationError(f"duality gap {gap:.3e}")
+    return ViolationBound(
+        q=float(q),
+        lower_bound=float(lower),
+        upper_bound=float(upper),
+        duality_gap=float(gap),
+        witnessing_responses=candidate,
+        pair_labels=tuple(model.lambda_space.labels),
+        preparation_ids=PREPARATION_IDS,
+        forbidden_outcomes=forbidden,
+        forbidden_sum=float(sum(
+            weights[p] @ candidate[:, forbidden[p]] for p in range(n_out)
+        )),
+        forbidden_mean=float(np.mean([
+            weights[p] @ candidate[:, forbidden[p]] for p in range(n_out)
+        ])),
+    )
+
+
+# q values for the oracle comparison: dyadic and decimal points, values
+# whose shared-row gap falls below DUALITY_GAP_TOL, and points between
+ORACLE_QS = sorted({*np.linspace(0.0, 1.0, 21), 1e-4, 3e-4, 1e-3, 3e-3, 0.1234,
+                    0.3333333333333333, 0.61803398875, 0.8765, 0.99, 0.999999})
+
+
+def test_min_violation_matches_the_reference_exactly(monkeypatch):
+    """Same payload, byte for byte, over resolutions that close on the grid
+    (multiples of 4) and resolutions where the LP re-tables the shared row."""
+    solves = 0
+    solve = ketlab.ontology.linprog
+
+    def counting(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ketlab.ontology, "linprog", counting)
+    cases = 0
+    for resolution in (1, 2, 3, 4, 5, 6, 7, 8, 11, 16):
+        for q in ORACLE_QS:
+            got = pbr_min_violation(float(q), resolution=resolution).to_json_dict()
+            want = reference_min_violation(float(q), resolution=resolution).to_json_dict()
+            assert got == want, (q, resolution)
+            cases += 1
+    assert cases >= 300
+    assert solves >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,11 @@ def test_experiment_rejects_bad_mixture_weights():
         pbr_experiment(-1)
 
 
+def test_experiment_rejects_nan_mixture_weights():
+    with pytest.raises(PreconditionError):
+        pbr_experiment(1000, mixture_weights=(np.nan, 0.0, 0.0, 1.0))
+
+
 def test_counts_table_rejects_forbidden_hits(basis):
     rows = {"00": [1, 10, 10, 20], "0+": [10, 0, 10, 20],
             "+0": [10, 10, 0, 20], "++": [10, 10, 20, 0]}

@@ -71,6 +71,14 @@ def test_as_generator_accepts_integer_seeds():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5, 2 ** 127])
+def test_as_generator_keeps_the_master_seed_stream(seed):
+    want = np.random.Generator(np.random.Philox(key=seed))
+    got = as_generator(seed)
+    np.testing.assert_array_equal(got.random(8), want.random(8))
+    np.testing.assert_array_equal(got.standard_normal(5), want.standard_normal(5))
+
+
 UNIFORM_INDICES = [0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
 
 
