@@ -12,10 +12,13 @@ Configuration resolves in three layers, most specific winning: builtin
 defaults, then an optional --config JSON file, then explicit flags. Every
 run takes one master seed (default 7); trial-level randomness comes from
 counter-based substreams of it, so results do not depend on execution
-order. Each artifact is written once at run end, validated against its own
-schema, and accompanied by a manifest (config echo, seed, library
-versions). Exit codes: 0 success, 2 configuration error, 3 precondition
-rejection, 4 internal-consistency failure.
+order. At run end every artifact and its manifest (config echo, seed,
+library versions) is checked against its own schema in memory, and only
+then written, once. A run that fails the check writes nothing; a run whose
+write fails removes every file it started. The check is a small in-package
+reader of exactly the JSON Schema keywords `SCHEMAS` uses, so the runtime
+needs no schema library. Exit codes: 0 success, 2 configuration error, 3
+precondition rejection, 4 internal-consistency failure.
 """
 
 from __future__ import annotations
@@ -25,14 +28,11 @@ import math
 import platform
 import sys
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import scipy
-from jsonschema.exceptions import best_match
 
 from . import __version__
 from .errors import ConfigError, InternalError, LabError, PreconditionError
@@ -68,7 +68,7 @@ from .ontology import (
 from .pbr import overlap_preservation_check, pbr_experiment, steering_table
 from .protective import protection_leak, protective_measure, protective_tomography
 from .rngs import substream, uniform_chunks
-from .serialize import dump_json, load_json, to_builtin, write_csv
+from .serialize import dump_json, format_cell, load_json, to_builtin, write_csv
 from .weak import direct_wavefunction_scan, momentum_zero_amplitude
 
 DEFAULT_SEED = 7
@@ -184,8 +184,8 @@ def _opt_str(value):
 
 
 def _path(fmt):
-    """Artifact paths must end in their format's suffix: artifacts are
-    validated by suffix, so a mismatch would fail after the write."""
+    """Artifact paths must end in their format's suffix: readers of a
+    run's files tell JSON from CSV by it."""
     def coerce(value):
         text = _as_str(value)
         if Path(text).suffix != f".{fmt}":
@@ -401,61 +401,80 @@ _CSV_CELL_PARSERS = {
 }
 
 
-def _is_strict_integer(checker, instance) -> bool:
-    return isinstance(instance, int) and not isinstance(instance, bool)
+# the JSON Schema keywords `_schema_error` implements; SCHEMAS may use no other
+SCHEMA_KEYWORDS = frozenset({"type", "const", "anyOf", "minimum", "required", "properties",
+                             "additionalProperties", "items", "minItems", "maxItems"})
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+               "integer": int, "boolean": bool, "null": type(None)}
 
 
-@cache
-def _validator(kind: str):
-    """The validator for one artifact kind, built on first use. Its schema
-    is checked against the metaschema then, not on every artifact. An
-    "integer" must be written as one: a count that reads back as 3.0 was
-    computed as a float, so it fails even though the dialect accepts it."""
-    schema = SCHEMAS[kind]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    strict = cls.TYPE_CHECKER.redefine("integer", _is_strict_integer)
-    return jsonschema.validators.extend(cls, type_checker=strict)(schema)
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's type test on `to_builtin` output, with a strict
+    integer: a count that was computed as 3.0 fails, although the dialect
+    accepts it. A bool is neither a number nor an integer."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    return isinstance(value, _JSON_TYPES[name])
 
 
-def validate_artifact(path) -> None:
-    """Check a written artifact against its schema; InternalError on failure."""
-    path = Path(path)
-    if path.suffix == ".json":
-        data = load_json(path)
-        if not isinstance(data, dict) or "kind" not in data:
-            raise InternalError(f"artifact {path.name} lacks a 'kind' field")
-        if data["kind"] not in SCHEMAS:
-            raise InternalError(f"no schema for artifact kind {data['kind']!r}")
-        error = best_match(_validator(data["kind"]).iter_errors(data))
+def _schema_error(schema: dict, value, where: str = "$") -> str | None:
+    """The first way `value` breaks `schema`, or None when it conforms.
+    Each keyword in SCHEMA_KEYWORDS has its JSON Schema meaning: the
+    object, array and number keywords apply only to values of that type."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_is_type(value, name) for name in types):
+        return f"{where} is not of type {' or '.join(types)}"
+    if "const" in schema and value != schema["const"]:
+        return f"{where} is not {schema['const']!r}"
+    if "anyOf" in schema and all(_schema_error(s, value, where) for s in schema["anyOf"]):
+        return f"{where} matches none of its allowed forms"
+    if "minimum" in schema and _is_type(value, "number") and value < schema["minimum"]:
+        return f"{where} is below the minimum {schema['minimum']}"
+    children = []
+    if isinstance(value, dict):
+        missing = [key for key in schema.get("required", []) if key not in value]
+        if missing:
+            return f"{where} lacks the required key {missing[0]!r}"
+        properties, extra = schema.get("properties", {}), schema.get("additionalProperties")
+        children = [(properties.get(k, extra), v, f"{where}.{k}") for k, v in value.items()]
+    elif isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            return f"{where} has {len(value)} items"
+        children = [(schema.get("items"), v, f"{where}[{i}]") for i, v in enumerate(value)]
+    for sub, item, path in children:
+        if sub and (error := _schema_error(sub, item, path)):
+            return error
+    return None
+
+
+def validate_artifact(artifact: Artifact) -> None:
+    """Check an artifact against its schema before it is written;
+    InternalError on failure. A JSON payload is checked as `dump_json`
+    would write it, and each CSV cell as the text `write_csv` would write."""
+    name = artifact.path.name
+    if artifact.fmt == "json":
+        data = to_builtin(artifact.payload)
+        if not isinstance(data, dict) or data.get("kind") not in SCHEMAS:
+            raise InternalError(f"artifact {name} has no 'kind' with a schema")
+        error = _schema_error(SCHEMAS[data["kind"]], data)
         if error is not None:
-            raise InternalError(
-                f"artifact {path.name} fails its schema: {error.message}"
-            ) from error
-    elif path.suffix == ".csv":
-        lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            raise InternalError(f"artifact {path.name} is empty")
-        header = tuple(lines[0].split(","))
-        parsers = _CSV_CELL_PARSERS.get(header)
-        if parsers is None:
-            raise InternalError(f"unknown CSV layout in {path.name}: {header}")
-        for lineno, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            if len(cells) != len(parsers):
+            raise InternalError(f"artifact {name} fails its schema: {error}")
+        return
+    header, rows = artifact.payload
+    parsers = _CSV_CELL_PARSERS.get(tuple(header))
+    if parsers is None:
+        raise InternalError(f"unknown CSV layout in {name}: {header}")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(parsers):
+            raise InternalError(f"{name}:{lineno}: expected {len(parsers)} cells, got {len(row)}")
+        for cell, parse in zip(map(format_cell, row), parsers):
+            try:
+                parse(cell)
+            except ValueError as exc:
                 raise InternalError(
-                    f"{path.name}:{lineno}: expected {len(parsers)} cells, "
-                    f"got {len(cells)}"
-                )
-            for cell, parse in zip(cells, parsers):
-                try:
-                    parse(cell)
-                except ValueError as exc:
-                    raise InternalError(
-                        f"{path.name}:{lineno}: cell {cell!r} fails {parse.__name__}"
-                    ) from exc
-    else:
-        raise InternalError(f"unknown artifact type: {path.name}")
+                    f"{name}:{lineno}: cell {cell!r} fails {parse.__name__}"
+                ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -1012,30 +1031,31 @@ def _manifest(cfg: RunConfig, paths: list) -> dict:
 
 
 def _write_artifacts(cfg: RunConfig, artifacts: list, paths: list) -> None:
-    """Write each artifact and the manifest, appending each path to `paths`
-    once written, then validate them all."""
+    """Check every artifact and the manifest, then write them. Each path
+    goes on `paths` before its write starts, so a write that fails partway
+    leaves its file on the list `run` removes."""
+    manifest = _manifest(cfg, [artifact.path for artifact in artifacts])
+    artifacts = [*artifacts, Artifact(_manifest_path(cfg.output), "json", manifest)]
+    for artifact in artifacts:
+        validate_artifact(artifact)
     try:
         for artifact in artifacts:
+            paths.append(artifact.path)
             if artifact.fmt == "json":
                 dump_json(artifact.payload, artifact.path)
             else:
-                header, rows = artifact.payload
-                write_csv(artifact.path, header, rows)
-            paths.append(artifact.path)
-        manifest_path = _manifest_path(cfg.output)
-        dump_json(_manifest(cfg, paths), manifest_path)
-        paths.append(manifest_path)
+                write_csv(artifact.path, *artifact.payload)
     except OSError as exc:
         raise ConfigError(f"cannot write artifact: {exc}") from exc
-    for path in paths:
-        validate_artifact(path)
 
 
 def run(cfg: RunConfig) -> list:
     """Execute one resolved configuration; returns the written paths.
 
-    A run that fails while writing or validating removes every file it has
-    written, so no invalid or partial set of artifacts is left on disk."""
+    Artifacts are checked before anything is written, so a run that fails
+    its check leaves the directory as it was. A run whose write fails
+    removes every file it started, so no partial set of artifacts is left
+    on disk."""
     spec = COMMANDS[cfg.subcommand]
     artifacts, summary = spec.runner(cfg)
     paths = []

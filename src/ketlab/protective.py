@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import NotPureError, PreconditionError, WraparoundError
 from .hilbert import (
+    MAX_DIM,
     HermitianOperator,
     StateVector,
     canonical_phase,
@@ -112,7 +113,7 @@ class LeakResult:
 
 def _protective_loop(initial: StateVector, protected: StateVector,
                      op: HermitianOperator, n: int, g: float,
-                     grid: PointerGrid, width: float,
+                     grid: PointerGrid | None, width: float,
                      mode: str, seed) -> tuple:
     """Shared engine: couple, protect, renormalize, log. Returns
     (log, survival, aborted_at_step, final_joint).
@@ -126,7 +127,12 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     The squared norm of the product is that cycle's survival weight.
     final_joint is |protected> (x) phi after the last cycle, the product
     state before any cycle ran, or the coupled state of a sampled abort.
+    A joint state over the MAX_DIM cap is rejected before any work is done.
     """
+    grid = default_grid(width) if grid is None else grid
+    dim = initial.dim * grid.n_points
+    if dim > MAX_DIM:
+        raise PreconditionError(f"joint dimension {dim} exceeds the {MAX_DIM} cap")
     eig = eigendecompose(op)
     max_eig = max(abs(v) for v in eig.eigenvalues)
     total_shift = abs(g) * n * max_eig
@@ -184,14 +190,11 @@ def protective_measure(psi: StateVector, op: HermitianOperator, n: int = DEFAULT
         raise PreconditionError(f"step count must be >= 0, got {n}")
     if op.dim != psi.dim:
         raise PreconditionError(f"dimension mismatch: operator {op.dim} vs state {psi.dim}")
-    if grid is None:
-        grid = default_grid(width)
     log, survival, aborted, joint = _protective_loop(
         psi, psi, op, n, g, grid, width, mode, seed
     )
-    completed = len(log)
     shift = log[-1].pointer_mean if log else 0.0
-    denominator = completed * g
+    denominator = len(log) * g
     inferred = shift / denominator if denominator != 0.0 else None
     return ProtectiveRunResult(
         steps=n,
@@ -227,8 +230,6 @@ def protection_leak(prepared: StateVector, protected: StateVector,
         )
     if abs(inner_product(protected, prepared)) < ORTHOGONAL_LEAK_TOL:
         return LeakResult(survival=0.0, surviving_state=None)
-    if grid is None:
-        grid = default_grid(width)
     _, survival, _, _ = _protective_loop(
         prepared, protected, op, n, g, grid, width, "deterministic", None
     )

@@ -2,6 +2,7 @@
 artifact writing and validation, exit codes, and the golden default runs."""
 
 import dataclasses
+import errno
 import json
 import math
 from pathlib import Path
@@ -19,7 +20,7 @@ from ketlab import (
     substream,
 )
 from ketlab.cli import COMMANDS, SCHEMAS, Artifact, main, parse_state_spec, validate_artifact
-from ketlab.serialize import dump_json, load_json
+from ketlab.serialize import load_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -47,6 +48,14 @@ def assert_close_payload(got, want, path="$"):
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12), f"{path}: {got} vs {want}"
     else:
         assert got == want, f"{path}: {got!r} vs {want!r}"
+
+
+def artifact_on_disk(path):
+    """A written file as the Artifact it was written from."""
+    if path.suffix == ".json":
+        return Artifact(path, "json", load_json(path))
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    return Artifact(path, "csv", (tuple(header), rows))
 
 
 def compare_csv(got_path, want_path):
@@ -126,7 +135,7 @@ def test_every_subcommand_writes_valid_artifacts(tmp_path, monkeypatch, argv, ou
     manifest = load_json(tmp_path / manifest_name)
     assert manifest["outputs"] == outputs
     for name in manifest["outputs"] + [manifest_name]:
-        validate_artifact(tmp_path / name)
+        validate_artifact(artifact_on_disk(tmp_path / name))
 
 
 def test_reruns_are_byte_identical(tmp_path, monkeypatch):
@@ -363,6 +372,43 @@ def test_a_run_that_fails_validation_leaves_no_files(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("failing", ["leak.json", "leak.json.manifest.json"])
+def test_a_failed_write_removes_the_half_written_file(tmp_path, monkeypatch, failing):
+    """A write that fails partway (here a full disk after half the text)
+    must not leave its truncated file behind."""
+    write_text = Path.write_text
+
+    def full_disk(self, text, *args, **kwargs):
+        if self.name == failing:
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    assert main(["leak", "--n", "5"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_check_keeps_the_previous_runs_artifacts(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["leak", "--n", "5"]) == 0
+    names = ("leak.json", "leak.json.manifest.json")
+    before = {name: (tmp_path / name).read_bytes() for name in names}
+    runner = COMMANDS["leak"].runner
+
+    def high_survival(cfg):
+        artifacts, summary = runner(cfg)
+        artifacts[0].payload["survival"] = "high"
+        return artifacts, summary
+
+    monkeypatch.setitem(COMMANDS, "leak",
+                        dataclasses.replace(COMMANDS["leak"], runner=high_survival))
+    assert main(["leak", "--n", "5"]) == 4
+    assert {name: (tmp_path / name).read_bytes() for name in names} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+
 def _set_pbr_count(data, value):
     data["counts"]["0+"][0] = value
 
@@ -398,9 +444,8 @@ def test_counts_must_be_nonnegative_integers(tmp_path, monkeypatch, argv, output
     assert main(argv) == 0
     data = load_json(tmp_path / output)
     mutate(data, count)
-    dump_json(data, tmp_path / "bad.json")
     with pytest.raises(InternalError, match="bad.json fails its schema"):
-        validate_artifact(tmp_path / "bad.json")
+        validate_artifact(Artifact(tmp_path / "bad.json", "json", data))
 
 
 def reference_steer_bases(seed, bases, trials):
@@ -443,12 +488,14 @@ def test_every_schema_is_valid_against_its_metaschema(kind):
 
 def test_schema_violation_raises_internal_error(tmp_path):
     path = tmp_path / "bad.json"
-    dump_json({"kind": "ketlab/steering", "command": "steer", "trials": "many"}, path)
+    bad = Artifact(path, "json", {"kind": "ketlab/steering", "command": "steer",
+                                  "trials": "many"})
     with pytest.raises(InternalError, match="bad.json fails its schema"):
-        validate_artifact(path)
-    # the cached validator must keep rejecting on a second artifact of the kind
+        validate_artifact(bad)
+    # a second check of the same kind must reject too
     with pytest.raises(InternalError, match="fails its schema"):
-        validate_artifact(path)
+        validate_artifact(bad)
+    assert not path.exists()
 
 
 def test_internal_error_exit(tmp_path, monkeypatch):

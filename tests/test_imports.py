@@ -1,5 +1,6 @@
 """Cold-start cost: importing the package, and running the commands whose
-certificate closes without it, must not load the LP solver.
+certificate closes without it, must not load the LP solver; and nothing at
+run time loads `jsonschema`, which only the tests use as an oracle.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported `scipy.optimize` through other tests.
@@ -65,3 +66,16 @@ def test_onto_still_certifies_after_a_cold_start(tmp_path):
     data = json.loads((tmp_path / "onto.json").read_text())
     assert data["duality_gap"] <= 1e-6
     assert abs(data["violation_lower_bound"] - 0.25) <= 1e-9
+
+
+def test_cold_runs_do_not_load_jsonschema(tmp_path):
+    seen = run_fresh(
+        "import json, sys\n"
+        "import ketlab.cli\n"
+        "seen = ['jsonschema' in sys.modules]\n"
+        "for argv in (['onto'], ['pbr'], ['steer']):\n"
+        "    seen.append([ketlab.cli.main(argv), 'jsonschema' in sys.modules])\n"
+        "print(json.dumps(seen))\n",
+        tmp_path,
+    )
+    assert seen == [False, [0, False], [0, False], [0, False]]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import ketlab.protective
 from ketlab import (
     HermitianOperator,
     NotPureError,
@@ -114,6 +115,22 @@ def test_accumulated_shift_wraparound_is_rejected(tilted_state):
     # 400 cycles at g = 0.1 want a shift of 40 on a grid of extent 40
     with pytest.raises(WraparoundError):
         protective_measure(tilted_state, sigma_z(), n=400, g=0.1)
+
+
+def test_an_oversized_joint_state_is_rejected_before_any_cycle(tilted_state, monkeypatch):
+    """A 4096-point grid makes a qubit's joint state 8192-dimensional, over
+    the cap: the run must stop before it builds the pointer, not after
+    every cycle has run."""
+    def no_pointer(*args, **kwargs):
+        raise AssertionError("the pointer was built for an oversized run")
+
+    monkeypatch.setattr(ketlab.protective, "make_pointer", no_pointer)
+    grid = default_grid(1.0, 4096)
+    message = "joint dimension 8192 exceeds the 4096 cap"
+    with pytest.raises(PreconditionError, match=message):
+        protective_measure(tilted_state, sigma_z(), n=4000, g=0.0005, grid=grid)
+    with pytest.raises(PreconditionError, match=message):
+        protection_leak(ket_plus(), ket_zero(), sigma_z(), n=4000, g=0.0005, grid=grid)
 
 
 def test_sampled_runs_are_reproducible(tilted_state):
