@@ -27,7 +27,7 @@ import argparse
 import math
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -52,7 +52,8 @@ from .hilbert import (
     sigma_y,
     sigma_z,
 )
-from .measurement import GridWavefunction, default_grid, inverse_cdf
+from .measurement import (DEFAULT_GRID_POINTS, GridWavefunction, default_grid,
+                          gaussian_profile, inverse_cdf)
 from .ontology import (
     OntologicalModel,
     born_consistency_gap,
@@ -66,7 +67,8 @@ from .ontology import (
     qubit_scenario,
 )
 from .pbr import overlap_preservation_check, pbr_experiment, steering_table
-from .protective import protection_leak, protective_measure, protective_tomography
+from .protective import (DEFAULT_COUPLING, DEFAULT_STEPS, protection_leak,
+                         protective_measure, protective_tomography)
 from .rngs import substream, uniform_chunks
 from .serialize import dump_json, format_cell, load_json, to_builtin, write_csv
 from .weak import direct_wavefunction_scan, momentum_zero_amplitude
@@ -576,18 +578,14 @@ def _run_leak(cfg: RunConfig):
 
 def _scan_input(p) -> GridWavefunction:
     grid = default_grid(p["width"], p["grid_points"])
-    x = grid.positions
-    w = np.float64(p["width"])   # w ** 2 overflows to inf, as in make_pointer
+    x = grid.positions - p["offset"]
     if p["profile"] == "gaussian":
-        amps = np.exp(-((x - p["offset"]) ** 2) / (4.0 * w ** 2)).astype(complex)
+        amps = gaussian_profile(x, p["width"])
     else:
         half = p["separation"] / 2.0
-        amps = (np.exp(-((x - p["offset"] - half) ** 2) / (4.0 * w ** 2))
-                + np.exp(1j * p["phase"])
-                * np.exp(-((x - p["offset"] + half) ** 2) / (4.0 * w ** 2)))
-        amps = amps.astype(complex)
-    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2) * grid.spacing))
-    return GridWavefunction(grid, amps)
+        amps = (gaussian_profile(x - half, p["width"])
+                + np.exp(1j * p["phase"]) * gaussian_profile(x + half, p["width"]))
+    return GridWavefunction.normalized(grid, amps)
 
 
 def _run_scan(cfg: RunConfig):
@@ -699,15 +697,9 @@ def _run_onto(cfg: RunConfig):
     else:
         model = OntologicalModel.from_json_dict(_read_json(p["model"], "model file"))
         model_name = Path(p["model"]).name
-    overlaps = [
-        {
-            "first": a,
-            "second": b,
-            "variational_overlap": overlap(model, a, b).variational_overlap,
-            "shares_reality": overlap(model, a, b).shares_reality,
-        }
-        for a, b in combinations(sorted(model.preparations), 2)
-    ]
+    # the report's field order is the artifact's key order
+    overlaps = [asdict(overlap(model, a, b))
+                for a, b in combinations(sorted(model.preparations), 2)]
     shared_preps = [pid for pid in scenario.preparations if pid in model.preparations]
     born_gaps = {
         meas_id: born_consistency_gap(model, scenario, shared_preps, meas_id)
@@ -776,6 +768,16 @@ def _run_nogo(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # command table
 
+# the measured observable and the protection run's defaults, shared by
+# `protective` and `leak`
+_PROTECTION_PARAMS = (
+    Param("observable", _choice("z", "x", "y"), "z", "measured Pauli"),
+    Param("n", _as_int, DEFAULT_STEPS, "number of protection cycles"),
+    Param("g", _as_float, DEFAULT_COUPLING, "coupling strength per cycle"),
+    Param("grid_points", _as_int, DEFAULT_GRID_POINTS, "pointer grid size (power of two)"),
+    Param("width", _as_float, 1.0, "pointer wavepacket width"),
+)
+
 COMMANDS = {
     spec.name: spec
     for spec in (
@@ -786,11 +788,7 @@ COMMANDS = {
             params=(
                 Param("theta", _as_float, 0.5236, "Bloch polar angle of the prepared state"),
                 Param("phi", _as_float, 0.0, "Bloch azimuthal angle"),
-                Param("observable", _choice("z", "x", "y"), "z", "measured Pauli"),
-                Param("n", _as_int, 400, "number of protection cycles"),
-                Param("g", _as_float, 0.005, "coupling strength per cycle"),
-                Param("grid_points", _as_int, 512, "pointer grid size (power of two)"),
-                Param("width", _as_float, 1.0, "pointer wavepacket width"),
+                *_PROTECTION_PARAMS,
                 Param("mode", _choice("deterministic", "sampled"), "deterministic",
                       "follow the success branch or sample protections"),
                 Param("tomography", _as_bool, False,
@@ -811,11 +809,7 @@ COMMANDS = {
             params=(
                 Param("prepared", _state_spec, "+", "prepared state"),
                 Param("protected", _state_spec, "0", "state the apparatus protects"),
-                Param("observable", _choice("z", "x", "y"), "z", "measured Pauli"),
-                Param("n", _as_int, 400, "number of protection cycles"),
-                Param("g", _as_float, 0.005, "coupling strength per cycle"),
-                Param("grid_points", _as_int, 512, "pointer grid size (power of two)"),
-                Param("width", _as_float, 1.0, "pointer wavepacket width"),
+                *_PROTECTION_PARAMS,
             ),
             runner=_run_leak,
         ),
@@ -827,7 +821,7 @@ COMMANDS = {
                 Param("profile", _choice("gaussian", "double"), "double",
                       "input wavefunction shape"),
                 Param("width", _as_float, 1.0, "hump width"),
-                Param("grid_points", _as_int, 512, "grid size (power of two)"),
+                Param("grid_points", _as_int, DEFAULT_GRID_POINTS, "grid size (power of two)"),
                 Param("offset", _as_float, 0.0, "profile center"),
                 Param("separation", _as_float, 3.0, "hump separation (double only)"),
                 Param("phase", _as_float, math.pi / 3.0,

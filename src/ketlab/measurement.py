@@ -11,6 +11,12 @@ itself. The flip side is periodicity: a translation that would push the
 wavepacket off one edge re-enters at the other, so couplings are rejected
 up front unless the total shift stays under a quarter of the grid extent.
 
+A coupling followed by a postselection of the system on |post> never needs
+the joint state: it multiplies the pointer's spectrum by
+M(p) = sum_j <post|v_j><v_j|pre> exp(-i g a_j p) over the eigenpairs
+(a_j, v_j) of A. `postselected_cycle` is that step, the kernel of both a
+weak readout (one cycle) and a protective measurement (one per protection).
+
 Grid wavefunctions carry the measure: norms are sums of |amplitude|^2
 times the grid spacing, matching the continuum normalization they sample.
 """
@@ -28,7 +34,8 @@ from .errors import (
     PreconditionError,
     WraparoundError,
 )
-from .hilbert import MAX_DIM, EigenDecomposition, HermitianOperator, StateVector, eigendecompose
+from .hilbert import (MAX_DIM, EigenDecomposition, HermitianOperator, StateVector,
+                      _readonly, eigendecompose)
 from .rngs import as_generator
 
 MIN_GRID_POINTS = 16
@@ -39,11 +46,6 @@ POINTER_MEAN_TOL_FRACTION = 0.1   # ready-pointer mean within spacing/10 of cent
 DEGENERATE_PROB_TOL = 1e-15  # total Born weight below this cannot be sampled
 DEFAULT_GRID_POINTS = 512
 DEFAULT_EXTENT_WIDTHS = 40.0
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +62,9 @@ class PointerGrid:
             raise PreconditionError(
                 f"n_points must be a power of two >= {MIN_GRID_POINTS}, got {n}"
             )
+        if n > MAX_DIM:
+            # before `positions` or `momenta` allocate anything
+            raise PreconditionError(f"n_points {n} exceeds the {MAX_DIM} cap")
         if not (float(self.spacing) > 0.0):
             raise PreconditionError(f"spacing must be positive, got {self.spacing!r}")
         object.__setattr__(self, "n_points", n)
@@ -92,6 +97,16 @@ def default_grid(width: float = 1.0, n_points: int = DEFAULT_GRID_POINTS,
     return PointerGrid(n_points, extent / n_points if n_points else extent, center)
 
 
+def _unit_grid_norm(amps: np.ndarray, grid: PointerGrid, what: str) -> np.ndarray:
+    """`amps`, read-only, once their grid norm sum |a|^2 * spacing is 1."""
+    norm = float(np.sum(np.abs(amps) ** 2) * grid.spacing)
+    if not abs(norm - 1.0) <= GRID_NORM_TOL:
+        raise PreconditionError(
+            f"{what} norm {norm!r} differs from 1 by more than {GRID_NORM_TOL}"
+        )
+    return _readonly(amps)
+
+
 @dataclass(frozen=True, eq=False)
 class GridWavefunction:
     """One-dimensional wavefunction sampled on a PointerGrid."""
@@ -106,12 +121,14 @@ class GridWavefunction:
                 f"expected {self.grid.n_points} amplitudes, got shape "
                 f"{np.shape(self.amplitudes)}"
             )
-        norm = float(np.sum(np.abs(amps) ** 2) * self.grid.spacing)
-        if not abs(norm - 1.0) <= GRID_NORM_TOL:
-            raise PreconditionError(
-                f"grid wavefunction norm {norm!r} differs from 1 by more than {GRID_NORM_TOL}"
-            )
-        object.__setattr__(self, "amplitudes", _readonly(amps))
+        amps = _unit_grid_norm(amps, self.grid, "grid wavefunction")
+        object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def normalized(cls, grid: PointerGrid, amplitudes) -> "GridWavefunction":
+        """Build a wavefunction from unnormalized amplitudes on `grid`."""
+        amps = np.asarray(amplitudes, dtype=complex)
+        return cls(grid, amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * grid.spacing)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,13 +156,8 @@ class JointSystemPointerState:
             raise PreconditionError(
                 f"expected shape {(d, self.grid.n_points)}, got {np.shape(self.amplitudes)}"
             )
-        norm = float(np.sum(np.abs(amps) ** 2) * self.grid.spacing)
-        if not abs(norm - 1.0) <= GRID_NORM_TOL:
-            raise PreconditionError(
-                f"joint state norm {norm!r} differs from 1 by more than {GRID_NORM_TOL}"
-            )
         object.__setattr__(self, "system_dim", d)
-        object.__setattr__(self, "amplitudes", _readonly(amps))
+        object.__setattr__(self, "amplitudes", _unit_grid_norm(amps, self.grid, "joint state"))
 
     def to_json_dict(self) -> dict:
         flat = self.amplitudes.reshape(-1)
@@ -265,6 +277,14 @@ def strong_measure(psi: StateVector, basis: EigenDecomposition, seed) -> Outcome
 # ---------------------------------------------------------------------------
 # pointer preparation and coupling
 
+def gaussian_profile(displacement: np.ndarray, width: float) -> np.ndarray:
+    """exp(-x^2 / (4 width^2)) at each displacement x: a Gaussian amplitude
+    whose squared modulus has standard deviation `width`."""
+    # a numpy power: the same bits as float's, but an overflow gives inf (and
+    # a norm the wavefunction check rejects) instead of an OverflowError
+    return np.exp(-(displacement ** 2) / (4.0 * np.float64(width) ** 2))
+
+
 def make_pointer(grid: PointerGrid, width: float) -> GridWavefunction:
     """Gaussian ready state: |chi(x)|^2 is normal with sd `width` at grid center."""
     if width < WIDTH_SPACING_FACTOR * grid.spacing:
@@ -277,12 +297,8 @@ def make_pointer(grid: PointerGrid, width: float) -> GridWavefunction:
             f"grid extent {grid.extent} too small for pointer width {width}: "
             f"needs >= {EXTENT_WIDTH_FACTOR * width}"
         )
-    x = grid.positions - grid.center
-    # a numpy power: the same bits as float's, but an overflow gives inf (and
-    # a norm the wavefunction check rejects) instead of an OverflowError
-    chi = np.exp(-(x ** 2) / (4.0 * np.float64(width) ** 2)).astype(complex)
-    chi /= math.sqrt(float(np.sum(np.abs(chi) ** 2) * grid.spacing))
-    return GridWavefunction(grid, chi)
+    chi = gaussian_profile(grid.positions - grid.center, width)
+    return GridWavefunction.normalized(grid, chi)
 
 
 def product_state(system: StateVector, pointer: GridWavefunction) -> JointSystemPointerState:
@@ -290,6 +306,56 @@ def product_state(system: StateVector, pointer: GridWavefunction) -> JointSystem
     return JointSystemPointerState(
         system.dim, pointer.grid, np.outer(system.amplitudes, pointer.amplitudes)
     )
+
+
+def coupling_phases(eig: EigenDecomposition, g: float, grid: PointerGrid,
+                    couplings: int) -> np.ndarray:
+    """Rows exp(-i g a_j p) over the grid momenta p, one per eigenvalue a_j.
+
+    Row j translates a pointer by g * a_j. Rejected with WraparoundError
+    when `couplings` successive couplings could shift the pointer by more
+    than a quarter of the grid extent (periodic wraparound would corrupt
+    the record).
+    """
+    vals = np.asarray(eig.eigenvalues)
+    max_shift = float(abs(g) * couplings * np.max(np.abs(vals)))
+    if max_shift > grid.extent / 4.0:
+        raise WraparoundError(
+            f"pointer shift {max_shift:.4g} over {couplings} coupling(s) exceeds a quarter "
+            f"of the grid extent ({grid.extent / 4.0:.4g}); the grid needs extent >= "
+            f"{4.0 * max_shift:.4g}"
+        )
+    return np.exp(-1j * g * np.outer(vals, grid.momenta))
+
+
+def postselected_multiplier(eig: EigenDecomposition, phases: np.ndarray,
+                            post: np.ndarray, pre: np.ndarray) -> np.ndarray:
+    """M(p) = sum_j <post|v_j><v_j|pre> exp(-i g a_j p).
+
+    Coupling a system in |pre> to the pointer and postselecting it on
+    |post> multiplies the pointer's spectrum by M; `phases` holds the rows
+    of `coupling_phases` for the same decomposition.
+    """
+    v = eig.basis_matrix
+    return ((post.conj() @ v) * (v.conj().T @ pre)) @ phases
+
+
+def postselected_cycle(spectrum: np.ndarray, multiplier: np.ndarray,
+                       grid: PointerGrid) -> tuple:
+    """One coupling and postselection of a pointer given by its spectrum.
+
+    Returns (spectrum * multiplier, phi, weight, mean): phi is the
+    unnormalized postselected pointer, weight its squared norm (the
+    postselection probability) and mean its conditional mean position
+    relative to the grid center.
+    """
+    spectrum = spectrum * multiplier
+    phi = np.fft.ifft(spectrum)
+    density = np.abs(phi) ** 2
+    weight = float(np.sum(density) * grid.spacing)
+    moment = float(np.sum(grid.positions * density) * grid.spacing)
+    mean = moment / weight - grid.center
+    return spectrum, phi, weight, mean
 
 
 def couple_pointer(joint: JointSystemPointerState, op: HermitianOperator, g: float,
@@ -312,17 +378,9 @@ def couple_pointer(joint: JointSystemPointerState, op: HermitianOperator, g: flo
     eig = decomposition if decomposition is not None else eigendecompose(op)
     if eig.dim != op.dim:
         raise PreconditionError("decomposition does not match the operator dimension")
-    vals = np.asarray(eig.eigenvalues)
-    max_shift = float(abs(g) * np.max(np.abs(vals)))
-    if max_shift > joint.grid.extent / 4.0:
-        raise WraparoundError(
-            f"pointer shift {max_shift:.4g} exceeds a quarter of the grid extent "
-            f"({joint.grid.extent / 4.0:.4g}); the grid needs extent >= {4.0 * max_shift:.4g}"
-        )
+    phases = coupling_phases(eig, g, joint.grid, 1)
     v = eig.basis_matrix
-    eigen_components = v.conj().T @ joint.amplitudes       # rows: eigenbasis wavefunctions
-    spectra = np.fft.fft(eigen_components, axis=1)
-    phases = np.exp(-1j * g * np.outer(vals, joint.grid.momenta))
+    spectra = np.fft.fft(v.conj().T @ joint.amplitudes, axis=1)   # rows: eigencomponents
     shifted = np.fft.ifft(spectra * phases, axis=1)
     return JointSystemPointerState(joint.system_dim, joint.grid, v @ shifted)
 

@@ -48,7 +48,7 @@ from .hilbert import (
     sigma_x,
     sigma_z,
 )
-from .measurement import born_probabilities
+from .measurement import born_probabilities, inverse_cdf
 from .pbr import PREPARATION_IDS, pbr_basis, preparation_states
 from .rngs import substream
 
@@ -570,8 +570,11 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
     """Sample lambda, then an outcome, `trials` times per scenario cell.
 
     Cell (preparation, measurement) number i uses random substream i of the
-    master seed. The model must define every preparation and measurement id
-    the scenario names.
+    master seed: its first `trials` uniforms pick lambda from the
+    preparation and the next `trials` pick each outcome from lambda's
+    response row, both through the `inverse_cdf` walk, once per row. The
+    model must define every preparation and measurement id the scenario
+    names.
     """
     if trials < 0:
         raise PreconditionError(f"trials must be >= 0, got {trials}")
@@ -585,16 +588,13 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
             table = _scenario_responses(model, scenario, meas_id)
             rng = substream(seed, cell)
             cell += 1
-            prep = model.preparations[prep_id]
-            n_out = table.shape[1]
-            lam_cdf = np.cumsum(prep)
-            lam = np.searchsorted(lam_cdf, rng.random(trials), side="right")
-            lam = np.minimum(lam, len(prep) - 1)
-            row_cdf = np.cumsum(table, axis=1)[lam]
+            lam = inverse_cdf(model.preparations[prep_id], rng.random(trials))
             draws = rng.random(trials)
-            outcome = np.sum(row_cdf <= draws[:, None], axis=1)
-            outcome = np.minimum(outcome, n_out - 1)
-            counts[prep_id][meas_id] = np.bincount(outcome, minlength=n_out)
+            # one walk per lambda's row: no (trials x outcomes) table is built
+            counts[prep_id][meas_id] = sum(
+                np.bincount(inverse_cdf(row, draws[lam == k]), minlength=len(row))
+                for k, row in enumerate(table)
+            )
     max_forbidden = None
     if scenario.forbidden and trials > 0:
         freqs = [

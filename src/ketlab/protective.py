@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotPureError, PreconditionError, WraparoundError
+from .errors import NotPureError, PreconditionError
 from .hilbert import (
     MAX_DIM,
     HermitianOperator,
@@ -46,9 +46,12 @@ from .hilbert import (
 from .measurement import (
     JointSystemPointerState,
     PointerGrid,
+    couple_pointer,
+    coupling_phases,
     default_grid,
     make_pointer,
-    couple_pointer,
+    postselected_cycle,
+    postselected_multiplier,
 )
 from .rngs import as_generator
 
@@ -124,7 +127,9 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     M(p) = sum_j |<v_j|c>|^2 exp(-i g a_j p) over the eigenpairs (a_j, v_j)
     of op, with c the protected state; the first cycle, which starts from
     the prepared state, uses M1(p) = sum_j <c|v_j><v_j|prepared> exp(-i g a_j p).
-    The squared norm of the product is that cycle's survival weight.
+    Both are `postselected_multiplier`s, and each cycle is one
+    `postselected_cycle`, the step a weak readout takes once: the squared
+    norm of the product is that cycle's survival weight.
     final_joint is |protected> (x) phi after the last cycle, the product
     state before any cycle ran, or the coupled state of a sampled abort.
     A joint state over the MAX_DIM cap is rejected before any work is done.
@@ -134,29 +139,18 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     if dim > MAX_DIM:
         raise PreconditionError(f"joint dimension {dim} exceeds the {MAX_DIM} cap")
     eig = eigendecompose(op)
-    max_eig = max(abs(v) for v in eig.eigenvalues)
-    total_shift = abs(g) * n * max_eig
-    if total_shift > grid.extent / 4.0:
-        raise WraparoundError(
-            f"accumulated pointer shift {total_shift:.4g} exceeds a quarter of the "
-            f"grid extent ({grid.extent / 4.0:.4g}); the grid needs extent >= "
-            f"{4.0 * total_shift:.4g}"
-        )
+    phases = coupling_phases(eig, g, grid, n)
     rng = as_generator(seed if seed is not None else 0) if mode == "sampled" else None
     pointer = make_pointer(grid, width).amplitudes
-    to_protected = protected.amplitudes.conj() @ eig.basis_matrix
-    phases = np.exp(-1j * g * np.outer(eig.eigenvalues, grid.momenta))
-    multiplier = (to_protected * (eig.basis_matrix.conj().T @ initial.amplitudes)) @ phases
-    repeated = np.abs(to_protected) ** 2 @ phases
+    c = protected.amplitudes
+    multiplier = postselected_multiplier(eig, phases, c, initial.amplitudes)
+    repeated = postselected_multiplier(eig, phases, c, c)
     spectrum = np.fft.fft(pointer)
     survival = 1.0
     log = []
     aborted = None
     for step in range(1, n + 1):
-        spectrum = spectrum * multiplier
-        phi = np.fft.ifft(spectrum)
-        density = np.abs(phi) ** 2
-        weight = float(np.sum(density) * grid.spacing)
+        spectrum, phi, weight, mean = postselected_cycle(spectrum, multiplier, grid)
         if mode == "sampled" and rng.random() > weight:
             aborted = step
             break
@@ -164,8 +158,7 @@ def _protective_loop(initial: StateVector, protected: StateVector,
         norm = math.sqrt(weight)
         spectrum /= norm
         pointer = phi / norm
-        mean = float(np.sum(grid.positions * density) * grid.spacing) / weight
-        log.append(StepRecord(step, survival, mean - grid.center))
+        log.append(StepRecord(step, survival, mean))
         multiplier = repeated
     system = protected if log else initial
     joint = JointSystemPointerState(system.dim, grid, np.outer(system.amplitudes, pointer))
@@ -247,8 +240,9 @@ class TomographySet:
 
     The operators, together with the identity (whose expectation is fixed
     at 1 by normalization), must span the real space of Hermitian matrices:
-    the augmented Gram matrix must have rank dim^2. The bare Pauli triple
-    passes for qubits on that reading.
+    their real embedding (`_real_embedding`, the one `reconstruct_state`
+    solves in) must have rank dim^2. The bare Pauli triple passes for
+    qubits on that reading.
     """
 
     operators: tuple
@@ -266,9 +260,7 @@ class TomographySet:
         d = ops[0].dim
         if any(o.dim != d for o in ops):
             raise PreconditionError("tomography operators must share one dimension")
-        rows = [np.eye(d, dtype=complex).reshape(-1)]
-        rows += [o.matrix.reshape(-1) for o in ops]
-        stacked = np.array([np.concatenate([r.real, r.imag]) for r in rows])
+        stacked = _real_embedding([np.eye(d)] + [o.matrix for o in ops])
         rank = np.linalg.matrix_rank(stacked, tol=COMPLETENESS_RANK_TOL)
         if rank < d * d:
             raise PreconditionError(
@@ -278,46 +270,35 @@ class TomographySet:
         object.__setattr__(self, "expectations", exps)
 
 
-def _traceless_hermitian_basis(d: int) -> list:
-    """Frobenius-orthonormal basis of traceless Hermitian d x d matrices."""
-    basis = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[i, j] = sym[j, i] = 1.0 / math.sqrt(2.0)
-            basis.append(sym)
-            asym = np.zeros((d, d), dtype=complex)
-            asym[i, j] = -1j / math.sqrt(2.0)
-            asym[j, i] = 1j / math.sqrt(2.0)
-            basis.append(asym)
-    for k in range(1, d):
-        diag = np.zeros((d, d), dtype=complex)
-        diag[np.diag_indices(d)] = [1.0] * k + [-float(k)] + [0.0] * (d - k - 1)
-        basis.append(diag / math.sqrt(float(k * (k + 1))))
-    return basis
+def _real_embedding(matrices) -> np.ndarray:
+    """Rows [Re vec M, Im vec M], one per matrix. For Hermitian A and B the
+    dot product of their rows is tr(A B), the real Frobenius inner product."""
+    flat = np.array([np.asarray(m, dtype=complex).reshape(-1) for m in matrices])
+    return np.concatenate([flat.real, flat.imag], axis=1)
 
 
 def reconstruct_state(data: TomographySet) -> StateVector:
     """Least-squares density matrix fit, then the dominant eigenvector.
+
+    rho = 1/d + X with X traceless and Hermitian, and each readout asks
+    tr(X T) = <A> - tr(A)/d of the traceless part T = A - tr(A)/d of its
+    operator A. In the real embedding of `_real_embedding` that is one
+    linear system, solved by one `np.linalg.lstsq`. Its minimum-norm
+    solution is a combination of the rows, so X is traceless and Hermitian
+    by construction; for an informationally complete set it is the unique
+    least-squares fit.
 
     Raises NotPureError when the fitted density matrix has largest
     eigenvalue below 1 - NOT_PURE_TOL: the expectations describe something
     too mixed (noisy or inconsistent input) to report as a ket.
     """
     d = data.operators[0].dim
-    basis = _traceless_hermitian_basis(d)
-    design = np.array([
-        [float(np.trace(t @ op.matrix).real) for t in basis]
-        for op in data.operators
-    ])
-    rhs = np.array([
-        e - float(np.trace(op.matrix).real) / d
-        for op, e in zip(data.operators, data.expectations)
-    ])
-    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    rho = np.eye(d, dtype=complex) / d
-    for c, t in zip(coeffs, basis):
-        rho += c * t
+    identity = np.eye(d)
+    traces = np.array([np.trace(op.matrix).real for op in data.operators])
+    design = _real_embedding([op.matrix - t / d * identity
+                              for op, t in zip(data.operators, traces)])
+    x, *_ = np.linalg.lstsq(design, np.array(data.expectations) - traces / d, rcond=None)
+    rho = identity / d + (x[:d * d] + 1j * x[d * d:]).reshape(d, d)
     vals, vecs = np.linalg.eigh(rho)
     if vals[-1] < 1.0 - NOT_PURE_TOL:
         raise NotPureError(

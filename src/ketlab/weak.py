@@ -29,16 +29,17 @@ from .errors import (
 from .hilbert import (
     HermitianOperator,
     StateVector,
+    eigendecompose,
     equal_up_to_phase,
     inner_product,
 )
 from .measurement import (
     GridWavefunction,
     PointerGrid,
-    couple_pointer,
+    coupling_phases,
     make_pointer,
-    pointer_marginal,
-    product_state,
+    postselected_cycle,
+    postselected_multiplier,
 )
 
 OVERLAP_TOL = 1e-12          # |<post|pre>| below this: weak value undefined
@@ -116,6 +117,11 @@ def weak_pointer_shift(psi: StateVector, op: HermitianOperator, post: StateVecto
     the system on |post>, and returns (conditional pointer mean shift,
     postselection success probability). As g -> 0 the shift approaches
     g * Re(weak value).
+
+    This is one `postselected_cycle` of the protective kernel, with the
+    multiplier M(p) = sum_j <post|v_j><v_j|psi> exp(-i g a_j p): the
+    pointer's spectrum is multiplied once and transformed back, and no
+    joint system+pointer state is built.
     """
     overlap = inner_product(post, psi)
     if abs(overlap) <= OVERLAP_TOL:
@@ -123,15 +129,16 @@ def weak_pointer_shift(psi: StateVector, op: HermitianOperator, post: StateVecto
             f"pre/postselection overlap magnitude {abs(overlap):.3e} <= {OVERLAP_TOL}; "
             "postselected shift undefined"
         )
-    joint = product_state(psi, make_pointer(grid, width))
-    coupled = couple_pointer(joint, op, g)
-    conditional = post.amplitudes.conj() @ coupled.amplitudes
-    prob = float(np.sum(np.abs(conditional) ** 2) * grid.spacing)
+    pointer = make_pointer(grid, width)
+    if op.dim != psi.dim:
+        raise PreconditionError(f"dimension mismatch: operator {op.dim} vs system {psi.dim}")
+    eig = eigendecompose(op)
+    multiplier = postselected_multiplier(eig, coupling_phases(eig, g, grid, 1),
+                                         post.amplitudes, psi.amplitudes)
+    _, _, prob, mean = postselected_cycle(np.fft.fft(pointer.amplitudes), multiplier, grid)
     if prob < POSTSELECT_PROB_TOL:
         raise PostselectionError(
             f"postselection probability {prob:.3e} below {POSTSELECT_PROB_TOL}; "
             "conditional statistics undefined"
         )
-    density = np.abs(conditional) ** 2
-    mean = float(np.sum(grid.positions * density) * grid.spacing / prob)
-    return mean - grid.center, prob
+    return mean, prob

@@ -306,6 +306,7 @@ def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text
     (["leak", "--grid-points", "0"], 3),
     (["scan", "--width", "1e200"], 3),      # the pointer's width ** 2 overflows
     (["protective", "--width", "1e200"], 3),
+    (["scan", "--grid-points", str(2**40)], 3),   # over the cap, before any allocation
 ])
 def test_degenerate_sizes_keep_the_exit_code_contract(tmp_path, monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)
@@ -524,7 +525,9 @@ def test_scan_gaussian_profile(tmp_path, monkeypatch):
     assert len(lines) == 513
 
 
-@pytest.mark.parametrize("argv,artifact", [
+# every subcommand at its defaults, with the artifact it writes; each has a
+# golden, and scripts/regenerate_golden.py rebuilds them from the same list
+DEFAULT_RUNS = [
     (["protective"], "protective.json"),
     (["leak"], "leak.json"),
     (["scan"], "scan.csv"),
@@ -532,7 +535,10 @@ def test_scan_gaussian_profile(tmp_path, monkeypatch):
     (["steer"], "steer.json"),
     (["onto"], "onto.json"),
     (["nogo"], "nogo.json"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,artifact", DEFAULT_RUNS)
 def test_default_runs_match_golden(tmp_path, monkeypatch, argv, artifact):
     """Every subcommand at factory defaults (seed 7) must reproduce the
     checked-in artifact. Counts compare exactly; floats to 1e-9, leaving

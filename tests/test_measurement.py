@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from ketlab.errors import DegenerateInputError, PreconditionError, WraparoundError
 from ketlab.hilbert import (
+    MAX_DIM,
     EigenDecomposition,
     HermitianOperator,
     StateVector,
@@ -25,6 +26,7 @@ from ketlab.measurement import (
     PointerGrid,
     born_probabilities,
     couple_pointer,
+    coupling_phases,
     default_grid,
     draw_outcome,
     inverse_cdf,
@@ -52,6 +54,16 @@ def test_grid_rejects_non_power_of_two():
 def test_grid_rejects_nonpositive_spacing():
     with pytest.raises(PreconditionError):
         PointerGrid(64, 0.0)
+
+
+def test_grid_rejects_more_points_than_the_cap():
+    assert PointerGrid(MAX_DIM, 0.1).n_points == MAX_DIM
+    with pytest.raises(PreconditionError, match="cap"):
+        PointerGrid(2 * MAX_DIM, 0.1)
+    # rejected at construction: positions and momenta (8 TiB each) are
+    # only computed on first use
+    with pytest.raises(PreconditionError, match="cap"):
+        default_grid(1.0, 2 ** 40)
 
 
 def test_grid_geometry():
@@ -269,6 +281,18 @@ def test_wraparound_shift_is_rejected():
     joint = product_state(ket_zero(), make_pointer(grid, 1.0))
     with pytest.raises(WraparoundError):
         couple_pointer(joint, sigma_z(), 11.0)
+
+
+def test_coupling_phases_guard_the_accumulated_shift():
+    grid = default_grid(1.0)    # extent 40, quarter 10
+    eig = eigendecompose(sigma_z())
+    coupling_phases(eig, 0.125, grid, 80)      # 80 couplings shift by exactly 10
+    with pytest.raises(WraparoundError):
+        coupling_phases(eig, 0.125, grid, 81)
+    np.testing.assert_array_equal(
+        coupling_phases(eig, 0.125, grid, 1),
+        np.exp(-1j * 0.125 * np.outer(eig.eigenvalues, grid.momenta)),
+    )
 
 
 def test_precomputed_decomposition_must_match_operator():

@@ -28,6 +28,7 @@ from ketlab import (
     pbr_scenario,
     predict,
     qubit_scenario,
+    substream,
 )
 from ketlab.ontology import DUALITY_GAP_TOL
 
@@ -482,6 +483,62 @@ def test_monte_carlo_is_reproducible():
             np.testing.assert_array_equal(
                 a.counts[prep_id][meas_id], b.counts[prep_id][meas_id]
             )
+
+
+def reference_monte_carlo_counts(model, scenario, trials, seed):
+    """The former per-cell walks, kept as an oracle: a `searchsorted` over
+    the preparation's cumulative weights picks lambda, and a count of the
+    response row's cumulative weights at or below each uniform picks the
+    outcome."""
+    counts = {}
+    cell = 0
+    for prep_id in scenario.preparations:
+        counts[prep_id] = {}
+        for meas_id in scenario.measurements:
+            table = model.responses[meas_id]
+            rng = substream(seed, cell)
+            cell += 1
+            prep = model.preparations[prep_id]
+            n_out = table.shape[1]
+            lam = np.searchsorted(np.cumsum(prep), rng.random(trials), side="right")
+            lam = np.minimum(lam, len(prep) - 1)
+            row_cdf = np.cumsum(table, axis=1)[lam]
+            outcome = np.sum(row_cdf <= rng.random(trials)[:, None], axis=1)
+            outcome = np.minimum(outcome, n_out - 1)
+            counts[prep_id][meas_id] = np.bincount(outcome, minlength=n_out)
+    return counts
+
+
+def random_model(scenario, rng):
+    size = int(rng.integers(1, 7))
+    return OntologicalModel(
+        LambdaSpace(tuple(f"l{i}" for i in range(size))),
+        {p: rng.dirichlet(np.full(size, 0.5)) for p in scenario.preparations},
+        {m: rng.dirichlet(np.full(basis.dim, 0.5), size=size)
+         for m, basis in scenario.measurements.items()},
+    )
+
+
+def test_monte_carlo_counts_equal_the_former_walk_cell_for_cell():
+    """The orthodox qubit and pbr models, the paired model at four q and 20
+    random models, each at three seeds, with 3000 trials per cell."""
+    rng = np.random.default_rng(5)
+    cases = [(orthodox_model(s), s) for s in (qubit_scenario(), pbr_scenario())]
+    for q in (0.0, 0.3, 0.7, 1.0):
+        bound = pbr_min_violation(q)
+        cases.append((paired_shared_reality_model(q, bound.witnessing_responses),
+                      pbr_scenario()))
+    for _ in range(10):
+        for scenario in (qubit_scenario(), pbr_scenario()):
+            cases.append((random_model(scenario, rng), scenario))
+    for model, scenario in cases:
+        for seed in (0, 7, 12345):
+            got = monte_carlo_onto(model, scenario, 3000, seed=seed).counts
+            want = reference_monte_carlo_counts(model, scenario, 3000, seed)
+            for prep_id in scenario.preparations:
+                for meas_id in scenario.measurements:
+                    np.testing.assert_array_equal(got[prep_id][meas_id],
+                                                  want[prep_id][meas_id])
 
 
 def test_monte_carlo_rejects_models_missing_scenario_ids():

@@ -11,6 +11,7 @@ from ketlab import (
     HermitianOperator,
     NotPureError,
     PreconditionError,
+    StateVector,
     TomographySet,
     WraparoundError,
     default_grid,
@@ -245,6 +246,98 @@ def test_reconstruct_state_rejects_mixed_expectations():
     # all-zero Bloch vector is the maximally mixed state
     with pytest.raises(NotPureError):
         reconstruct_state(TomographySet(pauli_operators(), (0.0, 0.0, 0.0)))
+
+
+def reference_reconstruct_state(data):
+    """The former fit, kept as an oracle: coordinates in a Frobenius-
+    orthonormal (generalized Gell-Mann) basis of traceless Hermitian
+    matrices, built in loops, then the dominant eigenvector."""
+    d = data.operators[0].dim
+    basis = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[i, j] = sym[j, i] = 1.0 / math.sqrt(2.0)
+            basis.append(sym)
+            asym = np.zeros((d, d), dtype=complex)
+            asym[i, j] = -1j / math.sqrt(2.0)
+            asym[j, i] = 1j / math.sqrt(2.0)
+            basis.append(asym)
+    for k in range(1, d):
+        diag = np.zeros((d, d), dtype=complex)
+        diag[np.diag_indices(d)] = [1.0] * k + [-float(k)] + [0.0] * (d - k - 1)
+        basis.append(diag / math.sqrt(float(k * (k + 1))))
+    design = np.array([
+        [float(np.trace(t @ op.matrix).real) for t in basis]
+        for op in data.operators
+    ])
+    rhs = np.array([
+        e - float(np.trace(op.matrix).real) / d
+        for op, e in zip(data.operators, data.expectations)
+    ])
+    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    rho = np.eye(d, dtype=complex) / d
+    for c, t in zip(coeffs, basis):
+        rho += c * t
+    vals, vecs = np.linalg.eigh(rho)
+    if vals[-1] < 1.0 - ketlab.protective.NOT_PURE_TOL:
+        raise NotPureError("not pure")
+    return StateVector.normalized(vecs[:, -1])
+
+
+def reconstruct_or_none(fit, data):
+    try:
+        return fit(data)
+    except NotPureError:
+        return None
+
+
+def assert_fits_agree(data):
+    """Both fits raise NotPureError, or both return one state to 1e-12."""
+    new = reconstruct_or_none(reconstruct_state, data)
+    old = reconstruct_or_none(reference_reconstruct_state, data)
+    assert (new is None) == (old is None)
+    if new is not None:
+        phase = np.vdot(new.amplitudes, old.amplitudes)    # unit modulus when they agree
+        np.testing.assert_allclose(new.amplitudes * phase, old.amplitudes, rtol=0, atol=1e-12)
+    return new is None
+
+
+def test_reconstruction_matches_the_gell_mann_fit_on_random_sets():
+    """1000 random sets: d = 2-4, d^2 - 1 to d^2 + 3 random operators, and
+    the expectations of a nearly pure state plus noise up to 0.1."""
+    rng = np.random.default_rng(2024)
+    rejected = 0
+    for _ in range(1000):
+        d = int(rng.integers(2, 5))
+        ops = [random_observable(d, rng) for _ in range(int(rng.integers(d * d - 1, d * d + 4)))]
+        psi = haar_random_state(d, rng).amplitudes
+        purity = rng.choice([1.0, rng.uniform(0.99, 1.0)])
+        rho = purity * np.outer(psi, psi.conj()) + (1.0 - purity) * np.eye(d) / d
+        noise = rng.choice([0.0, 1e-4, rng.uniform(0.0, 0.1)])
+        exps = [float(np.trace(rho @ op.matrix).real) + noise * rng.standard_normal()
+                for op in ops]
+        rejected += assert_fits_agree(TomographySet(tuple(ops), tuple(exps)))
+    assert 100 < rejected < 900, rejected   # both decisions are exercised
+
+
+@pytest.mark.parametrize("ops,exps", [
+    # z read twice, once +1 and once -1: the fit averages them to the
+    # maximally mixed state
+    ((sigma_x(), sigma_y(), sigma_z(), sigma_z()), (0.0, 0.0, 1.0, -1.0)),
+    # an overcomplete qubit set whose readouts disagree by 0.3
+    ((sigma_x(), sigma_y(), sigma_z(), sigma_x(), sigma_y()), (0.6, 0.0, 0.8, 0.3, 0.0)),
+])
+def test_inconsistent_overcomplete_sets_are_not_pure_on_both_fits(ops, exps):
+    assert assert_fits_agree(TomographySet(ops, exps))
+
+
+def test_reconstruction_from_a_slightly_noisy_overcomplete_set(rng):
+    psi = haar_random_state(3, rng)
+    ops = tuple(random_observable(3, rng) for _ in range(12))
+    exps = tuple(expectation(op, psi) + 1e-6 * rng.standard_normal() for op in ops)
+    rebuilt = reconstruct_state(TomographySet(ops, exps))
+    assert abs(np.vdot(rebuilt.amplitudes, psi.amplitudes)) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_protective_tomography_recovers_the_state():

@@ -1,16 +1,32 @@
 """The example scripts still run against the package and keep their promises."""
 
+import csv
 import importlib.util
+import runpy
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from ketlab.ontology import DUALITY_GAP_TOL
+
+TESTS = Path(__file__).resolve().parent
+SCRIPTS = TESTS.parent / "scripts"
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_script(name):
+    return load_module(name, SCRIPTS / f"{name}.py")
+
+
+def run_script(name, monkeypatch, *args):
+    """Run a script as `python3 scripts/<name>.py args...` would."""
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / f"{name}.py"), *map(str, args)])
+    runpy.run_path(str(SCRIPTS / f"{name}.py"), run_name="__main__")
 
 
 def test_coupling_sweep_bias_falls_as_g_squared():
@@ -20,3 +36,32 @@ def test_coupling_sweep_bias_falls_as_g_squared():
     # halving g at fixed n*g cuts the error by ~4 at every rung
     ratios = [row[-1] for row in rows[1:]]
     assert all(3.5 < ratio < 4.5 for ratio in ratios), ratios
+
+
+def test_violation_curve_is_a_quarter_q_squared(tmp_path, monkeypatch):
+    out = tmp_path / "curve.csv"
+    run_script("overlap_violation_curve", monkeypatch, out)     # 21 points by default
+    with out.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 21
+    for row in rows:
+        q = float(row["q"])
+        assert abs(float(row["lower_bound"]) - q * q / 4.0) <= DUALITY_GAP_TOL, row
+
+
+def test_run_all_experiments_writes_every_artifact_and_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_script("run_all_experiments", monkeypatch, "runs")
+    names = sorted(p.name for p in (tmp_path / "runs").iterdir())
+    manifests = [n for n in names if n.endswith(".manifest.json")]
+    artifacts = [n for n in names if not n.endswith(".manifest.json")]
+    assert len(artifacts) == 7 and len(manifests) == 7
+    assert sorted(manifests) == sorted(f"{n}.manifest.json" for n in artifacts)
+
+
+def test_every_golden_default_run_is_regenerated():
+    """A default command added to the golden test must also be rebuilt by
+    scripts/regenerate_golden.py, and the other way round."""
+    golden_runs = load_module("golden_runs", TESTS / "test_cli.py").DEFAULT_RUNS
+    commands = load_script("regenerate_golden").COMMANDS
+    assert [argv for argv, _ in golden_runs] == list(commands)

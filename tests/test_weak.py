@@ -15,6 +15,7 @@ from ketlab import (
     ScanUndefinedError,
     StateVector,
     UndefinedWeakValueError,
+    WraparoundError,
     default_grid,
     direct_wavefunction_scan,
     ket_minus,
@@ -29,6 +30,9 @@ from ketlab import (
     weak_pointer_shift,
     weak_value,
 )
+from ketlab.hilbert import haar_random_state, random_observable
+from ketlab.measurement import PointerGrid, couple_pointer, product_state
+from ketlab.protective import protective_measure
 
 
 def gaussian_packet(grid, sigma, offset=0.0, phase=0.0):
@@ -129,6 +133,59 @@ def test_pointer_shift_rejects_vanishing_success_probability():
     pre = StateVector(2, amps / np.linalg.norm(amps))
     with pytest.raises(PostselectionError):
         weak_pointer_shift(pre, sigma_z(), ket_one(), 1e-6, grid, 1.0)
+
+
+def reference_pointer_shift(psi, op, post, g, grid, width):
+    """The former readout, kept as an oracle: build psi (x) pointer, couple
+    the joint state, postselect the system on |post>."""
+    joint = product_state(psi, make_pointer(grid, width))
+    coupled = couple_pointer(joint, op, g)
+    conditional = post.amplitudes.conj() @ coupled.amplitudes
+    prob = float(np.sum(np.abs(conditional) ** 2) * grid.spacing)
+    density = np.abs(conditional) ** 2
+    mean = float(np.sum(grid.positions * density) * grid.spacing / prob)
+    return mean - grid.center, prob
+
+
+def test_pointer_shift_matches_the_joint_state_readout_on_random_cases():
+    """One postselected cycle against the coupled joint state, on 120
+    random cases: d = 2-4, random observable, pre- and postselection,
+    coupling, grid size, width and grid center."""
+    rng = np.random.default_rng(99)
+    for _ in range(120):
+        d = int(rng.integers(2, 5))
+        pre, post = haar_random_state(d, rng), haar_random_state(d, rng)
+        op = random_observable(d, rng, max_eigenvalue=float(rng.uniform(0.1, 3.0)))
+        width = float(rng.uniform(0.5, 2.0))
+        grid = PointerGrid(int(rng.choice([256, 512, 1024])), width / 8.0,
+                           center=float(rng.uniform(-5.0, 5.0)))
+        g = float(rng.choice([1e-4, 1e-2, rng.uniform(0.0, 1.0)]))
+        args = (pre, op, post, g, grid, width)
+        shift, prob = weak_pointer_shift(*args)
+        ref_shift, ref_prob = reference_pointer_shift(*args)
+        assert shift == pytest.approx(ref_shift, rel=0, abs=1e-12)
+        assert prob == pytest.approx(ref_prob, rel=0, abs=1e-12)
+
+
+def test_a_weak_readout_is_one_protective_cycle():
+    """Postselecting on the preparation itself is what the first protection
+    of a protective run does: the shift and the success probability are
+    that cycle's pointer mean and survival."""
+    psi = qubit_state(0.8, 0.3)
+    grid = default_grid(1.0)
+    shift, prob = weak_pointer_shift(psi, sigma_x(), psi, 0.05, grid, 1.0)
+    step = protective_measure(psi, sigma_x(), n=1, g=0.05, grid=grid).per_step_log[0]
+    assert shift == step.pointer_mean
+    assert prob == step.survival
+
+
+def test_pointer_shift_rejects_wraparound_and_dimension_mismatch():
+    grid = default_grid(1.0)    # extent 40, quarter 10
+    with pytest.raises(WraparoundError):
+        weak_pointer_shift(ket_plus(), sigma_z(), ket_zero(), 10.5, grid, 1.0)
+    with pytest.raises(PreconditionError):
+        weak_pointer_shift(ket_plus(), HermitianOperator(3, np.eye(3)), ket_zero(), 0.1,
+                           grid, 1.0)
 
 
 def test_momentum_zero_amplitude_matches_gaussian_integral():
