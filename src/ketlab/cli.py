@@ -32,7 +32,6 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import ConfigError, InternalError, LabError, PreconditionError
@@ -388,7 +387,7 @@ SCHEMAS = {
             "kind": {"const": "ketlab/manifest"},
             "versions": {
                 "type": "object",
-                "required": ["ketlab", "numpy", "scipy", "python"],
+                "required": ["ketlab", "numpy", "python"],
             },
             "outputs": {"type": "array", "items": _STR},
         },
@@ -674,7 +673,7 @@ def _run_onto(cfg: RunConfig):
     if p["model"] is None:
         if p["prep"] is not None or p["meas"] is not None:
             raise ConfigError("--prep/--meas only apply when --model is given")
-        bound = pbr_min_violation(p["q"], resolution=p["resolution"])
+        bound = pbr_min_violation(p["q"])
         data = {"kind": "ketlab/violation-bound", "command": "onto",
                 **bound.to_json_dict()}
         if p["mc_trials"] > 0:
@@ -857,7 +856,6 @@ COMMANDS = {
             formats=("json",),
             params=(
                 Param("q", _as_float, 1.0, "shared-lambda weight in [0, 1]"),
-                Param("resolution", _as_int, 8, "simplex grid points per response row"),
                 Param("mc_trials", _as_int, 0, "Monte Carlo trials per scenario cell"),
                 Param("model", _opt_str, None,
                       "model JSON to evaluate instead, or the literal 'orthodox'"),
@@ -987,7 +985,8 @@ def _sweep_path(output: Path) -> Path:
 def _check_distinct_artifacts(output: Path, params: dict, config: str | None) -> None:
     """Every artifact of one run needs its own path: a later write would
     replace an earlier artifact, and the manifest would list it twice. No
-    artifact may replace the --config file the run was read from either."""
+    artifact may replace the --config file the run was read from either,
+    nor name an existing directory, which no write could replace."""
     named = [("--output", output), ("the manifest", _manifest_path(output))]
     if params.get("sweep_g") is not None:
         named.append(("the --sweep-g CSV", _sweep_path(output)))
@@ -996,6 +995,8 @@ def _check_distinct_artifacts(output: Path, params: dict, config: str | None) ->
             named.append(("--" + name.replace("_", "-"), Path(params[name])))
     seen = {} if config is None else {Path(config).resolve(): "--config"}
     for label, path in named:
+        if path.is_dir():
+            raise ConfigError(f"{label} path {path} is an existing directory")
         key = path.resolve()
         if key in seen:
             raise ConfigError(f"{label} would overwrite {seen[key]} at {path}")
@@ -1017,7 +1018,6 @@ def _manifest(cfg: RunConfig, paths: list) -> dict:
         "versions": {
             "ketlab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "outputs": [p.name for p in paths],

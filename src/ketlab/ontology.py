@@ -19,10 +19,10 @@ Two constructions anchor everything:
 For the four-outcome antidistinguishability measurement on two independent
 shared-reality qubits, `pbr_min_violation` computes how badly the best
 possible response table must violate the quantum prediction that each
-preparation's forbidden outcome never fires. The answer is certified: a
-simplex-grid table gives the upper bound and the uniform dual point a
-matching closed-form lower bound; an exact linear program re-tables the
-candidate only when the grid is too coarse to meet it. Preparation
+preparation's forbidden outcome never fires. The answer is certified in
+closed form: a table that splits each lambda pair's row evenly over its
+cheapest outcomes gives the upper bound, and the uniform dual point a
+matching lower bound; no linear program is solved. Preparation
 independence -- the lambda pair distribution of a product preparation is
 the product of the single-system distributions -- is assumed by the
 construction and asserted in tests; it is the one extra premise the
@@ -55,6 +55,7 @@ from .rngs import substream
 DISTRIBUTION_TOL = 1e-12     # rows and preparation vectors must sum to 1 within this
 PREDICT_SUM_TOL = 1e-11      # predicted outcome distributions must sum to 1 within this
 DUALITY_GAP_TOL = 1e-6       # certification threshold for the violation bound
+MAX_MC_TRIALS = 2 ** 20      # Monte Carlo trials per scenario cell (~53 bytes each)
 ONTIC_OVERLAP_TOL = 1e-12    # below this, preparations share no lambda support
 FORBIDDEN_BORN_TOL = 1e-12   # Born weight counting as a forbidden outcome
 
@@ -64,10 +65,10 @@ SHARED_REALITY_LABELS = ("shared", "zero_only", "plus_only")
 def linprog(*args, **kwargs):
     """`scipy.optimize.linprog`, imported on the first call.
 
-    Only `pbr_min_violation` solves a linear program, and importing
-    `scipy.optimize` costs more than most commands' physics, so a process
-    that never solves never loads it. The name stays a plain module
-    attribute, so tests and tracers can replace it.
+    The package solves no linear program: `pbr_min_violation` certifies in
+    closed form. The tests' LP oracle solves through this name, and
+    tracers bind it, so it stays a plain module attribute that they can
+    replace. scipy is needed only when it is called.
     """
     from scipy.optimize import linprog as solve
 
@@ -443,21 +444,14 @@ def _violations(cost: np.ndarray, forbidden, table: np.ndarray) -> list:
     return [float(cost[k] @ table[:, k]) for k in forbidden]
 
 
-def _grid_candidate(cost: np.ndarray, resolution: int) -> np.ndarray:
-    """Simplex-grid table with `resolution` points per lambda-pair row.
-
-    Each row splits its points evenly over its cheapest outcomes (cost
-    within 1e-15 of the column minimum); when they do not divide evenly,
-    the first `resolution mod ties` of them in outcome order, ranked by a
-    cumulative sum, get one point more.
-    """
+def _even_split(cost: np.ndarray) -> np.ndarray:
+    """Witness table: each lambda-pair row splits its mass evenly over its
+    cheapest outcomes (cost within 1e-15 of the column minimum)."""
     cheapest = cost <= cost.min(axis=0) + 1e-15
-    base, extra = divmod(resolution, cheapest.sum(axis=0))
-    points = cheapest * (base + (np.cumsum(cheapest, axis=0) <= extra))
-    return points.T / resolution
+    return (cheapest / cheapest.sum(axis=0)).T
 
 
-def pbr_min_violation(q: float, resolution: int = 8) -> ViolationBound:
+def pbr_min_violation(q: float) -> ViolationBound:
     """Minimum unavoidable forbidden-outcome probability at shared weight q.
 
     Searches all response tables for the antidistinguishability measurement
@@ -466,79 +460,39 @@ def pbr_min_violation(q: float, resolution: int = 8) -> ViolationBound:
     The certificate is the uniform weighting of the preparations: no table
     can push their average violation below the sum over lambda pairs of
     each pair's cheapest outcome cost, divided by four, so that sum is the
-    lower bound. A simplex-grid table (resolution points per row) gives the
-    upper bound. When the two close within DUALITY_GAP_TOL (at the default
-    resolution they close exactly) no linear program is solved, so
-    `scipy.optimize` is never imported. Otherwise the grid is too coarse
-    to split the shared row evenly, and an exact linear program re-tables
-    it; its table replaces the grid's only if it does better. The gap must
-    then close below DUALITY_GAP_TOL or the result is reported as
-    indeterminate (CertificationError), never silently rounded.
+    lower bound. The witness splits each pair's row evenly over its
+    cheapest outcomes. The fully shared pair costs q^2 on all four, so each
+    preparation pays q^2/4 there; every other pair misses some preparation,
+    whose outcome costs nothing. So the witness meets the lower bound and
+    no linear program is solved. The two bounds are still compared in
+    numpy: a gap above DUALITY_GAP_TOL is reported as indeterminate
+    (CertificationError), never silently rounded.
     """
     if not 0.0 <= q <= 1.0:
         raise PreconditionError(f"shared weight q must lie in [0, 1], got {q!r}")
-    if resolution < 1:
-        raise PreconditionError(f"grid resolution must be >= 1, got {resolution}")
     cost, forbidden, pair_labels = _forbidden_cost(q)
-    candidate = _grid_candidate(cost, resolution)
-    violations = _violations(cost, forbidden, candidate)
+    witness = _even_split(cost)
+    violations = _violations(cost, forbidden, witness)
     lower = sum(cost.min(axis=0) / len(forbidden))
-    if max(violations) - lower > DUALITY_GAP_TOL:
-        refined = _refine_with_lp(cost, forbidden)
-        if refined is not None:
-            refined_violations = _violations(cost, forbidden, refined)
-            if max(refined_violations) < max(violations):
-                candidate, violations = refined, refined_violations
     upper = max(violations)
     gap = upper - lower
     if gap > DUALITY_GAP_TOL:
         raise CertificationError(
             f"violation bound at q={q} indeterminate: duality gap {gap:.3e} exceeds "
-            f"{DUALITY_GAP_TOL}; raise the grid resolution (got {resolution})"
+            f"{DUALITY_GAP_TOL}"
         )
     return ViolationBound(
         q=float(q),
         lower_bound=float(lower),
         upper_bound=float(upper),
         duality_gap=float(gap),
-        witnessing_responses=candidate,
+        witnessing_responses=witness,
         pair_labels=tuple(pair_labels),
         preparation_ids=PREPARATION_IDS,
         forbidden_outcomes=forbidden,
         forbidden_sum=float(sum(violations)),
         forbidden_mean=float(np.mean(violations)),
     )
-
-
-def _refine_with_lp(cost: np.ndarray, forbidden):
-    """Solve the exact minimax LP: minimize t subject to each preparation's
-    violation <= t, every table row a distribution. Returns the table, or
-    None when the solve fails (the grid candidate then stands). Called only
-    when the grid leaves a gap above DUALITY_GAP_TOL; the lower bound stays
-    the uniform dual one. A solver that raises anything but RuntimeError or
-    ValueError, such as an ImportError from a broken install, is not a
-    failed solve and propagates."""
-    n_out, n_pairs = cost.shape
-    # variables: t, then the table row-major; kron row k * (n_out + 1)
-    # prices outcome k of every pair at cost[k]
-    priced = np.kron(cost, np.eye(n_out))[(n_out + 1) * np.asarray(forbidden)]
-    a_ub = np.hstack([-np.ones((n_out, 1)), priced])
-    a_eq = np.hstack([np.zeros((n_pairs, 1)), np.kron(np.eye(n_pairs), np.ones(n_out))])
-    c = np.eye(1, a_ub.shape[1])[0]
-    try:
-        res = linprog(
-            c,
-            A_ub=a_ub, b_ub=np.zeros(n_out),
-            A_eq=a_eq, b_eq=np.ones(n_pairs),
-            bounds=[(0.0, 1.0)] * len(c),
-            method="highs",
-        )
-    except (RuntimeError, ValueError):
-        return None
-    if not res.success:
-        return None
-    table = np.clip(res.x[1:].reshape(n_pairs, n_out), 0.0, None)
-    return table / table.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +528,12 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
     preparation and the next `trials` pick each outcome from lambda's
     response row, both through the `inverse_cdf` walk, once per row. The
     model must define every preparation and measurement id the scenario
-    names.
+    names. More than MAX_MC_TRIALS trials are rejected before any draw.
     """
     if trials < 0:
         raise PreconditionError(f"trials must be >= 0, got {trials}")
+    if trials > MAX_MC_TRIALS:
+        raise PreconditionError(f"trials {trials} exceed the {MAX_MC_TRIALS} cap")
     counts: dict = {}
     cell = 0
     for prep_id in scenario.preparations:

@@ -60,6 +60,7 @@ ORTHOGONAL_LEAK_TOL = 1e-15  # |<protected|prepared>| below this: empty result
 COMPLETENESS_RANK_TOL = 1e-8
 DEFAULT_STEPS = 400
 DEFAULT_COUPLING = 5e-3
+MAX_STEPS = 2 ** 16          # cycles per run; the per-step log keeps ~1.3 KB each
 
 
 class StepRecord(NamedTuple):
@@ -132,8 +133,11 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     norm of the product is that cycle's survival weight.
     final_joint is |protected> (x) phi after the last cycle, the product
     state before any cycle ran, or the coupled state of a sampled abort.
-    A joint state over the MAX_DIM cap is rejected before any work is done.
+    More than MAX_STEPS cycles, or a joint state over the MAX_DIM cap, is
+    rejected before any work is done.
     """
+    if n > MAX_STEPS:
+        raise PreconditionError(f"step count {n} exceeds the {MAX_STEPS} cap")
     grid = default_grid(width) if grid is None else grid
     dim = initial.dim * grid.n_points
     if dim > MAX_DIM:

@@ -8,6 +8,7 @@ import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import ketlab.ontology
@@ -116,6 +117,9 @@ def test_config_file_rejections(tmp_path, monkeypatch):
     not_obj = tmp_path / "list.json"
     not_obj.write_text("[1, 2]")
     assert main(["--config", str(not_obj), "protective"]) == 2
+    retired = tmp_path / "retired.json"   # the simplex grid's former knob
+    retired.write_text(json.dumps({"resolution": 8}))
+    assert main(["--config", str(retired), "onto"]) == 2
 
 
 @pytest.mark.parametrize("argv,outputs", [
@@ -307,6 +311,9 @@ def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text
     (["scan", "--width", "1e200"], 3),      # the pointer's width ** 2 overflows
     (["protective", "--width", "1e200"], 3),
     (["scan", "--grid-points", str(2**40)], 3),   # over the cap, before any allocation
+    (["protective", "--n", "65537", "--g", "1e-9"], 3),   # over MAX_STEPS
+    (["leak", "--n", "65537", "--g", "1e-9"], 3),
+    (["onto", "--mc-trials", "1048577"], 3),              # over MAX_MC_TRIALS
 ])
 def test_degenerate_sizes_keep_the_exit_code_contract(tmp_path, monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)
@@ -353,6 +360,23 @@ def test_artifacts_may_not_overwrite_the_config_file(tmp_path, monkeypatch, conf
     assert main(["--config", config, *argv]) == 2
     assert (tmp_path / config).read_text() == text
     assert [p.name for p in tmp_path.iterdir()] == [config]
+
+
+@pytest.mark.parametrize("directory,argv", [
+    ("leak.json", ["leak", "--n", "5"]),
+    ("leak.json.manifest.json", ["leak", "--n", "5"]),
+    ("steps.csv", ["protective", "--n", "5", "--per-step-csv", "steps.csv"]),
+])
+def test_artifact_paths_may_not_be_existing_directories(tmp_path, monkeypatch, directory,
+                                                        argv):
+    """No write can replace a directory, and the cleanup of a failed run
+    cannot unlink one: such a run is a configuration error before anything
+    runs."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / directory).mkdir()
+    assert main(argv) == 2
+    assert [p.name for p in tmp_path.iterdir()] == [directory]
+    assert list((tmp_path / directory).iterdir()) == []
 
 
 def test_a_run_that_fails_validation_leaves_no_files(tmp_path, monkeypatch):
@@ -500,12 +524,13 @@ def test_schema_violation_raises_internal_error(tmp_path):
 
 
 def test_internal_error_exit(tmp_path, monkeypatch):
-    def broken(*args, **kwargs):
-        raise RuntimeError("solver unavailable")
+    def all_on_first_outcome(cost):   # a witness that misses the lower bound
+        return np.eye(cost.shape[0])[np.zeros(cost.shape[1], dtype=int)]
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(ketlab.ontology, "linprog", broken)
-    assert main(["onto", "--q", "1.0", "--resolution", "1"]) == 4
+    monkeypatch.setattr(ketlab.ontology, "_even_split", all_on_first_outcome)
+    assert main(["onto", "--q", "1.0"]) == 4
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_steer_single_basis(tmp_path, monkeypatch):
@@ -541,8 +566,10 @@ DEFAULT_RUNS = [
 @pytest.mark.parametrize("argv,artifact", DEFAULT_RUNS)
 def test_default_runs_match_golden(tmp_path, monkeypatch, argv, artifact):
     """Every subcommand at factory defaults (seed 7) must reproduce the
-    checked-in artifact. Counts compare exactly; floats to 1e-9, leaving
-    room for BLAS-level variation across machines."""
+    checked-in artifact and its manifest. Counts compare exactly; floats to
+    1e-9, leaving room for BLAS-level variation across machines. Manifest
+    versions compare by key only, since the host's libraries differ from
+    the ones the goldens were written with."""
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     golden = GOLDEN_DIR / artifact
@@ -551,6 +578,12 @@ def test_default_runs_match_golden(tmp_path, monkeypatch, argv, artifact):
         assert_close_payload(load_json(fresh), load_json(golden))
     else:
         compare_csv(fresh, golden)
+    got = read_manifest(tmp_path, artifact)
+    want = read_manifest(GOLDEN_DIR, artifact)
+    for key in ("kind", "command", "config", "seed", "outputs"):
+        assert got[key] == want[key], key
+    assert set(got["versions"]) == set(want["versions"])
+    assert set(got) == set(want)
 
 
 def test_default_steer_is_byte_identical_to_golden(tmp_path, monkeypatch):

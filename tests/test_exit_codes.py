@@ -6,8 +6,7 @@ that are not numbers, missing or malformed model files, and artifact paths
 that clash or point into missing directories. Each run must exit 0, 2, 3
 or 4, and a run that exits non-zero must leave its directory exactly as it
 found it. Sizes stay small (at most 2048 grid points, 50 cycles, 2000
-trials, 5 sweeps, resolution 16), so no example asks for a large
-allocation.
+trials and 5 sweeps), so no example asks for a large allocation.
 """
 
 import contextlib
@@ -59,7 +58,6 @@ PARAMS = {
     "trials": counts(2000),
     "sweeps": counts(5),
     "mc_trials": counts(2000),
-    "resolution": counts(16),
     "observable": choices("z", "x", "y"),
     "mode": choices("deterministic", "sampled"),
     "profile": choices("gaussian", "double"),

@@ -1,6 +1,6 @@
-"""Cold-start cost: importing the package, and running the commands whose
-certificate closes without it, must not load the LP solver; and nothing at
-run time loads `jsonschema`, which only the tests use as an oracle.
+"""Cold-start cost: importing the package and running its commands never
+loads the LP solver, and no command needs scipy at all; nothing at run
+time loads `jsonschema` either. Both serve only as the tests' oracles.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported `scipy.optimize` through other tests.
@@ -54,18 +54,23 @@ def test_default_commands_do_not_load_the_lp_solver(tmp_path):
     assert seen == [[0, 0, 0, 0], False]
 
 
-def test_onto_still_certifies_after_a_cold_start(tmp_path):
+def test_every_default_runs_without_scipy(tmp_path):
+    """scipy is a test oracle only: with it unimportable, every command at
+    its defaults, and `onto` with Monte Carlo trials, still exits 0."""
     seen = run_fresh(
         "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from ketlab.cli import main\n"
-        "code = main(['onto', '--resolution', '1', '--q', '1.0'])\n"
-        "print(json.dumps([code, 'scipy.optimize' in sys.modules]))\n",
+        "codes = [main([name]) for name in\n"
+        "         ('protective', 'leak', 'scan', 'pbr', 'steer', 'onto', 'nogo')]\n"
+        "codes.append(main(['onto', '--q', '0.7', '--mc-trials', '1000']))\n"
+        "print(json.dumps(codes))\n",
         tmp_path,
     )
-    assert seen == [0, True]
+    assert seen == [0] * 8
     data = json.loads((tmp_path / "onto.json").read_text())
-    assert data["duality_gap"] <= 1e-6
-    assert abs(data["violation_lower_bound"] - 0.25) <= 1e-9
+    assert data["duality_gap"] <= 1e-15
+    assert abs(data["violation_lower_bound"] - 0.7 ** 2 / 4) <= 1e-15
 
 
 def test_cold_runs_do_not_load_jsonschema(tmp_path):

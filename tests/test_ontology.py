@@ -258,48 +258,24 @@ def test_min_violation_json_payload():
 def test_min_violation_rejects_bad_inputs():
     with pytest.raises(PreconditionError):
         pbr_min_violation(-0.5)
-    with pytest.raises(PreconditionError):
-        pbr_min_violation(0.5, resolution=0)
-
-
-def test_min_violation_survives_lp_failure_at_good_resolution(monkeypatch):
-    def broken(*args, **kwargs):
-        raise RuntimeError("solver unavailable")
-
-    monkeypatch.setattr(ketlab.ontology, "linprog", broken)
-    bound = pbr_min_violation(0.5, resolution=8)
-    assert bound.upper_bound == pytest.approx(0.0625, abs=1e-9)
-    assert bound.duality_gap <= 1e-6
 
 
 def test_min_violation_reports_indeterminate_instead_of_guessing(monkeypatch):
-    """With the solver gone AND a grid too coarse to split the shared row
-    evenly, the upper and lower bounds cannot meet; that must surface as an
-    explicit certification failure."""
-    def broken(*args, **kwargs):
-        raise RuntimeError("solver unavailable")
+    """A witness that misses the lower bound must surface as an explicit
+    certification failure, not be rounded into a result."""
+    def all_on_first_outcome(cost):
+        return np.eye(cost.shape[0])[np.zeros(cost.shape[1], dtype=int)]
 
-    monkeypatch.setattr(ketlab.ontology, "linprog", broken)
-    with pytest.raises(CertificationError):
-        pbr_min_violation(1.0, resolution=1)
-
-
-def test_min_violation_does_not_mistake_a_missing_solver_for_a_failed_solve(monkeypatch):
-    """The solver module loads on the first solve; if that import breaks,
-    the error must surface, not silently fall back to the grid candidate."""
-    def missing(*args, **kwargs):
-        raise ImportError("No module named 'scipy.optimize'")
-
-    monkeypatch.setattr(ketlab.ontology, "linprog", missing)
-    with pytest.raises(ImportError, match="scipy.optimize"):
-        pbr_min_violation(1.0, resolution=1)
+    monkeypatch.setattr(ketlab.ontology, "_even_split", all_on_first_outcome)
+    with pytest.raises(CertificationError, match="indeterminate"):
+        pbr_min_violation(1.0)
 
 
 def test_default_resolution_certifies_without_the_solver(monkeypatch):
-    """At the default resolution the grid candidate and the uniform dual
-    point close the gap exactly, so the linear program is never solved."""
+    """The even-split witness and the uniform dual point close the gap
+    exactly, so no linear program is ever solved."""
     def forbidden(*args, **kwargs):
-        pytest.fail("linprog was called although the grid certificate closes")
+        pytest.fail("linprog was called although the closed-form certificate closes")
 
     monkeypatch.setattr(ketlab.ontology, "linprog", forbidden)
     for q in np.linspace(0.0, 1.0, 201):
@@ -308,22 +284,61 @@ def test_default_resolution_certifies_without_the_solver(monkeypatch):
         assert bound.upper_bound == pytest.approx(q * q / 4.0, abs=1e-12)
 
 
-def test_lp_alone_certifies_a_coarse_grid():
-    # resolution 1 cannot split the shared row, but the refinement step can
-    bound = pbr_min_violation(1.0, resolution=1)
-    assert bound.upper_bound == pytest.approx(0.25, abs=1e-9)
-    assert bound.duality_gap <= 1e-6
+def preparation_weights(q):
+    """(weights, forbidden): row p holds preparation p's weights over the
+    lambda pairs, and forbidden[p] is the outcome it never fires."""
+    model = paired_shared_reality_model(q)
+    weights = np.stack([model.preparations[p] for p in PREPARATION_IDS])
+    return weights, tuple(pbr_basis().forbidden_map[p] for p in PREPARATION_IDS)
+
+
+def solve_minimax_lp(weights, forbidden):
+    """The exact minimax LP, solved through `ketlab.ontology.linprog`:
+    minimize t subject to each preparation's forbidden-outcome probability
+    <= t, every table row a distribution. Variables: t, then the table
+    row-major."""
+    n_out, n_pairs = weights.shape
+    n_vars = 1 + n_pairs * n_out
+    c = np.zeros(n_vars)
+    c[0] = 1.0
+    a_ub = np.zeros((n_out, n_vars))
+    for p in range(n_out):
+        a_ub[p, 0] = -1.0
+        for pair in range(n_pairs):
+            a_ub[p, 1 + pair * n_out + forbidden[p]] = weights[p, pair]
+    a_eq = np.zeros((n_pairs, n_vars))
+    for pair in range(n_pairs):
+        a_eq[pair, 1 + pair * n_out: 1 + (pair + 1) * n_out] = 1.0
+    return ketlab.ontology.linprog(c, A_ub=a_ub, b_ub=np.zeros(n_out), A_eq=a_eq,
+                                   b_eq=np.ones(n_pairs), bounds=[(0.0, 1.0)] * n_vars,
+                                   method="highs")
+
+
+def lp_table(res, n_pairs, n_out):
+    """The LP solution's response table, clipped and renormalized."""
+    table = np.clip(res.x[1:].reshape(n_pairs, n_out), 0.0, None)
+    return table / table.sum(axis=1, keepdims=True)
+
+
+def test_even_split_equals_the_lp_optimum():
+    """No response table beats the even split: the exact LP optimum, and the
+    worst violation of the LP's own table, both meet it."""
+    for q in np.linspace(0.0, 1.0, 41):
+        bound = pbr_min_violation(float(q))
+        weights, forbidden = preparation_weights(float(q))
+        res = solve_minimax_lp(weights, forbidden)
+        assert res.success, res.message
+        assert res.fun == pytest.approx(bound.upper_bound, abs=1e-12), q
+        table = lp_table(res, weights.shape[1], len(forbidden))
+        lp_worst = max(weights[p] @ table[:, k] for p, k in enumerate(forbidden))
+        assert lp_worst >= bound.upper_bound - 1e-15, q
 
 
 def reference_min_violation(q, resolution=8):
-    """The former `pbr_min_violation`, with its per-pair loops and its
-    second lower bound from the LP's dual weights, kept as the oracle."""
-    from scipy.optimize import linprog
-
-    basis = pbr_basis()
-    model = paired_shared_reality_model(q)
-    weights = np.stack([model.preparations[p] for p in PREPARATION_IDS])
-    forbidden = tuple(basis.forbidden_map[p] for p in PREPARATION_IDS)
+    """The former `pbr_min_violation`, a simplex grid of `resolution` points
+    per row with per-pair loops, an LP re-table and a second lower bound
+    from the LP's dual weights, kept as the oracle."""
+    weights, forbidden = preparation_weights(q)
     n_pairs, n_out = weights.shape[1], len(forbidden)
     prep_of_outcome = {forbidden[p]: p for p in range(n_out)}
 
@@ -350,23 +365,9 @@ def reference_min_violation(q, resolution=8):
     lower = dual_lower_bound(np.full(n_out, 1.0 / n_out))
 
     if upper - lower > DUALITY_GAP_TOL:
-        n_vars = 1 + n_pairs * n_out
-        c = np.zeros(n_vars)
-        c[0] = 1.0
-        a_ub = np.zeros((n_out, n_vars))
-        for p in range(n_out):
-            a_ub[p, 0] = -1.0
-            for pair in range(n_pairs):
-                a_ub[p, 1 + pair * n_out + forbidden[p]] = weights[p, pair]
-        a_eq = np.zeros((n_pairs, n_vars))
-        for pair in range(n_pairs):
-            a_eq[pair, 1 + pair * n_out: 1 + (pair + 1) * n_out] = 1.0
-        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n_out), A_eq=a_eq,
-                      b_eq=np.ones(n_pairs), bounds=[(0.0, 1.0)] * n_vars,
-                      method="highs")
+        res = solve_minimax_lp(weights, forbidden)
         if res.success:
-            refined = np.clip(res.x[1:].reshape(n_pairs, n_out), 0.0, None)
-            refined /= refined.sum(axis=1, keepdims=True)
+            refined = lp_table(res, n_pairs, n_out)
             refined_upper = max_violation(refined)
             if refined_upper < upper:
                 candidate, upper = refined, refined_upper
@@ -383,7 +384,7 @@ def reference_min_violation(q, resolution=8):
         upper_bound=float(upper),
         duality_gap=float(gap),
         witnessing_responses=candidate,
-        pair_labels=tuple(model.lambda_space.labels),
+        pair_labels=tuple(paired_shared_reality_model(q).lambda_space.labels),
         preparation_ids=PREPARATION_IDS,
         forbidden_outcomes=forbidden,
         forbidden_sum=float(sum(
@@ -395,33 +396,38 @@ def reference_min_violation(q, resolution=8):
     )
 
 
-# q values for the oracle comparison: dyadic and decimal points, values
-# whose shared-row gap falls below DUALITY_GAP_TOL, and points between
-ORACLE_QS = sorted({*np.linspace(0.0, 1.0, 21), 1e-4, 3e-4, 1e-3, 3e-3, 0.1234,
-                    0.3333333333333333, 0.61803398875, 0.8765, 0.99, 0.999999})
+# q values for the oracle comparison: the ends, the smallest subnormal and
+# the largest double below 1, dyadic and decimal points, values whose
+# shared-row cost falls below DUALITY_GAP_TOL or the 1e-15 tie tolerance,
+# and points between
+ORACLE_QS = sorted({*np.linspace(0.0, 1.0, 201), 5e-324, 1e-300, 1e-16, 1e-8, 1e-4,
+                    3e-4, 1e-3, 3e-3, 0.1234, 0.3333333333333333, 0.61803398875,
+                    0.8765, 0.99, 0.999999, 1.0 - 1e-16})
 
 
-def test_min_violation_matches_the_reference_exactly(monkeypatch):
-    """Same payload, byte for byte, over resolutions that close on the grid
-    (multiples of 4) and resolutions where the LP re-tables the shared row."""
-    solves = 0
-    solve = ketlab.ontology.linprog
-
-    def counting(*args, **kwargs):
-        nonlocal solves
-        solves += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(ketlab.ontology, "linprog", counting)
-    cases = 0
-    for resolution in (1, 2, 3, 4, 5, 6, 7, 8, 11, 16):
-        for q in ORACLE_QS:
-            got = pbr_min_violation(float(q), resolution=resolution).to_json_dict()
-            want = reference_min_violation(float(q), resolution=resolution).to_json_dict()
-            assert got == want, (q, resolution)
-            cases += 1
-    assert cases >= 300
-    assert solves >= 100
+def test_min_violation_matches_the_reference_exactly():
+    """Against the former grid at resolution 8: every scalar bit for bit,
+    and every table row alike except rows with three tied cheapest
+    outcomes, which the grid split 3/8, 3/8, 2/8 and the witness splits
+    1/3 each. Those three outcomes cost nothing, so no scalar moves."""
+    three_tie_rows = 0
+    for q in ORACLE_QS:
+        got = pbr_min_violation(float(q))
+        want = reference_min_violation(float(q))
+        got_json, want_json = got.to_json_dict(), want.to_json_dict()
+        got_rows = got_json.pop("witnessing_responses")
+        want_rows = want_json.pop("witnessing_responses")
+        assert got_json == want_json, q
+        assert list(got_rows) == list(want_rows)
+        for label, row in got_rows.items():
+            if row == want_rows[label]:
+                continue
+            ties = [k for k, x in enumerate(row) if x > 0]
+            assert len(ties) == 3, (q, label, row)
+            assert row == [1 / 3 if k in ties else 0.0 for k in range(4)], (q, label)
+            assert sorted(want_rows[label][k] for k in ties) == [0.25, 0.375, 0.375]
+            three_tie_rows += 1
+    assert three_tie_rows > 0
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +552,17 @@ def test_monte_carlo_rejects_models_missing_scenario_ids():
     bare = build_shared_reality_model(0.5)  # lacks "1", "-", and every response
     with pytest.raises(PreconditionError):
         monte_carlo_onto(bare, scenario, 10)
+
+
+def test_monte_carlo_over_the_trial_cap_is_rejected_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a substream was drawn for an over-large run")
+
+    monkeypatch.setattr(ketlab.ontology, "substream", no_draws)
+    scenario = qubit_scenario()
+    trials = ketlab.ontology.MAX_MC_TRIALS + 1
+    with pytest.raises(PreconditionError, match=f"trials {trials} exceed the"):
+        monte_carlo_onto(orthodox_model(scenario), scenario, trials)
 
 
 def test_monte_carlo_zero_trials_yields_no_frequency():

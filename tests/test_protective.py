@@ -134,6 +134,21 @@ def test_an_oversized_joint_state_is_rejected_before_any_cycle(tilted_state, mon
         protection_leak(ket_plus(), ket_zero(), sigma_z(), n=4000, g=0.0005, grid=grid)
 
 
+def test_a_run_over_the_step_cap_is_rejected_before_any_work(tilted_state, monkeypatch):
+    """The per-step log grows with every cycle, so more than MAX_STEPS
+    cycles must stop before the grid or the pointer is built."""
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built for an over-long run")
+
+    monkeypatch.setattr(ketlab.protective, "default_grid", no_grid)
+    n = ketlab.protective.MAX_STEPS + 1
+    message = f"step count {n} exceeds the {n - 1} cap"
+    with pytest.raises(PreconditionError, match=message):
+        protective_measure(tilted_state, sigma_z(), n=n, g=1e-9)
+    with pytest.raises(PreconditionError, match=message):
+        protection_leak(ket_plus(), ket_zero(), sigma_z(), n=n, g=1e-9)
+
+
 def test_sampled_runs_are_reproducible(tilted_state):
     a = protective_measure(tilted_state, sigma_z(), mode="sampled", seed=11)
     b = protective_measure(tilted_state, sigma_z(), mode="sampled", seed=11)
