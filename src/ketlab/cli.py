@@ -251,10 +251,14 @@ class CommandSpec:
 # ---------------------------------------------------------------------------
 # artifact schemas
 
-_STATE_JSON = {"type": "object", "required": ["dim", "re", "im"]}
 _NUM = {"type": "number"}
+_NUM_ROW = {"type": "array", "items": _NUM}
+_STATE_JSON = {
+    "type": "object",
+    "required": ["dim", "re", "im"],
+    "properties": {"dim": {"type": "integer", "minimum": 1}, "re": _NUM_ROW, "im": _NUM_ROW},
+}
 _OPT_NUM = {"type": ["number", "null"]}
-_INT = {"type": "integer"}
 _STR = {"type": "string"}
 _COUNT = {"type": "integer", "minimum": 0}
 _COUNT_ROW = {"type": "array", "items": _COUNT}
@@ -333,6 +337,7 @@ SCHEMAS = {
                                  "marginal_trace_distance"],
                     "properties": {
                         "outcome_counts": {"type": "object", "additionalProperties": _COUNT},
+                        "bob_states": {"type": "object", "additionalProperties": _STATE_JSON},
                         "marginal_trace_distance": _OPT_NUM,
                     },
                 },
@@ -350,6 +355,10 @@ SCHEMAS = {
             "violation_lower_bound": _NUM,
             "upper_bound": _NUM,
             "duality_gap": _NUM,
+            "witnessing_responses": {
+                "type": "object",
+                "additionalProperties": {**_NUM_ROW, "minItems": 4, "maxItems": 4},
+            },
             "monte_carlo": _MONTE_CARLO,
         },
     },
@@ -986,7 +995,8 @@ def _check_distinct_artifacts(output: Path, params: dict, config: str | None) ->
     """Every artifact of one run needs its own path: a later write would
     replace an earlier artifact, and the manifest would list it twice. No
     artifact may replace the --config file the run was read from either,
-    nor name an existing directory, which no write could replace."""
+    nor name an existing directory, which no write could replace, nor a
+    path that cannot be looked up (say, a name too long for the filesystem)."""
     named = [("--output", output), ("the manifest", _manifest_path(output))]
     if params.get("sweep_g") is not None:
         named.append(("the --sweep-g CSV", _sweep_path(output)))
@@ -995,7 +1005,11 @@ def _check_distinct_artifacts(output: Path, params: dict, config: str | None) ->
             named.append(("--" + name.replace("_", "-"), Path(params[name])))
     seen = {} if config is None else {Path(config).resolve(): "--config"}
     for label, path in named:
-        if path.is_dir():
+        try:
+            is_dir = path.is_dir()
+        except OSError as exc:
+            raise ConfigError(f"{label} path cannot be used: {exc}") from None
+        if is_dir:
             raise ConfigError(f"{label} path {path} is an existing directory")
         key = path.resolve()
         if key in seen:

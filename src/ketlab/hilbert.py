@@ -37,6 +37,55 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _checked_dim(value, what: str = "dim") -> int:
+    """`value` as an int from 1 to MAX_DIM, else PreconditionError."""
+    try:
+        dim = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+    if dim < 1:
+        raise PreconditionError(f"{what} must be >= 1, got {dim}")
+    if dim > MAX_DIM:
+        raise PreconditionError(f"{what} {dim} exceeds the {MAX_DIM} cap")
+    return dim
+
+
+def _complex_array(values, shape: tuple) -> np.ndarray:
+    """A fresh complex array of exactly `shape` holding `values`, else
+    PreconditionError (for a ragged or non-numeric input too)."""
+    try:
+        arr = np.array(values, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"expected an array of numbers: {exc}") from None
+    if arr.shape != shape:
+        raise PreconditionError(f"expected shape {shape}, got {arr.shape}")
+    return arr
+
+
+def complex_json(values: np.ndarray) -> dict:
+    """{"re": [...], "im": [...]}: the entries of `values` in row-major order."""
+    flat = values.reshape(-1)
+    return {"re": [float(a.real) for a in flat], "im": [float(a.imag) for a in flat]}
+
+
+def complex_from_json(data: dict, shape: tuple) -> np.ndarray:
+    """The array of `shape` that `complex_json` stored in `data`, else
+    PreconditionError."""
+    size = (math.prod(shape),)
+    re, im = (_complex_array(_json_field(data, key), size) for key in ("re", "im"))
+    if re.imag.any() or im.imag.any():   # numpy parses a text entry such as "1j"
+        raise PreconditionError("'re' and 'im' must hold real numbers")
+    return (re + 1j * im).reshape(shape)
+
+
+def _json_field(data: dict, key: str):
+    if not isinstance(data, dict):
+        raise PreconditionError(f"expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise PreconditionError(f"missing JSON field: {key}")
+    return data[key]
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized ket over a finite-dimensional complex Hilbert space."""
@@ -45,16 +94,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = int(self.dim)
-        if dim < 1:
-            raise PreconditionError(f"dim must be >= 1, got {dim}")
-        if dim > MAX_DIM:
-            raise PreconditionError(f"dim {dim} exceeds the {MAX_DIM} cap")
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (dim,):
-            raise PreconditionError(
-                f"expected {dim} amplitudes, got shape {np.shape(self.amplitudes)}"
-            )
+        dim = _checked_dim(self.dim)
+        amps = _complex_array(self.amplitudes, (dim,))
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise PreconditionError(
@@ -73,18 +114,12 @@ class StateVector:
         return cls(len(amps), amps / norm)
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "re": [float(a.real) for a in self.amplitudes],
-            "im": [float(a.imag) for a in self.amplitudes],
-        }
+        return {"dim": self.dim, **complex_json(self.amplitudes)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StateVector":
-        dim, re, im = _unpack_json(data, expect_len=None)
-        if len(re) != dim:
-            raise PreconditionError(f"state of dim {dim} needs {dim} amplitudes, got {len(re)}")
-        return cls(dim, np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float))
+        dim = _checked_dim(_json_field(data, "dim"))
+        return cls(dim, complex_from_json(data, (dim,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,18 +130,10 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = int(self.dim)
-        if dim < 1:
-            raise PreconditionError(f"dim must be >= 1, got {dim}")
-        if dim > MAX_DIM:
-            raise PreconditionError(f"dim {dim} exceeds the {MAX_DIM} cap")
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise PreconditionError(
-                f"expected a {dim}x{dim} matrix, got shape {np.shape(self.matrix)}"
-            )
+        dim = _checked_dim(self.dim)
+        mat = _complex_array(self.matrix, (dim, dim))
         dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if dev > HERMITIAN_TOL:
+        if not dev <= HERMITIAN_TOL:
             raise PreconditionError(
                 f"matrix is not Hermitian: max |M - M^H| entry = {dev:.3e}"
             )
@@ -114,35 +141,12 @@ class HermitianOperator:
         object.__setattr__(self, "matrix", _readonly(mat))
 
     def to_json_dict(self) -> dict:
-        flat = self.matrix.reshape(-1)
-        return {
-            "dim": self.dim,
-            "re": [float(a.real) for a in flat],
-            "im": [float(a.imag) for a in flat],
-        }
+        return {"dim": self.dim, **complex_json(self.matrix)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HermitianOperator":
-        dim, re, im = _unpack_json(data, expect_len=None)
-        if len(re) != dim * dim:
-            raise PreconditionError(
-                f"operator of dim {dim} needs {dim * dim} entries, got {len(re)}"
-            )
-        mat = (np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)).reshape(dim, dim)
-        return cls(dim, mat)
-
-
-def _unpack_json(data: dict, expect_len) -> tuple[int, list, list]:
-    if not isinstance(data, dict):
-        raise PreconditionError(f"expected a JSON object, got {type(data).__name__}")
-    missing = {"dim", "re", "im"} - set(data)
-    if missing:
-        raise PreconditionError(f"missing JSON fields: {sorted(missing)}")
-    dim = int(data["dim"])
-    re, im = data["re"], data["im"]
-    if len(re) != len(im):
-        raise PreconditionError(f"re/im length mismatch: {len(re)} vs {len(im)}")
-    return dim, re, im
+        dim = _checked_dim(_json_field(data, "dim"))
+        return cls(dim, complex_from_json(data, (dim, dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,11 +219,8 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """a (x) b with the leftmost factor most significant."""
-    if a.dim * b.dim > MAX_DIM:
-        raise PreconditionError(
-            f"tensor dimension {a.dim * b.dim} exceeds the {MAX_DIM} cap"
-        )
-    return StateVector(a.dim * b.dim, np.kron(a.amplitudes, b.amplitudes))
+    dim = _checked_dim(a.dim * b.dim, "tensor dimension")
+    return StateVector(dim, np.kron(a.amplitudes, b.amplitudes))
 
 
 def expectation(op: HermitianOperator, psi: StateVector) -> float:

@@ -34,15 +34,15 @@ from .errors import (
     PreconditionError,
     WraparoundError,
 )
-from .hilbert import (MAX_DIM, EigenDecomposition, HermitianOperator, StateVector,
-                      _readonly, eigendecompose)
+from .hilbert import (EigenDecomposition, HermitianOperator, StateVector, _checked_dim,
+                      _complex_array, _json_field, _readonly, complex_from_json,
+                      complex_json, eigendecompose)
 from .rngs import as_generator
 
 MIN_GRID_POINTS = 16
 EXTENT_WIDTH_FACTOR = 20.0   # grid extent must cover >= 20 pointer widths
 WIDTH_SPACING_FACTOR = 4.0   # pointer width must cover >= 4 grid spacings
 GRID_NORM_TOL = 1e-10        # allowed norm defect for grid wavefunctions
-POINTER_MEAN_TOL_FRACTION = 0.1   # ready-pointer mean within spacing/10 of center
 DEGENERATE_PROB_TOL = 1e-15  # total Born weight below this cannot be sampled
 DEFAULT_GRID_POINTS = 512
 DEFAULT_EXTENT_WIDTHS = 40.0
@@ -57,14 +57,12 @@ class PointerGrid:
     center: float = 0.0
 
     def __post_init__(self) -> None:
-        n = int(self.n_points)
+        # capped before `positions` or `momenta` allocate anything
+        n = _checked_dim(self.n_points, "n_points")
         if n < MIN_GRID_POINTS or (n & (n - 1)) != 0:
             raise PreconditionError(
                 f"n_points must be a power of two >= {MIN_GRID_POINTS}, got {n}"
             )
-        if n > MAX_DIM:
-            # before `positions` or `momenta` allocate anything
-            raise PreconditionError(f"n_points {n} exceeds the {MAX_DIM} cap")
         if not (float(self.spacing) > 0.0):
             raise PreconditionError(f"spacing must be positive, got {self.spacing!r}")
         object.__setattr__(self, "n_points", n)
@@ -115,14 +113,9 @@ class GridWavefunction:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (self.grid.n_points,):
-            raise PreconditionError(
-                f"expected {self.grid.n_points} amplitudes, got shape "
-                f"{np.shape(self.amplitudes)}"
-            )
-        amps = _unit_grid_norm(amps, self.grid, "grid wavefunction")
-        object.__setattr__(self, "amplitudes", amps)
+        amps = _complex_array(self.amplitudes, (self.grid.n_points,))
+        object.__setattr__(self, "amplitudes",
+                           _unit_grid_norm(amps, self.grid, "grid wavefunction"))
 
     @classmethod
     def normalized(cls, grid: PointerGrid, amplitudes) -> "GridWavefunction":
@@ -144,40 +137,28 @@ class JointSystemPointerState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        d = int(self.system_dim)
-        if d < 1:
-            raise PreconditionError(f"system_dim must be >= 1, got {d}")
-        if d * self.grid.n_points > MAX_DIM:
-            raise PreconditionError(
-                f"joint dimension {d * self.grid.n_points} exceeds the {MAX_DIM} cap"
-            )
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (d, self.grid.n_points):
-            raise PreconditionError(
-                f"expected shape {(d, self.grid.n_points)}, got {np.shape(self.amplitudes)}"
-            )
+        d = _checked_dim(self.system_dim, "system_dim")
+        _checked_dim(d * self.grid.n_points, "joint dimension")
+        amps = _complex_array(self.amplitudes, (d, self.grid.n_points))
         object.__setattr__(self, "system_dim", d)
         object.__setattr__(self, "amplitudes", _unit_grid_norm(amps, self.grid, "joint state"))
 
     def to_json_dict(self) -> dict:
-        flat = self.amplitudes.reshape(-1)
         return {
             "system_dim": self.system_dim,
             "grid": self.grid.to_json_dict(),
-            "re": [float(a.real) for a in flat],
-            "im": [float(a.imag) for a in flat],
+            **complex_json(self.amplitudes),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointSystemPointerState":
-        for key in ("system_dim", "grid", "re", "im"):
-            if key not in data:
-                raise PreconditionError(f"missing JSON field: {key}")
-        grid = PointerGrid(**data["grid"])
-        d = int(data["system_dim"])
-        amps = (np.asarray(data["re"], dtype=float)
-                + 1j * np.asarray(data["im"], dtype=float)).reshape(d, grid.n_points)
-        return cls(d, grid, amps)
+        d = _checked_dim(_json_field(data, "system_dim"), "system_dim")
+        grid = _json_field(data, "grid")
+        try:
+            grid = PointerGrid(**grid)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise PreconditionError(f"malformed grid: {exc}") from None
+        return cls(d, grid, complex_from_json(data, (d, grid.n_points)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,7 +78,7 @@ def linprog(*args, **kwargs):
 def _as_real_array(value, what: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: ints past 1e308
         raise PreconditionError(f"{what} must hold real numbers, got {value!r}") from exc
 
 

@@ -36,9 +36,9 @@ import numpy as np
 
 from .errors import NotPureError, PreconditionError
 from .hilbert import (
-    MAX_DIM,
     HermitianOperator,
     StateVector,
+    _checked_dim,
     canonical_phase,
     eigendecompose,
     inner_product,
@@ -118,9 +118,14 @@ class LeakResult:
 def _protective_loop(initial: StateVector, protected: StateVector,
                      op: HermitianOperator, n: int, g: float,
                      grid: PointerGrid | None, width: float,
-                     mode: str, seed) -> tuple:
-    """Shared engine: couple, protect, renormalize, log. Returns
-    (log, survival, aborted_at_step, final_joint).
+                     mode: str, seed) -> ProtectiveRunResult | None:
+    """Shared engine: couple, protect, renormalize, log.
+
+    Every input is checked before any work: the mode, 0 <= n <= MAX_STEPS,
+    one dimension for op and both states, the MAX_DIM cap on the joint
+    state, the pointer, and the wraparound guard of `coupling_phases`.
+    Only then does an orthogonal pair (|<protected|initial>| below
+    ORTHOGONAL_LEAK_TOL, which no protection survives) return None.
 
     A successful protection leaves the system exactly in |protected>, so the
     joint state is |protected> (x) phi and the run is a recursion on the
@@ -133,19 +138,26 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     norm of the product is that cycle's survival weight.
     final_joint is |protected> (x) phi after the last cycle, the product
     state before any cycle ran, or the coupled state of a sampled abort.
-    More than MAX_STEPS cycles, or a joint state over the MAX_DIM cap, is
-    rejected before any work is done.
     """
+    if mode not in ("deterministic", "sampled"):
+        raise PreconditionError(f"unknown mode {mode!r}")
+    if n < 0:
+        raise PreconditionError(f"step count must be >= 0, got {n}")
     if n > MAX_STEPS:
         raise PreconditionError(f"step count {n} exceeds the {MAX_STEPS} cap")
+    if not (op.dim == initial.dim == protected.dim):
+        raise PreconditionError(
+            f"dimension mismatch: operator {op.dim}, prepared {initial.dim}, "
+            f"protected {protected.dim}"
+        )
     grid = default_grid(width) if grid is None else grid
-    dim = initial.dim * grid.n_points
-    if dim > MAX_DIM:
-        raise PreconditionError(f"joint dimension {dim} exceeds the {MAX_DIM} cap")
+    _checked_dim(initial.dim * grid.n_points, "joint dimension")
+    pointer = make_pointer(grid, width).amplitudes
     eig = eigendecompose(op)
     phases = coupling_phases(eig, g, grid, n)
+    if abs(inner_product(protected, initial)) < ORTHOGONAL_LEAK_TOL:
+        return None
     rng = as_generator(seed if seed is not None else 0) if mode == "sampled" else None
-    pointer = make_pointer(grid, width).amplitudes
     c = protected.amplitudes
     multiplier = postselected_multiplier(eig, phases, c, initial.amplitudes)
     repeated = postselected_multiplier(eig, phases, c, c)
@@ -168,7 +180,19 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     joint = JointSystemPointerState(system.dim, grid, np.outer(system.amplitudes, pointer))
     if aborted is not None:
         joint = couple_pointer(joint, op, g, decomposition=eig)
-    return log, max(min(survival, 1.0), 0.0), aborted, joint
+    shift = log[-1].pointer_mean if log else 0.0
+    denominator = len(log) * g
+    return ProtectiveRunResult(
+        steps=n,
+        coupling=g,
+        pointer_mean_shift=shift,
+        survival_probability=max(min(survival, 1.0), 0.0),
+        inferred_expectation=shift / denominator if denominator != 0.0 else None,
+        per_step_log=tuple(log),
+        mode=mode,
+        aborted_at_step=aborted,
+        final_joint=joint,
+    )
 
 
 def protective_measure(psi: StateVector, op: HermitianOperator, n: int = DEFAULT_STEPS,
@@ -181,29 +205,7 @@ def protective_measure(psi: StateVector, op: HermitianOperator, n: int = DEFAULT
     whenever some coupling accumulated. For psi an eigenstate of op the run
     is exact: shift n * g * eigenvalue with survival 1.
     """
-    if mode not in ("deterministic", "sampled"):
-        raise PreconditionError(f"unknown mode {mode!r}")
-    if n < 0:
-        raise PreconditionError(f"step count must be >= 0, got {n}")
-    if op.dim != psi.dim:
-        raise PreconditionError(f"dimension mismatch: operator {op.dim} vs state {psi.dim}")
-    log, survival, aborted, joint = _protective_loop(
-        psi, psi, op, n, g, grid, width, mode, seed
-    )
-    shift = log[-1].pointer_mean if log else 0.0
-    denominator = len(log) * g
-    inferred = shift / denominator if denominator != 0.0 else None
-    return ProtectiveRunResult(
-        steps=n,
-        coupling=g,
-        pointer_mean_shift=shift,
-        survival_probability=survival,
-        inferred_expectation=inferred,
-        per_step_log=tuple(log),
-        mode=mode,
-        aborted_at_step=aborted,
-        final_joint=joint,
-    )
+    return _protective_loop(psi, psi, op, n, g, grid, width, mode, seed)
 
 
 def protection_leak(prepared: StateVector, protected: StateVector,
@@ -215,23 +217,14 @@ def protection_leak(prepared: StateVector, protected: StateVector,
     The first protection collapses the prepared state into the protected
     one, so the run survives with probability |<protected|prepared>|^2 (up
     to O(g^2) coupling corrections) and survivors emerge in the protected
-    state. An orthogonal pair returns the explicit empty result: survival
-    0 and no surviving state.
+    state. An orthogonal pair that passes every check of the run returns
+    the explicit empty result: survival 0 and no surviving state.
     """
-    if n < 0:
-        raise PreconditionError(f"step count must be >= 0, got {n}")
-    if prepared.dim != protected.dim or op.dim != prepared.dim:
-        raise PreconditionError(
-            f"dimension mismatch: prepared {prepared.dim}, protected {protected.dim}, "
-            f"operator {op.dim}"
-        )
-    if abs(inner_product(protected, prepared)) < ORTHOGONAL_LEAK_TOL:
+    run = _protective_loop(prepared, protected, op, n, g, grid, width, "deterministic", None)
+    if run is None:
         return LeakResult(survival=0.0, surviving_state=None)
-    _, survival, _, _ = _protective_loop(
-        prepared, protected, op, n, g, grid, width, "deterministic", None
-    )
     surviving = (protected if n > 0 else prepared).amplitudes
-    return LeakResult(survival=survival,
+    return LeakResult(survival=run.survival_probability,
                       surviving_state=StateVector.normalized(canonical_phase(surviving)))
 
 

@@ -62,13 +62,11 @@ class WeakValueResult:
             raise UndefinedWeakValueError("weak value with zero pre/post overlap")
 
 
-def weak_value(op: HermitianOperator, pre: StateVector, post: StateVector) -> WeakValueResult:
-    """<post|op|pre> / <post|pre>.
-
-    Rejected when the pre/postselection overlap is numerically zero: the
-    ratio is then dominated by noise, not physics.
-    """
-    if op.dim != pre.dim or pre.dim != post.dim:
+def _checked_selection(op: HermitianOperator, pre: StateVector, post: StateVector) -> complex:
+    """<post|pre>, once op, pre and post share one dimension and the
+    overlap is not numerically zero (the weak value would then be
+    dominated by noise, not physics)."""
+    if not (op.dim == pre.dim == post.dim):
         raise PreconditionError(
             f"dimension mismatch: op {op.dim}, pre {pre.dim}, post {post.dim}"
         )
@@ -78,6 +76,15 @@ def weak_value(op: HermitianOperator, pre: StateVector, post: StateVector) -> We
             f"pre/postselection overlap magnitude {abs(overlap):.3e} <= {OVERLAP_TOL}; "
             "weak value undefined"
         )
+    return overlap
+
+
+def weak_value(op: HermitianOperator, pre: StateVector, post: StateVector) -> WeakValueResult:
+    """<post|op|pre> / <post|pre>.
+
+    Rejected when the pre/postselection overlap is numerically zero.
+    """
+    overlap = _checked_selection(op, pre, post)
     numerator = complex(np.vdot(post.amplitudes, op.matrix @ pre.amplitudes))
     value = numerator / overlap
     if equal_up_to_phase(pre, post) and abs(value.imag) >= REAL_RESIDUE_TOL:
@@ -123,15 +130,8 @@ def weak_pointer_shift(psi: StateVector, op: HermitianOperator, post: StateVecto
     pointer's spectrum is multiplied once and transformed back, and no
     joint system+pointer state is built.
     """
-    overlap = inner_product(post, psi)
-    if abs(overlap) <= OVERLAP_TOL:
-        raise UndefinedWeakValueError(
-            f"pre/postselection overlap magnitude {abs(overlap):.3e} <= {OVERLAP_TOL}; "
-            "postselected shift undefined"
-        )
+    _checked_selection(op, psi, post)
     pointer = make_pointer(grid, width)
-    if op.dim != psi.dim:
-        raise PreconditionError(f"dimension mismatch: operator {op.dim} vs system {psi.dim}")
     eig = eigendecompose(op)
     multiplier = postselected_multiplier(eig, coupling_phases(eig, g, grid, 1),
                                          post.amplitudes, psi.amplitudes)

@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import json
 import math
+import os
 from pathlib import Path
 
 import jsonschema
@@ -292,6 +293,8 @@ def test_negative_counts_exit_3(tmp_path, monkeypatch, argv):
     pytest.param("[1, 2]", 3, id="not-an-object"),
     pytest.param('{"lambda": ["a"], "preparations": {"0": ["x"]}, "responses": {}}', 3,
                  id="text-weights"),
+    pytest.param('{"lambda": ["a"], "preparations": {"0": [1%s]}, "responses": {}}' % ("0" * 400),
+                 3, id="weight-past-1e308"),
     pytest.param('{"lambda": ["a"], "preparations": {"0": [1.0]}, '
                  '"responses": {"z": [[0.5, 0.25, 0.25]]}}', 3, id="three-outcomes-for-z"),
 ])
@@ -314,6 +317,9 @@ def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text
     (["protective", "--n", "65537", "--g", "1e-9"], 3),   # over MAX_STEPS
     (["leak", "--n", "65537", "--g", "1e-9"], 3),
     (["onto", "--mc-trials", "1048577"], 3),              # over MAX_MC_TRIALS
+    (["leak", "--prepared", "0", "--protected", "1", "--n", "65537"], 3),   # orthogonal
+    (["leak", "--prepared", "0", "--protected", "1", "--g", "1e6"], 3),
+    (["leak", "--prepared", "0", "--protected", "1", "--grid-points", "4096"], 3),
 ])
 def test_degenerate_sizes_keep_the_exit_code_contract(tmp_path, monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)
@@ -377,6 +383,19 @@ def test_artifact_paths_may_not_be_existing_directories(tmp_path, monkeypatch, d
     assert main(argv) == 2
     assert [p.name for p in tmp_path.iterdir()] == [directory]
     assert list((tmp_path / directory).iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,suffix,over", [
+    (["leak", "-o"], ".json", 1),
+    (["protective", "--n", "5", "--per-step-csv"], ".csv", 1),
+    (["leak", "-o"], ".json", 0),    # the name fits, its manifest's does not
+])
+def test_artifact_names_too_long_for_the_filesystem_exit_2(tmp_path, monkeypatch, argv,
+                                                           suffix, over):
+    monkeypatch.chdir(tmp_path)
+    name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + over - len(suffix)) + suffix
+    assert main([*argv, name]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_run_that_fails_validation_leaves_no_files(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ketlab.errors import InternalError, PreconditionError
 from ketlab.hilbert import (
@@ -30,6 +30,8 @@ from ketlab.hilbert import (
     sigma_z,
     tensor,
 )
+from ketlab.measurement import JointSystemPointerState
+from ketlab.ontology import OntologicalModel
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -93,6 +95,47 @@ def test_json_rejects_missing_fields():
         StateVector.from_json_dict({"dim": 2, "re": [1.0, 0.0]})
     with pytest.raises(PreconditionError):
         HermitianOperator.from_json_dict({"dim": 2, "re": [0.0] * 3, "im": [0.0] * 3})
+
+
+def test_json_re_and_im_must_hold_real_numbers():
+    with pytest.raises(PreconditionError, match="real numbers"):
+        StateVector.from_json_dict({"dim": 1, "re": ["1j"], "im": [0.0]})
+
+
+_JSON_KEYS = ["dim", "re", "im", "system_dim", "grid", "n_points", "spacing", "center",
+              "lambda", "preparations", "responses"]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.lists(st.integers(-2, 2) | st.floats(-1.0, 1.0), max_size=40),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        st.sampled_from(_JSON_KEYS) | st.text(max_size=3), children, max_size=6),
+    max_leaves=24,
+)
+
+
+@pytest.mark.parametrize("cls", [StateVector, HermitianOperator, JointSystemPointerState,
+                                 OntologicalModel])
+@settings(max_examples=100, deadline=None)
+@given(data=_json_values)
+@example(data={"dim": "x", "re": [], "im": []})
+@example(data={"dim": float("inf"), "re": [], "im": []})
+@example(data={"dim": 1, "re": [[1.0]], "im": [[0.0]]})
+@example(data={"dim": 1, "re": [10 ** 400], "im": [0]})
+@example(data={"dim": 2, "re": [float("nan")] * 4, "im": [0.0] * 4})
+@example(data={"system_dim": 2, "grid": {"n_points": 16, "spacing": 1.0},
+               "re": [0.0] * 31, "im": [0.0] * 31})
+@example(data={"system_dim": 1, "grid": {"n_points": 16, "spacing": "x"},
+               "re": [0.5] * 16, "im": [0.0] * 16})
+@example(data={"system_dim": 1, "grid": [16, 1.0], "re": [], "im": []})
+@example(data={"lambda": ["a"], "preparations": {"p": [10 ** 400]}, "responses": {}})
+def test_json_readers_return_a_value_or_raise_precondition_error(cls, data):
+    """Whatever JSON a reader is handed, it builds a value of its type or
+    rejects the input with PreconditionError, never another exception."""
+    try:
+        value = cls.from_json_dict(data)
+    except PreconditionError:
+        return
+    assert isinstance(value, cls)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,20 @@ def test_leak_between_orthogonal_states_is_empty():
     assert result.surviving_state is None
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n": ketlab.protective.MAX_STEPS + 1},
+    {"g": 1e6},                                  # wraps around the grid
+    {"grid": default_grid(1.0, 4096)},           # joint dimension 8192
+    {"grid": default_grid(1.0, 16)},             # under-resolved pointer
+])
+def test_an_orthogonal_pair_gets_every_check_of_the_run(kwargs):
+    """The empty result of an orthogonal pair comes only after the checks
+    any other pair gets, so one invalid size is rejected for every pair."""
+    for protected in (ket_one(), ket_plus()):
+        with pytest.raises(PreconditionError):
+            protection_leak(ket_zero(), protected, sigma_z(), **kwargs)
+
+
 def test_leak_rejects_dimension_mismatch():
     with pytest.raises(PreconditionError):
         protection_leak(ket_zero(), ket_plus(), HermitianOperator(3, np.eye(3)))
@@ -410,17 +424,18 @@ def reference_loop(initial, protected, op, n, g, grid, width, mode, seed):
 def assert_engines_agree(initial, protected, op, n, g, mode="deterministic", seed=None):
     grid = default_grid(1.0)
     args = (initial, protected, op, n, g, grid, 1.0, mode, seed)
-    log, survival, aborted, joint = _protective_loop(*args)
+    run = _protective_loop(*args)
     ref_log, ref_survival, ref_aborted, ref_joint = reference_loop(*args)
-    assert len(log) == len(ref_log)
-    assert aborted == ref_aborted
-    np.testing.assert_allclose([r.pointer_mean for r in log],
+    assert len(run.per_step_log) == len(ref_log)
+    assert run.aborted_at_step == ref_aborted
+    np.testing.assert_allclose([r.pointer_mean for r in run.per_step_log],
                                [r.pointer_mean for r in ref_log], rtol=0, atol=1e-10)
-    np.testing.assert_allclose([r.survival for r in log],
+    np.testing.assert_allclose([r.survival for r in run.per_step_log],
                                [r.survival for r in ref_log], rtol=0, atol=1e-10)
-    assert survival == pytest.approx(ref_survival, abs=1e-10)
-    np.testing.assert_allclose(joint.amplitudes, ref_joint.amplitudes, rtol=0, atol=1e-12)
-    return aborted
+    assert run.survival_probability == pytest.approx(ref_survival, abs=1e-10)
+    np.testing.assert_allclose(run.final_joint.amplitudes, ref_joint.amplitudes,
+                               rtol=0, atol=1e-12)
+    return run.aborted_at_step
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -119,6 +119,20 @@ def _edit(keys, value=DROP):
     ("nogo/nogo.json.manifest.json", _edit(["outputs", 0], 1)),
     ("leak-orthogonal/leak-orthogonal.json", _edit(["surviving_state"], {"dim": 2})),
     ("model/model.json", _edit(["overlaps"], {})),
+    pytest.param("leak/leak.json", _edit(["surviving_state", "dim"], 0), id="state-dim-0"),
+    pytest.param("leak/leak.json", _edit(["surviving_state", "dim"], 2.0), id="state-dim-float"),
+    pytest.param("leak/leak.json", _edit(["surviving_state", "re", 1], "x"),
+                 id="state-re-text"),
+    pytest.param("protective/protective.json",
+                 _edit(["tomography", "reconstructed", "im"], {}), id="state-im-object"),
+    pytest.param("onto/onto.json", _edit(["witnessing_responses", "shared|shared"], [0.25] * 3),
+                 id="witness-row-of-3"),
+    pytest.param("onto/onto.json", _edit(["witnessing_responses", "shared|shared", 2], None),
+                 id="witness-row-null"),
+    pytest.param("steer/steer.json", _edit(["bases", "z", "bob_states", "+1", "re"]),
+                 id="bob-state-no-re"),
+    pytest.param("steer/steer.json", _edit(["bases", "x", "bob_states", "-1"], [0.5, 0.5]),
+                 id="bob-state-list"),
 ])
 def test_named_mutations_are_rejected_by_both(payloads, name, mutate):
     data = copy.deepcopy(payloads[name])

@@ -65,3 +65,22 @@ def test_every_golden_default_run_is_regenerated():
     golden_runs = load_module("golden_runs", TESTS / "test_cli.py").DEFAULT_RUNS
     commands = load_script("regenerate_golden").COMMANDS
     assert [argv for argv, _ in golden_runs] == list(commands)
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    snippet = '''"""Module docstring,
+over two lines."""
+
+import math   # a trailing comment counts as code
+
+
+def area(r):
+    """One-line docstring."""
+    # a comment line
+    return math.pi * max(
+        r,
+        0.0,
+    ) ** 2
+'''
+    # import, def, and the four lines of the return statement
+    assert load_script("code_lines").code_lines(snippet) == 6

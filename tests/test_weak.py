@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ketlab.weak
 from ketlab import (
     GridWavefunction,
     HermitianOperator,
@@ -186,6 +187,20 @@ def test_pointer_shift_rejects_wraparound_and_dimension_mismatch():
     with pytest.raises(PreconditionError):
         weak_pointer_shift(ket_plus(), HermitianOperator(3, np.eye(3)), ket_zero(), 0.1,
                            grid, 1.0)
+
+
+def test_a_dimension_mismatch_is_rejected_before_the_pointer_is_built(monkeypatch):
+    def no_pointer(*args, **kwargs):
+        raise AssertionError("the pointer was built for a mismatched readout")
+
+    monkeypatch.setattr(ketlab.weak, "make_pointer", no_pointer)
+    grid = default_grid(1.0)
+    three = StateVector(3, np.array([1.0, 0.0, 0.0]))
+    for psi, op, post in [(ket_zero(), HermitianOperator(3, np.eye(3)), ket_zero()),
+                          (three, sigma_z(), ket_zero()),
+                          (ket_zero(), sigma_z(), three)]:
+        with pytest.raises(PreconditionError, match="dimension mismatch"):
+            weak_pointer_shift(psi, op, post, 0.1, grid, 1.0)
 
 
 def test_momentum_zero_amplitude_matches_gaussian_integral():
