@@ -56,6 +56,7 @@ from .measurement import (
     JointSystemPointerState,
     OutcomeSample,
     PointerGrid,
+    Scenario,
     born_probabilities,
     couple_pointer,
     default_grid,
@@ -70,7 +71,6 @@ from .ontology import (
     MonteCarloReport,
     OntologicalModel,
     OverlapReport,
-    Scenario,
     ViolationBound,
     born_consistency_gap,
     build_shared_reality_model,
@@ -79,20 +79,18 @@ from .ontology import (
     overlap,
     paired_shared_reality_model,
     pbr_min_violation,
-    pbr_scenario,
     predict,
     qubit_scenario,
 )
 from .pbr import (
     PREPARATION_IDS,
-    PbrBasis,
     PbrCounts,
     SteeringSample,
     SteeringTable,
     epr_steering,
     overlap_preservation_check,
-    pbr_basis,
     pbr_experiment,
+    pbr_scenario,
     preparation_states,
     steering_table,
 )

@@ -61,11 +61,10 @@ from .ontology import (
     overlap,
     paired_shared_reality_model,
     pbr_min_violation,
-    pbr_scenario,
     predict,
     qubit_scenario,
 )
-from .pbr import overlap_preservation_check, pbr_experiment, steering_table
+from .pbr import overlap_preservation_check, pbr_experiment, pbr_scenario, steering_table
 from .protective import (DEFAULT_COUPLING, DEFAULT_STEPS, protection_leak,
                          protective_measure, protective_tomography)
 from .rngs import substream, uniform_chunks

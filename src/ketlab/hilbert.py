@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +51,41 @@ def _checked_dim(value, what: str = "dim") -> int:
     return dim
 
 
+def _is_real(value) -> bool:
+    """True for an int or float, numpy's included; False for a bool or text."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _finite_real(value, what: str) -> float:
+    """`value` as a float when it is a finite real number, else PreconditionError."""
+    # an int past 1e308 compares exactly, where float() would overflow
+    if not (_is_real(value) and abs(value) <= sys.float_info.max):
+        raise PreconditionError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _all_real(values) -> bool:
+    """True when every entry of `values` is a real number: an ndarray by its
+    dtype, nested lists entry by entry (JSON text and booleans would
+    otherwise convert to numbers silently)."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf"
+    if isinstance(values, (list, tuple)):
+        return all(_all_real(v) for v in values)
+    return _is_real(values)
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """`values` as a float array when it holds only real numbers, else
+    PreconditionError (for a ragged input and ints past 1e308 too)."""
+    try:
+        if _all_real(values):
+            return np.asarray(values, dtype=float)
+    except (ValueError, OverflowError):
+        pass
+    raise PreconditionError(f"{what} must hold real numbers")
+
+
 def _complex_array(values, shape: tuple) -> np.ndarray:
     """A fresh complex array of exactly `shape` holding `values`, else
     PreconditionError (for a ragged or non-numeric input too)."""
@@ -72,9 +108,8 @@ def complex_from_json(data: dict, shape: tuple) -> np.ndarray:
     """The array of `shape` that `complex_json` stored in `data`, else
     PreconditionError."""
     size = (math.prod(shape),)
-    re, im = (_complex_array(_json_field(data, key), size) for key in ("re", "im"))
-    if re.imag.any() or im.imag.any():   # numpy parses a text entry such as "1j"
-        raise PreconditionError("'re' and 'im' must hold real numbers")
+    re, im = (_complex_array(_real_array(_json_field(data, key), f"{key!r}"), size)
+              for key in ("re", "im"))
     return (re + 1j * im).reshape(shape)
 
 

@@ -11,6 +11,12 @@ itself. The flip side is periodicity: a translation that would push the
 wavepacket off one edge re-enters at the other, so couplings are rejected
 up front unless the total shift stays under a quarter of the grid extent.
 
+A `Scenario` names the preparations and measurements of a
+prepare-and-measure setup and derives which outcomes the Born rule never
+fires: outcome k of a measurement is forbidden for a preparation psi when
+its amplitude |<v_k|psi>| is below FORBIDDEN_TOL. The PBR experiment and
+the ontology module's scenarios are all described this way.
+
 A coupling followed by a postselection of the system on |post> never needs
 the joint state: it multiplies the pointer's spectrum by
 M(p) = sum_j <post|v_j><v_j|pre> exp(-i g a_j p) over the eigenpairs
@@ -24,8 +30,9 @@ times the grid spacing, matching the continuum normalization they sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
@@ -35,8 +42,8 @@ from .errors import (
     WraparoundError,
 )
 from .hilbert import (EigenDecomposition, HermitianOperator, StateVector, _checked_dim,
-                      _complex_array, _json_field, _readonly, complex_from_json,
-                      complex_json, eigendecompose)
+                      _complex_array, _finite_real, _json_field, _readonly,
+                      complex_from_json, complex_json, eigendecompose)
 from .rngs import as_generator
 
 MIN_GRID_POINTS = 16
@@ -44,6 +51,7 @@ EXTENT_WIDTH_FACTOR = 20.0   # grid extent must cover >= 20 pointer widths
 WIDTH_SPACING_FACTOR = 4.0   # pointer width must cover >= 4 grid spacings
 GRID_NORM_TOL = 1e-10        # allowed norm defect for grid wavefunctions
 DEGENERATE_PROB_TOL = 1e-15  # total Born weight below this cannot be sampled
+FORBIDDEN_TOL = 1e-12        # amplitude |<v_k|psi>| below this forbids outcome k
 DEFAULT_GRID_POINTS = 512
 DEFAULT_EXTENT_WIDTHS = 40.0
 
@@ -63,11 +71,12 @@ class PointerGrid:
             raise PreconditionError(
                 f"n_points must be a power of two >= {MIN_GRID_POINTS}, got {n}"
             )
-        if not (float(self.spacing) > 0.0):
-            raise PreconditionError(f"spacing must be positive, got {self.spacing!r}")
+        spacing = _finite_real(self.spacing, "spacing")
+        if not spacing > 0.0:
+            raise PreconditionError(f"spacing must be positive, got {spacing!r}")
         object.__setattr__(self, "n_points", n)
-        object.__setattr__(self, "spacing", float(self.spacing))
-        object.__setattr__(self, "center", float(self.center))
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "center", _finite_real(self.center, "center"))
 
     @property
     def extent(self) -> float:
@@ -156,7 +165,7 @@ class JointSystemPointerState:
         grid = _json_field(data, "grid")
         try:
             grid = PointerGrid(**grid)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except TypeError as exc:   # not a mapping, or the wrong keys
             raise PreconditionError(f"malformed grid: {exc}") from None
         return cls(d, grid, complex_from_json(data, (d, grid.n_points)))
 
@@ -180,12 +189,46 @@ class OutcomeSample:
 # ---------------------------------------------------------------------------
 # projective measurement
 
-def born_probabilities(psi: StateVector, basis: EigenDecomposition) -> np.ndarray:
-    """p_i = |<v_i|psi>|^2 for each eigenvector of the measured observable."""
+def _overlaps(psi: StateVector, basis: EigenDecomposition) -> np.ndarray:
+    """<v_i|psi> for each eigenvector of the measured observable."""
     if psi.dim != basis.dim:
         raise PreconditionError(f"dimension mismatch: state {psi.dim} vs basis {basis.dim}")
-    overlaps = basis.basis_matrix.conj().T @ psi.amplitudes
-    return np.abs(overlaps) ** 2
+    return basis.basis_matrix.conj().T @ psi.amplitudes
+
+
+def born_probabilities(psi: StateVector, basis: EigenDecomposition) -> np.ndarray:
+    """p_i = |<v_i|psi>|^2 for each eigenvector of the measured observable."""
+    return np.abs(_overlaps(psi, basis)) ** 2
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """Named preparations and measurements, with their forbidden outcomes.
+
+    `forbidden` is derived, never passed in: it maps each preparation id
+    to the (measurement id, outcome index) pairs whose amplitude
+    |<v_k|psi>| is below FORBIDDEN_TOL, in preparation, measurement and
+    outcome order. Preparations with no forbidden outcome are left out.
+    """
+
+    name: str
+    preparations: Mapping[str, StateVector]
+    measurements: Mapping[str, EigenDecomposition]
+    forbidden: dict = field(init=False)
+
+    def __post_init__(self) -> None:
+        preps, measurements = dict(self.preparations), dict(self.measurements)
+        forbidden = {}
+        for prep_id, psi in preps.items():
+            pairs = tuple(
+                (meas_id, int(k)) for meas_id, basis in measurements.items()
+                for k in np.flatnonzero(np.abs(_overlaps(psi, basis)) < FORBIDDEN_TOL)
+            )
+            if pairs:
+                forbidden[prep_id] = pairs
+        object.__setattr__(self, "preparations", preps)
+        object.__setattr__(self, "measurements", measurements)
+        object.__setattr__(self, "forbidden", forbidden)
 
 
 def inverse_cdf(weights, uniforms) -> np.ndarray:
@@ -219,9 +262,7 @@ def born_outcomes(psi: StateVector, basis: EigenDecomposition) -> tuple:
     outcome k's Born weight and projections[k] the unnormalized projection
     of psi onto its eigenspace.
     """
-    if psi.dim != basis.dim:
-        raise PreconditionError(f"dimension mismatch: state {psi.dim} vs basis {basis.dim}")
-    overlaps = basis.basis_matrix.conj().T @ psi.amplitudes
+    overlaps = _overlaps(psi, basis)
     per_vector = np.abs(overlaps) ** 2
     eigenvalues, weights, projections = [], [], []
     for value, idx in basis.groups:
@@ -293,11 +334,12 @@ def coupling_phases(eig: EigenDecomposition, g: float, grid: PointerGrid,
                     couplings: int) -> np.ndarray:
     """Rows exp(-i g a_j p) over the grid momenta p, one per eigenvalue a_j.
 
-    Row j translates a pointer by g * a_j. Rejected with WraparoundError
-    when `couplings` successive couplings could shift the pointer by more
-    than a quarter of the grid extent (periodic wraparound would corrupt
-    the record).
+    Row j translates a pointer by g * a_j. A non-finite g is rejected with
+    PreconditionError, and one for which `couplings` successive couplings
+    could shift the pointer by more than a quarter of the grid extent with
+    WraparoundError (periodic wraparound would corrupt the record).
     """
+    g = _finite_real(g, "coupling g")
     vals = np.asarray(eig.eigenvalues)
     max_shift = float(abs(g) * couplings * np.max(np.abs(vals)))
     if max_shift > grid.extent / 4.0:

@@ -16,6 +16,11 @@ Two constructions anchor everything:
 * the shared-reality family for {|0>, |+>}: one lambda common to both
   preparations carrying weight q, plus one private lambda each.
 
+Quantum scenarios are `measurement.Scenario`s, which derive their own
+forbidden outcomes: `qubit_scenario` here, and `pbr.pbr_scenario` for the
+four-outcome antidistinguishability measurement, whose pairing of
+preparations with forbidden outcomes `pbr_min_violation` reads.
+
 For the four-outcome antidistinguishability measurement on two independent
 shared-reality qubits, `pbr_min_violation` computes how badly the best
 possible response table must violate the quantum prediction that each
@@ -38,8 +43,7 @@ import numpy as np
 
 from .errors import CertificationError, InternalError, PreconditionError
 from .hilbert import (
-    EigenDecomposition,
-    StateVector,
+    _real_array,
     eigendecompose,
     ket_minus,
     ket_one,
@@ -48,8 +52,8 @@ from .hilbert import (
     sigma_x,
     sigma_z,
 )
-from .measurement import born_probabilities, inverse_cdf
-from .pbr import PREPARATION_IDS, pbr_basis, preparation_states
+from .measurement import Scenario, born_probabilities, inverse_cdf
+from .pbr import PREPARATION_IDS, _forbidden_map, pbr_scenario
 from .rngs import substream
 
 DISTRIBUTION_TOL = 1e-12     # rows and preparation vectors must sum to 1 within this
@@ -57,7 +61,6 @@ PREDICT_SUM_TOL = 1e-11      # predicted outcome distributions must sum to 1 wit
 DUALITY_GAP_TOL = 1e-6       # certification threshold for the violation bound
 MAX_MC_TRIALS = 2 ** 20      # Monte Carlo trials per scenario cell (~53 bytes each)
 ONTIC_OVERLAP_TOL = 1e-12    # below this, preparations share no lambda support
-FORBIDDEN_BORN_TOL = 1e-12   # Born weight counting as a forbidden outcome
 
 SHARED_REALITY_LABELS = ("shared", "zero_only", "plus_only")
 
@@ -75,15 +78,8 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def _as_real_array(value, what: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: ints past 1e308
-        raise PreconditionError(f"{what} must hold real numbers, got {value!r}") from exc
-
-
 def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
-    arr = _as_real_array(vec, what).reshape(-1)
+    arr = _real_array(vec, what).reshape(-1)
     if np.any(arr < -DISTRIBUTION_TOL):
         raise PreconditionError(f"{what} has negative entries")
     if not abs(float(arr.sum()) - 1.0) <= DISTRIBUTION_TOL:
@@ -135,7 +131,7 @@ class OntologicalModel:
             preps[str(key)] = arr
         resps = {}
         for key, table in dict(self.responses).items():
-            arr = _as_real_array(table, f"response table {key!r}")
+            arr = _real_array(table, f"response table {key!r}")
             if arr.ndim != 2 or arr.shape[0] != size:
                 raise PreconditionError(
                     f"response table {key!r} must have one row per lambda value"
@@ -220,58 +216,12 @@ def overlap(model: OntologicalModel, first: str, second: str) -> OverlapReport:
 # ---------------------------------------------------------------------------
 # quantum scenarios and the orthodox model
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """Named preparations and measurements, with known forbidden outcomes.
-
-    `forbidden` maps a preparation id to (measurement id, outcome index)
-    pairs the Born rule assigns zero probability.
-    """
-
-    name: str
-    preparations: Mapping[str, StateVector]
-    measurements: Mapping[str, EigenDecomposition]
-    forbidden: Mapping[str, tuple]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "preparations", dict(self.preparations))
-        object.__setattr__(self, "measurements", dict(self.measurements))
-        object.__setattr__(self, "forbidden", dict(self.forbidden))
-
-
-def _derive_forbidden(preparations: Mapping[str, StateVector],
-                      measurements: Mapping[str, EigenDecomposition]) -> dict:
-    found = {}
-    for prep_id, state in preparations.items():
-        for meas_id, basis in measurements.items():
-            probs = born_probabilities(state, basis)
-            for k, p in enumerate(probs):
-                if p < FORBIDDEN_BORN_TOL:
-                    found.setdefault(prep_id, []).append((meas_id, k))
-    return {k: tuple(v) for k, v in found.items()}
-
-
-def pbr_scenario() -> Scenario:
-    """The four product preparations and the antidistinguishing measurement."""
-    basis = pbr_basis()
-    preps = preparation_states()
-    return Scenario(
-        name="pbr",
-        preparations=preps,
-        measurements={"xi": basis.measurement},
-        forbidden={p: (("xi", basis.forbidden_map[p]),) for p in PREPARATION_IDS},
-    )
-
-
 def qubit_scenario() -> Scenario:
     """Single-qubit z and x measurements on the four standard preparations."""
-    preps = {"0": ket_zero(), "1": ket_one(), "+": ket_plus(), "-": ket_minus()}
-    measurements = {"z": eigendecompose(sigma_z()), "x": eigendecompose(sigma_x())}
     return Scenario(
         name="qubit_zx",
-        preparations=preps,
-        measurements=measurements,
-        forbidden=_derive_forbidden(preps, measurements),
+        preparations={"0": ket_zero(), "1": ket_one(), "+": ket_plus(), "-": ket_minus()},
+        measurements={"z": eigendecompose(sigma_z()), "x": eigendecompose(sigma_x())},
     )
 
 
@@ -373,7 +323,7 @@ def paired_shared_reality_model(q: float, xi_responses=None) -> OntologicalModel
     }
     responses = {}
     if xi_responses is not None:
-        responses["xi"] = np.asarray(xi_responses, dtype=float)
+        responses["xi"] = xi_responses
     return OntologicalModel(
         lambda_space=LambdaSpace(_pair_labels(single.lambda_space)),
         preparations=preparations,
@@ -432,10 +382,10 @@ def _forbidden_cost(q: float) -> tuple:
     holds the weights over lambda pairs of the preparation that forbids
     outcome k: what a response table pays, in that preparation's
     violation, per unit of mass it puts on outcome k in a pair's row."""
-    basis = pbr_basis()
+    pairing = _forbidden_map(pbr_scenario())
     model = paired_shared_reality_model(q)
     weights = np.stack([model.preparations[p] for p in PREPARATION_IDS])
-    forbidden = tuple(basis.forbidden_map[p] for p in PREPARATION_IDS)
+    forbidden = tuple(pairing[p] for p in PREPARATION_IDS)
     return weights[np.argsort(forbidden)], forbidden, model.lambda_space.labels
 
 

@@ -9,15 +9,17 @@ preparations share an underlying physical state on some fraction of runs
 must put nonzero probability on a forbidden outcome (the ontology module
 quantifies the minimum); the experiment here samples the quantum side.
 
-The forbidden pairing is computed from the constructed states at startup
-and cross-checked, never hard-coded.
+`pbr_scenario()` describes the experiment once, as a `Scenario` of the
+four preparations and the measurement "xi". The forbidden pairing is the
+one the scenario derives from the states by the package-wide rule
+(amplitude below FORBIDDEN_TOL), checked to be a bijection, never
+hard-coded; `pbr_experiment` and the ontology module both read it there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .hilbert import (
     StateVector,
     canonical_phase,
     eigendecompose,
-    inner_product,
     ket_minus,
     ket_one,
     ket_plus,
@@ -37,11 +38,11 @@ from .hilbert import (
     sigma_z,
     tensor,
 )
-from .measurement import born_outcomes, born_probabilities, draw_outcome, inverse_cdf
+from .measurement import (Scenario, born_outcomes, born_probabilities, draw_outcome,
+                          inverse_cdf)
 from .rngs import as_generator, uniform_chunks
 
 ORTHONORMAL_TOL = 1e-12   # basis Gram deviation allowed
-FORBIDDEN_TOL = 1e-12     # |<xi|preparation>| certifying a forbidden pairing
 UNITARY_TOL = 1e-10       # max |U^H U - 1| entry allowed
 WEIGHT_SUM_TOL = 1e-9     # mixture weights must sum to 1 within this
 
@@ -54,42 +55,14 @@ def preparation_states() -> dict:
     return {a + b: tensor(single[a], single[b]) for a in "0+" for b in "0+"}
 
 
-@dataclass(frozen=True, eq=False)
-class PbrBasis:
-    """The four-outcome antidistinguishing basis with its forbidden map."""
+def pbr_scenario() -> Scenario:
+    """The four product preparations and the antidistinguishing measurement.
 
-    states: tuple
-    forbidden_map: dict
-
-    def __post_init__(self) -> None:
-        states = tuple(self.states)
-        if len(states) != 4 or any(s.dim != 4 for s in states):
-            raise PreconditionError("basis must hold four two-qubit states")
-        mat = np.column_stack([s.amplitudes for s in states])
-        dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(4))))
-        if dev > ORTHONORMAL_TOL:
-            raise PreconditionError(
-                f"basis states not orthonormal: max Gram deviation {dev:.3e}"
-            )
-        completeness = float(np.max(np.abs(mat @ mat.conj().T - np.eye(4))))
-        if completeness > ORTHONORMAL_TOL:
-            raise PreconditionError(
-                f"basis states not complete: max resolution deviation {completeness:.3e}"
-            )
-        object.__setattr__(self, "states", states)
-
-    @cached_property
-    def measurement(self) -> EigenDecomposition:
-        """The basis as a nondegenerate observable (eigenvalues 1..4)."""
-        return EigenDecomposition((1.0, 2.0, 3.0, 4.0), self.states)
-
-
-def pbr_basis() -> PbrBasis:
-    """Construct the antidistinguishing basis and derive its forbidden map.
-
-    Outcome k is forbidden for a preparation when their overlap vanishes;
-    the constructor finds the pairing numerically and verifies that it is
-    a bijection between the four preparations and the four outcomes.
+    The measurement's basis states are checked orthonormal and complete to
+    ORTHONORMAL_TOL and read as a nondegenerate observable (eigenvalues
+    1..4). The `Scenario` derives which outcome each preparation forbids;
+    that pairing is checked to give every preparation exactly one
+    forbidden outcome, as a bijection onto the four outcomes.
     """
     zero, one = ket_zero(), ket_one()
     plus, minus = ket_plus(), ket_minus()
@@ -103,20 +76,22 @@ def pbr_basis() -> PbrBasis:
             ((plus, minus), (minus, plus)),
         )
     )
-    forbidden = {}
-    for prep_id, prep in preparation_states().items():
-        hits = [
-            k for k, xi in enumerate(states)
-            if abs(inner_product(xi, prep)) < FORBIDDEN_TOL
-        ]
-        if len(hits) != 1:
-            raise InternalError(
-                f"preparation {prep_id} is orthogonal to {len(hits)} outcomes, expected 1"
-            )
-        forbidden[prep_id] = hits[0]
-    if sorted(forbidden.values()) != [0, 1, 2, 3]:
-        raise InternalError(f"forbidden pairing is not a bijection: {forbidden}")
-    return PbrBasis(states=states, forbidden_map=forbidden)
+    mat = np.column_stack([xi.amplitudes for xi in states])
+    for what, product in (("orthonormal", mat.conj().T @ mat), ("complete", mat @ mat.conj().T)):
+        dev = float(np.max(np.abs(product - np.eye(4))))
+        if dev > ORTHONORMAL_TOL:
+            raise InternalError(f"basis states not {what}: max deviation {dev:.3e}")
+    scenario = Scenario("pbr", preparation_states(),
+                        {"xi": EigenDecomposition((1.0, 2.0, 3.0, 4.0), states)})
+    hits = {p: tuple(k for _, k in scenario.forbidden.get(p, ())) for p in PREPARATION_IDS}
+    if sorted(hits.values()) != [(0,), (1,), (2,), (3,)]:
+        raise InternalError(f"forbidden pairing is not a bijection onto 0..3: {hits}")
+    return scenario
+
+
+def _forbidden_map(scenario: Scenario) -> dict:
+    """{preparation id: its one forbidden outcome} of `pbr_scenario()`."""
+    return {p: k for p, ((_, k),) in scenario.forbidden.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,10 +160,9 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
         raise PreconditionError(
             f"mixture_weights sum to {float(weights.sum())!r}, expected 1"
         )
-    basis = pbr_basis()
-    preps = preparation_states()
-    born = np.stack([born_probabilities(preps[p], basis.measurement)
-                     for p in PREPARATION_IDS])
+    scenario = pbr_scenario()
+    xi = scenario.measurements["xi"]
+    born = np.stack([born_probabilities(scenario.preparations[p], xi) for p in PREPARATION_IDS])
     cells = np.zeros(16, dtype=np.int64)
     for uniforms in uniform_chunks(seed, 0, trials, k=2):
         which = inverse_cdf(weights, uniforms[:, 0])
@@ -197,7 +171,7 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     counts = {p: [int(c) for c in row]
               for p, row in zip(PREPARATION_IDS, cells.reshape(4, 4))}
     return PbrCounts(counts=counts, trials=trials, seed=int(seed),
-                     forbidden_map=basis.forbidden_map)
+                     forbidden_map=_forbidden_map(scenario))
 
 
 # ---------------------------------------------------------------------------

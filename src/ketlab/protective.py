@@ -123,7 +123,8 @@ def _protective_loop(initial: StateVector, protected: StateVector,
 
     Every input is checked before any work: the mode, 0 <= n <= MAX_STEPS,
     one dimension for op and both states, the MAX_DIM cap on the joint
-    state, the pointer, and the wraparound guard of `coupling_phases`.
+    state, the pointer, and the checks of `coupling_phases` on g (finite,
+    and within the wraparound guard).
     Only then does an orthogonal pair (|<protected|initial>| below
     ORTHOGONAL_LEAK_TOL, which no protection survives) return None.
 

@@ -25,7 +25,6 @@ from ketlab import (
     orthodox_model,
     overlap_preservation_check,
     pauli_operators,
-    pbr_basis,
     pbr_experiment,
     pbr_min_violation,
     pbr_scenario,
@@ -41,6 +40,7 @@ from ketlab import (
     substream,
 )
 from ketlab.measurement import default_grid
+from ketlab.pbr import _forbidden_map
 from ketlab.weak import direct_wavefunction_scan, momentum_zero_amplitude
 from ketlab.measurement import GridWavefunction
 
@@ -66,27 +66,29 @@ def raw_born_rows():
     k0 = np.array([1.0, 0.0])
     kp = np.array([1.0, 1.0]) / math.sqrt(2.0)
     single = {"0": k0, "+": kp}
-    basis = pbr_basis()
+    basis = pbr_scenario().measurements["xi"]
     rows = {}
     for a in "0+":
         for b in "0+":
             prep = np.kron(single[a], single[b])
             rows[a + b] = np.array(
-                [abs(np.vdot(xi.amplitudes, prep)) ** 2 for xi in basis.states]
+                [abs(np.vdot(xi.amplitudes, prep)) ** 2 for xi in basis.eigenvectors]
             )
     return rows
 
 
 def test_criterion_01_basis_suite():
     def body():
-        basis = pbr_basis()
-        mat = np.column_stack([s.amplitudes for s in basis.states])
+        scenario = pbr_scenario()
+        states = scenario.measurements["xi"].eigenvectors
+        forbidden_map = _forbidden_map(scenario)
+        mat = np.column_stack([s.amplitudes for s in states])
         assert float(np.max(np.abs(mat.conj().T @ mat - np.eye(4)))) < 1e-12
         assert float(np.max(np.abs(mat @ mat.conj().T - np.eye(4)))) < 1e-12
         for prep_id, prep in preparation_states().items():
-            xi = basis.states[basis.forbidden_map[prep_id]]
+            xi = states[forbidden_map[prep_id]]
             assert abs(np.vdot(xi.amplitudes, prep.amplitudes)) ** 2 < 1e-12
-        assert sorted(basis.forbidden_map.values()) == [0, 1, 2, 3]
+        assert sorted(forbidden_map.values()) == [0, 1, 2, 3]
 
     run_criterion(1, "antidistinguishing basis suite", 1.0, body)
 
@@ -101,12 +103,12 @@ def test_criterion_02_pbr_experiment():
             "++": (0.0, 0.0, 0.0, 1.0),
         }
         trials = 100000
-        basis = pbr_basis()
+        forbidden_map = _forbidden_map(pbr_scenario())
         for seed, (prep_id, weights) in enumerate(point_mass.items(), start=7):
             result = pbr_experiment(trials, mixture_weights=weights, seed=seed)
             assert result.row_totals()[prep_id] == trials
             counts = result.counts[prep_id]
-            assert counts[basis.forbidden_map[prep_id]] == 0
+            assert counts[forbidden_map[prep_id]] == 0
             for k, p in enumerate(rows[prep_id]):
                 sigma = math.sqrt(trials * p * (1.0 - p))
                 assert abs(counts[k] - trials * p) <= max(5.0 * sigma, 1.0)

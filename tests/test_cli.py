@@ -285,6 +285,13 @@ def test_negative_counts_exit_3(tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# a model of every preparation and measurement of the qubit scenario, with
+# preparation "0" and the first row of the "z" table to fill in
+_QUBIT_MODEL = ('{"lambda": ["a", "b"], "preparations": {"0": %s, "1": [0, 1], '
+                '"+": [0.5, 0.5], "-": [0.5, 0.5]}, '
+                '"responses": {"z": [%s, [0, 1]], "x": [[0.5, 0.5], [0.5, 0.5]]}}')
+
+
 @pytest.mark.parametrize("text,code", [
     pytest.param(None, 2, id="missing"),
     pytest.param("{not json", 2, id="not-json"),
@@ -297,6 +304,10 @@ def test_negative_counts_exit_3(tmp_path, monkeypatch, argv):
                  3, id="weight-past-1e308"),
     pytest.param('{"lambda": ["a"], "preparations": {"0": [1.0]}, '
                  '"responses": {"z": [[0.5, 0.25, 0.25]]}}', 3, id="three-outcomes-for-z"),
+    pytest.param(_QUBIT_MODEL % ('["1", "0"]', "[1, 0]"), 3, id="numeric-text-weights"),
+    pytest.param(_QUBIT_MODEL % ("[false, true]", "[1, 0]"), 3, id="boolean-weights"),
+    pytest.param(_QUBIT_MODEL % ("[1, 0]", '["1", "0"]'), 3, id="numeric-text-response-row"),
+    pytest.param(_QUBIT_MODEL % ("[1, 0]", "[1, 0]"), 0, id="a-complete-qubit-model"),
 ])
 def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text, code):
     monkeypatch.chdir(tmp_path)
@@ -304,7 +315,9 @@ def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text
         (tmp_path / "model.json").write_text(text)
     assert main(["onto", "--model", "model.json", "--scenario", "qubit",
                  "--mc-trials", "10"]) == code
-    assert [p.name for p in tmp_path.iterdir()] == ([] if text is None else ["model.json"])
+    written = ["onto.json", "onto.json.manifest.json"] if code == 0 else []
+    expected = [] if text is None else sorted(["model.json", *written])
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
 
 
 @pytest.mark.parametrize("argv,code", [

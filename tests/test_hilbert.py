@@ -100,6 +100,13 @@ def test_json_rejects_missing_fields():
 def test_json_re_and_im_must_hold_real_numbers():
     with pytest.raises(PreconditionError, match="real numbers"):
         StateVector.from_json_dict({"dim": 1, "re": ["1j"], "im": [0.0]})
+    # numeric text and booleans convert to numbers silently unless rejected
+    for re, im in ((["0.6", "0.8"], [0, 0]), ([0.6, 0.8], [False, False]),
+                   ([True, False], [0.0, 0.0]), ([0.6, None], [0.0, 0.0])):
+        with pytest.raises(PreconditionError, match="real numbers"):
+            StateVector.from_json_dict({"dim": 2, "re": re, "im": im})
+    state = StateVector.from_json_dict({"dim": 2, "re": [0, 1], "im": [0.0, 0]})
+    np.testing.assert_array_equal(state.amplitudes, [0.0, 1.0])
 
 
 _JSON_KEYS = ["dim", "re", "im", "system_dim", "grid", "n_points", "spacing", "center",

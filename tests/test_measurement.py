@@ -10,6 +10,7 @@ from ketlab.hilbert import (
     EigenDecomposition,
     HermitianOperator,
     StateVector,
+    basis_state,
     eigendecompose,
     equal_up_to_phase,
     expectation,
@@ -21,9 +22,11 @@ from ketlab.hilbert import (
     sigma_z,
 )
 from ketlab.measurement import (
+    FORBIDDEN_TOL,
     GridWavefunction,
     JointSystemPointerState,
     PointerGrid,
+    Scenario,
     born_probabilities,
     couple_pointer,
     coupling_phases,
@@ -54,6 +57,22 @@ def test_grid_rejects_non_power_of_two():
 def test_grid_rejects_nonpositive_spacing():
     with pytest.raises(PreconditionError):
         PointerGrid(64, 0.0)
+
+
+@pytest.mark.parametrize("spacing,center", [
+    ("x", 0.0), ([1], 0.0), (math.inf, 0.0), (math.nan, 0.0), ("0.1", 0.0), (True, 0.0),
+    (10 ** 400, 0.0), (0.1, math.nan), (0.1, -math.inf), (0.1, "0"), (0.1, False),
+])
+def test_grid_spacing_and_center_must_be_finite_real_numbers(spacing, center):
+    with pytest.raises(PreconditionError, match="must be a finite real number"):
+        PointerGrid(16, spacing, center)
+
+
+def test_grid_reads_integer_and_numpy_spacing_and_center_as_floats():
+    grid = PointerGrid(16, 1, np.int64(2))
+    assert (grid.spacing, grid.center) == (1.0, 2.0)
+    assert type(grid.spacing) is float and type(grid.center) is float
+    assert PointerGrid(16, np.float64(0.5)).spacing == 0.5
 
 
 def test_grid_rejects_more_points_than_the_cap():
@@ -317,3 +336,22 @@ def test_joint_state_json_round_trip():
     np.testing.assert_allclose(again.amplitudes, joint.amplitudes, atol=1e-15)
     with pytest.raises(PreconditionError):
         JointSystemPointerState.from_json_dict({"system_dim": 2})
+
+
+# ---------------------------------------------------------------------------
+# scenarios
+
+def test_a_scenario_forbids_exactly_the_outcomes_below_the_amplitude_tolerance():
+    """A qutrit against its standard basis: an outcome whose amplitude
+    |<v_k|psi>| is below FORBIDDEN_TOL is forbidden; one with amplitude 1e-11
+    is allowed, though its Born weight 1e-22 is far below 1e-12."""
+    assert FORBIDDEN_TOL == 1e-12
+    eps, tiny = 1e-11, 1e-13
+    allowed = StateVector(3, np.array([0.0, eps, math.sqrt(1.0 - eps ** 2)]))
+    nearly = StateVector(3, np.array([tiny, math.sqrt(1.0 - tiny ** 2), 0.0]))
+    basis = EigenDecomposition((1.0, 2.0, 3.0), tuple(basis_state(3, k) for k in range(3)))
+    scenario = Scenario("qutrit", {"allowed": allowed, "nearly": nearly,
+                                   "spread": StateVector.normalized(np.ones(3))},
+                        {"std": basis})
+    assert scenario.forbidden == {"allowed": (("std", 0),),
+                                  "nearly": (("std", 0), ("std", 2))}

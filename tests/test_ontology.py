@@ -23,7 +23,6 @@ from ketlab import (
     orthodox_model,
     overlap,
     paired_shared_reality_model,
-    pbr_basis,
     pbr_min_violation,
     pbr_scenario,
     predict,
@@ -31,6 +30,7 @@ from ketlab import (
     substream,
 )
 from ketlab.ontology import DUALITY_GAP_TOL
+from ketlab.pbr import _forbidden_map
 
 # q**2 / 4, pinned for the values the acceptance run sweeps
 EXPECTED_MIN_VIOLATION = {
@@ -289,7 +289,8 @@ def preparation_weights(q):
     lambda pairs, and forbidden[p] is the outcome it never fires."""
     model = paired_shared_reality_model(q)
     weights = np.stack([model.preparations[p] for p in PREPARATION_IDS])
-    return weights, tuple(pbr_basis().forbidden_map[p] for p in PREPARATION_IDS)
+    pairing = _forbidden_map(pbr_scenario())
+    return weights, tuple(pairing[p] for p in PREPARATION_IDS)
 
 
 def solve_minimax_lp(weights, forbidden):

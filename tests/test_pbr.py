@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import ketlab
+
 from ketlab import (
     PbrCounts,
     PreconditionError,
@@ -19,20 +21,22 @@ from ketlab import (
     ket_plus,
     ket_zero,
     overlap_preservation_check,
-    pbr_basis,
     pbr_experiment,
+    pbr_scenario,
     preparation_states,
     steering_table,
     strong_measure,
     substream,
 )
-from ketlab.hilbert import canonical_phase
+from ketlab.errors import InternalError
+from ketlab.hilbert import EigenDecomposition, canonical_phase
 from ketlab.measurement import born_probabilities
 from ketlab.pbr import (
     PREPARATION_IDS,
     SteeringSample,
     _alice_observable,
     _bob_reduced,
+    _forbidden_map,
     _singlet,
 )
 from ketlab.rngs import SUBSTREAM_CHUNK, SubstreamSampler
@@ -49,38 +53,54 @@ def raw_preparations():
 
 @pytest.fixture(scope="module")
 def basis():
-    return pbr_basis()
+    """The antidistinguishing measurement of the PBR scenario."""
+    return pbr_scenario().measurements["xi"]
+
+
+@pytest.fixture(scope="module")
+def forbidden_map():
+    """{preparation id: forbidden outcome} as the PBR scenario derives it."""
+    return _forbidden_map(pbr_scenario())
 
 
 def test_basis_is_orthonormal_and_complete(basis):
-    mat = np.column_stack([s.amplitudes for s in basis.states])
+    mat = np.column_stack([s.amplitudes for s in basis.eigenvectors])
     np.testing.assert_allclose(mat.conj().T @ mat, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(mat @ mat.conj().T, np.eye(4), atol=1e-12)
 
 
-def test_forbidden_map_pairs_each_preparation_with_its_own_outcome(basis):
-    assert basis.forbidden_map == {"00": 0, "0+": 1, "+0": 2, "++": 3}
+def test_forbidden_map_pairs_each_preparation_with_its_own_outcome(forbidden_map):
+    assert forbidden_map == {"00": 0, "0+": 1, "+0": 2, "++": 3}
 
 
-def test_each_preparation_is_orthogonal_to_its_forbidden_state(basis):
+def test_each_preparation_is_orthogonal_to_its_forbidden_state(basis, forbidden_map):
     for prep_id, prep in raw_preparations().items():
-        xi = basis.states[basis.forbidden_map[prep_id]]
+        xi = basis.eigenvectors[forbidden_map[prep_id]]
         assert abs(np.vdot(xi.amplitudes, prep)) < 1e-12
 
 
 def test_born_weights_for_00_preparation(basis):
     # independent of the package: raw overlaps of |00> with the four states
     prep = raw_preparations()["00"]
-    probs = [abs(np.vdot(xi.amplitudes, prep)) ** 2 for xi in basis.states]
+    probs = [abs(np.vdot(xi.amplitudes, prep)) ** 2 for xi in basis.eigenvectors]
     np.testing.assert_allclose(probs, [0.0, 0.25, 0.25, 0.5], atol=1e-12)
 
 
 def test_basis_constructor_rejects_degenerate_state_list(basis):
-    from ketlab.pbr import PbrBasis
-
-    doubled = (basis.states[0], basis.states[0], basis.states[2], basis.states[3])
+    states = basis.eigenvectors
+    doubled = (states[0], states[0], states[2], states[3])
     with pytest.raises(PreconditionError):
-        PbrBasis(states=doubled, forbidden_map=basis.forbidden_map)
+        EigenDecomposition((1.0, 2.0, 3.0, 4.0), doubled)
+
+
+def test_pbr_scenario_rejects_a_pairing_that_is_not_a_bijection(monkeypatch):
+    """With all four preparations |00>, each forbids outcome 0: the derived
+    pairing is no bijection, and the scenario is refused."""
+    zero_zero = preparation_states()["00"]
+    monkeypatch.setattr(ketlab.pbr, "preparation_states",
+                        lambda: {p: zero_zero for p in PREPARATION_IDS})
+    with pytest.raises(InternalError, match="not a bijection"):
+        pbr_scenario()
 
 
 def test_preparation_states_match_raw_construction():
@@ -93,10 +113,10 @@ def test_preparation_states_match_raw_construction():
 # the sampled experiment
 
 
-def test_experiment_never_fires_a_forbidden_outcome(basis):
+def test_experiment_never_fires_a_forbidden_outcome(forbidden_map):
     result = pbr_experiment(20000, seed=5)
     for prep_id in ("00", "0+", "+0", "++"):
-        assert result.counts[prep_id][basis.forbidden_map[prep_id]] == 0
+        assert result.counts[prep_id][forbidden_map[prep_id]] == 0
 
 
 def test_experiment_frequencies_match_born_weights(basis):
@@ -104,7 +124,7 @@ def test_experiment_frequencies_match_born_weights(basis):
     result = pbr_experiment(trials, seed=5)
     raw = raw_preparations()
     for prep_id, prep in raw.items():
-        born = np.array([abs(np.vdot(xi.amplitudes, prep)) ** 2 for xi in basis.states])
+        born = np.array([abs(np.vdot(xi.amplitudes, prep)) ** 2 for xi in basis.eigenvectors])
         for k in range(4):
             p = 0.25 * born[k]
             sigma = math.sqrt(trials * p * (1.0 - p)) if p > 0 else 0.0
@@ -139,7 +159,7 @@ def test_experiment_replays_trial_by_trial_through_strong_measure(basis):
         rng = substream(3, t)
         which = int(np.searchsorted(cdf, rng.random() * float(cdf[-1]), side="right"))
         prep_id = ids[min(which, 3)]
-        sample = strong_measure(preps[prep_id], basis.measurement, rng)
+        sample = strong_measure(preps[prep_id], basis, rng)
         replay[prep_id][sample.outcome_index] += 1
     assert replay == result.counts
 
@@ -148,13 +168,13 @@ def reference_pbr_counts(trials, mixture_weights, seed):
     """The former per-trial loop of `pbr_experiment`, kept verbatim as the
     oracle for the array version: one substream and two walks per trial."""
     weights = np.asarray(mixture_weights, dtype=float)
-    basis = pbr_basis()
+    basis = pbr_scenario().measurements["xi"]
     preps = preparation_states()
     mix_cdf = [float(c) for c in np.cumsum(weights)]
     outcome_weights = {}
     outcome_totals = {}
     for p in PREPARATION_IDS:
-        born = born_probabilities(preps[p], basis.measurement)
+        born = born_probabilities(preps[p], basis)
         outcome_weights[p] = [float(w) for w in born]
         outcome_totals[p] = float(born.sum())
     counts = {p: [0, 0, 0, 0] for p in PREPARATION_IDS}
@@ -217,26 +237,26 @@ def test_experiment_rejects_nan_mixture_weights():
         pbr_experiment(1000, mixture_weights=(np.nan, 0.0, 0.0, 1.0))
 
 
-def test_counts_table_rejects_forbidden_hits(basis):
+def test_counts_table_rejects_forbidden_hits(forbidden_map):
     rows = {"00": [1, 10, 10, 20], "0+": [10, 0, 10, 20],
             "+0": [10, 10, 0, 20], "++": [10, 10, 20, 0]}
     with pytest.raises(PreconditionError):
-        PbrCounts(counts=rows, trials=161, seed=0, forbidden_map=basis.forbidden_map)
+        PbrCounts(counts=rows, trials=161, seed=0, forbidden_map=forbidden_map)
 
 
-def test_counts_table_rejects_negative_and_mismatched_totals(basis):
+def test_counts_table_rejects_negative_and_mismatched_totals(forbidden_map):
     good = {"00": [0, 10, 10, 20], "0+": [10, 0, 10, 20],
             "+0": [10, 10, 0, 20], "++": [10, 10, 20, 0]}
-    PbrCounts(counts=good, trials=160, seed=0, forbidden_map=basis.forbidden_map)
+    PbrCounts(counts=good, trials=160, seed=0, forbidden_map=forbidden_map)
     with pytest.raises(PreconditionError):
-        PbrCounts(counts=good, trials=161, seed=0, forbidden_map=basis.forbidden_map)
+        PbrCounts(counts=good, trials=161, seed=0, forbidden_map=forbidden_map)
     bad = dict(good)
     bad["00"] = [0, -1, 11, 20]
     with pytest.raises(PreconditionError):
-        PbrCounts(counts=bad, trials=160, seed=0, forbidden_map=basis.forbidden_map)
+        PbrCounts(counts=bad, trials=160, seed=0, forbidden_map=forbidden_map)
     with pytest.raises(PreconditionError):
         PbrCounts(counts={"00": [0, 10, 10, 20]}, trials=40, seed=0,
-                  forbidden_map=basis.forbidden_map)
+                  forbidden_map=forbidden_map)
 
 
 def test_counts_json_payload(basis):

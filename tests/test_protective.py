@@ -32,6 +32,7 @@ from ketlab import (
     sigma_y,
     sigma_z,
     substream,
+    weak_pointer_shift,
 )
 from ketlab.hilbert import eigendecompose
 from ketlab.measurement import (
@@ -132,6 +133,28 @@ def test_an_oversized_joint_state_is_rejected_before_any_cycle(tilted_state, mon
         protective_measure(tilted_state, sigma_z(), n=4000, g=0.0005, grid=grid)
     with pytest.raises(PreconditionError, match=message):
         protection_leak(ket_plus(), ket_zero(), sigma_z(), n=4000, g=0.0005, grid=grid)
+
+
+@pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_coupling_is_rejected_before_any_fft(g, monkeypatch):
+    """A NaN coupling passes the wraparound guard's comparison, so each
+    entry point must reject a non-finite g itself, before its first FFT."""
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT ran for a non-finite coupling")
+
+    grid = default_grid(1.0)
+    joint = product_state(ket_plus(), make_pointer(grid, 1.0))
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    monkeypatch.setattr(np.fft, "ifft", no_fft)
+    runs = [
+        lambda: protective_measure(ket_plus(), sigma_z(), n=3, g=g),
+        lambda: protection_leak(ket_plus(), ket_zero(), sigma_z(), n=3, g=g),
+        lambda: couple_pointer(joint, sigma_z(), g),
+        lambda: weak_pointer_shift(ket_plus(), sigma_z(), ket_plus(), g, grid, 1.0),
+    ]
+    for run in runs:
+        with pytest.raises(PreconditionError, match="coupling g must be a finite real number"):
+            run()
 
 
 def test_a_run_over_the_step_cap_is_rejected_before_any_work(tilted_state, monkeypatch):
