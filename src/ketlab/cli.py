@@ -18,7 +18,9 @@ then written, once. A run that fails the check writes nothing; a run whose
 write fails removes every file it started. The check is a small in-package
 reader of exactly the JSON Schema keywords `SCHEMAS` uses, so the runtime
 needs no schema library. Exit codes: 0 success, 2 configuration error, 3
-precondition rejection, 4 internal-consistency failure.
+precondition rejection, 4 internal-consistency failure, and also any
+other exception, reported with the stage it escaped (parse, resolve,
+compute, check or write).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import math
 import platform
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
@@ -1037,23 +1040,40 @@ def _manifest(cfg: RunConfig, paths: list) -> dict:
     }
 
 
+@contextmanager
+def _stage(name: str):
+    """Let this package's errors through and turn any other exception into
+    an InternalError (exit 4) that names the stage it escaped: parse,
+    resolve, compute, check or write."""
+    try:
+        yield
+    except LabError:
+        raise
+    except Exception as exc:
+        raise InternalError(
+            f"unexpected {type(exc).__name__} in the {name} stage: {exc}"
+        ) from exc
+
+
 def _write_artifacts(cfg: RunConfig, artifacts: list, paths: list) -> None:
     """Check every artifact and the manifest, then write them. Each path
     goes on `paths` before its write starts, so a write that fails partway
     leaves its file on the list `run` removes."""
-    manifest = _manifest(cfg, [artifact.path for artifact in artifacts])
-    artifacts = [*artifacts, Artifact(_manifest_path(cfg.output), "json", manifest)]
-    for artifact in artifacts:
-        validate_artifact(artifact)
-    try:
+    with _stage("check"):
+        manifest = _manifest(cfg, [artifact.path for artifact in artifacts])
+        artifacts = [*artifacts, Artifact(_manifest_path(cfg.output), "json", manifest)]
         for artifact in artifacts:
-            paths.append(artifact.path)
-            if artifact.fmt == "json":
-                dump_json(artifact.payload, artifact.path)
-            else:
-                write_csv(artifact.path, *artifact.payload)
-    except OSError as exc:
-        raise ConfigError(f"cannot write artifact: {exc}") from exc
+            validate_artifact(artifact)
+    with _stage("write"):
+        try:
+            for artifact in artifacts:
+                paths.append(artifact.path)
+                if artifact.fmt == "json":
+                    dump_json(artifact.payload, artifact.path)
+                else:
+                    write_csv(artifact.path, *artifact.payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write artifact: {exc}") from exc
 
 
 def run(cfg: RunConfig) -> list:
@@ -1062,9 +1082,11 @@ def run(cfg: RunConfig) -> list:
     Artifacts are checked before anything is written, so a run that fails
     its check leaves the directory as it was. A run whose write fails
     removes every file it started, so no partial set of artifacts is left
-    on disk."""
+    on disk. An exception that is not one of this package's errors is
+    raised as an InternalError naming the stage it came from."""
     spec = COMMANDS[cfg.subcommand]
-    artifacts, summary = spec.runner(cfg)
+    with _stage("compute"):
+        artifacts, summary = spec.runner(cfg)
     paths = []
     try:
         _write_artifacts(cfg, artifacts, paths)
@@ -1079,8 +1101,11 @@ def run(cfg: RunConfig) -> list:
 
 def main(argv=None) -> int:
     try:
-        namespace = build_parser().parse_args(argv)
-        run(resolve_config(namespace))
+        with _stage("parse"):
+            namespace = build_parser().parse_args(argv)
+        with _stage("resolve"):
+            cfg = resolve_config(namespace)
+        run(cfg)
     except ConfigError as exc:
         print(f"ketlab: config error: {exc}", file=sys.stderr)
         return 2

@@ -51,6 +51,16 @@ def _checked_dim(value, what: str = "dim") -> int:
     return dim
 
 
+def _checked_count(value, what: str) -> int:
+    """`value` as an int when it is a nonnegative integer, numpy's
+    included, else PreconditionError (for a bool, a float and text too)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise PreconditionError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise PreconditionError(f"{what} must be >= 0, got {value}")
+    return int(value)
+
+
 def _is_real(value) -> bool:
     """True for an int or float, numpy's included; False for a bool or text."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)

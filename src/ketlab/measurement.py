@@ -20,8 +20,10 @@ the ontology module's scenarios are all described this way.
 A coupling followed by a postselection of the system on |post> never needs
 the joint state: it multiplies the pointer's spectrum by
 M(p) = sum_j <post|v_j><v_j|pre> exp(-i g a_j p) over the eigenpairs
-(a_j, v_j) of A. `postselected_cycle` is that step, the kernel of both a
-weak readout (one cycle) and a protective measurement (one per protection).
+(a_j, v_j) of A. `postselected_cycle` reads a block of such spectra with
+one batched inverse FFT: it is the kernel of both a weak readout (a block
+of one cycle) and a protective measurement (blocks of consecutive
+protections).
 
 Grid wavefunctions carry the measure: norms are sums of |amplitude|^2
 times the grid spacing, matching the continuum normalization they sample.
@@ -363,22 +365,22 @@ def postselected_multiplier(eig: EigenDecomposition, phases: np.ndarray,
     return ((post.conj() @ v) * (v.conj().T @ pre)) @ phases
 
 
-def postselected_cycle(spectrum: np.ndarray, multiplier: np.ndarray,
-                       grid: PointerGrid) -> tuple:
-    """One coupling and postselection of a pointer given by its spectrum.
+def postselected_cycle(spectra: np.ndarray, grid: PointerGrid) -> tuple:
+    """Postselected pointers of a block of spectra, one per row.
 
-    Returns (spectrum * multiplier, phi, weight, mean): phi is the
-    unnormalized postselected pointer, weight its squared norm (the
-    postselection probability) and mean its conditional mean position
-    relative to the grid center.
+    Row k of the (B, N) stack `spectra` is a pointer spectrum after a
+    coupling and a postselection, i.e. a spectrum times
+    `postselected_multiplier`s. One inverse FFT over the block gives
+    (phi, weights, means), row by row: phi[k] is the unnormalized
+    postselected pointer, weights[k] its squared norm (the postselection
+    probability when the spectrum it started from had norm 1) and means[k]
+    its conditional mean position relative to the grid center.
     """
-    spectrum = spectrum * multiplier
-    phi = np.fft.ifft(spectrum)
+    phi = np.fft.ifft(spectra, axis=1)
     density = np.abs(phi) ** 2
-    weight = float(np.sum(density) * grid.spacing)
-    moment = float(np.sum(grid.positions * density) * grid.spacing)
-    mean = moment / weight - grid.center
-    return spectrum, phi, weight, mean
+    weights = np.sum(density, axis=1) * grid.spacing
+    moments = np.sum(grid.positions * density, axis=1) * grid.spacing
+    return phi, weights, moments / weights - grid.center
 
 
 def couple_pointer(joint: JointSystemPointerState, op: HermitianOperator, g: float,

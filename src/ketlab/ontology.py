@@ -43,6 +43,8 @@ import numpy as np
 
 from .errors import CertificationError, InternalError, PreconditionError
 from .hilbert import (
+    _checked_count,
+    _finite_real,
     _real_array,
     eigendecompose,
     ket_minus,
@@ -292,7 +294,7 @@ def build_shared_reality_model(q: float) -> OntologicalModel:
     q = 1 forces the two preparations onto the same physical state on every
     run; q = 0 reduces to disjoint (ontic) supports.
     """
-    if not 0.0 <= q <= 1.0:
+    if not 0.0 <= _finite_real(q, "shared weight q") <= 1.0:
         raise PreconditionError(f"shared weight q must lie in [0, 1], got {q!r}")
     return OntologicalModel(
         lambda_space=LambdaSpace(SHARED_REALITY_LABELS),
@@ -418,7 +420,7 @@ def pbr_min_violation(q: float) -> ViolationBound:
     numpy: a gap above DUALITY_GAP_TOL is reported as indeterminate
     (CertificationError), never silently rounded.
     """
-    if not 0.0 <= q <= 1.0:
+    if not 0.0 <= _finite_real(q, "shared weight q") <= 1.0:
         raise PreconditionError(f"shared weight q must lie in [0, 1], got {q!r}")
     cost, forbidden, pair_labels = _forbidden_cost(q)
     witness = _even_split(cost)
@@ -480,8 +482,7 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
     model must define every preparation and measurement id the scenario
     names. More than MAX_MC_TRIALS trials are rejected before any draw.
     """
-    if trials < 0:
-        raise PreconditionError(f"trials must be >= 0, got {trials}")
+    trials = _checked_count(trials, "trials")
     if trials > MAX_MC_TRIALS:
         raise PreconditionError(f"trials {trials} exceed the {MAX_MC_TRIALS} cap")
     counts: dict = {}

@@ -28,6 +28,8 @@ from .hilbert import (
     EigenDecomposition,
     HermitianOperator,
     StateVector,
+    _checked_count,
+    _real_array,
     canonical_phase,
     eigendecompose,
     ket_minus,
@@ -151,9 +153,8 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     Born row as `strong_measure` would, and a `bincount` tallies the cells.
     Unit tests pin the equivalence with the per-trial loop.
     """
-    if trials < 0:
-        raise PreconditionError(f"trials must be >= 0, got {trials}")
-    weights = np.asarray(mixture_weights, dtype=float)
+    trials = _checked_count(trials, "trials")
+    weights = _real_array(mixture_weights, "mixture_weights")
     if weights.shape != (4,) or np.any(weights < 0):
         raise PreconditionError("mixture_weights must be four nonnegative reals")
     if not abs(float(weights.sum()) - 1.0) <= WEIGHT_SUM_TOL:

@@ -22,8 +22,15 @@ state, with survival probability |<protected|prepared>|^2.
 A successful protection leaves the system exactly in the protected state,
 so the engine never carries the system along: after the first cycle the
 joint state is |protected> (x) pointer, and each cycle acts on the pointer
-alone, as one multiplication in momentum space and one inverse FFT. The
-survivor of any run with n > 0 is the protected state itself.
+alone, as one multiplication in momentum space. The survivor of any run
+with n > 0 is the protected state itself.
+
+The cycles run in blocks. After cycle k the pointer's spectrum is, before
+normalization, phi0^ M1 M^(k-1), so the powers of M are computed once per
+run and a block of cycles is the carried spectrum times those powers, read
+with one batched inverse FFT. A block holds max(1, BLOCK_ELEMENTS // N)
+cycles for N grid points: a fixed working set of 128 KB per block array,
+16 cycles at the default 512 points.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .errors import NotPureError, PreconditionError
 from .hilbert import (
     HermitianOperator,
     StateVector,
+    _checked_count,
     _checked_dim,
     canonical_phase,
     eigendecompose,
@@ -61,6 +69,7 @@ COMPLETENESS_RANK_TOL = 1e-8
 DEFAULT_STEPS = 400
 DEFAULT_COUPLING = 5e-3
 MAX_STEPS = 2 ** 16          # cycles per run; the per-step log keeps ~1.3 KB each
+BLOCK_ELEMENTS = 2 ** 13     # complex entries (128 KB) per array of a block of cycles
 
 
 class StepRecord(NamedTuple):
@@ -121,10 +130,10 @@ def _protective_loop(initial: StateVector, protected: StateVector,
                      mode: str, seed) -> ProtectiveRunResult | None:
     """Shared engine: couple, protect, renormalize, log.
 
-    Every input is checked before any work: the mode, 0 <= n <= MAX_STEPS,
-    one dimension for op and both states, the MAX_DIM cap on the joint
-    state, the pointer, and the checks of `coupling_phases` on g (finite,
-    and within the wraparound guard).
+    Every input is checked before any work: the mode, n an integer (not a
+    bool) with 0 <= n <= MAX_STEPS, one dimension for op and both states,
+    the MAX_DIM cap on the joint state, the pointer, and the checks of
+    `coupling_phases` on g (finite, and within the wraparound guard).
     Only then does an orthogonal pair (|<protected|initial>| below
     ORTHOGONAL_LEAK_TOL, which no protection survives) return None.
 
@@ -134,16 +143,24 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     M(p) = sum_j |<v_j|c>|^2 exp(-i g a_j p) over the eigenpairs (a_j, v_j)
     of op, with c the protected state; the first cycle, which starts from
     the prepared state, uses M1(p) = sum_j <c|v_j><v_j|prepared> exp(-i g a_j p).
-    Both are `postselected_multiplier`s, and each cycle is one
-    `postselected_cycle`, the step a weak readout takes once: the squared
-    norm of the product is that cycle's survival weight.
+    Both are `postselected_multiplier`s. Before normalization the spectrum
+    after cycle k is S_k = phi0^ M1 M^(k-1), so the cycles run in blocks:
+    the powers M^0 .. M^B are one `np.cumprod`, computed once per run, and a
+    block of up to B cycles is the carried normalized spectrum times
+    M1 [1, M, ..] (first block) or [M, .., M^b] (later blocks), read by one
+    `postselected_cycle`, the kernel a weak readout runs on a block of one.
+    B is max(1, BLOCK_ELEMENTS // N) for N grid points, a fixed working set
+    per block array. Row k's squared norm W_k is relative to the carried
+    spectrum (W_0 = 1), so cycle k's survival weight is W_k / W_(k-1).
+    A sampled run draws its n uniforms at once and aborts at the first
+    cycle whose uniform exceeds its weight; the uniforms are those of n
+    single draws.
     final_joint is |protected> (x) phi after the last cycle, the product
     state before any cycle ran, or the coupled state of a sampled abort.
     """
     if mode not in ("deterministic", "sampled"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    if n < 0:
-        raise PreconditionError(f"step count must be >= 0, got {n}")
+    n = _checked_count(n, "step count")
     if n > MAX_STEPS:
         raise PreconditionError(f"step count {n} exceeds the {MAX_STEPS} cap")
     if not (op.dim == initial.dim == protected.dim):
@@ -158,25 +175,43 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     phases = coupling_phases(eig, g, grid, n)
     if abs(inner_product(protected, initial)) < ORTHOGONAL_LEAK_TOL:
         return None
-    rng = as_generator(seed if seed is not None else 0) if mode == "sampled" else None
+    uniforms = None
+    if mode == "sampled":
+        uniforms = as_generator(seed if seed is not None else 0).random(n)
     c = protected.amplitudes
-    multiplier = postselected_multiplier(eig, phases, c, initial.amplitudes)
-    repeated = postselected_multiplier(eig, phases, c, c)
-    spectrum = np.fft.fft(pointer)
+    rows = min(n, max(1, BLOCK_ELEMENTS // grid.n_points))
+    powers = np.empty((rows + 1, grid.n_points), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = postselected_multiplier(eig, phases, c, c)
+    np.cumprod(powers, axis=0, out=powers)          # row k is M^k
+    # the first block starts from the spectrum after cycle 1, at power 0
+    spectrum = np.fft.fft(pointer) * postselected_multiplier(eig, phases, c, initial.amplitudes)
+    lead = 0
     survival = 1.0
     log = []
     aborted = None
-    for step in range(1, n + 1):
-        spectrum, phi, weight, mean = postselected_cycle(spectrum, multiplier, grid)
-        if mode == "sampled" and rng.random() > weight:
-            aborted = step
+    while len(log) < n and aborted is None:
+        done = len(log)
+        size = min(rows, n - done)
+        block = spectrum * powers[lead:lead + size]
+        phi, weights, means = postselected_cycle(block, grid)
+        step_weights = weights.copy()
+        step_weights[1:] /= weights[:-1]
+        if uniforms is not None:
+            misses = np.flatnonzero(uniforms[done:done + size] > step_weights)
+            if misses.size:
+                size = int(misses[0])
+                aborted = done + size + 1
+        if size == 0:
             break
-        survival *= min(weight, 1.0)
-        norm = math.sqrt(weight)
-        spectrum /= norm
-        pointer = phi / norm
-        log.append(StepRecord(step, survival, mean))
-        multiplier = repeated
+        survivals = np.cumprod(np.concatenate(([survival], np.minimum(step_weights[:size], 1.0))))
+        survival = float(survivals[-1])
+        log.extend(map(StepRecord, range(done + 1, done + size + 1),
+                       survivals[1:].tolist(), means[:size].tolist()))
+        norm = math.sqrt(weights[size - 1])
+        spectrum = block[size - 1] / norm
+        pointer = phi[size - 1] / norm
+        lead = 1
     system = protected if log else initial
     joint = JointSystemPointerState(system.dim, grid, np.outer(system.amplitudes, pointer))
     if aborted is not None:

@@ -38,10 +38,21 @@ def to_builtin(value):
     raise InternalError(f"cannot serialize value of type {type(value).__name__}")
 
 
+def _encode(value):
+    """`to_builtin`'s form of a value json cannot encode itself. json
+    writes numpy's float64, a float subclass, by float's repr, as
+    `to_builtin` would."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return to_builtin(value)
+
+
 def dump_json(data, path) -> None:
-    """Write canonically formatted JSON (sorted keys, indent 2, newline)."""
+    """Write canonically formatted JSON (sorted keys, indent 2, newline):
+    the bytes of `to_builtin`'s output, encoded in one walk. Keys must be
+    text, as every artifact's are."""
     path = Path(path)
-    text = json.dumps(to_builtin(data), sort_keys=True, indent=2)
+    text = json.dumps(data, sort_keys=True, indent=2, default=_encode)
     path.write_text(text + "\n", encoding="utf-8")
 
 

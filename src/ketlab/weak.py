@@ -125,9 +125,10 @@ def weak_pointer_shift(psi: StateVector, op: HermitianOperator, post: StateVecto
     postselection success probability). As g -> 0 the shift approaches
     g * Re(weak value).
 
-    This is one `postselected_cycle` of the protective kernel, with the
-    multiplier M(p) = sum_j <post|v_j><v_j|psi> exp(-i g a_j p): the
-    pointer's spectrum is multiplied once and transformed back, and no
+    This is exactly one cycle of the protective engine: the pointer's
+    spectrum is multiplied once by M(p) = sum_j <post|v_j><v_j|psi>
+    exp(-i g a_j p) and read by `postselected_cycle` as a block of one row,
+    the kernel the protective runs read their blocks of cycles with. No
     joint system+pointer state is built.
     """
     _checked_selection(op, psi, post)
@@ -135,10 +136,11 @@ def weak_pointer_shift(psi: StateVector, op: HermitianOperator, post: StateVecto
     eig = eigendecompose(op)
     multiplier = postselected_multiplier(eig, coupling_phases(eig, g, grid, 1),
                                          post.amplitudes, psi.amplitudes)
-    _, _, prob, mean = postselected_cycle(np.fft.fft(pointer.amplitudes), multiplier, grid)
+    spectrum = np.fft.fft(pointer.amplitudes) * multiplier
+    _, (prob,), (mean,) = postselected_cycle(spectrum[None], grid)
     if prob < POSTSELECT_PROB_TOL:
         raise PostselectionError(
             f"postselection probability {prob:.3e} below {POSTSELECT_PROB_TOL}; "
             "conditional statistics undefined"
         )
-    return mean, prob
+    return float(mean), float(prob)

@@ -12,8 +12,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+import ketlab.cli
 import ketlab.ontology
 import ketlab.rngs
+import ketlab.serialize
 from ketlab import (
     ConfigError,
     InternalError,
@@ -444,6 +446,38 @@ def test_a_failed_write_removes_the_half_written_file(tmp_path, monkeypatch, fai
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(Path, "write_text", full_disk)
     assert main(["leak", "--n", "5"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def _divide(*args, **kwargs):
+    return 1 / 0
+
+
+def _divide_on_the_manifest(data, path):
+    if Path(path).name.endswith(".manifest.json"):
+        _divide()
+    ketlab.serialize.dump_json(data, path)
+
+
+@pytest.mark.parametrize("stage,name,replacement", [
+    ("parse", "build_parser", _divide),
+    ("resolve", "resolve_config", _divide),
+    ("compute", None, _divide),
+    ("check", "validate_artifact", _divide),
+    ("write", "dump_json", _divide_on_the_manifest),   # after leak.json is written
+])
+def test_any_other_exception_exits_4_naming_its_stage(tmp_path, monkeypatch, capsys,
+                                                      stage, name, replacement):
+    """A ZeroDivisionError is not one of the package's errors: in any stage
+    it exits 4 with that stage named, and leaves the directory as it was."""
+    monkeypatch.chdir(tmp_path)
+    if name is None:
+        monkeypatch.setitem(COMMANDS, "leak",
+                            dataclasses.replace(COMMANDS["leak"], runner=replacement))
+    else:
+        monkeypatch.setattr(ketlab.cli, name, replacement)
+    assert main(["leak", "--n", "5"]) == 4
+    assert f"ZeroDivisionError in the {stage} stage" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

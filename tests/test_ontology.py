@@ -555,6 +555,21 @@ def test_monte_carlo_rejects_models_missing_scenario_ids():
         monte_carlo_onto(bare, scenario, 10)
 
 
+@pytest.mark.parametrize("q", ["0.5", True, None, math.nan])
+def test_shared_weights_that_are_not_finite_numbers_are_rejected(q):
+    with pytest.raises(PreconditionError, match="shared weight q"):
+        pbr_min_violation(q)
+    with pytest.raises(PreconditionError, match="shared weight q"):
+        build_shared_reality_model(q)
+
+
+@pytest.mark.parametrize("trials", [10.5, 10.0, True, "10"])
+def test_monte_carlo_trial_counts_must_be_integers(trials):
+    scenario = qubit_scenario()
+    with pytest.raises(PreconditionError, match="trials must be an integer"):
+        monte_carlo_onto(orthodox_model(scenario), scenario, trials)
+
+
 def test_monte_carlo_over_the_trial_cap_is_rejected_before_any_draw(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("a substream was drawn for an over-large run")

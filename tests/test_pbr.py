@@ -232,6 +232,23 @@ def test_experiment_rejects_bad_mixture_weights():
         pbr_experiment(-1)
 
 
+def test_experiment_rejects_mixture_weights_given_as_text():
+    with pytest.raises(PreconditionError, match="mixture_weights must hold real numbers"):
+        pbr_experiment(10, mixture_weights=("0.25",) * 4)
+
+
+def test_experiment_rejects_mixture_weights_given_as_booleans():
+    """True would otherwise read as weight 1 and put every trial on 00."""
+    with pytest.raises(PreconditionError, match="mixture_weights must hold real numbers"):
+        pbr_experiment(10, mixture_weights=(True, False, False, False))
+
+
+@pytest.mark.parametrize("trials", [True, 10.0, "10"])
+def test_experiment_rejects_trial_counts_that_are_not_integers(trials):
+    with pytest.raises(PreconditionError, match="trials must be an integer"):
+        pbr_experiment(trials)
+
+
 def test_experiment_rejects_nan_mixture_weights():
     with pytest.raises(PreconditionError):
         pbr_experiment(1000, mixture_weights=(np.nan, 0.0, 0.0, 1.0))

@@ -157,6 +157,27 @@ def test_a_non_finite_coupling_is_rejected_before_any_fft(g, monkeypatch):
             run()
 
 
+@pytest.mark.parametrize("n", [True, False, 2.5, 3.0, "3", None])
+def test_a_step_count_that_is_not_an_integer_is_rejected_before_any_work(n, monkeypatch):
+    """The engine sizes its arrays from n: a bool, a float or text is
+    refused before the grid is built, not run as a count."""
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built for a step count that is not an integer")
+
+    monkeypatch.setattr(ketlab.protective, "default_grid", no_grid)
+    message = "step count must be an integer"
+    with pytest.raises(PreconditionError, match=message):
+        protective_measure(ket_plus(), sigma_z(), n=n)
+    with pytest.raises(PreconditionError, match=message):
+        protection_leak(ket_plus(), ket_zero(), sigma_z(), n=n)
+
+
+def test_a_numpy_integer_step_count_runs_as_its_int(tilted_state):
+    run = protective_measure(tilted_state, sigma_z(), n=np.int64(7))
+    assert run.steps == 7 and type(run.steps) is int
+    assert len(run.per_step_log) == 7
+
+
 def test_a_run_over_the_step_cap_is_rejected_before_any_work(tilted_state, monkeypatch):
     """The per-step log grows with every cycle, so more than MAX_STEPS
     cycles must stop before the grid or the pointer is built."""
@@ -444,8 +465,9 @@ def reference_loop(initial, protected, op, n, g, grid, width, mode, seed):
     return log, max(min(survival, 1.0), 0.0), aborted, joint
 
 
-def assert_engines_agree(initial, protected, op, n, g, mode="deterministic", seed=None):
-    grid = default_grid(1.0)
+def assert_engines_agree(initial, protected, op, n, g, mode="deterministic", seed=None,
+                         grid=None):
+    grid = default_grid(1.0) if grid is None else grid
     args = (initial, protected, op, n, g, grid, 1.0, mode, seed)
     run = _protective_loop(*args)
     ref_log, ref_survival, ref_aborted, ref_joint = reference_loop(*args)
@@ -491,3 +513,54 @@ def test_engine_matches_reference_on_sampled_aborts():
                                    mode="sampled", seed=seed)
               for seed in range(60)]
     assert any(step is not None for step in aborts)
+
+
+@pytest.mark.parametrize("points,rows", [(512, 16), (1024, 8)])
+def test_engine_matches_reference_at_block_edges(points, rows, rng):
+    """Cycles run in blocks of BLOCK_ELEMENTS // N rows: runs one short of
+    a block, filling one, spilling one cycle into the next, and spilling
+    one past two blocks, each under a matched and a mismatched protection."""
+    assert ketlab.protective.BLOCK_ELEMENTS // points == rows
+    grid = default_grid(1.0, points)
+    for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        prepared = haar_random_state(2, rng)
+        op = random_observable(2, rng)
+        assert_engines_agree(prepared, prepared, op, n=n, g=5e-3, grid=grid)
+        assert_engines_agree(prepared, haar_random_state(2, rng), op, n=n, g=5e-3, grid=grid)
+
+
+@pytest.mark.parametrize("points,seed,step", [
+    (512, 8, 1), (512, 23, 16), (512, 42, 17),
+    (1024, 8, 1), (1024, 0, 8), (1024, 39, 9), (1024, 23, 16),
+])
+def test_sampled_aborts_on_block_edges_match_the_reference(points, seed, step):
+    """At g = 0.5 a cycle of |+> under sigma_z aborts a few percent of the
+    time, and these seeds abort on the first or the last row of a block
+    (16 rows at 512 points, 8 at 1024): the abort step is the reference's
+    and the coupled joint state of the abort matches it to 1e-12."""
+    rows = ketlab.protective.BLOCK_ELEMENTS // points
+    assert step % rows in (0, 1)
+    aborted = assert_engines_agree(ket_plus(), ket_plus(), sigma_z(), n=20, g=0.5,
+                                   mode="sampled", seed=seed, grid=default_grid(1.0, points))
+    assert aborted == step
+
+
+@pytest.mark.parametrize("points", [512, 1024])
+def test_the_first_miss_in_a_block_is_the_abort(points):
+    """Seed 4's uniforms exceed the cycle weights at steps 6 and 8, both in
+    the first block: the run aborts at step 6, as the reference does."""
+    aborted = assert_engines_agree(ket_plus(), ket_plus(), sigma_z(), n=20, g=0.5,
+                                   mode="sampled", seed=4, grid=default_grid(1.0, points))
+    assert aborted == 6
+
+
+def test_zero_cycles_return_the_product_state(rng):
+    grid = default_grid(1.0)
+    prepared = haar_random_state(3, rng)
+    for mode in ("deterministic", "sampled"):
+        run = _protective_loop(prepared, haar_random_state(3, rng), random_observable(3, rng),
+                               0, 5e-3, grid, 1.0, mode, 3)
+        assert run.per_step_log == () and run.aborted_at_step is None
+        np.testing.assert_array_equal(
+            run.final_joint.amplitudes,
+            np.outer(prepared.amplitudes, make_pointer(grid, 1.0).amplitudes))

@@ -65,3 +65,25 @@ def test_write_csv_layout(tmp_path):
 def test_write_csv_refuses_cells_needing_quotes(tmp_path):
     with pytest.raises(InternalError):
         write_csv(tmp_path / "t.csv", ("a",), [("x,y",)])
+
+
+def test_dump_json_gives_the_bytes_of_the_builtin_walk(tmp_path):
+    """One walk with json's default hook writes what the two walks (to_builtin,
+    then json.dumps) wrote, numpy values and complex numbers included."""
+    payload = {
+        "count": np.int64(3),
+        "values": np.array([[0.1, 2.5e-17], [np.inf, -0.0]]),
+        "amplitudes": np.array([1.0 + 2.0j, -0.5j]),
+        "flag": np.bool_(False),
+        "z": 0.25 - 1.5j,
+        "nested": [{"w": np.complex128(1.0), "x": np.float32(0.5)}, (np.float64(0.1), None)],
+    }
+    path = tmp_path / "payload.json"
+    dump_json(payload, path)
+    want = json.dumps(to_builtin(payload), sort_keys=True, indent=2) + "\n"
+    assert path.read_text(encoding="utf-8") == want
+
+
+def test_dump_json_refuses_unknown_types(tmp_path):
+    with pytest.raises(InternalError, match="cannot serialize value of type object"):
+        dump_json({"a": object()}, tmp_path / "bad.json")
