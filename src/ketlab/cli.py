@@ -13,14 +13,15 @@ defaults, then an optional --config JSON file, then explicit flags. Every
 run takes one master seed (default 7); trial-level randomness comes from
 counter-based substreams of it, so results do not depend on execution
 order. At run end every artifact and its manifest (config echo, seed,
-library versions) is checked against its own schema in memory, and only
-then written, once. A run that fails the check writes nothing; a run whose
-write fails removes every file it started. The check is a small in-package
-reader of exactly the JSON Schema keywords `SCHEMAS` uses, so the runtime
-needs no schema library. Exit codes: 0 success, 2 configuration error, 3
-precondition rejection, 4 internal-consistency failure, and also any
-other exception, reported with the stage it escaped (parse, resolve,
-compute, check or write).
+library versions) is converted once, checked against its own schema in
+memory, and only then written, from the very object that was checked. A
+run that fails the check writes nothing; a run whose write fails removes
+every file it started. The check is a small in-package reader of exactly
+the JSON Schema keywords `SCHEMAS` uses, so the runtime needs no schema
+library. Exit codes: 0 success, 2 configuration error, 3 precondition
+rejection, 4 internal-consistency failure, and also any other exception,
+reported with the stage it escaped (parse, resolve, compute, check or
+write).
 """
 
 from __future__ import annotations
@@ -460,10 +461,12 @@ def _schema_error(schema: dict, value, where: str = "$") -> str | None:
     return None
 
 
-def validate_artifact(artifact: Artifact) -> None:
-    """Check an artifact against its schema before it is written;
-    InternalError on failure. A JSON payload is checked as `dump_json`
-    would write it, and each CSV cell as the text `write_csv` would write."""
+def validate_artifact(artifact: Artifact) -> Artifact:
+    """Check an artifact against its schema before it is written and
+    return it in the form that is checked and written; InternalError on
+    failure. A JSON payload is converted once by `to_builtin` and checked
+    as that; a CSV artifact comes back with each cell as the `format_cell`
+    text its parser accepted."""
     name = artifact.path.name
     if artifact.fmt == "json":
         data = to_builtin(artifact.payload)
@@ -472,21 +475,25 @@ def validate_artifact(artifact: Artifact) -> None:
         error = _schema_error(SCHEMAS[data["kind"]], data)
         if error is not None:
             raise InternalError(f"artifact {name} fails its schema: {error}")
-        return
+        return Artifact(artifact.path, "json", data)
     header, rows = artifact.payload
     parsers = _CSV_CELL_PARSERS.get(tuple(header))
     if parsers is None:
         raise InternalError(f"unknown CSV layout in {name}: {header}")
+    text_rows = []
     for lineno, row in enumerate(rows, start=2):
         if len(row) != len(parsers):
             raise InternalError(f"{name}:{lineno}: expected {len(parsers)} cells, got {len(row)}")
-        for cell, parse in zip(map(format_cell, row), parsers):
+        cells = [format_cell(value) for value in row]
+        for cell, parse in zip(cells, parsers):
             try:
                 parse(cell)
             except ValueError as exc:
                 raise InternalError(
                     f"{name}:{lineno}: cell {cell!r} fails {parse.__name__}"
                 ) from exc
+        text_rows.append(cells)
+    return Artifact(artifact.path, "csv", (header, text_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1035,7 @@ def _manifest(cfg: RunConfig, paths: list) -> dict:
             "seed": cfg.seed,
             "output": str(cfg.output),
             "format": cfg.format,
-            **{k: to_builtin(v) for k, v in cfg.params.items()},
+            **cfg.params,
         },
         "seed": cfg.seed,
         "versions": {
@@ -1056,14 +1063,14 @@ def _stage(name: str):
 
 
 def _write_artifacts(cfg: RunConfig, artifacts: list, paths: list) -> None:
-    """Check every artifact and the manifest, then write them. Each path
-    goes on `paths` before its write starts, so a write that fails partway
-    leaves its file on the list `run` removes."""
+    """Check every artifact and the manifest, then write what was checked:
+    each is converted once, by `validate_artifact`. Each path goes on
+    `paths` before its write starts, so a write that fails partway leaves
+    its file on the list `run` removes."""
     with _stage("check"):
         manifest = _manifest(cfg, [artifact.path for artifact in artifacts])
         artifacts = [*artifacts, Artifact(_manifest_path(cfg.output), "json", manifest)]
-        for artifact in artifacts:
-            validate_artifact(artifact)
+        artifacts = [validate_artifact(artifact) for artifact in artifacts]
     with _stage("write"):
         try:
             for artifact in artifacts:
@@ -1082,8 +1089,11 @@ def run(cfg: RunConfig) -> list:
     Artifacts are checked before anything is written, so a run that fails
     its check leaves the directory as it was. A run whose write fails
     removes every file it started, so no partial set of artifacts is left
-    on disk. An exception that is not one of this package's errors is
-    raised as an InternalError naming the stage it came from."""
+    on disk. That includes a previous run's file at the same path: a path
+    counts as started just before its file is opened, so even a file the
+    write could not open (a read-only one, say) is removed. An exception
+    that is not one of this package's errors is raised as an InternalError
+    naming the stage it came from."""
     spec = COMMANDS[cfg.subcommand]
     with _stage("compute"):
         artifacts, summary = spec.runner(cfg)

@@ -191,6 +191,57 @@ def test_protective_optional_artifacts(tmp_path, monkeypatch):
     }
 
 
+def _is_plain_json(value) -> bool:
+    kind = type(value)
+    if kind is dict:
+        return all(type(k) is str and _is_plain_json(v) for k, v in value.items())
+    if kind is list:
+        return all(_is_plain_json(v) for v in value)
+    return kind in (str, int, float, bool, type(None))
+
+
+def test_the_writers_get_exactly_what_was_checked(tmp_path, monkeypatch):
+    """Every payload the writers receive is the object the check returned:
+    JSON as plain builtins, CSV cells as the text their parsers accepted."""
+    checked, handed = [], []
+    check = ketlab.cli.validate_artifact
+
+    def recording_check(artifact):
+        checked.append(check(artifact))
+        return checked[-1]
+
+    def dump(data, path):
+        handed.append((Path(path).name, "json", data))
+        ketlab.serialize.dump_json(data, path)
+
+    def write(path, header, rows):
+        handed.append((Path(path).name, "csv", (header, rows)))
+        ketlab.serialize.write_csv(path, header, rows)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ketlab.cli, "validate_artifact", recording_check)
+    monkeypatch.setattr(ketlab.cli, "dump_json", dump)
+    monkeypatch.setattr(ketlab.cli, "write_csv", write)
+    assert main(["protective", "--dump-joint", "j.json", "--per-step-csv", "s.csv"]) == 0
+    assert sorted(name for name, _, _ in handed) == sorted(
+        ["protective.json", "s.csv", "j.json", "protective.json.manifest.json"])
+    by_path = {artifact.path.name: artifact for artifact in checked}
+    for name, fmt, payload in handed:
+        artifact = by_path[name]
+        assert artifact.fmt == fmt
+        if fmt == "json":
+            assert payload is artifact.payload and _is_plain_json(payload)
+        else:
+            header, rows = payload
+            assert rows is artifact.payload[1]
+            parsers = ketlab.cli._CSV_CELL_PARSERS[header]
+            assert len(rows) == 400
+            for row in rows:
+                assert all(type(cell) is str for cell in row)
+                for cell, parse in zip(row, parsers):
+                    parse(cell)
+
+
 def test_onto_model_evaluation_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main([
@@ -478,6 +529,19 @@ def test_any_other_exception_exits_4_naming_its_stage(tmp_path, monkeypatch, cap
         monkeypatch.setattr(ketlab.cli, name, replacement)
     assert main(["leak", "--n", "5"]) == 4
     assert f"ZeroDivisionError in the {stage} stage" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_removes_the_previous_runs_files_it_started(tmp_path, monkeypatch):
+    """A failed write removes every file it started, a previous run's
+    files included: the rerun replaced leak.json before its manifest write
+    failed, so neither the old nor the new set is left."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["leak", "--n", "5"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["leak.json",
+                                                          "leak.json.manifest.json"]
+    monkeypatch.setattr(ketlab.cli, "dump_json", _divide_on_the_manifest)
+    assert main(["leak", "--n", "5"]) == 4
     assert list(tmp_path.iterdir()) == []
 
 

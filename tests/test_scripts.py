@@ -1,6 +1,7 @@
 """The example scripts still run against the package and keep their promises."""
 
 import csv
+import hashlib
 import importlib.util
 import runpy
 import sys
@@ -57,6 +58,18 @@ def test_run_all_experiments_writes_every_artifact_and_manifest(tmp_path, monkey
     artifacts = [n for n in names if not n.endswith(".manifest.json")]
     assert len(artifacts) == 7 and len(manifests) == 7
     assert sorted(manifests) == sorted(f"{n}.manifest.json" for n in artifacts)
+
+
+def test_artifact_digests_cover_every_file_written(tmp_path):
+    digests = load_script("artifact_digests")
+    lines = digests.digest_lines(tmp_path)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert [line.split("  ", 1)[1] for line in lines] == written
+    # one manifest per command, so no run overwrote another's files
+    assert sum(name.endswith(".manifest.json") for name in written) == len(digests.COMMANDS)
+    for line in lines:
+        digest, name = line.split("  ", 1)
+        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
 
 def test_every_golden_default_run_is_regenerated():

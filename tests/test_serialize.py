@@ -1,7 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ketlab import InternalError
 from ketlab.serialize import dump_json, format_cell, load_json, to_builtin, write_csv
@@ -68,8 +74,8 @@ def test_write_csv_refuses_cells_needing_quotes(tmp_path):
 
 
 def test_dump_json_gives_the_bytes_of_the_builtin_walk(tmp_path):
-    """One walk with json's default hook writes what the two walks (to_builtin,
-    then json.dumps) wrote, numpy values and complex numbers included."""
+    """The layout walk writes what json's indented encoder writes after
+    to_builtin, numpy values and complex numbers included."""
     payload = {
         "count": np.int64(3),
         "values": np.array([[0.1, 2.5e-17], [np.inf, -0.0]]),
@@ -87,3 +93,82 @@ def test_dump_json_gives_the_bytes_of_the_builtin_walk(tmp_path):
 def test_dump_json_refuses_unknown_types(tmp_path):
     with pytest.raises(InternalError, match="cannot serialize value of type object"):
         dump_json({"a": object()}, tmp_path / "bad.json")
+
+
+def test_to_builtin_of_zero_dimensional_arrays_is_their_scalar(tmp_path):
+    assert to_builtin(np.array(0.5)) == 0.5
+    assert type(to_builtin(np.array(0.5))) is float
+    assert to_builtin(np.array(3)) == 3 and type(to_builtin(np.array(3))) is int
+    assert to_builtin(np.array(1 + 2j)) == {"re": 1.0, "im": 2.0}
+    payload = {"x": np.array(0.5), "z": np.array(1 + 2j)}
+    dump_json(payload, tmp_path / "scalars.json")
+    assert load_json(tmp_path / "scalars.json") == to_builtin(payload)
+
+
+def oracle(value) -> str:
+    """The bytes `dump_json` must write: json's own indented encoder,
+    after `to_builtin`."""
+    return json.dumps(to_builtin(value), sort_keys=True, indent=2) + "\n"
+
+
+class Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+# repr switches to exponent form below 1e-4 and from 1e16 on
+_EDGE_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+                                1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
+                                5e-324, 1.7976931348623157e308])
+_FLOATS = st.one_of(st.floats(), _EDGE_FLOATS)
+_TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t\r",
+                                              "caf\u00e9", "\u2028", "\U0001f600", ""]))
+_ARRAYS = hnp.arrays(
+    dtype=st.sampled_from([np.float64, np.float32, np.int64, np.uint8, np.bool_,
+                           np.complex128]),
+    shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT,
+    _TEXT.map(Label), st.integers().map(Count),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.complex_numbers(), st.complex_numbers().map(np.complex128), _ARRAYS,
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.builds(Pair, children, children),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(st.integers(-20, 20), children, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_PAYLOADS)
+@example({"a": [], "b": {}, "c": [[], {}], "d": [{}]})
+@example({"flags": [True, 1, False, 0, np.bool_(True), np.int64(1)]})
+@example({"keys": {"10": 1, "9": 2, "\u00e9": 3, "": 4}})
+def test_dump_json_writes_the_oracles_bytes(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "payload.json"
+        dump_json(payload, path)
+        assert path.read_text(encoding="utf-8") == oracle(payload)
+
+
+@given(_FLOATS)
+def test_to_builtin_gives_numpys_floats_as_exact_floats(x):
+    out = to_builtin(np.float64(x))
+    assert type(out) is float
+    assert out == x or (out != out and x != x)
