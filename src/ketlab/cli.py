@@ -21,12 +21,14 @@ the JSON Schema keywords `SCHEMAS` uses, so the runtime needs no schema
 library. Exit codes: 0 success, 2 configuration error, 3 precondition
 rejection, 4 internal-consistency failure, and also any other exception,
 reported with the stage it escaped (parse, resolve, compute, check or
-write).
+write). The argument parser is built on the first `main` call and reused
+by every later call in the process; importing this module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import platform
 import sys
@@ -167,6 +169,8 @@ def _float_list(value):
             raise ConfigError("expected a comma-separated list of numbers")
         return tuple(_as_float(p) for p in parts)
     if isinstance(value, (list, tuple)):
+        if not value:
+            raise ConfigError("expected a non-empty list of numbers")
         return tuple(_as_float(v) for v in value)
     raise ConfigError(f"expected a list of numbers, got {value!r}")
 
@@ -901,6 +905,12 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for every subcommand in COMMANDS, on every call.
+
+    This stays uncached: a profiler may re-wrap the returned parser's
+    `parse_args` on every build (perfbench's tracer does), and a cached
+    parser would stack those wrappers and keep them after the profiler is
+    removed. `main` reuses one parser through `_parser` instead."""
     parser = argparse.ArgumentParser(
         prog="ketlab",
         description="seeded quantum measurement experiments with artifact output",
@@ -928,6 +938,13 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 sub.add_argument(flag, default=_UNSET, help=param.help)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` parses with, built by `build_parser` on first use.
+    Parsing leaves no state on it, so every call may share it."""
+    return build_parser()
 
 
 def _read_json(path: str, what: str):
@@ -1110,9 +1127,11 @@ def run(cfg: RunConfig) -> list:
 
 
 def main(argv=None) -> int:
+    """Parse `argv`, resolve its configuration and run it; returns the exit
+    code. The parser is built on the first call and reused by later ones."""
     try:
         with _stage("parse"):
-            namespace = build_parser().parse_args(argv)
+            namespace = _parser().parse_args(argv)
         with _stage("resolve"):
             cfg = resolve_config(namespace)
         run(cfg)

@@ -191,6 +191,41 @@ def test_protective_optional_artifacts(tmp_path, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_an_empty_sweep_list_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, where):
+    """No coupling to sweep is a configuration error in either form: a
+    `--sweep-g` flag with no numbers, or an empty `sweep_g` list in a
+    config file, exits 2 and writes no header-only sweep CSV."""
+    monkeypatch.chdir(tmp_path)
+    if where == "flag":
+        argv = ["protective", "--n", "5", "--sweep-g", ","]
+        message = "expected a comma-separated list of numbers"
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"sweep_g": []}))
+        argv = ["--config", "cfg.json", "protective", "--n", "5"]
+        message = "expected a non-empty list of numbers"
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv) == 2
+    assert f"parameter 'sweep_g': {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["protective", "--help"]])
+def test_help_reads_the_same_from_the_shared_parser(capsys, argv):
+    """`main` prints each help text the same way twice in one process, as
+    a freshly built parser does."""
+    def help_text(parse):
+        with pytest.raises(SystemExit) as done:
+            parse(argv)
+        assert done.value.code == 0
+        return capsys.readouterr().out
+
+    fresh = help_text(ketlab.cli.build_parser().parse_args)
+    if argv == ["--help"]:
+        assert fresh == ketlab.cli.build_parser().format_help()
+    assert [help_text(main), help_text(main)] == [fresh, fresh]
+
+
 def _is_plain_json(value) -> bool:
     kind = type(value)
     if kind is dict:
@@ -511,7 +546,7 @@ def _divide_on_the_manifest(data, path):
 
 
 @pytest.mark.parametrize("stage,name,replacement", [
-    ("parse", "build_parser", _divide),
+    ("parse", "_parser", _divide),
     ("resolve", "resolve_config", _divide),
     ("compute", None, _divide),
     ("check", "validate_artifact", _divide),

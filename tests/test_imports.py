@@ -1,6 +1,8 @@
 """Cold-start cost: importing the package and running its commands never
 loads the LP solver, and no command needs scipy at all; nothing at run
 time loads `jsonschema` either. Both serve only as the tests' oracles.
+Importing `ketlab.cli` builds no argument parser; the first `main` call
+builds the one every later call reuses.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported `scipy.optimize` through other tests.
@@ -84,3 +86,22 @@ def test_cold_runs_do_not_load_jsonschema(tmp_path):
         tmp_path,
     )
     assert seen == [False, [0, False], [0, False], [0, False]]
+
+
+def test_the_parser_is_built_once_on_the_first_main_call(tmp_path):
+    seen = run_fresh(
+        "import json\n"
+        "import ketlab.cli\n"
+        "built_on_import = ketlab.cli._parser.cache_info().currsize\n"
+        "builds = []\n"
+        "build_parser = ketlab.cli.build_parser\n"
+        "def counted():\n"
+        "    builds.append(1)\n"
+        "    return build_parser()\n"
+        "ketlab.cli.build_parser = counted\n"
+        "codes = [ketlab.cli.main(argv) for argv in\n"
+        "         (['onto'], ['nogo', '--sweeps', '2'], ['steer', '--trials', '10'])]\n"
+        "print(json.dumps([built_on_import, codes, len(builds)]))\n",
+        tmp_path,
+    )
+    assert seen == [0, [0, 0, 0], 1]

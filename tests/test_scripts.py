@@ -72,6 +72,18 @@ def test_artifact_digests_cover_every_file_written(tmp_path):
         assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
 
+def test_the_shared_parser_carries_no_state_between_runs(tmp_path, monkeypatch):
+    """`main` parses every call with one parser; the digests of the same
+    runs made forward and in reverse order, in one process, agree."""
+    digests = load_script("artifact_digests")
+    forward, backward = tmp_path / "forward", tmp_path / "backward"
+    forward.mkdir()
+    backward.mkdir()
+    lines = digests.digest_lines(forward)
+    monkeypatch.setattr(digests, "COMMANDS", digests.COMMANDS[::-1])
+    assert digests.digest_lines(backward) == lines
+
+
 def test_every_golden_default_run_is_regenerated():
     """A default command added to the golden test must also be rebuilt by
     scripts/regenerate_golden.py, and the other way round."""
