@@ -11,26 +11,19 @@ then review the diff before committing.
 import os
 from pathlib import Path
 
-from ketlab.cli import main
+from ketlab import cli
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
-COMMANDS = (
-    ["protective"],
-    ["leak"],
-    ["scan"],
-    ["pbr"],
-    ["steer"],
-    ["onto"],
-    ["nogo"],
-)
+# every subcommand with no flags, in the order of the CLI's command table
+COMMANDS = tuple([name] for name in cli.COMMANDS)
 
 
 def regenerate() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     os.chdir(GOLDEN)
     for argv in COMMANDS:
-        code = main(list(argv))
+        code = cli.main(list(argv))
         if code != 0:
             raise SystemExit(f"ketlab {' '.join(argv)} exited {code}")
 

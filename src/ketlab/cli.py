@@ -9,20 +9,26 @@ shared-reality violation bound plus model evaluation), and `nogo` (overlap
 preservation under random unitaries).
 
 Configuration resolves in three layers, most specific winning: builtin
-defaults, then an optional --config JSON file, then explicit flags. Every
-run takes one master seed (default 7); trial-level randomness comes from
-counter-based substreams of it, so results do not depend on execution
-order. At run end every artifact and its manifest (config echo, seed,
-library versions) is converted once, checked against its own schema in
-memory, and only then written, from the very object that was checked. A
-run that fails the check writes nothing; a run whose write fails removes
-every file it started. The check is a small in-package reader of exactly
-the JSON Schema keywords `SCHEMAS` uses, so the runtime needs no schema
-library. Exit codes: 0 success, 2 configuration error, 3 precondition
-rejection, 4 internal-consistency failure, and also any other exception,
-reported with the stage it escaped (parse, resolve, compute, check or
-write). The argument parser is built on the first `main` call and reused
-by every later call in the process; importing this module builds nothing.
+defaults, then an optional --config JSON file, then explicit flags. The
+parser keeps only the flags that were typed, so the config file's values
+updated by those flags form one mapping of given values, and a parameter
+missing from it takes its default. A JSON null keeps a default of None
+(`"model": null` is no model); a null for any other parameter is a
+configuration error. Every run takes one master seed (default 7);
+trial-level randomness comes from counter-based substreams of it, so
+results do not depend on execution order. At run end every artifact and
+its manifest (config echo, seed, library versions, and each output's path
+relative to the manifest's own directory) is converted once, checked
+against its own schema in memory, and only then written, from the very
+object that was checked. A run that fails the check writes nothing; a
+run whose write fails removes every file it started. The check is a small
+in-package reader of exactly the JSON Schema keywords `SCHEMAS` uses, so
+the runtime needs no schema library. Exit codes: 0 success, 2
+configuration error, 3 precondition rejection, 4 internal-consistency
+failure, and also any other exception, reported with the stage it escaped
+(parse, resolve, compute, check or write). The argument parser is built on
+the first `main` call and reused by every later call in the process;
+importing this module builds nothing.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import platform
 import sys
 from contextlib import contextmanager
@@ -107,9 +114,6 @@ def parse_state_spec(spec: str) -> StateVector:
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_UNSET = object()
-
-
 def _as_int(value):
     if isinstance(value, bool):
         raise ConfigError("expected an integer, got a boolean")
@@ -161,8 +165,6 @@ def _choice(*options):
 
 
 def _float_list(value):
-    if value is None:
-        return None
     if isinstance(value, str):
         parts = [p for p in value.split(",") if p.strip()]
         if not parts:
@@ -187,10 +189,6 @@ def _state_pair(value):
     raise ConfigError(f"expected exactly two state specs, got {value!r}")
 
 
-def _opt_str(value):
-    return None if value is None else _as_str(value)
-
-
 def _path(fmt):
     """Artifact paths must end in their format's suffix: readers of a
     run's files tell JSON from CSV by it."""
@@ -200,11 +198,6 @@ def _path(fmt):
             raise ConfigError(f"expected a path ending in .{fmt}, got {text!r}")
         return text
     return coerce
-
-
-def _opt_path(fmt):
-    path = _path(fmt)
-    return lambda value: None if value is None else path(value)
 
 
 def _seed_value(value):
@@ -483,7 +476,7 @@ def validate_artifact(artifact: Artifact) -> Artifact:
     header, rows = artifact.payload
     parsers = _CSV_CELL_PARSERS.get(tuple(header))
     if parsers is None:
-        raise InternalError(f"unknown CSV layout in {name}: {header}")
+        raise InternalError(f"{name}:1: unknown CSV layout {header}")
     text_rows = []
     for lineno, row in enumerate(rows, start=2):
         if len(row) != len(parsers):
@@ -816,9 +809,9 @@ COMMANDS = {
                       "also reconstruct the state from x, y, z runs", is_flag=True),
                 Param("sweep_g", _float_list, None,
                       "comma-separated couplings for an error-vs-g CSV"),
-                Param("per_step_csv", _opt_path("csv"), None,
+                Param("per_step_csv", _path("csv"), None,
                       "write the per-cycle survival/pointer log to this CSV"),
-                Param("dump_joint", _opt_path("json"), None,
+                Param("dump_joint", _path("json"), None,
                       "write the final joint system+pointer state to this JSON"),
             ),
             runner=_run_protective,
@@ -879,12 +872,12 @@ COMMANDS = {
             params=(
                 Param("q", _as_float, 1.0, "shared-lambda weight in [0, 1]"),
                 Param("mc_trials", _as_int, 0, "Monte Carlo trials per scenario cell"),
-                Param("model", _opt_str, None,
+                Param("model", _as_str, None,
                       "model JSON to evaluate instead, or the literal 'orthodox'"),
                 Param("scenario", _choice("pbr", "qubit"), "pbr",
                       "scenario to evaluate --model against"),
-                Param("prep", _opt_str, None, "preparation id to predict (with --model)"),
-                Param("meas", _opt_str, None, "measurement id to predict (with --model)"),
+                Param("prep", _as_str, None, "preparation id to predict (with --model)"),
+                Param("meas", _as_str, None, "measurement id to predict (with --model)"),
             ),
             runner=_run_onto,
         ),
@@ -914,29 +907,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ketlab",
         description="seeded quantum measurement experiments with artifact output",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--config", default=None, metavar="FILE",
+    parser.add_argument("--config", metavar="FILE",
                         help="JSON file of defaults for the chosen subcommand")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for spec in COMMANDS.values():
-        sub = subparsers.add_parser(spec.name, help=spec.help)
-        sub.add_argument("--seed", default=_UNSET,
-                         help=f"master seed (default {DEFAULT_SEED})")
-        sub.add_argument("--output", "-o", default=_UNSET, metavar="PATH",
+        sub = subparsers.add_parser(spec.name, help=spec.help,
+                                    argument_default=argparse.SUPPRESS)
+        sub.add_argument("--seed", help=f"master seed (default {DEFAULT_SEED})")
+        sub.add_argument("--output", "-o", metavar="PATH",
                          help=f"artifact path (default {spec.name}.{spec.formats[0]})")
         if len(spec.formats) > 1:
-            sub.add_argument("--format", default=_UNSET, choices=spec.formats,
+            sub.add_argument("--format", choices=spec.formats,
                              help=f"artifact format (default {spec.formats[0]})")
         for param in spec.params:
             flag = "--" + param.name.replace("_", "-")
             if param.is_flag:
-                sub.add_argument(flag, action="store_true", default=_UNSET,
-                                 help=param.help)
-            elif param.nargs:
-                sub.add_argument(flag, nargs=param.nargs, default=_UNSET,
-                                 help=param.help)
+                sub.add_argument(flag, action="store_true", help=param.help)
             else:
-                sub.add_argument(flag, default=_UNSET, help=param.help)
+                sub.add_argument(flag, nargs=param.nargs, help=param.help)
     return parser
 
 
@@ -979,30 +969,32 @@ def _load_config_file(path: str, spec: CommandSpec) -> dict:
 
 
 def resolve_config(namespace: argparse.Namespace) -> RunConfig:
-    """Merge builtin defaults, the config file, and explicit flags."""
-    spec = COMMANDS[namespace.subcommand]
-    file_cfg = (_load_config_file(namespace.config, spec)
-                if namespace.config else {})
+    """Merge builtin defaults, the config file, and explicit flags.
 
-    def pick(name, cli_value, coerce, default):
-        raw = cli_value if cli_value is not _UNSET else file_cfg.get(name, _UNSET)
-        if raw is _UNSET:
+    The parser keeps only the flags that were typed, so the config file's
+    values updated by those flags are the one mapping of given values.
+    Each parameter coerces its given value or, when none was given, takes
+    its default. A JSON null keeps a default of None and is a config error
+    for any other parameter. `namespace` is left as it was."""
+    flags = dict(vars(namespace))
+    spec = COMMANDS[flags.pop("subcommand")]
+    config = flags.pop("config", None)
+    given = {**(_load_config_file(config, spec) if config else {}), **flags}
+
+    def pick(name, coerce, default):
+        if name not in given or (given[name] is None and default is None):
             return default
         try:
-            return coerce(raw)
+            return coerce(given[name])
         except ConfigError as exc:
             raise ConfigError(f"parameter {name!r}: {exc}") from None
 
-    seed = pick("seed", namespace.seed, _seed_value, DEFAULT_SEED)
-    fmt = pick("format", getattr(namespace, "format", _UNSET),
-               _choice(*spec.formats), spec.formats[0])
-    output = pick("output", namespace.output, _path(fmt), f"{spec.name}.{fmt}")
-    params = {
-        param.name: pick(param.name, getattr(namespace, param.name),
-                         param.coerce, param.default)
-        for param in spec.params
-    }
-    _check_distinct_artifacts(Path(output), params, namespace.config)
+    seed = pick("seed", _seed_value, DEFAULT_SEED)
+    fmt = pick("format", _choice(*spec.formats), spec.formats[0])
+    output = pick("output", _path(fmt), f"{spec.name}.{fmt}")
+    params = {param.name: pick(param.name, param.coerce, param.default)
+              for param in spec.params}
+    _check_distinct_artifacts(Path(output), params, config)
     return RunConfig(
         subcommand=spec.name, seed=seed, output=Path(output), format=fmt,
         params=params,
@@ -1060,7 +1052,7 @@ def _manifest(cfg: RunConfig, paths: list) -> dict:
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "outputs": [p.name for p in paths],
+        "outputs": [os.path.relpath(p, _manifest_path(cfg.output).parent) for p in paths],
     }
 
 

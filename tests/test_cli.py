@@ -716,7 +716,9 @@ def test_scan_gaussian_profile(tmp_path, monkeypatch):
 
 
 # every subcommand at its defaults, with the artifact it writes; each has a
-# golden, and scripts/regenerate_golden.py rebuilds them from the same list
+# golden. scripts/regenerate_golden.py rebuilds them by running each command
+# of ketlab.cli.COMMANDS with no flags, and tests/test_scripts.py checks that
+# those runs are this list
 DEFAULT_RUNS = [
     (["protective"], "protective.json"),
     (["leak"], "leak.json"),
@@ -757,3 +759,82 @@ def test_default_steer_is_byte_identical_to_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["steer"]) == 0
     assert (tmp_path / "steer.json").read_bytes() == (GOLDEN_DIR / "steer.json").read_bytes()
+
+
+def test_manifest_lists_outputs_relative_to_its_own_directory(tmp_path, monkeypatch):
+    """Two artifacts with one name in two directories stay apart in the
+    manifest, which lists each path as seen from its own directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert main(["protective", "--n", "5", "-o", "a/x.json", "--dump-joint", "b/x.json"]) == 0
+    manifest = load_json(tmp_path / "a" / "x.json.manifest.json")
+    assert manifest["outputs"] == ["x.json", "../b/x.json"]
+    for name in manifest["outputs"]:
+        assert (tmp_path / "a" / name).is_file()
+
+
+def test_manifest_beside_its_artifacts_lists_bare_names(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    assert main(["protective", "--n", "5", "-o", "out/p.json",
+                 "--per-step-csv", str(tmp_path / "out" / "s.csv")]) == 0
+    assert read_manifest(tmp_path / "out", "p.json")["outputs"] == ["p.json", "s.csv"]
+
+
+@pytest.mark.parametrize("header,rows,where", [
+    (("step", "survival"), [(1, 0.5)], "bad.csv:1"),
+    (("step", "survival", "pointer_mean"), [(1, 0.5)], "bad.csv:2"),
+    (("step", "survival", "pointer_mean"), [(1, 0.5, 0.0), (3.5, 0.5, 0.0)], "bad.csv:3"),
+    (("step", "survival", "pointer_mean"), [(1, None, 0.0)], "bad.csv:2"),
+])
+def test_the_csv_check_names_the_file_and_line_it_rejects(tmp_path, header, rows, where):
+    """An unknown header, a row of the wrong length and a cell its
+    column's parser rejects (3.5 as a step, None as a float) each fail."""
+    with pytest.raises(InternalError, match=f"^{where}: "):
+        validate_artifact(Artifact(tmp_path / "bad.csv", "csv", (header, rows)))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_run_whose_csv_fails_the_check_writes_nothing(tmp_path, monkeypatch, capsys):
+    def bad_step_runner(cfg):
+        rows = [(1, 0.5, 0.0), (2.5, 0.5, 0.0)]
+        return [Artifact(cfg.output, "csv", (ketlab.cli.PER_STEP_HEADER, rows))], "summary"
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(COMMANDS, "scan",
+                        dataclasses.replace(COMMANDS["scan"], runner=bad_step_runner))
+    assert main(["scan"]) == 4
+    assert "scan.csv:3: cell '2.5' fails int" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sampled_protective_run_that_aborts_says_where(tmp_path, monkeypatch, capsys):
+    """The seed is the first whose sampled run, at the CLI's defaults but
+    for n and g, aborts in the library."""
+    psi, grid = ketlab.qubit_state(0.5236, 0.0), ketlab.default_grid(1.0, 512)
+    seed, step = next(
+        (seed, run.aborted_at_step) for seed in range(100)
+        for run in [ketlab.protective_measure(psi, ketlab.sigma_z(), n=40, g=0.2, grid=grid,
+                                              mode="sampled", seed=seed)]
+        if run.aborted_at_step is not None
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["protective", "--mode", "sampled", "--n", "40", "--g", "0.2",
+                 "--seed", str(seed)]) == 0
+    assert f"sampled run aborted at protection step {step}\n" in capsys.readouterr().out
+    assert load_json(tmp_path / "protective.json")["run"]["aborted_at_step"] == step
+
+
+def test_a_sweep_point_without_an_expectation_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["protective", "--n", "5", "--sweep-g", "0,0.005"]) == 3
+    assert "sweep coupling g=0.0 yields no inferred expectation" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_prediction_needs_both_prep_and_meas(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["onto", "--model", "orthodox", "--prep", "0"]) == 2
+    assert "--prep and --meas must be given together" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

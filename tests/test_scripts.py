@@ -7,6 +7,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import ketlab.cli
 from ketlab.ontology import DUALITY_GAP_TOL
 
 TESTS = Path(__file__).resolve().parent
@@ -90,6 +91,15 @@ def test_every_golden_default_run_is_regenerated():
     golden_runs = load_module("golden_runs", TESTS / "test_cli.py").DEFAULT_RUNS
     commands = load_script("regenerate_golden").COMMANDS
     assert [argv for argv, _ in golden_runs] == list(commands)
+
+
+def test_regenerate_golden_runs_each_command_of_the_cli(monkeypatch):
+    """The script's runs come from the CLI's command table, so a command
+    added there is regenerated without a second list to keep in step."""
+    monkeypatch.setitem(ketlab.cli.COMMANDS, "added", ketlab.cli.COMMANDS["leak"])
+    commands = load_script("regenerate_golden").COMMANDS
+    assert list(commands) == [[name] for name in ketlab.cli.COMMANDS]
+    assert commands[-1] == ["added"]
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
