@@ -43,6 +43,11 @@ COMMANDS = (
      "--dump-joint", "sampled_joint.json", "-o", "sampled.json"],
     ["protective", "--sweep-g", "0.002,0.005,0.01", "-o", "sweep.json"],
     ["protective", "--n", "800", "--grid-points", "1024", "-o", "big.json"],
+    # steer off its defaults, and nogo on another pair
+    ["steer", "--basis", "x", "--trials", "7", "-o", "steer_x.json"],
+    ["steer", "--basis", "z", "--trials", "0", "-o", "steer_z0.json"],
+    ["steer", "--trials", "5000", "--seed", "12345", "-o", "steer_big.json"],
+    ["nogo", "--pair", "+", "-", "--sweeps", "20", "-o", "nogo_pm.json"],
 )
 
 

@@ -35,7 +35,6 @@ from .hilbert import (
     eigendecompose,
     equal_up_to_phase,
     expectation,
-    haar_random_state,
     haar_random_unitary,
     inner_product,
     ket_minus,
@@ -43,9 +42,7 @@ from .hilbert import (
     ket_plus,
     ket_zero,
     pauli_operators,
-    projector,
     qubit_state,
-    random_observable,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -61,9 +58,6 @@ from .measurement import (
     couple_pointer,
     default_grid,
     make_pointer,
-    pointer_marginal,
-    pointer_position_mean,
-    product_state,
     strong_measure,
 )
 from .ontology import (

@@ -50,6 +50,7 @@ from . import __version__
 from .errors import ConfigError, InternalError, LabError, PreconditionError
 from .hilbert import (
     StateVector,
+    _checked_count,
     equal_up_to_phase,
     expectation,
     haar_random_unitary,
@@ -644,8 +645,7 @@ def _run_steer(cfg: RunConfig):
     outcome table, which is computed once per basis; `uniform_chunks`
     draws a basis's rounds as arrays and `inverse_cdf` walks them."""
     p = cfg.params
-    if p["trials"] < 0:
-        raise PreconditionError(f"trials must be >= 0, got {p['trials']}")
+    _checked_count(p["trials"], "trials")
     bases = ("z", "x") if p["basis"] == "both" else (p["basis"],)
     stream = 0
     out = {}
@@ -683,8 +683,7 @@ def _run_steer(cfg: RunConfig):
 
 def _run_onto(cfg: RunConfig):
     p = cfg.params
-    if p["mc_trials"] < 0:
-        raise PreconditionError(f"mc_trials must be >= 0, got {p['mc_trials']}")
+    _checked_count(p["mc_trials"], "mc_trials")
     if p["model"] is None:
         if p["prep"] is not None or p["meas"] is not None:
             raise ConfigError("--prep/--meas only apply when --model is given")
@@ -746,8 +745,7 @@ def _run_onto(cfg: RunConfig):
 
 def _run_nogo(cfg: RunConfig):
     p = cfg.params
-    if p["sweeps"] < 0:
-        raise PreconditionError(f"sweeps must be >= 0, got {p['sweeps']}")
+    _checked_count(p["sweeps"], "sweeps")
     ready = parse_state_spec(p["ready"])
     s1 = parse_state_spec(p["pair"][0])
     s2 = parse_state_spec(p["pair"][1])

@@ -280,11 +280,6 @@ def expectation(op: HermitianOperator, psi: StateVector) -> float:
     return float(val.real)
 
 
-def projector(psi: StateVector) -> HermitianOperator:
-    """|psi><psi| as a HermitianOperator."""
-    return HermitianOperator(psi.dim, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-
-
 def eigendecompose(op: HermitianOperator) -> EigenDecomposition:
     """Full eigendecomposition with ascending eigenvalues.
 
@@ -375,11 +370,6 @@ def pauli_operators() -> tuple:
 # ---------------------------------------------------------------------------
 # random instances (tests, sweeps)
 
-def haar_random_state(dim: int, rng: np.random.Generator) -> StateVector:
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector.normalized(z)
-
-
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
@@ -387,11 +377,3 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     # fix the phase ambiguity so the distribution is exactly Haar
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def random_observable(dim: int, rng: np.random.Generator,
-                      max_eigenvalue: float = 1.0) -> HermitianOperator:
-    """Random Hermitian with Haar eigenvectors and spectrum in [-m, m]."""
-    u = haar_random_unitary(dim, rng)
-    vals = rng.uniform(-max_eigenvalue, max_eigenvalue, size=dim)
-    return HermitianOperator(dim, (u * vals) @ u.conj().T)

@@ -325,13 +325,6 @@ def make_pointer(grid: PointerGrid, width: float) -> GridWavefunction:
     return GridWavefunction.normalized(grid, chi)
 
 
-def product_state(system: StateVector, pointer: GridWavefunction) -> JointSystemPointerState:
-    """system (x) pointer as a joint state."""
-    return JointSystemPointerState(
-        system.dim, pointer.grid, np.outer(system.amplitudes, pointer.amplitudes)
-    )
-
-
 def coupling_phases(eig: EigenDecomposition, g: float, grid: PointerGrid,
                     couplings: int) -> np.ndarray:
     """Rows exp(-i g a_j p) over the grid momenta p, one per eigenvalue a_j.
@@ -408,14 +401,3 @@ def couple_pointer(joint: JointSystemPointerState, op: HermitianOperator, g: flo
     spectra = np.fft.fft(v.conj().T @ joint.amplitudes, axis=1)   # rows: eigencomponents
     shifted = np.fft.ifft(spectra * phases, axis=1)
     return JointSystemPointerState(joint.system_dim, joint.grid, v @ shifted)
-
-
-def pointer_marginal(joint: JointSystemPointerState) -> np.ndarray:
-    """Position probability density of the pointer (sums to 1 over dx)."""
-    return np.sum(np.abs(joint.amplitudes) ** 2, axis=0)
-
-
-def pointer_position_mean(joint: JointSystemPointerState) -> float:
-    """First moment of the pointer position distribution."""
-    density = pointer_marginal(joint)
-    return float(np.sum(joint.grid.positions * density) * joint.grid.spacing)

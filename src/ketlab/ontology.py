@@ -384,8 +384,8 @@ def _forbidden_cost(q: float) -> tuple:
     holds the weights over lambda pairs of the preparation that forbids
     outcome k: what a response table pays, in that preparation's
     violation, per unit of mass it puts on outcome k in a pair's row."""
+    model = paired_shared_reality_model(q)   # checks q before any other work
     pairing = _forbidden_map(pbr_scenario())
-    model = paired_shared_reality_model(q)
     weights = np.stack([model.preparations[p] for p in PREPARATION_IDS])
     forbidden = tuple(pairing[p] for p in PREPARATION_IDS)
     return weights[np.argsort(forbidden)], forbidden, model.lambda_space.labels
@@ -420,8 +420,6 @@ def pbr_min_violation(q: float) -> ViolationBound:
     numpy: a gap above DUALITY_GAP_TOL is reported as indeterminate
     (CertificationError), never silently rounded.
     """
-    if not 0.0 <= _finite_real(q, "shared weight q") <= 1.0:
-        raise PreconditionError(f"shared weight q must lie in [0, 1], got {q!r}")
     cost, forbidden, pair_labels = _forbidden_cost(q)
     witness = _even_split(cost)
     violations = _violations(cost, forbidden, witness)

@@ -26,22 +26,17 @@ import numpy as np
 from .errors import InternalError, PreconditionError
 from .hilbert import (
     EigenDecomposition,
-    HermitianOperator,
     StateVector,
     _checked_count,
     _real_array,
     canonical_phase,
-    eigendecompose,
     ket_minus,
     ket_one,
     ket_plus,
     ket_zero,
-    sigma_x,
-    sigma_z,
     tensor,
 )
-from .measurement import (Scenario, born_outcomes, born_probabilities, draw_outcome,
-                          inverse_cdf)
+from .measurement import Scenario, born_probabilities, draw_outcome, inverse_cdf
 from .rngs import as_generator, uniform_chunks
 
 ORTHONORMAL_TOL = 1e-12   # basis Gram deviation allowed
@@ -195,21 +190,6 @@ def _singlet() -> StateVector:
     return StateVector(4, amps)
 
 
-def _alice_observable(basis: str) -> HermitianOperator:
-    if basis == "z":
-        qubit_op = -sigma_z().matrix       # |1><1| - |0><0|
-    elif basis == "x":
-        qubit_op = sigma_x().matrix        # |+><+| - |-><-|
-    else:
-        raise PreconditionError(f"alice_basis must be 'z' or 'x', got {basis!r}")
-    return HermitianOperator(4, np.kron(qubit_op, np.eye(2)))
-
-
-def _bob_reduced(joint_amps: np.ndarray) -> np.ndarray:
-    c = joint_amps.reshape(2, 2)
-    return c.T @ c.conj()
-
-
 @dataclass(frozen=True, eq=False)
 class SteeringTable:
     """Alice's outcomes in one basis, with everything a round needs.
@@ -242,26 +222,36 @@ class SteeringTable:
 def steering_table(alice_basis: str) -> SteeringTable:
     """Tabulate Alice's measurement of her half of the singlet.
 
-    In the z basis (outcome operator |1><1| - |0><0|) outcome +1 leaves Bob
-    in |0> and outcome -1 in |1>; in the x basis outcome +1 leaves Bob in
-    |-> and -1 in |+>. Either way each outcome has probability 1/2, and the
-    marginal check averages Bob's reduced state over the projections with
-    their Born weights, not over sampled outcomes.
+    Alice's outcomes are -1 and +1, with her qubit kets a_k: |0> and |1>
+    in the z basis (outcome operator |1><1| - |0><0|), |-> and |+> in the
+    x basis. With the singlet's amplitudes as the 2x2 matrix C, outcome k
+    leaves Bob in b_k = a_k^H C, unnormalized, with Born weight |b_k|^2:
+    outcome +1 leaves him in |0> (z) or |-> (x), and -1 in |1> or |+>.
+    Each outcome has probability 1/2, and the marginal check averages
+    Bob's state over the outcomes with their Born weights, sum_k b_k b_k^H,
+    not over sampled outcomes.
     """
-    eig = eigendecompose(_alice_observable(alice_basis))
-    eigenvalues, weights, projections = born_outcomes(_singlet(), eig)
-    averaged = np.zeros((2, 2), dtype=complex)
+    if alice_basis == "z":
+        kets = (ket_zero(), ket_one())
+    elif alice_basis == "x":
+        kets = (ket_minus(), ket_plus())
+    else:
+        raise PreconditionError(f"alice_basis must be 'z' or 'x', got {alice_basis!r}")
+    amps = _singlet().amplitudes.reshape(2, 2)
+    conditionals = [a.amplitudes.conj() @ amps for a in kets]
+    weights = np.array([np.vdot(b, b).real for b in conditionals])
+    unnormalized = [np.outer(b, b.conj()) for b in conditionals]
     bob_states = []
-    for projected in projections:
-        averaged += _bob_reduced(projected)
-        collapsed = StateVector.normalized(projected)
-        _, vecs = np.linalg.eigh(_bob_reduced(collapsed.amplitudes))
+    for rho, weight in zip(unnormalized, weights):
+        # an eigenvector, not b / |b|: the phase flip of b's exact zero
+        # would write -0.0 into the artifact
+        _, vecs = np.linalg.eigh(rho / weight)
         bob_states.append(StateVector.normalized(canonical_phase(vecs[:, -1])))
-    deviation = averaged - np.eye(2) / 2.0
+    deviation = sum(unnormalized) - np.eye(2) / 2.0
     weights.setflags(write=False)
     return SteeringTable(
         alice_basis=alice_basis,
-        eigenvalues=eigenvalues,
+        eigenvalues=(-1.0, 1.0),
         weights=weights,
         bob_states=tuple(bob_states),
         bob_marginal_check=float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(deviation)))),

@@ -15,7 +15,6 @@ from ketlab import (
     epr_steering,
     equal_up_to_phase,
     expectation,
-    haar_random_state,
     haar_random_unitary,
     ket_minus,
     ket_one,
@@ -35,7 +34,6 @@ from ketlab import (
     protective_tomography,
     qubit_scenario,
     qubit_state,
-    random_observable,
     sigma_z,
     substream,
 )
@@ -43,6 +41,7 @@ from ketlab.measurement import default_grid
 from ketlab.pbr import _forbidden_map
 from ketlab.weak import direct_wavefunction_scan, momentum_zero_amplitude
 from ketlab.measurement import GridWavefunction
+from oracles import haar_random_state, random_observable
 
 
 def run_criterion(number, name, budget_seconds, body):

@@ -331,6 +331,32 @@ def test_precondition_exits(tmp_path, monkeypatch):
     assert main(["pbr", "--trials", "-5"]) == 3
 
 
+def test_a_pair_from_a_flag_or_a_config_file_writes_the_same_bytes(tmp_path, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"pair": ["+", "-"]}))
+    written = []
+    for name, argv in (("flag", ["nogo", "--pair", "+", "-"]),
+                       ("file", ["--config", str(config), "nogo"])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(argv) == 0
+        written.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert sorted(written[0]) == ["nogo.json", "nogo.json.manifest.json"]
+    assert written[0] == written[1]
+    assert load_json(tmp_path / "flag" / "nogo.json")["pair"] == ["+", "-"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["nogo", "--pair", "0", "q"],
+    ["nogo", "--seed", "-1"],
+    ["nogo", "--seed", str(2 ** 64)],
+])
+def test_a_bad_pair_or_seed_exits_2_and_writes_nothing(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_leak_negative_steps_exits_3(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["leak", "--n", "-5"]) == 3
@@ -514,6 +540,19 @@ def test_a_run_that_fails_validation_leaves_no_files(tmp_path, monkeypatch):
     monkeypatch.setitem(COMMANDS, "steer",
                         dataclasses.replace(COMMANDS["steer"], runner=invalid_runner))
     assert main(["steer"]) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_artifact_of_unknown_kind_exits_4_and_writes_nothing(tmp_path, monkeypatch,
+                                                                 capsys):
+    def unknown_kind_runner(cfg):
+        return [Artifact(cfg.output, "json", {"kind": "ketlab/nope"})], "summary"
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(COMMANDS, "steer",
+                        dataclasses.replace(COMMANDS["steer"], runner=unknown_kind_runner))
+    assert main(["steer"]) == 4
+    assert "steer.json has no 'kind' with a schema" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -12,6 +12,7 @@ trials and 5 sweeps), so no example asks for a large allocation.
 import contextlib
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -141,6 +142,18 @@ def _snapshot(directory: Path) -> dict:
             for p in directory.rglob("*")}
 
 
+@contextlib.contextmanager
+def _chdir(path):
+    """Run the body in `path`, then return to the previous directory
+    (`contextlib.chdir` needs Python 3.11; the package supports 3.10)."""
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)
@@ -163,7 +176,7 @@ def test_random_invocations_keep_the_exit_code_contract(name):
                 (root / "cfg.json").write_text(json.dumps(config))
                 argv = ["--config", "cfg.json", *argv]
             before = _snapshot(root)
-            with contextlib.chdir(root):
+            with _chdir(root):
                 code = _exit_code(argv)
             assert code in CONTRACT_EXITS, (argv, config, code)
             if code != 0:

@@ -14,7 +14,6 @@ from ketlab.hilbert import (
     eigendecompose,
     equal_up_to_phase,
     expectation,
-    haar_random_state,
     haar_random_unitary,
     inner_product,
     ket_minus,
@@ -22,9 +21,7 @@ from ketlab.hilbert import (
     ket_plus,
     ket_zero,
     pauli_operators,
-    projector,
     qubit_state,
-    random_observable,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -32,6 +29,7 @@ from ketlab.hilbert import (
 )
 from ketlab.measurement import JointSystemPointerState
 from ketlab.ontology import OntologicalModel
+from oracles import haar_random_state, projector, random_observable
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 seeds = st.integers(0, 2 ** 32 - 1)

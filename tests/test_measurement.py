@@ -18,7 +18,6 @@ from ketlab.hilbert import (
     ket_plus,
     ket_zero,
     qubit_state,
-    random_observable,
     sigma_z,
 )
 from ketlab.measurement import (
@@ -34,11 +33,9 @@ from ketlab.measurement import (
     draw_outcome,
     inverse_cdf,
     make_pointer,
-    pointer_marginal,
-    pointer_position_mean,
-    product_state,
     strong_measure,
 )
+from oracles import pointer_marginal, pointer_position_mean, product_state, random_observable
 
 seeds = st.integers(0, 2 ** 32 - 1)
 angles = st.floats(-6.0, 6.0, allow_nan=False)

@@ -9,6 +9,7 @@ import pytest
 import ketlab
 
 from ketlab import (
+    HermitianOperator,
     PbrCounts,
     PreconditionError,
     StateVector,
@@ -24,6 +25,8 @@ from ketlab import (
     pbr_experiment,
     pbr_scenario,
     preparation_states,
+    sigma_x,
+    sigma_z,
     steering_table,
     strong_measure,
     substream,
@@ -34,8 +37,6 @@ from ketlab.measurement import born_probabilities
 from ketlab.pbr import (
     PREPARATION_IDS,
     SteeringSample,
-    _alice_observable,
-    _bob_reduced,
     _forbidden_map,
     _singlet,
 )
@@ -316,6 +317,21 @@ def test_steering_outcomes_are_unbiased():
     ups = sum(epr_steering("z", seed).alice_outcome == 1.0 for seed in range(400))
     # 5 sigma around 200 at sd = 10
     assert 150 <= ups <= 250
+
+
+def _alice_observable(basis: str) -> HermitianOperator:
+    if basis == "z":
+        qubit_op = -sigma_z().matrix       # |1><1| - |0><0|
+    elif basis == "x":
+        qubit_op = sigma_x().matrix        # |+><+| - |-><-|
+    else:
+        raise PreconditionError(f"alice_basis must be 'z' or 'x', got {basis!r}")
+    return HermitianOperator(4, np.kron(qubit_op, np.eye(2)))
+
+
+def _bob_reduced(joint_amps: np.ndarray) -> np.ndarray:
+    c = joint_amps.reshape(2, 2)
+    return c.T @ c.conj()
 
 
 def reference_steering(alice_basis, seed):

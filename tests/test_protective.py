@@ -17,7 +17,6 @@ from ketlab import (
     default_grid,
     equal_up_to_phase,
     expectation,
-    haar_random_state,
     ket_one,
     ket_plus,
     ket_zero,
@@ -26,7 +25,6 @@ from ketlab import (
     protective_measure,
     protective_tomography,
     qubit_state,
-    random_observable,
     reconstruct_state,
     sigma_x,
     sigma_y,
@@ -39,11 +37,10 @@ from ketlab.measurement import (
     JointSystemPointerState,
     couple_pointer,
     make_pointer,
-    pointer_position_mean,
-    product_state,
 )
 from ketlab.protective import StepRecord, _protective_loop
 from ketlab.rngs import as_generator
+from oracles import haar_random_state, pointer_position_mean, product_state, random_observable
 
 
 @pytest.fixture

@@ -31,9 +31,9 @@ from ketlab import (
     weak_pointer_shift,
     weak_value,
 )
-from ketlab.hilbert import haar_random_state, random_observable
-from ketlab.measurement import PointerGrid, couple_pointer, product_state
+from ketlab.measurement import PointerGrid, couple_pointer
 from ketlab.protective import protective_measure
+from oracles import haar_random_state, product_state, random_observable
 
 
 def gaussian_packet(grid, sigma, offset=0.0, phase=0.0):
