@@ -43,6 +43,10 @@ COMMANDS = (
      "--dump-joint", "sampled_joint.json", "-o", "sampled.json"],
     ["protective", "--sweep-g", "0.002,0.005,0.01", "-o", "sweep.json"],
     ["protective", "--n", "800", "--grid-points", "1024", "-o", "big.json"],
+    # a sampled run that aborts at step 28, through `couple_pointer`
+    ["protective", "--mode", "sampled", "--n", "40", "--g", "0.2", "--seed", "0",
+     "--dump-joint", "abort_joint.json", "--per-step-csv", "abort_steps.csv",
+     "-o", "abort.json"],
     # steer off its defaults, and nogo on another pair
     ["steer", "--basis", "x", "--trials", "7", "-o", "steer_x.json"],
     ["steer", "--basis", "z", "--trials", "0", "-o", "steer_z0.json"],

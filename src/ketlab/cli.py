@@ -16,19 +16,20 @@ missing from it takes its default. A JSON null keeps a default of None
 (`"model": null` is no model); a null for any other parameter is a
 configuration error. Every run takes one master seed (default 7);
 trial-level randomness comes from counter-based substreams of it, so
-results do not depend on execution order. At run end every artifact and
-its manifest (config echo, seed, library versions, and each output's path
-relative to the manifest's own directory) is converted once, checked
-against its own schema in memory, and only then written, from the very
-object that was checked. A run that fails the check writes nothing; a
-run whose write fails removes every file it started. The check is a small
-in-package reader of exactly the JSON Schema keywords `SCHEMAS` uses, so
-the runtime needs no schema library. Exit codes: 0 success, 2
-configuration error, 3 precondition rejection, 4 internal-consistency
-failure, and also any other exception, reported with the stage it escaped
-(parse, resolve, compute, check or write). The argument parser is built on
-the first `main` call and reused by every later call in the process;
-importing this module builds nothing.
+results do not depend on execution order. Each runner builds its JSON
+payloads from plain Python values, every numpy array converted once by its
+own `tolist()`. At run end every artifact and its manifest (config echo,
+seed, library versions, and each output's path relative to the manifest's
+own directory) is checked against its own schema in memory, as built, and
+only then written, from the very object that was checked. A run that fails
+the check writes nothing; a run whose write fails removes every file it
+started. The check is a small in-package reader of exactly the JSON Schema
+keywords `SCHEMAS` uses, so the runtime needs no schema library. Exit
+codes: 0 success, 2 configuration error, 3 precondition rejection, 4
+internal-consistency failure, and also any other exception, reported with
+the stage it escaped (parse, resolve, compute, check or write). The
+argument parser is built on the first `main` call and reused by every
+later call in the process; importing this module builds nothing.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from .pbr import overlap_preservation_check, pbr_experiment, pbr_scenario, steer
 from .protective import (DEFAULT_COUPLING, DEFAULT_STEPS, protection_leak,
                          protective_measure, protective_tomography)
 from .rngs import substream, uniform_chunks
-from .serialize import dump_json, format_cell, load_json, to_builtin, write_csv
+from .serialize import dump_json, format_cell, load_json, write_csv
 from .weak import direct_wavefunction_scan, momentum_zero_amplitude
 
 DEFAULT_SEED = 7
@@ -420,7 +421,7 @@ _JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, flo
 
 
 def _is_type(value, name: str) -> bool:
-    """JSON Schema's type test on `to_builtin` output, with a strict
+    """JSON Schema's type test on plain JSON values, with a strict
     integer: a count that was computed as 3.0 fails, although the dialect
     accepts it. A bool is neither a number nor an integer."""
     if isinstance(value, bool):
@@ -462,18 +463,18 @@ def _schema_error(schema: dict, value, where: str = "$") -> str | None:
 def validate_artifact(artifact: Artifact) -> Artifact:
     """Check an artifact against its schema before it is written and
     return it in the form that is checked and written; InternalError on
-    failure. A JSON payload is converted once by `to_builtin` and checked
-    as that; a CSV artifact comes back with each cell as the `format_cell`
-    text its parser accepted."""
+    failure. A JSON payload, plain JSON as its runner built it, is checked
+    as it is and the very artifact given comes back; a CSV artifact comes
+    back with each cell as the `format_cell` text its parser accepted."""
     name = artifact.path.name
     if artifact.fmt == "json":
-        data = to_builtin(artifact.payload)
+        data = artifact.payload
         if not isinstance(data, dict) or data.get("kind") not in SCHEMAS:
             raise InternalError(f"artifact {name} has no 'kind' with a schema")
         error = _schema_error(SCHEMAS[data["kind"]], data)
         if error is not None:
             raise InternalError(f"artifact {name} fails its schema: {error}")
-        return Artifact(artifact.path, "json", data)
+        return artifact
     header, rows = artifact.payload
     parsers = _CSV_CELL_PARSERS.get(tuple(header))
     if parsers is None:
@@ -529,8 +530,8 @@ def _run_protective(cfg: RunConfig):
         }
     artifacts = [Artifact(cfg.output, "json", data)]
     if p["per_step_csv"] is not None:
-        rows = [(r.step, r.survival, r.pointer_mean) for r in result.per_step_log]
-        artifacts.append(Artifact(Path(p["per_step_csv"]), "csv", (PER_STEP_HEADER, rows)))
+        artifacts.append(Artifact(Path(p["per_step_csv"]), "csv",
+                                  (PER_STEP_HEADER, result.per_step_log)))
     if p["sweep_g"] is not None:
         rows = []
         for g in p["sweep_g"]:
@@ -608,10 +609,8 @@ def _run_scan(cfg: RunConfig):
     scan = direct_wavefunction_scan(psi)
     p0 = momentum_zero_amplitude(psi)
     reconstruction_error = float(np.max(np.abs(scan * p0 - psi.amplitudes)))
-    rows = [
-        (float(x), float(s.real), float(s.imag), float(a.real), float(a.imag))
-        for x, s, a in zip(psi.grid.positions, scan, psi.amplitudes)
-    ]
+    rows = np.column_stack((psi.grid.positions, scan.real, scan.imag,
+                            psi.amplitudes.real, psi.amplitudes.imag)).tolist()
     summary = (
         f"scanned {len(rows)} points; max |scan * p0 - psi| = "
         f"{reconstruction_error:.3e}"
@@ -684,9 +683,11 @@ def _run_steer(cfg: RunConfig):
 def _run_onto(cfg: RunConfig):
     p = cfg.params
     _checked_count(p["mc_trials"], "mc_trials")
+    if p["model"] is None and (p["prep"] is not None or p["meas"] is not None):
+        raise ConfigError("--prep/--meas only apply when --model is given")
+    if (p["prep"] is None) != (p["meas"] is None):
+        raise ConfigError("--prep and --meas must be given together")
     if p["model"] is None:
-        if p["prep"] is not None or p["meas"] is not None:
-            raise ConfigError("--prep/--meas only apply when --model is given")
         bound = pbr_min_violation(p["q"])
         data = {"kind": "ketlab/violation-bound", "command": "onto",
                 **bound.to_json_dict()}
@@ -710,7 +711,6 @@ def _run_onto(cfg: RunConfig):
     else:
         model = OntologicalModel.from_json_dict(_read_json(p["model"], "model file"))
         model_name = Path(p["model"]).name
-    # the report's field order is the artifact's key order
     overlaps = [asdict(overlap(model, a, b))
                 for a, b in combinations(sorted(model.preparations), 2)]
     shared_preps = [pid for pid in scenario.preparations if pid in model.preparations]
@@ -726,14 +726,12 @@ def _run_onto(cfg: RunConfig):
         "overlaps": overlaps,
         "born_gaps": born_gaps,
     }
-    if p["prep"] is not None and p["meas"] is not None:
+    if p["prep"] is not None:
         data["prediction"] = {
             "preparation": p["prep"],
             "measurement": p["meas"],
-            "distribution": [float(x) for x in predict(model, p["prep"], p["meas"])],
+            "distribution": predict(model, p["prep"], p["meas"]).tolist(),
         }
-    elif p["prep"] is not None or p["meas"] is not None:
-        raise ConfigError("--prep and --meas must be given together")
     if p["mc_trials"] > 0:
         report = monte_carlo_onto(model, scenario, p["mc_trials"], seed=cfg.seed)
         data["monte_carlo"] = report.to_json_dict()
@@ -1042,7 +1040,7 @@ def _manifest(cfg: RunConfig, paths: list) -> dict:
             "seed": cfg.seed,
             "output": str(cfg.output),
             "format": cfg.format,
-            **cfg.params,
+            **{k: list(v) if type(v) is tuple else v for k, v in cfg.params.items()},
         },
         "seed": cfg.seed,
         "versions": {
@@ -1071,9 +1069,10 @@ def _stage(name: str):
 
 def _write_artifacts(cfg: RunConfig, artifacts: list, paths: list) -> None:
     """Check every artifact and the manifest, then write what was checked:
-    each is converted once, by `validate_artifact`. Each path goes on
-    `paths` before its write starts, so a write that fails partway leaves
-    its file on the list `run` removes."""
+    `validate_artifact` hands back each JSON payload as its runner built
+    it and each CSV row as text. Each path goes on `paths` before its
+    write starts, so a write that fails partway leaves its file on the list
+    `run` removes."""
     with _stage("check"):
         manifest = _manifest(cfg, [artifact.path for artifact in artifacts])
         artifacts = [*artifacts, Artifact(_manifest_path(cfg.output), "json", manifest)]

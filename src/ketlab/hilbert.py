@@ -111,7 +111,7 @@ def _complex_array(values, shape: tuple) -> np.ndarray:
 def complex_json(values: np.ndarray) -> dict:
     """{"re": [...], "im": [...]}: the entries of `values` in row-major order."""
     flat = values.reshape(-1)
-    return {"re": [float(a.real) for a in flat], "im": [float(a.imag) for a in flat]}
+    return {"re": flat.real.tolist(), "im": flat.imag.tolist()}
 
 
 def complex_from_json(data: dict, shape: tuple) -> np.ndarray:

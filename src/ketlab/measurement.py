@@ -132,7 +132,8 @@ class GridWavefunction:
     def normalized(cls, grid: PointerGrid, amplitudes) -> "GridWavefunction":
         """Build a wavefunction from unnormalized amplitudes on `grid`."""
         amps = np.asarray(amplitudes, dtype=complex)
-        return cls(grid, amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * grid.spacing)))
+        with np.errstate(over="ignore", invalid="ignore"):   # a nan norm is rejected
+            return cls(grid, amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * grid.spacing)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,8 +306,10 @@ def gaussian_profile(displacement: np.ndarray, width: float) -> np.ndarray:
     """exp(-x^2 / (4 width^2)) at each displacement x: a Gaussian amplitude
     whose squared modulus has standard deviation `width`."""
     # a numpy power: the same bits as float's, but an overflow gives inf (and
-    # a norm the wavefunction check rejects) instead of an OverflowError
-    return np.exp(-(displacement ** 2) / (4.0 * np.float64(width) ** 2))
+    # a norm the wavefunction check rejects), without a warning, instead of
+    # an OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(-(displacement ** 2) / (4.0 * np.float64(width) ** 2))
 
 
 def make_pointer(grid: PointerGrid, width: float) -> GridWavefunction:

@@ -150,11 +150,8 @@ class OntologicalModel:
     def to_json_dict(self) -> dict:
         return {
             "lambda": list(self.lambda_space.labels),
-            "preparations": {k: [float(x) for x in v] for k, v in self.preparations.items()},
-            "responses": {
-                k: [[float(x) for x in row] for row in table]
-                for k, table in self.responses.items()
-            },
+            "preparations": {k: v.tolist() for k, v in self.preparations.items()},
+            "responses": {k: table.tolist() for k, table in self.responses.items()},
         }
 
     @classmethod
@@ -368,12 +365,10 @@ class ViolationBound:
             "forbidden_sum": self.forbidden_sum,
             "forbidden_mean": self.forbidden_mean,
             "preparations": list(self.preparation_ids),
-            "forbidden_outcomes": [int(k) for k in self.forbidden_outcomes],
+            "forbidden_outcomes": list(self.forbidden_outcomes),
             "lambda_pairs": list(self.pair_labels),
-            "witnessing_responses": {
-                label: [float(x) for x in row]
-                for label, row in zip(self.pair_labels, self.witnessing_responses)
-            },
+            "witnessing_responses": dict(zip(self.pair_labels,
+                                             self.witnessing_responses.tolist())),
         }
 
 
@@ -463,7 +458,7 @@ class MonteCarloReport:
             "seed": self.seed,
             "max_forbidden_frequency": self.max_forbidden_frequency,
             "counts": {
-                prep: {meas: [int(c) for c in row] for meas, row in cells.items()}
+                prep: {meas: row.tolist() for meas, row in cells.items()}
                 for prep, cells in self.counts.items()
             },
         }

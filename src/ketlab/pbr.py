@@ -164,8 +164,7 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
         which = inverse_cdf(weights, uniforms[:, 0])
         outcome = inverse_cdf(born[which], uniforms[:, 1])
         cells += np.bincount(4 * which + outcome, minlength=16)
-    counts = {p: [int(c) for c in row]
-              for p, row in zip(PREPARATION_IDS, cells.reshape(4, 4))}
+    counts = dict(zip(PREPARATION_IDS, cells.reshape(4, 4).tolist()))
     return PbrCounts(counts=counts, trials=trials, seed=int(seed),
                      forbidden_map=_forbidden_map(scenario))
 

@@ -37,17 +37,14 @@ def to_builtin(value):
         return {str(k): to_builtin(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_builtin(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind in "fiub":   # real, integer or bool: plain already
-            return value.tolist()
-        return to_builtin(value.tolist())
-    if isinstance(value, (np.floating, float)):   # numpy's float64 is a float
+    if isinstance(value, (np.ndarray, np.generic)):   # numpy's own conversion
+        plain = value.tolist()   # real, integer or bool: plain already
+        return plain if value.dtype.kind in "fiub" else to_builtin(plain)
+    if isinstance(value, float):   # a subclass of float or int
         return float(value)
-    if isinstance(value, (np.integer, int)):
+    if isinstance(value, int):
         return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (np.complexfloating, complex)):
+    if isinstance(value, complex):
         return {"re": float(value.real), "im": float(value.imag)}
     if isinstance(value, str):
         return str.__str__(value)

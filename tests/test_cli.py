@@ -3,9 +3,11 @@ artifact writing and validation, exit codes, and the golden default runs."""
 
 import dataclasses
 import errno
+import importlib.util
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -27,6 +29,7 @@ from ketlab.cli import COMMANDS, SCHEMAS, Artifact, main, parse_state_spec, vali
 from ketlab.serialize import load_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def read_manifest(tmp_path, output_name):
@@ -877,3 +880,63 @@ def test_a_prediction_needs_both_prep_and_meas(tmp_path, monkeypatch, capsys):
     assert main(["onto", "--model", "orthodox", "--prep", "0"]) == 2
     assert "--prep and --meas must be given together" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--prep", "0"], ["--meas", "z"]])
+def test_a_lone_prep_or_meas_exits_2_before_the_model_is_evaluated(tmp_path, monkeypatch,
+                                                                   capsys, argv):
+    def no_work(*args, **kwargs):
+        raise RuntimeError("the model was evaluated")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ketlab.cli, "overlap", no_work)
+    assert main(["onto", "--model", "orthodox", *argv]) == 2
+    assert "--prep and --meas must be given together" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["scan", "protective"])
+def test_an_overflowing_width_exits_3_with_only_its_message(tmp_path, monkeypatch, capsys,
+                                                            command):
+    """The pointer's width ** 2 overflows on purpose: the non-finite norm is
+    what the wavefunction check rejects, and no numpy warning reaches the
+    user."""
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--width", "1e200"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ketlab: precondition rejected: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_digest_command_hands_the_check_plain_json(tmp_path, monkeypatch):
+    """Each runner builds its JSON payloads, manifest included, from plain
+    builtins: the check reads each as it is, and the writer gets the very
+    object that was checked."""
+    spec = importlib.util.spec_from_file_location("artifact_digests",
+                                                  SCRIPTS / "artifact_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    checked, dumped = [], []
+    check = ketlab.cli.validate_artifact
+
+    def recording_check(artifact):
+        if artifact.fmt == "json":
+            checked.append(artifact.payload)
+        return check(artifact)
+
+    def dump(data, path):
+        dumped.append(data)
+        ketlab.serialize.dump_json(data, path)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ketlab.cli, "validate_artifact", recording_check)
+    monkeypatch.setattr(ketlab.cli, "dump_json", dump)
+    for argv in digests.COMMANDS:
+        checked.clear()
+        dumped.clear()
+        assert main(list(argv)) == 0, argv
+        assert checked and all(_is_plain_json(payload) for payload in checked), argv
+        assert len(dumped) == len(checked), argv
+        assert all(got is want for got, want in zip(dumped, checked)), argv
