@@ -39,11 +39,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _checked_dim(value, what: str = "dim") -> int:
-    """`value` as an int from 1 to MAX_DIM, else PreconditionError."""
-    try:
-        dim = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+    """`value` as an int when it is an integer from 1 to MAX_DIM, numpy's
+    included, else PreconditionError (for a bool, a float and text too)."""
+    dim = _checked_count(value, what)
     if dim < 1:
         raise PreconditionError(f"{what} must be >= 1, got {dim}")
     if dim > MAX_DIM:
@@ -303,9 +301,9 @@ def eigendecompose(op: HermitianOperator) -> EigenDecomposition:
     return EigenDecomposition(tuple(float(v) for v in vals), states)
 
 
-def equal_up_to_phase(a: StateVector, b: StateVector, tol: float = PHASE_TOL) -> bool:
-    """True when |<a|b>| = 1 within tol (states differ by a global phase)."""
-    return abs(abs(inner_product(a, b)) - 1.0) <= tol
+def equal_up_to_phase(a: StateVector, b: StateVector) -> bool:
+    """True when |<a|b>| = 1 within PHASE_TOL (states differ by a global phase)."""
+    return abs(abs(inner_product(a, b)) - 1.0) <= PHASE_TOL
 
 
 def canonical_phase(vec: np.ndarray) -> np.ndarray:

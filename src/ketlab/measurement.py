@@ -98,12 +98,11 @@ class PointerGrid:
         return {"n_points": self.n_points, "spacing": self.spacing, "center": self.center}
 
 
-def default_grid(width: float = 1.0, n_points: int = DEFAULT_GRID_POINTS,
-                 center: float = 0.0) -> PointerGrid:
-    """Grid with the default extent of 40 pointer widths."""
+def default_grid(width: float = 1.0, n_points: int = DEFAULT_GRID_POINTS) -> PointerGrid:
+    """Grid centred on 0 with the default extent of 40 pointer widths."""
     extent = DEFAULT_EXTENT_WIDTHS * width
     # n_points 0 reaches PointerGrid's check instead of a ZeroDivisionError
-    return PointerGrid(n_points, extent / n_points if n_points else extent, center)
+    return PointerGrid(n_points, extent / n_points if n_points else extent)
 
 
 def _unit_grid_norm(amps: np.ndarray, grid: PointerGrid, what: str) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Counter-based random substreams.
 
-Every randomized protocol in this package takes a single 64-bit master
-seed. Independent units of work (trials, sweep points, preparation cells)
-each get their own substream: substream ``i`` of master seed ``s`` is the
-Philox bit generator ``Philox(key=s)`` with its 256-bit counter advanced
-to ``i * 2**128``. Substreams therefore never overlap, and results cannot
-depend on the order in which trials are executed.
+Every randomized protocol in this package takes a single master seed, an
+integer in [0, 2**128). Independent units of work (trials, sweep points,
+preparation cells) each get their own substream: substream ``i`` of master
+seed ``s`` is the Philox bit generator ``Philox(key=s)`` with its 256-bit
+counter advanced to ``i * 2**128``. Substreams therefore never overlap, and
+results cannot depend on the order in which trials are executed.
 
 Samplers that need only the first few uniforms of many substreams draw them
 as arrays through `substream_uniforms`, which evaluates the Philox4x64-10
@@ -38,8 +38,19 @@ _SHIFT11 = np.uint64(11)
 _WORD = 2 ** 64
 
 
+def _checked_integer(value, what: str, bits: int) -> int:
+    """`value` as an int when it is an integer in [0, 2**bits), numpy's
+    included, else PreconditionError (for a bool, a float and text too)."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or not 0 <= int(value) < 2 ** bits):
+        raise PreconditionError(f"{what} must be an integer in [0, 2**{bits}), got {value!r}")
+    return int(value)
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Generator for substream `index` of master seed `seed`."""
+    seed = _checked_integer(seed, "master seed", 128)
+    index = _checked_integer(index, "substream index", 64)
     return np.random.Generator(np.random.Philox(key=seed, counter=index * STREAM_STRIDE))
 
 
@@ -48,7 +59,7 @@ def as_generator(seed) -> np.random.Generator:
     seed means its substream 0."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return substream(int(seed), 0)
+    return substream(seed, 0)
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple:
@@ -90,9 +101,7 @@ def substream_uniforms(seed: int, indices, k: int = 1) -> np.ndarray:
     The work is a fixed number of uint64 array operations per call, so
     callers pass many indices at once; `uniform_chunks` bounds their count.
     """
-    seed = operator.index(seed)
-    if not 0 <= seed < _WORD ** 2:
-        raise PreconditionError(f"master seed {seed} outside [0, 2**128)")
+    seed = _checked_integer(seed, "master seed", 128)
     if not 1 <= k <= 4:
         raise PreconditionError(f"a Philox block holds 1 to 4 uniforms, got k={k}")
     c2 = _substream_indices(indices)
@@ -117,6 +126,7 @@ def uniform_chunks(seed: int, start: int, stop: int, k: int = 1):
     consecutive indices, so a sampler that reduces each block before the
     next keeps flat memory for any number of trials.
     """
+    _checked_integer(seed, "master seed", 128)
     if start < stop and (start < 0 or stop > _WORD):
         raise PreconditionError(
             f"substream indices {start} .. {stop - 1} outside [0, 2**64)"
@@ -130,17 +140,15 @@ def uniform_chunks(seed: int, start: int, stop: int, k: int = 1):
 class SubstreamSampler:
     """The substreams of one master seed, selected by index.
 
-    `select(i)` is `substream(seed, i)` with its index range-checked. No
-    sampler in the package calls it: they draw through
-    `substream_uniforms`. It is kept because the benchmark tracer
-    (`perfbench/tracer.py`) binds `SubstreamSampler.select` when it installs.
+    `select(i)` is `substream(seed, i)`. No sampler in the package calls
+    it: they draw through `substream_uniforms`. It is kept because the
+    benchmark tracer (`perfbench/tracer.py`) binds `SubstreamSampler.select`
+    when it installs.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = seed
 
     def select(self, index: int) -> np.random.Generator:
         """A fresh Generator for substream `index`."""
-        if not 0 <= index < 2 ** 64:
-            raise PreconditionError(f"substream index {index} outside [0, 2**64)")
         return substream(self.seed, index)

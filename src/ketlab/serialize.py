@@ -1,14 +1,14 @@
 """Canonical JSON and CSV output.
 
 Every artifact the command line writes goes through these helpers so that
-the same configuration and seed always produce byte-identical files.
-JSON is laid out exactly as `json.dumps(to_builtin(data), sort_keys=True,
-indent=2)` would write it, plus a trailing newline: keys sorted, two-space
-indent, strings ASCII-escaped, floats by repr() (shortest round-trip) with
-json's NaN and Infinity. `dump_json` builds that text itself, one `join`
-per container: with an indent, json falls back to its pure-Python
-generator encoder, which is slower. CSV rows are plain comma-joined fields
-with no quoting surprises.
+the same configuration and seed always produce byte-identical files. They
+take plain values only: JSON values in, canonical bytes out. JSON is laid
+out exactly as `json.dumps(data, sort_keys=True, indent=2)` would write it,
+plus a trailing newline: keys sorted, two-space indent, strings
+ASCII-escaped, floats by repr() (shortest round-trip) with json's NaN and
+Infinity. `dump_json` builds that text itself, one `join` per container:
+with an indent, json falls back to its pure-Python generator encoder, which
+is slower. CSV rows are plain comma-joined fields with no quoting surprises.
 """
 
 from __future__ import annotations
@@ -17,38 +17,11 @@ import json
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InternalError
 
 _INDENT = "  "
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _INF = float("inf")
-
-
-def to_builtin(value):
-    """Recursively convert numpy scalars/arrays into plain Python types:
-    dicts with text keys, lists, and values of exactly str, int, float,
-    bool or None. A complex number becomes {"re": ..., "im": ...}."""
-    kind = type(value)
-    if kind is float or kind is str or kind is int or kind is bool or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): to_builtin(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_builtin(v) for v in value]
-    if isinstance(value, (np.ndarray, np.generic)):   # numpy's own conversion
-        plain = value.tolist()   # real, integer or bool: plain already
-        return plain if value.dtype.kind in "fiub" else to_builtin(plain)
-    if isinstance(value, float):   # a subclass of float or int
-        return float(value)
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, complex):
-        return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, str):
-        return str.__str__(value)
-    raise InternalError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def _float_text(value: float) -> str:
@@ -86,15 +59,16 @@ def _layout(value, indent: str) -> str:
         items = [encode_basestring_ascii(k) + ": " + _layout(value[k], inner)
                  for k in sorted(value)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    return _layout(to_builtin(value), indent)
+    raise InternalError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def dump_json(data, path) -> None:
     """Write canonically formatted JSON (sorted keys, indent 2, newline):
-    the bytes `json.dumps(to_builtin(data), sort_keys=True, indent=2)`
-    gives. Plain builtins are laid out as they are, in one walk; any other
-    value (numpy scalars and arrays, tuples, complex numbers, a dict with
-    non-text keys) goes through `to_builtin` first."""
+    the bytes `json.dumps(data, sort_keys=True, indent=2)` gives. `data`
+    must be plain JSON: dicts with text keys, lists, and values of exactly
+    str, int, float, bool or None. Anything else (a numpy value, a tuple, a
+    complex number, a subclass of str, int or float) raises InternalError
+    before the file is opened, so a refusal writes nothing."""
     Path(path).write_text(_layout(data, "") + "\n", encoding="utf-8")
 
 
@@ -103,8 +77,9 @@ def load_json(path):
 
 
 def format_cell(value) -> str:
-    """One CSV cell: text as it is, floats by repr for exact round-trips,
-    the rest by str."""
+    """One CSV cell from a plain str, int or float: text as it is, numbers
+    by repr, so floats round-trip exactly. Any other value is written by
+    str, which is the text the CSV check then names when it refuses it."""
     kind = type(value)
     if kind is str:
         return value
@@ -112,10 +87,6 @@ def format_cell(value) -> str:
         return float.__repr__(value)
     if kind is int:
         return int.__repr__(value)
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
 
 

@@ -829,6 +829,8 @@ def test_manifest_beside_its_artifacts_lists_bare_names(tmp_path, monkeypatch):
     (("step", "survival", "pointer_mean"), [(1, 0.5)], "bad.csv:2"),
     (("step", "survival", "pointer_mean"), [(1, 0.5, 0.0), (3.5, 0.5, 0.0)], "bad.csv:3"),
     (("step", "survival", "pointer_mean"), [(1, None, 0.0)], "bad.csv:2"),
+    # a bool is no int, in a CSV column as in JSON
+    (("step", "survival", "pointer_mean"), [(True, 0.5, 0.0)], "bad.csv:2"),
 ])
 def test_the_csv_check_names_the_file_and_line_it_rejects(tmp_path, header, rows, where):
     """An unknown header, a row of the wrong length and a cell its

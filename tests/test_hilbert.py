@@ -107,6 +107,28 @@ def test_json_re_and_im_must_hold_real_numbers():
     np.testing.assert_array_equal(state.amplitudes, [0.0, 1.0])
 
 
+
+@pytest.mark.parametrize("dim,size", [(2.5, 2), (2.0, 2), ("2", 2), (True, 1)])
+def test_json_readers_refuse_a_dim_that_is_not_an_integer(dim, size):
+    """A dim read from JSON must be an integer: a float, numeric text or a
+    bool is refused, not truncated, though the rest of the data would fit
+    the dim it converts to."""
+    unit = [1.0] + [0.0] * (size - 1)
+    valid = [
+        (StateVector, "dim", {"dim": size, "re": unit, "im": [0.0] * size}),
+        (HermitianOperator, "dim",
+         {"dim": size, "re": np.eye(size).ravel().tolist(), "im": [0.0] * size ** 2}),
+        (JointSystemPointerState, "system_dim",
+         {"system_dim": size, "grid": {"n_points": 16, "spacing": 1.0, "center": 0.0},
+          "re": unit + [0.0] * (15 * size), "im": [0.0] * (16 * size)}),
+    ]
+    for cls, key, data in valid:
+        assert getattr(cls.from_json_dict(data), key) == size
+        with pytest.raises(PreconditionError, match=f"^{key} must be an integer"):
+            cls.from_json_dict({**data, key: dim})
+    with pytest.raises(PreconditionError, match="^dim must be an integer"):
+        StateVector(dim, unit)
+
 _JSON_KEYS = ["dim", "re", "im", "system_dim", "grid", "n_points", "spacing", "center",
               "lambda", "preparations", "responses"]
 _json_values = st.recursive(

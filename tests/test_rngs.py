@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ketlab
 from ketlab.errors import PreconditionError
 from ketlab.rngs import (
     STREAM_STRIDE,
@@ -124,3 +125,40 @@ def test_uniform_chunks_cover_the_range_in_order():
 def test_uniform_chunks_reject_ranges_past_the_last_substream():
     with pytest.raises(PreconditionError):
         list(uniform_chunks(0, 2 ** 64 - 1, 2 ** 64 + 1))
+
+
+def _onto(seed):
+    scenario = ketlab.qubit_scenario()
+    return ketlab.monte_carlo_onto(ketlab.orthodox_model(scenario), scenario, 10, seed=seed)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ketlab.protective_measure(ketlab.ket_plus(), ketlab.sigma_z(), n=5,
+                                                   mode="sampled", seed=1.5),
+                 id="sampled-protective-float-seed"),
+    pytest.param(lambda: _onto(1.5), id="onto-float-seed"),
+    pytest.param(lambda: _onto(-1), id="onto-negative-seed"),
+    pytest.param(lambda: ketlab.pbr_experiment(10, seed=1.5), id="pbr-float-seed"),
+    pytest.param(lambda: ketlab.pbr_experiment(10, seed=True), id="pbr-bool-seed"),
+    pytest.param(lambda: ketlab.pbr_experiment(0, seed=1.5), id="pbr-zero-trials-float-seed"),
+    pytest.param(lambda: substream(0, 2 ** 64), id="substream-index-2**64"),
+    pytest.param(lambda: substream(0, -1), id="substream-negative-index"),
+    pytest.param(lambda: substream(0, 1.5), id="substream-float-index"),
+    pytest.param(lambda: substream(2 ** 128, 0), id="substream-seed-2**128"),
+    pytest.param(lambda: substream("7", 0), id="substream-text-seed"),
+    pytest.param(lambda: as_generator(True), id="as-generator-bool-seed"),
+    pytest.param(lambda: SubstreamSampler(1.5).select(0), id="sampler-float-seed"),
+    pytest.param(lambda: substream_uniforms(True, [0]), id="uniforms-bool-seed"),
+    pytest.param(lambda: list(uniform_chunks(np.float64(3.0), 0, 0)), id="chunks-float-seed"),
+])
+def test_master_seeds_and_substream_indices_follow_one_rule(call):
+    """A master seed is an integer (numpy's too, not a bool) in [0, 2**128)
+    and a substream index one in [0, 2**64), wherever a seed enters."""
+    with pytest.raises(PreconditionError, match="must be an integer in"):
+        call()
+
+
+def test_numpy_integer_seeds_and_indices_draw_the_same_stream():
+    want = substream(3, 2).random(4)
+    np.testing.assert_array_equal(substream(np.uint64(3), np.int64(2)).random(4), want)
+    np.testing.assert_array_equal(SubstreamSampler(np.int32(3)).select(2).random(4), want)
