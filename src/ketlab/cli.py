@@ -20,16 +20,20 @@ results do not depend on execution order. Each runner builds its JSON
 payloads from plain Python values, every numpy array converted once by its
 own `tolist()`. At run end every artifact and its manifest (config echo,
 seed, library versions, and each output's path relative to the manifest's
-own directory) is checked against its own schema in memory, as built, and
-only then written, from the very object that was checked. A run that fails
-the check writes nothing; a run whose write fails removes every file it
-started. The check is a small in-package reader of exactly the JSON Schema
-keywords `SCHEMAS` uses, so the runtime needs no schema library. Exit
-codes: 0 success, 2 configuration error, 3 precondition rejection, 4
-internal-consistency failure, and also any other exception, reported with
-the stage it escaped (parse, resolve, compute, check or write). The
-argument parser is built on the first `main` call and reused by every
-later call in the process; importing this module builds nothing.
+own directory) is checked, in memory and as built, and only then written,
+from the very object that was checked. The check takes the paths first:
+each ends in its format's suffix, and none is shared with another
+artifact or the --config file, names an existing directory, or is a name
+the filesystem cannot look up (a config error). It then checks each
+artifact against its own schema, with a small in-package reader of
+exactly the JSON Schema keywords `SCHEMAS` uses, so the runtime needs no
+schema library. A run that fails the check writes nothing; a run whose
+write fails removes every file it started. Exit codes: 0 success, 2
+configuration error, 3 precondition rejection, 4 internal-consistency
+failure, and also any other exception, reported with the stage it
+escaped (parse, resolve, compute, check or write). The argument parser is
+built on the first `main` call and reused by every later call in the
+process; importing this module builds nothing.
 """
 
 from __future__ import annotations
@@ -191,17 +195,6 @@ def _state_pair(value):
     raise ConfigError(f"expected exactly two state specs, got {value!r}")
 
 
-def _path(fmt):
-    """Artifact paths must end in their format's suffix: readers of a
-    run's files tell JSON from CSV by it."""
-    def coerce(value):
-        text = _as_str(value)
-        if Path(text).suffix != f".{fmt}":
-            raise ConfigError(f"expected a path ending in .{fmt}, got {text!r}")
-        return text
-    return coerce
-
-
 def _seed_value(value):
     n = _as_int(value)
     if not 0 <= n < 2 ** 64:
@@ -223,13 +216,16 @@ class Param:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: what to run, how, and where the data goes."""
+    """Fully resolved invocation: what to run, how, and where the data goes.
+    `config` is the --config file it was read from, which no artifact may
+    replace."""
 
     subcommand: str
     seed: int
     output: Path
     format: str
     params: dict
+    config: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -546,7 +542,8 @@ def _run_protective(cfg: RunConfig):
             rows.append((g, point.inferred_expectation,
                          abs(point.inferred_expectation - true),
                          point.survival_probability))
-        artifacts.append(Artifact(_sweep_path(cfg.output), "csv", (SWEEP_HEADER, rows)))
+        sweep_path = cfg.output.with_name(cfg.output.stem + ".sweep.csv")
+        artifacts.append(Artifact(sweep_path, "csv", (SWEEP_HEADER, rows)))
     if p["dump_joint"] is not None:
         payload = {"kind": "ketlab/joint-state", **result.final_joint.to_json_dict()}
         artifacts.append(Artifact(Path(p["dump_joint"]), "json", payload))
@@ -805,9 +802,9 @@ COMMANDS = {
                       "also reconstruct the state from x, y, z runs", is_flag=True),
                 Param("sweep_g", _float_list, None,
                       "comma-separated couplings for an error-vs-g CSV"),
-                Param("per_step_csv", _path("csv"), None,
+                Param("per_step_csv", _as_str, None,
                       "write the per-cycle survival/pointer log to this CSV"),
-                Param("dump_joint", _path("json"), None,
+                Param("dump_joint", _as_str, None,
                       "write the final joint system+pointer state to this JSON"),
             ),
             runner=_run_protective,
@@ -971,7 +968,9 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
     values updated by those flags are the one mapping of given values.
     Each parameter coerces its given value or, when none was given, takes
     its default. A JSON null keeps a default of None and is a config error
-    for any other parameter. `namespace` is left as it was."""
+    for any other parameter. Reading --config is the only file access:
+    the artifact paths are checked in the check stage, by `_check_paths`.
+    `namespace` is left as it was."""
     flags = dict(vars(namespace))
     spec = COMMANDS[flags.pop("subcommand")]
     config = flags.pop("config", None)
@@ -987,13 +986,12 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
 
     seed = pick("seed", _seed_value, DEFAULT_SEED)
     fmt = pick("format", _choice(*spec.formats), spec.formats[0])
-    output = pick("output", _path(fmt), f"{spec.name}.{fmt}")
+    output = pick("output", _as_str, f"{spec.name}.{fmt}")
     params = {param.name: pick(param.name, param.coerce, param.default)
               for param in spec.params}
-    _check_distinct_artifacts(Path(output), params, config)
     return RunConfig(
         subcommand=spec.name, seed=seed, output=Path(output), format=fmt,
-        params=params,
+        params=params, config=None if config is None else Path(config),
     )
 
 
@@ -1001,34 +999,31 @@ def _manifest_path(output: Path) -> Path:
     return Path(str(output) + ".manifest.json")
 
 
-def _sweep_path(output: Path) -> Path:
-    return output.with_name(output.stem + ".sweep.csv")
-
-
-def _check_distinct_artifacts(output: Path, params: dict, config: str | None) -> None:
-    """Every artifact of one run needs its own path: a later write would
-    replace an earlier artifact, and the manifest would list it twice. No
-    artifact may replace the --config file the run was read from either,
-    nor name an existing directory, which no write could replace, nor a
-    path that cannot be looked up (say, a name too long for the filesystem)."""
-    named = [("--output", output), ("the manifest", _manifest_path(output))]
-    if params.get("sweep_g") is not None:
-        named.append(("the --sweep-g CSV", _sweep_path(output)))
-    for name in ("per_step_csv", "dump_joint"):
-        if params.get(name) is not None:
-            named.append(("--" + name.replace("_", "-"), Path(params[name])))
-    seen = {} if config is None else {Path(config).resolve(): "--config"}
-    for label, path in named:
+def _check_paths(artifacts: list, config: Path | None) -> None:
+    """The path rules, for every artifact of a run, its manifest included;
+    ConfigError naming the first path that breaks one. Each path ends in
+    its format's suffix, since readers of a run's files tell JSON from CSV
+    by it. No two artifacts share a path: a later write would replace an
+    earlier artifact, and the manifest would list it twice. No artifact
+    replaces the --config file the run was read from, nor names an
+    existing directory, which no write could replace and no cleanup could
+    unlink, nor a path the filesystem cannot look up (say, a name too long
+    for it)."""
+    seen = {} if config is None else {config.resolve(): "the --config file"}
+    for artifact in artifacts:
+        path = artifact.path
+        if path.suffix != f".{artifact.fmt}":
+            raise ConfigError(f"artifact path {path} does not end in .{artifact.fmt}")
         try:
             is_dir = path.is_dir()
         except OSError as exc:
-            raise ConfigError(f"{label} path cannot be used: {exc}") from None
+            raise ConfigError(f"artifact path {path} cannot be used: {exc}") from None
         if is_dir:
-            raise ConfigError(f"{label} path {path} is an existing directory")
+            raise ConfigError(f"artifact path {path} is an existing directory")
         key = path.resolve()
         if key in seen:
-            raise ConfigError(f"{label} would overwrite {seen[key]} at {path}")
-        seen[key] = label
+            raise ConfigError(f"artifact path {path} would overwrite {seen[key]}")
+        seen[key] = f"the artifact at {path}"
 
 
 def _manifest(cfg: RunConfig, paths: list) -> dict:
@@ -1068,14 +1063,15 @@ def _stage(name: str):
 
 
 def _write_artifacts(cfg: RunConfig, artifacts: list, paths: list) -> None:
-    """Check every artifact and the manifest, then write what was checked:
-    `validate_artifact` hands back each JSON payload as its runner built
-    it and each CSV row as text. Each path goes on `paths` before its
-    write starts, so a write that fails partway leaves its file on the list
-    `run` removes."""
+    """Check every artifact and the manifest, their paths first and then
+    their contents, and write what was checked: `validate_artifact` hands
+    back each JSON payload as its runner built it and each CSV row as
+    text. Each path goes on `paths` before its write starts, so a write
+    that fails partway leaves its file on the list `run` removes."""
     with _stage("check"):
         manifest = _manifest(cfg, [artifact.path for artifact in artifacts])
         artifacts = [*artifacts, Artifact(_manifest_path(cfg.output), "json", manifest)]
+        _check_paths(artifacts, cfg.config)
         artifacts = [validate_artifact(artifact) for artifact in artifacts]
     with _stage("write"):
         try:
@@ -1092,14 +1088,15 @@ def _write_artifacts(cfg: RunConfig, artifacts: list, paths: list) -> None:
 def run(cfg: RunConfig) -> list:
     """Execute one resolved configuration; returns the written paths.
 
-    Artifacts are checked before anything is written, so a run that fails
-    its check leaves the directory as it was. A run whose write fails
-    removes every file it started, so no partial set of artifacts is left
-    on disk. That includes a previous run's file at the same path: a path
-    counts as started just before its file is opened, so even a file the
-    write could not open (a read-only one, say) is removed. An exception
-    that is not one of this package's errors is raised as an InternalError
-    naming the stage it came from."""
+    Artifacts, their paths included, are checked after compute and before
+    anything is written, so a run that fails its check leaves the
+    directory as it was. A run whose write fails removes every file it
+    started, so no partial set of artifacts is left on disk. That includes
+    a previous run's file at the same path: a path counts as started just
+    before its file is opened, so even a file the write could not open (a
+    read-only one, say) is removed. An exception that is not one of this
+    package's errors is raised as an InternalError naming the stage it
+    came from."""
     spec = COMMANDS[cfg.subcommand]
     with _stage("compute"):
         artifacts, summary = spec.runner(cfg)
@@ -1130,7 +1127,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"ketlab: precondition rejected: {exc}", file=sys.stderr)
         return 3
-    except (InternalError, LabError) as exc:
+    except LabError as exc:
         print(f"ketlab: internal error: {exc}", file=sys.stderr)
         return 4
     return 0

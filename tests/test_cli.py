@@ -507,7 +507,7 @@ def test_artifact_paths_may_not_be_existing_directories(tmp_path, monkeypatch, d
                                                         argv):
     """No write can replace a directory, and the cleanup of a failed run
     cannot unlink one: such a run is a configuration error before anything
-    runs."""
+    is written."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / directory).mkdir()
     assert main(argv) == 2
@@ -526,6 +526,46 @@ def test_artifact_names_too_long_for_the_filesystem_exit_2(tmp_path, monkeypatch
     name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + over - len(suffix)) + suffix
     assert main([*argv, name]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def _json_runner(path_of):
+    """A `steer` runner whose artifacts are the real steer payload at the
+    paths `path_of(cfg)` names."""
+    runner = COMMANDS["steer"].runner
+
+    def steer_at(cfg):
+        artifacts, summary = runner(cfg)
+        return [Artifact(path, "json", artifacts[0].payload) for path in path_of(cfg)], summary
+    return steer_at
+
+
+@pytest.mark.parametrize("path_of", [
+    lambda cfg: [cfg.output, cfg.output],             # two artifacts at one path
+    lambda cfg: [Path("steer.csv")],                   # a JSON artifact at a .csv path
+    lambda cfg: [Path("steer.json.manifest.json")],    # at the manifest's path
+], ids=["shared", "suffix", "manifest"])
+def test_the_path_rules_cover_the_artifacts_a_runner_builds(tmp_path, monkeypatch, capsys,
+                                                            path_of):
+    """The paths are checked as the runner built them, not as flags predict
+    them, so a runner that breaks a rule exits 2 and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(COMMANDS, "steer",
+                        dataclasses.replace(COMMANDS["steer"], runner=_json_runner(path_of)))
+    assert main(["steer", "--trials", "10"]) == 2
+    assert "artifact path steer." in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_existing_directory_resolves_and_is_refused_before_any_write(tmp_path,
+                                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.json").mkdir()
+    argv = ["leak", "--n", "5", "-o", "out.json"]
+    cfg = ketlab.cli.resolve_config(ketlab.cli.build_parser().parse_args(argv))
+    assert cfg.output == Path("out.json")
+    assert main(argv) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert list((tmp_path / "out.json").iterdir()) == []
 
 
 def test_a_run_that_fails_validation_leaves_no_files(tmp_path, monkeypatch):

@@ -2,7 +2,8 @@
 loads the LP solver, and no command needs scipy at all; nothing at run
 time loads `jsonschema` either. Both serve only as the tests' oracles.
 Importing `ketlab.cli` builds no argument parser; the first `main` call
-builds the one every later call reuses.
+builds the one every later call reuses. `python -m ketlab.cli`, the entry
+point a cold run starts through, keeps the exit-code contract.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported `scipy.optimize` through other tests.
@@ -14,21 +15,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_fresh(code: str, cwd) -> dict:
-    """Run `code` in a new interpreter with the package on its path and
-    return the JSON object it prints last."""
+def fresh(args: list, cwd, check: bool = True) -> subprocess.CompletedProcess:
+    """Run a new interpreter with `args` and the package on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env,
-        capture_output=True, text=True, timeout=120, check=True,
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120, check=check,
     )
-    return json.loads(done.stdout.splitlines()[-1])
+
+
+def run_fresh(code: str, cwd) -> dict:
+    """Run `code` in a new interpreter and return the JSON object it
+    prints last."""
+    return json.loads(fresh(["-c", code], cwd).stdout.splitlines()[-1])
 
 
 def test_importing_the_package_does_not_load_the_lp_solver(tmp_path):
@@ -105,3 +112,15 @@ def test_the_parser_is_built_once_on_the_first_main_call(tmp_path):
         tmp_path,
     )
     assert seen == [0, [0, 0, 0], 1]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["leak", "--n", "5"], 0),
+    (["leak", "--n", "-1"], 3),
+    (["leak", "--no-such-flag"], 2),
+])
+def test_the_module_entry_point_keeps_the_exit_code_contract(tmp_path, argv, code):
+    done = fresh(["-m", "ketlab.cli", *argv], tmp_path, check=False)
+    assert done.returncode == code, done.stderr
+    written = ["leak.json", "leak.json.manifest.json"] if code == 0 else []
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
