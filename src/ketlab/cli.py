@@ -44,6 +44,7 @@ import math
 import os
 import platform
 import sys
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import combinations
@@ -87,7 +88,7 @@ from .pbr import overlap_preservation_check, pbr_experiment, pbr_scenario, steer
 from .protective import (DEFAULT_COUPLING, DEFAULT_STEPS, protection_leak,
                          protective_measure, protective_tomography)
 from .rngs import substream, uniform_chunks
-from .serialize import dump_json, format_cell, load_json, write_csv
+from .serialize import dump_json, load_json, write_csv
 from .weak import direct_wavefunction_scan, momentum_zero_amplitude
 
 DEFAULT_SEED = 7
@@ -461,7 +462,9 @@ def validate_artifact(artifact: Artifact) -> Artifact:
     return it in the form that is checked and written; InternalError on
     failure. A JSON payload, plain JSON as its runner built it, is checked
     as it is and the very artifact given comes back; a CSV artifact comes
-    back with each cell as the `format_cell` text its parser accepted."""
+    back with each cell as the `str` text its parser accepted. Each column
+    is parsed in one pass; the rows are walked, in order, only to name the
+    first row or cell that fails."""
     name = artifact.path.name
     if artifact.fmt == "json":
         data = artifact.payload
@@ -475,19 +478,25 @@ def validate_artifact(artifact: Artifact) -> Artifact:
     parsers = _CSV_CELL_PARSERS.get(tuple(header))
     if parsers is None:
         raise InternalError(f"{name}:1: unknown CSV layout {header}")
-    text_rows = []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(parsers):
-            raise InternalError(f"{name}:{lineno}: expected {len(parsers)} cells, got {len(row)}")
-        cells = [format_cell(value) for value in row]
-        for cell, parse in zip(cells, parsers):
-            try:
-                parse(cell)
-            except ValueError as exc:
-                raise InternalError(
-                    f"{name}:{lineno}: cell {cell!r} fails {parse.__name__}"
-                ) from exc
-        text_rows.append(cells)
+    width = len(parsers)
+    text_rows = [list(map(str, row)) for row in rows]
+    try:
+        if not {width}.issuperset(map(len, text_rows)):
+            raise ValueError("a row of the wrong length")
+        for parse, column in zip(parsers, zip(*text_rows)):
+            deque(map(parse, column), maxlen=0)
+    except ValueError:
+        for lineno, cells in enumerate(text_rows, start=2):
+            if len(cells) != width:
+                raise InternalError(f"{name}:{lineno}: expected {width} cells, got {len(cells)}")
+            for cell, parse in zip(cells, parsers):
+                try:
+                    parse(cell)
+                except ValueError as exc:
+                    raise InternalError(
+                        f"{name}:{lineno}: cell {cell!r} fails {parse.__name__}"
+                    ) from exc
+        raise
     return Artifact(artifact.path, "csv", (header, text_rows))
 
 
@@ -937,7 +946,8 @@ def _read_json(path: str, what: str):
         return load_json(Path(path))
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # json raises RecursionError for arrays or objects nested too deeply
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 

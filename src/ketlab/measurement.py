@@ -94,6 +94,13 @@ class PointerGrid:
         """Angular wavenumbers conjugate to the positions (hbar = 1)."""
         return _readonly(2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing))
 
+    @cached_property
+    def moment_rows(self) -> np.ndarray:
+        """The (2, N) rows [spacing, positions * spacing]: a density times
+        their transpose is its grid norm and its first moment."""
+        return _readonly(np.stack([np.full(self.n_points, self.spacing),
+                                   self.positions * self.spacing]))
+
     def to_json_dict(self) -> dict:
         return {"n_points": self.n_points, "spacing": self.spacing, "center": self.center}
 
@@ -369,12 +376,13 @@ def postselected_cycle(spectra: np.ndarray, grid: PointerGrid) -> tuple:
     (phi, weights, means), row by row: phi[k] is the unnormalized
     postselected pointer, weights[k] its squared norm (the postselection
     probability when the spectrum it started from had norm 1) and means[k]
-    its conditional mean position relative to the grid center.
+    its conditional mean position relative to the grid center. The
+    weights and first moments of the block's densities are one matrix
+    product with the grid's `moment_rows`.
     """
     phi = np.fft.ifft(spectra, axis=1)
-    density = np.abs(phi) ** 2
-    weights = np.sum(density, axis=1) * grid.spacing
-    moments = np.sum(grid.positions * density, axis=1) * grid.spacing
+    density = phi.real ** 2 + phi.imag ** 2
+    weights, moments = (density @ grid.moment_rows.T).T
     return phi, weights, moments / weights - grid.center
 
 

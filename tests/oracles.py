@@ -3,8 +3,12 @@
 No `ketlab` command or public function needs these, so they live here as
 the oracles the tests build states, observables and pointer readouts
 from: the reference protective loop, the reference weak readout and the
-coupling checks compare the package's kernels against them.
+coupling checks compare the package's kernels against them. The
+postselected-cycle readout by elementwise sums and json's own indented
+encoder are the oracles of `postselected_cycle` and `dump_json`.
 """
+
+import json
 
 import numpy as np
 
@@ -46,3 +50,18 @@ def pointer_position_mean(joint: JointSystemPointerState) -> float:
     """First moment of the pointer position distribution."""
     density = pointer_marginal(joint)
     return float(np.sum(joint.grid.positions * density) * joint.grid.spacing)
+
+
+def reference_postselected_cycle(spectra: np.ndarray, grid) -> tuple:
+    """`postselected_cycle` by elementwise sums: the density |phi|^2 and one
+    `np.sum` per moment."""
+    phi = np.fft.ifft(spectra, axis=1)
+    density = np.abs(phi) ** 2
+    weights = np.sum(density, axis=1) * grid.spacing
+    moments = np.sum(grid.positions * density, axis=1) * grid.spacing
+    return phi, weights, moments / weights - grid.center
+
+
+def canonical_json(value) -> str:
+    """The text `dump_json` must write: json's own indented encoder."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"

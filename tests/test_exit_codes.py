@@ -183,3 +183,17 @@ def test_random_invocations_keep_the_exit_code_contract(name):
                 assert _snapshot(root) == before, (argv, config, code)
 
     check()
+
+
+@pytest.mark.parametrize("argv", [["--config", "deep.json", "protective"],
+                                  ["onto", "--model", "deep.json"]])
+def test_input_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, argv):
+    """json gives up on arrays nested deeper than Python recurses with a
+    RecursionError: that is bad input, like any other unparsable file."""
+    (tmp_path / "deep.json").write_text("[" * 200000)
+    before = _snapshot(tmp_path)
+    with _chdir(tmp_path):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ketlab: config error: ") and "deep.json is not valid JSON" in err
+    assert _snapshot(tmp_path) == before

@@ -33,9 +33,11 @@ from ketlab.measurement import (
     draw_outcome,
     inverse_cdf,
     make_pointer,
+    postselected_cycle,
     strong_measure,
 )
-from oracles import pointer_marginal, pointer_position_mean, product_state, random_observable
+from oracles import (pointer_marginal, pointer_position_mean, product_state, random_observable,
+                     reference_postselected_cycle)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 angles = st.floats(-6.0, 6.0, allow_nan=False)
@@ -324,6 +326,24 @@ def test_coupling_dimension_mismatch():
     joint = product_state(ket_zero(), make_pointer(grid, 1.0))
     with pytest.raises(PreconditionError):
         couple_pointer(joint, HermitianOperator(3, np.eye(3)), 0.1)
+
+
+@given(st.integers(4, 10), st.integers(1, 16), st.sampled_from([0.01, 0.078125, 0.3, 2.5]),
+       st.floats(-50.0, 50.0).filter(bool), seeds)
+def test_postselected_cycle_matches_the_elementwise_sums(log_n, rows, spacing, center, seed):
+    """A block's weights and conditional means, one matrix product with the
+    grid's moment rows, agree with |phi|^2 summed elementwise."""
+    grid = PointerGrid(2 ** log_n, spacing, center)
+    rng = np.random.default_rng(seed)
+    spectra = rng.standard_normal((rows, grid.n_points)) + 1j * rng.standard_normal(
+        (rows, grid.n_points))
+    phi, weights, means = postselected_cycle(spectra, grid)
+    want_phi, want_weights, want_means = reference_postselected_cycle(spectra, grid)
+    np.testing.assert_array_equal(phi, want_phi)
+    np.testing.assert_allclose(weights, want_weights, rtol=1e-13, atol=0.0)
+    # a mean near 0 has no scale of its own; its rounding scales with the positions
+    scale = np.max(np.abs(grid.positions))
+    np.testing.assert_allclose(means, want_means, rtol=1e-13, atol=1e-13 * scale)
 
 
 def test_joint_state_json_round_trip():

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import ketlab.cli
 from ketlab.ontology import DUALITY_GAP_TOL
+from ketlab.serialize import load_json
+from oracles import canonical_json
 
 TESTS = Path(__file__).resolve().parent
 SCRIPTS = TESTS.parent / "scripts"
@@ -71,6 +73,21 @@ def test_artifact_digests_cover_every_file_written(tmp_path):
     for line in lines:
         digest, name = line.split("  ", 1)
         assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+
+def test_every_json_artifact_is_what_jsons_own_encoder_writes(tmp_path):
+    """The digest runs write the artifacts that take `dump_json`'s runs of
+    scalars and lists of records: per-step logs, joint dumps, manifests.
+    Each JSON file holds exactly json's indented encoding of what it
+    holds."""
+    digests = load_script("artifact_digests")
+    digests.digest_lines(tmp_path)
+    written = sorted(tmp_path.glob("*.json"))
+    assert len(written) > len(digests.COMMANDS)
+    for path in written:
+        assert path.read_bytes() == canonical_json(load_json(path)).encode(), path.name
+    # the digests' sampled run aborts where its comment says
+    assert load_json(tmp_path / "abort.json")["run"]["aborted_at_step"] == 28
 
 
 def test_the_shared_parser_carries_no_state_between_runs(tmp_path, monkeypatch):
