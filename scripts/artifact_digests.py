@@ -3,8 +3,9 @@
 
     python3 scripts/artifact_digests.py
 
-Runs each command in COMMANDS in-process, in one temporary directory, and
-prints one `sha256  name` line per file written there, manifests
+Writes the orthodox qubit model to `model.json` in one temporary
+directory, runs each command in COMMANDS there in-process, and prints one
+`sha256  name` line per file written there, manifests and the model file
 included, sorted by name. Two trees write byte-identical artifacts when
 their outputs are identical, so diff this script's output on both:
 
@@ -20,6 +21,8 @@ import tempfile
 from pathlib import Path
 
 from ketlab.cli import main
+from ketlab.ontology import orthodox_model, qubit_scenario
+from ketlab.serialize import dump_json
 
 COMMANDS = (
     # the seven defaults
@@ -36,6 +39,9 @@ COMMANDS = (
     ["onto", "--model", "orthodox", "--scenario", "pbr", "-o", "orth_pbr.json"],
     ["onto", "--model", "orthodox", "--scenario", "qubit", "-o", "orth_q.json",
      "--prep", "+", "--meas", "x", "--mc-trials", "2000"],
+    # the model file reader, on the orthodox model written to model.json
+    ["onto", "--model", "model.json", "--scenario", "qubit", "--prep", "0", "--meas", "z",
+     "-o", "model_eval.json"],
     # every artifact `protective` can add
     ["protective", "--tomography", "--per-step-csv", "tomo_steps.csv",
      "--dump-joint", "tomo_joint.json", "-o", "tomo.json"],
@@ -55,10 +61,16 @@ COMMANDS = (
 )
 
 
+def write_model(directory) -> None:
+    """Write the model file COMMANDS read, `model.json`, to `directory`."""
+    dump_json(orthodox_model(qubit_scenario()).to_json_dict(), Path(directory) / "model.json")
+
+
 def digest_lines(directory) -> list:
-    """Run every command in `directory`, then return one `sha256  name`
-    line per file there, sorted by name."""
+    """Write `model.json` and run every command in `directory`, then
+    return one `sha256  name` line per file there, sorted by name."""
     directory = Path(directory)
+    write_model(directory)
     here = Path.cwd()
     os.chdir(directory)
     try:

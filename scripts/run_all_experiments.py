@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Run every experiment at its defaults into one output directory.
+"""Run every experiment into one output directory.
 
     python3 scripts/run_all_experiments.py [outdir]
 
-outdir defaults to ./lab_runs. Each subcommand writes its artifact plus a
-manifest; the console shows the one-line summaries as they land.
+Each subcommand runs at its defaults, except that `protective` adds
+`--tomography` and `onto` adds a 100000-trial Monte Carlo check
+(`--mc-trials 100000`). outdir defaults to ./lab_runs. Each subcommand
+writes its artifact plus a manifest; the console shows the one-line
+summaries as they land.
 """
 
 import os

@@ -84,7 +84,8 @@ from .ontology import (
     predict,
     qubit_scenario,
 )
-from .pbr import overlap_preservation_check, pbr_experiment, pbr_scenario, steering_table
+from .pbr import (PREPARATION_IDS, overlap_preservation_check, pbr_experiment, pbr_scenario,
+                  steering_table)
 from .protective import (DEFAULT_COUPLING, DEFAULT_STEPS, protection_leak,
                          protective_measure, protective_tomography)
 from .rngs import substream, uniform_chunks
@@ -173,10 +174,9 @@ def _choice(*options):
 
 def _float_list(value):
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        if not parts:
+        if not value.replace(",", "").strip():
             raise ConfigError("expected a comma-separated list of numbers")
-        return tuple(_as_float(p) for p in parts)
+        return tuple(_as_float(p) for p in value.split(","))   # an empty item too
     if isinstance(value, (list, tuple)):
         if not value:
             raise ConfigError("expected a non-empty list of numbers")
@@ -305,7 +305,7 @@ SCHEMAS = {
             "kind": {"const": "ketlab/leak"},
             "survival": _NUM,
             "predicted_survival": _NUM,
-            "surviving_state": {"anyOf": [_STATE_JSON, {"type": "null"}]},
+            "surviving_state": {**_STATE_JSON, "type": ["object", "null"]},
             "matches_protected": {"type": ["boolean", "null"]},
         },
     },
@@ -411,7 +411,7 @@ _CSV_CELL_PARSERS = {
 
 
 # the JSON Schema keywords `_schema_error` implements; SCHEMAS may use no other
-SCHEMA_KEYWORDS = frozenset({"type", "const", "anyOf", "minimum", "required", "properties",
+SCHEMA_KEYWORDS = frozenset({"type", "const", "minimum", "required", "properties",
                              "additionalProperties", "items", "minItems", "maxItems"})
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
                "integer": int, "boolean": bool, "null": type(None)}
@@ -436,8 +436,6 @@ def _schema_error(schema: dict, value, where: str = "$") -> str | None:
         return f"{where} is not of type {' or '.join(types)}"
     if "const" in schema and value != schema["const"]:
         return f"{where} is not {schema['const']!r}"
-    if "anyOf" in schema and all(_schema_error(s, value, where) for s in schema["anyOf"]):
-        return f"{where} matches none of its allowed forms"
     if "minimum" in schema and _is_type(value, "number") and value < schema["minimum"]:
         return f"{where} is below the minimum {schema['minimum']}"
     children = []
@@ -631,7 +629,7 @@ def _run_pbr(cfg: RunConfig):
         rows = [
             (prep, *counts.counts[prep], sum(counts.counts[prep]),
              counts.forbidden_map[prep] + 1)
-            for prep in counts.to_json_dict()["preparations"]
+            for prep in PREPARATION_IDS
         ]
         artifacts = [Artifact(cfg.output, "csv", (PBR_HEADER, rows))]
     else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,67 +41,68 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def _checked_dim(value, what: str = "dim") -> int:
     """`value` as an int when it is an integer from 1 to MAX_DIM, numpy's
     included, else PreconditionError (for a bool, a float and text too)."""
-    dim = _checked_count(value, what)
+    dim = _checked_count(value, what, MAX_DIM)
     if dim < 1:
         raise PreconditionError(f"{what} must be >= 1, got {dim}")
-    if dim > MAX_DIM:
-        raise PreconditionError(f"{what} {dim} exceeds the {MAX_DIM} cap")
     return dim
 
 
-def _checked_count(value, what: str) -> int:
-    """`value` as an int when it is a nonnegative integer, numpy's
-    included, else PreconditionError (for a bool, a float and text too)."""
+def _checked_count(value, what: str, cap: int | None = None) -> int:
+    """`value` as an int when it is a nonnegative integer no larger than
+    `cap`, numpy's included, else PreconditionError (for a bool, a float
+    and text too)."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise PreconditionError(f"{what} must be an integer, got {value!r}")
     if value < 0:
         raise PreconditionError(f"{what} must be >= 0, got {value}")
+    if cap is not None and value > cap:
+        raise PreconditionError(f"{what} {value} exceeds the {cap} cap")
     return int(value)
 
 
-def _is_real(value) -> bool:
-    """True for an int or float, numpy's included; False for a bool or text."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+_REAL = (int, float, np.integer, np.floating)
+_COMPLEX = (*_REAL, complex, np.complexfloating)
+
+
+def _is_number(value, types: tuple = _REAL) -> bool:
+    """True for an instance of `types` that is not a bool: by default an
+    int or a float, numpy's included."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _finite_real(value, what: str) -> float:
     """`value` as a float when it is a finite real number, else PreconditionError."""
     # an int past 1e308 compares exactly, where float() would overflow
-    if not (_is_real(value) and abs(value) <= sys.float_info.max):
+    if not (_is_number(value) and abs(value) <= sys.float_info.max):
         raise PreconditionError(f"{what} must be a finite real number, got {value!r}")
     return float(value)
 
 
-def _all_real(values) -> bool:
-    """True when every entry of `values` is a real number: an ndarray by its
-    dtype, nested lists entry by entry (JSON text and booleans would
-    otherwise convert to numbers silently)."""
-    if isinstance(values, np.ndarray):
-        return values.dtype.kind in "iuf"
-    if isinstance(values, (list, tuple)):
-        return all(_all_real(v) for v in values)
-    return _is_real(values)
+def _number_array(values, what: str, dtype: type = float, shape: tuple | None = None):
+    """A fresh `dtype` array (float or complex) holding `values`, of
+    exactly `shape` when one is given, else PreconditionError.
 
-
-def _real_array(values, what: str) -> np.ndarray:
-    """`values` as a float array when it holds only real numbers, else
-    PreconditionError (for a ragged input and ints past 1e308 too)."""
+    An ndarray is checked by its dtype. Anything else is laid out by numpy
+    as an object array, refused past two dimensions, then checked in one
+    flat pass: every entry must be an int or a float, numpy's included, or
+    a complex number when `dtype` is complex. Text, bools, None, ragged
+    and deeper nesting are refused, as are ints past 1e308."""
+    types, kinds, name = ((_COMPLEX, "iufc", "numbers") if dtype is complex
+                          else (_REAL, "iuf", "real numbers"))
     try:
-        if _all_real(values):
-            return np.asarray(values, dtype=float)
+        if not isinstance(values, np.ndarray):
+            values = np.array(values, dtype=object)
+        if values.dtype == object:
+            # numpy nests to 64 dimensions but iterates only 32: count them first
+            ok = values.ndim <= 2 and all(_is_number(v, types) for v in values.flat)
+        else:
+            ok = values.dtype.kind in kinds
+        arr = np.array(values, dtype=dtype) if ok else None
     except (ValueError, OverflowError):
-        pass
-    raise PreconditionError(f"{what} must hold real numbers")
-
-
-def _complex_array(values, shape: tuple) -> np.ndarray:
-    """A fresh complex array of exactly `shape` holding `values`, else
-    PreconditionError (for a ragged or non-numeric input too)."""
-    try:
-        arr = np.array(values, dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise PreconditionError(f"expected an array of numbers: {exc}") from None
-    if arr.shape != shape:
+        arr = None
+    if arr is None:
+        raise PreconditionError(f"{what} must hold {name}")
+    if shape is not None and arr.shape != shape:
         raise PreconditionError(f"expected shape {shape}, got {arr.shape}")
     return arr
 
@@ -116,7 +117,7 @@ def complex_from_json(data: dict, shape: tuple) -> np.ndarray:
     """The array of `shape` that `complex_json` stored in `data`, else
     PreconditionError."""
     size = (math.prod(shape),)
-    re, im = (_complex_array(_real_array(_json_field(data, key), f"{key!r}"), size)
+    re, im = (_number_array(_json_field(data, key), f"{key!r}", shape=size)
               for key in ("re", "im"))
     return (re + 1j * im).reshape(shape)
 
@@ -138,7 +139,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         dim = _checked_dim(self.dim)
-        amps = _complex_array(self.amplitudes, (dim,))
+        amps = _number_array(self.amplitudes, "amplitudes", complex, (dim,))
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise PreconditionError(
@@ -150,7 +151,7 @@ class StateVector:
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
         """Build a state from unnormalized amplitudes."""
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps = _number_array(amplitudes, "amplitudes", complex).reshape(-1)
         norm = float(np.linalg.norm(amps))
         if norm <= 0.0:
             raise PreconditionError("cannot normalize an all-zero vector")
@@ -174,7 +175,7 @@ class HermitianOperator:
 
     def __post_init__(self) -> None:
         dim = _checked_dim(self.dim)
-        mat = _complex_array(self.matrix, (dim, dim))
+        mat = _number_array(self.matrix, "matrix", complex, (dim, dim))
         dev = float(np.max(np.abs(mat - mat.conj().T)))
         if not dev <= HERMITIAN_TOL:
             raise PreconditionError(
@@ -198,6 +199,7 @@ class EigenDecomposition:
 
     eigenvalues: tuple
     eigenvectors: tuple
+    basis_matrix: np.ndarray = field(init=False)   # eigenvectors as columns, in order
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.eigenvalues)
@@ -218,15 +220,11 @@ class EigenDecomposition:
             )
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
+        object.__setattr__(self, "basis_matrix", _readonly(mat))
 
     @property
     def dim(self) -> int:
         return self.eigenvectors[0].dim
-
-    @cached_property
-    def basis_matrix(self) -> np.ndarray:
-        """Eigenvectors as columns, in eigenvalue order."""
-        return _readonly(np.column_stack([v.amplitudes for v in self.eigenvectors]))
 
     @cached_property
     def groups(self) -> tuple:

@@ -44,7 +44,7 @@ from .errors import (
     WraparoundError,
 )
 from .hilbert import (EigenDecomposition, HermitianOperator, StateVector, _checked_dim,
-                      _complex_array, _finite_real, _json_field, _readonly,
+                      _finite_real, _json_field, _number_array, _readonly,
                       complex_from_json, complex_json, eigendecompose)
 from .rngs import as_generator
 
@@ -130,14 +130,14 @@ class GridWavefunction:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = _complex_array(self.amplitudes, (self.grid.n_points,))
+        amps = _number_array(self.amplitudes, "amplitudes", complex, (self.grid.n_points,))
         object.__setattr__(self, "amplitudes",
                            _unit_grid_norm(amps, self.grid, "grid wavefunction"))
 
     @classmethod
     def normalized(cls, grid: PointerGrid, amplitudes) -> "GridWavefunction":
         """Build a wavefunction from unnormalized amplitudes on `grid`."""
-        amps = np.asarray(amplitudes, dtype=complex)
+        amps = _number_array(amplitudes, "amplitudes", complex)
         with np.errstate(over="ignore", invalid="ignore"):   # a nan norm is rejected
             return cls(grid, amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * grid.spacing)))
 
@@ -157,7 +157,7 @@ class JointSystemPointerState:
     def __post_init__(self) -> None:
         d = _checked_dim(self.system_dim, "system_dim")
         _checked_dim(d * self.grid.n_points, "joint dimension")
-        amps = _complex_array(self.amplitudes, (d, self.grid.n_points))
+        amps = _number_array(self.amplitudes, "amplitudes", complex, (d, self.grid.n_points))
         object.__setattr__(self, "system_dim", d)
         object.__setattr__(self, "amplitudes", _unit_grid_norm(amps, self.grid, "joint state"))
 

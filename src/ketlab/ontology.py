@@ -45,7 +45,7 @@ from .errors import CertificationError, InternalError, PreconditionError
 from .hilbert import (
     _checked_count,
     _finite_real,
-    _real_array,
+    _number_array,
     eigendecompose,
     ket_minus,
     ket_one,
@@ -81,7 +81,7 @@ def linprog(*args, **kwargs):
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
-    arr = _real_array(vec, what).reshape(-1)
+    arr = _number_array(vec, what).reshape(-1)
     if np.any(arr < -DISTRIBUTION_TOL):
         raise PreconditionError(f"{what} has negative entries")
     if not abs(float(arr.sum()) - 1.0) <= DISTRIBUTION_TOL:
@@ -133,7 +133,7 @@ class OntologicalModel:
             preps[str(key)] = arr
         resps = {}
         for key, table in dict(self.responses).items():
-            arr = _real_array(table, f"response table {key!r}")
+            arr = _number_array(table, f"response table {key!r}")
             if arr.ndim != 2 or arr.shape[0] != size:
                 raise PreconditionError(
                     f"response table {key!r} must have one row per lambda value"

@@ -28,7 +28,7 @@ from .hilbert import (
     EigenDecomposition,
     StateVector,
     _checked_count,
-    _real_array,
+    _number_array,
     canonical_phase,
     ket_minus,
     ket_one,
@@ -149,7 +149,7 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     Unit tests pin the equivalence with the per-trial loop.
     """
     trials = _checked_count(trials, "trials")
-    weights = _real_array(mixture_weights, "mixture_weights")
+    weights = _number_array(mixture_weights, "mixture_weights")
     if weights.shape != (4,) or np.any(weights < 0):
         raise PreconditionError("mixture_weights must be four nonnegative reals")
     if not abs(float(weights.sum()) - 1.0) <= WEIGHT_SUM_TOL:
@@ -280,7 +280,7 @@ def overlap_preservation_check(u: np.ndarray, s1: StateVector, s2: StateVector,
     """
     if s1.dim != s2.dim:
         raise PreconditionError(f"system dimension mismatch: {s1.dim} vs {s2.dim}")
-    u = np.asarray(u, dtype=complex)
+    u = _number_array(u, "unitary", complex)
     dim = ready.dim * s1.dim
     if u.shape != (dim, dim):
         raise PreconditionError(

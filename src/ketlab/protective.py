@@ -160,9 +160,7 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     """
     if mode not in ("deterministic", "sampled"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    n = _checked_count(n, "step count")
-    if n > MAX_STEPS:
-        raise PreconditionError(f"step count {n} exceeds the {MAX_STEPS} cap")
+    n = _checked_count(n, "step count", MAX_STEPS)
     if not (op.dim == initial.dim == protected.dim):
         raise PreconditionError(
             f"dimension mismatch: operator {op.dim}, prepared {initial.dim}, "

@@ -213,6 +213,21 @@ def test_an_empty_sweep_list_exits_2_and_writes_nothing(tmp_path, monkeypatch, c
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["protective", "--n", "5", "--sweep-g", "0.002,,0.003"], "sweep_g"),
+    (["protective", "--n", "5", "--sweep-g", "0.002,"], "sweep_g"),
+    (["pbr", "--weights", ",0.25,0.25,0.25,0.25"], "weights"),
+])
+def test_an_empty_item_in_a_number_list_exits_2_and_writes_nothing(tmp_path, monkeypatch,
+                                                                    capsys, argv, name):
+    """An empty item is a typo, not a number to skip: the run would
+    otherwise sweep fewer couplings than were written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert f"config error: parameter {name!r}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["protective", "--help"]])
 def test_help_reads_the_same_from_the_shared_parser(capsys, argv):
     """`main` prints each help text the same way twice in one process, as
@@ -973,6 +988,7 @@ def test_every_digest_command_hands_the_check_plain_json(tmp_path, monkeypatch):
         ketlab.serialize.dump_json(data, path)
 
     monkeypatch.chdir(tmp_path)
+    digests.write_model(tmp_path)
     monkeypatch.setattr(ketlab.cli, "validate_artifact", recording_check)
     monkeypatch.setattr(ketlab.cli, "dump_json", dump)
     for argv in digests.COMMANDS:

@@ -197,3 +197,23 @@ def test_input_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("ketlab: config error: ") and "deep.json is not valid JSON" in err
     assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("depth", [65, 500, 900])
+@pytest.mark.parametrize("field", ["preparations", "responses"])
+def test_a_model_nested_past_its_table_exits_3(tmp_path, capsys, field, depth):
+    """A preparation holds a list of numbers and a response table a list of
+    rows: deeper nesting is refused as bad numbers, past numpy's 64
+    dimensions and past the recursion limit too, and writes nothing."""
+    entry = 1.0
+    for _ in range(depth - 1):
+        entry = [entry]
+    model = {"lambda": ["a"], "preparations": {"0": [1.0]}, "responses": {"z": [[1.0]]}}
+    model[field] = {key: entry for key in model[field]}
+    (tmp_path / "deep.json").write_text(json.dumps(model))
+    before = _snapshot(tmp_path)
+    with _chdir(tmp_path):
+        assert main(["onto", "--model", "deep.json"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ketlab: precondition rejected: ") and "must hold real numbers" in err
+    assert _snapshot(tmp_path) == before

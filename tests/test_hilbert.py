@@ -27,7 +27,7 @@ from ketlab.hilbert import (
     sigma_z,
     tensor,
 )
-from ketlab.measurement import JointSystemPointerState
+from ketlab.measurement import GridWavefunction, JointSystemPointerState, PointerGrid
 from ketlab.ontology import OntologicalModel
 from oracles import haar_random_state, projector, random_observable
 
@@ -105,6 +105,33 @@ def test_json_re_and_im_must_hold_real_numbers():
             StateVector.from_json_dict({"dim": 2, "re": re, "im": im})
     state = StateVector.from_json_dict({"dim": 2, "re": [0, 1], "im": [0.0, 0]})
     np.testing.assert_array_equal(state.amplitudes, [0.0, 1.0])
+
+
+_GRID = PointerGrid(16, 1.0)
+_VALUE_CONSTRUCTORS = {   # each builds a valid value from these entries, exact in complex64
+    "state": ([0.5 + 0.5j, 0.5 - 0.5j], lambda e: StateVector(2, e)),
+    "operator": ([1.0, 0.5j, -0.5j, 1], lambda e: HermitianOperator(2, [e[:2], e[2:]])),
+    "wavefunction": ([0.5 + 0.5j, 0.5 - 0.5j] + [0] * 14, lambda e: GridWavefunction(_GRID, e)),
+    "joint": ([0.5 + 0.5j, 0.5 - 0.5j] + [0.0] * 14,
+              lambda e: JointSystemPointerState(1, _GRID, [e])),
+    "normalized state": ([3, 4j], StateVector.normalized),
+    "normalized wavefunction": ([3, 4j] + [0] * 14,
+                                lambda e: GridWavefunction.normalized(_GRID, e)),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUE_CONSTRUCTORS))
+def test_value_constructors_take_numbers_complex_ones_included(name):
+    """Text, bools and None are not amplitudes, though numpy would convert
+    the first two; Python and numpy complex numbers are."""
+    entries, make = _VALUE_CONSTRUCTORS[name]
+    make(entries)
+    make([np.complex64(v) if isinstance(v, complex) else v for v in entries])
+    for bad in ("0.6", True, np.bool_(True), None):
+        with pytest.raises(PreconditionError, match="must hold numbers$"):
+            make([bad, *entries[1:]])
+    with pytest.raises(PreconditionError, match="must hold numbers$"):
+        make(np.array(entries).astype(str))
 
 
 

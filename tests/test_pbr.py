@@ -244,6 +244,13 @@ def test_experiment_rejects_mixture_weights_given_as_booleans():
         pbr_experiment(10, mixture_weights=(True, False, False, False))
 
 
+def test_experiment_rejects_complex_mixture_weights():
+    """A weight is a real number, though numpy would drop an imaginary part."""
+    for weights in ((0.25 + 0j,) * 4, np.full(4, 0.25, dtype=complex)):
+        with pytest.raises(PreconditionError, match="mixture_weights must hold real numbers"):
+            pbr_experiment(10, mixture_weights=weights)
+
+
 @pytest.mark.parametrize("trials", [True, 10.0, "10"])
 def test_experiment_rejects_trial_counts_that_are_not_integers(trials):
     with pytest.raises(PreconditionError, match="trials must be an integer"):
@@ -411,6 +418,14 @@ def test_overlap_check_rejects_non_unitary_matrix():
 def test_overlap_check_rejects_wrong_shape():
     with pytest.raises(PreconditionError):
         overlap_preservation_check(np.eye(2), ket_zero(), ket_plus(), ket_zero())
+
+
+def test_overlap_check_takes_a_unitary_of_numbers_only():
+    """Text and bools would convert to matrix entries silently."""
+    overlap_preservation_check(np.eye(4).tolist(), ket_zero(), ket_plus(), ket_zero())
+    for entries in (np.eye(4).astype(str), np.eye(4, dtype=bool), np.eye(4).astype(str).tolist()):
+        with pytest.raises(PreconditionError, match="^unitary must hold numbers$"):
+            overlap_preservation_check(entries, ket_zero(), ket_plus(), ket_zero())
 
 
 def test_overlap_check_rejects_mismatched_system_states():
