@@ -104,7 +104,9 @@ SWEEP_HEADER = ("g", "inferred_expectation", "absolute_error", "survival")
 
 
 def parse_state_spec(spec: str) -> StateVector:
-    """Named qubit ket ('0', '1', '+', '-') or Bloch angles 'theta:phi'."""
+    """Named qubit ket ('0', '1', '+', '-') or 'theta:phi', the state
+    cos(theta)|0> + e^{i phi} sin(theta)|1>: theta is half the Bloch polar
+    angle and phi the azimuthal angle."""
     if spec in _NAMED_KETS:
         return _NAMED_KETS[spec]()
     if ":" in spec:
@@ -800,7 +802,7 @@ COMMANDS = {
             help="repeated weak coupling on a protected qubit",
             formats=("json",),
             params=(
-                Param("theta", _as_float, 0.5236, "Bloch polar angle of the prepared state"),
+                Param("theta", _as_float, 0.5236, "half the Bloch polar angle of the state"),
                 Param("phi", _as_float, 0.0, "Bloch azimuthal angle"),
                 *_PROTECTION_PARAMS,
                 Param("mode", _choice("deterministic", "sampled"), "deterministic",

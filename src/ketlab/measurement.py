@@ -138,7 +138,8 @@ class GridWavefunction:
     def normalized(cls, grid: PointerGrid, amplitudes) -> "GridWavefunction":
         """Build a wavefunction from unnormalized amplitudes on `grid`."""
         amps = _number_array(amplitudes, "amplitudes", complex)
-        with np.errstate(over="ignore", invalid="ignore"):   # a nan norm is rejected
+        # a zero, infinite or nan norm gives amplitudes the check rejects
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return cls(grid, amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * grid.spacing)))
 
 
@@ -311,10 +312,10 @@ def strong_measure(psi: StateVector, basis: EigenDecomposition, seed) -> Outcome
 def gaussian_profile(displacement: np.ndarray, width: float) -> np.ndarray:
     """exp(-x^2 / (4 width^2)) at each displacement x: a Gaussian amplitude
     whose squared modulus has standard deviation `width`."""
-    # a numpy power: the same bits as float's, but an overflow gives inf (and
-    # a norm the wavefunction check rejects), without a warning, instead of
-    # an OverflowError
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a numpy power: the same bits as float's, but an overflow gives inf, and
+    # an underflow a zero divisor, each with a norm the wavefunction check
+    # rejects and without a warning, instead of an OverflowError
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return np.exp(-(displacement ** 2) / (4.0 * np.float64(width) ** 2))
 
 

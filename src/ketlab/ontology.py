@@ -46,6 +46,7 @@ from .hilbert import (
     _checked_count,
     _finite_real,
     _number_array,
+    _readonly,
     eigendecompose,
     ket_minus,
     ket_one,
@@ -80,17 +81,27 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
-    arr = _number_array(vec, what).reshape(-1)
-    if np.any(arr < -DISTRIBUTION_TOL):
-        raise PreconditionError(f"{what} has negative entries")
-    if not abs(float(arr.sum()) - 1.0) <= DISTRIBUTION_TOL:
-        raise PreconditionError(
-            f"{what} sums to {float(arr.sum())!r}, expected 1 within {DISTRIBUTION_TOL}"
-        )
-    arr = np.clip(arr, 0.0, None)
-    arr.setflags(write=False)
-    return arr
+def _distributions(values, what: str, size: int, table: bool = False) -> np.ndarray:
+    """`values` as a read-only float array of shape (size,), or (size, k)
+    for a response `table`, whose rows (a preparation is one row) are each
+    a probability distribution: no entry below -DISTRIBUTION_TOL and a sum
+    within DISTRIBUTION_TOL of 1. Entries are clipped at 0. Else
+    PreconditionError, naming the first row that fails."""
+    arr = _number_array(values, what)
+    if arr.ndim != 1 + table or len(arr) != size:
+        raise PreconditionError(f"{what} has shape {arr.shape}; lambda takes {size} values")
+    rows = np.atleast_2d(arr)
+    with np.errstate(over="ignore", invalid="ignore"):   # an inf or nan sum fails below
+        sums = rows.sum(axis=1)
+    negative = np.any(rows < -DISTRIBUTION_TOL, axis=1)
+    bad = negative | ~(np.abs(sums - 1.0) <= DISTRIBUTION_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        name = f"{what} row {i}" if table else what
+        raise PreconditionError(f"{name} has negative entries" if negative[i] else
+                                f"{name} sums to {float(sums[i])!r}, expected 1 "
+                                f"within {DISTRIBUTION_TOL}")
+    return _readonly(np.clip(arr, 0.0, None, out=arr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +111,9 @@ class LambdaSpace:
     labels: tuple
 
     def __post_init__(self) -> None:
-        labels = tuple(str(b) for b in self.labels)
+        labels = tuple(self.labels)
+        if not all(isinstance(b, str) for b in labels):
+            raise PreconditionError("lambda labels must be text")
         if not labels:
             raise PreconditionError("lambda space cannot be empty")
         if len(set(labels)) != len(labels):
@@ -122,28 +135,10 @@ class OntologicalModel:
 
     def __post_init__(self) -> None:
         size = self.lambda_space.size
-        preps = {}
-        for key, vec in dict(self.preparations).items():
-            arr = _check_distribution(vec, f"preparation {key!r}")
-            if arr.shape != (size,):
-                raise PreconditionError(
-                    f"preparation {key!r} has {arr.shape[0]} entries for "
-                    f"{size} lambda values"
-                )
-            preps[str(key)] = arr
-        resps = {}
-        for key, table in dict(self.responses).items():
-            arr = _number_array(table, f"response table {key!r}")
-            if arr.ndim != 2 or arr.shape[0] != size:
-                raise PreconditionError(
-                    f"response table {key!r} must have one row per lambda value"
-                )
-            rows = np.stack([
-                _check_distribution(arr[i], f"response row {key!r}[{i}]")
-                for i in range(size)
-            ])
-            rows.setflags(write=False)
-            resps[str(key)] = rows
+        preps = {str(key): _distributions(vec, f"preparation {key!r}", size)
+                 for key, vec in dict(self.preparations).items()}
+        resps = {str(key): _distributions(table, f"response table {key!r}", size, table=True)
+                 for key, table in dict(self.responses).items()}
         object.__setattr__(self, "preparations", preps)
         object.__setattr__(self, "responses", resps)
 

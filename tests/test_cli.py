@@ -424,6 +424,11 @@ _QUBIT_MODEL = ('{"lambda": ["a", "b"], "preparations": {"0": %s, "1": [0, 1], '
                 '"responses": {"z": [%s, [0, 1]], "x": [[0.5, 0.5], [0.5, 0.5]]}}')
 
 
+def _labelled(label: str) -> str:
+    """The complete qubit model with `label`, JSON text, for its second lambda."""
+    return _QUBIT_MODEL.replace('"b"', label) % ("[1, 0]", "[1, 0]")
+
+
 @pytest.mark.parametrize("text,code", [
     pytest.param(None, 2, id="missing"),
     pytest.param("{not json", 2, id="not-json"),
@@ -439,8 +444,17 @@ _QUBIT_MODEL = ('{"lambda": ["a", "b"], "preparations": {"0": %s, "1": [0, 1], '
     pytest.param(_QUBIT_MODEL % ('["1", "0"]', "[1, 0]"), 3, id="numeric-text-weights"),
     pytest.param(_QUBIT_MODEL % ("[false, true]", "[1, 0]"), 3, id="boolean-weights"),
     pytest.param(_QUBIT_MODEL % ("[1, 0]", '["1", "0"]'), 3, id="numeric-text-response-row"),
+    pytest.param(_QUBIT_MODEL % ("[1e308, 1e308]", "[1, 0]"), 3, id="weights-summing-past-1e308"),
+    pytest.param(_QUBIT_MODEL % ("[[1, 0]]", "[1, 0]"), 3, id="preparation-as-one-row"),
+    pytest.param(_QUBIT_MODEL % ("[[1], [0]]", "[1, 0]"), 3, id="preparation-as-a-column"),
+    pytest.param('{"lambda": ["a", "b"], "preparations": {"0": [1, 0]}, '
+                 '"responses": {"z": [[], []]}}', 3, id="empty-response-rows"),
+    *(pytest.param(_labelled(label), 3, id=f"label-{name}") for name, label in [
+        ("int", "1"), ("bool", "true"), ("null", "null"), ("object", '{"k": 1}'),
+        ("nested-300-deep", "[" * 300 + '"b"' + "]" * 300)]),
     pytest.param(_QUBIT_MODEL % ("[1, 0]", "[1, 0]"), 0, id="a-complete-qubit-model"),
 ])
+@pytest.mark.filterwarnings("error")   # a warning from numpy too is a failure
 def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text, code):
     monkeypatch.chdir(tmp_path)
     if text is not None:
@@ -457,6 +471,8 @@ def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text
     (["protective", "--g", "0"], 0),
     (["leak", "--grid-points", "0"], 3),
     (["scan", "--width", "1e200"], 3),      # the pointer's width ** 2 overflows
+    (["scan", "--width", "1e-300"], 3),     # ... or underflows to a zero divisor
+    (["scan", "--offset", "60"], 3),        # every amplitude underflows: a zero norm
     (["protective", "--width", "1e200"], 3),
     (["scan", "--grid-points", str(2**40)], 3),   # over the cap, before any allocation
     (["protective", "--n", "65537", "--g", "1e-9"], 3),   # over MAX_STEPS

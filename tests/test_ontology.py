@@ -47,6 +47,8 @@ def test_lambda_space_rejects_empty_and_duplicate_labels():
         LambdaSpace(())
     with pytest.raises(PreconditionError):
         LambdaSpace(("a", "b", "a"))
+    with pytest.raises(PreconditionError, match="lambda labels must be text"):
+        LambdaSpace(("a", 1))   # not converted to "1"
     assert LambdaSpace(("a", "b")).size == 2
 
 
@@ -69,6 +71,15 @@ def test_model_rejects_malformed_response_tables():
         OntologicalModel(space, prep, {"m": [[0.5, 0.4], [0.5, 0.5]]})
     with pytest.raises(PreconditionError):
         OntologicalModel(space, prep, {"m": [0.5, 0.5]})  # not a table
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[1.0, 0.0], [0.5, 0.5], [0.7, 0.7]], "response table 'm' row 2 sums to 1.4"),
+    ([[1.0, 0.0], [1.5, -0.5], [0.7, 0.7]], "response table 'm' row 1 has negative entries"),
+])
+def test_a_bad_response_row_is_named_by_its_index(rows, message):
+    with pytest.raises(PreconditionError, match=message):
+        OntologicalModel(LambdaSpace(("a", "b", "c")), {"p": [1.0, 0.0, 0.0]}, {"m": rows})
 
 
 def test_model_rejects_nan_distributions():
