@@ -20,10 +20,13 @@ the ontology module's scenarios are all described this way.
 A coupling followed by a postselection of the system on |post> never needs
 the joint state: it multiplies the pointer's spectrum by
 M(p) = sum_j <post|v_j><v_j|pre> exp(-i g a_j p) over the eigenpairs
-(a_j, v_j) of A. `postselected_cycle` reads a block of such spectra with
-one batched inverse FFT: it is the kernel of both a weak readout (a block
-of one cycle) and a protective measurement (blocks of consecutive
-protections).
+(a_j, v_j) of A. A readout needs only the postselected pointer's norm and
+mean, and both stay in momentum space: Parseval gives the norm, and
+x <-> i d/dp gives the first moment from M and its p-derivative M'.
+`postselected_cycles` reads a run of cycles that way, in blocks of real
+powers of |M|^2 times one matrix product, with no inverse FFT: it is the
+kernel of both a weak readout (a run of one cycle) and a protective
+measurement (a run of consecutive protections).
 
 Grid wavefunctions carry the measure: norms are sums of |amplitude|^2
 times the grid spacing, matching the continuum normalization they sample.
@@ -56,6 +59,7 @@ DEGENERATE_PROB_TOL = 1e-15  # total Born weight below this cannot be sampled
 FORBIDDEN_TOL = 1e-12        # amplitude |<v_k|psi>| below this forbids outcome k
 DEFAULT_GRID_POINTS = 512
 DEFAULT_EXTENT_WIDTHS = 40.0
+BLOCK_ELEMENTS = 2 ** 13     # real entries (64 KB) per array of a block of cycles
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,13 +98,6 @@ class PointerGrid:
         """Angular wavenumbers conjugate to the positions (hbar = 1)."""
         return _readonly(2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing))
 
-    @cached_property
-    def moment_rows(self) -> np.ndarray:
-        """The (2, N) rows [spacing, positions * spacing]: a density times
-        their transpose is its grid norm and its first moment."""
-        return _readonly(np.stack([np.full(self.n_points, self.spacing),
-                                   self.positions * self.spacing]))
-
     def to_json_dict(self) -> dict:
         return {"n_points": self.n_points, "spacing": self.spacing, "center": self.center}
 
@@ -133,6 +130,16 @@ class GridWavefunction:
         amps = _number_array(self.amplitudes, "amplitudes", complex, (self.grid.n_points,))
         object.__setattr__(self, "amplitudes",
                            _unit_grid_norm(amps, self.grid, "grid wavefunction"))
+
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        """The (2, N) rows [FFT(phi), FFT(x phi)], x the offset of each grid
+        point from the centre, from one FFT call: the pointer's share of
+        `postselected_cycles`' moments."""
+        grid = self.grid
+        offsets = (np.arange(grid.n_points) - grid.n_points // 2) * grid.spacing
+        return _readonly(np.fft.fft(np.stack([self.amplitudes, offsets * self.amplitudes]),
+                                    axis=1))
 
     @classmethod
     def normalized(cls, grid: PointerGrid, amplitudes) -> "GridWavefunction":
@@ -356,35 +363,83 @@ def coupling_phases(eig: EigenDecomposition, g: float, grid: PointerGrid,
     return np.exp(-1j * g * np.outer(vals, grid.momenta))
 
 
-def postselected_multiplier(eig: EigenDecomposition, phases: np.ndarray,
+def postselected_multiplier(eig: EigenDecomposition, g: float, phases: np.ndarray,
                             post: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """M(p) = sum_j <post|v_j><v_j|pre> exp(-i g a_j p).
+    """Rows [M, M'] over the grid momenta p: the multiplier
+    M(p) = sum_j <post|v_j><v_j|pre> exp(-i g a_j p) and its p-derivative
+    M'(p) = sum_j <post|v_j><v_j|pre> (-i g a_j) exp(-i g a_j p).
 
-    Coupling a system in |pre> to the pointer and postselecting it on
-    |post> multiplies the pointer's spectrum by M; `phases` holds the rows
-    of `coupling_phases` for the same decomposition.
+    Coupling a system in |pre> to the pointer with strength g and
+    postselecting it on |post> multiplies the pointer's spectrum by M;
+    `phases` holds the rows of `coupling_phases` for the same decomposition
+    and g. M' is one more row of the same product, the weights times
+    -i g a_j; `postselected_cycles` reads the pointer's mean from it.
     """
     v = eig.basis_matrix
-    return ((post.conj() @ v) * (v.conj().T @ pre)) @ phases
+    w = (post.conj() @ v) * (v.conj().T @ pre)
+    return np.stack([w, -1j * g * np.asarray(eig.eigenvalues) * w]) @ phases
 
 
-def postselected_cycle(spectra: np.ndarray, grid: PointerGrid) -> tuple:
-    """Postselected pointers of a block of spectra, one per row.
+def _squares(multiplier: np.ndarray) -> tuple:
+    """|M|^2 and Re(i conj(M) M') of a `postselected_multiplier` pair: the
+    rows a cycle multiplies a pointer's density and its mean's weight by."""
+    m, dm = multiplier
+    return m.real ** 2 + m.imag ** 2, m.imag * dm.real - m.real * dm.imag
 
-    Row k of the (B, N) stack `spectra` is a pointer spectrum after a
-    coupling and a postselection, i.e. a spectrum times
-    `postselected_multiplier`s. One inverse FFT over the block gives
-    (phi, weights, means), row by row: phi[k] is the unnormalized
-    postselected pointer, weights[k] its squared norm (the postselection
-    probability when the spectrum it started from had norm 1) and means[k]
-    its conditional mean position relative to the grid center. The
-    weights and first moments of the block's densities are one matrix
-    product with the grid's `moment_rows`.
+
+def postselected_cycles(pointer: GridWavefunction, first: np.ndarray, repeated: np.ndarray,
+                        cycles: int):
+    """Yield (weights, means) for cycles 1..`cycles`, one block at a time.
+
+    Cycle 1 multiplies the pointer's spectrum phi0^ by the multiplier M1 of
+    `first`, and each later cycle by the M of `repeated` (both
+    `postselected_multiplier` pairs), so after cycle k it is
+    phi0^ M1 M^(k-1). weights[i] is that pointer's squared grid norm W_k
+    and means[i] its mean position relative to the grid centre, for the
+    block's i-th cycle k. Neither needs the pointer itself. With
+    b = |phi0^|^2, a = Re(conj(phi0^) FFT(x phi0)) (the pointer's
+    `spectra`), f1, e1 and r, e the `_squares` of M1 and M,
+    Parseval and x <-> i d/dp give
+
+        W_k = (h/N) sum_p b f1 r^(k-1),
+        W_k mean_k = (h/N) sum_p [(a f1 + b e1) r^(k-1) + (k-1) b f1 e r^(k-2)]
+
+    for N grid points of spacing h. The mean is that of the pointer on the
+    line, so a tail pushed past the grid's edge counts where it is, not
+    where periodic wraparound would put it.
+
+    A block of B = min(cycles, max(1, BLOCK_ELEMENTS // N)) cycles is one
+    real (B + 1, N) stack of powers of r times the (N, 3) matrix of the
+    sums' other factors: row i + 1 holds the i-th cycle's r^(k-1), and row
+    0 the power before the block's first cycle, which the (k-1) term reads
+    (0 before cycle 1, where that term vanishes). The powers r^0 .. r^B are
+    one `np.cumprod` per run, and each later block is the last row of the
+    one before times them. r <= 1 and r(0) = 1, so nothing is renormalised
+    and nothing is divided by r, which vanishes wherever M does.
     """
-    phi = np.fft.ifft(spectra, axis=1)
-    density = phi.real ** 2 + phi.imag ** 2
-    weights, moments = (density @ grid.moment_rows.T).T
-    return phi, weights, moments / weights - grid.center
+    grid = pointer.grid
+    n_points = grid.n_points
+    rows = max(1, min(cycles, BLOCK_ELEMENTS // n_points))
+    spectrum, moment = pointer.spectra
+    b = spectrum.real ** 2 + spectrum.imag ** 2
+    a = (spectrum.conj() * moment).real
+    f1, e1 = _squares(first)
+    r, e = _squares(repeated)
+    columns = (grid.spacing / n_points * np.stack([b * f1, a * f1 + b * e1, b * f1 * e])).T
+    powers = np.empty((rows + 1, n_points))
+    powers[0] = 1.0
+    powers[1:] = r
+    np.cumprod(powers, axis=0, out=powers)          # row k is r^k
+    stack = np.zeros((rows + 1, n_points))
+    stack[1:] = powers[:-1]
+    for done in range(0, cycles, rows):
+        if done:
+            stack[0] = stack[rows]
+            np.multiply(stack[0], powers[1:], out=stack[1:])
+        size = min(rows, cycles - done)
+        sums = stack[:size + 1] @ columns
+        weights = sums[1:, 0]
+        yield weights, (sums[1:, 1] + np.arange(done, done + size) * sums[:-1, 2]) / weights
 
 
 def couple_pointer(joint: JointSystemPointerState, op: HermitianOperator, g: float,

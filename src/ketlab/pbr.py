@@ -152,10 +152,10 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     weights = _number_array(mixture_weights, "mixture_weights")
     if weights.shape != (4,) or np.any(weights < 0):
         raise PreconditionError("mixture_weights must be four nonnegative reals")
-    if not abs(float(weights.sum()) - 1.0) <= WEIGHT_SUM_TOL:
-        raise PreconditionError(
-            f"mixture_weights sum to {float(weights.sum())!r}, expected 1"
-        )
+    with np.errstate(over="ignore"):   # an inf sum fails below
+        total = float(weights.sum())
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+        raise PreconditionError(f"mixture_weights sum to {total!r}, expected 1")
     scenario = pbr_scenario()
     xi = scenario.measurements["xi"]
     born = np.stack([born_probabilities(scenario.preparations[p], xi) for p in PREPARATION_IDS])

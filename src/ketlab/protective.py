@@ -25,12 +25,13 @@ joint state is |protected> (x) pointer, and each cycle acts on the pointer
 alone, as one multiplication in momentum space. The survivor of any run
 with n > 0 is the protected state itself.
 
-The cycles run in blocks. After cycle k the pointer's spectrum is, before
-normalization, phi0^ M1 M^(k-1), so the powers of M are computed once per
-run and a block of cycles is the carried spectrum times those powers, read
-with one batched inverse FFT. A block holds max(1, BLOCK_ELEMENTS // N)
-cycles for N grid points: a fixed working set of 128 KB per block array,
-16 cycles at the default 512 points.
+After cycle k the pointer's spectrum is, before normalization,
+phi0^ M1 M^(k-1), and a cycle's survival weight and pointer mean are read
+from it without leaving momentum space (`postselected_cycles`): the norm by
+Parseval and the mean by x <-> i d/dp, from real powers of |M|^2. The
+cycles run in blocks of max(1, BLOCK_ELEMENTS // N) for N grid points, a
+fixed working set of 64 KB per real block array, 16 cycles at the default
+512 points. The one inverse FFT of a run builds its final pointer.
 """
 
 from __future__ import annotations
@@ -52,13 +53,14 @@ from .hilbert import (
     inner_product,
 )
 from .measurement import (
+    BLOCK_ELEMENTS,   # noqa: F401 -- the block size of `postselected_cycles`, named here too
     JointSystemPointerState,
     PointerGrid,
     couple_pointer,
     coupling_phases,
     default_grid,
     make_pointer,
-    postselected_cycle,
+    postselected_cycles,
     postselected_multiplier,
 )
 from .rngs import as_generator
@@ -69,7 +71,6 @@ COMPLETENESS_RANK_TOL = 1e-8
 DEFAULT_STEPS = 400
 DEFAULT_COUPLING = 5e-3
 MAX_STEPS = 2 ** 16          # cycles per run; the per-step log keeps ~1.3 KB each
-BLOCK_ELEMENTS = 2 ** 13     # complex entries (128 KB) per array of a block of cycles
 
 
 class StepRecord(NamedTuple):
@@ -128,7 +129,7 @@ def _protective_loop(initial: StateVector, protected: StateVector,
                      op: HermitianOperator, n: int, g: float,
                      grid: PointerGrid | None, width: float,
                      mode: str, seed) -> ProtectiveRunResult | None:
-    """Shared engine: couple, protect, renormalize, log.
+    """Shared engine: couple, protect, log.
 
     Every input is checked before any work: the mode, n an integer (not a
     bool) with 0 <= n <= MAX_STEPS, one dimension for op and both states,
@@ -143,20 +144,18 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     M(p) = sum_j |<v_j|c>|^2 exp(-i g a_j p) over the eigenpairs (a_j, v_j)
     of op, with c the protected state; the first cycle, which starts from
     the prepared state, uses M1(p) = sum_j <c|v_j><v_j|prepared> exp(-i g a_j p).
-    Both are `postselected_multiplier`s. Before normalization the spectrum
-    after cycle k is S_k = phi0^ M1 M^(k-1), so the cycles run in blocks:
-    the powers M^0 .. M^B are one `np.cumprod`, computed once per run, and a
-    block of up to B cycles is the carried normalized spectrum times
-    M1 [1, M, ..] (first block) or [M, .., M^b] (later blocks), read by one
-    `postselected_cycle`, the kernel a weak readout runs on a block of one.
-    B is max(1, BLOCK_ELEMENTS // N) for N grid points, a fixed working set
-    per block array. Row k's squared norm W_k is relative to the carried
-    spectrum (W_0 = 1), so cycle k's survival weight is W_k / W_(k-1).
+    Both are `postselected_multiplier`s, read with their p-derivatives by
+    `postselected_cycles`, the kernel a weak readout runs for one cycle: it
+    yields each cycle's squared norm W_k (W_0 = 1) and pointer mean in
+    blocks of real powers of |M|^2, with no inverse FFT, so cycle k's
+    survival weight is W_k / W_(k-1).
     A sampled run draws its n uniforms at once and aborts at the first
     cycle whose uniform exceeds its weight; the uniforms are those of n
     single draws.
-    final_joint is |protected> (x) phi after the last cycle, the product
-    state before any cycle ran, or the coupled state of a sampled abort.
+    final_joint is |protected> (x) phi after the last cycle, with phi the
+    normalized inverse FFT of phi0^ M1 M^(k-1), the run's one inverse FFT;
+    the product state before any cycle ran, or the coupled state of a
+    sampled abort.
     """
     if mode not in ("deterministic", "sampled"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -168,7 +167,7 @@ def _protective_loop(initial: StateVector, protected: StateVector,
         )
     grid = default_grid(width) if grid is None else grid
     _checked_dim(initial.dim * grid.n_points, "joint dimension")
-    pointer = make_pointer(grid, width).amplitudes
+    pointer = make_pointer(grid, width)
     eig = eigendecompose(op)
     phases = coupling_phases(eig, g, grid, n)
     if abs(inner_product(protected, initial)) < ORTHOGONAL_LEAK_TOL:
@@ -177,41 +176,35 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     if mode == "sampled":
         uniforms = as_generator(seed if seed is not None else 0).random(n)
     c = protected.amplitudes
-    rows = min(n, max(1, BLOCK_ELEMENTS // grid.n_points))
-    powers = np.empty((rows + 1, grid.n_points), dtype=complex)
-    powers[0] = 1.0
-    powers[1:] = postselected_multiplier(eig, phases, c, c)
-    np.cumprod(powers, axis=0, out=powers)          # row k is M^k
-    # the first block starts from the spectrum after cycle 1, at power 0
-    spectrum = np.fft.fft(pointer) * postselected_multiplier(eig, phases, c, initial.amplitudes)
-    lead = 0
+    first = postselected_multiplier(eig, g, phases, c, initial.amplitudes)
+    repeated = postselected_multiplier(eig, g, phases, c, c)
     survival = 1.0
+    last = 1.0                                       # W_(k-1) before the block
     log = []
     aborted = None
-    while len(log) < n and aborted is None:
+    for weights, means in postselected_cycles(pointer, first, repeated, n):
         done = len(log)
-        size = min(rows, n - done)
-        block = spectrum * powers[lead:lead + size]
-        phi, weights, means = postselected_cycle(block, grid)
-        step_weights = weights.copy()
-        step_weights[1:] /= weights[:-1]
+        size = len(weights)
+        step_weights = weights / np.concatenate(([last], weights[:-1]))
         if uniforms is not None:
             misses = np.flatnonzero(uniforms[done:done + size] > step_weights)
             if misses.size:
                 size = int(misses[0])
                 aborted = done + size + 1
-        if size == 0:
-            break
         survivals = np.cumprod(np.concatenate(([survival], np.minimum(step_weights[:size], 1.0))))
         survival = float(survivals[-1])
         log.extend(map(StepRecord, range(done + 1, done + size + 1),
                        survivals[1:].tolist(), means[:size].tolist()))
-        norm = math.sqrt(weights[size - 1])
-        spectrum = block[size - 1] / norm
-        pointer = phi[size - 1] / norm
-        lead = 1
+        if size:
+            last = float(weights[size - 1])
+        if aborted is not None:
+            break
+    amplitudes = pointer.amplitudes
+    if log:
+        spectrum = pointer.spectra[0] * first[0] * repeated[0] ** (len(log) - 1)
+        amplitudes = np.fft.ifft(spectrum) / math.sqrt(last)
     system = protected if log else initial
-    joint = JointSystemPointerState(system.dim, grid, np.outer(system.amplitudes, pointer))
+    joint = JointSystemPointerState(system.dim, grid, np.outer(system.amplitudes, amplitudes))
     if aborted is not None:
         joint = couple_pointer(joint, op, g, decomposition=eig)
     shift = log[-1].pointer_mean if log else 0.0

@@ -38,7 +38,7 @@ from .measurement import (
     PointerGrid,
     coupling_phases,
     make_pointer,
-    postselected_cycle,
+    postselected_cycles,
     postselected_multiplier,
 )
 
@@ -127,17 +127,18 @@ def weak_pointer_shift(psi: StateVector, op: HermitianOperator, post: StateVecto
 
     This is exactly one cycle of the protective engine: the pointer's
     spectrum is multiplied once by M(p) = sum_j <post|v_j><v_j|psi>
-    exp(-i g a_j p) and read by `postselected_cycle` as a block of one row,
-    the kernel the protective runs read their blocks of cycles with. No
-    joint system+pointer state is built.
+    exp(-i g a_j p), and `postselected_cycles`, the kernel the protective
+    runs read their cycles with, reads a run of one cycle from M and its
+    p-derivative in momentum space: the probability by Parseval, the mean
+    by x <-> i d/dp. Neither the joint system+pointer state nor the
+    postselected pointer is built.
     """
     _checked_selection(op, psi, post)
     pointer = make_pointer(grid, width)
     eig = eigendecompose(op)
-    multiplier = postselected_multiplier(eig, coupling_phases(eig, g, grid, 1),
+    multiplier = postselected_multiplier(eig, g, coupling_phases(eig, g, grid, 1),
                                          post.amplitudes, psi.amplitudes)
-    spectrum = np.fft.fft(pointer.amplitudes) * multiplier
-    _, (prob,), (mean,) = postselected_cycle(spectrum[None], grid)
+    (prob,), (mean,) = next(postselected_cycles(pointer, multiplier, multiplier, 1))
     if prob < POSTSELECT_PROB_TOL:
         raise PostselectionError(
             f"postselection probability {prob:.3e} below {POSTSELECT_PROB_TOL}; "

@@ -4,8 +4,8 @@ No `ketlab` command or public function needs these, so they live here as
 the oracles the tests build states, observables and pointer readouts
 from: the reference protective loop, the reference weak readout and the
 coupling checks compare the package's kernels against them. The
-postselected-cycle readout by elementwise sums and json's own indented
-encoder are the oracles of `postselected_cycle` and `dump_json`.
+postselected-cycle readout by inverse FFT and json's own indented encoder
+are the oracles of `postselected_cycles` and `dump_json`.
 """
 
 import json
@@ -53,8 +53,10 @@ def pointer_position_mean(joint: JointSystemPointerState) -> float:
 
 
 def reference_postselected_cycle(spectra: np.ndarray, grid) -> tuple:
-    """`postselected_cycle` by elementwise sums: the density |phi|^2 and one
-    `np.sum` per moment."""
+    """(phi, weights, means) of a (B, N) stack of pointer spectra, one per
+    row, read the way `postselected_cycles` replaced: an inverse FFT per
+    row, the density |phi|^2 and one `np.sum` per moment on the periodic
+    grid. Means are relative to the grid centre."""
     phi = np.fft.ifft(spectra, axis=1)
     density = np.abs(phi) ** 2
     weights = np.sum(density, axis=1) * grid.spacing

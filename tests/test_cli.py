@@ -481,7 +481,9 @@ def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text
     (["leak", "--prepared", "0", "--protected", "1", "--n", "65537"], 3),   # orthogonal
     (["leak", "--prepared", "0", "--protected", "1", "--g", "1e6"], 3),
     (["leak", "--prepared", "0", "--protected", "1", "--grid-points", "4096"], 3),
+    (["pbr", "--weights", "1e308,1e308,1e308,1e308"], 3),   # the weights' sum overflows
 ])
+@pytest.mark.filterwarnings("error")
 def test_degenerate_sizes_keep_the_exit_code_contract(tmp_path, monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code

@@ -21,6 +21,8 @@ from ketlab.hilbert import (
     sigma_z,
 )
 from ketlab.measurement import (
+    BLOCK_ELEMENTS,
+    DEFAULT_EXTENT_WIDTHS,
     FORBIDDEN_TOL,
     GridWavefunction,
     JointSystemPointerState,
@@ -33,11 +35,12 @@ from ketlab.measurement import (
     draw_outcome,
     inverse_cdf,
     make_pointer,
-    postselected_cycle,
+    postselected_cycles,
+    postselected_multiplier,
     strong_measure,
 )
-from oracles import (pointer_marginal, pointer_position_mean, product_state, random_observable,
-                     reference_postselected_cycle)
+from oracles import (haar_random_state, pointer_marginal, pointer_position_mean, product_state,
+                     random_observable, reference_postselected_cycle)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 angles = st.floats(-6.0, 6.0, allow_nan=False)
@@ -328,22 +331,34 @@ def test_coupling_dimension_mismatch():
         couple_pointer(joint, HermitianOperator(3, np.eye(3)), 0.1)
 
 
-@given(st.integers(4, 10), st.integers(1, 16), st.sampled_from([0.01, 0.078125, 0.3, 2.5]),
-       st.floats(-50.0, 50.0).filter(bool), seeds)
-def test_postselected_cycle_matches_the_elementwise_sums(log_n, rows, spacing, center, seed):
-    """A block's weights and conditional means, one matrix product with the
-    grid's moment rows, agree with |phi|^2 summed elementwise."""
+@given(st.integers(8, 10), st.integers(1, 40), st.sampled_from([0.01, 0.078125, 0.3, 2.5]),
+       st.floats(-50.0, 50.0), st.floats(0.0, 0.999), seeds)
+def test_postselected_cycles_match_the_fft_readout(log_n, cycles, spacing, center, reach, seed):
+    """Weights and means read in momentum space, block by block, agree with
+    the inverse-FFT readout of each cycle's spectrum phi0^ M1 M^(k-1): a
+    Gaussian pointer under random postselected multipliers, at any grid
+    size, spacing and centre, over runs of one to five blocks."""
     grid = PointerGrid(2 ** log_n, spacing, center)
+    pointer = make_pointer(grid, grid.extent / DEFAULT_EXTENT_WIDTHS)
     rng = np.random.default_rng(seed)
-    spectra = rng.standard_normal((rows, grid.n_points)) + 1j * rng.standard_normal(
-        (rows, grid.n_points))
-    phi, weights, means = postselected_cycle(spectra, grid)
-    want_phi, want_weights, want_means = reference_postselected_cycle(spectra, grid)
-    np.testing.assert_array_equal(phi, want_phi)
-    np.testing.assert_allclose(weights, want_weights, rtol=1e-13, atol=0.0)
+    d = int(rng.integers(2, 5))
+    eig = eigendecompose(random_observable(d, rng))
+    g = reach * grid.extent / 4.0 / (cycles * max(abs(v) for v in eig.eigenvalues))
+    phases = coupling_phases(eig, g, grid, cycles)
+    c = haar_random_state(d, rng).amplitudes
+    first = postselected_multiplier(eig, g, phases, c, haar_random_state(d, rng).amplitudes)
+    repeated = postselected_multiplier(eig, g, phases, c, c)
+    blocks = list(postselected_cycles(pointer, first, repeated, cycles))
+    rows = max(1, min(cycles, BLOCK_ELEMENTS // grid.n_points))
+    assert [len(w) for w, _ in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    weights, means = (np.concatenate(parts) for parts in zip(*blocks))
+    powers = np.cumprod([np.ones(grid.n_points)] + [repeated[0]] * (cycles - 1), axis=0)
+    spectra = np.fft.fft(pointer.amplitudes) * first[0] * powers
+    _, want_weights, want_means = reference_postselected_cycle(spectra, grid)
+    np.testing.assert_allclose(weights, want_weights, rtol=1e-12, atol=0.0)
     # a mean near 0 has no scale of its own; its rounding scales with the positions
     scale = np.max(np.abs(grid.positions))
-    np.testing.assert_allclose(means, want_means, rtol=1e-13, atol=1e-13 * scale)
+    np.testing.assert_allclose(means, want_means, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_joint_state_json_round_trip():

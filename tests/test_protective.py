@@ -35,6 +35,7 @@ from ketlab import (
 from ketlab.hilbert import eigendecompose
 from ketlab.measurement import (
     JointSystemPointerState,
+    PointerGrid,
     couple_pointer,
     make_pointer,
 )
@@ -53,6 +54,17 @@ def test_eigenstate_run_is_exact():
     assert run.inferred_expectation == pytest.approx(1.0, abs=1e-12)
     assert run.survival_probability == pytest.approx(1.0, abs=1e-12)
     assert run.aborted_at_step is None
+
+
+def test_eigenstate_run_is_exact_at_the_guard_edge():
+    """The smallest extent the pointer allows (20 widths) at the full shift
+    the wraparound guard allows (a quarter of it): the shifted pointer's
+    tail reaches past the grid's edge, and the mean still counts it where
+    it is, not where periodic wraparound would put it."""
+    run = protective_measure(ket_zero(), sigma_z(), n=50, g=0.1,
+                             grid=PointerGrid(256, 20.0 / 256), width=1.0)
+    assert run.inferred_expectation == pytest.approx(1.0, abs=1e-12)
+    assert run.survival_probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_superposition_readout_matches_expectation(tilted_state):
