@@ -536,7 +536,7 @@ def _run_protective(cfg: RunConfig):
     artifacts = [Artifact(cfg.output, "json", data)]
     if p["per_step_csv"] is not None:
         artifacts.append(Artifact(Path(p["per_step_csv"]), "csv",
-                                  (PER_STEP_HEADER, result.per_step_log)))
+                                  (PER_STEP_HEADER, result.step_rows())))
     if p["sweep_g"] is not None:
         rows = []
         for g in p["sweep_g"]:

@@ -28,17 +28,21 @@ with n > 0 is the protected state itself.
 After cycle k the pointer's spectrum is, before normalization,
 phi0^ M1 M^(k-1), and a cycle's survival weight and pointer mean are read
 from it without leaving momentum space (`postselected_cycles`): the norm by
-Parseval and the mean by x <-> i d/dp, from real powers of |M|^2. The
-cycles run in blocks of max(1, BLOCK_ELEMENTS // N) for N grid points, a
-fixed working set of 64 KB per real block array, 16 cycles at the default
-512 points. The one inverse FFT of a run builds its final pointer.
+Parseval and the mean by x <-> i d/dp, from real powers of |M|^2, summed
+over the K momenta the pointer occupies. The cycles run in blocks of
+max(1, BLOCK_ELEMENTS // K), a fixed working set of 64 KB per real block
+array, 106 cycles for the default pointer (K = 77 at any grid size). The
+survivals follow from all weights at once, and the per-step log is two
+float columns. The final joint state, the run's one
+inverse FFT, is built only when it is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -48,12 +52,12 @@ from .hilbert import (
     StateVector,
     _checked_count,
     _checked_dim,
+    _readonly,
     canonical_phase,
     eigendecompose,
     inner_product,
 )
 from .measurement import (
-    BLOCK_ELEMENTS,   # noqa: F401 -- the block size of `postselected_cycles`, named here too
     JointSystemPointerState,
     PointerGrid,
     couple_pointer,
@@ -70,28 +74,28 @@ ORTHOGONAL_LEAK_TOL = 1e-15  # |<protected|prepared>| below this: empty result
 COMPLETENESS_RANK_TOL = 1e-8
 DEFAULT_STEPS = 400
 DEFAULT_COUPLING = 5e-3
-MAX_STEPS = 2 ** 16          # cycles per run; the per-step log keeps ~1.3 KB each
-
-
-class StepRecord(NamedTuple):
-    step: int
-    survival: float
-    pointer_mean: float
+MAX_STEPS = 2 ** 16          # cycles per run; its JSON log peaks at ~0.8 KB of RSS each
 
 
 @dataclass(frozen=True, eq=False)
 class ProtectiveRunResult:
-    """Outcome of one protective measurement run."""
+    """Outcome of one protective measurement run.
+
+    The per-step log is two columns, one entry per cycle run: survivals[i]
+    is the survival probability and pointer_means[i] the pointer mean after
+    cycle i + 1. `final_joint` is built by `build_joint` on first read.
+    """
 
     steps: int
     coupling: float
     pointer_mean_shift: float
     survival_probability: float
     inferred_expectation: float | None
-    per_step_log: tuple
+    survivals: np.ndarray
+    pointer_means: np.ndarray
     mode: str
+    build_joint: Callable[[], JointSystemPointerState] = field(repr=False)
     aborted_at_step: int | None = None
-    final_joint: JointSystemPointerState | None = None
 
     def __post_init__(self) -> None:
         if not -1e-12 <= self.survival_probability <= 1.0 + 1e-12:
@@ -100,6 +104,15 @@ class ProtectiveRunResult:
             )
         if self.inferred_expectation is not None and not math.isfinite(self.inferred_expectation):
             raise PreconditionError("inferred expectation must be finite when defined")
+
+    @cached_property
+    def final_joint(self) -> JointSystemPointerState:
+        return self.build_joint()
+
+    def step_rows(self):
+        """(step, survival, pointer_mean) of each cycle run, from step 1."""
+        return zip(range(1, len(self.survivals) + 1), self.survivals.tolist(),
+                   self.pointer_means.tolist())
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,8 +124,8 @@ class ProtectiveRunResult:
             "inferred_expectation": self.inferred_expectation,
             "aborted_at_step": self.aborted_at_step,
             "per_step_log": [
-                {"step": r.step, "survival": r.survival, "pointer_mean": r.pointer_mean}
-                for r in self.per_step_log
+                {"step": step, "survival": survival, "pointer_mean": mean}
+                for step, survival, mean in self.step_rows()
             ],
         }
 
@@ -146,16 +159,17 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     the prepared state, uses M1(p) = sum_j <c|v_j><v_j|prepared> exp(-i g a_j p).
     Both are `postselected_multiplier`s, read with their p-derivatives by
     `postselected_cycles`, the kernel a weak readout runs for one cycle: it
-    yields each cycle's squared norm W_k (W_0 = 1) and pointer mean in
-    blocks of real powers of |M|^2, with no inverse FFT, so cycle k's
+    returns each cycle's squared norm W_k (W_0 = 1) and pointer mean, read
+    in blocks of real powers of |M|^2 with no inverse FFT, so cycle k's
     survival weight is W_k / W_(k-1).
     A sampled run draws its n uniforms at once and aborts at the first
-    cycle whose uniform exceeds its weight; the uniforms are those of n
-    single draws.
-    final_joint is |protected> (x) phi after the last cycle, with phi the
-    normalized inverse FFT of phi0^ M1 M^(k-1), the run's one inverse FFT;
-    the product state before any cycle ran, or the coupled state of a
-    sampled abort.
+    cycle whose uniform exceeds its weight, found by one comparison over
+    the run; the uniforms are those of n single draws. The survivals of
+    the cycles run are one `np.cumprod` of their weights.
+    final_joint, built on first read, is |protected> (x) phi after the last
+    cycle, with phi the normalized inverse FFT of phi0^ M1 M^(k-1), the
+    run's one inverse FFT; the product state before any cycle ran, or the
+    coupled state of a sampled abort.
     """
     if mode not in ("deterministic", "sampled"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -172,53 +186,42 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     phases = coupling_phases(eig, g, grid, n)
     if abs(inner_product(protected, initial)) < ORTHOGONAL_LEAK_TOL:
         return None
-    uniforms = None
+    uniforms = np.zeros(n)                  # deterministic: no uniform exceeds a weight >= 0
     if mode == "sampled":
         uniforms = as_generator(seed if seed is not None else 0).random(n)
     c = protected.amplitudes
     first = postselected_multiplier(eig, g, phases, c, initial.amplitudes)
     repeated = postselected_multiplier(eig, g, phases, c, c)
-    survival = 1.0
-    last = 1.0                                       # W_(k-1) before the block
-    log = []
-    aborted = None
-    for weights, means in postselected_cycles(pointer, first, repeated, n):
-        done = len(log)
-        size = len(weights)
-        step_weights = weights / np.concatenate(([last], weights[:-1]))
-        if uniforms is not None:
-            misses = np.flatnonzero(uniforms[done:done + size] > step_weights)
-            if misses.size:
-                size = int(misses[0])
-                aborted = done + size + 1
-        survivals = np.cumprod(np.concatenate(([survival], np.minimum(step_weights[:size], 1.0))))
-        survival = float(survivals[-1])
-        log.extend(map(StepRecord, range(done + 1, done + size + 1),
-                       survivals[1:].tolist(), means[:size].tolist()))
-        if size:
-            last = float(weights[size - 1])
-        if aborted is not None:
-            break
-    amplitudes = pointer.amplitudes
-    if log:
-        spectrum = pointer.spectra[0] * first[0] * repeated[0] ** (len(log) - 1)
-        amplitudes = np.fft.ifft(spectrum) / math.sqrt(last)
-    system = protected if log else initial
-    joint = JointSystemPointerState(system.dim, grid, np.outer(system.amplitudes, amplitudes))
-    if aborted is not None:
-        joint = couple_pointer(joint, op, g, decomposition=eig)
-    shift = log[-1].pointer_mean if log else 0.0
-    denominator = len(log) * g
+    weights, means = postselected_cycles(pointer, first, repeated, n)
+    step_weights = weights / np.concatenate(([1.0], weights[:-1]))
+    misses = np.flatnonzero(uniforms > step_weights)
+    ran = int(misses[0]) if misses.size else n     # cycles run
+    aborted = ran + 1 if misses.size else None
+    survivals = np.cumprod(np.minimum(step_weights[:ran], 1.0))
+    survival = float(survivals[-1]) if ran else 1.0
+    shift = float(means[ran - 1]) if ran else 0.0
+
+    def build_joint() -> JointSystemPointerState:
+        amplitudes = pointer.amplitudes
+        if ran:
+            spectrum = pointer.spectra[0] * first[0] * repeated[0] ** (ran - 1)
+            amplitudes = np.fft.ifft(spectrum) / math.sqrt(weights[ran - 1])
+        system = protected if ran else initial
+        joint = JointSystemPointerState(system.dim, grid, np.outer(system.amplitudes, amplitudes))
+        return couple_pointer(joint, op, g, decomposition=eig) if aborted is not None else joint
+
+    denominator = ran * g
     return ProtectiveRunResult(
         steps=n,
         coupling=g,
         pointer_mean_shift=shift,
         survival_probability=max(min(survival, 1.0), 0.0),
         inferred_expectation=shift / denominator if denominator != 0.0 else None,
-        per_step_log=tuple(log),
+        survivals=_readonly(survivals),
+        pointer_means=_readonly(means[:ran]),
         mode=mode,
         aborted_at_step=aborted,
-        final_joint=joint,
+        build_joint=build_joint,
     )
 
 

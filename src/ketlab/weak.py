@@ -138,7 +138,7 @@ def weak_pointer_shift(psi: StateVector, op: HermitianOperator, post: StateVecto
     eig = eigendecompose(op)
     multiplier = postselected_multiplier(eig, g, coupling_phases(eig, g, grid, 1),
                                          post.amplitudes, psi.amplitudes)
-    (prob,), (mean,) = next(postselected_cycles(pointer, multiplier, multiplier, 1))
+    (prob,), (mean,) = postselected_cycles(pointer, multiplier, multiplier, 1)
     if prob < POSTSELECT_PROB_TOL:
         raise PostselectionError(
             f"postselection probability {prob:.3e} below {POSTSELECT_PROB_TOL}; "

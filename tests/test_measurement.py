@@ -21,9 +21,9 @@ from ketlab.hilbert import (
     sigma_z,
 )
 from ketlab.measurement import (
-    BLOCK_ELEMENTS,
     DEFAULT_EXTENT_WIDTHS,
     FORBIDDEN_TOL,
+    WIDTH_SPACING_FACTOR,
     GridWavefunction,
     JointSystemPointerState,
     PointerGrid,
@@ -35,6 +35,7 @@ from ketlab.measurement import (
     draw_outcome,
     inverse_cdf,
     make_pointer,
+    occupied_momenta,
     postselected_cycles,
     postselected_multiplier,
     strong_measure,
@@ -331,15 +332,20 @@ def test_coupling_dimension_mismatch():
         couple_pointer(joint, HermitianOperator(3, np.eye(3)), 0.1)
 
 
-@given(st.integers(8, 10), st.integers(1, 40), st.sampled_from([0.01, 0.078125, 0.3, 2.5]),
-       st.floats(-50.0, 50.0), st.floats(0.0, 0.999), seeds)
-def test_postselected_cycles_match_the_fft_readout(log_n, cycles, spacing, center, reach, seed):
+@given(st.integers(8, 10), st.integers(1, 300), st.sampled_from([0.01, 0.078125, 0.3, 2.5]),
+       st.floats(-50.0, 50.0), st.floats(0.0, 0.999), st.booleans(), seeds)
+def test_postselected_cycles_match_the_fft_readout(log_n, cycles, spacing, center, reach,
+                                                   narrow, seed):
     """Weights and means read in momentum space, block by block, agree with
     the inverse-FFT readout of each cycle's spectrum phi0^ M1 M^(k-1): a
-    Gaussian pointer under random postselected multipliers, at any grid
-    size, spacing and centre, over runs of one to five blocks."""
+    Gaussian pointer of 40 widths per extent, or the narrowest one
+    `make_pointer` accepts, under random postselected multipliers, at any
+    grid size, spacing and centre, over runs of one block to nineteen
+    (BLOCK_ELEMENTS // K rows for the K momenta the pointer occupies: 106
+    for the wide pointer, 66 to 16 for the narrow one)."""
     grid = PointerGrid(2 ** log_n, spacing, center)
-    pointer = make_pointer(grid, grid.extent / DEFAULT_EXTENT_WIDTHS)
+    width = WIDTH_SPACING_FACTOR * spacing if narrow else grid.extent / DEFAULT_EXTENT_WIDTHS
+    pointer = make_pointer(grid, width)
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 5))
     eig = eigendecompose(random_observable(d, rng))
@@ -348,10 +354,7 @@ def test_postselected_cycles_match_the_fft_readout(log_n, cycles, spacing, cente
     c = haar_random_state(d, rng).amplitudes
     first = postselected_multiplier(eig, g, phases, c, haar_random_state(d, rng).amplitudes)
     repeated = postselected_multiplier(eig, g, phases, c, c)
-    blocks = list(postselected_cycles(pointer, first, repeated, cycles))
-    rows = max(1, min(cycles, BLOCK_ELEMENTS // grid.n_points))
-    assert [len(w) for w, _ in blocks[:-1]] == [rows] * (len(blocks) - 1)
-    weights, means = (np.concatenate(parts) for parts in zip(*blocks))
+    weights, means = postselected_cycles(pointer, first, repeated, cycles)
     powers = np.cumprod([np.ones(grid.n_points)] + [repeated[0]] * (cycles - 1), axis=0)
     spectra = np.fft.fft(pointer.amplitudes) * first[0] * powers
     _, want_weights, want_means = reference_postselected_cycle(spectra, grid)
@@ -359,6 +362,32 @@ def test_postselected_cycles_match_the_fft_readout(log_n, cycles, spacing, cente
     # a mean near 0 has no scale of its own; its rounding scales with the positions
     scale = np.max(np.abs(grid.positions))
     np.testing.assert_allclose(means, want_means, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_the_kernel_sums_over_the_momenta_the_pointer_occupies():
+    """A pointer occupies the momenta where b = |phi0^|^2 >= eps^2 max b:
+    77 for a width-1 pointer on the default grid of any size, and 245 of
+    512 for the narrowest pointer `make_pointer` accepts. Every other
+    momentum is dropped, and the kernel reads no multiplier there."""
+    eps = np.finfo(float).eps
+    pointers = [make_pointer(default_grid(1.0, n), 1.0) for n in (256, 512, 1024, 4096)]
+    assert [occupied_momenta(p).size for p in pointers] == [77] * 4
+    grid = default_grid(1.0, 512)
+    narrow = make_pointer(grid, WIDTH_SPACING_FACTOR * grid.spacing)
+    assert occupied_momenta(narrow).size == 245
+    eig = eigendecompose(sigma_z())
+    for pointer in [*pointers, narrow]:
+        b = np.abs(np.fft.fft(pointer.amplitudes)) ** 2
+        kept = occupied_momenta(pointer)
+        assert np.all(np.delete(b, kept) < eps ** 2 * b.max())
+        assert np.all(b[kept] >= eps ** 2 * b.max())
+        phases = coupling_phases(eig, 0.01, pointer.grid, 20)
+        multiplier = postselected_multiplier(eig, 0.01, phases, ket_plus().amplitudes,
+                                             ket_plus().amplitudes)
+        blind = np.full_like(multiplier, np.nan)
+        blind[:, kept] = multiplier[:, kept]
+        np.testing.assert_array_equal(postselected_cycles(pointer, multiplier, multiplier, 20),
+                                      postselected_cycles(pointer, blind, blind, 20))
 
 
 def test_joint_state_json_round_trip():

@@ -2,6 +2,7 @@
 weak coupling plus projection back onto the protected state."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,12 +35,14 @@ from ketlab import (
 )
 from ketlab.hilbert import eigendecompose
 from ketlab.measurement import (
+    BLOCK_ELEMENTS,
     JointSystemPointerState,
     PointerGrid,
     couple_pointer,
     make_pointer,
+    occupied_momenta,
 )
-from ketlab.protective import StepRecord, _protective_loop
+from ketlab.protective import _protective_loop
 from ketlab.rngs import as_generator
 from oracles import haar_random_state, pointer_position_mean, product_state, random_observable
 
@@ -98,21 +101,20 @@ def test_bias_shrinks_quadratically_at_fixed_total_coupling(tilted_state):
 
 def test_per_step_log_tracks_survival_and_shift(tilted_state):
     run = protective_measure(tilted_state, sigma_z(), n=20, g=5e-3)
-    log = run.per_step_log
-    assert len(log) == 20
-    assert [s.step for s in log] == list(range(1, 21))
-    survivals = [s.survival for s in log]
+    assert len(run.survivals) == len(run.pointer_means) == 20
+    assert [step for step, _, _ in run.step_rows()] == list(range(1, 21))
+    survivals = run.survivals
     assert all(a >= b - 1e-15 for a, b in zip(survivals, survivals[1:]))
     target_shift = 20 * 5e-3 * expectation(sigma_z(), tilted_state)
-    assert log[-1].pointer_mean == pytest.approx(target_shift, abs=1e-4)
-    assert run.pointer_mean_shift == log[-1].pointer_mean
+    assert run.pointer_means[-1] == pytest.approx(target_shift, abs=1e-4)
+    assert run.pointer_mean_shift == run.pointer_means[-1]
 
 
 def test_zero_steps_yields_no_inference(tilted_state):
     run = protective_measure(tilted_state, sigma_z(), n=0)
     assert run.inferred_expectation is None
     assert run.survival_probability == 1.0
-    assert run.per_step_log == ()
+    assert run.survivals.size == run.pointer_means.size == 0
 
 
 def test_rejects_bad_mode_and_negative_steps(tilted_state):
@@ -184,7 +186,7 @@ def test_a_step_count_that_is_not_an_integer_is_rejected_before_any_work(n, monk
 def test_a_numpy_integer_step_count_runs_as_its_int(tilted_state):
     run = protective_measure(tilted_state, sigma_z(), n=np.int64(7))
     assert run.steps == 7 and type(run.steps) is int
-    assert len(run.per_step_log) == 7
+    assert len(run.survivals) == 7
 
 
 def test_a_run_over_the_step_cap_is_rejected_before_any_work(tilted_state, monkeypatch):
@@ -230,7 +232,7 @@ def test_sampled_aborts_appear_at_the_expected_rate():
     assert 1 <= len(aborted) <= 20
     for run in aborted:
         assert 1 <= run.aborted_at_step <= 100
-        assert len(run.per_step_log) == run.aborted_at_step - 1
+        assert len(run.survivals) == run.aborted_at_step - 1
 
 
 def test_run_result_round_trips_to_json(tilted_state):
@@ -439,6 +441,17 @@ def test_protective_tomography_needs_nonzero_coupling():
 # the pointer-only engine against the joint-state loop it replaced
 
 
+class StepRecord(NamedTuple):
+    step: int
+    survival: float
+    pointer_mean: float
+
+
+def block_rows(grid):
+    """Cycles per block of the kernel for a pointer of width 1 on `grid`."""
+    return BLOCK_ELEMENTS // occupied_momenta(make_pointer(grid, 1.0)).size
+
+
 def reference_loop(initial, protected, op, n, g, grid, width, mode, seed):
     """The former engine, kept as an oracle: every cycle couples the full
     system (x) pointer state, projects it onto the protected state and
@@ -480,12 +493,12 @@ def assert_engines_agree(initial, protected, op, n, g, mode="deterministic", see
     args = (initial, protected, op, n, g, grid, 1.0, mode, seed)
     run = _protective_loop(*args)
     ref_log, ref_survival, ref_aborted, ref_joint = reference_loop(*args)
-    assert len(run.per_step_log) == len(ref_log)
+    assert len(run.survivals) == len(run.pointer_means) == len(ref_log)
     assert run.aborted_at_step == ref_aborted
-    np.testing.assert_allclose([r.pointer_mean for r in run.per_step_log],
-                               [r.pointer_mean for r in ref_log], rtol=0, atol=1e-10)
-    np.testing.assert_allclose([r.survival for r in run.per_step_log],
-                               [r.survival for r in ref_log], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(run.pointer_means, [r.pointer_mean for r in ref_log],
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(run.survivals, [r.survival for r in ref_log],
+                               rtol=0, atol=1e-10)
     assert run.survival_probability == pytest.approx(ref_survival, abs=1e-10)
     np.testing.assert_allclose(run.final_joint.amplitudes, ref_joint.amplitudes,
                                rtol=0, atol=1e-12)
@@ -524,13 +537,25 @@ def test_engine_matches_reference_on_sampled_aborts():
     assert any(step is not None for step in aborts)
 
 
-@pytest.mark.parametrize("points,rows", [(512, 16), (1024, 8)])
-def test_engine_matches_reference_at_block_edges(points, rows, rng):
-    """Cycles run in blocks of BLOCK_ELEMENTS // N rows: runs one short of
-    a block, filling one, spilling one cycle into the next, and spilling
-    one past two blocks, each under a matched and a mismatched protection."""
-    assert ketlab.protective.BLOCK_ELEMENTS // points == rows
-    grid = default_grid(1.0, points)
+# a pointer of width 1 occupies 77 momenta on the default grid of any size and
+# about half the grid at 4 points per width, so the blocks differ in length
+DEFAULT_512 = PointerGrid(512, 40.0 / 512)
+DEFAULT_1024 = PointerGrid(1024, 40.0 / 1024)
+NARROW_512 = PointerGrid(512, 0.25)
+NARROW_1024 = PointerGrid(1024, 0.25)
+
+
+@pytest.mark.parametrize("grid,rows", [
+    pytest.param(grid, rows, id=f"{grid.n_points}-{rows}")
+    for grid, rows in [(DEFAULT_512, 106), (DEFAULT_1024, 106), (NARROW_512, 33),
+                       (NARROW_1024, 16)]
+])
+def test_engine_matches_reference_at_block_edges(grid, rows, rng):
+    """Cycles run in blocks of BLOCK_ELEMENTS // K rows for the K momenta
+    the pointer occupies: runs one short of a block, filling one, spilling
+    one cycle into the next, and spilling one past two blocks, each under a
+    matched and a mismatched protection."""
+    assert block_rows(grid) == rows
     for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
         prepared = haar_random_state(2, rng)
         op = random_observable(2, rng)
@@ -538,29 +563,54 @@ def test_engine_matches_reference_at_block_edges(points, rows, rng):
         assert_engines_agree(prepared, haar_random_state(2, rng), op, n=n, g=5e-3, grid=grid)
 
 
-@pytest.mark.parametrize("points,seed,step", [
-    (512, 8, 1), (512, 23, 16), (512, 42, 17),
-    (1024, 8, 1), (1024, 0, 8), (1024, 39, 9), (1024, 23, 16),
+# sampled runs of |+> under sigma_z, (grid, n, g) within the wraparound guard
+SAMPLED = {DEFAULT_512: (120, 0.08), DEFAULT_1024: (120, 0.08), NARROW_512: (70, 0.45),
+           NARROW_1024: (40, 0.5)}
+
+
+@pytest.mark.parametrize("grid,seed,step", [
+    pytest.param(grid, seed, step, id=f"{grid.n_points}-{seed}-{step}")
+    for grid, seed, step in [
+        (DEFAULT_512, 812, 1), (DEFAULT_512, 476, 106), (DEFAULT_512, 1474, 107),
+        (DEFAULT_1024, 476, 106), (DEFAULT_1024, 1474, 107),
+        (NARROW_512, 8, 1), (NARROW_512, 49, 33), (NARROW_512, 61, 34),
+        (NARROW_512, 252, 66), (NARROW_512, 93, 67),
+        (NARROW_1024, 8, 1), (NARROW_1024, 23, 16), (NARROW_1024, 42, 17),
+        (NARROW_1024, 105, 32), (NARROW_1024, 49, 33),
+    ]
 ])
-def test_sampled_aborts_on_block_edges_match_the_reference(points, seed, step):
-    """At g = 0.5 a cycle of |+> under sigma_z aborts a few percent of the
-    time, and these seeds abort on the first or the last row of a block
-    (16 rows at 512 points, 8 at 1024): the abort step is the reference's
-    and the coupled joint state of the abort matches it to 1e-12."""
-    rows = ketlab.protective.BLOCK_ELEMENTS // points
-    assert step % rows in (0, 1)
-    aborted = assert_engines_agree(ket_plus(), ket_plus(), sigma_z(), n=20, g=0.5,
-                                   mode="sampled", seed=seed, grid=default_grid(1.0, points))
+def test_sampled_aborts_on_block_edges_match_the_reference(grid, seed, step):
+    """A cycle of |+> under sigma_z aborts now and then, and these seeds
+    abort on the first or the last row of a block (106, 33 and 16 rows):
+    the abort step is the reference's and the coupled joint state of the
+    abort matches it to 1e-12."""
+    assert step % block_rows(grid) in (0, 1)
+    n, g = SAMPLED[grid]
+    aborted = assert_engines_agree(ket_plus(), ket_plus(), sigma_z(), n=n, g=g,
+                                   mode="sampled", seed=seed, grid=grid)
     assert aborted == step
 
 
-@pytest.mark.parametrize("points", [512, 1024])
-def test_the_first_miss_in_a_block_is_the_abort(points):
-    """Seed 4's uniforms exceed the cycle weights at steps 6 and 8, both in
-    the first block: the run aborts at step 6, as the reference does."""
-    aborted = assert_engines_agree(ket_plus(), ket_plus(), sigma_z(), n=20, g=0.5,
-                                   mode="sampled", seed=4, grid=default_grid(1.0, points))
-    assert aborted == 6
+@pytest.mark.parametrize("grid,n,g,seed,misses", [
+    pytest.param(DEFAULT_512, 20, 0.5, 4, (6, 8), id="512"),
+    pytest.param(DEFAULT_1024, 20, 0.5, 4, (6, 8), id="1024"),
+    pytest.param(NARROW_512, 70, 0.45, 74, (36, 58), id="512-narrow"),
+    pytest.param(NARROW_1024, 40, 0.5, 64, (17, 32), id="1024-narrow"),
+])
+def test_the_first_miss_in_a_block_is_the_abort(grid, n, g, seed, misses):
+    """Each seed's uniforms exceed the cycle weights at two steps of one
+    block (the first of 106 rows, or the second of 33 or 16): the run
+    aborts at the first of them, as the reference does."""
+    first, second = misses
+    rows = block_rows(grid)
+    assert (first - 1) // rows == (second - 1) // rows
+    survivals = protective_measure(ket_plus(), sigma_z(), n=n, g=g, grid=grid).survivals
+    weights = survivals / np.concatenate(([1.0], survivals[:-1]))
+    uniforms = as_generator(seed).random(n)
+    assert tuple(np.flatnonzero(uniforms > weights)[:2] + 1) == misses
+    aborted = assert_engines_agree(ket_plus(), ket_plus(), sigma_z(), n=n, g=g,
+                                   mode="sampled", seed=seed, grid=grid)
+    assert aborted == first
 
 
 def test_zero_cycles_return_the_product_state(rng):
@@ -569,7 +619,7 @@ def test_zero_cycles_return_the_product_state(rng):
     for mode in ("deterministic", "sampled"):
         run = _protective_loop(prepared, haar_random_state(3, rng), random_observable(3, rng),
                                0, 5e-3, grid, 1.0, mode, 3)
-        assert run.per_step_log == () and run.aborted_at_step is None
+        assert run.survivals.size == 0 and run.aborted_at_step is None
         np.testing.assert_array_equal(
             run.final_joint.amplitudes,
             np.outer(prepared.amplitudes, make_pointer(grid, 1.0).amplitudes))

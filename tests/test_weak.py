@@ -175,9 +175,9 @@ def test_a_weak_readout_is_one_protective_cycle():
     psi = qubit_state(0.8, 0.3)
     grid = default_grid(1.0)
     shift, prob = weak_pointer_shift(psi, sigma_x(), psi, 0.05, grid, 1.0)
-    step = protective_measure(psi, sigma_x(), n=1, g=0.05, grid=grid).per_step_log[0]
-    assert shift == step.pointer_mean
-    assert prob == step.survival
+    run = protective_measure(psi, sigma_x(), n=1, g=0.05, grid=grid)
+    assert shift == run.pointer_means[0]
+    assert prob == run.survivals[0]
 
 
 def test_pointer_shift_rejects_wraparound_and_dimension_mismatch():
