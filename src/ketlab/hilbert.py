@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -195,57 +195,53 @@ class HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Eigenvalues (ascending) and an orthonormal eigenbasis of an observable."""
+    """Eigenvalues (ascending) and an orthonormal eigenbasis of an observable,
+    the eigenvectors as the columns of `basis_matrix`, in order.
+
+    Both follow the package's number rule (`_number_array`), and the
+    eigenvalues must be finite. The Gram matrix of the columns must be the
+    identity: each column's norm^2 within NORM_TOL, as a `StateVector`'s
+    is, and every other entry within EIGEN_TOL.
+    """
 
     eigenvalues: tuple
-    eigenvectors: tuple
-    basis_matrix: np.ndarray = field(init=False)   # eigenvectors as columns, in order
+    basis_matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.eigenvalues)
-        vecs = tuple(self.eigenvectors)
-        if len(vals) != len(vecs) or not vecs:
-            raise PreconditionError("need one eigenvector per eigenvalue")
-        if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
-            raise PreconditionError("eigenvalues must be sorted ascending")
-        dims = {v.dim for v in vecs}
-        if len(dims) != 1:
-            raise PreconditionError(f"eigenvectors of mixed dimension: {sorted(dims)}")
-        mat = np.column_stack([v.amplitudes for v in vecs])
-        gram = mat.conj().T @ mat
-        dev = float(np.max(np.abs(gram - np.eye(len(vecs)))))
-        if dev > EIGEN_TOL:
+        mat = _number_array(self.basis_matrix, "basis_matrix", complex)
+        if mat.ndim != 2 or mat.shape[1] == 0:
+            raise PreconditionError("basis_matrix must hold one eigenvector per column")
+        _checked_dim(mat.shape[0], "basis dimension")
+        vals = _number_array(self.eigenvalues, "eigenvalues", shape=mat.shape[1:])
+        if not (np.all(np.isfinite(vals)) and np.all(vals[1:] >= vals[:-1])):
+            raise PreconditionError("eigenvalues must be finite and sorted ascending")
+        dev = np.abs(mat.conj().T @ mat - np.eye(len(vals)))
+        norm_dev, gram_dev = float(np.max(np.diagonal(dev))), float(np.max(dev))
+        if not (norm_dev <= NORM_TOL and gram_dev <= EIGEN_TOL):
             raise PreconditionError(
-                f"eigenvectors not orthonormal: max Gram deviation {dev:.3e}"
+                f"eigenvectors not orthonormal: max norm^2 deviation {norm_dev:.3e} "
+                f"(allowed {NORM_TOL}), max Gram deviation {gram_dev:.3e} (allowed {EIGEN_TOL})"
             )
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
+        object.__setattr__(self, "eigenvalues", tuple(vals.tolist()))
         object.__setattr__(self, "basis_matrix", _readonly(mat))
 
     @property
     def dim(self) -> int:
-        return self.eigenvectors[0].dim
+        return self.basis_matrix.shape[0]
 
     @cached_property
     def groups(self) -> tuple:
         """Degenerate eigenvalues clustered within DEGENERACY_TOL.
 
         Returns ((value, (index, ...)), ...) with one entry per distinct
-        outcome; `value` is the mean eigenvalue of the cluster.
+        outcome; `value` is the mean eigenvalue of the cluster. A cluster
+        ends wherever two consecutive eigenvalues differ by more than
+        DEGENERACY_TOL.
         """
-        out = []
-        current = [0]
-        for i in range(1, len(self.eigenvalues)):
-            if self.eigenvalues[i] - self.eigenvalues[current[-1]] <= DEGENERACY_TOL:
-                current.append(i)
-            else:
-                out.append(current)
-                current = [i]
-        out.append(current)
-        return tuple(
-            (float(np.mean([self.eigenvalues[i] for i in idx])), tuple(idx))
-            for idx in out
-        )
+        vals = np.array(self.eigenvalues)
+        cuts = np.flatnonzero(np.diff(vals) > DEGENERACY_TOL) + 1
+        return tuple((float(np.mean(vals[idx])), tuple(idx.tolist()))
+                     for idx in np.split(np.arange(len(vals)), cuts))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +291,7 @@ def eigendecompose(op: HermitianOperator) -> EigenDecomposition:
         raise InternalError(
             f"eigendecomposition reconstruction off by {dev:.3e} for matrix:\n{op.matrix!r}"
         )
-    states = tuple(StateVector(op.dim, vecs[:, i]) for i in range(op.dim))
-    return EigenDecomposition(tuple(float(v) for v in vals), states)
+    return EigenDecomposition(vals, vecs)
 
 
 def equal_up_to_phase(a: StateVector, b: StateVector) -> bool:
@@ -316,8 +311,8 @@ def canonical_phase(vec: np.ndarray) -> np.ndarray:
 # common states and observables
 
 def basis_state(dim: int, index: int) -> StateVector:
-    if not 0 <= index < dim:
-        raise PreconditionError(f"basis index {index} outside [0, {dim})")
+    dim = _checked_dim(dim)
+    index = _checked_count(index, "basis index", dim - 1)
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(dim, amps)
@@ -368,6 +363,7 @@ def pauli_operators() -> tuple:
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
+    dim = _checked_dim(dim)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     q, r = np.linalg.qr(z)
     # fix the phase ambiguity so the distribution is exactly Haar

@@ -135,10 +135,13 @@ class OntologicalModel:
 
     def __post_init__(self) -> None:
         size = self.lambda_space.size
-        preps = {str(key): _distributions(vec, f"preparation {key!r}", size)
-                 for key, vec in dict(self.preparations).items()}
-        resps = {str(key): _distributions(table, f"response table {key!r}", size, table=True)
-                 for key, table in dict(self.responses).items()}
+        preps, resps = dict(self.preparations), dict(self.responses)
+        if not all(isinstance(key, str) for key in (*preps, *resps)):
+            raise PreconditionError("preparation and response ids must be text")
+        preps = {key: _distributions(vec, f"preparation {key!r}", size)
+                 for key, vec in preps.items()}
+        resps = {key: _distributions(table, f"response table {key!r}", size, table=True)
+                 for key, table in resps.items()}
         object.__setattr__(self, "preparations", preps)
         object.__setattr__(self, "responses", resps)
 

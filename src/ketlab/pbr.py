@@ -61,25 +61,24 @@ def pbr_scenario() -> Scenario:
     that pairing is checked to give every preparation exactly one
     forbidden outcome, as a bijection onto the four outcomes.
     """
-    zero, one = ket_zero(), ket_one()
-    plus, minus = ket_plus(), ket_minus()
+    zero, one = ket_zero().amplitudes, ket_one().amplitudes
+    plus, minus = ket_plus().amplitudes, ket_minus().amplitudes
     s = 1.0 / math.sqrt(2.0)
-    states = tuple(
-        StateVector(4, s * (tensor(a1, b1).amplitudes + tensor(a2, b2).amplitudes))
+    mat = np.column_stack([
+        s * (np.kron(a1, b1) + np.kron(a2, b2))
         for (a1, b1), (a2, b2) in (
             ((zero, one), (one, zero)),
             ((zero, minus), (one, plus)),
             ((plus, one), (minus, zero)),
             ((plus, minus), (minus, plus)),
         )
-    )
-    mat = np.column_stack([xi.amplitudes for xi in states])
+    ])
     for what, product in (("orthonormal", mat.conj().T @ mat), ("complete", mat @ mat.conj().T)):
         dev = float(np.max(np.abs(product - np.eye(4))))
         if dev > ORTHONORMAL_TOL:
             raise InternalError(f"basis states not {what}: max deviation {dev:.3e}")
     scenario = Scenario("pbr", preparation_states(),
-                        {"xi": EigenDecomposition((1.0, 2.0, 3.0, 4.0), states)})
+                        {"xi": EigenDecomposition((1.0, 2.0, 3.0, 4.0), mat)})
     hits = {p: tuple(k for _, k in scenario.forbidden.get(p, ())) for p in PREPARATION_IDS}
     if sorted(hits.values()) != [(0,), (1,), (2,), (3,)]:
         raise InternalError(f"forbidden pairing is not a bijection onto 0..3: {hits}")

@@ -15,8 +15,6 @@ block function (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .errors import PreconditionError
@@ -37,20 +35,28 @@ _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 _WORD = 2 ** 64
 
+# The integers each argument takes: (lowest, highest, the range as printed).
+_SEEDS = (0, 2 ** 128 - 1, "[0, 2**128)")
+_INDICES = (0, _WORD - 1, "[0, 2**64)")
+_BOUNDS = (0, _WORD, "[0, 2**64]")          # start and stop of a range of substreams
+_BLOCK = (1, 4, "[1, 4]")                   # uniforms drawn per Philox block
 
-def _checked_integer(value, what: str, bits: int) -> int:
-    """`value` as an int when it is an integer in [0, 2**bits), numpy's
-    included, else PreconditionError (for a bool, a float and text too)."""
+
+def _checked_integer(value, what: str, rule: tuple) -> int:
+    """`value` as an int when it is an integer in the range `rule` names,
+    numpy's included, else PreconditionError (for a bool, a float and text
+    too)."""
+    low, high, span = rule
     if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or not 0 <= int(value) < 2 ** bits):
-        raise PreconditionError(f"{what} must be an integer in [0, 2**{bits}), got {value!r}")
+            or not low <= int(value) <= high):
+        raise PreconditionError(f"{what} must be an integer in {span}, got {value!r}")
     return int(value)
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Generator for substream `index` of master seed `seed`."""
-    seed = _checked_integer(seed, "master seed", 128)
-    index = _checked_integer(index, "substream index", 64)
+    seed = _checked_integer(seed, "master seed", _SEEDS)
+    index = _checked_integer(index, "substream index", _INDICES)
     return np.random.Generator(np.random.Philox(key=seed, counter=index * STREAM_STRIDE))
 
 
@@ -75,11 +81,17 @@ def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple:
 
 
 def _substream_indices(indices) -> np.ndarray:
-    """`indices` as a flat uint64 array; PreconditionError if any lies
-    outside [0, 2**64), the indices `substream` can address."""
+    """`indices` as a flat uint64 array; PreconditionError if any is not
+    an integer (numpy's included, not a bool) or lies outside [0, 2**64),
+    the indices `substream` can address."""
     if not (isinstance(indices, np.ndarray) and indices.dtype.kind in "iu"):
         # python ints, which numpy would round through float64 past 2**63
-        indices = np.array([operator.index(i) for i in indices], dtype=object)
+        indices = list(indices)
+        for i in indices:
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                raise PreconditionError(f"substream index must be an integer in [0, 2**64), "
+                                        f"got {i!r}")
+        indices = np.array(indices, dtype=object)
     indices = indices.reshape(-1)
     if indices.size:
         lo, hi = int(indices.min()), int(indices.max())
@@ -101,9 +113,8 @@ def substream_uniforms(seed: int, indices, k: int = 1) -> np.ndarray:
     The work is a fixed number of uint64 array operations per call, so
     callers pass many indices at once; `uniform_chunks` bounds their count.
     """
-    seed = _checked_integer(seed, "master seed", 128)
-    if not 1 <= k <= 4:
-        raise PreconditionError(f"a Philox block holds 1 to 4 uniforms, got k={k}")
+    seed = _checked_integer(seed, "master seed", _SEEDS)
+    k = _checked_integer(k, "uniforms per substream k", _BLOCK)
     c2 = _substream_indices(indices)
     c0 = np.ones_like(c2)
     c1 = np.zeros_like(c2)
@@ -126,11 +137,10 @@ def uniform_chunks(seed: int, start: int, stop: int, k: int = 1):
     consecutive indices, so a sampler that reduces each block before the
     next keeps flat memory for any number of trials.
     """
-    _checked_integer(seed, "master seed", 128)
-    if start < stop and (start < 0 or stop > _WORD):
-        raise PreconditionError(
-            f"substream indices {start} .. {stop - 1} outside [0, 2**64)"
-        )
+    _checked_integer(seed, "master seed", _SEEDS)
+    _checked_integer(k, "uniforms per substream k", _BLOCK)
+    start = _checked_integer(start, "substream start", _BOUNDS)
+    stop = _checked_integer(stop, "substream stop", _BOUNDS)
     for first in range(start, stop, SUBSTREAM_CHUNK):
         count = min(SUBSTREAM_CHUNK, stop - first)
         indices = np.arange(count, dtype=np.uint64) + np.uint64(first)

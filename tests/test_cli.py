@@ -148,15 +148,19 @@ def test_every_subcommand_writes_valid_artifacts(tmp_path, monkeypatch, argv, ou
         validate_artifact(artifact_on_disk(tmp_path / name))
 
 
-def test_reruns_are_byte_identical(tmp_path, monkeypatch):
-    dirs = (tmp_path / "a", tmp_path / "b")
-    for d in dirs:
-        d.mkdir()
-        monkeypatch.chdir(d)
-        assert main(["pbr", "--trials", "3000"]) == 0
-        assert main(["steer", "--trials", "40"]) == 0
-    for name in ("pbr.csv", "pbr.csv.manifest.json", "steer.json"):
-        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+def test_reruns_are_byte_identical(tmp_path):
+    """Every file the runs of scripts/artifact_digests.py write, manifests
+    and the model file included, is byte-identical in two fresh directories."""
+    spec = importlib.util.spec_from_file_location("artifact_digests",
+                                                  SCRIPTS / "artifact_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        runs.append(digests.digest_lines(tmp_path / name))
+    assert len(runs[0]) > 2 * len(digests.COMMANDS)   # every artifact and its manifest
+    assert runs[0] == runs[1]
 
 
 def test_seed_changes_the_sampled_counts(tmp_path, monkeypatch):

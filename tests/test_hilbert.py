@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -251,12 +252,79 @@ def test_eigendecompose_reconstructs_and_sorts(seed):
 
 def test_eigendecomposition_rejects_unsorted_values():
     with pytest.raises(PreconditionError):
-        EigenDecomposition((1.0, -1.0), (ket_zero(), ket_one()))
+        EigenDecomposition((1.0, -1.0), np.eye(2))
 
 
 def test_eigendecomposition_rejects_non_orthonormal_vectors():
     with pytest.raises(PreconditionError):
-        EigenDecomposition((0.0, 1.0), (ket_zero(), ket_plus()))
+        EigenDecomposition((0.0, 1.0), np.column_stack([ket_zero().amplitudes,
+                                                         ket_plus().amplitudes]))
+
+
+def test_eigendecomposition_holds_its_eigenvalues_and_matrix():
+    eig = EigenDecomposition(np.array([-1.0, 1.0]), [[1, 0], [0, 1j]])
+    assert eig.eigenvalues == (-1.0, 1.0)
+    assert all(type(v) is float for v in eig.eigenvalues)
+    assert eig.basis_matrix.dtype == complex and not eig.basis_matrix.flags.writeable
+    np.testing.assert_array_equal(eig.basis_matrix, [[1, 0], [0, 1j]])
+    assert eig.dim == 2
+    assert [f.name for f in dataclasses.fields(EigenDecomposition)] == ["eigenvalues",
+                                                                        "basis_matrix"]
+    # a partial basis: fewer columns than rows
+    assert EigenDecomposition((1.0,), [[0.0], [1.0]]).dim == 2
+
+
+def _off_norm(eps):
+    """The standard qubit basis with the first column's norm^2 off by eps:
+    a Gram deviation of eps, inside EIGEN_TOL, outside NORM_TOL."""
+    mat = np.eye(2)
+    mat[0, 0] = math.sqrt(1.0 + eps)
+    return mat
+
+
+@pytest.mark.parametrize("values,matrix", [
+    pytest.param((0.0, 1.0), [[np.nan, 0.0], [0.0, 1.0]], id="nan-entry"),
+    pytest.param((0.0, 1.0), np.full((2, 2), np.nan), id="nan-basis"),
+    pytest.param((0.0, 1.0), _off_norm(5e-11), id="norm-off-by-5e-11"),
+    pytest.param((0.0, 1.0), _off_norm(-5e-11), id="norm-short-by-5e-11"),
+    pytest.param((0.0, 1.0), [[1.0, 2e-10], [0.0, 1.0]], id="pair-off-orthogonal-by-2e-10"),
+    pytest.param((0.0, 1.0, 2.0), np.eye(2), id="more-eigenvalues-than-columns"),
+    pytest.param((0.0,), np.eye(2), id="more-columns-than-eigenvalues"),
+    pytest.param((), np.zeros((2, 0)), id="no-eigenvalues"),
+    pytest.param((0.0, 1.0), (ket_zero(), ket_one()), id="tuple-of-kets"),
+    pytest.param((0.0, 1.0), [1.0, 0.0], id="one-dimensional"),
+    pytest.param((0.0, 1.0), np.eye(2)[None], id="three-dimensional"),
+    pytest.param((0.0, 1.0), [["1", 0], [0, 1]], id="text-entry"),
+    pytest.param((0.0, 1.0), [[True, False], [False, True]], id="bool-entries"),
+    pytest.param((np.nan, 1.0), np.eye(2), id="nan-eigenvalue"),
+    pytest.param((0.0, np.inf), np.eye(2), id="infinite-eigenvalue"),
+    pytest.param(("0", "1"), np.eye(2), id="text-eigenvalues"),
+    pytest.param((False, True), np.eye(2), id="bool-eigenvalues"),
+    pytest.param(((0.0, 1.0),), np.eye(2), id="nested-eigenvalues"),
+    pytest.param((0.0,), np.eye(MAX_DIM + 1, 1), id="rows-past-max-dim"),
+])
+def test_eigendecomposition_refuses_a_bad_basis(values, matrix):
+    with pytest.raises(PreconditionError):
+        EigenDecomposition(values, matrix)
+
+
+def test_eigendecomposition_accepts_a_norm_inside_the_tolerance():
+    assert EigenDecomposition((0.0, 1.0), _off_norm(5e-13)).dim == 2
+
+
+@pytest.mark.parametrize("values,want", [
+    ((1.0,), ((1.0, (0,)),)),
+    ((0.0, 5e-11, 1.0, 1.0 + 9e-11, 1.0 + 1.8e-10, 3.0),
+     ((2.5e-11, (0, 1)), (np.mean([1.0, 1.0 + 9e-11, 1.0 + 1.8e-10]), (2, 3, 4)),
+      (3.0, (5,)))),
+    ((0.0, 2e-10, 4e-10), ((0.0, (0,)), (2e-10, (1,)), (4e-10, (2,)))),
+])
+def test_groups_chain_consecutive_eigenvalues_within_the_tolerance(values, want):
+    """A cluster ends only where two consecutive eigenvalues differ by more
+    than DEGENERACY_TOL, so a chain of close steps spans more than it."""
+    groups = EigenDecomposition(values, np.eye(len(values))).groups
+    assert groups == want
+    assert all(type(v) is float and all(type(i) is int for i in idx) for v, idx in groups)
 
 
 def test_degenerate_eigenvalues_group_together():
@@ -303,6 +371,30 @@ def test_named_kets():
     assert basis_state(2, 0).amplitudes[0] == 1.0
     with pytest.raises(PreconditionError):
         basis_state(2, 2)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: basis_state(2, 1.0), id="basis-float-index"),
+    pytest.param(lambda: basis_state(2, True), id="basis-bool-index"),
+    pytest.param(lambda: basis_state(2, -1), id="basis-negative-index"),
+    pytest.param(lambda: basis_state(2.0, 1), id="basis-float-dim"),
+    pytest.param(lambda: basis_state(0, 0), id="basis-zero-dim"),
+    pytest.param(lambda: haar_random_unitary(2.0, np.random.default_rng(0)), id="haar-float-dim"),
+    pytest.param(lambda: haar_random_unitary(True, np.random.default_rng(0)), id="haar-bool-dim"),
+    pytest.param(lambda: haar_random_unitary(0, np.random.default_rng(0)), id="haar-zero-dim"),
+    pytest.param(lambda: haar_random_unitary(MAX_DIM + 1, np.random.default_rng(0)),
+                 id="haar-dim-past-max"),
+])
+def test_integer_arguments_are_checked(call):
+    with pytest.raises(PreconditionError):
+        call()
+
+
+def test_numpy_integer_arguments_build_the_same_values():
+    np.testing.assert_array_equal(basis_state(np.int64(3), np.uint8(2)).amplitudes,
+                                  basis_state(3, 2).amplitudes)
+    np.testing.assert_array_equal(haar_random_unitary(np.int32(3), np.random.default_rng(4)),
+                                  haar_random_unitary(3, np.random.default_rng(4)))
 
 
 def test_pauli_operators_square_to_identity():

@@ -10,7 +10,6 @@ from ketlab.hilbert import (
     EigenDecomposition,
     HermitianOperator,
     StateVector,
-    basis_state,
     eigendecompose,
     equal_up_to_phase,
     expectation,
@@ -246,7 +245,7 @@ def test_degenerate_outcomes_collapse_onto_the_eigenspace():
 
 
 def test_strong_measure_rejects_vanishing_total_weight():
-    partial = EigenDecomposition((1.0,), (ket_zero(),))
+    partial = EigenDecomposition((1.0,), ket_zero().amplitudes[:, None])
     with pytest.raises(DegenerateInputError):
         strong_measure(ket_one(), partial, 0)
 
@@ -410,7 +409,7 @@ def test_a_scenario_forbids_exactly_the_outcomes_below_the_amplitude_tolerance()
     eps, tiny = 1e-11, 1e-13
     allowed = StateVector(3, np.array([0.0, eps, math.sqrt(1.0 - eps ** 2)]))
     nearly = StateVector(3, np.array([tiny, math.sqrt(1.0 - tiny ** 2), 0.0]))
-    basis = EigenDecomposition((1.0, 2.0, 3.0), tuple(basis_state(3, k) for k in range(3)))
+    basis = EigenDecomposition((1.0, 2.0, 3.0), np.eye(3))
     scenario = Scenario("qutrit", {"allowed": allowed, "nearly": nearly,
                                    "spread": StateVector.normalized(np.ones(3))},
                         {"std": basis})

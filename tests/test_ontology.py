@@ -73,6 +73,16 @@ def test_model_rejects_malformed_response_tables():
         OntologicalModel(space, prep, {"m": [0.5, 0.5]})  # not a table
 
 
+@pytest.mark.parametrize("preparations,responses", [
+    ({0: [1.0, 0.0], "0": [0.0, 1.0]}, {}),     # str() would fold these into one
+    ({"p": [0.5, 0.5]}, {None: [[1.0], [1.0]]}),
+    ({("p",): [0.5, 0.5]}, {}),
+])
+def test_model_ids_must_be_text(preparations, responses):
+    with pytest.raises(PreconditionError, match="ids must be text"):
+        OntologicalModel(LambdaSpace(("a", "b")), preparations, responses)
+
+
 @pytest.mark.parametrize("rows,message", [
     ([[1.0, 0.0], [0.5, 0.5], [0.7, 0.7]], "response table 'm' row 2 sums to 1.4"),
     ([[1.0, 0.0], [1.5, -0.5], [0.7, 0.7]], "response table 'm' row 1 has negative entries"),

@@ -65,7 +65,7 @@ def forbidden_map():
 
 
 def test_basis_is_orthonormal_and_complete(basis):
-    mat = np.column_stack([s.amplitudes for s in basis.eigenvectors])
+    mat = basis.basis_matrix
     np.testing.assert_allclose(mat.conj().T @ mat, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(mat @ mat.conj().T, np.eye(4), atol=1e-12)
 
@@ -76,20 +76,19 @@ def test_forbidden_map_pairs_each_preparation_with_its_own_outcome(forbidden_map
 
 def test_each_preparation_is_orthogonal_to_its_forbidden_state(basis, forbidden_map):
     for prep_id, prep in raw_preparations().items():
-        xi = basis.eigenvectors[forbidden_map[prep_id]]
-        assert abs(np.vdot(xi.amplitudes, prep)) < 1e-12
+        xi = basis.basis_matrix[:, forbidden_map[prep_id]]
+        assert abs(np.vdot(xi, prep)) < 1e-12
 
 
 def test_born_weights_for_00_preparation(basis):
     # independent of the package: raw overlaps of |00> with the four states
     prep = raw_preparations()["00"]
-    probs = [abs(np.vdot(xi.amplitudes, prep)) ** 2 for xi in basis.eigenvectors]
+    probs = [abs(np.vdot(xi, prep)) ** 2 for xi in basis.basis_matrix.T]
     np.testing.assert_allclose(probs, [0.0, 0.25, 0.25, 0.5], atol=1e-12)
 
 
 def test_basis_constructor_rejects_degenerate_state_list(basis):
-    states = basis.eigenvectors
-    doubled = (states[0], states[0], states[2], states[3])
+    doubled = basis.basis_matrix[:, [0, 0, 2, 3]]
     with pytest.raises(PreconditionError):
         EigenDecomposition((1.0, 2.0, 3.0, 4.0), doubled)
 
@@ -125,7 +124,7 @@ def test_experiment_frequencies_match_born_weights(basis):
     result = pbr_experiment(trials, seed=5)
     raw = raw_preparations()
     for prep_id, prep in raw.items():
-        born = np.array([abs(np.vdot(xi.amplitudes, prep)) ** 2 for xi in basis.eigenvectors])
+        born = np.array([abs(np.vdot(xi, prep)) ** 2 for xi in basis.basis_matrix.T])
         for k in range(4):
             p = 0.25 * born[k]
             sigma = math.sqrt(trials * p * (1.0 - p)) if p > 0 else 0.0

@@ -127,6 +127,13 @@ def test_uniform_chunks_reject_ranges_past_the_last_substream():
         list(uniform_chunks(0, 2 ** 64 - 1, 2 ** 64 + 1))
 
 
+def test_uniform_chunks_reach_the_last_substream():
+    """start and stop may be 2**64, one past the last substream index."""
+    (block,) = uniform_chunks(0, np.uint64(2 ** 64 - 1), 2 ** 64)
+    np.testing.assert_array_equal(block, substream_uniforms(0, [2 ** 64 - 1]))
+    assert list(uniform_chunks(0, 2 ** 64, 2 ** 64)) == []
+
+
 def _onto(seed):
     scenario = ketlab.qubit_scenario()
     return ketlab.monte_carlo_onto(ketlab.orthodox_model(scenario), scenario, 10, seed=seed)
@@ -150,10 +157,28 @@ def _onto(seed):
     pytest.param(lambda: SubstreamSampler(1.5).select(0), id="sampler-float-seed"),
     pytest.param(lambda: substream_uniforms(True, [0]), id="uniforms-bool-seed"),
     pytest.param(lambda: list(uniform_chunks(np.float64(3.0), 0, 0)), id="chunks-float-seed"),
+    pytest.param(lambda: substream_uniforms(0, [0, True]), id="uniforms-bool-index"),
+    pytest.param(lambda: substream_uniforms(0, np.array([True])), id="uniforms-numpy-bool-index"),
+    pytest.param(lambda: substream_uniforms(0, [1.0]), id="uniforms-float-index"),
+    pytest.param(lambda: substream_uniforms(0, ["1"]), id="uniforms-text-index"),
+    pytest.param(lambda: substream_uniforms(0, [[0]]), id="uniforms-nested-index"),
+    pytest.param(lambda: substream_uniforms(0, [0], k=True), id="uniforms-bool-k"),
+    pytest.param(lambda: substream_uniforms(0, [0], k=2.0), id="uniforms-float-k"),
+    pytest.param(lambda: substream_uniforms(0, [0], k=0), id="uniforms-zero-k"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 3, k=True)), id="chunks-bool-k"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 0, k=5)), id="chunks-empty-range-k-5"),
+    pytest.param(lambda: list(uniform_chunks(0, True, 3)), id="chunks-bool-start"),
+    pytest.param(lambda: list(uniform_chunks(0, 0.5, 3)), id="chunks-float-start"),
+    pytest.param(lambda: list(uniform_chunks(0, -1, 3)), id="chunks-negative-start"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 3.0)), id="chunks-float-stop"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, np.False_)), id="chunks-numpy-bool-stop"),
+    pytest.param(lambda: list(uniform_chunks(0, 5, 2 ** 64 + 1)), id="chunks-stop-past-2**64"),
 ])
 def test_master_seeds_and_substream_indices_follow_one_rule(call):
-    """A master seed is an integer (numpy's too, not a bool) in [0, 2**128)
-    and a substream index one in [0, 2**64), wherever a seed enters."""
+    """A master seed is an integer (numpy's too, not a bool) in [0, 2**128),
+    a substream index one in [0, 2**64), the start and stop of a range of
+    substreams ones in [0, 2**64], and the uniforms drawn per substream k
+    one in [1, 4], wherever they enter."""
     with pytest.raises(PreconditionError, match="must be an integer in"):
         call()
 
