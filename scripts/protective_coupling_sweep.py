@@ -22,12 +22,13 @@ LADDER = (100, 200, 400, 800, 1600)
 
 def sweep():
     psi = qubit_state(THETA, 0.0)
-    target = expectation(sigma_z(), psi)
+    op = sigma_z()                # one operator, so every rung shares its eigenbasis
+    target = expectation(op, psi)
     rows = []
     previous_error = None
     for n in LADDER:
         g = TOTAL_COUPLING / n
-        run = protective_measure(psi, sigma_z(), n=n, g=g)
+        run = protective_measure(psi, op, n=n, g=g)
         error = abs(run.inferred_expectation - target)
         ratio = previous_error / error if previous_error else float("nan")
         rows.append((n, g, run.inferred_expectation, error,

@@ -65,7 +65,6 @@ from .hilbert import (
     ket_one,
     ket_plus,
     ket_zero,
-    pauli_operators,
     qubit_state,
     sigma_x,
     sigma_y,
@@ -94,7 +93,8 @@ from .weak import direct_wavefunction_scan, momentum_zero_amplitude
 
 DEFAULT_SEED = 7
 
-_OBSERVABLES = {"z": sigma_z, "x": sigma_x, "y": sigma_y}
+# one instance per name, so every run of an observable shares its `eigen`
+_OBSERVABLES = {"z": sigma_z(), "x": sigma_x(), "y": sigma_y()}
 _NAMED_KETS = {"0": ket_zero, "1": ket_one, "+": ket_plus, "-": ket_minus}
 
 SCAN_HEADER = ("x", "re_scan", "im_scan", "re_psi", "im_psi")
@@ -506,7 +506,7 @@ def validate_artifact(artifact: Artifact) -> Artifact:
 def _run_protective(cfg: RunConfig):
     p = cfg.params
     psi = qubit_state(p["theta"], p["phi"])
-    op = _OBSERVABLES[p["observable"]]()
+    op = _OBSERVABLES[p["observable"]]
     grid = default_grid(p["width"], p["grid_points"])
     result = protective_measure(
         psi, op, n=p["n"], g=p["g"], grid=grid, width=p["width"],
@@ -526,7 +526,8 @@ def _run_protective(cfg: RunConfig):
     }
     if p["tomography"]:
         reconstructed, chain_survival = protective_tomography(
-            psi, pauli_operators(), n=p["n"], g=p["g"], grid=grid, width=p["width"]
+            psi, [_OBSERVABLES[name] for name in "xyz"], n=p["n"], g=p["g"], grid=grid,
+            width=p["width"]
         )
         data["tomography"] = {
             "fidelity": abs(inner_product(psi, reconstructed)) ** 2,
@@ -572,7 +573,7 @@ def _run_leak(cfg: RunConfig):
     p = cfg.params
     prepared = parse_state_spec(p["prepared"])
     protected = parse_state_spec(p["protected"])
-    op = _OBSERVABLES[p["observable"]]()
+    op = _OBSERVABLES[p["observable"]]
     grid = default_grid(p["width"], p["grid_points"])
     result = protection_leak(
         prepared, protected, op, n=p["n"], g=p["g"], grid=grid, width=p["width"]

@@ -184,6 +184,12 @@ class HermitianOperator:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", _readonly(mat))
 
+    @cached_property
+    def eigen(self) -> EigenDecomposition:
+        """`eigendecompose(self)`, solved on the first read and kept: every
+        run that couples a pointer to this operator shares one eigenbasis."""
+        return eigendecompose(self)
+
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, **complex_json(self.matrix)}
 
@@ -335,7 +341,8 @@ def ket_minus() -> StateVector:
 
 
 def qubit_state(theta: float, phi: float = 0.0) -> StateVector:
-    """cos(theta)|0> + e^{i phi} sin(theta)|1>."""
+    """cos(theta)|0> + e^{i phi} sin(theta)|1>, for finite real theta and phi."""
+    theta, phi = _finite_real(theta, "theta"), _finite_real(phi, "phi")
     return StateVector(
         2, np.array([math.cos(theta), cmath.exp(1j * phi) * math.sin(theta)])
     )

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -50,7 +50,7 @@ from .errors import (
 )
 from .hilbert import (EigenDecomposition, HermitianOperator, StateVector, _checked_dim,
                       _finite_real, _json_field, _number_array, _readonly,
-                      complex_from_json, complex_json, eigendecompose)
+                      complex_from_json, complex_json)
 from .rngs import as_generator
 
 MIN_GRID_POINTS = 16
@@ -62,6 +62,7 @@ FORBIDDEN_TOL = 1e-12        # amplitude |<v_k|psi>| below this forbids outcome 
 DEFAULT_GRID_POINTS = 512
 DEFAULT_EXTENT_WIDTHS = 40.0
 BLOCK_ELEMENTS = 2 ** 13     # real entries (64 KB) per array of a block: B cycles x K momenta
+CACHE_SIZE = 8               # default grids, and pointers, kept per process
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +106,17 @@ class PointerGrid:
 
 
 def default_grid(width: float = 1.0, n_points: int = DEFAULT_GRID_POINTS) -> PointerGrid:
-    """Grid centred on 0 with the default extent of 40 pointer widths."""
-    extent = DEFAULT_EXTENT_WIDTHS * width
-    # n_points 0 reaches PointerGrid's check instead of a ZeroDivisionError
-    return PointerGrid(n_points, extent / n_points if n_points else extent)
+    """Grid centred on 0 with the default extent of 40 pointer widths: one
+    read-only grid per (width, n_points), kept with its cached positions
+    and momenta for the next run that asks for it. The width must be a
+    finite real number and n_points an integer from 1 to MAX_DIM (checked
+    before the lookup), else PreconditionError; `PointerGrid` checks the rest."""
+    return _default_grid(_finite_real(width, "width"), _checked_dim(n_points, "n_points"))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _default_grid(width: float, n_points: int) -> PointerGrid:
+    return PointerGrid(n_points, DEFAULT_EXTENT_WIDTHS * width / n_points)
 
 
 def _unit_grid_norm(amps: np.ndarray, grid: PointerGrid, what: str) -> np.ndarray:
@@ -142,6 +150,17 @@ class GridWavefunction:
         offsets = (np.arange(grid.n_points) - grid.n_points // 2) * grid.spacing
         return _readonly(np.fft.fft(np.stack([self.amplitudes, offsets * self.amplitudes]),
                                     axis=1))
+
+    @cached_property
+    def occupied_momenta(self) -> np.ndarray:
+        """Indices of the momenta this wavefunction occupies: those where its
+        spectrum b = |phi0^|^2 is at least eps^2 max b, eps float64's machine
+        epsilon. Below that level b is the FFT's rounding, not the pointer: a
+        Gaussian pointer of 40 widths per extent keeps 77 momenta at any N,
+        and the narrowest `make_pointer` accepts about half of them."""
+        spectrum = self.spectra[0]
+        b = spectrum.real ** 2 + spectrum.imag ** 2
+        return _readonly(np.flatnonzero(b >= np.finfo(float).eps ** 2 * b.max()))
 
     @classmethod
     def normalized(cls, grid: PointerGrid, amplitudes) -> "GridWavefunction":
@@ -329,7 +348,13 @@ def gaussian_profile(displacement: np.ndarray, width: float) -> np.ndarray:
 
 
 def make_pointer(grid: PointerGrid, width: float) -> GridWavefunction:
-    """Gaussian ready state: |chi(x)|^2 is normal with sd `width` at grid center."""
+    """Gaussian ready state: |chi(x)|^2 is normal with sd `width` at grid center.
+
+    `width` must be a finite real number, and both width checks against
+    the grid run on every call. The pointer is then one read-only
+    wavefunction per (grid object, width), kept with its cached `spectra`
+    and `occupied_momenta` for the next run on that grid."""
+    width = _finite_real(width, "pointer width")
     if width < WIDTH_SPACING_FACTOR * grid.spacing:
         raise PreconditionError(
             f"pointer width {width} under-resolved: needs >= "
@@ -340,6 +365,11 @@ def make_pointer(grid: PointerGrid, width: float) -> GridWavefunction:
             f"grid extent {grid.extent} too small for pointer width {width}: "
             f"needs >= {EXTENT_WIDTH_FACTOR * width}"
         )
+    return _pointer(grid, width)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _pointer(grid: PointerGrid, width: float) -> GridWavefunction:
     chi = gaussian_profile(grid.positions - grid.center, width)
     return GridWavefunction.normalized(grid, chi)
 
@@ -390,14 +420,8 @@ def _squares(multiplier: np.ndarray) -> tuple:
 
 
 def occupied_momenta(pointer: GridWavefunction) -> np.ndarray:
-    """Indices of the momenta the pointer occupies: those where its spectrum
-    b = |phi0^|^2 is at least eps^2 max b, eps float64's machine epsilon.
-    Below that level b is the FFT's rounding, not the pointer: a Gaussian
-    pointer of 40 widths per extent keeps 77 momenta at any N, and the
-    narrowest `make_pointer` accepts about half of them."""
-    spectrum = pointer.spectra[0]
-    b = spectrum.real ** 2 + spectrum.imag ** 2
-    return np.flatnonzero(b >= np.finfo(float).eps ** 2 * b.max())
+    """The pointer's `GridWavefunction.occupied_momenta`, read-only."""
+    return pointer.occupied_momenta
 
 
 def postselected_cycles(pointer: GridWavefunction, first: np.ndarray, repeated: np.ndarray,
@@ -436,7 +460,7 @@ def postselected_cycles(pointer: GridWavefunction, first: np.ndarray, repeated: 
     and nothing is divided by r, which vanishes wherever M does.
     """
     grid = pointer.grid
-    kept = occupied_momenta(pointer)
+    kept = pointer.occupied_momenta
     rows = max(1, min(cycles, BLOCK_ELEMENTS // kept.size))
     spectrum, moment = pointer.spectra[:, kept]
     b = spectrum.real ** 2 + spectrum.imag ** 2
@@ -463,26 +487,21 @@ def postselected_cycles(pointer: GridWavefunction, first: np.ndarray, repeated: 
     return weights, means
 
 
-def couple_pointer(joint: JointSystemPointerState, op: HermitianOperator, g: float,
-                   decomposition: EigenDecomposition | None = None) -> JointSystemPointerState:
+def couple_pointer(joint: JointSystemPointerState, op: HermitianOperator,
+                   g: float) -> JointSystemPointerState:
     """Apply the impulsive measurement unitary exp(-i g op (x) p_hat).
 
-    Each eigencomponent of `op` has its pointer factor translated by
-    g * eigenvalue, exactly, via FFT phase multiplication. Rejected with
-    WraparoundError if the largest shift exceeds a quarter of the grid
-    extent (periodic wraparound would corrupt the record).
-
-    `decomposition` may carry a precomputed eigendecomposition of `op`;
-    callers looping over many couplings of the same observable use this to
-    skip redundant eigensolves.
+    Each eigencomponent of `op` (its kept eigenbasis `op.eigen`) has its
+    pointer factor translated by g * eigenvalue, exactly, via FFT phase
+    multiplication. Rejected with WraparoundError if the largest shift
+    exceeds a quarter of the grid extent (periodic wraparound would
+    corrupt the record).
     """
     if op.dim != joint.system_dim:
         raise PreconditionError(
             f"dimension mismatch: operator {op.dim} vs system {joint.system_dim}"
         )
-    eig = decomposition if decomposition is not None else eigendecompose(op)
-    if eig.dim != op.dim:
-        raise PreconditionError("decomposition does not match the operator dimension")
+    eig = op.eigen
     phases = coupling_phases(eig, g, joint.grid, 1)
     v = eig.basis_matrix
     spectra = np.fft.fft(v.conj().T @ joint.amplitudes, axis=1)   # rows: eigencomponents

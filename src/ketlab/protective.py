@@ -54,7 +54,6 @@ from .hilbert import (
     _checked_dim,
     _readonly,
     canonical_phase,
-    eigendecompose,
     inner_product,
 )
 from .measurement import (
@@ -182,7 +181,7 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     grid = default_grid(width) if grid is None else grid
     _checked_dim(initial.dim * grid.n_points, "joint dimension")
     pointer = make_pointer(grid, width)
-    eig = eigendecompose(op)
+    eig = op.eigen
     phases = coupling_phases(eig, g, grid, n)
     if abs(inner_product(protected, initial)) < ORTHOGONAL_LEAK_TOL:
         return None
@@ -208,7 +207,7 @@ def _protective_loop(initial: StateVector, protected: StateVector,
             amplitudes = np.fft.ifft(spectrum) / math.sqrt(weights[ran - 1])
         system = protected if ran else initial
         joint = JointSystemPointerState(system.dim, grid, np.outer(system.amplitudes, amplitudes))
-        return couple_pointer(joint, op, g, decomposition=eig) if aborted is not None else joint
+        return couple_pointer(joint, op, g) if aborted is not None else joint
 
     denominator = ran * g
     return ProtectiveRunResult(

@@ -81,9 +81,13 @@ def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple:
 
 
 def _substream_indices(indices) -> np.ndarray:
-    """`indices` as a flat uint64 array; PreconditionError if any is not
-    an integer (numpy's included, not a bool) or lies outside [0, 2**64),
-    the indices `substream` can address."""
+    """`indices` as a uint64 array; PreconditionError unless it is a
+    one-dimensional sequence (a list, a range or an ndarray, not a lone
+    index) whose every entry is an integer (numpy's included, not a bool)
+    in [0, 2**64), the indices `substream` can address."""
+    if not np.iterable(indices) or getattr(indices, "ndim", 1) != 1:
+        raise PreconditionError(f"substream indices must be a one-dimensional sequence, and each "
+                                f"must be an integer in [0, 2**64); got {indices!r}")
     if not (isinstance(indices, np.ndarray) and indices.dtype.kind in "iu"):
         # python ints, which numpy would round through float64 past 2**63
         indices = list(indices)
@@ -92,7 +96,6 @@ def _substream_indices(indices) -> np.ndarray:
                 raise PreconditionError(f"substream index must be an integer in [0, 2**64), "
                                         f"got {i!r}")
         indices = np.array(indices, dtype=object)
-    indices = indices.reshape(-1)
     if indices.size:
         lo, hi = int(indices.min()), int(indices.max())
         if lo < 0 or hi >= _WORD:

@@ -29,7 +29,6 @@ from .errors import (
 from .hilbert import (
     HermitianOperator,
     StateVector,
-    eigendecompose,
     equal_up_to_phase,
     inner_product,
 )
@@ -135,7 +134,7 @@ def weak_pointer_shift(psi: StateVector, op: HermitianOperator, post: StateVecto
     """
     _checked_selection(op, psi, post)
     pointer = make_pointer(grid, width)
-    eig = eigendecompose(op)
+    eig = op.eigen
     multiplier = postselected_multiplier(eig, g, coupling_phases(eig, g, grid, 1),
                                          post.amplitudes, psi.amplitudes)
     (prob,), (mean,) = postselected_cycles(pointer, multiplier, multiplier, 1)

@@ -7,6 +7,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from ketlab.serialize import load_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def read_manifest(tmp_path, output_name):
@@ -150,7 +153,10 @@ def test_every_subcommand_writes_valid_artifacts(tmp_path, monkeypatch, argv, ou
 
 def test_reruns_are_byte_identical(tmp_path):
     """Every file the runs of scripts/artifact_digests.py write, manifests
-    and the model file included, is byte-identical in two fresh directories."""
+    and the model file included, is byte-identical in two fresh directories
+    of this process, whose kept eigenbases, grids and pointers the first
+    pass (and earlier tests) filled, and in a fresh interpreter, whose
+    caches start empty."""
     spec = importlib.util.spec_from_file_location("artifact_digests",
                                                   SCRIPTS / "artifact_digests.py")
     digests = importlib.util.module_from_spec(spec)
@@ -161,6 +167,13 @@ def test_reruns_are_byte_identical(tmp_path):
         runs.append(digests.digest_lines(tmp_path / name))
     assert len(runs[0]) > 2 * len(digests.COMMANDS)   # every artifact and its manifest
     assert runs[0] == runs[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    cold = subprocess.run([sys.executable, str(SCRIPTS / "artifact_digests.py")], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert cold.stdout.splitlines() == runs[0]
 
 
 def test_seed_changes_the_sampled_counts(tmp_path, monkeypatch):

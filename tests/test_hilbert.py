@@ -365,6 +365,16 @@ def test_qubit_state_formula():
     )
 
 
+@pytest.mark.parametrize("theta,phi", [
+    ("a", 0.0), (None, 0.0), (math.inf, 0.0), (True, 0.0), (10 ** 400, 0.0),
+    (0.3, math.nan), (0.3, "0"), (0.3, False), (0.3, [1.0]),
+], ids=["text", "none", "inf", "bool", "int-past-1e308", "nan-phi", "text-phi", "bool-phi",
+        "list-phi"])
+def test_qubit_state_angles_must_be_finite_real_numbers(theta, phi):
+    with pytest.raises(PreconditionError, match="must be a finite real number"):
+        qubit_state(theta, phi)
+
+
 def test_named_kets():
     np.testing.assert_allclose(ket_plus().amplitudes, [2 ** -0.5, 2 ** -0.5])
     np.testing.assert_allclose(ket_minus().amplitudes, [2 ** -0.5, -(2 ** -0.5)])
@@ -400,6 +410,24 @@ def test_numpy_integer_arguments_build_the_same_values():
 def test_pauli_operators_square_to_identity():
     for op in pauli_operators():
         assert np.max(np.abs(op.matrix @ op.matrix - np.eye(2))) < 1e-15
+
+
+def test_the_pauli_builders_return_new_operators():
+    """A caller may corrupt its own operator (as the imaginary-residue test
+    does) without reaching anyone else's, or anyone else's kept eigenbasis."""
+    for build in (sigma_x, sigma_y, sigma_z):
+        assert build() is not build()
+    assert all(a is not b for a, b in zip(pauli_operators(), pauli_operators()))
+
+
+def test_an_operator_keeps_one_read_only_eigenbasis():
+    op = HermitianOperator(3, np.diag([2.0, -1.0, 0.5]))
+    eig = op.eigen
+    assert op.eigen is eig
+    assert eig.eigenvalues == eigendecompose(op).eigenvalues == (-1.0, 0.5, 2.0)
+    np.testing.assert_array_equal(eig.basis_matrix, eigendecompose(op).basis_matrix)
+    assert not eig.basis_matrix.flags.writeable
+    assert sigma_z().eigen is not sigma_z().eigen
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,18 @@ def test_default_grid_covers_forty_widths():
     assert grid.n_points == 512
 
 
+@pytest.mark.parametrize("width,n_points", [
+    ("1", 512), (np.array(1.0), 512), (math.nan, 512), (True, 512), (1.0, np.array(512)),
+    (1.0, 512.0), (1.0, 0), (1.0, None),
+], ids=["text-width", "0d-array-width", "nan-width", "bool-width", "0d-array-n", "float-n",
+        "zero-n", "none-n"])
+def test_default_grid_checks_its_arguments_before_the_lookup(width, n_points):
+    """Its cache is keyed on the arguments, so they are checked first:
+    an unhashable or invalid one is a PreconditionError, not a TypeError."""
+    with pytest.raises(PreconditionError):
+        default_grid(width, n_points)
+
+
 def test_grid_wavefunction_norm_enforced():
     grid = PointerGrid(64, 0.25)
     with pytest.raises(PreconditionError):
@@ -140,6 +152,51 @@ def test_pointer_rejects_too_small_extent():
     grid = PointerGrid(16, 1.0)
     with pytest.raises(PreconditionError):
         make_pointer(grid, 4.0)    # extent 16 < 20 widths
+
+
+# ---------------------------------------------------------------------------
+# kept setup: one default grid per (width, N), one pointer per (grid, width)
+
+def test_default_grids_and_their_pointers_are_kept_read_only():
+    grid = default_grid(1.0, 512)
+    assert default_grid(1.0) is grid and default_grid(width=1, n_points=512) is grid
+    assert default_grid(1.0, 1024) is not grid and default_grid(2.0, 512) is not grid
+    pointer = make_pointer(grid, 1.0)
+    assert make_pointer(grid, 1.0) is pointer and make_pointer(grid, 1) is pointer
+    assert make_pointer(grid, 2.0) is not pointer
+    assert pointer.occupied_momenta is pointer.occupied_momenta
+    for arr in (grid.positions, grid.momenta, pointer.amplitudes, pointer.spectra,
+                pointer.occupied_momenta, occupied_momenta(pointer)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_a_pointer_is_kept_per_grid_object_and_matches_a_fresh_build():
+    grid = default_grid(1.0, 512)
+    twin = PointerGrid(grid.n_points, grid.spacing)
+    pointer, other = make_pointer(grid, 1.0), make_pointer(twin, 1.0)
+    assert pointer.grid is grid and other.grid is twin
+    assert other is not pointer
+    np.testing.assert_array_equal(other.amplitudes, pointer.amplitudes)
+    fresh = GridWavefunction.normalized(twin, np.exp(-twin.positions ** 2 / 4.0))
+    np.testing.assert_array_equal(fresh.amplitudes, pointer.amplitudes)
+    np.testing.assert_array_equal(fresh.spectra, pointer.spectra)
+
+
+@pytest.mark.parametrize("width", ["1", True, None, math.nan, math.inf, np.array(1.0)])
+def test_a_pointer_width_must_be_a_finite_real_number(width):
+    with pytest.raises(PreconditionError, match="must be a finite real number"):
+        make_pointer(default_grid(1.0, 512), width)
+
+
+def test_make_pointer_checks_every_width_after_a_cache_hit():
+    grid = default_grid(1.0, 512)      # spacing 0.078125, extent 40
+    assert make_pointer(grid, 1.0) is make_pointer(grid, 1.0)
+    with pytest.raises(PreconditionError, match="under-resolved"):
+        make_pointer(grid, 0.3)        # needs >= 4 spacings = 0.3125
+    with pytest.raises(PreconditionError, match="too small"):
+        make_pointer(grid, 2.5)        # needs extent >= 20 widths = 50
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +371,6 @@ def test_coupling_phases_guard_the_accumulated_shift():
         coupling_phases(eig, 0.125, grid, 1),
         np.exp(-1j * 0.125 * np.outer(eig.eigenvalues, grid.momenta)),
     )
-
-
-def test_precomputed_decomposition_must_match_operator():
-    grid = default_grid(1.0)
-    joint = product_state(ket_zero(), make_pointer(grid, 1.0))
-    wrong = eigendecompose(HermitianOperator(3, np.diag([1.0, 2.0, 3.0])))
-    with pytest.raises(PreconditionError):
-        couple_pointer(joint, sigma_z(), 0.1, decomposition=wrong)
 
 
 def test_coupling_dimension_mismatch():

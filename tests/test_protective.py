@@ -472,7 +472,7 @@ def reference_loop(initial, protected, op, n, g, grid, width, mode, seed):
     log = []
     aborted = None
     for step in range(1, n + 1):
-        joint = couple_pointer(joint, op, g, decomposition=eig)
+        joint = couple_pointer(joint, op, g)
         conditional = c.conj() @ joint.amplitudes
         weight = float(np.sum(np.abs(conditional) ** 2) * grid.spacing)
         if mode == "sampled" and rng.random() > weight:

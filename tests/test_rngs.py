@@ -162,6 +162,9 @@ def _onto(seed):
     pytest.param(lambda: substream_uniforms(0, [1.0]), id="uniforms-float-index"),
     pytest.param(lambda: substream_uniforms(0, ["1"]), id="uniforms-text-index"),
     pytest.param(lambda: substream_uniforms(0, [[0]]), id="uniforms-nested-index"),
+    pytest.param(lambda: substream_uniforms(0, 5), id="uniforms-lone-index"),
+    pytest.param(lambda: substream_uniforms(0, np.array(5)), id="uniforms-0d-index-array"),
+    pytest.param(lambda: substream_uniforms(0, np.array([[0]])), id="uniforms-2d-index-array"),
     pytest.param(lambda: substream_uniforms(0, [0], k=True), id="uniforms-bool-k"),
     pytest.param(lambda: substream_uniforms(0, [0], k=2.0), id="uniforms-float-k"),
     pytest.param(lambda: substream_uniforms(0, [0], k=0), id="uniforms-zero-k"),
