@@ -41,7 +41,6 @@ from .hilbert import (
     ket_one,
     ket_plus,
     ket_zero,
-    pauli_operators,
     qubit_state,
     sigma_x,
     sigma_y,
@@ -98,10 +97,4 @@ from .protective import (
     reconstruct_state,
 )
 from .rngs import SubstreamSampler, as_generator, substream, substream_uniforms
-from .weak import (
-    WeakValueResult,
-    direct_wavefunction_scan,
-    momentum_zero_amplitude,
-    weak_pointer_shift,
-    weak_value,
-)
+from .weak import direct_wavefunction_scan, momentum_zero_amplitude, weak_pointer_shift

@@ -113,23 +113,6 @@ def complex_json(values: np.ndarray) -> dict:
     return {"re": flat.real.tolist(), "im": flat.imag.tolist()}
 
 
-def complex_from_json(data: dict, shape: tuple) -> np.ndarray:
-    """The array of `shape` that `complex_json` stored in `data`, else
-    PreconditionError."""
-    size = (math.prod(shape),)
-    re, im = (_number_array(_json_field(data, key), f"{key!r}", shape=size)
-              for key in ("re", "im"))
-    return (re + 1j * im).reshape(shape)
-
-
-def _json_field(data: dict, key: str):
-    if not isinstance(data, dict):
-        raise PreconditionError(f"expected a JSON object, got {type(data).__name__}")
-    if key not in data:
-        raise PreconditionError(f"missing JSON field: {key}")
-    return data[key]
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized ket over a finite-dimensional complex Hilbert space."""
@@ -160,11 +143,6 @@ class StateVector:
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, **complex_json(self.amplitudes)}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StateVector":
-        dim = _checked_dim(_json_field(data, "dim"))
-        return cls(dim, complex_from_json(data, (dim,)))
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
@@ -189,14 +167,6 @@ class HermitianOperator:
         """`eigendecompose(self)`, solved on the first read and kept: every
         run that couples a pointer to this operator shares one eigenbasis."""
         return eigendecompose(self)
-
-    def to_json_dict(self) -> dict:
-        return {"dim": self.dim, **complex_json(self.matrix)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HermitianOperator":
-        dim = _checked_dim(_json_field(data, "dim"))
-        return cls(dim, complex_from_json(data, (dim, dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,11 +328,6 @@ def sigma_y() -> HermitianOperator:
 
 def sigma_z() -> HermitianOperator:
     return HermitianOperator(2, np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-def pauli_operators() -> tuple:
-    """(sigma_x, sigma_y, sigma_z): informationally complete for qubits."""
-    return (sigma_x(), sigma_y(), sigma_z())
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,7 @@ from .errors import (
     WraparoundError,
 )
 from .hilbert import (EigenDecomposition, HermitianOperator, StateVector, _checked_dim,
-                      _finite_real, _json_field, _number_array, _readonly,
-                      complex_from_json, complex_json)
+                      _finite_real, _number_array, _readonly, complex_json)
 from .rngs import as_generator
 
 MIN_GRID_POINTS = 16
@@ -196,16 +195,6 @@ class JointSystemPointerState:
             "grid": self.grid.to_json_dict(),
             **complex_json(self.amplitudes),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "JointSystemPointerState":
-        d = _checked_dim(_json_field(data, "system_dim"), "system_dim")
-        grid = _json_field(data, "grid")
-        try:
-            grid = PointerGrid(**grid)
-        except TypeError as exc:   # not a mapping, or the wrong keys
-            raise PreconditionError(f"malformed grid: {exc}") from None
-        return cls(d, grid, complex_from_json(data, (d, grid.n_points)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,11 +408,6 @@ def _squares(multiplier: np.ndarray) -> tuple:
     return m.real ** 2 + m.imag ** 2, m.imag * dm.real - m.real * dm.imag
 
 
-def occupied_momenta(pointer: GridWavefunction) -> np.ndarray:
-    """The pointer's `GridWavefunction.occupied_momenta`, read-only."""
-    return pointer.occupied_momenta
-
-
 def postselected_cycles(pointer: GridWavefunction, first: np.ndarray, repeated: np.ndarray,
                         cycles: int) -> tuple:
     """The columns (weights, means) of cycles 1..`cycles`, read in blocks.
@@ -445,7 +429,7 @@ def postselected_cycles(pointer: GridWavefunction, first: np.ndarray, repeated: 
     line, so a tail pushed past the grid's edge counts where it is, not
     where periodic wraparound would put it.
 
-    The sums run over the K momenta of `occupied_momenta` only. Each
+    The sums run over the pointer's K `occupied_momenta` only. Each
     dropped momentum has b < eps^2 max b, and f1, r <= 1 and h max b <= N
     (Parseval), so together they move W_k (W_0 = 1) by less than N eps^2,
     2.5e-29 at N = 512, far below the rounding of the kept sum.

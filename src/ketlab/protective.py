@@ -52,6 +52,7 @@ from .hilbert import (
     StateVector,
     _checked_count,
     _checked_dim,
+    _number_array,
     _readonly,
     canonical_phase,
     inner_product,
@@ -268,7 +269,8 @@ class TomographySet:
     at 1 by normalization), must span the real space of Hermitian matrices:
     their real embedding (`_real_embedding`, the one `reconstruct_state`
     solves in) must have rank dim^2. The bare Pauli triple passes for
-    qubits on that reading.
+    qubits on that reading. The expectations follow the package's number
+    rule (`_number_array`) and must be finite.
     """
 
     operators: tuple
@@ -276,13 +278,15 @@ class TomographySet:
 
     def __post_init__(self) -> None:
         ops = tuple(self.operators)
-        exps = tuple(float(e) for e in self.expectations)
+        exps = _number_array(self.expectations, "expectations")
         if not ops:
             raise PreconditionError("tomography needs at least one operator")
-        if len(ops) != len(exps):
+        if exps.shape != (len(ops),):
             raise PreconditionError(
-                f"{len(ops)} operators but {len(exps)} expectation values"
+                f"{len(ops)} operators but expectation values of shape {exps.shape}"
             )
+        if not np.all(np.isfinite(exps)):
+            raise PreconditionError("expectations must be finite")
         d = ops[0].dim
         if any(o.dim != d for o in ops):
             raise PreconditionError("tomography operators must share one dimension")
@@ -293,7 +297,7 @@ class TomographySet:
                 f"operator set is informationally incomplete: rank {rank} < {d * d}"
             )
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "expectations", exps)
+        object.__setattr__(self, "expectations", tuple(exps.tolist()))
 
 
 def _real_embedding(matrices) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Weak values and the direct wavefunction scan.
+"""Postselected weak readouts and the direct wavefunction scan.
 
 A weak value <post|A|pre> / <post|pre> is what a feebly coupled pointer
 records, to first order in the coupling, when the system is preselected in
 |pre> and postselected in |post>. Unlike an expectation value it is complex
 and can lie far outside the spectrum of A; the imaginary part shows up in
-the pointer momentum rather than its position.
+the pointer momentum rather than its position. `weak_pointer_shift`
+simulates that readout; the formula itself is the tests' oracle.
 
 The direct scan reads a wavefunction off a grid one cell at a time: the
 weak value of the cell projector at x (the discrete stand-in for |x><x|,
@@ -15,23 +16,15 @@ proportional to psi(x) itself, with a single x-independent constant
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
-    InternalError,
     PostselectionError,
     PreconditionError,
     ScanUndefinedError,
     UndefinedWeakValueError,
 )
-from .hilbert import (
-    HermitianOperator,
-    StateVector,
-    equal_up_to_phase,
-    inner_product,
-)
+from .hilbert import HermitianOperator, StateVector, inner_product
 from .measurement import (
     GridWavefunction,
     PointerGrid,
@@ -44,27 +37,12 @@ from .measurement import (
 OVERLAP_TOL = 1e-12          # |<post|pre>| below this: weak value undefined
 MOMENTUM_ZERO_TOL = 1e-10    # |<p=0|psi>| below this: scan undefined
 POSTSELECT_PROB_TOL = 1e-15  # simulated postselection probability floor
-REAL_RESIDUE_TOL = 1e-10     # allowed Im part when pre = post up to phase
 
 
-@dataclass(frozen=True, eq=False)
-class WeakValueResult:
-    """A weak value together with the pre/postselection that defined it."""
-
-    value: complex
-    pre: StateVector
-    post: StateVector
-    overlap: complex
-
-    def __post_init__(self) -> None:
-        if abs(self.overlap) <= 0.0:
-            raise UndefinedWeakValueError("weak value with zero pre/post overlap")
-
-
-def _checked_selection(op: HermitianOperator, pre: StateVector, post: StateVector) -> complex:
-    """<post|pre>, once op, pre and post share one dimension and the
-    overlap is not numerically zero (the weak value would then be
-    dominated by noise, not physics)."""
+def _checked_selection(op: HermitianOperator, pre: StateVector, post: StateVector) -> None:
+    """PreconditionError unless op, pre and post share one dimension, and
+    UndefinedWeakValueError when <post|pre> is numerically zero (the weak
+    value would then be dominated by noise, not physics)."""
     if not (op.dim == pre.dim == post.dim):
         raise PreconditionError(
             f"dimension mismatch: op {op.dim}, pre {pre.dim}, post {post.dim}"
@@ -75,22 +53,6 @@ def _checked_selection(op: HermitianOperator, pre: StateVector, post: StateVecto
             f"pre/postselection overlap magnitude {abs(overlap):.3e} <= {OVERLAP_TOL}; "
             "weak value undefined"
         )
-    return overlap
-
-
-def weak_value(op: HermitianOperator, pre: StateVector, post: StateVector) -> WeakValueResult:
-    """<post|op|pre> / <post|pre>.
-
-    Rejected when the pre/postselection overlap is numerically zero.
-    """
-    overlap = _checked_selection(op, pre, post)
-    numerator = complex(np.vdot(post.amplitudes, op.matrix @ pre.amplitudes))
-    value = numerator / overlap
-    if equal_up_to_phase(pre, post) and abs(value.imag) >= REAL_RESIDUE_TOL:
-        raise InternalError(
-            f"weak value with pre = post has imaginary residue {value.imag:.3e}"
-        )
-    return WeakValueResult(value=value, pre=pre, post=post, overlap=overlap)
 
 
 def momentum_zero_amplitude(psi: GridWavefunction) -> complex:

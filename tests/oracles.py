@@ -1,24 +1,43 @@
-"""Random instances and pointer readouts that only the tests use.
+"""Random instances, formulas and pointer readouts that only the tests use.
 
 No `ketlab` command or public function needs these, so they live here as
 the oracles the tests build states, observables and pointer readouts
 from: the reference protective loop, the reference weak readout and the
-coupling checks compare the package's kernels against them. The
+coupling checks compare the package's kernels against them. The weak-value
+formula is the oracle of `weak_pointer_shift` and the direct scan, the
 postselected-cycle readout by inverse FFT and json's own indented encoder
-are the oracles of `postselected_cycles` and `dump_json`.
+those of `postselected_cycles` and `dump_json`, and `amplitudes_from_json`
+reads back the amplitudes an artifact stores.
 """
 
 import json
 
 import numpy as np
 
-from ketlab.hilbert import HermitianOperator, StateVector, haar_random_unitary
+from ketlab.hilbert import (HermitianOperator, StateVector, haar_random_unitary, sigma_x,
+                            sigma_y, sigma_z)
 from ketlab.measurement import GridWavefunction, JointSystemPointerState
 
 
 def projector(psi: StateVector) -> HermitianOperator:
     """|psi><psi| as a HermitianOperator."""
     return HermitianOperator(psi.dim, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
+def pauli_operators() -> tuple:
+    """(sigma_x, sigma_y, sigma_z): informationally complete for qubits."""
+    return (sigma_x(), sigma_y(), sigma_z())
+
+
+def weak_value(op: HermitianOperator, pre: StateVector, post: StateVector) -> complex:
+    """<post|op|pre> / <post|pre>."""
+    return complex(np.vdot(post.amplitudes, op.matrix @ pre.amplitudes)
+                   / np.vdot(post.amplitudes, pre.amplitudes))
+
+
+def amplitudes_from_json(data: dict) -> np.ndarray:
+    """The flat complex amplitudes that `complex_json` stored in `data`."""
+    return np.array(data["re"]) + 1j * np.array(data["im"])
 
 
 def haar_random_state(dim: int, rng: np.random.Generator) -> StateVector:

@@ -23,7 +23,6 @@ from ketlab import (
     monte_carlo_onto,
     orthodox_model,
     overlap_preservation_check,
-    pauli_operators,
     pbr_experiment,
     pbr_min_violation,
     pbr_scenario,
@@ -41,7 +40,7 @@ from ketlab.measurement import default_grid
 from ketlab.pbr import _forbidden_map
 from ketlab.weak import direct_wavefunction_scan, momentum_zero_amplitude
 from ketlab.measurement import GridWavefunction
-from oracles import haar_random_state, random_observable
+from oracles import haar_random_state, pauli_operators, random_observable
 
 
 def run_criterion(number, name, budget_seconds, body):

@@ -24,11 +24,13 @@ from ketlab import (
     ConfigError,
     InternalError,
     JointSystemPointerState,
+    PointerGrid,
     steering_table,
     substream,
 )
 from ketlab.cli import COMMANDS, SCHEMAS, Artifact, main, parse_state_spec, validate_artifact
 from ketlab.serialize import load_json
+from oracles import amplitudes_from_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -203,7 +205,8 @@ def test_protective_optional_artifacts(tmp_path, monkeypatch):
     assert len(sweep) == 3
     joint = load_json(tmp_path / "joint.json")
     assert joint.pop("kind") == "ketlab/joint-state"
-    restored = JointSystemPointerState.from_json_dict(joint)
+    restored = JointSystemPointerState(joint["system_dim"], PointerGrid(**joint["grid"]),
+                                       amplitudes_from_json(joint).reshape(2, -1))
     assert restored.system_dim == 2
     manifest = read_manifest(tmp_path, "protective.json")
     assert set(manifest["outputs"]) == {

@@ -21,7 +21,6 @@ from ketlab import (
     ket_one,
     ket_plus,
     ket_zero,
-    pauli_operators,
     protection_leak,
     protective_measure,
     protective_tomography,
@@ -40,11 +39,11 @@ from ketlab.measurement import (
     PointerGrid,
     couple_pointer,
     make_pointer,
-    occupied_momenta,
 )
 from ketlab.protective import _protective_loop
 from ketlab.rngs import as_generator
-from oracles import haar_random_state, pointer_position_mean, product_state, random_observable
+from oracles import (haar_random_state, pauli_operators, pointer_position_mean, product_state,
+                     random_observable)
 
 
 @pytest.fixture
@@ -316,6 +315,14 @@ def test_tomography_set_rejects_length_mismatch():
         TomographySet(pauli_operators(), (0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", ["0.5", True, None, math.nan, math.inf, -math.inf])
+def test_tomography_set_takes_finite_real_expectations(bad):
+    """Numeric text and bools would convert silently and NaN or inf would
+    fail late inside the fit; each is refused at construction."""
+    with pytest.raises(PreconditionError, match="^expectations must"):
+        TomographySet(pauli_operators(), (bad, 0.0, 0.0))
+
+
 def test_reconstruct_state_from_exact_expectations(rng):
     psi = haar_random_state(2, rng)
     data = TomographySet(
@@ -449,7 +456,7 @@ class StepRecord(NamedTuple):
 
 def block_rows(grid):
     """Cycles per block of the kernel for a pointer of width 1 on `grid`."""
-    return BLOCK_ELEMENTS // occupied_momenta(make_pointer(grid, 1.0)).size
+    return BLOCK_ELEMENTS // make_pointer(grid, 1.0).occupied_momenta.size
 
 
 def reference_loop(initial, protected, op, n, g, grid, width, mode, seed):
