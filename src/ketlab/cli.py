@@ -46,7 +46,6 @@ import platform
 import sys
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -66,6 +65,7 @@ from .hilbert import (
     ket_plus,
     ket_zero,
     qubit_state,
+    record,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -205,7 +205,7 @@ def _seed_value(value):
     return n
 
 
-@dataclass(frozen=True)
+@record
 class Param:
     """One configurable parameter of a subcommand."""
 
@@ -217,7 +217,7 @@ class Param:
     nargs: int | None = None
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     """Fully resolved invocation: what to run, how, and where the data goes.
     `config` is the --config file it was read from, which no artifact may
@@ -231,7 +231,7 @@ class RunConfig:
     config: Path | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Artifact:
     """One file to emit: a JSON payload dict or a (header, rows) CSV pair."""
 
@@ -240,7 +240,7 @@ class Artifact:
     payload: object
 
 
-@dataclass(frozen=True)
+@record
 class CommandSpec:
     name: str
     help: str
@@ -718,7 +718,7 @@ def _run_onto(cfg: RunConfig):
     else:
         model = OntologicalModel.from_json_dict(_read_json(p["model"], "model file"))
         model_name = Path(p["model"]).name
-    overlaps = [asdict(overlap(model, a, b))
+    overlaps = [dict(vars(overlap(model, a, b)))
                 for a, b in combinations(sorted(model.preparations), 2)]
     shared_preps = [pid for pid in scenario.preparations if pid in model.preparations]
     born_gaps = {

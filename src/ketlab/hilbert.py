@@ -8,7 +8,7 @@ Conventions, fixed package-wide:
   `equal_up_to_phase`, never componentwise.
 * hbar = 1 throughout.
 
-Every type in this module is an immutable value (frozen dataclass over
+Every type in this module is an immutable value (a `record` over
 read-only arrays), so instances can be shared freely across threads.
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -113,7 +112,43 @@ def complex_json(values: np.ndarray) -> dict:
     return {"re": flat.real.tolist(), "im": flat.imag.tolist()}
 
 
-@dataclass(frozen=True, eq=False)
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+def record(cls):
+    """Make `cls` a frozen record of the fields its own body annotates.
+
+    The fields, in order, become `__match_args__`. The new `__init__` takes
+    them by position or keyword, fills the rest from class-level defaults,
+    raises TypeError on a missing, unknown or repeated field, and then
+    runs `__post_init__`, which may check the fields and replace them
+    through `object.__setattr__`. Assigning or deleting an attribute raises
+    AttributeError. Equality, hash and repr stay `object`'s, and instances
+    keep a `__dict__` for `cached_property`. Nothing is written out as
+    source and compiled, so decorating a class costs microseconds.
+    """
+    names = tuple(cls.__annotations__)
+    if not names:
+        raise TypeError(f"{cls.__name__} annotates no fields")
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", lambda self: None)
+
+    def __init__(self, *args, **kwargs):
+        rest, wanted = {**defaults, **kwargs}, names[len(args):]
+        if not (len(args) <= len(names) and kwargs.keys() <= set(wanted) <= rest.keys()):
+            raise TypeError(f"{cls.__name__}{names}: {len(args)} by position, {list(kwargs)}")
+        args += tuple(map(rest.__getitem__, wanted))
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        post_init(self)
+
+    cls.__init__, cls.__match_args__ = __init__, names
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+@record
 class StateVector:
     """Normalized ket over a finite-dimensional complex Hilbert space."""
 
@@ -144,7 +179,7 @@ class StateVector:
         return {"dim": self.dim, **complex_json(self.amplitudes)}
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class HermitianOperator:
     """A dim x dim complex matrix equal to its own conjugate transpose."""
 
@@ -169,7 +204,7 @@ class HermitianOperator:
         return eigendecompose(self)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class EigenDecomposition:
     """Eigenvalues (ascending) and an orthonormal eigenbasis of an observable,
     the eigenvectors as the columns of `basis_matrix`, in order.

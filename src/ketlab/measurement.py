@@ -37,7 +37,6 @@ times the grid spacing, matching the continuum normalization they sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping
 
@@ -49,7 +48,7 @@ from .errors import (
     WraparoundError,
 )
 from .hilbert import (EigenDecomposition, HermitianOperator, StateVector, _checked_dim,
-                      _finite_real, _number_array, _readonly, complex_json)
+                      _finite_real, _number_array, _readonly, complex_json, record)
 from .rngs import as_generator
 
 MIN_GRID_POINTS = 16
@@ -64,7 +63,7 @@ BLOCK_ELEMENTS = 2 ** 13     # real entries (64 KB) per array of a block: B cycl
 CACHE_SIZE = 8               # default grids, and pointers, kept per process
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PointerGrid:
     """Uniform periodic position grid for the pointer degree of freedom."""
 
@@ -128,7 +127,7 @@ def _unit_grid_norm(amps: np.ndarray, grid: PointerGrid, what: str) -> np.ndarra
     return _readonly(amps)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class GridWavefunction:
     """One-dimensional wavefunction sampled on a PointerGrid."""
 
@@ -170,7 +169,7 @@ class GridWavefunction:
             return cls(grid, amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * grid.spacing)))
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class JointSystemPointerState:
     """Entangled state of a d-dimensional system and the pointer.
 
@@ -197,7 +196,7 @@ class JointSystemPointerState:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class OutcomeSample:
     """One projective measurement outcome with its collapsed state."""
 
@@ -228,7 +227,7 @@ def born_probabilities(psi: StateVector, basis: EigenDecomposition) -> np.ndarra
     return np.abs(_overlaps(psi, basis)) ** 2
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Scenario:
     """Named preparations and measurements, with their forbidden outcomes.
 
@@ -241,7 +240,6 @@ class Scenario:
     name: str
     preparations: Mapping[str, StateVector]
     measurements: Mapping[str, EigenDecomposition]
-    forbidden: dict = field(init=False)
 
     def __post_init__(self) -> None:
         preps, measurements = dict(self.preparations), dict(self.measurements)

@@ -36,7 +36,6 @@ argument needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -52,6 +51,7 @@ from .hilbert import (
     ket_one,
     ket_plus,
     ket_zero,
+    record,
     sigma_x,
     sigma_z,
 )
@@ -104,7 +104,7 @@ def _distributions(values, what: str, size: int, table: bool = False) -> np.ndar
     return _readonly(np.clip(arr, 0.0, None, out=arr))
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class LambdaSpace:
     """Finite set of candidate physical states."""
 
@@ -125,7 +125,7 @@ class LambdaSpace:
         return len(self.labels)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class OntologicalModel:
     """Preparation distributions over lambda plus outcome response tables."""
 
@@ -171,7 +171,7 @@ class OntologicalModel:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class OverlapReport:
     """Variational overlap of two preparation distributions."""
 
@@ -331,7 +331,7 @@ def paired_shared_reality_model(q: float, xi_responses=None) -> OntologicalModel
 # ---------------------------------------------------------------------------
 # the certified minimum violation
 
-@dataclass(frozen=True, eq=False)
+@record
 class ViolationBound:
     """Certified minimax violation of the forbidden-outcome predictions.
 
@@ -441,7 +441,7 @@ def pbr_min_violation(q: float) -> ViolationBound:
 # ---------------------------------------------------------------------------
 # sampling a model
 
-@dataclass(frozen=True, eq=False)
+@record
 class MonteCarloReport:
     """Empirical outcome tables for every (preparation, measurement) cell."""
 

@@ -19,7 +19,6 @@ hard-coded; `pbr_experiment` and the ontology module both read it there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .hilbert import (
     ket_one,
     ket_plus,
     ket_zero,
+    record,
     tensor,
 )
 from .measurement import Scenario, born_probabilities, draw_outcome, inverse_cdf
@@ -90,7 +90,7 @@ def _forbidden_map(scenario: Scenario) -> dict:
     return {p: k for p, ((_, k),) in scenario.forbidden.items()}
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PbrCounts:
     """Contingency table of an antidistinguishability experiment."""
 
@@ -171,7 +171,7 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
 # ---------------------------------------------------------------------------
 # EPR steering on the singlet
 
-@dataclass(frozen=True, eq=False)
+@record
 class SteeringSample:
     """One steering round: Alice's outcome and Bob's conditional state."""
 
@@ -188,7 +188,7 @@ def _singlet() -> StateVector:
     return StateVector(4, amps)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SteeringTable:
     """Alice's outcomes in one basis, with everything a round needs.
 

@@ -40,7 +40,6 @@ inverse FFT, is built only when it is read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -56,6 +55,7 @@ from .hilbert import (
     _readonly,
     canonical_phase,
     inner_product,
+    record,
 )
 from .measurement import (
     JointSystemPointerState,
@@ -77,7 +77,7 @@ DEFAULT_COUPLING = 5e-3
 MAX_STEPS = 2 ** 16          # cycles per run; its JSON log peaks at ~0.8 KB of RSS each
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ProtectiveRunResult:
     """Outcome of one protective measurement run.
 
@@ -94,7 +94,7 @@ class ProtectiveRunResult:
     survivals: np.ndarray
     pointer_means: np.ndarray
     mode: str
-    build_joint: Callable[[], JointSystemPointerState] = field(repr=False)
+    build_joint: Callable[[], JointSystemPointerState]
     aborted_at_step: int | None = None
 
     def __post_init__(self) -> None:
@@ -130,7 +130,7 @@ class ProtectiveRunResult:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class LeakResult:
     """Survival and surviving state of a mismatched-protection run."""
 
@@ -261,7 +261,7 @@ def protection_leak(prepared: StateVector, protected: StateVector,
 # ---------------------------------------------------------------------------
 # tomography from protective readouts
 
-@dataclass(frozen=True, eq=False)
+@record
 class TomographySet:
     """Expectation values of an informationally complete operator set.
 

@@ -1,7 +1,6 @@
 """End-to-end checks of the `ketlab` command line: configuration layering,
 artifact writing and validation, exit codes, and the golden default runs."""
 
-import dataclasses
 import errno
 import importlib.util
 import json
@@ -28,7 +27,8 @@ from ketlab import (
     steering_table,
     substream,
 )
-from ketlab.cli import COMMANDS, SCHEMAS, Artifact, main, parse_state_spec, validate_artifact
+from ketlab.cli import (COMMANDS, SCHEMAS, Artifact, CommandSpec, main, parse_state_spec,
+                        validate_artifact)
 from ketlab.serialize import load_json
 from oracles import amplitudes_from_json
 
@@ -581,6 +581,11 @@ def test_artifact_names_too_long_for_the_filesystem_exit_2(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+def with_runner(name, runner):
+    """`COMMANDS[name]` with `runner` in place of its own."""
+    return CommandSpec(**{**vars(COMMANDS[name]), "runner": runner})
+
+
 def _json_runner(path_of):
     """A `steer` runner whose artifacts are the real steer payload at the
     paths `path_of(cfg)` names."""
@@ -602,8 +607,7 @@ def test_the_path_rules_cover_the_artifacts_a_runner_builds(tmp_path, monkeypatc
     """The paths are checked as the runner built them, not as flags predict
     them, so a runner that breaks a rule exits 2 and writes nothing."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setitem(COMMANDS, "steer",
-                        dataclasses.replace(COMMANDS["steer"], runner=_json_runner(path_of)))
+    monkeypatch.setitem(COMMANDS, "steer", with_runner("steer", _json_runner(path_of)))
     assert main(["steer", "--trials", "10"]) == 2
     assert "artifact path steer." in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -633,8 +637,7 @@ def test_a_run_that_fails_validation_leaves_no_files(tmp_path, monkeypatch):
                 Artifact(cfg.output, "json", bad)], "summary"
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setitem(COMMANDS, "steer",
-                        dataclasses.replace(COMMANDS["steer"], runner=invalid_runner))
+    monkeypatch.setitem(COMMANDS, "steer", with_runner("steer", invalid_runner))
     assert main(["steer"]) == 4
     assert list(tmp_path.iterdir()) == []
 
@@ -645,8 +648,7 @@ def test_an_artifact_of_unknown_kind_exits_4_and_writes_nothing(tmp_path, monkey
         return [Artifact(cfg.output, "json", {"kind": "ketlab/nope"})], "summary"
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setitem(COMMANDS, "steer",
-                        dataclasses.replace(COMMANDS["steer"], runner=unknown_kind_runner))
+    monkeypatch.setitem(COMMANDS, "steer", with_runner("steer", unknown_kind_runner))
     assert main(["steer"]) == 4
     assert "steer.json has no 'kind' with a schema" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -693,8 +695,7 @@ def test_any_other_exception_exits_4_naming_its_stage(tmp_path, monkeypatch, cap
     it exits 4 with that stage named, and leaves the directory as it was."""
     monkeypatch.chdir(tmp_path)
     if name is None:
-        monkeypatch.setitem(COMMANDS, "leak",
-                            dataclasses.replace(COMMANDS["leak"], runner=replacement))
+        monkeypatch.setitem(COMMANDS, "leak", with_runner("leak", replacement))
     else:
         monkeypatch.setattr(ketlab.cli, name, replacement)
     assert main(["leak", "--n", "5"]) == 4
@@ -727,8 +728,7 @@ def test_a_failed_check_keeps_the_previous_runs_artifacts(tmp_path, monkeypatch)
         artifacts[0].payload["survival"] = "high"
         return artifacts, summary
 
-    monkeypatch.setitem(COMMANDS, "leak",
-                        dataclasses.replace(COMMANDS["leak"], runner=high_survival))
+    monkeypatch.setitem(COMMANDS, "leak", with_runner("leak", high_survival))
     assert main(["leak", "--n", "5"]) == 4
     assert {name: (tmp_path / name).read_bytes() for name in names} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
@@ -939,8 +939,7 @@ def test_a_run_whose_csv_fails_the_check_writes_nothing(tmp_path, monkeypatch, c
         return [Artifact(cfg.output, "csv", (ketlab.cli.PER_STEP_HEADER, rows))], "summary"
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setitem(COMMANDS, "scan",
-                        dataclasses.replace(COMMANDS["scan"], runner=bad_step_runner))
+    monkeypatch.setitem(COMMANDS, "scan", with_runner("scan", bad_step_runner))
     assert main(["scan"]) == 4
     assert "scan.csv:3: cell '2.5' fails int" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

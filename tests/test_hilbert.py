@@ -1,10 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ketlab.hilbert
 from ketlab.errors import InternalError, PreconditionError
 from ketlab.hilbert import (
     MAX_DIM,
@@ -22,6 +22,7 @@ from ketlab.hilbert import (
     ket_plus,
     ket_zero,
     qubit_state,
+    record,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -227,8 +228,7 @@ def test_eigendecomposition_holds_its_eigenvalues_and_matrix():
     assert eig.basis_matrix.dtype == complex and not eig.basis_matrix.flags.writeable
     np.testing.assert_array_equal(eig.basis_matrix, [[1, 0], [0, 1j]])
     assert eig.dim == 2
-    assert [f.name for f in dataclasses.fields(EigenDecomposition)] == ["eigenvalues",
-                                                                        "basis_matrix"]
+    assert EigenDecomposition.__match_args__ == ("eigenvalues", "basis_matrix")
     # a partial basis: fewer columns than rows
     assert EigenDecomposition((1.0,), [[0.0], [1.0]]).dim == 2
 
@@ -412,8 +412,85 @@ def test_random_observable_spectrum_is_bounded(seed):
 
 
 def test_expectation_rejects_imaginary_residue():
-    # feed a non-Hermitian matrix through the dataclass by bypassing checks
+    # feed a non-Hermitian matrix through the record by bypassing checks
     op = sigma_y()
     object.__setattr__(op, "matrix", np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InternalError):
         expectation(op, qubit_state(math.pi / 4.0, math.pi / 2.0))
+
+
+# ---------------------------------------------------------------------------
+# records
+
+@record
+class Pair:
+    first: int
+    second: str = "b"
+    third: tuple = ()
+
+
+def test_a_record_takes_its_fields_by_position_keyword_or_default():
+    assert vars(Pair(1, "x", (2,))) == {"first": 1, "second": "x", "third": (2,)}
+    assert vars(Pair(third=(3,), first=1)) == {"first": 1, "second": "b", "third": (3,)}
+    assert vars(Pair(1, third=(4,))) == {"first": 1, "second": "b", "third": (4,)}
+    assert vars(Pair(1)) == {"first": 1, "second": "b", "third": ()}
+    assert Pair.__match_args__ == ("first", "second", "third")
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((), {}),                         # a missing field
+    ((), {"second": "x"}),            # a missing field, with others given
+    ((1,), {"fourth": 4}),            # an unknown field
+    ((1,), {"first": 2}),             # a field given twice
+    ((1, "x", (), 4), {}),            # too many positional arguments
+], ids=["none", "missing", "unknown", "repeated", "too-many"])
+def test_a_record_refuses_a_bad_set_of_fields(args, kwargs):
+    with pytest.raises(TypeError):
+        Pair(*args, **kwargs)
+
+
+def test_a_record_needs_fields_of_its_own():
+    """A class that annotates nothing, a subclass of a record included,
+    is refused rather than made a record with no fields."""
+    with pytest.raises(TypeError, match="annotates no fields"):
+        record(type("Empty", (), {}))
+    with pytest.raises(TypeError, match="annotates no fields"):
+        record(type("MorePair", (Pair,), {}))
+
+
+@pytest.mark.parametrize("make", [lambda: Pair(1), ket_zero], ids=["record", "StateVector"])
+def test_a_record_refuses_assignment_and_deletion(make):
+    value = make()
+    name = type(value).__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, name, 2)
+    with pytest.raises(AttributeError):
+        setattr(value, "new_attribute", 2)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert name in vars(value) and "new_attribute" not in vars(value)
+
+
+def test_post_init_runs_and_may_set_fields_through_object_setattr():
+    @record
+    class Doubled:
+        value: int
+
+        def __post_init__(self):
+            object.__setattr__(self, "value", 2 * self.value)
+            object.__setattr__(self, "derived", self.value + 1)
+
+    doubled = Doubled(3)
+    assert (doubled.value, doubled.derived) == (6, 7)
+    assert Doubled(value=4).value == 8
+
+
+def test_an_operator_solves_its_eigenbasis_once(monkeypatch):
+    calls = []
+    solve = ketlab.hilbert.eigendecompose
+    monkeypatch.setattr(ketlab.hilbert, "eigendecompose", lambda op: calls.append(op) or solve(op))
+    op = sigma_x()
+    assert op.eigen is op.eigen is op.eigen
+    assert calls == [op]
+    assert sigma_x().eigen is not op.eigen     # another instance solves its own
+    assert len(calls) == 2

@@ -2,8 +2,10 @@
 loads the LP solver, and no command needs scipy at all; nothing at run
 time loads `jsonschema` either. Both serve only as the tests' oracles.
 Importing `ketlab.cli` builds no argument parser; the first `main` call
-builds the one every later call reuses. `python -m ketlab.cli`, the entry
-point a cold run starts through, keeps the exit-code contract.
+builds the one every later call reuses. Neither the import nor a run
+loads `dataclasses`: ketlab's record types compile no code at import.
+`python -m ketlab.cli`, the entry point a cold run starts through, keeps
+the exit-code contract.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported `scipy.optimize` through other tests.
@@ -93,6 +95,18 @@ def test_cold_runs_do_not_load_jsonschema(tmp_path):
         tmp_path,
     )
     assert seen == [False, [0, False], [0, False], [0, False]]
+
+
+def test_cold_runs_do_not_load_dataclasses(tmp_path):
+    seen = run_fresh(
+        "import json, sys\n"
+        "import ketlab.cli\n"
+        "seen = ['dataclasses' in sys.modules]\n"
+        "seen.append([ketlab.cli.main(['protective']), 'dataclasses' in sys.modules])\n"
+        "print(json.dumps(seen))\n",
+        tmp_path,
+    )
+    assert seen == [False, [0, False]]
 
 
 def test_the_parser_is_built_once_on_the_first_main_call(tmp_path):

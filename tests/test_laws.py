@@ -17,6 +17,8 @@ from scipy.stats import chisquare
 from ketlab import (PREPARATION_IDS, born_probabilities, pbr_experiment, pbr_scenario,
                     protective_measure, qubit_state, sigma_z)
 from ketlab.cli import main
+from ketlab.ontology import (monte_carlo_onto, paired_shared_reality_model, pbr_min_violation,
+                             predict)
 from ketlab.serialize import load_json
 
 P_FLOOR = 1e-3
@@ -72,3 +74,16 @@ def test_steering_outcomes_are_fair_coins_in_each_basis(tmp_path, monkeypatch):
         counts = data["bases"][basis]["outcome_counts"]
         observed = [counts.get("+1", 0), counts.get("-1", 0)]
         assert_law(observed, [data["trials"] / 2] * 2)
+
+
+def test_monte_carlo_counts_follow_the_model_in_every_cell():
+    """A (preparation, measurement) cell draws lambda from the preparation
+    and then an outcome from lambda's response row, so its counts are
+    multinomial over `predict(model, preparation, measurement)`. The model
+    is the paired shared-reality one at q = 0.7 with the certified bound's
+    witnessing responses, whose four predictions differ in every cell."""
+    trials, q = 20_000, 0.7
+    model = paired_shared_reality_model(q, xi_responses=pbr_min_violation(q).witnessing_responses)
+    report = monte_carlo_onto(model, pbr_scenario(), trials, seed=0)
+    for prep in PREPARATION_IDS:
+        assert_law(report.counts[prep]["xi"], trials * predict(model, prep, "xi"))
