@@ -96,5 +96,5 @@ from .protective import (
     protective_tomography,
     reconstruct_state,
 )
-from .rngs import SubstreamSampler, as_generator, substream, substream_uniforms
+from .rngs import SubstreamSampler, as_generator, substream
 from .weak import direct_wavefunction_scan, momentum_zero_amplitude, weak_pointer_shift

@@ -261,14 +261,17 @@ def inverse_cdf(weights, uniforms) -> np.ndarray:
 
     The inverse-CDF walk every sampler of this package draws through: a
     uniform u picks the first outcome whose cumulative weight exceeds
-    u * total, where total is the weights' sum, and the last outcome
-    catches round-off. `weights` holds one table of n outcomes, or one per
-    uniform (shape (m, n) against m uniforms); the cumulative sums are
-    sequential, so a draw matches a walk that adds the weights one by one.
+    u * total, where total is the last cumulative weight. `weights` holds
+    one table of n outcomes, or one per uniform (shape (m, n) against m
+    uniforms); the cumulative sums are sequential, so a draw matches a walk
+    that adds the weights one by one. Since u < 1, u * total stays below a
+    total that is a normal float, so no outcome of weight zero is ever
+    drawn; only an all-zero or NaN table (or a subnormal total) falls
+    through to the last outcome.
     """
     weights = np.asarray(weights, dtype=float)
     cdf = np.cumsum(weights, axis=-1)
-    scaled = np.asarray(uniforms) * weights.sum(axis=-1)
+    scaled = np.asarray(uniforms) * cdf[..., -1]
     passed = np.sum(cdf <= scaled[..., None], axis=-1)
     return np.minimum(passed, weights.shape[-1] - 1)
 

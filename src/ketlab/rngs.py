@@ -7,10 +7,11 @@ seed ``s`` is the Philox bit generator ``Philox(key=s)`` with its 256-bit
 counter advanced to ``i * 2**128``. Substreams therefore never overlap, and
 results cannot depend on the order in which trials are executed.
 
-Samplers that need only the first few uniforms of many substreams draw them
-as arrays through `substream_uniforms`, which evaluates the Philox4x64-10
-block function (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-3", SC'11) directly in numpy and agrees with `substream` bit for bit.
+Samplers that need only the first few uniforms of a range of substreams
+draw them as arrays through `uniform_chunks`, which evaluates the
+Philox4x64-10 block function (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11) directly in numpy and agrees with `substream` bit
+for bit.
 """
 
 from __future__ import annotations
@@ -80,81 +81,49 @@ def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple:
     return m * x, high
 
 
-def _substream_indices(indices) -> np.ndarray:
-    """`indices` as a uint64 array; PreconditionError unless it is a
-    one-dimensional sequence (a list, a range or an ndarray, not a lone
-    index) whose every entry is an integer (numpy's included, not a bool)
-    in [0, 2**64), the indices `substream` can address."""
-    if not np.iterable(indices) or getattr(indices, "ndim", 1) != 1:
-        raise PreconditionError(f"substream indices must be a one-dimensional sequence, and each "
-                                f"must be an integer in [0, 2**64); got {indices!r}")
-    if not (isinstance(indices, np.ndarray) and indices.dtype.kind in "iu"):
-        # python ints, which numpy would round through float64 past 2**63
-        indices = list(indices)
-        for i in indices:
-            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-                raise PreconditionError(f"substream index must be an integer in [0, 2**64), "
-                                        f"got {i!r}")
-        indices = np.array(indices, dtype=object)
-    if indices.size:
-        lo, hi = int(indices.min()), int(indices.max())
-        if lo < 0 or hi >= _WORD:
-            raise PreconditionError(
-                f"substream index {lo if lo < 0 else hi} outside [0, 2**64)"
-            )
-    return indices.astype(np.uint64)
-
-
-def substream_uniforms(seed: int, indices, k: int = 1) -> np.ndarray:
-    """The first `k` (<= 4) uniforms of each substream in `indices`.
-
-    Row j equals `substream(seed, indices[j]).random(k)` bit for bit. Those
-    uniforms come from the first Philox block of the substream: numpy
-    bumps the counter before its first block, so the block is the
-    Philox4x64-10 function of counter [1, 0, index, 0] under key
-    (seed mod 2**64, seed >> 64), and uniform i is (word_i >> 11) * 2**-53.
-    The work is a fixed number of uint64 array operations per call, so
-    callers pass many indices at once; `uniform_chunks` bounds their count.
-    """
-    seed = _checked_integer(seed, "master seed", _SEEDS)
-    k = _checked_integer(k, "uniforms per substream k", _BLOCK)
-    c2 = _substream_indices(indices)
-    c0 = np.ones_like(c2)
-    c1 = np.zeros_like(c2)
-    c3 = np.zeros_like(c2)
-    key0, key1 = seed % _WORD, seed // _WORD
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key0 = (key0 + _PHILOX_W[0]) % _WORD
-            key1 = (key1 + _PHILOX_W[1]) % _WORD
+def _first_blocks(indices: np.ndarray, round_keys: list, k: int) -> np.ndarray:
+    """The first `k` uniforms of the Philox4x64-10 block of counter
+    [1, 0, index, 0] for each uint64 index, under the ten round keys. A
+    function of its own, so its temporaries are freed before
+    `uniform_chunks` yields."""
+    c0, c1, c2, c3 = np.ones_like(indices), np.zeros_like(indices), indices, np.zeros_like(indices)
+    for key0, key1 in round_keys:
         lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
         lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(key0), lo1, hi0 ^ c3 ^ np.uint64(key1), lo0
-    words = np.stack((c0, c1, c2, c3)[:k], axis=1)
-    return (words >> _SHIFT11) * 2.0 ** -53
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+    return (np.stack((c0, c1, c2, c3)[:k], axis=1) >> _SHIFT11) * 2.0 ** -53
 
 
 def uniform_chunks(seed: int, start: int, stop: int, k: int = 1):
-    """Yield the uniforms of substreams start .. stop-1, in order, as
-    `substream_uniforms(seed, indices, k)` blocks of at most SUBSTREAM_CHUNK
-    consecutive indices, so a sampler that reduces each block before the
-    next keeps flat memory for any number of trials.
+    """Yield the first `k` (<= 4) uniforms of substreams start .. stop-1, in
+    order, in blocks of at most SUBSTREAM_CHUNK rows, so a sampler that
+    reduces each block before the next keeps flat memory for any number of
+    trials.
+
+    Row j of the range equals `substream(seed, start + j).random(k)` bit for
+    bit. Those uniforms come from the first Philox block of the substream:
+    numpy bumps the counter before its first block, so the block is the
+    Philox4x64-10 function of counter [1, 0, index, 0] under key
+    (seed mod 2**64, seed >> 64), and uniform i is (word_i >> 11) * 2**-53.
+    Each block costs a fixed number of uint64 array operations.
     """
-    _checked_integer(seed, "master seed", _SEEDS)
-    _checked_integer(k, "uniforms per substream k", _BLOCK)
+    seed = _checked_integer(seed, "master seed", _SEEDS)
+    k = _checked_integer(k, "uniforms per substream k", _BLOCK)
     start = _checked_integer(start, "substream start", _BOUNDS)
     stop = _checked_integer(stop, "substream stop", _BOUNDS)
+    round_keys = [(np.uint64((seed + r * _PHILOX_W[0]) % _WORD),
+                   np.uint64((seed // _WORD + r * _PHILOX_W[1]) % _WORD))
+                  for r in range(_PHILOX_ROUNDS)]
     for first in range(start, stop, SUBSTREAM_CHUNK):
         count = min(SUBSTREAM_CHUNK, stop - first)
-        indices = np.arange(count, dtype=np.uint64) + np.uint64(first)
-        yield substream_uniforms(seed, indices, k)
+        yield _first_blocks(np.arange(count, dtype=np.uint64) + np.uint64(first), round_keys, k)
 
 
 class SubstreamSampler:
     """The substreams of one master seed, selected by index.
 
     `select(i)` is `substream(seed, i)`. No sampler in the package calls
-    it: they draw through `substream_uniforms`. It is kept because the
+    it: they draw through `uniform_chunks`. It is kept because the
     benchmark tracer (`perfbench/tracer.py`) binds `SubstreamSampler.select`
     when it installs.
     """

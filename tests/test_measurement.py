@@ -38,6 +38,7 @@ from ketlab.measurement import (
     postselected_multiplier,
     strong_measure,
 )
+from ketlab.ontology import paired_shared_reality_model
 from oracles import (amplitudes_from_json, haar_random_state, pointer_marginal,
                      pointer_position_mean, product_state, random_observable,
                      reference_postselected_cycle)
@@ -213,8 +214,12 @@ def test_born_probabilities_on_sigma_z(theta):
 
 def sequential_walk(weights, u):
     """The inverse-CDF walk as a loop, one weight at a time: the oracle
-    for `inverse_cdf`."""
-    scaled = u * float(np.sum(weights))
+    for `inverse_cdf`. The total is the same running sum, in the same
+    order."""
+    total = 0.0
+    for w in weights:
+        total += w
+    scaled = u * total
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w
@@ -245,6 +250,22 @@ def test_inverse_cdf_skips_outcomes_whose_cumulative_weight_it_reaches():
     uniforms = [0.0, 0.5, 1.0 - 2.0 ** -53]
     assert list(inverse_cdf(weights, uniforms)) == [1, 2, 2]
     assert [sequential_walk(weights, u) for u in uniforms] == [1, 2, 2]
+
+
+def test_inverse_cdf_never_draws_an_outcome_of_weight_zero():
+    # a pairwise sum of 8 or more weights can exceed the sequential one by
+    # an ulp; scaled by it, a uniform near 1 passed every cumulative weight
+    last = 1.0 - 2.0 ** -53
+    row = np.asarray(paired_shared_reality_model(0.07).preparations["+0"])
+    assert row[-1] == 0.0 and row[inverse_cdf(row, [last])[0]] > 0.0
+    rng = np.random.default_rng(28)
+    for n in (9, 17):
+        tables = rng.random((4000, n))
+        tables[np.arange(n) >= rng.integers(1, n, size=(4000, 1))] = 0.0
+        uniforms = np.concatenate([np.full(2000, last), rng.random(2000)])
+        drawn = inverse_cdf(tables, uniforms)
+        assert (tables[np.arange(4000), drawn] > 0.0).all()
+        assert list(drawn[:200]) == [sequential_walk(t, last) for t in tables[:200]]
 
 
 def test_inverse_cdf_walks_one_table_per_uniform():

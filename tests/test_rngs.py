@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ketlab
+from ketlab import rngs
 from ketlab.errors import PreconditionError
 from ketlab.rngs import (
     STREAM_STRIDE,
@@ -9,7 +10,6 @@ from ketlab.rngs import (
     SubstreamSampler,
     as_generator,
     substream,
-    substream_uniforms,
     uniform_chunks,
 )
 
@@ -85,40 +85,37 @@ UNIFORM_INDICES = [0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1, 2 ** 64 + 12345])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_substream_uniforms_match_substreams_bit_for_bit(seed, k):
-    got = substream_uniforms(seed, UNIFORM_INDICES, k)
-    want = np.array([substream(seed, i).random(k) for i in UNIFORM_INDICES])
+def test_uniform_chunks_match_substreams_bit_for_bit(seed, k):
+    got = [u for i in UNIFORM_INDICES for u in uniform_chunks(seed, i, i + 1, k)]
+    want = [substream(seed, i).random((1, k)) for i in UNIFORM_INDICES]
+    np.testing.assert_array_equal(np.concatenate(got), np.concatenate(want))
+
+
+def test_uniform_chunks_match_a_contiguous_range():
+    (got,) = uniform_chunks(11, 1000, 1300, 2)
+    want = np.array([substream(11, i).random(2) for i in range(1000, 1300)])
     np.testing.assert_array_equal(got, want)
 
 
-def test_substream_uniforms_accept_integer_arrays():
-    indices = np.arange(1000, 1300, 7)
-    got = substream_uniforms(11, indices, 2)
-    want = np.array([substream(11, int(i)).random(2) for i in indices])
-    np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.parametrize("indices", [[-1], [0, 2 ** 64], np.array([3, -2])])
-def test_substream_uniforms_reject_out_of_range_indices(indices):
-    with pytest.raises(PreconditionError, match="outside"):
-        substream_uniforms(0, indices)
-
-
-def test_substream_uniforms_reject_bad_seeds_and_block_sizes():
+def test_uniform_chunks_reject_bad_seeds_and_block_sizes():
     with pytest.raises(PreconditionError):
-        substream_uniforms(-1, [0])
+        list(uniform_chunks(-1, 0, 1))
     with pytest.raises(PreconditionError):
-        substream_uniforms(2 ** 128, [0])
+        list(uniform_chunks(2 ** 128, 0, 1))
     with pytest.raises(PreconditionError):
-        substream_uniforms(0, [0], k=5)
+        list(uniform_chunks(0, 0, 1, k=5))
 
 
-def test_uniform_chunks_cover_the_range_in_order():
+def test_uniform_chunks_cover_the_range_in_order(monkeypatch):
     start, stop = 5, 2 * SUBSTREAM_CHUNK + 9
     blocks = list(uniform_chunks(3, start, stop, k=2))
     assert [len(u) for u in blocks] == [SUBSTREAM_CHUNK, SUBSTREAM_CHUNK, 4]
     joined = np.concatenate(blocks)
-    np.testing.assert_array_equal(joined, substream_uniforms(3, np.arange(start, stop), 2))
+    for i in (start, start + SUBSTREAM_CHUNK - 1, start + SUBSTREAM_CHUNK, stop - 1):
+        np.testing.assert_array_equal(joined[i - start], substream(3, i).random(2))
+    monkeypatch.setattr(rngs, "SUBSTREAM_CHUNK", stop)
+    (whole,) = uniform_chunks(3, start, stop, k=2)
+    np.testing.assert_array_equal(joined, whole)
     assert list(uniform_chunks(3, 4, 4)) == []
 
 
@@ -130,7 +127,7 @@ def test_uniform_chunks_reject_ranges_past_the_last_substream():
 def test_uniform_chunks_reach_the_last_substream():
     """start and stop may be 2**64, one past the last substream index."""
     (block,) = uniform_chunks(0, np.uint64(2 ** 64 - 1), 2 ** 64)
-    np.testing.assert_array_equal(block, substream_uniforms(0, [2 ** 64 - 1]))
+    np.testing.assert_array_equal(block, substream(0, 2 ** 64 - 1).random((1, 1)))
     assert list(uniform_chunks(0, 2 ** 64, 2 ** 64)) == []
 
 
@@ -155,19 +152,10 @@ def _onto(seed):
     pytest.param(lambda: substream("7", 0), id="substream-text-seed"),
     pytest.param(lambda: as_generator(True), id="as-generator-bool-seed"),
     pytest.param(lambda: SubstreamSampler(1.5).select(0), id="sampler-float-seed"),
-    pytest.param(lambda: substream_uniforms(True, [0]), id="uniforms-bool-seed"),
+    pytest.param(lambda: list(uniform_chunks(True, 0, 1)), id="chunks-bool-seed"),
     pytest.param(lambda: list(uniform_chunks(np.float64(3.0), 0, 0)), id="chunks-float-seed"),
-    pytest.param(lambda: substream_uniforms(0, [0, True]), id="uniforms-bool-index"),
-    pytest.param(lambda: substream_uniforms(0, np.array([True])), id="uniforms-numpy-bool-index"),
-    pytest.param(lambda: substream_uniforms(0, [1.0]), id="uniforms-float-index"),
-    pytest.param(lambda: substream_uniforms(0, ["1"]), id="uniforms-text-index"),
-    pytest.param(lambda: substream_uniforms(0, [[0]]), id="uniforms-nested-index"),
-    pytest.param(lambda: substream_uniforms(0, 5), id="uniforms-lone-index"),
-    pytest.param(lambda: substream_uniforms(0, np.array(5)), id="uniforms-0d-index-array"),
-    pytest.param(lambda: substream_uniforms(0, np.array([[0]])), id="uniforms-2d-index-array"),
-    pytest.param(lambda: substream_uniforms(0, [0], k=True), id="uniforms-bool-k"),
-    pytest.param(lambda: substream_uniforms(0, [0], k=2.0), id="uniforms-float-k"),
-    pytest.param(lambda: substream_uniforms(0, [0], k=0), id="uniforms-zero-k"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 1, k=2.0)), id="chunks-float-k"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 1, k=0)), id="chunks-zero-k"),
     pytest.param(lambda: list(uniform_chunks(0, 0, 3, k=True)), id="chunks-bool-k"),
     pytest.param(lambda: list(uniform_chunks(0, 0, 0, k=5)), id="chunks-empty-range-k-5"),
     pytest.param(lambda: list(uniform_chunks(0, True, 3)), id="chunks-bool-start"),
