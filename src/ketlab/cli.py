@@ -33,7 +33,9 @@ configuration error, 3 precondition rejection, 4 internal-consistency
 failure, and also any other exception, reported with the stage it
 escaped (parse, resolve, compute, check or write). The argument parser is
 built on the first `main` call and reused by every later call in the
-process; importing this module builds nothing.
+process; importing this module builds nothing and loads no experiment
+module: each runner imports its own (`protective`, `weak`, `pbr` or
+`ontology`) when it is called, so a run compiles only what it computes.
 """
 
 from __future__ import annotations
@@ -70,26 +72,10 @@ from .hilbert import (
     sigma_y,
     sigma_z,
 )
-from .measurement import (DEFAULT_GRID_POINTS, GridWavefunction, default_grid,
-                          gaussian_profile, inverse_cdf)
-from .ontology import (
-    OntologicalModel,
-    born_consistency_gap,
-    monte_carlo_onto,
-    orthodox_model,
-    overlap,
-    paired_shared_reality_model,
-    pbr_min_violation,
-    predict,
-    qubit_scenario,
-)
-from .pbr import (PREPARATION_IDS, overlap_preservation_check, pbr_experiment, pbr_scenario,
-                  steering_table)
-from .protective import (DEFAULT_COUPLING, DEFAULT_STEPS, protection_leak,
-                         protective_measure, protective_tomography)
+from .measurement import (DEFAULT_COUPLING, DEFAULT_GRID_POINTS, DEFAULT_STEPS,
+                          GridWavefunction, default_grid, gaussian_profile, inverse_cdf)
 from .rngs import substream, uniform_chunks
 from .serialize import dump_json, load_json, write_csv
-from .weak import direct_wavefunction_scan, momentum_zero_amplitude
 
 DEFAULT_SEED = 7
 
@@ -504,6 +490,8 @@ def validate_artifact(artifact: Artifact) -> Artifact:
 # runners
 
 def _run_protective(cfg: RunConfig):
+    from .protective import protective_measure, protective_tomography
+
     p = cfg.params
     psi = qubit_state(p["theta"], p["phi"])
     op = _OBSERVABLES[p["observable"]]
@@ -570,6 +558,8 @@ def _run_protective(cfg: RunConfig):
 
 
 def _run_leak(cfg: RunConfig):
+    from .protective import protection_leak
+
     p = cfg.params
     prepared = parse_state_spec(p["prepared"])
     protected = parse_state_spec(p["protected"])
@@ -612,6 +602,8 @@ def _scan_input(p) -> GridWavefunction:
 
 
 def _run_scan(cfg: RunConfig):
+    from .weak import direct_wavefunction_scan, momentum_zero_amplitude
+
     psi = _scan_input(cfg.params)
     scan = direct_wavefunction_scan(psi)
     p0 = momentum_zero_amplitude(psi)
@@ -626,6 +618,8 @@ def _run_scan(cfg: RunConfig):
 
 
 def _run_pbr(cfg: RunConfig):
+    from .pbr import PREPARATION_IDS, pbr_experiment
+
     p = cfg.params
     counts = pbr_experiment(p["trials"], p["weights"], seed=cfg.seed)
     if cfg.format == "csv":
@@ -650,6 +644,8 @@ def _run_steer(cfg: RunConfig):
     draws the first uniform of substream i of the seed against the basis's
     outcome table, which is computed once per basis; `uniform_chunks`
     draws a basis's rounds as arrays and `inverse_cdf` walks them."""
+    from .pbr import steering_table
+
     p = cfg.params
     _checked_count(p["trials"], "trials")
     bases = ("z", "x") if p["basis"] == "both" else (p["basis"],)
@@ -688,6 +684,11 @@ def _run_steer(cfg: RunConfig):
 
 
 def _run_onto(cfg: RunConfig):
+    from .ontology import (OntologicalModel, born_consistency_gap, monte_carlo_onto,
+                           orthodox_model, overlap, paired_shared_reality_model,
+                           pbr_min_violation, predict, qubit_scenario)
+    from .pbr import pbr_scenario
+
     p = cfg.params
     _checked_count(p["mc_trials"], "mc_trials")
     if p["model"] is None and (p["prep"] is not None or p["meas"] is not None):
@@ -749,6 +750,8 @@ def _run_onto(cfg: RunConfig):
 
 
 def _run_nogo(cfg: RunConfig):
+    from .pbr import overlap_preservation_check
+
     p = cfg.params
     _checked_count(p["sweeps"], "sweeps")
     ready = parse_state_spec(p["ready"])

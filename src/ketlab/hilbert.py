@@ -133,12 +133,20 @@ def record(cls):
         raise TypeError(f"{cls.__name__} annotates no fields")
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = getattr(cls, "__post_init__", lambda self: None)
+    # after k positional arguments: the fields left, and the keywords a call may pass
+    tails = tuple((names[k:], frozenset(names[k:])) for k in range(len(names) + 1))
 
     def __init__(self, *args, **kwargs):
-        rest, wanted = {**defaults, **kwargs}, names[len(args):]
-        if not (len(args) <= len(names) and kwargs.keys() <= set(wanted) <= rest.keys()):
-            raise TypeError(f"{cls.__name__}{names}: {len(args)} by position, {list(kwargs)}")
-        args += tuple(map(rest.__getitem__, wanted))
+        rest = {**defaults, **kwargs}
+        try:
+            wanted, allowed = tails[len(args)]          # IndexError: too many by position
+            if not kwargs.keys() <= allowed:
+                raise KeyError("an unknown or repeated field")
+            args += tuple(map(rest.__getitem__, wanted))   # KeyError: a missing field
+        except (IndexError, KeyError):
+            raise TypeError(
+                f"{cls.__name__}{names}: {len(args)} by position, {list(kwargs)}"
+            ) from None
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
         post_init(self)

@@ -58,6 +58,8 @@ GRID_NORM_TOL = 1e-10        # allowed norm defect for grid wavefunctions
 DEGENERATE_PROB_TOL = 1e-15  # total Born weight below this cannot be sampled
 FORBIDDEN_TOL = 1e-12        # amplitude |<v_k|psi>| below this forbids outcome k
 DEFAULT_GRID_POINTS = 512
+DEFAULT_STEPS = 400          # protection cycles of a protective run
+DEFAULT_COUPLING = 5e-3      # coupling strength g per protection cycle
 DEFAULT_EXTENT_WIDTHS = 40.0
 BLOCK_ELEMENTS = 2 ** 13     # real entries (64 KB) per array of a block: B cycles x K momenta
 CACHE_SIZE = 8               # default grids, and pointers, kept per process
@@ -267,13 +269,20 @@ def inverse_cdf(weights, uniforms) -> np.ndarray:
     that adds the weights one by one. Since u < 1, u * total stays below a
     total that is a normal float, so no outcome of weight zero is ever
     drawn; only an all-zero or NaN table (or a subnormal total) falls
-    through to the last outcome.
+    through to the last outcome: the outcomes passed are the n minus those
+    whose cumulative weight exceeds u * total, and nothing exceeds NaN.
+    One shared table is walked by binary search, which is exact on its
+    non-decreasing cumulative weights and sorts NaN last.
     """
     weights = np.asarray(weights, dtype=float)
+    n = weights.shape[-1]
     cdf = np.cumsum(weights, axis=-1)
     scaled = np.asarray(uniforms) * cdf[..., -1]
-    passed = np.sum(cdf <= scaled[..., None], axis=-1)
-    return np.minimum(passed, weights.shape[-1] - 1)
+    if cdf.ndim == 1:
+        passed = np.searchsorted(cdf, scaled, side="right")
+    else:
+        passed = n - np.sum(cdf > scaled[..., None], axis=-1)
+    return np.minimum(passed, n - 1)
 
 
 def draw_outcome(weights: np.ndarray, rng: np.random.Generator) -> int:

@@ -58,6 +58,8 @@ from .hilbert import (
     record,
 )
 from .measurement import (
+    DEFAULT_COUPLING,
+    DEFAULT_STEPS,
     JointSystemPointerState,
     PointerGrid,
     couple_pointer,
@@ -72,8 +74,6 @@ from .rngs import as_generator
 NOT_PURE_TOL = 1e-3          # largest rho eigenvalue below 1 - this: not pure
 ORTHOGONAL_LEAK_TOL = 1e-15  # |<protected|prepared>| below this: empty result
 COMPLETENESS_RANK_TOL = 1e-8
-DEFAULT_STEPS = 400
-DEFAULT_COUPLING = 5e-3
 MAX_STEPS = 2 ** 16          # cycles per run; its JSON log peaks at ~0.8 KB of RSS each
 
 

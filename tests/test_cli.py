@@ -983,7 +983,7 @@ def test_a_lone_prep_or_meas_exits_2_before_the_model_is_evaluated(tmp_path, mon
         raise RuntimeError("the model was evaluated")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(ketlab.cli, "overlap", no_work)
+    monkeypatch.setattr(ketlab.ontology, "overlap", no_work)
     assert main(["onto", "--model", "orthodox", *argv]) == 2
     assert "--prep and --meas must be given together" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

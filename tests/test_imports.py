@@ -4,8 +4,11 @@ time loads `jsonschema` either. Both serve only as the tests' oracles.
 Importing `ketlab.cli` builds no argument parser; the first `main` call
 builds the one every later call reuses. Neither the import nor a run
 loads `dataclasses`: ketlab's record types compile no code at import.
-`python -m ketlab.cli`, the entry point a cold run starts through, keeps
-the exit-code contract.
+`import ketlab` loads none of its modules, and each public name it lists
+is its module's object, imported on first use. `import ketlab.cli` loads
+no experiment module (`protective`, `pbr`, `ontology`, `weak`), and each
+command loads only those it runs. `python -m ketlab.cli`, the entry point
+a cold run starts through, keeps the exit-code contract.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported `scipy.optimize` through other tests.
@@ -38,6 +41,75 @@ def run_fresh(code: str, cwd) -> dict:
     """Run `code` in a new interpreter and return the JSON object it
     prints last."""
     return json.loads(fresh(["-c", code], cwd).stdout.splitlines()[-1])
+
+
+EXPERIMENT_MODULES = ("ontology", "pbr", "protective", "weak")
+LOADED_EXPERIMENTS = ("[m for m in " + repr(EXPERIMENT_MODULES)
+                      + " if 'ketlab.' + m in sys.modules]")
+
+
+def test_importing_the_package_loads_none_of_its_modules(tmp_path):
+    seen = run_fresh(
+        "import json, sys\n"
+        "import ketlab\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ketlab.'))))\n",
+        tmp_path,
+    )
+    assert seen == []
+
+
+def test_the_package_namespace_resolves_each_name_in_its_module(tmp_path):
+    """Every name `dir(ketlab)` lists is the object its module defines, an
+    unknown name raises AttributeError, and `from ketlab import` still
+    imports submodules."""
+    seen = run_fresh(
+        "import importlib, json, sys\n"
+        "import ketlab\n"
+        "try:\n"
+        "    ketlab.no_such_name\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError:\n"
+        "    unknown = 'AttributeError'\n"
+        "from ketlab import cli, rngs\n"
+        "submodules = [cli is sys.modules['ketlab.cli'], rngs is sys.modules['ketlab.rngs']]\n"
+        "names = dir(ketlab)\n"
+        "wrong = [name for name in names if getattr(ketlab, name) is not getattr(\n"
+        "    importlib.import_module('ketlab.' + ketlab._MODULE_OF[name]), name)]\n"
+        "print(json.dumps([unknown, submodules, len(names), sorted(ketlab.__all__) == names,\n"
+        "                  wrong]))\n",
+        tmp_path,
+    )
+    assert seen == ["AttributeError", [True, True], 76, True, []]
+
+
+def test_importing_the_cli_loads_no_experiment_module(tmp_path):
+    seen = run_fresh(
+        "import json, sys\n"
+        "import ketlab.cli\n"
+        f"print(json.dumps({LOADED_EXPERIMENTS}))\n",
+        tmp_path,
+    )
+    assert seen == []
+
+
+@pytest.mark.parametrize("command,loaded", [
+    ("protective", ["protective"]),
+    ("leak", ["protective"]),
+    ("scan", ["weak"]),
+    ("pbr", ["pbr"]),
+    ("steer", ["pbr"]),
+    ("nogo", ["pbr"]),
+    ("onto", ["ontology", "pbr"]),
+])
+def test_each_command_loads_only_the_experiment_modules_it_runs(tmp_path, command, loaded):
+    seen = run_fresh(
+        "import json, sys\n"
+        "from ketlab.cli import main\n"
+        f"code = main([{command!r}])\n"
+        f"print(json.dumps([code, {LOADED_EXPERIMENTS}]))\n",
+        tmp_path,
+    )
+    assert seen == [0, loaded]
 
 
 def test_importing_the_package_does_not_load_the_lp_solver(tmp_path):

@@ -276,6 +276,42 @@ def test_inverse_cdf_walks_one_table_per_uniform():
     assert list(got) == [sequential_walk(t, u) for t, u in zip(tables, uniforms)]
 
 
+def broadcast_walk(weights, uniforms):
+    """The inverse-CDF walk as one broadcast comparison of every cumulative
+    weight with every scaled uniform: the oracle for `inverse_cdf`'s binary
+    search on finite tables."""
+    weights = np.asarray(weights, dtype=float)
+    cdf = np.cumsum(weights, axis=-1)
+    scaled = np.asarray(uniforms) * cdf[..., -1]
+    return np.minimum(np.sum(cdf <= scaled[..., None], axis=-1), weights.shape[-1] - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9, 16, 17])
+def test_inverse_cdf_matches_the_broadcast_walk_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    uniforms = np.concatenate([rng.random(2000), [0.0, 1.0 - 2.0 ** -53]])
+    tables = rng.random((60, n))
+    tables[rng.random((60, n)) < 0.4] = 0.0
+    tables[:5, 0] = tables[5:10, -1] = 0.0
+    for table in tables:
+        np.testing.assert_array_equal(inverse_cdf(table, uniforms),
+                                      broadcast_walk(table, uniforms))
+    rows = tables[rng.integers(0, 60, size=len(uniforms))]
+    np.testing.assert_array_equal(inverse_cdf(rows, uniforms), broadcast_walk(rows, uniforms))
+
+
+@pytest.mark.parametrize("table", [[np.nan, 1.0], [0.5, np.nan, 0.5], [0.0, 0.0, 0.0]])
+def test_a_nan_or_all_zero_table_falls_through_to_the_last_outcome(table):
+    """On one shared table and on one table per uniform alike; the broadcast
+    oracle would put a NaN table on outcome 0, since nothing is <= NaN."""
+    uniforms = [0.0, 0.5, 1.0 - 2.0 ** -53]
+    last = len(table) - 1
+    with np.errstate(invalid="ignore"):
+        assert list(inverse_cdf(table, uniforms)) == [last] * 3
+        assert list(inverse_cdf([table] * 3, uniforms)) == [last] * 3
+        assert int(inverse_cdf(table, 0.25)) == last
+
+
 def test_strong_measure_on_eigenstate_is_deterministic():
     eig = eigendecompose(sigma_z())
     for seed in range(20):
