@@ -258,30 +258,34 @@ class Scenario:
         object.__setattr__(self, "forbidden", forbidden)
 
 
-def inverse_cdf(weights, uniforms) -> np.ndarray:
+def inverse_cdf(weights, uniforms, rows=None) -> np.ndarray:
     """Outcome indices that `uniforms` select from nonnegative `weights`.
 
     The inverse-CDF walk every sampler of this package draws through: a
     uniform u picks the first outcome whose cumulative weight exceeds
     u * total, where total is the last cumulative weight. `weights` holds
-    one table of n outcomes, or one per uniform (shape (m, n) against m
-    uniforms); the cumulative sums are sequential, so a draw matches a walk
-    that adds the weights one by one. Since u < 1, u * total stays below a
-    total that is a normal float, so no outcome of weight zero is ever
-    drawn; only an all-zero or NaN table (or a subnormal total) falls
+    one table of n outcomes, or a stack of them (shape (m, n)) that uniform
+    i walks row i of, or, given `rows`, row rows[i] of: a long run of
+    uniforms over a few tables then sums each table once and never copies
+    it per uniform. The cumulative sums are sequential, so a draw matches
+    a walk that adds the weights one by one. Since u < 1, u * total stays
+    below a total that is a normal float, so no outcome of weight zero is
+    ever drawn; only an all-zero or NaN table (or a subnormal total) falls
     through to the last outcome: the outcomes passed are the n minus those
     whose cumulative weight exceeds u * total, and nothing exceeds NaN.
     One shared table is walked by binary search, which is exact on its
-    non-decreasing cumulative weights and sorts NaN last.
+    non-decreasing cumulative weights and sorts NaN last. A stack is
+    walked as n rows of cumulative weights with one entry per uniform, so
+    the count adds n long rows rather than reducing m short ones.
     """
     weights = np.asarray(weights, dtype=float)
     n = weights.shape[-1]
     cdf = np.cumsum(weights, axis=-1)
-    scaled = np.asarray(uniforms) * cdf[..., -1]
     if cdf.ndim == 1:
-        passed = np.searchsorted(cdf, scaled, side="right")
+        passed = np.searchsorted(cdf, np.asarray(uniforms) * cdf[-1], side="right")
     else:
-        passed = n - np.sum(cdf > scaled[..., None], axis=-1)
+        cols = cdf.T if rows is None else np.take(cdf.T, rows, axis=1)
+        passed = n - np.sum(cols > np.asarray(uniforms) * cols[-1], axis=0)
     return np.minimum(passed, n - 1)
 
 

@@ -57,12 +57,12 @@ from .hilbert import (
 )
 from .measurement import Scenario, born_probabilities, inverse_cdf
 from .pbr import PREPARATION_IDS, _forbidden_map, pbr_scenario
-from .rngs import substream
+from .rngs import stream_chunks
 
 DISTRIBUTION_TOL = 1e-12     # rows and preparation vectors must sum to 1 within this
 PREDICT_SUM_TOL = 1e-11      # predicted outcome distributions must sum to 1 within this
 DUALITY_GAP_TOL = 1e-6       # certification threshold for the violation bound
-MAX_MC_TRIALS = 2 ** 20      # Monte Carlo trials per scenario cell (~53 bytes each)
+MAX_MC_TRIALS = 2 ** 20      # Monte Carlo trials per scenario cell; memory stays flat
 ONTIC_OVERLAP_TOL = 1e-12    # below this, preparations share no lambda support
 
 SHARED_REALITY_LABELS = ("shared", "zero_only", "plus_only")
@@ -469,9 +469,12 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
     Cell (preparation, measurement) number i uses random substream i of the
     master seed: its first `trials` uniforms pick lambda from the
     preparation and the next `trials` pick each outcome from lambda's
-    response row, both through the `inverse_cdf` walk, once per row. The
-    model must define every preparation and measurement id the scenario
-    names. More than MAX_MC_TRIALS trials are rejected before any draw.
+    response row, both through the `inverse_cdf` walk. The two runs of
+    uniforms are read in step, SUBSTREAM_CHUNK trials at a time, through
+    `stream_chunks`, and each block is tallied before the next is drawn, so
+    memory does not grow with `trials`. The model must define every
+    preparation and measurement id the scenario names. More than
+    MAX_MC_TRIALS trials are rejected before any draw.
     """
     trials = _checked_count(trials, "trials")
     if trials > MAX_MC_TRIALS:
@@ -481,18 +484,19 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
     for prep_id in scenario.preparations:
         if prep_id not in model.preparations:
             raise PreconditionError(f"model lacks preparation {prep_id!r}")
+        prep = model.preparations[prep_id]
         counts[prep_id] = {}
         for meas_id in scenario.measurements:
             table = _scenario_responses(model, scenario, meas_id)
-            rng = substream(seed, cell)
+            tally = np.zeros(table.shape[1], dtype=np.int64)
+            for lam_uniforms, outcome_uniforms in zip(
+                    stream_chunks(seed, cell, 0, trials),
+                    stream_chunks(seed, cell, trials, 2 * trials)):
+                lam = inverse_cdf(prep, lam_uniforms)
+                tally += np.bincount(inverse_cdf(table, outcome_uniforms, rows=lam),
+                                     minlength=len(tally))
+            counts[prep_id][meas_id] = tally
             cell += 1
-            lam = inverse_cdf(model.preparations[prep_id], rng.random(trials))
-            draws = rng.random(trials)
-            # one walk per lambda's row: no (trials x outcomes) table is built
-            counts[prep_id][meas_id] = sum(
-                np.bincount(inverse_cdf(row, draws[lam == k]), minlength=len(row))
-                for k, row in enumerate(table)
-            )
     max_forbidden = None
     if scenario.forbidden and trials > 0:
         freqs = [

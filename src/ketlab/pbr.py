@@ -161,7 +161,7 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     cells = np.zeros(16, dtype=np.int64)
     for uniforms in uniform_chunks(seed, 0, trials, k=2):
         which = inverse_cdf(weights, uniforms[:, 0])
-        outcome = inverse_cdf(born[which], uniforms[:, 1])
+        outcome = inverse_cdf(born, uniforms[:, 1], rows=which)
         cells += np.bincount(4 * which + outcome, minlength=16)
     counts = dict(zip(PREPARATION_IDS, cells.reshape(4, 4).tolist()))
     return PbrCounts(counts=counts, trials=trials, seed=int(seed),

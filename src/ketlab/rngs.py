@@ -7,11 +7,12 @@ seed ``s`` is the Philox bit generator ``Philox(key=s)`` with its 256-bit
 counter advanced to ``i * 2**128``. Substreams therefore never overlap, and
 results cannot depend on the order in which trials are executed.
 
-Samplers that need only the first few uniforms of a range of substreams
-draw them as arrays through `uniform_chunks`, which evaluates the
-Philox4x64-10 block function (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11) directly in numpy and agrees with `substream` bit
-for bit.
+Samplers draw arrays in blocks of SUBSTREAM_CHUNK, through one of two
+draws. `uniform_chunks` reads the first few uniforms of each of a range of
+substreams: it evaluates the Philox4x64-10 block function (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11) directly in numpy.
+`stream_chunks` reads a range of uniforms along one substream. Both agree
+with `substream` bit for bit.
 """
 
 from __future__ import annotations
@@ -23,9 +24,12 @@ from .errors import PreconditionError
 # Counter stride between substreams, in Philox 256-bit counter units.
 STREAM_STRIDE = 2 ** 128
 
-# Substreams drawn per array pass by `uniform_chunks`: bounds the memory of
-# a sampler independently of its trial count.
-SUBSTREAM_CHUNK = 2 ** 16
+# Rows drawn per array pass by `uniform_chunks` and `stream_chunks`: bounds
+# the memory of a sampler independently of its trial count. At 2**13 rows a
+# `pbr_experiment` block's temporaries peak near 1.3 MB, so they stay in a
+# 2 MiB L2 cache; of 2**11 .. 2**16, 2**13 ran both samplers fastest, as
+# larger blocks spill the cache and smaller ones pay more per-block calls.
+SUBSTREAM_CHUNK = 2 ** 13
 
 # Philox4x64-10 constants (Random123): round multipliers and key increments.
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -41,6 +45,7 @@ _SEEDS = (0, 2 ** 128 - 1, "[0, 2**128)")
 _INDICES = (0, _WORD - 1, "[0, 2**64)")
 _BOUNDS = (0, _WORD, "[0, 2**64]")          # start and stop of a range of substreams
 _BLOCK = (1, 4, "[1, 4]")                   # uniforms drawn per Philox block
+_POSITIONS = (0, 2 ** 130, "[0, 2**130]")   # start and stop along one substream
 
 
 def _checked_integer(value, what: str, rule: tuple) -> int:
@@ -119,13 +124,33 @@ def uniform_chunks(seed: int, start: int, stop: int, k: int = 1):
         yield _first_blocks(np.arange(count, dtype=np.uint64) + np.uint64(first), round_keys, k)
 
 
+def stream_chunks(seed: int, index: int, start: int, stop: int):
+    """Yield uniforms start .. stop-1 of `substream(seed, index)`, in order,
+    in blocks of at most SUBSTREAM_CHUNK, so a sampler that reduces each
+    block before the next keeps flat memory for any length of run.
+
+    The run equals `substream(seed, index).random(stop)[start:]` bit for
+    bit. Philox turns each counter block into four uniforms, so the stream
+    skips start // 4 blocks by `advance` and discards the first start % 4
+    uniforms of the next. A substream owns 2**128 blocks, so start and stop
+    lie in [0, 2**130].
+    """
+    start = _checked_integer(start, "stream start", _POSITIONS)
+    stop = _checked_integer(stop, "stream stop", _POSITIONS)
+    rng = substream(seed, index)
+    rng.bit_generator.advance(start // 4)
+    rng.random(start % 4)
+    for first in range(start, stop, SUBSTREAM_CHUNK):
+        yield rng.random(min(SUBSTREAM_CHUNK, stop - first))
+
+
 class SubstreamSampler:
     """The substreams of one master seed, selected by index.
 
     `select(i)` is `substream(seed, i)`. No sampler in the package calls
-    it: they draw through `uniform_chunks`. It is kept because the
-    benchmark tracer (`perfbench/tracer.py`) binds `SubstreamSampler.select`
-    when it installs.
+    it: they draw through `uniform_chunks` and `stream_chunks`. It is kept
+    because the benchmark tracer (`perfbench/tracer.py`) binds
+    `SubstreamSampler.select` when it installs.
     """
 
     def __init__(self, seed: int):

@@ -6,11 +6,13 @@ from: the reference protective loop, the reference weak readout and the
 coupling checks compare the package's kernels against them. The weak-value
 formula is the oracle of `weak_pointer_shift` and the direct scan, the
 postselected-cycle readout by inverse FFT and json's own indented encoder
-those of `postselected_cycles` and `dump_json`, and `amplitudes_from_json`
-reads back the amplitudes an artifact stores.
+those of `postselected_cycles` and `dump_json`, `amplitudes_from_json`
+reads back the amplitudes an artifact stores, and `traced_peak` weighs
+the memory a sampler holds at once.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -86,3 +88,14 @@ def reference_postselected_cycle(spectra: np.ndarray, grid) -> tuple:
 def canonical_json(value) -> str:
     """The text `dump_json` must write: json's own indented encoder."""
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that Python and numpy allocations reach, by tracemalloc,
+    during `call()`."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -165,7 +165,7 @@ def _exit_code(argv) -> int:
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_random_invocations_keep_the_exit_code_contract(name, capsys):
-    @settings(max_examples=30, deadline=None,
+    @settings(max_examples=30, deadline=None, print_blob=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(invocation=invocations(name))
     def check(invocation):

@@ -296,19 +296,23 @@ def test_inverse_cdf_matches_the_broadcast_walk_bit_for_bit(n):
     for table in tables:
         np.testing.assert_array_equal(inverse_cdf(table, uniforms),
                                       broadcast_walk(table, uniforms))
-    rows = tables[rng.integers(0, 60, size=len(uniforms))]
-    np.testing.assert_array_equal(inverse_cdf(rows, uniforms), broadcast_walk(rows, uniforms))
+    picks = rng.integers(0, 60, size=len(uniforms))
+    want = broadcast_walk(tables[picks], uniforms)
+    np.testing.assert_array_equal(inverse_cdf(tables[picks], uniforms), want)
+    np.testing.assert_array_equal(inverse_cdf(tables, uniforms, rows=picks), want)
 
 
 @pytest.mark.parametrize("table", [[np.nan, 1.0], [0.5, np.nan, 0.5], [0.0, 0.0, 0.0]])
 def test_a_nan_or_all_zero_table_falls_through_to_the_last_outcome(table):
-    """On one shared table and on one table per uniform alike; the broadcast
-    oracle would put a NaN table on outcome 0, since nothing is <= NaN."""
+    """On one shared table, on one table per uniform and on a table picked
+    from a stack by `rows` alike; the broadcast oracle would put a NaN
+    table on outcome 0, since nothing is <= NaN."""
     uniforms = [0.0, 0.5, 1.0 - 2.0 ** -53]
     last = len(table) - 1
     with np.errstate(invalid="ignore"):
         assert list(inverse_cdf(table, uniforms)) == [last] * 3
         assert list(inverse_cdf([table] * 3, uniforms)) == [last] * 3
+        assert list(inverse_cdf([[1.0] * len(table), table], uniforms, rows=[1] * 3)) == [last] * 3
         assert int(inverse_cdf(table, 0.25)) == last
 
 

@@ -31,6 +31,7 @@ from ketlab import (
 )
 from ketlab.ontology import DUALITY_GAP_TOL
 from ketlab.pbr import _forbidden_map
+from oracles import traced_peak
 
 # q**2 / 4, pinned for the values the acceptance run sweeps
 EXPECTED_MIN_VIOLATION = {
@@ -569,6 +570,34 @@ def test_monte_carlo_counts_equal_the_former_walk_cell_for_cell():
                                                   want[prep_id][meas_id])
 
 
+@pytest.mark.parametrize("trials", [0, 1, 3, 4, 5, 8, 9, 3001])
+def test_monte_carlo_blocks_equal_the_former_walk_at_every_edge(monkeypatch, trials):
+    """Blocks of eight trials, so the outcome run starts at every residue
+    mod 4 of a Philox block and the runs cross block edges, or end on
+    one."""
+    monkeypatch.setattr(ketlab.rngs, "SUBSTREAM_CHUNK", 8)
+    bound = pbr_min_violation(0.7)
+    cases = [(orthodox_model(qubit_scenario()), qubit_scenario()),
+             (paired_shared_reality_model(0.7, bound.witnessing_responses), pbr_scenario())]
+    for model, scenario in cases:
+        for seed in (0, 2 ** 64 + 9):
+            got = monte_carlo_onto(model, scenario, trials, seed=seed).counts
+            want = reference_monte_carlo_counts(model, scenario, trials, seed)
+            for prep_id in scenario.preparations:
+                for meas_id in scenario.measurements:
+                    np.testing.assert_array_equal(got[prep_id][meas_id],
+                                                  want[prep_id][meas_id])
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    """At the trial cap the sixteen cells hold under 2 MB at once: whole
+    runs of 2**20 uniforms per cell would take 8 MiB each."""
+    model = paired_shared_reality_model(0.5, pbr_min_violation(0.5).witnessing_responses)
+    scenario = pbr_scenario()
+    trials = ketlab.ontology.MAX_MC_TRIALS
+    assert traced_peak(lambda: monte_carlo_onto(model, scenario, trials, seed=4)) < 2e6
+
+
 def test_monte_carlo_rejects_models_missing_scenario_ids():
     scenario = qubit_scenario()
     bare = build_shared_reality_model(0.5)  # lacks "1", "-", and every response
@@ -595,7 +624,7 @@ def test_monte_carlo_over_the_trial_cap_is_rejected_before_any_draw(monkeypatch)
     def no_draws(*args, **kwargs):
         raise AssertionError("a substream was drawn for an over-large run")
 
-    monkeypatch.setattr(ketlab.ontology, "substream", no_draws)
+    monkeypatch.setattr(ketlab.ontology, "stream_chunks", no_draws)
     scenario = qubit_scenario()
     trials = ketlab.ontology.MAX_MC_TRIALS + 1
     with pytest.raises(PreconditionError, match=f"trials {trials} exceed the"):

@@ -41,6 +41,7 @@ from ketlab.pbr import (
     _singlet,
 )
 from ketlab.rngs import SUBSTREAM_CHUNK, SubstreamSampler
+from oracles import traced_peak
 
 KET0 = np.array([1.0, 0.0])
 KETP = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -219,6 +220,11 @@ def test_experiment_matches_the_per_trial_reference(trials, weights, seed):
     got = pbr_experiment(trials, weights, seed=seed)
     assert got.counts == reference_pbr_counts(trials, weights, seed)
     assert all(type(c) is int for row in got.counts.values() for c in row)
+
+
+def test_experiment_memory_does_not_grow_with_trials():
+    """1e5 trials in blocks of SUBSTREAM_CHUNK hold under 2 MB at once."""
+    assert traced_peak(lambda: pbr_experiment(100_000, seed=8)) < 2e6
 
 
 def test_experiment_rejects_bad_mixture_weights():

@@ -9,6 +9,7 @@ from ketlab.rngs import (
     SUBSTREAM_CHUNK,
     SubstreamSampler,
     as_generator,
+    stream_chunks,
     substream,
     uniform_chunks,
 )
@@ -131,6 +132,33 @@ def test_uniform_chunks_reach_the_last_substream():
     assert list(uniform_chunks(0, 2 ** 64, 2 ** 64)) == []
 
 
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5, 99_999, 100_000, 100_001])
+@pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2 ** 64 + 12345, 2 ** 64 - 1)])
+def test_stream_chunks_match_the_substream_bit_for_bit(seed, index, start):
+    got = np.concatenate(list(stream_chunks(seed, index, start, start + 11)))
+    np.testing.assert_array_equal(got, substream(seed, index).random(start + 11)[start:])
+
+
+def test_stream_chunks_cover_the_run_in_order(monkeypatch):
+    monkeypatch.setattr(rngs, "SUBSTREAM_CHUNK", 8)
+    blocks = list(stream_chunks(3, 2, 5, 30))
+    assert [len(u) for u in blocks] == [8, 8, 8, 1]
+    np.testing.assert_array_equal(np.concatenate(blocks), substream(3, 2).random(30)[5:])
+    assert list(stream_chunks(3, 2, 4, 4)) == []
+    assert list(stream_chunks(3, 2, 9, 4)) == []
+
+
+def test_stream_chunks_reach_the_end_of_a_substream_and_stop_there():
+    """A substream owns 2**128 Philox blocks of four uniforms: its last
+    block is the one numpy draws first from a counter one below the next
+    substream's."""
+    seed, index = 5, 9
+    last = np.random.Generator(np.random.Philox(key=seed, counter=(index + 1) * STREAM_STRIDE - 1))
+    (block,) = stream_chunks(seed, index, 2 ** 130 - 4, 2 ** 130)
+    np.testing.assert_array_equal(block, last.random(4))
+    assert list(stream_chunks(seed, index, 2 ** 130, 2 ** 130)) == []
+
+
 def _onto(seed):
     scenario = ketlab.qubit_scenario()
     return ketlab.monte_carlo_onto(ketlab.orthodox_model(scenario), scenario, 10, seed=seed)
@@ -164,11 +192,20 @@ def _onto(seed):
     pytest.param(lambda: list(uniform_chunks(0, 0, 3.0)), id="chunks-float-stop"),
     pytest.param(lambda: list(uniform_chunks(0, 0, np.False_)), id="chunks-numpy-bool-stop"),
     pytest.param(lambda: list(uniform_chunks(0, 5, 2 ** 64 + 1)), id="chunks-stop-past-2**64"),
+    pytest.param(lambda: list(stream_chunks(True, 0, 0, 1)), id="stream-bool-seed"),
+    pytest.param(lambda: list(stream_chunks(2 ** 128, 0, 0, 1)), id="stream-seed-2**128"),
+    pytest.param(lambda: list(stream_chunks(0, 2 ** 64, 0, 1)), id="stream-index-2**64"),
+    pytest.param(lambda: list(stream_chunks(0, 1.0, 0, 1)), id="stream-float-index"),
+    pytest.param(lambda: list(stream_chunks(0, 0, -1, 3)), id="stream-negative-start"),
+    pytest.param(lambda: list(stream_chunks(0, 0, np.True_, 3)), id="stream-numpy-bool-start"),
+    pytest.param(lambda: list(stream_chunks(0, 0, 0, 3.0)), id="stream-float-stop"),
+    pytest.param(lambda: list(stream_chunks(0, 0, 0, 2 ** 130 + 1)), id="stream-stop-past-2**130"),
 ])
 def test_master_seeds_and_substream_indices_follow_one_rule(call):
     """A master seed is an integer (numpy's too, not a bool) in [0, 2**128),
     a substream index one in [0, 2**64), the start and stop of a range of
-    substreams ones in [0, 2**64], and the uniforms drawn per substream k
+    substreams ones in [0, 2**64], the start and stop of a run along one
+    substream ones in [0, 2**130], and the uniforms drawn per substream k
     one in [1, 4], wherever they enter."""
     with pytest.raises(PreconditionError, match="must be an integer in"):
         call()
