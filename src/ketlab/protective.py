@@ -69,7 +69,7 @@ from .measurement import (
     postselected_cycles,
     postselected_multiplier,
 )
-from .rngs import as_generator
+from .rngs import leading_uniforms
 
 NOT_PURE_TOL = 1e-3          # largest rho eigenvalue below 1 - this: not pure
 ORTHOGONAL_LEAK_TOL = 1e-15  # |<protected|prepared>| below this: empty result
@@ -164,8 +164,10 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     survival weight is W_k / W_(k-1).
     A sampled run draws its n uniforms at once and aborts at the first
     cycle whose uniform exceeds its weight, found by one comparison over
-    the run; the uniforms are those of n single draws. The survivals of
-    the cycles run are one `np.cumprod` of their weights.
+    the run. The uniforms are those of n single draws from
+    `as_generator(seed)` (None means 0), read by `rngs.leading_uniforms`,
+    which builds no Generator for an integer seed. The survivals of the
+    cycles run are one `np.cumprod` of their weights.
     final_joint, built on first read, is |protected> (x) phi after the last
     cycle, with phi the normalized inverse FFT of phi0^ M1 M^(k-1), the
     run's one inverse FFT; the product state before any cycle ran, or the
@@ -188,7 +190,7 @@ def _protective_loop(initial: StateVector, protected: StateVector,
         return None
     uniforms = np.zeros(n)                  # deterministic: no uniform exceeds a weight >= 0
     if mode == "sampled":
-        uniforms = as_generator(seed if seed is not None else 0).random(n)
+        uniforms = leading_uniforms(0 if seed is None else seed, n)
     c = protected.amplitudes
     first = postselected_multiplier(eig, g, phases, c, initial.amplitudes)
     repeated = postselected_multiplier(eig, g, phases, c, c)

@@ -43,7 +43,7 @@ from ketlab.measurement import (
 from ketlab.protective import _protective_loop
 from ketlab.rngs import as_generator
 from oracles import (haar_random_state, pauli_operators, pointer_position_mean, product_state,
-                     random_observable)
+                     random_observable, traced_peak)
 
 
 @pytest.fixture
@@ -618,6 +618,46 @@ def test_the_first_miss_in_a_block_is_the_abort(grid, n, g, seed, misses):
     aborted = assert_engines_agree(ket_plus(), ket_plus(), sigma_z(), n=n, g=g,
                                    mode="sampled", seed=seed, grid=grid)
     assert aborted == first
+
+
+@pytest.mark.parametrize("grid,n,g,seed,aborted", [
+    pytest.param(DEFAULT_512, 20, 0.5, 4, 6, id="512"),
+    pytest.param(DEFAULT_1024, 20, 0.5, 4, 6, id="1024"),
+    pytest.param(NARROW_512, 70, 0.45, 74, 36, id="512-narrow"),
+    pytest.param(NARROW_1024, 40, 0.5, 64, 17, id="1024-narrow"),
+    pytest.param(DEFAULT_512, 20, 0.5, 1, None, id="512-survives"),
+    pytest.param(DEFAULT_512, 20, 0.5, np.uint64(4), 6, id="512-numpy-seed"),
+    pytest.param(DEFAULT_512, 20, 0.5, 2 ** 128 - 1, 3, id="512-top-seed"),
+])
+def test_an_integer_seed_draws_what_its_substream_zero_generator_draws(grid, n, g, seed,
+                                                                        aborted):
+    """An integer seed reads substream 0 through the Philox kernel of
+    `rngs.leading_uniforms`; handing the run that substream's Generator
+    draws from the Generator itself. Both give the same run, aborting or
+    not."""
+    by_seed, by_generator = (
+        protective_measure(ket_plus(), sigma_z(), n=n, g=g, grid=grid, mode="sampled", seed=s)
+        for s in (seed, substream(seed, 0)))
+    assert by_seed.aborted_at_step == by_generator.aborted_at_step == aborted
+    np.testing.assert_array_equal(by_seed.survivals, by_generator.survivals)
+    np.testing.assert_array_equal(by_seed.pointer_means, by_generator.pointer_means)
+
+
+def test_a_sampled_run_peaks_no_higher_than_a_deterministic_one():
+    """At MAX_STEPS the sampled draw's kernel temporaries stay below the
+    run's own peak (3.05 MiB). Both modes run once untraced first, so
+    one-time caches weigh on neither. The 4 KiB allowance covers the few
+    hundred bytes of small objects that the interpreter's free lists and
+    numpy's shape cache keep after the draw."""
+    def run(mode):
+        return protective_measure(ket_plus(), sigma_z(), n=ketlab.protective.MAX_STEPS, g=1e-4,
+                                  mode=mode, seed=3)
+
+    for mode in ("deterministic", "sampled"):
+        run(mode)
+    assert run("sampled").aborted_at_step is None
+    deterministic = traced_peak(lambda: run("deterministic"))
+    assert traced_peak(lambda: run("sampled")) <= deterministic + 4096
 
 
 def test_zero_cycles_return_the_product_state(rng):

@@ -4,11 +4,13 @@ import pytest
 import ketlab
 from ketlab import rngs
 from ketlab.errors import PreconditionError
+from ketlab.protective import MAX_STEPS
 from ketlab.rngs import (
     STREAM_STRIDE,
     SUBSTREAM_CHUNK,
     SubstreamSampler,
     as_generator,
+    leading_uniforms,
     stream_chunks,
     substream,
     uniform_chunks,
@@ -159,6 +161,31 @@ def test_stream_chunks_reach_the_end_of_a_substream_and_stop_there():
     assert list(stream_chunks(seed, index, 2 ** 130, 2 ** 130)) == []
 
 
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 400, MAX_STEPS])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 128 - 1])
+def test_leading_uniforms_match_substream_zero_bit_for_bit(seed, n):
+    got = leading_uniforms(seed, n)
+    want = substream(seed, 0).random(n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_leading_uniforms_cross_their_kernel_blocks_in_order(monkeypatch):
+    """With the chunk patched to 2 blocks (8 uniforms), every residue of n
+    mod 4 and mod 8 crosses a kernel call's edge."""
+    monkeypatch.setattr(rngs, "SUBSTREAM_CHUNK", 2)
+    for n in range(0, 26):
+        np.testing.assert_array_equal(leading_uniforms(np.uint64(5), n),
+                                      substream(5, 0).random(n))
+
+
+def test_leading_uniforms_draw_a_generator_s_own_next_uniforms():
+    gen, twin = substream(5, 2), substream(5, 2)
+    gen.random(3), twin.random(3)
+    np.testing.assert_array_equal(leading_uniforms(gen, 6), twin.random(6))
+    np.testing.assert_array_equal(leading_uniforms(gen, 2), twin.random(2))
+
+
 def _onto(seed):
     scenario = ketlab.qubit_scenario()
     return ketlab.monte_carlo_onto(ketlab.orthodox_model(scenario), scenario, 10, seed=seed)
@@ -200,13 +227,28 @@ def _onto(seed):
     pytest.param(lambda: list(stream_chunks(0, 0, np.True_, 3)), id="stream-numpy-bool-start"),
     pytest.param(lambda: list(stream_chunks(0, 0, 0, 3.0)), id="stream-float-stop"),
     pytest.param(lambda: list(stream_chunks(0, 0, 0, 2 ** 130 + 1)), id="stream-stop-past-2**130"),
+    pytest.param(lambda: ketlab.protective_measure(ketlab.ket_plus(), ketlab.sigma_z(), n=5,
+                                                   mode="sampled", seed=True),
+                 id="sampled-protective-bool-seed"),
+    pytest.param(lambda: ketlab.protective_measure(ketlab.ket_plus(), ketlab.sigma_z(), n=5,
+                                                   mode="sampled", seed=2 ** 128),
+                 id="sampled-protective-seed-2**128"),
+    pytest.param(lambda: leading_uniforms(True, 4), id="leading-bool-seed"),
+    pytest.param(lambda: leading_uniforms(np.float64(3.0), 4), id="leading-float-seed"),
+    pytest.param(lambda: leading_uniforms(-1, 4), id="leading-negative-seed"),
+    pytest.param(lambda: leading_uniforms(2 ** 128, 4), id="leading-seed-2**128"),
+    pytest.param(lambda: leading_uniforms(0, False), id="leading-bool-count"),
+    pytest.param(lambda: leading_uniforms(0, 4.0), id="leading-float-count"),
+    pytest.param(lambda: leading_uniforms(0, -1), id="leading-negative-count"),
+    pytest.param(lambda: leading_uniforms(0, 2 ** 64), id="leading-count-2**64"),
 ])
 def test_master_seeds_and_substream_indices_follow_one_rule(call):
     """A master seed is an integer (numpy's too, not a bool) in [0, 2**128),
     a substream index one in [0, 2**64), the start and stop of a range of
     substreams ones in [0, 2**64], the start and stop of a run along one
-    substream ones in [0, 2**130], and the uniforms drawn per substream k
-    one in [1, 4], wherever they enter."""
+    substream ones in [0, 2**130], the uniforms drawn per substream k
+    one in [1, 4], and the count of uniforms read from the start of a
+    substream one in [0, 2**64), wherever they enter."""
     with pytest.raises(PreconditionError, match="must be an integer in"):
         call()
 
