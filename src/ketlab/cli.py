@@ -48,7 +48,7 @@ import platform
 import sys
 from collections import deque
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +74,7 @@ from .hilbert import (
 )
 from .measurement import (DEFAULT_COUPLING, DEFAULT_GRID_POINTS, DEFAULT_STEPS,
                           GridWavefunction, default_grid, gaussian_profile, inverse_cdf)
-from .rngs import substream, uniform_chunks
+from .rngs import uniform_chunks
 from .serialize import dump_json, load_json, write_csv
 
 DEFAULT_SEED = 7
@@ -186,8 +186,8 @@ def _state_pair(value):
 
 def _seed_value(value):
     n = _as_int(value)
-    if not 0 <= n < 2 ** 64:
-        raise ConfigError("seed must be a 64-bit integer (0 <= seed < 2**64)")
+    if not 0 <= n < 2 ** 128:
+        raise ConfigError("seed must be a 128-bit integer (0 <= seed < 2**128)")
     return n
 
 
@@ -754,18 +754,14 @@ def _run_nogo(cfg: RunConfig):
 
     p = cfg.params
     _checked_count(p["sweeps"], "sweeps")
-    ready = parse_state_spec(p["ready"])
-    s1 = parse_state_spec(p["pair"][0])
-    s2 = parse_state_spec(p["pair"][1])
+    ready, s1, s2 = (parse_state_spec(spec) for spec in (p["ready"], *p["pair"]))
     dim = ready.dim * s1.dim
     before = abs(inner_product(s1, s2))
-    afters = []
-    max_change = 0.0
-    for k in range(p["sweeps"]):
-        u = haar_random_unitary(dim, substream(cfg.seed, k))
-        b, a = overlap_preservation_check(u, s1, s2, ready)
-        afters.append(a)
-        max_change = max(max_change, abs(a - b))
+    # sweep k's unitary comes from the first 2 * dim**2 uniforms of substream k
+    draws = chain.from_iterable(uniform_chunks(cfg.seed, 0, p["sweeps"], 2 * dim * dim))
+    swept = [overlap_preservation_check(haar_random_unitary(dim, u), s1, s2, ready) for u in draws]
+    afters = [a for _, a in swept]
+    max_change = max((abs(a - b) for b, a in swept), default=0.0)
     data = {
         "kind": "ketlab/nogo",
         "command": "nogo",

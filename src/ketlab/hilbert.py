@@ -376,11 +376,23 @@ def sigma_z() -> HermitianOperator:
 # ---------------------------------------------------------------------------
 # random instances (tests, sweeps)
 
-def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
+def _box_muller(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Standard complex normals sqrt(-2 log(1 - u)) e^(2 pi i v) from
+    uniforms u and v in [0, 1) (Box-Muller): the real and imaginary parts
+    of each are independent standard normals."""
+    return np.sqrt(-2.0 * np.log1p(-u)) * np.exp(2j * np.pi * v)
+
+
+def haar_random_unitary(dim: int, uniforms) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix (Mezzadri,
+    Notices AMS 54, 592 (2007)), built from exactly 2 * dim**2 `uniforms`
+    in [0, 1): entry (i, j) is `_box_muller` of uniforms i * dim + j and
+    dim**2 + i * dim + j."""
     dim = _checked_dim(dim)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    q, r = np.linalg.qr(z)
+    u = _number_array(uniforms, "uniforms", shape=(2 * dim * dim,))
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise PreconditionError("uniforms must lie in [0, 1)")
+    q, r = np.linalg.qr(_box_muller(*u.reshape(2, dim, dim)))
     # fix the phase ambiguity so the distribution is exactly Haar
     d = np.diagonal(r)
     return q * (d / np.abs(d))

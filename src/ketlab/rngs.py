@@ -8,23 +8,18 @@ counter advanced to ``i * 2**128``. Substreams therefore never overlap, and
 results cannot depend on the order in which trials are executed.
 
 Samplers draw through one of three draws, each equal to `substream` bit
-for bit. Two of them evaluate the Philox4x64-10 block function (Salmon et
-al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) directly in
-numpy, in one kernel over counters [c0, 0, c2, 0]: `uniform_chunks` reads
-the first few uniforms of each of a range of substreams (c2 the substream),
-and `leading_uniforms` the first n uniforms of substream 0 (c0 the
-block), which is all a sampled `protective` run needs. Given an integer
-seed, neither builds a Generator, so neither loads `numpy.random`, whose
-import costs a warm process about 6 MB of RSS (half of it the libcrypto
-that `secrets` pulls in) and over 10 ms. The price is per draw: the
-kernel takes 220-370 us for 400 uniforms, where building numpy's Philox
-and drawing them takes 17-29 us. `stream_chunks` reads a range of uniforms along one substream,
-in blocks of SUBSTREAM_CHUNK, through numpy's own Philox: on long runs
-its C loop is 7 to 9x faster per uniform than the array kernel (8192
-uniforms in 70-110 us against 570-780 us, best of 7 on one CPU of a
-shared 2-vCPU Xeon). `nogo`'s Haar unitaries keep a Generator too: they
-come from `standard_normal`, whose ziggurat tables nothing in the package
-reproduces bit for bit.
+for bit, and all three evaluate the Philox4x64-10 block function (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) directly in
+numpy, in one array kernel over full 256-bit counters: `uniform_chunks`
+reads the first k uniforms of each of a range of substreams,
+`stream_chunks` a run of uniforms along one substream, and
+`leading_uniforms` the first n uniforms of substream 0. Given an integer
+seed, none builds a Generator, so no command loads `numpy.random`, whose
+import costs a process about 6 MB of RSS (half of it the libcrypto that
+`secrets` pulls in) and over 10 ms. The price is per uniform: the kernel
+draws the 800,000 uniforms of an `onto --mc-trials 100000` run in about
+80 ms, where numpy's own Philox takes about 10 ms (one CPU of a shared
+2-vCPU host).
 """
 
 from __future__ import annotations
@@ -36,12 +31,13 @@ from .errors import PreconditionError
 # Counter stride between substreams, in Philox 256-bit counter units.
 STREAM_STRIDE = 2 ** 128
 
-# Rows drawn per array pass by the three draws (Philox blocks, for
-# `leading_uniforms`): bounds the memory of a sampler independently of its
-# trial count. At 2**13 rows a `pbr_experiment` block's temporaries peak
-# near 1.3 MB, so they stay in a 2 MiB L2 cache; of 2**11 .. 2**16, 2**13
-# ran both samplers fastest, as larger blocks spill the cache and smaller
-# ones pay more per-block calls.
+# Philox blocks per kernel pass of `uniform_chunks` (whole rows of
+# ceil(k / 4) blocks, at least one row), and the length of each run of
+# uniforms `stream_chunks` yields: bounds the memory of a sampler
+# independently of its trial count. At 2**13 rows a `pbr_experiment`
+# block's temporaries peak near 1.3 MB, so they stay in a 2 MiB L2 cache;
+# of 2**11 .. 2**16, 2**13 ran both samplers fastest, as larger blocks
+# spill the cache and smaller ones pay more per-block calls.
 SUBSTREAM_CHUNK = 2 ** 13
 
 # Philox4x64-10 constants (Random123): round multipliers and key increments.
@@ -51,17 +47,15 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_SHIFT11 = np.uint64(11)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
 _WORD = 2 ** 64
 
 # The integers each argument takes: (lowest, highest, the range as printed).
 _SEEDS = (0, 2 ** 128 - 1, "[0, 2**128)")
-_INDICES = (0, _WORD - 1, "[0, 2**64)")
+_INDICES = (0, _WORD - 1, "[0, 2**64)")     # also a count read from a substream's start
 _BOUNDS = (0, _WORD, "[0, 2**64]")          # start and stop of a range of substreams
-_BLOCK = (1, 4, "[1, 4]")                   # uniforms drawn per Philox block
+_PER_STREAM = (1, _WORD - 1, "[1, 2**64)")  # uniforms drawn from each substream
 _POSITIONS = (0, 2 ** 130, "[0, 2**130]")   # start and stop along one substream
-_COUNTS = (0, _WORD - 1, "[0, 2**64)")      # uniforms read from a substream's start
 
 
 def _checked_integer(value, what: str, rule: tuple) -> int:
@@ -91,17 +85,20 @@ def as_generator(seed) -> np.random.Generator:
 
 
 def _round_keys(seed: int) -> np.ndarray:
-    """The ten Philox4x64-10 round keys of `seed`, as a (10, 2, 1) uint64
-    array: key word w of round r is (seed word w + r * W_w) mod 2**64."""
+    """The ten Philox4x64-10 round keys of master seed `seed`, checked
+    first, as a (10, 2, 1) uint64 array: key word w of round r is
+    (seed word w + r * W_w) mod 2**64."""
+    seed = _checked_integer(seed, "master seed", _SEEDS)
     words = (seed % _WORD, seed // _WORD)
     return np.array([[[(words[w] + r * _PHILOX_W[w]) % _WORD] for w in (0, 1)]
                      for r in range(_PHILOX_ROUNDS)], dtype=np.uint64)
 
 
-def _philox_uniforms(round_keys: np.ndarray, c0, c2, k: int) -> np.ndarray:
-    """The first `k` uniforms of the Philox4x64-10 block of each counter
-    [c0, 0, c2, 0], one row per block, for uint64 c0 and c2 broadcast to
-    one length. Uniform i is (word_i >> 11) * 2**-53.
+def _philox_uniforms(round_keys: np.ndarray, counter: tuple, k: int) -> np.ndarray:
+    """The first `k` uniforms of the Philox4x64-10 block of each 256-bit
+    counter [c0, c1, c2, c3], one row per block, for uint64 words that
+    broadcast to one shape, read in row-major order. Uniform i is
+    (word_i >> 11) * 2**-53.
 
     Each round multiplies words 0 and 2 as one stacked (2, m) array x. The
     high word of m * x comes from 32-bit limbs, so no partial product
@@ -114,9 +111,9 @@ def _philox_uniforms(round_keys: np.ndarray, c0, c2, k: int) -> np.ndarray:
     and 3. A function of its own, so its temporaries are freed before a
     caller keeps or yields the result.
     """
-    c0, c2 = np.broadcast_arrays(np.asarray(c0, dtype=np.uint64), np.asarray(c2, dtype=np.uint64))
-    x = np.stack((c0, c2))
-    y = np.zeros_like(x)                    # words 1 and 3 of the counter are 0
+    c0, c1, c2, c3 = (w.ravel() for w in np.broadcast_arrays(
+        *(np.asarray(w, dtype=np.uint64) for w in counter)))
+    x, y = np.stack((c0, c2)), np.stack((c1, c3))
     for key in round_keys:
         lo = x * _PHILOX_M
         x_lo = x & _LOW32
@@ -135,55 +132,42 @@ def _philox_uniforms(round_keys: np.ndarray, c0, c2, k: int) -> np.ndarray:
         x = x_hi[::-1] ^ y
         x ^= key
         y = lo[::-1]
-    return (np.stack((x[0], y[0], x[1], y[1])[:k], axis=1) >> _SHIFT11) * 2.0 ** -53
+    return (np.stack((x[0], y[0], x[1], y[1])[:k], axis=1) >> np.uint64(11)) * 2.0 ** -53
+
+
+def _run_counters(first: int, count: int) -> tuple:
+    """The four words of the 256-bit counters first .. first + count - 1:
+    word 0 as a uint64 array, which wraps where the run carries, and
+    words 1-3 as arrays that take the carry."""
+    low, high = np.uint64(first % _WORD), first // _WORD
+    c0 = np.arange(count, dtype=np.uint64) + low
+    words = [[(h >> 64 * w) % _WORD for h in (high, high + 1)] for w in range(3)]
+    return (c0, *np.array(words, dtype=np.uint64)[:, (c0 < low).astype(np.intp)])
 
 
 def uniform_chunks(seed: int, start: int, stop: int, k: int = 1):
-    """Yield the first `k` (<= 4) uniforms of substreams start .. stop-1, in
-    order, in blocks of at most SUBSTREAM_CHUNK rows, so a sampler that
-    reduces each block before the next keeps flat memory for any number of
-    trials.
+    """Yield the first `k` uniforms of substreams start .. stop-1, one row
+    per substream, in order, SUBSTREAM_CHUNK Philox blocks at a time, so a
+    sampler that reduces each block before the next keeps flat memory for
+    any number of trials.
 
     Row j of the range equals `substream(seed, start + j).random(k)` bit for
-    bit. Those uniforms come from the first Philox block of the substream:
-    numpy bumps the counter before its first block, so the block is the
-    Philox4x64-10 function of counter [1, 0, index, 0] under key
-    (seed mod 2**64, seed >> 64). Each block costs a fixed number of uint64
-    array operations.
+    bit. Those uniforms come from the first ceil(k / 4) Philox blocks of the
+    substream: numpy bumps the counter before each block, so block b is the
+    Philox4x64-10 function of counter [b, 0, index, 0], b = 1, 2, ..., under
+    key (seed mod 2**64, seed >> 64). Each kernel pass costs a fixed number
+    of uint64 array operations.
     """
-    seed = _checked_integer(seed, "master seed", _SEEDS)
-    k = _checked_integer(k, "uniforms per substream k", _BLOCK)
+    round_keys = _round_keys(seed)
+    k = _checked_integer(k, "uniforms per substream k", _PER_STREAM)
     start = _checked_integer(start, "substream start", _BOUNDS)
     stop = _checked_integer(stop, "substream stop", _BOUNDS)
-    round_keys = _round_keys(seed)
-    for first in range(start, stop, SUBSTREAM_CHUNK):
-        count = min(SUBSTREAM_CHUNK, stop - first)
-        yield _philox_uniforms(round_keys, 1, np.arange(count, dtype=np.uint64) + np.uint64(first), k)
-
-
-def leading_uniforms(seed, n: int) -> np.ndarray:
-    """The next `n` uniforms of `as_generator(seed)`, equal to
-    `as_generator(seed).random(n)` bit for bit. An integer seed (numpy's
-    too) builds no Generator, so the draw does not load `numpy.random`; a
-    Generator draws its own, and any other seed raises as `as_generator`
-    does.
-
-    numpy bumps the counter before each block, so uniforms 4j .. 4j+3 of
-    substream 0 are the Philox4x64-10 block of counter [j + 1, 0, 0, 0]:
-    the kernel runs over c0 = 1 .. ceil(n / 4), SUBSTREAM_CHUNK blocks at a
-    time, so its temporaries stay cache-sized. n lies in [0, 2**64), so c0
-    never carries into the counter's second word.
-    """
-    n = _checked_integer(n, "uniform count", _COUNTS)
-    if not isinstance(seed, (int, np.integer)):     # a Generator, or a bad seed
-        return as_generator(seed).random(n)
-    round_keys = _round_keys(_checked_integer(seed, "master seed", _SEEDS))
-    out = np.empty(n)
-    for first in range(0, n, 4 * SUBSTREAM_CHUNK):
-        count = min(4 * SUBSTREAM_CHUNK, n - first)
-        blocks = np.arange(first // 4 + 1, (first + count + 3) // 4 + 1, dtype=np.uint64)
-        out[first:first + count] = _philox_uniforms(round_keys, blocks, 0, 4).ravel()[:count]
-    return out
+    blocks = np.arange(1, (k + 3) // 4 + 1, dtype=np.uint64)
+    rows = max(1, SUBSTREAM_CHUNK // len(blocks))
+    for first in range(start, stop, rows):
+        streams = np.arange(min(rows, stop - first), dtype=np.uint64) + np.uint64(first)
+        uniforms = _philox_uniforms(round_keys, (blocks, 0, streams[:, None], 0), min(k, 4))
+        yield uniforms.reshape(len(streams), -1)[:, :k]
 
 
 def stream_chunks(seed: int, index: int, start: int, stop: int):
@@ -192,27 +176,43 @@ def stream_chunks(seed: int, index: int, start: int, stop: int):
     block before the next keeps flat memory for any length of run.
 
     The run equals `substream(seed, index).random(stop)[start:]` bit for
-    bit. Philox turns each counter block into four uniforms, so the stream
-    skips start // 4 blocks by `advance` and discards the first start % 4
-    uniforms of the next. A substream owns 2**128 blocks, so start and stop
-    lie in [0, 2**130].
+    bit. Philox turns each counter into four uniforms, and numpy bumps the
+    counter before each block, so uniform p of substream i is word p % 4 of
+    the block of counter i * 2**128 + p // 4 + 1. A substream owns 2**128
+    blocks, so start and stop lie in [0, 2**130], and the counter of its
+    last block, (i + 1) * 2**128, carries into word 2.
     """
+    round_keys = _round_keys(seed)
+    index = _checked_integer(index, "substream index", _INDICES)
     start = _checked_integer(start, "stream start", _POSITIONS)
     stop = _checked_integer(stop, "stream stop", _POSITIONS)
-    rng = substream(seed, index)
-    rng.bit_generator.advance(start // 4)
-    rng.random(start % 4)
     for first in range(start, stop, SUBSTREAM_CHUNK):
-        yield rng.random(min(SUBSTREAM_CHUNK, stop - first))
+        block, last = first // 4, min(first + SUBSTREAM_CHUNK, stop)
+        counters = _run_counters(index * STREAM_STRIDE + block + 1, (last + 3) // 4 - block)
+        yield _philox_uniforms(round_keys, counters, 4).ravel()[first - 4 * block:last - 4 * block]
+
+
+def leading_uniforms(seed, n: int) -> np.ndarray:
+    """The next `n` uniforms of `as_generator(seed)`, equal to
+    `as_generator(seed).random(n)` bit for bit. An integer seed (numpy's
+    too) reads `stream_chunks(seed, 0, 0, n)` and builds no Generator; a
+    Generator draws its own, and any other seed raises as `as_generator`
+    does.
+    """
+    n = _checked_integer(n, "uniform count", _INDICES)
+    if not isinstance(seed, (int, np.integer)):     # a Generator, or a bad seed
+        return as_generator(seed).random(n)
+    return np.concatenate([np.empty(0), *stream_chunks(seed, 0, 0, n)])
 
 
 class SubstreamSampler:
     """The substreams of one master seed, selected by index.
 
     `select(i)` is `substream(seed, i)`. No sampler in the package calls
-    it: they draw through `uniform_chunks`, `leading_uniforms` and
-    `stream_chunks`. It is kept because the benchmark tracer
-    (`perfbench/tracer.py`) binds `SubstreamSampler.select` when it installs.
+    it: they draw through `uniform_chunks`, `stream_chunks` and
+    `leading_uniforms`, which build no Generator. It is kept because the
+    benchmark tracer (`perfbench/tracer.py`) binds `SubstreamSampler.select`
+    when it installs.
     """
 
     def __init__(self, seed: int):

@@ -50,7 +50,7 @@ def haar_random_state(dim: int, rng: np.random.Generator) -> StateVector:
 def random_observable(dim: int, rng: np.random.Generator,
                       max_eigenvalue: float = 1.0) -> HermitianOperator:
     """Random Hermitian with Haar eigenvectors and spectrum in [-m, m]."""
-    u = haar_random_unitary(dim, rng)
+    u = haar_random_unitary(dim, rng.random(2 * dim * dim))
     vals = rng.uniform(-max_eigenvalue, max_eigenvalue, size=dim)
     return HermitianOperator(dim, (u * vals) @ u.conj().T)
 

@@ -169,7 +169,7 @@ def test_criterion_05_direct_scan():
 def test_criterion_06_unitarity_nogo():
     def body():
         for k in range(100):
-            u = haar_random_unitary(4, substream(1006, k))
+            u = haar_random_unitary(4, substream(1006, k).random(32))
             before, after = overlap_preservation_check(
                 u, ket_zero(), ket_plus(), ket_zero()
             )

@@ -387,7 +387,7 @@ def test_a_pair_from_a_flag_or_a_config_file_writes_the_same_bytes(tmp_path, mon
 @pytest.mark.parametrize("argv", [
     ["nogo", "--pair", "0", "q"],
     ["nogo", "--seed", "-1"],
-    ["nogo", "--seed", str(2 ** 64)],
+    ["nogo", "--seed", str(2 ** 128)],
 ])
 def test_a_bad_pair_or_seed_exits_2_and_writes_nothing(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -960,6 +960,24 @@ def test_a_sampled_protective_run_that_aborts_says_where(tmp_path, monkeypatch, 
                  "--seed", str(seed)]) == 0
     assert f"sampled run aborted at protection step {step}\n" in capsys.readouterr().out
     assert load_json(tmp_path / "protective.json")["run"]["aborted_at_step"] == step
+
+
+def test_the_seed_reaches_the_key_s_high_word(tmp_path, monkeypatch):
+    """`--seed` takes [0, 2**128), as every draw does: at 2**128 - 1 a
+    sampled run writes the survivals and abort step of the library's run
+    with that seed. The seed cut to its low word, 2**64 - 1, survives all
+    40 steps, where the full seed aborts."""
+    seed = 2 ** 128 - 1
+    psi, grid = ketlab.qubit_state(0.5236, 0.0), ketlab.default_grid(1.0, 512)
+    want = ketlab.protective_measure(psi, ketlab.sigma_z(), n=40, g=0.2, grid=grid,
+                                     mode="sampled", seed=seed)
+    monkeypatch.chdir(tmp_path)
+    assert main(["protective", "--mode", "sampled", "--n", "40", "--g", "0.2",
+                 "--seed", str(seed)]) == 0
+    run = load_json(tmp_path / "protective.json")["run"]
+    assert run["aborted_at_step"] == want.aborted_at_step is not None
+    assert [row["survival"] for row in run["per_step_log"]] == list(want.survivals)
+    assert load_json(tmp_path / "protective.json.manifest.json")["seed"] == seed
 
 
 def test_a_sweep_point_without_an_expectation_exits_3(tmp_path, monkeypatch, capsys):

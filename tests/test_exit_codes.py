@@ -114,7 +114,7 @@ def invocations(draw, name):
     spec = COMMANDS[name]
     argv, config = [name], {}
     extras = {
-        "seed": st.one_of(st.integers(min_value=-2, max_value=2 ** 64 + 2), TEXT),
+        "seed": st.one_of(st.integers(min_value=-2, max_value=2 ** 128 + 2), TEXT),
         "output": st.sampled_from([f"{name}.{spec.formats[0]}", "out.json", "out.csv",
                                    "cfg.json", "missing/out.json", "out.txt"]),
         "format": choices(*spec.formats),

@@ -348,10 +348,10 @@ def test_named_kets():
     pytest.param(lambda: basis_state(2, -1), id="basis-negative-index"),
     pytest.param(lambda: basis_state(2.0, 1), id="basis-float-dim"),
     pytest.param(lambda: basis_state(0, 0), id="basis-zero-dim"),
-    pytest.param(lambda: haar_random_unitary(2.0, np.random.default_rng(0)), id="haar-float-dim"),
-    pytest.param(lambda: haar_random_unitary(True, np.random.default_rng(0)), id="haar-bool-dim"),
-    pytest.param(lambda: haar_random_unitary(0, np.random.default_rng(0)), id="haar-zero-dim"),
-    pytest.param(lambda: haar_random_unitary(MAX_DIM + 1, np.random.default_rng(0)),
+    pytest.param(lambda: haar_random_unitary(2.0, np.zeros(8)), id="haar-float-dim"),
+    pytest.param(lambda: haar_random_unitary(True, np.zeros(2)), id="haar-bool-dim"),
+    pytest.param(lambda: haar_random_unitary(0, np.zeros(0)), id="haar-zero-dim"),
+    pytest.param(lambda: haar_random_unitary(MAX_DIM + 1, np.zeros(0)),
                  id="haar-dim-past-max"),
 ])
 def test_integer_arguments_are_checked(call):
@@ -362,8 +362,9 @@ def test_integer_arguments_are_checked(call):
 def test_numpy_integer_arguments_build_the_same_values():
     np.testing.assert_array_equal(basis_state(np.int64(3), np.uint8(2)).amplitudes,
                                   basis_state(3, 2).amplitudes)
-    np.testing.assert_array_equal(haar_random_unitary(np.int32(3), np.random.default_rng(4)),
-                                  haar_random_unitary(3, np.random.default_rng(4)))
+    uniforms = np.random.default_rng(4).random(18)
+    np.testing.assert_array_equal(haar_random_unitary(np.int32(3), uniforms),
+                                  haar_random_unitary(3, uniforms))
 
 
 def test_pauli_operators_square_to_identity():
@@ -394,8 +395,23 @@ def test_an_operator_keeps_one_read_only_eigenbasis():
 @given(seeds)
 def test_haar_unitary_is_unitary(seed):
     rng = np.random.default_rng(seed)
-    u = haar_random_unitary(4, rng)
+    u = haar_random_unitary(4, rng.random(32))
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+
+
+@pytest.mark.parametrize("uniforms", [
+    pytest.param(np.full(7, 0.5), id="too-few"),
+    pytest.param(np.full(9, 0.5), id="too-many"),
+    pytest.param(np.full((2, 4), 0.5), id="not-flat"),
+    pytest.param(np.append(np.full(7, 0.5), 1.0), id="one"),
+    pytest.param(np.append(np.full(7, 0.5), -0.25), id="negative"),
+    pytest.param(np.append(np.full(7, 0.5), np.nan), id="nan"),
+    pytest.param(["0.5"] * 8, id="text"),
+    pytest.param(np.random.default_rng(0), id="generator"),
+])
+def test_haar_unitaries_take_two_dim_squared_uniforms_in_the_unit_interval(uniforms):
+    with pytest.raises(PreconditionError):
+        haar_random_unitary(2, uniforms)
 
 
 def test_haar_state_is_normalized(rng):

@@ -8,12 +8,10 @@ loads `dataclasses`: ketlab's record types compile no code at import.
 is its module's object, imported on first use. `import ketlab.cli` loads
 no experiment module (`protective`, `pbr`, `ontology`, `weak`), and each
 command loads only those it runs. `python -m ketlab.cli`, the entry point
-a cold run starts through, keeps the exit-code contract. Only `nogo` and
-`onto --mc-trials` load `numpy.random` (and through it `_hashlib`, the
-libcrypto binding `secrets` pulls in): `nogo` draws Haar unitaries from
-`standard_normal`, and Monte Carlo reads long runs of one substream,
-where numpy's own Philox is faster than the package's array kernel. Every
-other command, sampled `protective` included, leaves both unloaded.
+a cold run starts through, keeps the exit-code contract. No command loads
+`numpy.random`, nor `_hashlib`, the libcrypto binding that `secrets`
+pulls in through it: every draw, `nogo`'s Haar unitaries and `onto`'s
+Monte Carlo cells included, evaluates the package's own Philox kernel.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported `scipy.optimize` through other tests.
@@ -186,19 +184,19 @@ def test_cold_runs_do_not_load_dataclasses(tmp_path):
     assert seen == [False, [0, False]]
 
 
-def test_cold_runs_outside_nogo_and_monte_carlo_do_not_load_numpy_random(tmp_path):
+def test_no_command_loads_numpy_random(tmp_path):
     seen = run_fresh(
         "import json, sys\n"
         "import ketlab.cli\n"
-        "argvs = (['protective', '--mode', 'sampled', '--seed', '9'],\n"
+        "argvs = (['protective'], ['protective', '--mode', 'sampled', '--seed', '9'],\n"
         "         ['protective', '--tomography'], ['leak'], ['scan'], ['pbr'], ['steer'],\n"
-        "         ['onto'])\n"
+        "         ['onto'], ['onto', '--mc-trials', '1000'], ['nogo'])\n"
         "seen = [[ketlab.cli.main(argv), 'numpy.random' in sys.modules,\n"
         "         '_hashlib' in sys.modules] for argv in argvs]\n"
         "print(json.dumps(seen))\n",
         tmp_path,
     )
-    assert seen == [[0, False, False]] * 7
+    assert seen == [[0, False, False]] * 10
 
 
 def test_the_parser_is_built_once_on_the_first_main_call(tmp_path):

@@ -12,13 +12,17 @@ change the seeds or the cells.
 import math
 
 import numpy as np
+import pytest
 from scipy.stats import chisquare
 
+import ketlab.hilbert
 from ketlab import (PREPARATION_IDS, born_probabilities, pbr_experiment, pbr_scenario,
                     protective_measure, qubit_state, sigma_z)
 from ketlab.cli import main
+from ketlab.hilbert import _box_muller, haar_random_unitary
 from ketlab.ontology import (monte_carlo_onto, paired_shared_reality_model, pbr_min_violation,
                              predict)
+from ketlab.rngs import uniform_chunks
 from ketlab.serialize import load_json
 
 P_FLOOR = 1e-3
@@ -87,3 +91,56 @@ def test_monte_carlo_counts_follow_the_model_in_every_cell():
     report = monte_carlo_onto(model, pbr_scenario(), trials, seed=0)
     for prep in PREPARATION_IDS:
         assert_law(report.counts[prep]["xi"], trials * predict(model, prep, "xi"))
+
+
+def _nogo_uniforms(seed: int, count: int) -> np.ndarray:
+    """Rows of the 32 uniforms that `nogo` turns into sweep k's 4 x 4
+    unitary, for sweeps 0 .. count-1."""
+    return np.concatenate(list(uniform_chunks(seed, 0, count, 32)))
+
+
+def _corner_cells(unitaries) -> np.ndarray:
+    """Counts of U_00 over 5 bins of |U_00|^2, equally likely under
+    Beta(1, 3), times the 4 quadrants of its phase."""
+    corner = np.array([u[0, 0] for u in unitaries])
+    modulus = np.digitize(np.abs(corner) ** 2, 1.0 - (1.0 - np.arange(1, 5) / 5) ** (1 / 3))
+    quadrant = np.floor(np.angle(corner) / (np.pi / 2)).astype(int) % 4
+    return np.bincount(5 * quadrant + modulus, minlength=20)
+
+
+def test_haar_unitaries_follow_the_haar_law_of_a_corner(monkeypatch):
+    """Under Haar measure on U(4), |U_00|^2 is Beta(1, 3), whose CDF is
+    1 - (1 - t)^3, and the phase of U_00 is uniform and independent of it.
+    Cells: the 20 of `_corner_cells`, each of probability 1/20. Two
+    mutants fail the law: QR without the phase fix, whose U_00 has a real
+    part <= 0 (numpy's QR leaves R's diagonal real), and a real Ginibre
+    matrix, whose U_00 is real with |U_00|^2 Beta(1/2, 3/2)."""
+    draws = _nogo_uniforms(0, 4000)
+    expected = [len(draws) / 20] * 20
+    assert_law(_corner_cells(haar_random_unitary(4, u) for u in draws), expected)
+    with pytest.raises(AssertionError):
+        assert_law(_corner_cells(np.linalg.qr(_box_muller(*u.reshape(2, 4, 4)))[0]
+                                 for u in draws), expected)
+    monkeypatch.setattr(ketlab.hilbert, "_box_muller", lambda u, v: _box_muller(u, v).real)
+    with pytest.raises(AssertionError):
+        assert_law(_corner_cells(haar_random_unitary(4, u) for u in draws), expected)
+
+
+def test_ginibre_entries_have_exponential_squared_moduli():
+    """A standard complex normal z, real and imaginary parts independent
+    N(0, 1), has |z|^2 / 2 ~ Exp(1). Cells: 10 bins, equally likely under
+    Exp(1), of the 16 entries of 1000 Ginibre matrices. Two mutants fail
+    the law: a real Gaussian x, whose x^2 / 2 is Gamma(1/2, 1), and
+    Box-Muller without its factor 2, whose |z|^2 / 2 is Exp(2)."""
+    draws = _nogo_uniforms(1, 1000)
+    entries = _box_muller(draws[:, :16], draws[:, 16:]).ravel()
+    edges = -np.log1p(-np.arange(1, 10) / 10)
+    expected = [len(entries) / 10] * 10
+
+    def cells(values):
+        return np.bincount(np.digitize(np.abs(values) ** 2 / 2, edges), minlength=10)
+
+    assert_law(cells(entries), expected)
+    for mutant in (entries.real, entries / np.sqrt(2.0)):
+        with pytest.raises(AssertionError):
+            assert_law(cells(mutant), expected)

@@ -409,7 +409,7 @@ def test_steering_rejects_unknown_basis():
 def test_overlap_preserved_by_haar_unitaries():
     ready = ket_zero()
     for k in range(25):
-        u = haar_random_unitary(4, substream(99, k))
+        u = haar_random_unitary(4, substream(99, k).random(32))
         before, after = overlap_preservation_check(u, ket_zero(), ket_plus(), ready)
         assert before == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
         assert abs(before - after) < 1e-10

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ketlab
+import ketlab.cli
 from ketlab import rngs
 from ketlab.errors import PreconditionError
 from ketlab.protective import MAX_STEPS
@@ -106,7 +107,7 @@ def test_uniform_chunks_reject_bad_seeds_and_block_sizes():
     with pytest.raises(PreconditionError):
         list(uniform_chunks(2 ** 128, 0, 1))
     with pytest.raises(PreconditionError):
-        list(uniform_chunks(0, 0, 1, k=5))
+        list(uniform_chunks(0, 0, 1, k=2 ** 64))
 
 
 def test_uniform_chunks_cover_the_range_in_order(monkeypatch):
@@ -120,6 +121,38 @@ def test_uniform_chunks_cover_the_range_in_order(monkeypatch):
     (whole,) = uniform_chunks(3, start, stop, k=2)
     np.testing.assert_array_equal(joined, whole)
     assert list(uniform_chunks(3, 4, 4)) == []
+
+
+@pytest.mark.parametrize("k", [5, 8, 32, 33])
+def test_uniform_chunks_of_several_blocks_match_substreams_across_chunk_edges(monkeypatch, k):
+    """Past k = 4 each substream reads ceil(k / 4) Philox blocks. With the
+    chunk patched to 20 blocks a pass holds 20 // ceil(k / 4) rows, so the
+    range, which ends at the last substream, crosses several passes."""
+    monkeypatch.setattr(rngs, "SUBSTREAM_CHUNK", 20)
+    seed, start, stop = 2 ** 64 + 12345, 2 ** 64 - 23, 2 ** 64
+    rows = 20 // -(-k // 4)
+    blocks = list(uniform_chunks(seed, start, stop, k))
+    assert [len(u) for u in blocks] == [rows] * (23 // rows) + [23 % rows] * (23 % rows > 0)
+    want = np.array([substream(seed, i).random(k) for i in range(start, stop)])
+    np.testing.assert_array_equal(np.concatenate(blocks), want)
+
+
+def test_nogo_draws_sweep_k_from_the_start_of_substream_k(tmp_path, monkeypatch):
+    """A sweep's 4 x 4 unitary takes the first 2 * 4**2 = 32 uniforms of
+    its own substream."""
+    seen = []
+    haar = ketlab.cli.haar_random_unitary
+
+    def recording(dim, uniforms):
+        seen.append(np.array(uniforms))
+        return haar(dim, uniforms)
+
+    monkeypatch.setattr(ketlab.cli, "haar_random_unitary", recording)
+    monkeypatch.chdir(tmp_path)
+    seed = 2 ** 100 + 3
+    assert ketlab.cli.main(["nogo", "--sweeps", "6", "--seed", str(seed)]) == 0
+    np.testing.assert_array_equal(np.array(seen),
+                                  np.array([substream(seed, k).random(32) for k in range(6)]))
 
 
 def test_uniform_chunks_reject_ranges_past_the_last_substream():
@@ -161,6 +194,21 @@ def test_stream_chunks_reach_the_end_of_a_substream_and_stop_there():
     assert list(stream_chunks(seed, index, 2 ** 130, 2 ** 130)) == []
 
 
+@pytest.mark.parametrize("index", [3, 2 ** 64 - 1])
+def test_stream_chunks_carry_through_every_counter_word(monkeypatch, index):
+    """Uniform p of a substream is the block at counter
+    index * 2**128 + p // 4 + 1. Block 2**64 - 1 carries word 0 into word
+    1, and the last block of a substream carries into word 2, or, at
+    counter 2**192 for the last substream, into word 3. Runs of 11
+    uniforms over blocks b - 2 .. b, in chunks of 5, cross each carry."""
+    monkeypatch.setattr(rngs, "SUBSTREAM_CHUNK", 5)
+    for block in (2 ** 64 - 3, 2 ** 128 - 3):
+        # numpy bumps the counter before it draws, so this draws from `block` on
+        gen = np.random.Generator(np.random.Philox(key=7, counter=index * STREAM_STRIDE + block))
+        got = np.concatenate(list(stream_chunks(7, index, 4 * block + 1, 4 * block + 12)))
+        np.testing.assert_array_equal(got, gen.random(12)[1:])
+
+
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 400, MAX_STEPS])
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 128 - 1])
 def test_leading_uniforms_match_substream_zero_bit_for_bit(seed, n):
@@ -171,8 +219,9 @@ def test_leading_uniforms_match_substream_zero_bit_for_bit(seed, n):
 
 
 def test_leading_uniforms_cross_their_kernel_blocks_in_order(monkeypatch):
-    """With the chunk patched to 2 blocks (8 uniforms), every residue of n
-    mod 4 and mod 8 crosses a kernel call's edge."""
+    """With the chunk patched to 2 uniforms, every residue of n mod 4
+    crosses a kernel call's edge, and half the calls start inside a
+    Philox block."""
     monkeypatch.setattr(rngs, "SUBSTREAM_CHUNK", 2)
     for n in range(0, 26):
         np.testing.assert_array_equal(leading_uniforms(np.uint64(5), n),
@@ -212,7 +261,8 @@ def _onto(seed):
     pytest.param(lambda: list(uniform_chunks(0, 0, 1, k=2.0)), id="chunks-float-k"),
     pytest.param(lambda: list(uniform_chunks(0, 0, 1, k=0)), id="chunks-zero-k"),
     pytest.param(lambda: list(uniform_chunks(0, 0, 3, k=True)), id="chunks-bool-k"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 0, k=5)), id="chunks-empty-range-k-5"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 0, k=2 ** 64)),
+                 id="chunks-empty-range-k-2**64"),
     pytest.param(lambda: list(uniform_chunks(0, True, 3)), id="chunks-bool-start"),
     pytest.param(lambda: list(uniform_chunks(0, 0.5, 3)), id="chunks-float-start"),
     pytest.param(lambda: list(uniform_chunks(0, -1, 3)), id="chunks-negative-start"),
@@ -247,7 +297,7 @@ def test_master_seeds_and_substream_indices_follow_one_rule(call):
     a substream index one in [0, 2**64), the start and stop of a range of
     substreams ones in [0, 2**64], the start and stop of a run along one
     substream ones in [0, 2**130], the uniforms drawn per substream k
-    one in [1, 4], and the count of uniforms read from the start of a
+    one in [1, 2**64), and the count of uniforms read from the start of a
     substream one in [0, 2**64), wherever they enter."""
     with pytest.raises(PreconditionError, match="must be an integer in"):
         call()
