@@ -58,6 +58,13 @@ COMMANDS = (
     ["steer", "--basis", "z", "--trials", "0", "-o", "steer_z0.json"],
     ["steer", "--trials", "5000", "--seed", "12345", "-o", "steer_big.json"],
     ["nogo", "--pair", "+", "-", "--sweeps", "20", "-o", "nogo_pm.json"],
+    # runs that cross a kernel pass of every draw: 8192 trials of steer,
+    # 1024 sweeps of nogo, 8192 uniforms of a Monte Carlo cell or sampled run
+    ["steer", "--trials", "9000", "-o", "steer_passes.json"],
+    ["nogo", "--sweeps", "1100", "-o", "nogo_passes.json"],
+    ["onto", "--q", "0.6", "--mc-trials", "9001", "-o", "mc_passes.json"],
+    ["protective", "--mode", "sampled", "--n", "9000", "--g", "0.001",
+     "-o", "sampled_passes.json"],
 )
 
 

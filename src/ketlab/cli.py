@@ -758,7 +758,7 @@ def _run_nogo(cfg: RunConfig):
     dim = ready.dim * s1.dim
     before = abs(inner_product(s1, s2))
     # sweep k's unitary comes from the first 2 * dim**2 uniforms of substream k
-    draws = chain.from_iterable(uniform_chunks(cfg.seed, 0, p["sweeps"], 2 * dim * dim))
+    draws = chain.from_iterable(uniform_chunks(cfg.seed, 0, p["sweeps"], 0, 2 * dim * dim))
     swept = [overlap_preservation_check(haar_random_unitary(dim, u), s1, s2, ready) for u in draws]
     afters = [a for _, a in swept]
     max_change = max((abs(a - b) for b, a in swept), default=0.0)
@@ -942,6 +942,8 @@ def _parser() -> argparse.ArgumentParser:
 def _read_json(path: str, what: str):
     """The JSON in an input file; ConfigError when it cannot be read or
     parsed."""
+    if "\0" in path:           # open raises ValueError before it reads a byte
+        raise ConfigError(f"cannot read {what} {path}: embedded null byte")
     try:
         return load_json(Path(path))
     except OSError as exc:
@@ -1018,19 +1020,19 @@ def _check_paths(artifacts: list, config: Path | None) -> None:
     replaces the --config file the run was read from, nor names an
     existing directory, which no write could replace and no cleanup could
     unlink, nor a path the filesystem cannot look up (say, a name too long
-    for it)."""
+    for it, a symlink loop or an embedded NUL)."""
     seen = {} if config is None else {config.resolve(): "the --config file"}
     for artifact in artifacts:
         path = artifact.path
         if path.suffix != f".{artifact.fmt}":
             raise ConfigError(f"artifact path {path} does not end in .{artifact.fmt}")
         try:
-            is_dir = path.is_dir()
-        except OSError as exc:
+            is_dir, key = path.is_dir(), path.resolve()
+        except (OSError, RuntimeError, ValueError) as exc:
+            # resolve raises RuntimeError for a symlink loop, and a NUL in a path ValueError
             raise ConfigError(f"artifact path {path} cannot be used: {exc}") from None
         if is_dir:
             raise ConfigError(f"artifact path {path} is an existing directory")
-        key = path.resolve()
         if key in seen:
             raise ConfigError(f"artifact path {path} would overwrite {seen[key]}")
         seen[key] = f"the artifact at {path}"

@@ -264,10 +264,9 @@ def inverse_cdf(weights, uniforms, rows=None) -> np.ndarray:
     The inverse-CDF walk every sampler of this package draws through: a
     uniform u picks the first outcome whose cumulative weight exceeds
     u * total, where total is the last cumulative weight. `weights` holds
-    one table of n outcomes, or a stack of them (shape (m, n)) that uniform
-    i walks row i of, or, given `rows`, row rows[i] of: a long run of
-    uniforms over a few tables then sums each table once and never copies
-    it per uniform. The cumulative sums are sequential, so a draw matches
+    one table of n outcomes, or a stack of them (shape (m, n)) that
+    uniform i walks row rows[i] of: a long run of uniforms over a few
+    tables then sums each table once and never copies it per uniform. The cumulative sums are sequential, so a draw matches
     a walk that adds the weights one by one. Since u < 1, u * total stays
     below a total that is a normal float, so no outcome of weight zero is
     ever drawn; only an all-zero or NaN table (or a subnormal total) falls
@@ -284,7 +283,7 @@ def inverse_cdf(weights, uniforms, rows=None) -> np.ndarray:
     if cdf.ndim == 1:
         passed = np.searchsorted(cdf, np.asarray(uniforms) * cdf[-1], side="right")
     else:
-        cols = cdf.T if rows is None else np.take(cdf.T, rows, axis=1)
+        cols = np.take(cdf.T, rows, axis=1)
         passed = n - np.sum(cols > np.asarray(uniforms) * cols[-1], axis=0)
     return np.minimum(passed, n - 1)
 

@@ -57,7 +57,7 @@ from .hilbert import (
 )
 from .measurement import Scenario, born_probabilities, inverse_cdf
 from .pbr import PREPARATION_IDS, _forbidden_map, pbr_scenario
-from .rngs import stream_chunks
+from .rngs import uniform_chunks
 
 DISTRIBUTION_TOL = 1e-12     # rows and preparation vectors must sum to 1 within this
 PREDICT_SUM_TOL = 1e-11      # predicted outcome distributions must sum to 1 within this
@@ -470,11 +470,11 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
     master seed: its first `trials` uniforms pick lambda from the
     preparation and the next `trials` pick each outcome from lambda's
     response row, both through the `inverse_cdf` walk. The two runs of
-    uniforms are read in step, SUBSTREAM_CHUNK trials at a time, through
-    `stream_chunks`, and each block is tallied before the next is drawn, so
-    memory does not grow with `trials`. The model must define every
-    preparation and measurement id the scenario names. More than
-    MAX_MC_TRIALS trials are rejected before any draw.
+    uniforms are row 0 of two `uniform_chunks` draws of substream i, read
+    in step, SUBSTREAM_CHUNK trials at a time, and each block is tallied
+    before the next is drawn, so memory does not grow with `trials`. The
+    model must define every preparation and measurement id the scenario
+    names. More than MAX_MC_TRIALS trials are rejected before any draw.
     """
     trials = _checked_count(trials, "trials")
     if trials > MAX_MC_TRIALS:
@@ -490,10 +490,10 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
             table = _scenario_responses(model, scenario, meas_id)
             tally = np.zeros(table.shape[1], dtype=np.int64)
             for lam_uniforms, outcome_uniforms in zip(
-                    stream_chunks(seed, cell, 0, trials),
-                    stream_chunks(seed, cell, trials, 2 * trials)):
-                lam = inverse_cdf(prep, lam_uniforms)
-                tally += np.bincount(inverse_cdf(table, outcome_uniforms, rows=lam),
+                    uniform_chunks(seed, cell, cell + 1, 0, trials),
+                    uniform_chunks(seed, cell, cell + 1, trials, 2 * trials)):
+                lam = inverse_cdf(prep, lam_uniforms[0])
+                tally += np.bincount(inverse_cdf(table, outcome_uniforms[0], rows=lam),
                                      minlength=len(tally))
             counts[prep_id][meas_id] = tally
             cell += 1

@@ -159,7 +159,7 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     xi = scenario.measurements["xi"]
     born = np.stack([born_probabilities(scenario.preparations[p], xi) for p in PREPARATION_IDS])
     cells = np.zeros(16, dtype=np.int64)
-    for uniforms in uniform_chunks(seed, 0, trials, k=2):
+    for uniforms in uniform_chunks(seed, 0, trials, 0, 2):
         which = inverse_cdf(weights, uniforms[:, 0])
         outcome = inverse_cdf(born, uniforms[:, 1], rows=which)
         cells += np.bincount(4 * which + outcome, minlength=16)

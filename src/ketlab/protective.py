@@ -69,7 +69,7 @@ from .measurement import (
     postselected_cycles,
     postselected_multiplier,
 )
-from .rngs import leading_uniforms
+from .rngs import uniform_chunks
 
 NOT_PURE_TOL = 1e-3          # largest rho eigenvalue below 1 - this: not pure
 ORTHOGONAL_LEAK_TOL = 1e-15  # |<protected|prepared>| below this: empty result
@@ -164,10 +164,11 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     survival weight is W_k / W_(k-1).
     A sampled run draws its n uniforms at once and aborts at the first
     cycle whose uniform exceeds its weight, found by one comparison over
-    the run. The uniforms are those of n single draws from
-    `as_generator(seed)` (None means 0), read by `rngs.leading_uniforms`,
-    which builds no Generator for an integer seed. The survivals of the
-    cycles run are one `np.cumprod` of their weights.
+    the run. The uniforms are the first n of substream 0 of the integer
+    master seed `seed` (None means 0), joined from row 0 of
+    `rngs.uniform_chunks`, which builds no Generator; a Generator is no
+    seed. The survivals of the cycles run are one `np.cumprod` of their
+    weights.
     final_joint, built on first read, is |protected> (x) phi after the last
     cycle, with phi the normalized inverse FFT of phi0^ M1 M^(k-1), the
     run's one inverse FFT; the product state before any cycle ran, or the
@@ -190,7 +191,8 @@ def _protective_loop(initial: StateVector, protected: StateVector,
         return None
     uniforms = np.zeros(n)                  # deterministic: no uniform exceeds a weight >= 0
     if mode == "sampled":
-        uniforms = leading_uniforms(0 if seed is None else seed, n)
+        draw = uniform_chunks(0 if seed is None else seed, 0, 1, 0, n)
+        uniforms = np.concatenate([np.empty(0), *(run[0] for run in draw)])
     c = protected.amplitudes
     first = postselected_multiplier(eig, g, phases, c, initial.amplitudes)
     repeated = postselected_multiplier(eig, g, phases, c, c)

@@ -7,19 +7,17 @@ seed ``s`` is the Philox bit generator ``Philox(key=s)`` with its 256-bit
 counter advanced to ``i * 2**128``. Substreams therefore never overlap, and
 results cannot depend on the order in which trials are executed.
 
-Samplers draw through one of three draws, each equal to `substream` bit
-for bit, and all three evaluate the Philox4x64-10 block function (Salmon
-et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) directly in
-numpy, in one array kernel over full 256-bit counters: `uniform_chunks`
-reads the first k uniforms of each of a range of substreams,
-`stream_chunks` a run of uniforms along one substream, and
-`leading_uniforms` the first n uniforms of substream 0. Given an integer
-seed, none builds a Generator, so no command loads `numpy.random`, whose
-import costs a process about 6 MB of RSS (half of it the libcrypto that
-`secrets` pulls in) and over 10 ms. The price is per uniform: the kernel
-draws the 800,000 uniforms of an `onto --mc-trials 100000` run in about
-80 ms, where numpy's own Philox takes about 10 ms (one CPU of a shared
-2-vCPU host).
+Samplers draw through one array draw, `uniform_chunks`, which reads any
+block of substreams x uniforms and equals `substream` bit for bit. It
+evaluates the Philox4x64-10 block function (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11) directly in numpy, in one
+array kernel over full 256-bit counters, and takes integer master seeds
+only, so it builds no Generator and no command loads `numpy.random`,
+whose import costs a process about 6 MB of RSS (half of it the libcrypto
+that `secrets` pulls in) and over 10 ms. The price is per uniform: the
+kernel draws the 800,000 uniforms of an `onto --mc-trials 100000` run in
+about 80 ms, where numpy's own Philox takes about 10 ms (one CPU of a
+shared 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -31,13 +29,12 @@ from .errors import PreconditionError
 # Counter stride between substreams, in Philox 256-bit counter units.
 STREAM_STRIDE = 2 ** 128
 
-# Philox blocks per kernel pass of `uniform_chunks` (whole rows of
-# ceil(k / 4) blocks, at least one row), and the length of each run of
-# uniforms `stream_chunks` yields: bounds the memory of a sampler
-# independently of its trial count. At 2**13 rows a `pbr_experiment`
-# block's temporaries peak near 1.3 MB, so they stay in a 2 MiB L2 cache;
-# of 2**11 .. 2**16, 2**13 ran both samplers fastest, as larger blocks
-# spill the cache and smaller ones pay more per-block calls.
+# Philox blocks per kernel pass of `uniform_chunks` (whole rows, at least
+# one), and the most uniforms of one row a pass holds: bounds the memory
+# of a sampler independently of its trial count. At 2**13 rows a
+# `pbr_experiment` block's temporaries peak near 1.3 MB, so they stay in a
+# 2 MiB L2 cache; of 2**11 .. 2**16, 2**13 ran both samplers fastest, as
+# larger blocks spill the cache and smaller ones pay more per-block calls.
 SUBSTREAM_CHUNK = 2 ** 13
 
 # Philox4x64-10 constants (Random123): round multipliers and key increments.
@@ -52,10 +49,9 @@ _WORD = 2 ** 64
 
 # The integers each argument takes: (lowest, highest, the range as printed).
 _SEEDS = (0, 2 ** 128 - 1, "[0, 2**128)")
-_INDICES = (0, _WORD - 1, "[0, 2**64)")     # also a count read from a substream's start
+_INDICES = (0, _WORD - 1, "[0, 2**64)")     # a substream index
 _BOUNDS = (0, _WORD, "[0, 2**64]")          # start and stop of a range of substreams
-_PER_STREAM = (1, _WORD - 1, "[1, 2**64)")  # uniforms drawn from each substream
-_POSITIONS = (0, 2 ** 130, "[0, 2**130]")   # start and stop along one substream
+_POSITIONS = (0, 2 ** 130, "[0, 2**130]")   # first and last along each substream
 
 
 def _checked_integer(value, what: str, rule: tuple) -> int:
@@ -145,74 +141,52 @@ def _run_counters(first: int, count: int) -> tuple:
     return (c0, *np.array(words, dtype=np.uint64)[:, (c0 < low).astype(np.intp)])
 
 
-def uniform_chunks(seed: int, start: int, stop: int, k: int = 1):
-    """Yield the first `k` uniforms of substreams start .. stop-1, one row
-    per substream, in order, SUBSTREAM_CHUNK Philox blocks at a time, so a
-    sampler that reduces each block before the next keeps flat memory for
-    any number of trials.
+def uniform_chunks(seed: int, start: int, stop: int, first: int = 0, last: int = 1):
+    """Yield uniforms first .. last-1 of substreams start .. stop-1 as 2-D
+    blocks, one row per substream, in order, so a sampler that reduces each
+    block before the next keeps flat memory for any number or length of
+    rows. Row j equals `substream(seed, start + j).random(last)[first:]` bit
+    for bit. A pass holds max(1, SUBSTREAM_CHUNK // span) whole rows, for a
+    row spanning `span` Philox blocks, except that a row longer than
+    SUBSTREAM_CHUNK uniforms comes alone, in runs of that many. An empty
+    range of substreams or of uniforms yields no block.
 
-    Row j of the range equals `substream(seed, start + j).random(k)` bit for
-    bit. Those uniforms come from the first ceil(k / 4) Philox blocks of the
-    substream: numpy bumps the counter before each block, so block b is the
-    Philox4x64-10 function of counter [b, 0, index, 0], b = 1, 2, ..., under
-    key (seed mod 2**64, seed >> 64). Each kernel pass costs a fixed number
-    of uint64 array operations.
+    numpy bumps the counter before each block, so uniform p of substream i
+    is word p % 4 of the Philox4x64-10 block of counter
+    i * 2**128 + p // 4 + 1 under key (seed mod 2**64, seed >> 64). A
+    substream owns 2**128 blocks, so first and last lie in [0, 2**130], and
+    the counter of its last block carries into word 2, or, for the last
+    substream, into word 3. A block that holds a whole row is read for only
+    the words the row needs. Each pass costs a fixed number of uint64 array
+    operations.
     """
     round_keys = _round_keys(seed)
-    k = _checked_integer(k, "uniforms per substream k", _PER_STREAM)
     start = _checked_integer(start, "substream start", _BOUNDS)
     stop = _checked_integer(stop, "substream stop", _BOUNDS)
-    blocks = np.arange(1, (k + 3) // 4 + 1, dtype=np.uint64)
-    rows = max(1, SUBSTREAM_CHUNK // len(blocks))
-    for first in range(start, stop, rows):
-        streams = np.arange(min(rows, stop - first), dtype=np.uint64) + np.uint64(first)
-        uniforms = _philox_uniforms(round_keys, (blocks, 0, streams[:, None], 0), min(k, 4))
-        yield uniforms.reshape(len(streams), -1)[:, :k]
-
-
-def stream_chunks(seed: int, index: int, start: int, stop: int):
-    """Yield uniforms start .. stop-1 of `substream(seed, index)`, in order,
-    in blocks of at most SUBSTREAM_CHUNK, so a sampler that reduces each
-    block before the next keeps flat memory for any length of run.
-
-    The run equals `substream(seed, index).random(stop)[start:]` bit for
-    bit. Philox turns each counter into four uniforms, and numpy bumps the
-    counter before each block, so uniform p of substream i is word p % 4 of
-    the block of counter i * 2**128 + p // 4 + 1. A substream owns 2**128
-    blocks, so start and stop lie in [0, 2**130], and the counter of its
-    last block, (i + 1) * 2**128, carries into word 2.
-    """
-    round_keys = _round_keys(seed)
-    index = _checked_integer(index, "substream index", _INDICES)
-    start = _checked_integer(start, "stream start", _POSITIONS)
-    stop = _checked_integer(stop, "stream stop", _POSITIONS)
-    for first in range(start, stop, SUBSTREAM_CHUNK):
-        block, last = first // 4, min(first + SUBSTREAM_CHUNK, stop)
-        counters = _run_counters(index * STREAM_STRIDE + block + 1, (last + 3) // 4 - block)
-        yield _philox_uniforms(round_keys, counters, 4).ravel()[first - 4 * block:last - 4 * block]
-
-
-def leading_uniforms(seed, n: int) -> np.ndarray:
-    """The next `n` uniforms of `as_generator(seed)`, equal to
-    `as_generator(seed).random(n)` bit for bit. An integer seed (numpy's
-    too) reads `stream_chunks(seed, 0, 0, n)` and builds no Generator; a
-    Generator draws its own, and any other seed raises as `as_generator`
-    does.
-    """
-    n = _checked_integer(n, "uniform count", _INDICES)
-    if not isinstance(seed, (int, np.integer)):     # a Generator, or a bad seed
-        return as_generator(seed).random(n)
-    return np.concatenate([np.empty(0), *stream_chunks(seed, 0, 0, n)])
+    first = _checked_integer(first, "first uniform", _POSITIONS)
+    last = _checked_integer(last, "last uniform", _POSITIONS)
+    if first >= last:
+        return
+    span = (last + 3) // 4 - first // 4
+    rows = 1 if last - first > SUBSTREAM_CHUNK else max(1, SUBSTREAM_CHUNK // span)
+    for row in range(start, stop, rows):
+        streams = np.arange(min(rows, stop - row), dtype=np.uint64)[:, None] + np.uint64(row)
+        for p in range(first, last, SUBSTREAM_CHUNK):
+            block, end = p // 4, min(p + SUBSTREAM_CHUNK, last)
+            c0, c1, c2, c3 = _run_counters(block + 1, (end + 3) // 4 - block)
+            c2 = c2 + streams
+            counters = (c0, c1, c2, c3 + (c2 < streams))
+            uniforms = _philox_uniforms(round_keys, counters, min(4, end - 4 * block))
+            yield uniforms.reshape(len(streams), -1)[:, p - 4 * block:end - 4 * block]
 
 
 class SubstreamSampler:
     """The substreams of one master seed, selected by index.
 
     `select(i)` is `substream(seed, i)`. No sampler in the package calls
-    it: they draw through `uniform_chunks`, `stream_chunks` and
-    `leading_uniforms`, which build no Generator. It is kept because the
-    benchmark tracer (`perfbench/tracer.py`) binds `SubstreamSampler.select`
-    when it installs.
+    it: they draw through `uniform_chunks`, which builds no Generator. It
+    is kept because the benchmark tracer (`perfbench/tracer.py`) binds
+    `SubstreamSampler.select` when it installs.
     """
 
     def __init__(self, seed: int):

@@ -581,6 +581,47 @@ def test_artifact_names_too_long_for_the_filesystem_exit_2(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["pbr", "-o", "a/x.csv"], None),
+    (["protective", "--n", "5"], {"per_step_csv": "a/s.csv"}),
+    (["leak", "--n", "5"], {"output": "x\u0000y.json"}),
+], ids=["loop-output", "loop-per-step-csv", "nul-output"])
+def test_artifact_paths_the_filesystem_cannot_look_up_exit_2(tmp_path, monkeypatch, capsys,
+                                                             argv, config):
+    """`a` and `b` are a symlink loop, which `Path.resolve` reports with a
+    RuntimeError (an OSError from Python 3.13 on); a NUL in a path raises
+    ValueError. Either is a configuration error that names the path, and
+    the directory is left as it was."""
+    monkeypatch.chdir(tmp_path)
+    os.symlink("b", "a")
+    os.symlink("a", "b")
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = ["--config", "run.json", *argv]
+    def snapshot():
+        return {p.name: os.readlink(p) if p.is_symlink() else p.read_bytes()
+                for p in tmp_path.iterdir()}
+
+    before = snapshot()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ketlab: config error: artifact path ") and "cannot be used" in err
+    assert snapshot() == before
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["--config", "run\0.json", "leak"], "config file run\0.json"),
+    (["onto", "--model", "model\0.json"], "model file model\0.json"),
+], ids=["config", "model"])
+def test_an_input_path_with_a_nul_cannot_be_read(tmp_path, monkeypatch, capsys, argv, what):
+    """open refuses such a path before it reads a byte, so the file is
+    not said to hold invalid JSON."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ketlab: config error: cannot read {what}: embedded null byte\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def with_runner(name, runner):
     """`COMMANDS[name]` with `runner` in place of its own."""
     return CommandSpec(**{**vars(COMMANDS[name]), "runner": runner})

@@ -624,7 +624,7 @@ def test_monte_carlo_over_the_trial_cap_is_rejected_before_any_draw(monkeypatch)
     def no_draws(*args, **kwargs):
         raise AssertionError("a substream was drawn for an over-large run")
 
-    monkeypatch.setattr(ketlab.ontology, "stream_chunks", no_draws)
+    monkeypatch.setattr(ketlab.ontology, "uniform_chunks", no_draws)
     scenario = qubit_scenario()
     trials = ketlab.ontology.MAX_MC_TRIALS + 1
     with pytest.raises(PreconditionError, match=f"trials {trials} exceed the"):

@@ -632,15 +632,16 @@ def test_the_first_miss_in_a_block_is_the_abort(grid, n, g, seed, misses):
 def test_an_integer_seed_draws_what_its_substream_zero_generator_draws(grid, n, g, seed,
                                                                         aborted):
     """An integer seed reads substream 0 through the Philox kernel of
-    `rngs.leading_uniforms`; handing the run that substream's Generator
-    draws from the Generator itself. Both give the same run, aborting or
+    `rngs.uniform_chunks`; the reference loop, drawing one uniform a cycle
+    from that substream's Generator, gives the same run, aborting or
     not."""
-    by_seed, by_generator = (
-        protective_measure(ket_plus(), sigma_z(), n=n, g=g, grid=grid, mode="sampled", seed=s)
-        for s in (seed, substream(seed, 0)))
-    assert by_seed.aborted_at_step == by_generator.aborted_at_step == aborted
-    np.testing.assert_array_equal(by_seed.survivals, by_generator.survivals)
-    np.testing.assert_array_equal(by_seed.pointer_means, by_generator.pointer_means)
+    run = protective_measure(ket_plus(), sigma_z(), n=n, g=g, grid=grid, mode="sampled", seed=seed)
+    log, _, ref_aborted, _ = reference_loop(ket_plus(), ket_plus(), sigma_z(), n, g, grid, 1.0,
+                                            "sampled", substream(seed, 0))
+    assert run.aborted_at_step == ref_aborted == aborted
+    np.testing.assert_allclose(run.survivals, [r.survival for r in log], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(run.pointer_means, [r.pointer_mean for r in log],
+                               rtol=0, atol=1e-10)
 
 
 def test_a_sampled_run_peaks_no_higher_than_a_deterministic_one():
