@@ -36,7 +36,10 @@ COMMANDS = (
     # pbr, onto and model evaluations off their defaults
     ["pbr", "--format", "json", "-o", "p.json", "--weights", "0.1,0.2,0.3,0.4"],
     ["onto", "--q", "0.6", "--mc-trials", "5000", "-o", "mc.json"],
+    ["onto", "--q", "0.3", "-o", "q03.json"],
     ["onto", "--model", "orthodox", "--scenario", "pbr", "-o", "orth_pbr.json"],
+    ["onto", "--model", "orthodox", "--scenario", "pbr", "--mc-trials", "3000",
+     "-o", "orth_pbr_mc.json"],
     ["onto", "--model", "orthodox", "--scenario", "qubit", "-o", "orth_q.json",
      "--prep", "+", "--meas", "x", "--mc-trials", "2000"],
     # the model file reader, on the orthodox model written to model.json
@@ -48,6 +51,12 @@ COMMANDS = (
     ["protective", "--mode", "sampled", "--observable", "x",
      "--dump-joint", "sampled_joint.json", "-o", "sampled.json"],
     ["protective", "--sweep-g", "0.002,0.005,0.01", "-o", "sweep.json"],
+    # sampled sweeps: the mode and seed reach every sweep point, and in the
+    # second its g=0.2 point aborts at step 28, as its main run does
+    ["protective", "--mode", "sampled", "--sweep-g", "0.002,0.005,0.01", "--seed", "3",
+     "-o", "sampled_sweep.json"],
+    ["protective", "--mode", "sampled", "--n", "40", "--g", "0.2", "--seed", "0",
+     "--sweep-g", "0.1,0.2", "-o", "abort_sweep.json"],
     ["protective", "--n", "800", "--grid-points", "1024", "-o", "big.json"],
     # a sampled run that aborts at step 28, through `couple_pointer`
     ["protective", "--mode", "sampled", "--n", "40", "--g", "0.2", "--seed", "0",

@@ -78,6 +78,7 @@ from .rngs import uniform_chunks
 from .serialize import dump_json, load_json, write_csv
 
 DEFAULT_SEED = 7
+DEFAULT_Q = 1.0   # `onto`'s shared-lambda weight, the full PBR overlap
 
 # one instance per name, so every run of an observable shares its `eigen`
 _OBSERVABLES = {"z": sigma_z(), "x": sigma_x(), "y": sigma_y()}
@@ -496,10 +497,10 @@ def _run_protective(cfg: RunConfig):
     psi = qubit_state(p["theta"], p["phi"])
     op = _OBSERVABLES[p["observable"]]
     grid = default_grid(p["width"], p["grid_points"])
-    result = protective_measure(
-        psi, op, n=p["n"], g=p["g"], grid=grid, width=p["width"],
-        mode=p["mode"], seed=cfg.seed,
-    )
+    # the main run and every sweep point differ in g alone
+    measure = functools.partial(protective_measure, psi, op, n=p["n"], grid=grid,
+                                width=p["width"], mode=p["mode"], seed=cfg.seed)
+    result = measure(g=p["g"])
     true = expectation(op, psi)
     error = (None if result.inferred_expectation is None
              else abs(result.inferred_expectation - true))
@@ -529,10 +530,7 @@ def _run_protective(cfg: RunConfig):
     if p["sweep_g"] is not None:
         rows = []
         for g in p["sweep_g"]:
-            point = protective_measure(
-                psi, op, n=p["n"], g=g, grid=grid, width=p["width"],
-                mode=p["mode"], seed=cfg.seed,
-            )
+            point = measure(g=g)
             if point.inferred_expectation is None:
                 raise PreconditionError(
                     f"sweep coupling g={g!r} yields no inferred expectation"
@@ -684,6 +682,12 @@ def _run_steer(cfg: RunConfig):
 
 
 def _run_onto(cfg: RunConfig):
+    """The bound mode (no --model) certifies PBR's violation bound at
+    weight --q, on PBR's scenario; the model mode evaluates --model on
+    --scenario. Each mode yields its model, and --mc-trials samples that
+    model on that scenario: in the bound mode, the witness model that
+    attains the bound. Each mode refuses the flags that only the other
+    reads, so no manifest echoes a value its run ignored."""
     from .ontology import (OntologicalModel, born_consistency_gap, monte_carlo_onto,
                            orthodox_model, overlap, paired_shared_reality_model,
                            pbr_min_violation, predict, qubit_scenario)
@@ -693,59 +697,56 @@ def _run_onto(cfg: RunConfig):
     _checked_count(p["mc_trials"], "mc_trials")
     if p["model"] is None and (p["prep"] is not None or p["meas"] is not None):
         raise ConfigError("--prep/--meas only apply when --model is given")
+    if p["model"] is None and p["scenario"] != "pbr":
+        raise ConfigError("--scenario only applies when --model is given")
+    if p["model"] is not None and p["q"] != DEFAULT_Q:
+        raise ConfigError("--q only applies when --model is not given")
     if (p["prep"] is None) != (p["meas"] is None):
         raise ConfigError("--prep and --meas must be given together")
+    scenario = pbr_scenario() if p["scenario"] == "pbr" else qubit_scenario()
     if p["model"] is None:
         bound = pbr_min_violation(p["q"])
+        model = paired_shared_reality_model(p["q"], xi_responses=bound.witnessing_responses)
         data = {"kind": "ketlab/violation-bound", "command": "onto",
                 **bound.to_json_dict()}
-        if p["mc_trials"] > 0:
-            model = paired_shared_reality_model(
-                p["q"], xi_responses=bound.witnessing_responses
-            )
-            report = monte_carlo_onto(model, pbr_scenario(), p["mc_trials"],
-                                      seed=cfg.seed)
-            data["monte_carlo"] = report.to_json_dict()
         summary = (
             f"certified violation bound {bound.lower_bound:.6f} at q={bound.q} "
             f"(duality gap {bound.duality_gap:.3e})"
         )
-        return [Artifact(cfg.output, "json", data)], summary
-
-    scenario = pbr_scenario() if p["scenario"] == "pbr" else qubit_scenario()
-    if p["model"] == "orthodox":
-        model = orthodox_model(scenario)
-        model_name = "orthodox"
     else:
-        model = OntologicalModel.from_json_dict(_read_json(p["model"], "model file"))
-        model_name = Path(p["model"]).name
-    overlaps = [dict(vars(overlap(model, a, b)))
-                for a, b in combinations(sorted(model.preparations), 2)]
-    shared_preps = [pid for pid in scenario.preparations if pid in model.preparations]
-    born_gaps = {
-        meas_id: born_consistency_gap(model, scenario, shared_preps, meas_id)
-        for meas_id in scenario.measurements if meas_id in model.responses
-    }
-    data = {
-        "kind": "ketlab/model-eval",
-        "command": "onto",
-        "scenario": scenario.name,
-        "model": model_name,
-        "overlaps": overlaps,
-        "born_gaps": born_gaps,
-    }
-    if p["prep"] is not None:
-        data["prediction"] = {
-            "preparation": p["prep"],
-            "measurement": p["meas"],
-            "distribution": predict(model, p["prep"], p["meas"]).tolist(),
+        if p["model"] == "orthodox":
+            model = orthodox_model(scenario)
+            model_name = "orthodox"
+        else:
+            model = OntologicalModel.from_json_dict(_read_json(p["model"], "model file"))
+            model_name = Path(p["model"]).name
+        overlaps = [dict(vars(overlap(model, a, b)))
+                    for a, b in combinations(sorted(model.preparations), 2)]
+        shared_preps = [pid for pid in scenario.preparations if pid in model.preparations]
+        born_gaps = {
+            meas_id: born_consistency_gap(model, scenario, shared_preps, meas_id)
+            for meas_id in scenario.measurements if meas_id in model.responses
         }
+        data = {
+            "kind": "ketlab/model-eval",
+            "command": "onto",
+            "scenario": scenario.name,
+            "model": model_name,
+            "overlaps": overlaps,
+            "born_gaps": born_gaps,
+        }
+        if p["prep"] is not None:
+            data["prediction"] = {
+                "preparation": p["prep"],
+                "measurement": p["meas"],
+                "distribution": predict(model, p["prep"], p["meas"]).tolist(),
+            }
+        gap_note = (f"max Born gap {max(born_gaps.values()):.3e}"
+                    if born_gaps else "no shared measurements")
+        summary = f"evaluated model {model_name} on scenario {scenario.name}; {gap_note}"
     if p["mc_trials"] > 0:
         report = monte_carlo_onto(model, scenario, p["mc_trials"], seed=cfg.seed)
         data["monte_carlo"] = report.to_json_dict()
-    gap_note = (f"max Born gap {max(born_gaps.values()):.3e}"
-                if born_gaps else "no shared measurements")
-    summary = f"evaluated model {model_name} on scenario {scenario.name}; {gap_note}"
     return [Artifact(cfg.output, "json", data)], summary
 
 
@@ -872,12 +873,14 @@ COMMANDS = {
             help="certified shared-reality violation bound / model evaluation",
             formats=("json",),
             params=(
-                Param("q", _as_float, 1.0, "shared-lambda weight in [0, 1]"),
+                Param("q", _as_float, DEFAULT_Q,
+                      "shared-lambda weight in [0, 1] of the bound (refused with --model)"),
                 Param("mc_trials", _as_int, 0, "Monte Carlo trials per scenario cell"),
                 Param("model", _as_str, None,
                       "model JSON to evaluate instead, or the literal 'orthodox'"),
                 Param("scenario", _choice("pbr", "qubit"), "pbr",
-                      "scenario to evaluate --model against"),
+                      "scenario to evaluate --model against (the bound's is pbr; "
+                      "another is refused without --model)"),
                 Param("prep", _as_str, None, "preparation id to predict (with --model)"),
                 Param("meas", _as_str, None, "measurement id to predict (with --model)"),
             ),
@@ -943,7 +946,7 @@ def _read_json(path: str, what: str):
     """The JSON in an input file; ConfigError when it cannot be read or
     parsed."""
     if "\0" in path:           # open raises ValueError before it reads a byte
-        raise ConfigError(f"cannot read {what} {path}: embedded null byte")
+        raise ConfigError(f"cannot read {what} {path!r}: embedded null byte")
     try:
         return load_json(Path(path))
     except OSError as exc:
@@ -1030,7 +1033,7 @@ def _check_paths(artifacts: list, config: Path | None) -> None:
             is_dir, key = path.is_dir(), path.resolve()
         except (OSError, RuntimeError, ValueError) as exc:
             # resolve raises RuntimeError for a symlink loop, and a NUL in a path ValueError
-            raise ConfigError(f"artifact path {path} cannot be used: {exc}") from None
+            raise ConfigError(f"artifact path {str(path)!r} cannot be used: {exc}") from None
         if is_dir:
             raise ConfigError(f"artifact path {path} is an existing directory")
         if key in seen:

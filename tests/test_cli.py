@@ -472,6 +472,9 @@ def _labelled(label: str) -> str:
     *(pytest.param(_labelled(label), 3, id=f"label-{name}") for name, label in [
         ("int", "1"), ("bool", "true"), ("null", "null"), ("object", '{"k": 1}'),
         ("nested-300-deep", "[" * 300 + '"b"' + "]" * 300)]),
+    # every measurement but not preparation "1": Monte Carlo refuses it
+    pytest.param(_QUBIT_MODEL.replace('"1": [0, 1], ', "") % ("[1, 0]", "[1, 0]"), 3,
+                 id="lacks-a-scenario-preparation"),
     pytest.param(_QUBIT_MODEL % ("[1, 0]", "[1, 0]"), 0, id="a-complete-qubit-model"),
 ])
 @pytest.mark.filterwarnings("error")   # a warning from numpy too is a failure
@@ -609,17 +612,26 @@ def test_artifact_paths_the_filesystem_cannot_look_up_exit_2(tmp_path, monkeypat
     assert snapshot() == before
 
 
-@pytest.mark.parametrize("argv,what", [
-    (["--config", "run\0.json", "leak"], "config file run\0.json"),
-    (["onto", "--model", "model\0.json"], "model file model\0.json"),
-], ids=["config", "model"])
-def test_an_input_path_with_a_nul_cannot_be_read(tmp_path, monkeypatch, capsys, argv, what):
-    """open refuses such a path before it reads a byte, so the file is
-    not said to hold invalid JSON."""
+@pytest.mark.parametrize("argv,config,refusal", [
+    (["--config", "run\0.json", "leak"], None, "cannot read config file 'run\\x00.json'"),
+    (["onto", "--model", "model\0.json"], None, "cannot read model file 'model\\x00.json'"),
+    (["leak"], {"output": "x\0y.json"}, "artifact path 'x\\x00y.json' cannot be used"),
+], ids=["config", "model", "output"])
+def test_an_input_path_with_a_nul_cannot_be_read(tmp_path, monkeypatch, capsys, argv, config,
+                                                 refusal):
+    """open refuses an input path with a NUL before it reads a byte, so
+    the file is not said to hold invalid JSON, and no artifact path may
+    hold one. Each message quotes its path, so stderr stays text."""
     monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = ["--config", "run.json", *argv]
+    before = sorted(tmp_path.iterdir())
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"ketlab: config error: cannot read {what}: embedded null byte\n"
-    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err == f"ketlab: config error: {refusal}: embedded null byte\n"
+    assert "\0" not in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def with_runner(name, runner):
@@ -1021,6 +1033,20 @@ def test_the_seed_reaches_the_key_s_high_word(tmp_path, monkeypatch):
     assert load_json(tmp_path / "protective.json.manifest.json")["seed"] == seed
 
 
+def test_a_sampled_sweep_point_is_the_run_its_coupling_would_be(tmp_path, monkeypatch):
+    """A sweep point differs from the main run in g alone, so it samples
+    with the run's mode and seed: at the run's g it aborts where the run
+    does."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["protective", "--mode", "sampled", "--n", "40", "--g", "0.2", "--seed", "0",
+                 "--sweep-g", "0.1,0.2"]) == 0
+    run = load_json(tmp_path / "protective.json")["run"]
+    assert run["aborted_at_step"] == 28
+    last = (tmp_path / "protective.sweep.csv").read_text().splitlines()[-1].split(",")
+    assert [float(last[0]), float(last[1]), float(last[3])] == [
+        0.2, run["inferred_expectation"], run["survival_probability"]]
+
+
 def test_a_sweep_point_without_an_expectation_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["protective", "--n", "5", "--sweep-g", "0,0.005"]) == 3
@@ -1033,6 +1059,41 @@ def test_a_prediction_needs_both_prep_and_meas(tmp_path, monkeypatch, capsys):
     assert main(["onto", "--model", "orthodox", "--prep", "0"]) == 2
     assert "--prep and --meas must be given together" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--scenario", "qubit"], "--scenario"),
+    (["--scenario", "qubit", "--mc-trials", "10"], "--scenario"),
+    (["--model", "orthodox", "--q", "7"], "--q"),
+    (["--model", "orthodox", "--q", "0.5", "--mc-trials", "10"], "--q"),
+])
+def test_each_onto_mode_refuses_a_flag_only_the_other_reads(tmp_path, monkeypatch, capsys,
+                                                           argv, flag):
+    """The bound's scenario is PBR's, and --q weighs the bound's shared
+    reality only, so neither is ignored by a run whose manifest echoes it."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["onto", *argv]) == 2
+    assert f"ketlab: config error: {flag} only applies when --model is" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,default", [
+    (["--q", "0.3"], ["--scenario", "pbr"]),
+    (["--model", "orthodox"], ["--q", "1.0"]),
+])
+def test_an_onto_flag_at_its_default_is_accepted_in_either_mode(tmp_path, monkeypatch, argv,
+                                                                 default):
+    """A flag the mode does not read may still be given its default value,
+    and the run writes the bytes it writes without it."""
+    (tmp_path / "with").mkdir()
+    (tmp_path / "without").mkdir()
+    monkeypatch.chdir(tmp_path / "with")
+    assert main(["onto", *argv, *default]) == 0
+    monkeypatch.chdir(tmp_path / "without")
+    assert main(["onto", *argv]) == 0
+    written = {path.name: path.read_bytes() for path in (tmp_path / "with").iterdir()}
+    assert written == {path.name: path.read_bytes() for path in (tmp_path / "without").iterdir()}
+    assert sorted(written) == ["onto.json", "onto.json.manifest.json"]
 
 
 @pytest.mark.parametrize("argv", [["--prep", "0"], ["--meas", "z"]])

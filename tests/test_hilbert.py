@@ -185,6 +185,11 @@ def test_inner_product_dimension_mismatch():
         inner_product(ket_zero(), basis_state(3, 0))
 
 
+def test_expectation_dimension_mismatch():
+    with pytest.raises(PreconditionError, match="^dimension mismatch: operator 2 vs state 3$"):
+        expectation(sigma_z(), basis_state(3, 0))
+
+
 # ---------------------------------------------------------------------------
 # expectations and eigenstructure
 

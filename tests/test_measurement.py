@@ -212,6 +212,12 @@ def test_born_probabilities_on_sigma_z(theta):
     assert abs(probs[1] - math.cos(theta) ** 2) < 1e-12
 
 
+def test_born_probabilities_dimension_mismatch():
+    basis = eigendecompose(HermitianOperator(3, np.eye(3)))
+    with pytest.raises(PreconditionError, match="^dimension mismatch: state 2 vs basis 3$"):
+        born_probabilities(ket_zero(), basis)
+
+
 def sequential_walk(weights, u):
     """The inverse-CDF walk as a loop, one weight at a time: the oracle
     for `inverse_cdf`. The total is the same running sum, in the same

@@ -156,6 +156,13 @@ def test_orthodox_model_reproduces_born_exactly(scenario_factory):
             )
 
 
+def test_overlap_rejects_unknown_ids():
+    model = orthodox_model(qubit_scenario())
+    for first, second in (("nope", "0"), ("0", "nope")):
+        with pytest.raises(PreconditionError, match="^unknown preparation id 'nope'$"):
+            overlap(model, first, second)
+
+
 def test_orthodox_preparations_never_share_reality():
     model = orthodox_model(qubit_scenario())
     ids = list(model.preparations)

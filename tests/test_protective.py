@@ -310,6 +310,16 @@ def test_tomography_set_rejects_incomplete_operators():
         TomographySet((sigma_z(),), (1.0,))
 
 
+@pytest.mark.parametrize("ops,exps,message", [
+    ((), (), "tomography needs at least one operator"),
+    ((*pauli_operators(), HermitianOperator(3, np.eye(3))), (0.0, 0.0, 1.0, 1.0),
+     "tomography operators must share one dimension"),
+], ids=["empty", "mixed-dimensions"])
+def test_tomography_set_needs_operators_of_one_dimension(ops, exps, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        TomographySet(ops, exps)
+
+
 def test_tomography_set_rejects_length_mismatch():
     with pytest.raises(PreconditionError):
         TomographySet(pauli_operators(), (0.0, 0.0))

@@ -135,6 +135,8 @@ def _record_lists(draw):
 @example([{"": "%d", "{}": float("-inf")}, {"": None, "{}": True}])
 @example({"log": [{"step": 1, "survival": 1.0}, {"step": 2, "survival": 0.5, "extra": 0}]})
 @example([{"a": 1}, {"a": [2.5]}])
+@example(float("inf"))
+@example([float("-inf"), {}])
 def test_dump_json_writes_the_oracles_bytes(payload):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "payload.json"
