@@ -45,6 +45,11 @@ COMMANDS = (
     # the model file reader, on the orthodox model written to model.json
     ["onto", "--model", "model.json", "--scenario", "qubit", "--prep", "0", "--meas", "z",
      "-o", "model_eval.json"],
+    # the joint (lambda, outcome) draw over a model file's lambda space, and
+    # over a table whose zero-weight cells must stay at 0
+    ["onto", "--model", "model.json", "--scenario", "qubit", "--mc-trials", "3000",
+     "-o", "model_mc.json"],
+    ["onto", "--q", "0", "--mc-trials", "5000", "-o", "mc_q0.json"],
     # every artifact `protective` can add
     ["protective", "--tomography", "--per-step-csv", "tomo_steps.csv",
      "--dump-joint", "tomo_joint.json", "-o", "tomo.json"],

@@ -73,7 +73,7 @@ from .hilbert import (
     sigma_z,
 )
 from .measurement import (DEFAULT_COUPLING, DEFAULT_GRID_POINTS, DEFAULT_STEPS,
-                          GridWavefunction, default_grid, gaussian_profile, inverse_cdf)
+                          GridWavefunction, default_grid, gaussian_profile, tally)
 from .rngs import uniform_chunks
 from .serialize import dump_json, load_json, write_csv
 
@@ -588,12 +588,24 @@ def _run_leak(cfg: RunConfig):
 
 
 def _scan_input(p) -> GridWavefunction:
+    """The scanned profile on the default grid of its width. Each hump's
+    centre, --offset or --offset -/+ --separation / 2, must lie on the
+    grid, within 20 widths of 0, else PreconditionError naming the flag
+    that put it off: off the grid a hump leaves only its tail there, or
+    nothing."""
     grid = default_grid(p["width"], p["grid_points"])
+    half = p["separation"] / 2.0 if p["profile"] == "double" else 0.0
+    for flag, centre in (("offset", p["offset"]), ("separation", p["offset"] + half),
+                         ("separation", p["offset"] - half)):
+        if not abs(centre) <= grid.extent / 2.0:
+            raise PreconditionError(
+                f"--{flag} {p[flag]!r} puts a hump centre at {centre!r}, off the grid "
+                f"[-{grid.extent / 2.0:.6g}, {grid.extent / 2.0:.6g}] of --width {p['width']!r}"
+            )
     x = grid.positions - p["offset"]
     if p["profile"] == "gaussian":
         amps = gaussian_profile(x, p["width"])
     else:
-        half = p["separation"] / 2.0
         amps = (gaussian_profile(x - half, p["width"])
                 + np.exp(1j * p["phase"]) * gaussian_profile(x + half, p["width"]))
     return GridWavefunction.normalized(grid, amps)
@@ -641,7 +653,8 @@ def _run_steer(cfg: RunConfig):
     """Steering rounds per basis. Round i of the run (counted across bases)
     draws the first uniform of substream i of the seed against the basis's
     outcome table, which is computed once per basis; `uniform_chunks`
-    draws a basis's rounds as arrays and `inverse_cdf` walks them."""
+    draws a basis's rounds as arrays and `tally` walks and counts them, as
+    it does each cell of `onto --mc-trials`."""
     from .pbr import steering_table
 
     p = cfg.params
@@ -651,10 +664,7 @@ def _run_steer(cfg: RunConfig):
     out = {}
     for basis in bases:
         table = steering_table(basis)
-        counts = np.zeros(len(table.eigenvalues), dtype=np.int64)
-        for uniforms in uniform_chunks(cfg.seed, stream, stream + p["trials"]):
-            drawn = inverse_cdf(table.weights, uniforms[:, 0])
-            counts += np.bincount(drawn, minlength=len(counts))
+        counts = tally(table.weights, uniform_chunks(cfg.seed, stream, stream + p["trials"]))
         stream += p["trials"]
         keys = {k: f"{table.eigenvalues[k]:+g}" for k in np.flatnonzero(counts)}
         out[basis] = {
@@ -950,22 +960,22 @@ def _read_json(path: str, what: str):
     try:
         return load_json(Path(path))
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # json raises RecursionError for arrays or objects nested too deeply
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from exc
 
 
 def _load_config_file(path: str, spec: CommandSpec) -> dict:
     data = _read_json(path, "config file")
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ConfigError(f"config file {path!r} must hold a JSON object")
     known = {"subcommand", "seed", "output", "format"}
     known.update(param.name for param in spec.params)
     unknown = set(data) - known
     if unknown:
         raise ConfigError(
-            f"config file {path} has unknown keys for {spec.name!r}: "
+            f"config file {path!r} has unknown keys for {spec.name!r}: "
             f"{', '.join(sorted(unknown))}"
         )
     if "subcommand" in data and data["subcommand"] != spec.name:
@@ -1028,17 +1038,17 @@ def _check_paths(artifacts: list, config: Path | None) -> None:
     for artifact in artifacts:
         path = artifact.path
         if path.suffix != f".{artifact.fmt}":
-            raise ConfigError(f"artifact path {path} does not end in .{artifact.fmt}")
+            raise ConfigError(f"artifact path {str(path)!r} does not end in .{artifact.fmt}")
         try:
             is_dir, key = path.is_dir(), path.resolve()
         except (OSError, RuntimeError, ValueError) as exc:
             # resolve raises RuntimeError for a symlink loop, and a NUL in a path ValueError
             raise ConfigError(f"artifact path {str(path)!r} cannot be used: {exc}") from None
         if is_dir:
-            raise ConfigError(f"artifact path {path} is an existing directory")
+            raise ConfigError(f"artifact path {str(path)!r} is an existing directory")
         if key in seen:
-            raise ConfigError(f"artifact path {path} would overwrite {seen[key]}")
-        seen[key] = f"the artifact at {path}"
+            raise ConfigError(f"artifact path {str(path)!r} would overwrite {seen[key]}")
+        seen[key] = f"the artifact at {str(path)!r}"
 
 
 def _manifest(cfg: RunConfig, paths: list) -> dict:

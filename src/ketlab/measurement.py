@@ -37,6 +37,7 @@ times the grid spacing, matching the continuum normalization they sample.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property, lru_cache
 from typing import Mapping
 
@@ -63,6 +64,14 @@ DEFAULT_COUPLING = 5e-3      # coupling strength g per protection cycle
 DEFAULT_EXTENT_WIDTHS = 40.0
 BLOCK_ELEMENTS = 2 ** 13     # real entries (64 KB) per array of a block: B cycles x K momenta
 CACHE_SIZE = 8               # default grids, and pointers, kept per process
+# The small-g twin of `coupling_phases`' wraparound rule: a readout divided
+# by g needs a coupling whose largest phase step |g| max|a_j| max|p|, over
+# the momenta p the pointer occupies, is at least this. At 1e-20 an inferred
+# expectation was off by at most 4.1e-12 max|a_j| (1 to 400 cycles, d = 2
+# to 4, pointer widths 0.5 to 4, 512 and 1024 grid points); below it the
+# error grows as 1 / step, to 1e-9 near 1e-23 and to the whole readout
+# near 1e-33.
+MIN_PHASE_STEP = 1e-20
 
 
 @record
@@ -105,13 +114,26 @@ class PointerGrid:
         return {"n_points": self.n_points, "spacing": self.spacing, "center": self.center}
 
 
+def _profile_width(width, what: str) -> float:
+    """`width` as a float when 4 width^2, the divisor of `gaussian_profile`,
+    is a positive normal float (|width| from 7.5e-155 to 6.7e153), else
+    PreconditionError naming `what`: past either end the profile divides
+    by zero or by inf, and no norm can be taken."""
+    width = _finite_real(width, what)
+    if not sys.float_info.min <= 4.0 * width * width <= sys.float_info.max:
+        raise PreconditionError(
+            f"{what} {width!r} is out of range: 4 {what}^2 must be a positive normal float"
+        )
+    return width
+
+
 def default_grid(width: float = 1.0, n_points: int = DEFAULT_GRID_POINTS) -> PointerGrid:
     """Grid centred on 0 with the default extent of 40 pointer widths: one
     read-only grid per (width, n_points), kept with its cached positions
-    and momenta for the next run that asks for it. The width must be a
-    finite real number and n_points an integer from 1 to MAX_DIM (checked
+    and momenta for the next run that asks for it. The width must pass
+    `_profile_width` and n_points be an integer from 1 to MAX_DIM (checked
     before the lookup), else PreconditionError; `PointerGrid` checks the rest."""
-    return _default_grid(_finite_real(width, "width"), _checked_dim(n_points, "n_points"))
+    return _default_grid(_profile_width(width, "width"), _checked_dim(n_points, "n_points"))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -288,6 +310,17 @@ def inverse_cdf(weights, uniforms, rows=None) -> np.ndarray:
     return np.minimum(passed, n - 1)
 
 
+def tally(weights, blocks) -> np.ndarray:
+    """Counts of each outcome of one table `weights` that the uniforms in
+    `blocks` select, by `inverse_cdf`: one walk and one `bincount` per
+    block, any shape of block, each tallied before the next is read, so
+    memory stays that of one block however many uniforms there are."""
+    counts = np.zeros(len(weights), dtype=np.int64)
+    for uniforms in blocks:
+        counts += np.bincount(inverse_cdf(weights, uniforms.ravel()), minlength=len(counts))
+    return counts
+
+
 def draw_outcome(weights: np.ndarray, rng: np.random.Generator) -> int:
     """Index of the outcome that one uniform from `rng` selects, by
     `inverse_cdf`, so it stays draw-for-draw identical to `strong_measure`."""
@@ -352,11 +385,11 @@ def gaussian_profile(displacement: np.ndarray, width: float) -> np.ndarray:
 def make_pointer(grid: PointerGrid, width: float) -> GridWavefunction:
     """Gaussian ready state: |chi(x)|^2 is normal with sd `width` at grid center.
 
-    `width` must be a finite real number, and both width checks against
+    `width` must pass `_profile_width`, and both width checks against
     the grid run on every call. The pointer is then one read-only
     wavefunction per (grid object, width), kept with its cached `spectra`
     and `occupied_momenta` for the next run on that grid."""
-    width = _finite_real(width, "pointer width")
+    width = _profile_width(width, "pointer width")
     if width < WIDTH_SPACING_FACTOR * grid.spacing:
         raise PreconditionError(
             f"pointer width {width} under-resolved: needs >= "
@@ -429,7 +462,7 @@ def postselected_cycles(pointer: GridWavefunction, first: np.ndarray, repeated: 
     `first`, and each later cycle by the M of `repeated` (both
     `postselected_multiplier` pairs), so after cycle k it is
     phi0^ M1 M^(k-1). weights[k - 1] is that pointer's squared grid norm
-    W_k and means[k - 1] its mean position relative to the grid centre.
+    W_k and means[k - 1] its mean position relative to the ready pointer's.
     Neither needs the pointer itself. With
     b = |phi0^|^2, a = Re(conj(phi0^) FFT(x phi0)) (the pointer's
     `spectra`), f1, e1 and r, e the `_squares` of M1 and M,
@@ -440,7 +473,11 @@ def postselected_cycles(pointer: GridWavefunction, first: np.ndarray, repeated: 
 
     for N grid points of spacing h. The mean is that of the pointer on the
     line, so a tail pushed past the grid's edge counts where it is, not
-    where periodic wraparound would put it.
+    where periodic wraparound would put it. Each mean is reported less
+    mean_0 = sum_p a / sum_p b, the ready pointer's own mean from the same
+    sums: it is 0 for a pointer centred on the grid, and for the package's
+    Gaussian pointer it is rounding alone (-2.7e-17 for the default one),
+    which a readout divided by a small n g would otherwise magnify.
 
     The sums run over the pointer's K `occupied_momenta` only. Each
     dropped momentum has b < eps^2 max b, and f1, r <= 1 and h max b <= N
@@ -471,6 +508,7 @@ def postselected_cycles(pointer: GridWavefunction, first: np.ndarray, repeated: 
     np.cumprod(powers, axis=0, out=powers)          # row k is r^k
     stack = np.zeros((rows + 1, kept.size))
     stack[1:] = powers[:-1]
+    origin = a.sum() / b.sum()                      # mean_0
     weights, means = np.empty(cycles), np.empty(cycles)
     for done in range(0, cycles, rows):
         if done:
@@ -480,7 +518,7 @@ def postselected_cycles(pointer: GridWavefunction, first: np.ndarray, repeated: 
         sums = stack[:size + 1] @ columns
         weights[done:done + size] = sums[1:, 0]
         means[done:done + size] = (sums[1:, 1] + np.arange(done, done + size) * sums[:-1, 2]
-                                   ) / sums[1:, 0]
+                                   ) / sums[1:, 0] - origin
     return weights, means
 
 

@@ -55,7 +55,7 @@ from .hilbert import (
     sigma_x,
     sigma_z,
 )
-from .measurement import Scenario, born_probabilities, inverse_cdf
+from .measurement import Scenario, born_probabilities, tally
 from .pbr import PREPARATION_IDS, _forbidden_map, pbr_scenario
 from .rngs import uniform_chunks
 
@@ -464,17 +464,19 @@ class MonteCarloReport:
 
 def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
                      trials: int, seed: int = 0) -> MonteCarloReport:
-    """Sample lambda, then an outcome, `trials` times per scenario cell.
+    """Sample (lambda, outcome) `trials` times per scenario cell.
 
-    Cell (preparation, measurement) number i uses random substream i of the
-    master seed: its first `trials` uniforms pick lambda from the
-    preparation and the next `trials` pick each outcome from lambda's
-    response row, both through the `inverse_cdf` walk. The two runs of
-    uniforms are row 0 of two `uniform_chunks` draws of substream i, read
-    in step, SUBSTREAM_CHUNK trials at a time, and each block is tallied
-    before the next is drawn, so memory does not grow with `trials`. The
-    model must define every preparation and measurement id the scenario
-    names. More than MAX_MC_TRIALS trials are rejected before any draw.
+    A cell (preparation, measurement) draws lambda and the outcome k
+    together, from their joint law mu(lambda) xi(k | lambda): the
+    preparation's weights times lambda's response row, flattened to one
+    table of |Lambda| x K entries. Cell number i reads uniforms
+    0 .. trials-1 of random substream i of the master seed, one per trial,
+    as one `uniform_chunks` row that `tally` walks block by block, so
+    memory does not grow with `trials`; the outcome is the drawn index
+    mod K. An exact zero product is never drawn, so an outcome no lambda
+    of the preparation fires stays at 0. The model must define every
+    preparation and measurement id the scenario names. More than
+    MAX_MC_TRIALS trials are rejected before any draw.
     """
     trials = _checked_count(trials, "trials")
     if trials > MAX_MC_TRIALS:
@@ -488,14 +490,9 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
         counts[prep_id] = {}
         for meas_id in scenario.measurements:
             table = _scenario_responses(model, scenario, meas_id)
-            tally = np.zeros(table.shape[1], dtype=np.int64)
-            for lam_uniforms, outcome_uniforms in zip(
-                    uniform_chunks(seed, cell, cell + 1, 0, trials),
-                    uniform_chunks(seed, cell, cell + 1, trials, 2 * trials)):
-                lam = inverse_cdf(prep, lam_uniforms[0])
-                tally += np.bincount(inverse_cdf(table, outcome_uniforms[0], rows=lam),
-                                     minlength=len(tally))
-            counts[prep_id][meas_id] = tally
+            joint = tally((prep[:, None] * table).ravel(),
+                          uniform_chunks(seed, cell, cell + 1, 0, trials))
+            counts[prep_id][meas_id] = joint.reshape(table.shape).sum(axis=0)
             cell += 1
     max_forbidden = None
     if scenario.forbidden and trials > 0:

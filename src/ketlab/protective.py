@@ -60,6 +60,7 @@ from .hilbert import (
 from .measurement import (
     DEFAULT_COUPLING,
     DEFAULT_STEPS,
+    MIN_PHASE_STEP,
     JointSystemPointerState,
     PointerGrid,
     couple_pointer,
@@ -146,8 +147,11 @@ def _protective_loop(initial: StateVector, protected: StateVector,
 
     Every input is checked before any work: the mode, n an integer (not a
     bool) with 0 <= n <= MAX_STEPS, one dimension for op and both states,
-    the MAX_DIM cap on the joint state, the pointer, and the checks of
-    `coupling_phases` on g (finite, and within the wraparound guard).
+    the MAX_DIM cap on the joint state, the pointer, the checks of
+    `coupling_phases` on g (finite, and within the wraparound guard), and
+    a nonzero g's largest phase step |g| max|a_j| max|p|, over the momenta
+    the pointer occupies, at least MIN_PHASE_STEP: below it the readout is
+    rounding, and g = 0 still runs and infers nothing.
     Only then does an orthogonal pair (|<protected|initial>| below
     ORTHOGONAL_LEAK_TOL, which no protection survives) return None.
 
@@ -187,6 +191,13 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     pointer = make_pointer(grid, width)
     eig = op.eigen
     phases = coupling_phases(eig, g, grid, n)
+    step = abs(g) * np.max(np.abs(eig.eigenvalues)) * np.max(np.abs(
+        grid.momenta[pointer.occupied_momenta]))
+    if 0.0 < step < MIN_PHASE_STEP:
+        raise PreconditionError(
+            f"coupling g={g!r} is too small to resolve: its largest phase step {step:.3g} "
+            f"(|g| max|a_j| max|p| over the pointer's momenta) is below {MIN_PHASE_STEP}"
+        )
     if abs(inner_product(protected, initial)) < ORTHOGONAL_LEAK_TOL:
         return None
     uniforms = np.zeros(n)                  # deterministic: no uniform exceeds a weight >= 0

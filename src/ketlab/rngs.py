@@ -15,9 +15,9 @@ array kernel over full 256-bit counters, and takes integer master seeds
 only, so it builds no Generator and no command loads `numpy.random`,
 whose import costs a process about 6 MB of RSS (half of it the libcrypto
 that `secrets` pulls in) and over 10 ms. The price is per uniform: the
-kernel draws the 800,000 uniforms of an `onto --mc-trials 100000` run in
-about 80 ms, where numpy's own Philox takes about 10 ms (one CPU of a
-shared 2-vCPU host).
+kernel draws the 400,000 uniforms of an `onto --mc-trials 100000` run,
+one per trial of each of its four cells, in about 35 ms, where numpy's
+own Philox takes about 4 ms (one CPU of a shared 2-vCPU host).
 """
 
 from __future__ import annotations

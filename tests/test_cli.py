@@ -634,6 +634,31 @@ def test_an_input_path_with_a_nul_cannot_be_read(tmp_path, monkeypatch, capsys, 
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("argv,refusal", [
+    (["leak", "-o", "x\x1b[1my.txt"], "artifact path 'x\\x1b[1my.txt' does not end in .json"),
+    (["leak", "-o", "d\x1b.json"], "artifact path 'd\\x1b.json' is an existing directory"),
+    (["protective", "--per-step-csv", "p\x1b.sweep.csv", "-o", "p\x1b.json", "--sweep-g",
+      "0.005"], "artifact path 'p\\x1b.sweep.csv' would overwrite the artifact at "
+                "'p\\x1b.sweep.csv'"),
+    (["onto", "--model", "m\x1b[1m.json"], "cannot read model file 'm\\x1b[1m.json': "
+                                            "[Errno 2] No such file or directory: "
+                                            "'m\\x1b[1m.json'"),
+    (["onto", "--model", "bad\x1b.json"], "model file 'bad\\x1b.json' is not valid JSON: "
+                                           "Expecting value: line 1 column 1 (char 0)"),
+], ids=["suffix", "directory", "overwrite", "unreadable", "invalid-json"])
+def test_a_path_with_an_escape_is_quoted_in_its_error(tmp_path, monkeypatch, capsys, argv,
+                                                      refusal):
+    """An escape sequence in a path reaches the terminal as text, never as
+    the sequence itself."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d\x1b.json").mkdir()
+    (tmp_path / "bad\x1b.json").write_text("")
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ketlab: config error: {refusal}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def with_runner(name, runner):
     """`COMMANDS[name]` with `runner` in place of its own."""
     return CommandSpec(**{**vars(COMMANDS[name]), "runner": runner})
@@ -662,7 +687,7 @@ def test_the_path_rules_cover_the_artifacts_a_runner_builds(tmp_path, monkeypatc
     monkeypatch.chdir(tmp_path)
     monkeypatch.setitem(COMMANDS, "steer", with_runner("steer", _json_runner(path_of)))
     assert main(["steer", "--trials", "10"]) == 2
-    assert "artifact path steer." in capsys.readouterr().err
+    assert "artifact path 'steer." in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1051,6 +1076,41 @@ def test_a_sweep_point_without_an_expectation_exits_3(tmp_path, monkeypatch, cap
     monkeypatch.chdir(tmp_path)
     assert main(["protective", "--n", "5", "--sweep-g", "0,0.005"]) == 3
     assert "sweep coupling g=0.0 yields no inferred expectation" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,g", [
+    (["protective", "--g", "1e-21"], "1e-21"),
+    (["protective", "--g", "1e-30", "--observable", "x"], "1e-30"),
+    (["protective", "--sweep-g", "0.005,1e-25"], "1e-25"),
+    (["leak", "--g=-1e-300"], "-1e-300"),
+])
+def test_a_coupling_too_small_to_resolve_exits_3(tmp_path, monkeypatch, capsys, argv, g):
+    """Below the smallest resolvable phase step the readout is rounding
+    divided by n g, so the run writes nothing, sweep points included."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"ketlab: precondition rejected: coupling g={g} is too small")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["protective", "--width", "1e-300"],
+     "width 1e-300 is out of range: 4 width^2 must be a positive normal float"),
+    (["scan", "--width", "1e-9"], "--separation 3.0 puts a hump centre at 1.5, off the grid "
+                                  "[-2e-08, 2e-08] of --width 1e-09"),
+    (["scan", "--offset", "1e308"], "--offset 1e+308 puts a hump centre at 1e+308, off the "
+                                    "grid [-20, 20] of --width 1.0"),
+], ids=["protective-width", "scan-width", "scan-offset"])
+def test_a_profile_off_its_grid_exits_3_naming_the_flag(tmp_path, monkeypatch, capsys, argv,
+                                                        message):
+    """A width whose square underflows, or a hump centred off the grid,
+    leaves a profile with no norm to take; the check before it is built
+    names the flag."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"ketlab: precondition rejected: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

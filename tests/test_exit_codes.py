@@ -1,14 +1,15 @@
 """The exit-code contract under random input.
 
 Every subcommand is driven in-process with random flags and a random
-`--config` file: numbers that are nan, infinite, negative or huge, strings
-that are not numbers, missing or malformed model files, and artifact paths
-that clash or point into missing directories. Each run must exit 0, 2, 3
-or 4, exit 4 only from the package's own internal errors and never from an
-exception that escaped a stage, and a run that exits non-zero must leave
-its directory exactly as it found it. Sizes stay small (at most 2048 grid
-points, 50 cycles, 2000 trials and 5 sweeps), so no example asks for a
-large allocation.
+`--config` file: numbers that are nan, infinite, negative, huge or tiny,
+strings that are not numbers, missing or malformed model files, and
+artifact paths that clash, point into missing directories or hold an
+escape sequence. Each run must exit 0, 2, 3 or 4, exit 4 only from the
+package's own internal errors and never from an exception that escaped a
+stage, print no control character that a value it echoes carried, and a
+run that exits non-zero must leave its directory exactly as it found it.
+Sizes stay small (at most 2048 grid points, 50 cycles, 2000 trials and 5
+sweeps), so no example asks for a large allocation.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import tempfile
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -54,7 +56,9 @@ STATES = st.one_of(
 # one strategy per parameter name; each draws a value of the type the
 # parameter takes, or something else
 PARAMS = {
-    "theta": FLOATS, "phi": FLOATS, "g": FLOATS, "width": FLOATS, "q": FLOATS,
+    "theta": FLOATS, "phi": FLOATS, "width": FLOATS, "q": FLOATS,
+    # and couplings below the smallest one a readout resolves
+    "g": st.one_of(FLOATS, st.sampled_from([1e-21, -1e-30, 5e-324])),
     "offset": FLOATS, "separation": FLOATS, "phase": FLOATS,
     "n": counts(50),
     "grid_points": st.one_of(counts(2048), st.sampled_from([16, 64, 512, 2048])),
@@ -116,7 +120,8 @@ def invocations(draw, name):
     extras = {
         "seed": st.one_of(st.integers(min_value=-2, max_value=2 ** 128 + 2), TEXT),
         "output": st.sampled_from([f"{name}.{spec.formats[0]}", "out.json", "out.csv",
-                                   "cfg.json", "missing/out.json", "out.txt"]),
+                                   "cfg.json", "missing/out.json", "out.txt",
+                                   "x\x1b[1my.txt"]),
         "format": choices(*spec.formats),
     }
     for key, strategy in [*extras.items(), *((p.name, PARAMS[p.name]) for p in spec.params)]:
@@ -186,6 +191,12 @@ def test_random_invocations_keep_the_exit_code_contract(name, capsys):
             # from elsewhere (a leaked warning, say) is a bug
             err = capsys.readouterr().err
             assert "ketlab: internal error: unexpected " not in err, (argv, config, err)
+            # every value a message echoes is quoted, so stderr stays text
+            # (argparse's usage lines aside, no control character but a
+            # newline) and each of the package's messages is one line
+            assert not any(unicodedata.category(c) == "Cc" for c in err.replace("\n", "")), (
+                argv, config, err)
+            assert not err.startswith("ketlab: ") or err.count("\n") == 1, (argv, config, err)
             if code != 0:
                 assert _snapshot(root) == before, (argv, config, code)
 
@@ -202,7 +213,7 @@ def test_input_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, argv):
     with _chdir(tmp_path):
         assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("ketlab: config error: ") and "deep.json is not valid JSON" in err
+    assert err.startswith("ketlab: config error: ") and "'deep.json' is not valid JSON" in err
     assert _snapshot(tmp_path) == before
 
 

@@ -522,26 +522,23 @@ def test_monte_carlo_is_reproducible():
 
 
 def reference_monte_carlo_counts(model, scenario, trials, seed):
-    """The former per-cell walks, kept as an oracle: a `searchsorted` over
-    the preparation's cumulative weights picks lambda, and a count of the
-    response row's cumulative weights at or below each uniform picks the
-    outcome."""
+    """A per-trial joint walk, kept as an oracle: trial t of cell i reads
+    uniform t of numpy's own substream i, and counts the cumulative
+    weights of the flattened (lambda, outcome) table mu(lambda) xi(k | lambda)
+    at or below u times the total; the outcome is that index mod K."""
     counts = {}
     cell = 0
     for prep_id in scenario.preparations:
         counts[prep_id] = {}
         for meas_id in scenario.measurements:
             table = model.responses[meas_id]
-            rng = substream(seed, cell)
+            uniforms = substream(seed, cell).random(trials)
             cell += 1
-            prep = model.preparations[prep_id]
-            n_out = table.shape[1]
-            lam = np.searchsorted(np.cumsum(prep), rng.random(trials), side="right")
-            lam = np.minimum(lam, len(prep) - 1)
-            row_cdf = np.cumsum(table, axis=1)[lam]
-            outcome = np.sum(row_cdf <= rng.random(trials)[:, None], axis=1)
-            outcome = np.minimum(outcome, n_out - 1)
-            counts[prep_id][meas_id] = np.bincount(outcome, minlength=n_out)
+            cdf = np.cumsum(model.preparations[prep_id][:, None] * table)
+            index = np.sum(cdf <= uniforms[:, None] * cdf[-1], axis=1)
+            index = np.minimum(index, cdf.size - 1)
+            counts[prep_id][meas_id] = np.bincount(index % table.shape[1],
+                                                   minlength=table.shape[1])
     return counts
 
 
@@ -556,7 +553,8 @@ def random_model(scenario, rng):
 
 
 def test_monte_carlo_counts_equal_the_former_walk_cell_for_cell():
-    """The orthodox qubit and pbr models, the paired model at four q and 20
+    """Against `reference_monte_carlo_counts`, the per-trial joint walk:
+    the orthodox qubit and pbr models, the paired model at four q and 20
     random models, each at three seeds, with 3000 trials per cell."""
     rng = np.random.default_rng(5)
     cases = [(orthodox_model(s), s) for s in (qubit_scenario(), pbr_scenario())]
@@ -579,9 +577,9 @@ def test_monte_carlo_counts_equal_the_former_walk_cell_for_cell():
 
 @pytest.mark.parametrize("trials", [0, 1, 3, 4, 5, 8, 9, 3001])
 def test_monte_carlo_blocks_equal_the_former_walk_at_every_edge(monkeypatch, trials):
-    """Blocks of eight trials, so the outcome run starts at every residue
-    mod 4 of a Philox block and the runs cross block edges, or end on
-    one."""
+    """Kernel passes of eight uniforms, so a cell's run crosses pass and
+    Philox block edges, or ends on one, against the per-trial joint walk
+    of `reference_monte_carlo_counts`."""
     monkeypatch.setattr(ketlab.rngs, "SUBSTREAM_CHUNK", 8)
     bound = pbr_min_violation(0.7)
     cases = [(orthodox_model(qubit_scenario()), qubit_scenario()),

@@ -98,6 +98,43 @@ def test_bias_shrinks_quadratically_at_fixed_total_coupling(tilted_state):
     assert 3.0 < coarse / fine < 5.0
 
 
+@pytest.mark.parametrize("psi,op", [
+    (qubit_state(0.5236), sigma_z()),
+    (qubit_state(0.5236), sigma_x()),
+    (haar_random_state(3, np.random.default_rng(7)),
+     random_observable(3, np.random.default_rng(8))),
+], ids=["z", "x", "random-d3"])
+def test_the_readout_bias_is_physics_from_g_1e_3_down_to_1e_20(psi, op):
+    """n = 400 cycles of a width-1 pointer infer <A> - g^2 k3 / 8 to
+    leading order, k3 = <(A - <A>)^3> the third cumulant of A in psi: the
+    phase of M^n holds n g^3 k3 p^3 / 6, which moves the mean by
+    n g^3 k3 <p^2> / 2, and <p^2> = 1/4. The error stays within 1% of that
+    bias plus 3e-15 at every g from 1e-3 to 1e-20. Unless the ready
+    pointer's own mean, -2.7e-17 of rounding, is subtracted from each
+    mean, it adds -2.7e-17 / (n g) to the readout: 6.8e-12 at g = 1e-8 and
+    6.8 at 1e-20."""
+    vals, vecs = np.linalg.eigh(op.matrix)
+    weights = np.abs(vecs.conj().T @ psi.amplitudes) ** 2
+    k3 = weights @ (vals - weights @ vals) ** 3
+    true = expectation(op, psi)
+    for g in np.geomspace(1e-20, 1e-3, 35):
+        bias = -g * g * k3 / 8.0
+        error = protective_measure(psi, op, n=400, g=g).inferred_expectation - true
+        assert abs(error - bias) <= 1e-2 * abs(bias) + 3e-15, (g, error, bias)
+
+
+@pytest.mark.parametrize("g", [-1e-21, 1e-30, 5e-324])
+def test_a_coupling_too_small_to_resolve_is_refused(g):
+    """The default pointer occupies momenta up to |p| = 5.97, so with
+    max|a_j| = 1 a |g| under 1.7e-21 takes a phase step under
+    MIN_PHASE_STEP = 1e-20, and the readout would be rounding."""
+    for run in (lambda: protective_measure(ket_plus(), sigma_z(), g=g),
+                lambda: protection_leak(ket_plus(), ket_zero(), sigma_z(), g=g)):
+        with pytest.raises(PreconditionError, match=f"coupling g={g!r} is too small"):
+            run()
+    assert protective_measure(ket_plus(), sigma_z(), g=0.0).inferred_expectation is None
+
+
 def test_per_step_log_tracks_survival_and_shift(tilted_state):
     run = protective_measure(tilted_state, sigma_z(), n=20, g=5e-3)
     assert len(run.survivals) == len(run.pointer_means) == 20
