@@ -38,7 +38,7 @@ _EXPORTS = {
            "steering_table",
     "protective": "LeakResult ProtectiveRunResult TomographySet protection_leak "
                   "protective_measure protective_tomography reconstruct_state",
-    "rngs": "SubstreamSampler as_generator substream",
+    "rngs": "SubstreamSampler substream",
     "weak": "direct_wavefunction_scan momentum_zero_amplitude weak_pointer_shift",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .hilbert import (EigenDecomposition, HermitianOperator, StateVector, _checked_dim,
                       _finite_real, _number_array, _readonly, complex_json, record)
-from .rngs import as_generator
+from .rngs import uniform_chunks
 
 MIN_GRID_POINTS = 16
 EXTENT_WIDTH_FACTOR = 20.0   # grid extent must cover >= 20 pointer widths
@@ -321,12 +321,6 @@ def tally(weights, blocks) -> np.ndarray:
     return counts
 
 
-def draw_outcome(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of the outcome that one uniform from `rng` selects, by
-    `inverse_cdf`, so it stays draw-for-draw identical to `strong_measure`."""
-    return int(inverse_cdf(weights, rng.random()))
-
-
 def born_outcomes(psi: StateVector, basis: EigenDecomposition) -> tuple:
     """(eigenvalues, weights, projections) of measuring `basis` on `psi`.
 
@@ -346,21 +340,22 @@ def born_outcomes(psi: StateVector, basis: EigenDecomposition) -> tuple:
     return tuple(eigenvalues), np.array(weights), tuple(projections)
 
 
-def strong_measure(psi: StateVector, basis: EigenDecomposition, seed) -> OutcomeSample:
+def strong_measure(psi: StateVector, basis: EigenDecomposition, seed: int) -> OutcomeSample:
     """Sample one projective outcome of `born_outcomes` and collapse.
 
     The collapsed state is the normalized projection of psi onto the
-    outcome eigenspace. `seed` may be a master seed or a Generator; one
-    uniform draw is used.
+    outcome eigenspace. `seed` is an integer master seed (a Generator is no
+    seed): uniform 0 of its substream 0, read through `uniform_chunks`,
+    picks the outcome by `inverse_cdf`.
     """
-    rng = as_generator(seed)
+    u = next(uniform_chunks(seed, 0, 1))[0, 0]
     eigenvalues, weights, projections = born_outcomes(psi, basis)
     total = float(weights.sum())
     if total <= DEGENERATE_PROB_TOL:
         raise DegenerateInputError(
             f"all outcome probabilities vanished (total {total:.3e})"
         )
-    k = draw_outcome(weights, rng)
+    k = int(inverse_cdf(weights, u))
     return OutcomeSample(
         eigenvalue=eigenvalues[k],
         outcome_index=k,

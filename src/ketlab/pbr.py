@@ -36,8 +36,8 @@ from .hilbert import (
     record,
     tensor,
 )
-from .measurement import Scenario, born_probabilities, draw_outcome, inverse_cdf
-from .rngs import as_generator, uniform_chunks
+from .measurement import Scenario, born_probabilities, inverse_cdf
+from .rngs import uniform_chunks
 
 ORTHONORMAL_TOL = 1e-12   # basis Gram deviation allowed
 UNITARY_TOL = 1e-10       # max |U^H U - 1| entry allowed
@@ -196,7 +196,9 @@ class SteeringTable:
     eigenvalue, Born weight and Bob's conditional state;
     `bob_marginal_check` is the trace distance of Bob's exactly averaged
     marginal from 1/2. None of them depends on the draw, so a run computes
-    them once per basis and each round only draws an outcome.
+    them once per basis and each round only draws an outcome: `inverse_cdf`
+    walks `weights` with the round's uniform, in `epr_steering` and in
+    `steer` alike.
     """
 
     alice_basis: str
@@ -204,17 +206,6 @@ class SteeringTable:
     weights: np.ndarray
     bob_states: tuple
     bob_marginal_check: float
-
-    def sample(self, seed) -> SteeringSample:
-        """One round: a single uniform from `seed` (a master seed or a
-        Generator) picks Alice's outcome, as `strong_measure` would."""
-        k = draw_outcome(self.weights, as_generator(seed))
-        return SteeringSample(
-            alice_basis=self.alice_basis,
-            alice_outcome=self.eigenvalues[k],
-            bob_conditional=self.bob_states[k],
-            bob_marginal_check=self.bob_marginal_check,
-        )
 
 
 def steering_table(alice_basis: str) -> SteeringTable:
@@ -256,13 +247,18 @@ def steering_table(alice_basis: str) -> SteeringTable:
     )
 
 
-def epr_steering(alice_basis: str, seed) -> SteeringSample:
+def epr_steering(alice_basis: str, seed: int) -> SteeringSample:
     """Alice measures her half of the singlet; Bob's half steers.
 
-    One round drawn from `steering_table(alice_basis)`; runs of many rounds
-    build the table once and call its `sample` per round instead.
+    One round drawn from `steering_table(alice_basis)`: uniform 0 of
+    substream 0 of the integer master seed `seed` (a Generator is no seed),
+    read through `uniform_chunks`, picks Alice's outcome by `inverse_cdf`,
+    exactly as round 0 of `steer` does.
     """
-    return steering_table(alice_basis).sample(seed)
+    table = steering_table(alice_basis)
+    k = int(inverse_cdf(table.weights, next(uniform_chunks(seed, 0, 1))[0, 0]))
+    return SteeringSample(alice_basis, table.eigenvalues[k], table.bob_states[k],
+                          table.bob_marginal_check)
 
 
 # ---------------------------------------------------------------------------

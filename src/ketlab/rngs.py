@@ -7,14 +7,17 @@ seed ``s`` is the Philox bit generator ``Philox(key=s)`` with its 256-bit
 counter advanced to ``i * 2**128``. Substreams therefore never overlap, and
 results cannot depend on the order in which trials are executed.
 
-Samplers draw through one array draw, `uniform_chunks`, which reads any
-block of substreams x uniforms and equals `substream` bit for bit. It
-evaluates the Philox4x64-10 block function (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11) directly in numpy, in one
-array kernel over full 256-bit counters, and takes integer master seeds
-only, so it builds no Generator and no command loads `numpy.random`,
+Every sampler, `strong_measure` and `epr_steering` included, takes an
+integer master seed and draws through one array draw, `uniform_chunks`,
+which reads any block of substreams x uniforms and equals `substream` bit
+for bit. It evaluates the Philox4x64-10 block function (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11) directly in numpy,
+in one array kernel over full 256-bit counters, and takes integer master
+seeds only, so it builds no Generator and no command loads `numpy.random`,
 whose import costs a process about 6 MB of RSS (half of it the libcrypto
-that `secrets` pulls in) and over 10 ms. The price is per uniform: the
+that `secrets` pulls in) and over 10 ms. `substream` and
+`SubstreamSampler`, numpy's own Philox, remain only as the reference the
+tests check `uniform_chunks` against. The price is per uniform: the
 kernel draws the 400,000 uniforms of an `onto --mc-trials 100000` run,
 one per trial of each of its four cells, in about 35 ms, where numpy's
 own Philox takes about 4 ms (one CPU of a shared 2-vCPU host).
@@ -70,14 +73,6 @@ def substream(seed: int, index: int) -> np.random.Generator:
     seed = _checked_integer(seed, "master seed", _SEEDS)
     index = _checked_integer(index, "substream index", _INDICES)
     return np.random.Generator(np.random.Philox(key=seed, counter=index * STREAM_STRIDE))
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Accept either a master seed or an already-built Generator; a master
-    seed means its substream 0."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return substream(seed, 0)
 
 
 def _round_keys(seed: int) -> np.ndarray:
@@ -183,10 +178,11 @@ def uniform_chunks(seed: int, start: int, stop: int, first: int = 0, last: int =
 class SubstreamSampler:
     """The substreams of one master seed, selected by index.
 
-    `select(i)` is `substream(seed, i)`. No sampler in the package calls
-    it: they draw through `uniform_chunks`, which builds no Generator. It
-    is kept because the benchmark tracer (`perfbench/tracer.py`) binds
-    `SubstreamSampler.select` when it installs.
+    `select(i)` is `substream(seed, i)`. No function in the package calls
+    it or `substream`: every sampler draws through `uniform_chunks`, which
+    builds no Generator. Both are kept as the tests' bit-for-bit reference
+    and because the benchmark tracer (`perfbench/tracer.py`) binds them
+    when it installs.
     """
 
     def __init__(self, seed: int):

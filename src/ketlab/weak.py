@@ -35,7 +35,7 @@ from .measurement import (
 )
 
 OVERLAP_TOL = 1e-12          # |<post|pre>| below this: weak value undefined
-MOMENTUM_ZERO_TOL = 1e-10    # |<p=0|psi>| below this: scan undefined
+MOMENTUM_ZERO_TOL = 1e-10    # |<p=0|psi>| below this times sum |psi| h: scan undefined
 POSTSELECT_PROB_TOL = 1e-15  # simulated postselection probability floor
 
 
@@ -66,13 +66,18 @@ def direct_wavefunction_scan(psi: GridWavefunction) -> np.ndarray:
     Returns psi(x) / <p=0|psi>: the wavefunction itself, divided by one
     x-independent constant. Multiplying back by `momentum_zero_amplitude`
     recovers psi exactly on the grid. Undefined (rejected) when the
-    zero-momentum component vanishes, e.g. for odd wavefunctions.
+    zero-momentum component vanishes, e.g. for odd wavefunctions: when
+    |<p=0|psi>| is at most MOMENTUM_ZERO_TOL times sum |psi(x)| * spacing.
+    That sum bounds |<p=0|psi>| (triangle inequality) and scales with psi
+    as it does, so the test reads the same for a wavefunction of any width;
+    a cancellation below it is rounding, not a zero-momentum component.
     """
     p0 = momentum_zero_amplitude(psi)
-    if abs(p0) <= MOMENTUM_ZERO_TOL:
+    scale = float(np.sum(np.abs(psi.amplitudes)) * psi.grid.spacing)
+    if abs(p0) <= MOMENTUM_ZERO_TOL * scale:
         raise ScanUndefinedError(
-            f"zero-momentum component magnitude {abs(p0):.3e} <= {MOMENTUM_ZERO_TOL}; "
-            "scan undefined"
+            f"zero-momentum component magnitude {abs(p0):.3e} <= {MOMENTUM_ZERO_TOL} x "
+            f"sum |psi| h = {scale:.3e}; scan undefined"
         )
     return psi.amplitudes / p0
 

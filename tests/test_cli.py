@@ -29,6 +29,7 @@ from ketlab import (
 )
 from ketlab.cli import (COMMANDS, SCHEMAS, Artifact, CommandSpec, main, parse_state_spec,
                         validate_artifact)
+from ketlab.measurement import inverse_cdf
 from ketlab.serialize import load_json
 from oracles import amplitudes_from_json
 
@@ -505,6 +506,8 @@ def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text
     (["leak", "--prepared", "0", "--protected", "1", "--g", "1e6"], 3),
     (["leak", "--prepared", "0", "--protected", "1", "--grid-points", "4096"], 3),
     (["pbr", "--weights", "1e308,1e308,1e308,1e308"], 3),   # the weights' sum overflows
+    # humps of opposite sign: |<p=0|psi>| = 3.5e-10 is 1e-16 of sum |psi| h, rounding
+    (["scan", "--phase", "3.141592653589793", "--width", "1e12", "--separation", "3e12"], 3),
 ])
 @pytest.mark.filterwarnings("error")
 def test_degenerate_sizes_keep_the_exit_code_contract(tmp_path, monkeypatch, argv, code):
@@ -852,20 +855,21 @@ def test_counts_must_be_nonnegative_integers(tmp_path, monkeypatch, argv, output
 
 
 def reference_steer_bases(seed, bases, trials):
-    """The former round loop of `ketlab steer`, one substream per round,
-    kept as the oracle for the array draws."""
+    """The former round loop of `ketlab steer`, one substream per round
+    whose first uniform walks the basis's table, kept as the oracle for the
+    array draws."""
     stream = 0
     out = {}
     for basis in bases:
         table = steering_table(basis)
         outcome_counts, bob_states = {}, {}
         for _ in range(trials):
-            sample = table.sample(substream(seed, stream))
+            k = int(inverse_cdf(table.weights, substream(seed, stream).random()))
             stream += 1
-            key = f"{sample.alice_outcome:+g}"
+            key = f"{table.eigenvalues[k]:+g}"
             outcome_counts[key] = outcome_counts.get(key, 0) + 1
             if key not in bob_states:
-                bob_states[key] = sample.bob_conditional.to_json_dict()
+                bob_states[key] = table.bob_states[k].to_json_dict()
         out[basis] = (outcome_counts, bob_states)
     return out
 
@@ -926,6 +930,20 @@ def test_scan_gaussian_profile(tmp_path, monkeypatch):
     lines = (tmp_path / "scan.csv").read_text().splitlines()
     assert lines[0] == "x,re_scan,im_scan,re_psi,im_psi"
     assert len(lines) == 513
+
+
+def test_a_narrow_gaussian_scans_to_its_own_profile(tmp_path, monkeypatch):
+    """<p=0|psi> scales as sqrt(width): a plain Gaussian of width 1e-21 has
+    |<p=0|psi>| = 7.1e-11, all of sum |psi| h, and scans to psi over one
+    real constant."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan", "--profile", "gaussian", "--width", "1e-21"]) == 0
+    rows = np.loadtxt(tmp_path / "scan.csv", delimiter=",", skiprows=1)
+    scan, psi = rows[:, 1], rows[:, 3]
+    assert not rows[:, [2, 4]].any()
+    held = psi > 1e-3 * psi.max()
+    ratio = psi[held] / scan[held]
+    assert np.ptp(ratio) <= 1e-12 * ratio[0]
 
 
 # every subcommand at its defaults, with the artifact it writes; each has a

@@ -12,11 +12,14 @@ a cold run starts through, keeps the exit-code contract. No command loads
 `numpy.random`, nor `_hashlib`, the libcrypto binding that `secrets`
 pulls in through it: every draw, `nogo`'s Haar unitaries and `onto`'s
 Monte Carlo cells included, evaluates the package's own Philox kernel.
+No function of the package names `numpy.random` but `rngs.substream` and
+`SubstreamSampler.select`, the reference that kernel is checked against.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported `scipy.optimize` through other tests.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -82,7 +85,7 @@ def test_the_package_namespace_resolves_each_name_in_its_module(tmp_path):
         "                  wrong]))\n",
         tmp_path,
     )
-    assert seen == ["AttributeError", [True, True], 76, True, []]
+    assert seen == ["AttributeError", [True, True], 75, True, []]
 
 
 def test_importing_the_cli_loads_no_experiment_module(tmp_path):
@@ -197,6 +200,44 @@ def test_no_command_loads_numpy_random(tmp_path):
         tmp_path,
     )
     assert seen == [[0, False, False]] * 10
+
+
+def _names_numpy_random(node) -> bool:
+    """Whether `node` is `np.random` or `numpy.random`, or an import of it."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.random") or (
+            node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+    return False
+
+
+def _scopes_naming_numpy_random(node, scope: str) -> set:
+    """The qualified names of the functions and classes under `node`
+    (`scope` itself for code outside them) whose code names numpy.random."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= _scopes_naming_numpy_random(child, f"{scope}.{child.name}")
+        else:
+            if _names_numpy_random(child):
+                found.add(scope)
+            found |= _scopes_naming_numpy_random(child, scope)
+    return found
+
+
+def test_only_the_reference_substreams_name_numpy_random():
+    """Every sampler takes an integer seed and draws through the Philox
+    kernel; numpy's own Philox stays only in the two functions the tests
+    check that kernel against."""
+    found = set()
+    for path in sorted((SRC / "ketlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= _scopes_naming_numpy_random(tree, path.stem)
+    assert found == {"rngs.substream", "rngs.SubstreamSampler.select"}
 
 
 def test_the_parser_is_built_once_on_the_first_main_call(tmp_path):

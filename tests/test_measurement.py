@@ -27,11 +27,11 @@ from ketlab.measurement import (
     JointSystemPointerState,
     PointerGrid,
     Scenario,
+    born_outcomes,
     born_probabilities,
     couple_pointer,
     coupling_phases,
     default_grid,
-    draw_outcome,
     inverse_cdf,
     make_pointer,
     postselected_cycles,
@@ -39,6 +39,7 @@ from ketlab.measurement import (
     strong_measure,
 )
 from ketlab.ontology import paired_shared_reality_model
+from ketlab.rngs import substream
 from oracles import (amplitudes_from_json, haar_random_state, pointer_marginal,
                      pointer_position_mean, product_state, random_observable,
                      reference_postselected_cycle)
@@ -242,11 +243,6 @@ def test_inverse_cdf_matches_the_sequential_walk(n):
     uniforms = np.concatenate([rng.random(500), [0.0, 1.0 - 2.0 ** -53]])
     got = inverse_cdf(weights, uniforms)
     assert list(got) == [sequential_walk(weights, u) for u in uniforms]
-    assert [draw_outcome(weights, np.random.Generator(np.random.Philox(key=s)))
-            for s in range(20)] == [
-        sequential_walk(weights, np.random.Generator(np.random.Philox(key=s)).random())
-        for s in range(20)
-    ]
 
 
 def test_inverse_cdf_skips_outcomes_whose_cumulative_weight_it_reaches():
@@ -340,6 +336,29 @@ def test_strong_measure_frequencies_track_born_weights():
     p = math.cos(0.2) ** 2
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) < 5 * sigma
+
+
+EDGE_SEEDS = [*range(40), 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 127 + 5, 2 ** 128 - 1]
+
+
+def test_strong_measure_walks_uniform_0_of_substream_0():
+    """`strong_measure` picks the outcome `inverse_cdf` picks from the Born
+    weights with the first uniform of numpy's own substream 0, on a
+    degenerate three-level observable and on a qubit."""
+    cases = [(StateVector.normalized([1.0, 0.7j, 0.5]),
+              eigendecompose(HermitianOperator(3, np.diag([1.0, 1.0, 3.0])))),
+             (qubit_state(1.1, 0.3), eigendecompose(sigma_z()))]
+    for psi, eig in cases:
+        eigenvalues, weights, projections = born_outcomes(psi, eig)
+        seen = set()
+        for seed in EDGE_SEEDS:
+            k = int(inverse_cdf(weights, substream(seed, 0).random()))
+            sample = strong_measure(psi, eig, seed)
+            assert (sample.outcome_index, sample.eigenvalue) == (k, eigenvalues[k])
+            np.testing.assert_array_equal(sample.collapsed.amplitudes,
+                                          StateVector.normalized(projections[k]).amplitudes)
+            seen.add(k)
+        assert seen == set(range(len(weights)))
 
 
 def test_strong_measure_is_reproducible():

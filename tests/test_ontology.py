@@ -636,6 +636,26 @@ def test_monte_carlo_over_the_trial_cap_is_rejected_before_any_draw(monkeypatch)
         monte_carlo_onto(orthodox_model(scenario), scenario, trials)
 
 
+def test_monte_carlo_never_draws_a_zero_weight_cell_at_a_boundary_uniform(monkeypatch):
+    """Each cell's two uniforms are patched to 0 and 0.5, which land exactly
+    on cumulative weights of the orthodox qubit model's joint tables: the
+    walk passes a cumulative weight it reaches, so neither draws a
+    zero-weight entry, no preparation fires its forbidden outcome, and |+>
+    on z reads one of each outcome."""
+    def boundary_uniforms(seed, start, stop, first, last):
+        yield np.array([[0.0, 0.5]])
+
+    monkeypatch.setattr(ketlab.ontology, "uniform_chunks", boundary_uniforms)
+    scenario = qubit_scenario()
+    report = monte_carlo_onto(orthodox_model(scenario), scenario, 2)
+    assert report.max_forbidden_frequency == 0.0
+    assert {p: {m: row.tolist() for m, row in cells.items()}
+            for p, cells in report.counts.items()} == {
+        "0": {"z": [0, 2], "x": [1, 1]}, "1": {"z": [2, 0], "x": [1, 1]},
+        "+": {"z": [1, 1], "x": [0, 2]}, "-": {"z": [1, 1], "x": [2, 0]},
+    }
+
+
 def test_monte_carlo_zero_trials_yields_no_frequency():
     scenario = qubit_scenario()
     model = orthodox_model(scenario)

@@ -1,6 +1,7 @@
 """The four-outcome antidistinguishing measurement, EPR steering, and the
 overlap-preservation check."""
 
+import json
 import math
 
 import numpy as np
@@ -28,12 +29,12 @@ from ketlab import (
     sigma_x,
     sigma_z,
     steering_table,
-    strong_measure,
     substream,
 )
 from ketlab.errors import InternalError
 from ketlab.hilbert import EigenDecomposition, canonical_phase
-from ketlab.measurement import born_probabilities
+from ketlab.cli import main
+from ketlab.measurement import born_outcomes, born_probabilities, inverse_cdf
 from ketlab.pbr import (
     PREPARATION_IDS,
     SteeringSample,
@@ -149,7 +150,8 @@ def test_experiment_point_mass_weights_fill_one_row():
 def test_experiment_replays_trial_by_trial_through_strong_measure(basis):
     """The experiment's cached-weight sampling must stay bit-identical to
     drawing each trial explicitly: one uniform picks the preparation, then
-    the same generator drives strong_measure on the chosen state."""
+    the trial's next uniform walks the chosen state's Born outcomes, the
+    walk `strong_measure` takes with its one uniform."""
     trials = 200
     result = pbr_experiment(trials, seed=3)
     preps = preparation_states()
@@ -160,8 +162,8 @@ def test_experiment_replays_trial_by_trial_through_strong_measure(basis):
         rng = substream(3, t)
         which = int(np.searchsorted(cdf, rng.random() * float(cdf[-1]), side="right"))
         prep_id = ids[min(which, 3)]
-        sample = strong_measure(preps[prep_id], basis, rng)
-        replay[prep_id][sample.outcome_index] += 1
+        _, weights, _ = born_outcomes(preps[prep_id], basis)
+        replay[prep_id][int(inverse_cdf(weights, rng.random()))] += 1
     assert replay == result.counts
 
 
@@ -346,14 +348,16 @@ def _bob_reduced(joint_amps: np.ndarray) -> np.ndarray:
     return c.T @ c.conj()
 
 
-def reference_steering(alice_basis, seed):
-    """The former `epr_steering`, kept verbatim as the oracle for the
-    tabulated rounds: a full eigensolve and `strong_measure` per round."""
+def reference_steering(alice_basis, u):
+    """The former `epr_steering`, kept as the oracle for the tabulated
+    rounds: a full eigensolve per round, and the uniform `u` walking its
+    Born outcomes as `strong_measure` walks them."""
     state = _singlet()
     op = _alice_observable(alice_basis)
     eig = eigendecompose(op)
-    sample = strong_measure(state, eig, seed)
-    bob_rho = _bob_reduced(sample.collapsed.amplitudes)
+    eigenvalues, weights, projections = born_outcomes(state, eig)
+    k = int(inverse_cdf(weights, u))
+    bob_rho = _bob_reduced(StateVector.normalized(projections[k]).amplitudes)
     _, vecs = np.linalg.eigh(bob_rho)
     bob_state = StateVector.normalized(canonical_phase(vecs[:, -1]))
     # exact average over outcomes, from projections rather than samples
@@ -368,7 +372,7 @@ def reference_steering(alice_basis, seed):
     check = float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(deviation))))
     return SteeringSample(
         alice_basis=alice_basis,
-        alice_outcome=sample.eigenvalue,
+        alice_outcome=eigenvalues[k],
         bob_conditional=bob_state,
         bob_marginal_check=check,
     )
@@ -377,24 +381,45 @@ def reference_steering(alice_basis, seed):
 @pytest.mark.parametrize("alice_basis", ["z", "x"])
 @pytest.mark.parametrize("seed", [7, 11, 12345])
 def test_steering_table_matches_reference_round_by_round(alice_basis, seed):
+    """Round i of a run walks the table with the first uniform of substream
+    i, as `steer` does; the reference walks a fresh eigensolve with it."""
     table = steering_table(alice_basis)
     for i in range(200):
-        got = table.sample(substream(seed, i))
-        want = reference_steering(alice_basis, substream(seed, i))
-        assert got.alice_basis == want.alice_basis
-        assert got.alice_outcome == want.alice_outcome
-        np.testing.assert_allclose(got.bob_conditional.amplitudes,
+        u = substream(seed, i).random()
+        k = int(inverse_cdf(table.weights, u))
+        want = reference_steering(alice_basis, u)
+        assert table.alice_basis == want.alice_basis
+        assert table.eigenvalues[k] == want.alice_outcome
+        np.testing.assert_allclose(table.bob_states[k].amplitudes,
                                    want.bob_conditional.amplitudes, rtol=0, atol=1e-12)
-        assert got.bob_marginal_check == want.bob_marginal_check
+        assert table.bob_marginal_check == want.bob_marginal_check
 
 
 def test_steering_single_round_matches_reference_from_a_master_seed():
     for seed in range(20):
         got = epr_steering("x", seed)
-        want = reference_steering("x", seed)
+        want = reference_steering("x", substream(seed, 0).random())
         assert got.alice_outcome == want.alice_outcome
         np.testing.assert_allclose(got.bob_conditional.amplitudes,
                                    want.bob_conditional.amplitudes, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alice_basis", ["z", "x"])
+def test_epr_steering_is_the_one_round_of_steer(tmp_path, monkeypatch, alice_basis):
+    """`epr_steering(b, s)` is `ketlab steer --basis b --trials 1 --seed s`:
+    the same outcome, and Bob's state to the bit, at the edge seeds too."""
+    monkeypatch.chdir(tmp_path)
+    seen = set()
+    for seed in [*range(10), 2 ** 64 - 1, 2 ** 64, 2 ** 127 + 5, 2 ** 128 - 1]:
+        sample = epr_steering(alice_basis, seed)
+        argv = ["steer", "--basis", alice_basis, "--trials", "1", "--seed", str(seed)]
+        assert main(argv) == 0
+        ran = json.loads((tmp_path / "steer.json").read_text())["bases"][alice_basis]
+        key = f"{sample.alice_outcome:+g}"
+        assert ran["outcome_counts"] == {key: 1}
+        assert ran["bob_states"] == {key: sample.bob_conditional.to_json_dict()}
+        seen.add(key)
+    assert seen == {"+1", "-1"}
 
 
 def test_steering_rejects_unknown_basis():

@@ -41,7 +41,6 @@ from ketlab.measurement import (
     make_pointer,
 )
 from ketlab.protective import _protective_loop
-from ketlab.rngs import as_generator
 from oracles import (haar_random_state, pauli_operators, pointer_position_mean, product_state,
                      random_observable, traced_peak)
 
@@ -519,7 +518,7 @@ def reference_loop(initial, protected, op, n, g, grid, width, mode, seed):
             f"grid extent ({grid.extent / 4.0:.4g}); the grid needs extent >= "
             f"{4.0 * total_shift:.4g}"
         )
-    rng = as_generator(seed if seed is not None else 0) if mode == "sampled" else None
+    rng = substream(0 if seed is None else seed, 0) if mode == "sampled" else None
     joint = product_state(initial, make_pointer(grid, width))
     c = protected.amplitudes
     survival = 1.0
@@ -660,7 +659,7 @@ def test_the_first_miss_in_a_block_is_the_abort(grid, n, g, seed, misses):
     assert (first - 1) // rows == (second - 1) // rows
     survivals = protective_measure(ket_plus(), sigma_z(), n=n, g=g, grid=grid).survivals
     weights = survivals / np.concatenate(([1.0], survivals[:-1]))
-    uniforms = as_generator(seed).random(n)
+    uniforms = substream(seed, 0).random(n)
     assert tuple(np.flatnonzero(uniforms > weights)[:2] + 1) == misses
     aborted = assert_engines_agree(ket_plus(), ket_plus(), sigma_z(), n=n, g=g,
                                    mode="sampled", seed=seed, grid=grid)
@@ -684,7 +683,7 @@ def test_an_integer_seed_draws_what_its_substream_zero_generator_draws(grid, n, 
     not."""
     run = protective_measure(ket_plus(), sigma_z(), n=n, g=g, grid=grid, mode="sampled", seed=seed)
     log, _, ref_aborted, _ = reference_loop(ket_plus(), ket_plus(), sigma_z(), n, g, grid, 1.0,
-                                            "sampled", substream(seed, 0))
+                                            "sampled", seed)
     assert run.aborted_at_step == ref_aborted == aborted
     np.testing.assert_allclose(run.survivals, [r.survival for r in log], rtol=0, atol=1e-10)
     np.testing.assert_allclose(run.pointer_means, [r.pointer_mean for r in log],

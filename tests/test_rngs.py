@@ -10,7 +10,6 @@ from ketlab.rngs import (
     STREAM_STRIDE,
     SUBSTREAM_CHUNK,
     SubstreamSampler,
-    as_generator,
     substream,
     uniform_chunks,
 )
@@ -63,21 +62,13 @@ def test_sampler_rejects_out_of_range_indices():
         sampler.select(2 ** 64)
 
 
-def test_as_generator_passes_generators_through():
-    gen = substream(5, 0)
-    assert as_generator(gen) is gen
-
-
-def test_as_generator_accepts_integer_seeds():
-    a = as_generator(11).random(4)
-    b = as_generator(11).random(4)
-    np.testing.assert_array_equal(a, b)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5, 2 ** 127])
 def test_as_generator_keeps_the_master_seed_stream(seed):
+    """Substream 0 of a master seed, the stream `strong_measure`,
+    `epr_steering` and sampled `protective` read, is numpy's Philox keyed
+    by the seed with its counter at 0."""
     want = np.random.Generator(np.random.Philox(key=seed))
-    got = as_generator(seed)
+    got = substream(seed, 0)
     np.testing.assert_array_equal(got.random(8), want.random(8))
     np.testing.assert_array_equal(got.standard_normal(5), want.standard_normal(5))
 
@@ -249,6 +240,10 @@ def _onto(seed):
     return ketlab.monte_carlo_onto(ketlab.orthodox_model(scenario), scenario, 10, seed=seed)
 
 
+def _measure(seed):
+    return ketlab.strong_measure(ketlab.ket_plus(), ketlab.eigendecompose(ketlab.sigma_z()), seed)
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: ketlab.protective_measure(ketlab.ket_plus(), ketlab.sigma_z(), n=5,
                                                    mode="sampled", seed=1.5),
@@ -263,7 +258,11 @@ def _onto(seed):
     pytest.param(lambda: substream(0, 1.5), id="substream-float-index"),
     pytest.param(lambda: substream(2 ** 128, 0), id="substream-seed-2**128"),
     pytest.param(lambda: substream("7", 0), id="substream-text-seed"),
-    pytest.param(lambda: as_generator(True), id="as-generator-bool-seed"),
+    pytest.param(lambda: _measure(True), id="strong-measure-bool-seed"),
+    pytest.param(lambda: _measure(substream(0, 0)), id="strong-measure-generator-seed"),
+    pytest.param(lambda: ketlab.epr_steering("z", True), id="epr-steering-bool-seed"),
+    pytest.param(lambda: ketlab.epr_steering("x", substream(0, 0)),
+                 id="epr-steering-generator-seed"),
     pytest.param(lambda: SubstreamSampler(1.5).select(0), id="sampler-float-seed"),
     pytest.param(lambda: list(uniform_chunks(True, 0, 1)), id="chunks-bool-seed"),
     pytest.param(lambda: list(uniform_chunks(np.float64(3.0), 0, 0)), id="chunks-float-seed"),

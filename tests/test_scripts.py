@@ -136,3 +136,16 @@ def area(r):
 '''
     # import, def, and the four lines of the return statement
     assert load_script("code_lines").code_lines(snippet) == 6
+
+
+def test_every_mutant_anchor_occurs_once_in_the_package():
+    """Each row of scripts/mutants.py replaces a text that occurs exactly
+    once in the package, in the file the row names, so a change that moves
+    or copies an anchor updates the row with it. Whether the tests kill
+    each mutant is the script's own check, run outside this suite."""
+    mutants = load_script("mutants")
+    sources = {path.name: path.read_text() for path in mutants.PACKAGE.glob("*.py")}
+    assert mutants.MUTANTS
+    for row in mutants.MUTANTS:
+        assert sources[row.file].count(row.old) == 1, row.name
+        assert sum(text.count(row.old) for text in sources.values()) == 1, row.name

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ketlab.weak
@@ -31,6 +31,7 @@ from ketlab import (
     sigma_z,
     weak_pointer_shift,
 )
+from ketlab.cli import _scan_input
 from ketlab.measurement import PointerGrid, couple_pointer
 from ketlab.protective import protective_measure
 from oracles import haar_random_state, product_state, random_observable, weak_value
@@ -209,6 +210,45 @@ def test_scan_rejects_odd_wavefunction():
     amp = amp.astype(complex) / math.sqrt(float(np.sum(np.abs(amp) ** 2)) * grid.spacing)
     with pytest.raises(ScanUndefinedError):
         direct_wavefunction_scan(GridWavefunction(grid, amp))
+
+
+def scan_accepts(profile, width, offset, separation, phase) -> bool:
+    """Whether `direct_wavefunction_scan` accepts the profile `ketlab scan`
+    builds from these flags, on its default grid of 512 points."""
+    psi = _scan_input({"profile": profile, "width": width, "offset": offset,
+                       "separation": separation, "phase": phase, "grid_points": 512})
+    try:
+        direct_wavefunction_scan(psi)
+    except ScanUndefinedError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("profile,phase,accepted", [
+    ("gaussian", 0.0, True),
+    ("double", 0.0, True),
+    ("double", math.pi / 2.0, True),
+    ("double", math.pi, False),    # the humps cancel in <p=0|psi>, leaving rounding
+])
+def test_the_scan_decision_holds_at_every_length_scale(profile, phase, accepted):
+    for c in [10.0 ** k for k in range(-20, 21, 5)]:
+        assert scan_accepts(profile, 1.3 * c, 0.7 * c, 3.0 * c, phase) is accepted, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=st.sampled_from(["gaussian", "double"]), width=st.floats(0.3, 3.0),
+       offset=st.floats(-5.0, 5.0), separation=st.floats(0.5, 10.0),
+       phase=st.sampled_from([0.0, 1.0, math.pi / 2.0, 2.5, math.pi, -math.pi]),
+       exponent=st.integers(-20, 20))
+def test_scaling_width_offset_and_separation_together_keeps_the_scan_decision(
+        profile, width, offset, separation, phase, exponent):
+    """Scaling every length of the profile by c scales psi by 1/sqrt(c) and
+    both <p=0|psi> and sum |psi| h by sqrt(c), so the scan accepts or
+    refuses the same profile at any c from 1e-20 to 1e20 (offset and
+    separation in widths here)."""
+    c = 10.0 ** exponent
+    assert (scan_accepts(profile, width * c, offset * width * c, separation * width * c, phase)
+            is scan_accepts(profile, width, offset * width, separation * width, phase))
 
 
 def test_scan_agrees_with_cell_projector_weak_values():
