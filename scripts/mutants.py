@@ -76,12 +76,28 @@ MUTANTS = (
            ("tests/test_rngs.py",)),
     Mutant("strong_measure reads uniform 1", "measurement.py",
            "u = next(uniform_chunks(seed, 0, 1))[0, 0]",
-           "u = next(uniform_chunks(seed, 0, 1, 1, 2))[0, 0]",
+           "u = next(uniform_chunks(seed, 0, 1, 2))[0, 1]",
            ("tests/test_measurement.py::test_strong_measure_walks_uniform_0_of_substream_0",)),
     Mutant("epr_steering reads uniform 1", "pbr.py",
            "table.weights, next(uniform_chunks(seed, 0, 1))[0, 0]",
-           "table.weights, next(uniform_chunks(seed, 0, 1, 1, 2))[0, 0]",
+           "table.weights, next(uniform_chunks(seed, 0, 1, 2))[0, 1]",
            ("tests/test_pbr.py::test_epr_steering_is_the_one_round_of_steer",)),
+    Mutant("Philox block counter without numpy's bump", "rngs.py",
+           "np.arange(block + 1, (end + 3) // 4 + 1, dtype=np.uint64)",
+           "np.arange(block, (end + 3) // 4, dtype=np.uint64)",
+           ("tests/test_rngs.py",)),
+    Mutant("(k - 1) factor of the pointer mean read as k", "measurement.py",
+           "np.arange(done, done + size)", "np.arange(done + 1, done + size + 1)",
+           ("tests/test_engine_laws.py",)),
+    Mutant("|M|^2 shrunk by 1 - 1e-12 per cycle", "measurement.py",
+           "return m.real ** 2 + m.imag ** 2,", "return (m.real ** 2 + m.imag ** 2) * (1 - 1e-12),",
+           ("tests/test_engine_laws.py",)),
+    Mutant("sampled cycles compare uniforms against sqrt(w)", "protective.py",
+           "uniforms > step_weights", "uniforms > np.sqrt(step_weights)",
+           ("tests/test_protective.py::test_engine_matches_reference_on_sampled_aborts",)),
+    Mutant("a real Ginibre matrix", "hilbert.py",
+           "np.exp(2j * np.pi * v)", "np.cos(2 * np.pi * v)",
+           ("tests/test_laws.py::test_ginibre_entries_have_exponential_squared_moduli",)),
 )
 
 

@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, InternalError, LabError, PreconditionError
+from .errors import ConfigError, InternalError, LabError, PreconditionError, ScanUndefinedError
 from .hilbert import (
     StateVector,
     _checked_count,
@@ -615,7 +615,13 @@ def _run_scan(cfg: RunConfig):
     from .weak import direct_wavefunction_scan, momentum_zero_amplitude
 
     psi = _scan_input(cfg.params)
-    scan = direct_wavefunction_scan(psi)
+    try:
+        scan = direct_wavefunction_scan(psi)
+    except ScanUndefinedError as exc:
+        # only the double profile cancels: its humps' zero-momentum amplitudes are
+        # equal, so they cancel at a --phase of pi; a Gaussian's amplitudes are positive
+        raise ScanUndefinedError(f"--phase {cfg.params['phase']!r} makes the double profile's "
+                                 f"humps cancel at p = 0: {exc}") from exc
     p0 = momentum_zero_amplitude(psi)
     reconstruction_error = float(np.max(np.abs(scan * p0 - psi.amplitudes)))
     rows = np.column_stack((psi.grid.positions, scan.real, scan.imag,
@@ -658,8 +664,8 @@ def _run_steer(cfg: RunConfig):
     from .pbr import steering_table
 
     p = cfg.params
-    _checked_count(p["trials"], "trials")
     bases = ("z", "x") if p["basis"] == "both" else (p["basis"],)
+    _checked_count(p["trials"], "trials", 2 ** 64 // len(bases))   # one substream a round
     stream = 0
     out = {}
     for basis in bases:
@@ -764,12 +770,12 @@ def _run_nogo(cfg: RunConfig):
     from .pbr import overlap_preservation_check
 
     p = cfg.params
-    _checked_count(p["sweeps"], "sweeps")
+    _checked_count(p["sweeps"], "sweeps", 2 ** 64)      # one substream a sweep
     ready, s1, s2 = (parse_state_spec(spec) for spec in (p["ready"], *p["pair"]))
     dim = ready.dim * s1.dim
     before = abs(inner_product(s1, s2))
     # sweep k's unitary comes from the first 2 * dim**2 uniforms of substream k
-    draws = chain.from_iterable(uniform_chunks(cfg.seed, 0, p["sweeps"], 0, 2 * dim * dim))
+    draws = chain.from_iterable(uniform_chunks(cfg.seed, 0, p["sweeps"], 2 * dim * dim))
     swept = [overlap_preservation_check(haar_random_unitary(dim, u), s1, s2, ready) for u in draws]
     afters = [a for _, a in swept]
     max_change = max((abs(a - b) for b, a in swept), default=0.0)

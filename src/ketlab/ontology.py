@@ -491,18 +491,16 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
         for meas_id in scenario.measurements:
             table = _scenario_responses(model, scenario, meas_id)
             joint = tally((prep[:, None] * table).ravel(),
-                          uniform_chunks(seed, cell, cell + 1, 0, trials))
+                          uniform_chunks(seed, cell, cell + 1, trials))
             counts[prep_id][meas_id] = joint.reshape(table.shape).sum(axis=0)
             cell += 1
     max_forbidden = None
     if scenario.forbidden and trials > 0:
-        freqs = [
+        max_forbidden = float(max(
             counts[prep_id][meas_id][k] / trials
             for prep_id, entries in scenario.forbidden.items()
             for meas_id, k in entries
-        ]
-        if freqs:
-            max_forbidden = float(max(freqs))
+        ))
     return MonteCarloReport(
         counts=counts, trials=trials, seed=int(seed),
         max_forbidden_frequency=max_forbidden,

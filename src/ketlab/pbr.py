@@ -147,7 +147,7 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     Born row as `strong_measure` would, and a `bincount` tallies the cells.
     Unit tests pin the equivalence with the per-trial loop.
     """
-    trials = _checked_count(trials, "trials")
+    trials = _checked_count(trials, "trials", 2 ** 64)      # one substream a trial
     weights = _number_array(mixture_weights, "mixture_weights")
     if weights.shape != (4,) or np.any(weights < 0):
         raise PreconditionError("mixture_weights must be four nonnegative reals")
@@ -159,7 +159,7 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     xi = scenario.measurements["xi"]
     born = np.stack([born_probabilities(scenario.preparations[p], xi) for p in PREPARATION_IDS])
     cells = np.zeros(16, dtype=np.int64)
-    for uniforms in uniform_chunks(seed, 0, trials, 0, 2):
+    for uniforms in uniform_chunks(seed, 0, trials, 2):
         which = inverse_cdf(weights, uniforms[:, 0])
         outcome = inverse_cdf(born, uniforms[:, 1], rows=which)
         cells += np.bincount(4 * which + outcome, minlength=16)

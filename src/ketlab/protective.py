@@ -202,7 +202,7 @@ def _protective_loop(initial: StateVector, protected: StateVector,
         return None
     uniforms = np.zeros(n)                  # deterministic: no uniform exceeds a weight >= 0
     if mode == "sampled":
-        draw = uniform_chunks(0 if seed is None else seed, 0, 1, 0, n)
+        draw = uniform_chunks(0 if seed is None else seed, 0, 1, n)
         uniforms = np.concatenate([np.empty(0), *(run[0] for run in draw)])
     c = protected.amplitudes
     first = postselected_multiplier(eig, g, phases, c, initial.amplitudes)

@@ -9,11 +9,12 @@ results cannot depend on the order in which trials are executed.
 
 Every sampler, `strong_measure` and `epr_steering` included, takes an
 integer master seed and draws through one array draw, `uniform_chunks`,
-which reads any block of substreams x uniforms and equals `substream` bit
-for bit. It evaluates the Philox4x64-10 block function (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11) directly in numpy,
-in one array kernel over full 256-bit counters, and takes integer master
-seeds only, so it builds no Generator and no command loads `numpy.random`,
+which reads the leading uniforms of a range of substreams and equals
+`substream` bit for bit. It evaluates the Philox4x64-10 block function
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11)
+directly in numpy, in one array kernel over the two counter words the
+first 2**64 uniforms of a substream use, and takes integer master seeds
+only, so it builds no Generator and no command loads `numpy.random`,
 whose import costs a process about 6 MB of RSS (half of it the libcrypto
 that `secrets` pulls in) and over 10 ms. `substream` and
 `SubstreamSampler`, numpy's own Philox, remain only as the reference the
@@ -53,8 +54,7 @@ _WORD = 2 ** 64
 # The integers each argument takes: (lowest, highest, the range as printed).
 _SEEDS = (0, 2 ** 128 - 1, "[0, 2**128)")
 _INDICES = (0, _WORD - 1, "[0, 2**64)")     # a substream index
-_BOUNDS = (0, _WORD, "[0, 2**64]")          # start and stop of a range of substreams
-_POSITIONS = (0, 2 ** 130, "[0, 2**130]")   # first and last along each substream
+_BOUNDS = (0, _WORD, "[0, 2**64]")          # start, stop and last of a range
 
 
 def _checked_integer(value, what: str, rule: tuple) -> int:
@@ -85,10 +85,10 @@ def _round_keys(seed: int) -> np.ndarray:
                      for r in range(_PHILOX_ROUNDS)], dtype=np.uint64)
 
 
-def _philox_uniforms(round_keys: np.ndarray, counter: tuple, k: int) -> np.ndarray:
-    """The first `k` uniforms of the Philox4x64-10 block of each 256-bit
-    counter [c0, c1, c2, c3], one row per block, for uint64 words that
-    broadcast to one shape, read in row-major order. Uniform i is
+def _philox_uniforms(round_keys: np.ndarray, c0, c2, k: int) -> np.ndarray:
+    """The first `k` uniforms of the Philox4x64-10 block of each counter
+    [c0, 0, c2, 0], one row per block, for uint64 c0 and c2 that broadcast
+    to one shape, read in row-major order. Uniform i is
     (word_i >> 11) * 2**-53.
 
     Each round multiplies words 0 and 2 as one stacked (2, m) array x. The
@@ -102,9 +102,9 @@ def _philox_uniforms(round_keys: np.ndarray, counter: tuple, k: int) -> np.ndarr
     and 3. A function of its own, so its temporaries are freed before a
     caller keeps or yields the result.
     """
-    c0, c1, c2, c3 = (w.ravel() for w in np.broadcast_arrays(
-        *(np.asarray(w, dtype=np.uint64) for w in counter)))
-    x, y = np.stack((c0, c2)), np.stack((c1, c3))
+    x = np.stack([w.ravel() for w in np.broadcast_arrays(
+        np.asarray(c0, dtype=np.uint64), np.asarray(c2, dtype=np.uint64))])
+    y = np.zeros_like(x)                    # words 1 and 3 of the counter are 0
     for key in round_keys:
         lo = x * _PHILOX_M
         x_lo = x & _LOW32
@@ -126,52 +126,37 @@ def _philox_uniforms(round_keys: np.ndarray, counter: tuple, k: int) -> np.ndarr
     return (np.stack((x[0], y[0], x[1], y[1])[:k], axis=1) >> np.uint64(11)) * 2.0 ** -53
 
 
-def _run_counters(first: int, count: int) -> tuple:
-    """The four words of the 256-bit counters first .. first + count - 1:
-    word 0 as a uint64 array, which wraps where the run carries, and
-    words 1-3 as arrays that take the carry."""
-    low, high = np.uint64(first % _WORD), first // _WORD
-    c0 = np.arange(count, dtype=np.uint64) + low
-    words = [[(h >> 64 * w) % _WORD for h in (high, high + 1)] for w in range(3)]
-    return (c0, *np.array(words, dtype=np.uint64)[:, (c0 < low).astype(np.intp)])
-
-
-def uniform_chunks(seed: int, start: int, stop: int, first: int = 0, last: int = 1):
-    """Yield uniforms first .. last-1 of substreams start .. stop-1 as 2-D
+def uniform_chunks(seed: int, start: int, stop: int, last: int = 1):
+    """Yield uniforms 0 .. last-1 of substreams start .. stop-1 as 2-D
     blocks, one row per substream, in order, so a sampler that reduces each
     block before the next keeps flat memory for any number or length of
-    rows. Row j equals `substream(seed, start + j).random(last)[first:]` bit
-    for bit. A pass holds max(1, SUBSTREAM_CHUNK // span) whole rows, for a
+    rows. Row j equals `substream(seed, start + j).random(last)` bit for
+    bit. A pass holds max(1, SUBSTREAM_CHUNK // span) whole rows, for a
     row spanning `span` Philox blocks, except that a row longer than
     SUBSTREAM_CHUNK uniforms comes alone, in runs of that many. An empty
     range of substreams or of uniforms yields no block.
 
     numpy bumps the counter before each block, so uniform p of substream i
     is word p % 4 of the Philox4x64-10 block of counter
-    i * 2**128 + p // 4 + 1 under key (seed mod 2**64, seed >> 64). A
-    substream owns 2**128 blocks, so first and last lie in [0, 2**130], and
-    the counter of its last block carries into word 2, or, for the last
-    substream, into word 3. A block that holds a whole row is read for only
-    the words the row needs. Each pass costs a fixed number of uint64 array
-    operations.
+    i * 2**128 + p // 4 + 1 under key (seed mod 2**64, seed >> 64). With
+    last in [0, 2**64] that block number stays below 2**64, so the counter
+    is [p // 4 + 1, 0, i, 0] and no word carries. A block that holds a
+    whole row is read for only the words the row needs. Each pass costs a
+    fixed number of uint64 array operations.
     """
     round_keys = _round_keys(seed)
     start = _checked_integer(start, "substream start", _BOUNDS)
     stop = _checked_integer(stop, "substream stop", _BOUNDS)
-    first = _checked_integer(first, "first uniform", _POSITIONS)
-    last = _checked_integer(last, "last uniform", _POSITIONS)
-    if first >= last:
+    last = _checked_integer(last, "last uniform", _BOUNDS)
+    if last == 0:                           # no block, however many substreams
         return
-    span = (last + 3) // 4 - first // 4
-    rows = 1 if last - first > SUBSTREAM_CHUNK else max(1, SUBSTREAM_CHUNK // span)
+    rows = 1 if last > SUBSTREAM_CHUNK else max(1, SUBSTREAM_CHUNK // ((last + 3) // 4))
     for row in range(start, stop, rows):
         streams = np.arange(min(rows, stop - row), dtype=np.uint64)[:, None] + np.uint64(row)
-        for p in range(first, last, SUBSTREAM_CHUNK):
+        for p in range(0, last, SUBSTREAM_CHUNK):
             block, end = p // 4, min(p + SUBSTREAM_CHUNK, last)
-            c0, c1, c2, c3 = _run_counters(block + 1, (end + 3) // 4 - block)
-            c2 = c2 + streams
-            counters = (c0, c1, c2, c3 + (c2 < streams))
-            uniforms = _philox_uniforms(round_keys, counters, min(4, end - 4 * block))
+            blocks = np.arange(block + 1, (end + 3) // 4 + 1, dtype=np.uint64)
+            uniforms = _philox_uniforms(round_keys, blocks, streams, min(4, end - 4 * block))
             yield uniforms.reshape(len(streams), -1)[:, p - 4 * block:end - 4 * block]
 
 

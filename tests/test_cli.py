@@ -508,13 +508,23 @@ def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text
     (["pbr", "--weights", "1e308,1e308,1e308,1e308"], 3),   # the weights' sum overflows
     # humps of opposite sign: |<p=0|psi>| = 3.5e-10 is 1e-16 of sum |psi| h, rounding
     (["scan", "--phase", "3.141592653589793", "--width", "1e12", "--separation", "3e12"], 3),
+    # one substream a trial or sweep: more than 2**64 of them, refused before any draw
+    (["steer", "--basis", "z", "--trials", str(2 ** 64 + 1)], 3),
+    (["steer", "--trials", str(10 ** 19)], 3),            # two bases: over 2**63 each
+    (["pbr", "--trials", str(2 ** 64 + 1)], 3),
+    (["nogo", "--sweeps", str(2 ** 64 + 1)], 3),
 ])
 @pytest.mark.filterwarnings("error")
-def test_degenerate_sizes_keep_the_exit_code_contract(tmp_path, monkeypatch, argv, code):
+def test_degenerate_sizes_keep_the_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
+    """An exit 3 names each of --phase, --trials and --sweeps it was given."""
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code
     if code:
         assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    for flag in ("--phase", "--trials", "--sweeps"):
+        if code == 3 and flag in argv:
+            assert flag.lstrip("-") in err, (flag, err)
 
 
 @pytest.mark.parametrize("argv", [

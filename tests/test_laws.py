@@ -96,7 +96,7 @@ def test_monte_carlo_counts_follow_the_model_in_every_cell():
 def _nogo_uniforms(seed: int, count: int) -> np.ndarray:
     """Rows of the 32 uniforms that `nogo` turns into sweep k's 4 x 4
     unitary, for sweeps 0 .. count-1."""
-    return np.concatenate(list(uniform_chunks(seed, 0, count, 0, 32)))
+    return np.concatenate(list(uniform_chunks(seed, 0, count, 32)))
 
 
 def _corner_cells(unitaries) -> np.ndarray:

@@ -642,7 +642,7 @@ def test_monte_carlo_never_draws_a_zero_weight_cell_at_a_boundary_uniform(monkey
     walk passes a cumulative weight it reaches, so neither draws a
     zero-weight entry, no preparation fires its forbidden outcome, and |+>
     on z reads one of each outcome."""
-    def boundary_uniforms(seed, start, stop, first, last):
+    def boundary_uniforms(seed, start, stop, last):
         yield np.array([[0.0, 0.5]])
 
     monkeypatch.setattr(ketlab.ontology, "uniform_chunks", boundary_uniforms)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ketlab
 import ketlab.cli
@@ -79,13 +81,13 @@ UNIFORM_INDICES = [0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1, 2 ** 64 + 12345])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_uniform_chunks_match_substreams_bit_for_bit(seed, k):
-    got = [u for i in UNIFORM_INDICES for u in uniform_chunks(seed, i, i + 1, 0, k)]
+    got = [u for i in UNIFORM_INDICES for u in uniform_chunks(seed, i, i + 1, k)]
     want = [substream(seed, i).random((1, k)) for i in UNIFORM_INDICES]
     np.testing.assert_array_equal(np.concatenate(got), np.concatenate(want))
 
 
 def test_uniform_chunks_match_a_contiguous_range():
-    (got,) = uniform_chunks(11, 1000, 1300, 0, 2)
+    (got,) = uniform_chunks(11, 1000, 1300, 2)
     want = np.array([substream(11, i).random(2) for i in range(1000, 1300)])
     np.testing.assert_array_equal(got, want)
 
@@ -95,23 +97,22 @@ def test_uniform_chunks_reject_bad_seeds_and_block_sizes():
         list(uniform_chunks(-1, 0, 1))
     with pytest.raises(PreconditionError):
         list(uniform_chunks(2 ** 128, 0, 1))
-    with pytest.raises(PreconditionError):
-        list(uniform_chunks(0, 0, 1, 0, 2 ** 130 + 1))
+    with pytest.raises(PreconditionError, match="must be an integer in"):
+        list(uniform_chunks(0, 0, 1, 2 ** 64 + 1))
 
 
 def test_uniform_chunks_cover_the_range_in_order(monkeypatch):
     start, stop = 5, 2 * SUBSTREAM_CHUNK + 9
-    blocks = list(uniform_chunks(3, start, stop, 0, 2))
+    blocks = list(uniform_chunks(3, start, stop, 2))
     assert [len(u) for u in blocks] == [SUBSTREAM_CHUNK, SUBSTREAM_CHUNK, 4]
     joined = np.concatenate(blocks)
     for i in (start, start + SUBSTREAM_CHUNK - 1, start + SUBSTREAM_CHUNK, stop - 1):
         np.testing.assert_array_equal(joined[i - start], substream(3, i).random(2))
     monkeypatch.setattr(rngs, "SUBSTREAM_CHUNK", stop)
-    (whole,) = uniform_chunks(3, start, stop, 0, 2)
+    (whole,) = uniform_chunks(3, start, stop, 2)
     np.testing.assert_array_equal(joined, whole)
     assert list(uniform_chunks(3, 4, 4)) == []
-    assert list(uniform_chunks(3, 4, 9, 5, 5)) == []
-    assert list(uniform_chunks(3, 4, 9, 6, 5)) == []
+    assert list(uniform_chunks(3, 4, 9, 0)) == []
 
 
 @pytest.mark.parametrize("k", [5, 8, 32, 33])
@@ -123,7 +124,7 @@ def test_uniform_chunks_of_several_blocks_match_substreams_across_chunk_edges(mo
     monkeypatch.setattr(rngs, "SUBSTREAM_CHUNK", 40)
     seed, start, stop = 2 ** 64 + 12345, 2 ** 64 - 23, 2 ** 64
     rows = 40 // -(-k // 4)
-    blocks = list(uniform_chunks(seed, start, stop, 0, k))
+    blocks = list(uniform_chunks(seed, start, stop, k))
     assert [len(u) for u in blocks] == [rows] * (23 // rows) + [23 % rows] * (23 % rows > 0)
     want = np.array([substream(seed, i).random(k) for i in range(start, stop)])
     np.testing.assert_array_equal(np.concatenate(blocks), want)
@@ -153,86 +154,75 @@ def test_uniform_chunks_reject_ranges_past_the_last_substream():
 
 
 def test_uniform_chunks_reach_the_last_substream():
-    """start and stop may be 2**64, one past the last substream index."""
+    """start and stop may be 2**64, one past the last substream index, and
+    so may last, whose row comes in runs of SUBSTREAM_CHUNK uniforms."""
     (block,) = uniform_chunks(0, np.uint64(2 ** 64 - 1), 2 ** 64)
     np.testing.assert_array_equal(block, substream(0, 2 ** 64 - 1).random((1, 1)))
     assert list(uniform_chunks(0, 2 ** 64, 2 ** 64)) == []
+    run = next(uniform_chunks(5, 9, 10, 2 ** 64))
+    np.testing.assert_array_equal(run, substream(5, 9).random((1, SUBSTREAM_CHUNK)))
 
 
-def joined(seed, index, first, last):
-    """Row 0 of `uniform_chunks(seed, index, index + 1, first, last)`, its
-    runs joined, as a sampled `protective` run joins them."""
-    draw = uniform_chunks(seed, index, index + 1, first, last)
+def joined(seed, index, last):
+    """Row 0 of `uniform_chunks(seed, index, index + 1, last)`, its runs
+    joined, as a sampled `protective` run joins them."""
+    draw = uniform_chunks(seed, index, index + 1, last)
     return np.concatenate([np.empty(0), *(run[0] for run in draw)])
 
 
 @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5, 99_999, 100_000, 100_001])
 @pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2 ** 64 + 12345, 2 ** 64 - 1)])
 def test_uniform_chunks_match_a_run_along_a_substream_bit_for_bit(seed, index, start):
-    np.testing.assert_array_equal(joined(seed, index, start, start + 11),
-                                  substream(seed, index).random(start + 11)[start:])
+    np.testing.assert_array_equal(joined(seed, index, start + 11),
+                                  substream(seed, index).random(start + 11))
 
 
 def test_uniform_chunks_cover_a_long_row_in_runs_in_order(monkeypatch):
     """A row longer than SUBSTREAM_CHUNK uniforms comes alone, in runs of
     that many, and the next row's runs follow."""
     monkeypatch.setattr(rngs, "SUBSTREAM_CHUNK", 8)
-    blocks = list(uniform_chunks(3, 2, 4, 5, 30))
-    assert [u.shape for u in blocks] == [(1, 8), (1, 8), (1, 8), (1, 1)] * 2
+    blocks = list(uniform_chunks(3, 2, 4, 30))
+    assert [u.shape for u in blocks] == [(1, 8), (1, 8), (1, 8), (1, 6)] * 2
     np.testing.assert_array_equal(np.concatenate([u[0] for u in blocks]),
-                                  np.concatenate([substream(3, i).random(30)[5:] for i in (2, 3)]))
-    assert list(uniform_chunks(3, 2, 3, 4, 4)) == []
-    assert list(uniform_chunks(3, 2, 3, 9, 4)) == []
+                                  np.concatenate([substream(3, i).random(30) for i in (2, 3)]))
 
 
-def test_uniform_chunks_reach_the_end_of_a_substream_and_stop_there():
-    """A substream owns 2**128 Philox blocks of four uniforms: its last
-    block is the one numpy draws first from a counter one below the next
-    substream's."""
-    seed, index = 5, 9
-    last = np.random.Generator(np.random.Philox(key=seed, counter=(index + 1) * STREAM_STRIDE - 1))
-    (block,) = uniform_chunks(seed, index, index + 1, 2 ** 130 - 4, 2 ** 130)
-    np.testing.assert_array_equal(block, [last.random(4)])
-    assert list(uniform_chunks(seed, index, index + 1, 2 ** 130, 2 ** 130)) == []
-
-
-@pytest.mark.parametrize("index", [3, 2 ** 64 - 1])
-def test_uniform_chunks_carry_through_every_counter_word(monkeypatch, index):
-    """Uniform p of a substream is the block at counter
-    index * 2**128 + p // 4 + 1. Block 2**64 - 1 carries word 0 into word
-    1, and the last block of a substream carries into word 2, or, at
-    counter 2**192 for the last substream, into word 3. Rows of 11
-    uniforms over blocks b - 2 .. b cross each carry: whole, three rows to
-    a pass, and in runs of 5."""
-    for chunk in (rngs.SUBSTREAM_CHUNK, 5):
-        monkeypatch.setattr(rngs, "SUBSTREAM_CHUNK", chunk)
-        for block in (2 ** 64 - 3, 2 ** 128 - 3):
-            draw = uniform_chunks(7, index - 2, index + 1, 4 * block + 1, 4 * block + 12)
-            # numpy bumps the counter before it draws, so these draw from `block` on
-            gens = (np.random.Generator(np.random.Philox(key=7, counter=i * STREAM_STRIDE + block))
-                    for i in range(index - 2, index + 1))
-            np.testing.assert_array_equal(np.concatenate([u.ravel() for u in draw]),
-                                          np.concatenate([gen.random(12)[1:] for gen in gens]))
+@given(seed=st.integers(0, 2 ** 128 - 1), start=st.integers(0, 2 ** 64),
+       rows=st.integers(0, 3), chunk=st.sampled_from((5, 8)), data=st.data())
+def test_uniform_chunks_equal_the_leading_uniforms_of_each_substream(seed, start, rows,
+                                                                     chunk, data):
+    """Row j of `uniform_chunks(seed, start, stop, last)` is
+    `substream(seed, start + j).random(last)` bit for bit, for rows that
+    span one or two passes of a chunk that is, or is not, a multiple of
+    four uniforms."""
+    stop, last = min(start + rows, 2 ** 64), data.draw(st.integers(0, 2 * chunk))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rngs, "SUBSTREAM_CHUNK", chunk)
+        blocks = list(uniform_chunks(seed, start, stop, last))
+    got = np.concatenate([np.empty(0), *(u.ravel() for u in blocks)])
+    want = np.concatenate([np.empty(0), *(substream(seed, i).random(last)
+                                          for i in range(start, stop))])
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 400, MAX_STEPS])
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 128 - 1])
 def test_uniform_chunks_match_the_first_n_uniforms_of_substream_zero(seed, n):
-    got = joined(seed, 0, 0, n)
+    got = joined(seed, 0, n)
     want = substream(seed, 0).random(n)
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
 
 
 def test_uniform_chunks_cross_their_kernel_passes_in_order(monkeypatch):
-    """With the chunk patched to 2 uniforms, every residue of first and
-    last mod 4 crosses a kernel call's edge, and half the calls start
-    inside a Philox block."""
-    monkeypatch.setattr(rngs, "SUBSTREAM_CHUNK", 2)
+    """With the chunk patched to 2 or 5 uniforms, every residue of last
+    mod 4 crosses a kernel call's edge, and calls start inside a Philox
+    block."""
     want = substream(5, 0).random(26)
-    for first in range(5):
-        for last in range(first, 26):
-            np.testing.assert_array_equal(joined(np.uint64(5), 0, first, last), want[first:last])
+    for chunk in (2, 5):
+        monkeypatch.setattr(rngs, "SUBSTREAM_CHUNK", chunk)
+        for last in range(26):
+            np.testing.assert_array_equal(joined(np.uint64(5), 0, last), want[:last])
 
 
 def _onto(seed):
@@ -266,10 +256,12 @@ def _measure(seed):
     pytest.param(lambda: SubstreamSampler(1.5).select(0), id="sampler-float-seed"),
     pytest.param(lambda: list(uniform_chunks(True, 0, 1)), id="chunks-bool-seed"),
     pytest.param(lambda: list(uniform_chunks(np.float64(3.0), 0, 0)), id="chunks-float-seed"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 0, 2.0)), id="chunks-float-last"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 3, 0, True)), id="chunks-bool-last"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 0, 0, 2 ** 130 + 1)),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 2.0)), id="chunks-float-last"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 3, True)), id="chunks-bool-last"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 0, 2 ** 130 + 1)),
                  id="chunks-empty-range-last-past-2**130"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 0, 2 ** 64 + 1)),
+                 id="chunks-empty-range-last-past-2**64"),
     pytest.param(lambda: list(uniform_chunks(0, True, 3)), id="chunks-bool-start"),
     pytest.param(lambda: list(uniform_chunks(0, 0.5, 3)), id="chunks-float-start"),
     pytest.param(lambda: list(uniform_chunks(0, -1, 3)), id="chunks-negative-start"),
@@ -277,15 +269,15 @@ def _measure(seed):
     pytest.param(lambda: list(uniform_chunks(0, 0, np.False_)), id="chunks-numpy-bool-stop"),
     pytest.param(lambda: list(uniform_chunks(0, 5, 2 ** 64 + 1)), id="chunks-stop-past-2**64"),
     # a run along one substream, and the first n uniforms of substream 0
-    pytest.param(lambda: list(uniform_chunks(True, 0, 1, 0, 1)), id="stream-bool-seed"),
-    pytest.param(lambda: list(uniform_chunks(2 ** 128, 0, 1, 0, 1)), id="stream-seed-2**128"),
-    pytest.param(lambda: list(uniform_chunks(0, 2 ** 64, 2 ** 64 + 1, 0, 1)),
+    pytest.param(lambda: list(uniform_chunks(True, 0, 1, 1)), id="stream-bool-seed"),
+    pytest.param(lambda: list(uniform_chunks(2 ** 128, 0, 1, 1)), id="stream-seed-2**128"),
+    pytest.param(lambda: list(uniform_chunks(0, 2 ** 64, 2 ** 64 + 1, 1)),
                  id="stream-index-2**64"),
-    pytest.param(lambda: list(uniform_chunks(0, 1.0, 2, 0, 1)), id="stream-float-index"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 1, -1, 3)), id="stream-negative-start"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 1, np.True_, 3)), id="stream-numpy-bool-start"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 0, 3.0)), id="stream-float-stop"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 0, 2 ** 130 + 1)),
+    pytest.param(lambda: list(uniform_chunks(0, 1.0, 2, 1)), id="stream-float-index"),
+    pytest.param(lambda: list(uniform_chunks(0, -1, 1, 3)), id="stream-negative-start"),
+    pytest.param(lambda: list(uniform_chunks(0, np.True_, 1, 3)), id="stream-numpy-bool-start"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 3.0)), id="stream-float-stop"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 2 ** 130 + 1)),
                  id="stream-stop-past-2**130"),
     pytest.param(lambda: ketlab.protective_measure(ketlab.ket_plus(), ketlab.sigma_z(), n=5,
                                                    mode="sampled", seed=True),
@@ -296,23 +288,23 @@ def _measure(seed):
     pytest.param(lambda: ketlab.protective_measure(ketlab.ket_plus(), ketlab.sigma_z(), n=5,
                                                    mode="sampled", seed=substream(0, 0)),
                  id="sampled-protective-generator-seed"),
-    pytest.param(lambda: list(uniform_chunks(True, 0, 1, 0, 4)), id="leading-bool-seed"),
-    pytest.param(lambda: list(uniform_chunks(np.float64(3.0), 0, 1, 0, 4)),
+    pytest.param(lambda: list(uniform_chunks(True, 0, 1, 4)), id="leading-bool-seed"),
+    pytest.param(lambda: list(uniform_chunks(np.float64(3.0), 0, 1, 4)),
                  id="leading-float-seed"),
-    pytest.param(lambda: list(uniform_chunks(-1, 0, 1, 0, 4)), id="leading-negative-seed"),
-    pytest.param(lambda: list(uniform_chunks(2 ** 128, 0, 1, 0, 4)), id="leading-seed-2**128"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 0, False)), id="leading-bool-count"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 0, 4.0)), id="leading-float-count"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 0, -1)), id="leading-negative-count"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 0, 2 ** 130 + 1)),
+    pytest.param(lambda: list(uniform_chunks(-1, 0, 1, 4)), id="leading-negative-seed"),
+    pytest.param(lambda: list(uniform_chunks(2 ** 128, 0, 1, 4)), id="leading-seed-2**128"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 1, False)), id="leading-bool-count"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 4.0)), id="leading-float-count"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 1, -1)), id="leading-negative-count"),
+    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 2 ** 130 + 1)),
                  id="leading-count-past-2**130"),
 ])
 def test_master_seeds_and_substream_indices_follow_one_rule(call):
     """A master seed is an integer (numpy's too, not a bool) in [0, 2**128),
     and never a Generator; a substream index one in [0, 2**64), the start
-    and stop of a range of substreams ones in [0, 2**64], and the first
-    and last uniform read along each substream ones in [0, 2**130],
-    wherever they enter, even where the range they bound is empty."""
+    and stop of a range of substreams ones in [0, 2**64], and the number
+    of uniforms read from each substream one in [0, 2**64], wherever they
+    enter, even where the range they bound is empty."""
     with pytest.raises(PreconditionError, match="must be an integer in"):
         call()
 
