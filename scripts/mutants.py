@@ -98,6 +98,16 @@ MUTANTS = (
     Mutant("a real Ginibre matrix", "hilbert.py",
            "np.exp(2j * np.pi * v)", "np.cos(2 * np.pi * v)",
            ("tests/test_laws.py::test_ginibre_entries_have_exponential_squared_moduli",)),
+    Mutant("CSV column check by isinstance, so a bool passes as an int", "cli.py",
+           "if tuple(map(type, row)) != kinds:",
+           "if not all(map(isinstance, row, kinds)) or len(row) != len(kinds):",
+           ("tests/test_cli.py::test_the_csv_check_names_the_file_and_line_it_rejects",)),
+    Mutant("CSV writer without its comma count", "serialize.py",
+           'body.count(",") != template.count(",") or ', "",
+           ("tests/test_serialize.py::test_write_csv_refuses_cells_needing_quotes",)),
+    Mutant("nogo's largest change over the overlaps after alone", "cli.py",
+           "max(afters.max() - b, b - afters.min())", "max(afters.max(), -afters.min())",
+           ("tests/test_cli.py::test_default_runs_match_golden",)),
 )
 
 

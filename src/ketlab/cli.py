@@ -25,17 +25,18 @@ from the very object that was checked. The check takes the paths first:
 each ends in its format's suffix, and none is shared with another
 artifact or the --config file, names an existing directory, or is a name
 the filesystem cannot look up (a config error). It then checks each
-artifact against its own schema, with a small in-package reader of
+JSON artifact against its own schema, with a small in-package reader of
 exactly the JSON Schema keywords `SCHEMAS` uses, so the runtime needs no
-schema library. A run that fails the check writes nothing; a run whose
-write fails removes every file it started. Exit codes: 0 success, 2
-configuration error, 3 precondition rejection, 4 internal-consistency
-failure, and also any other exception, reported with the stage it
-escaped (parse, resolve, compute, check or write). The argument parser is
-built on the first `main` call and reused by every later call in the
-process; importing this module builds nothing and loads no experiment
-module: each runner imports its own (`protective`, `weak`, `pbr` or
-`ontology`) when it is called, so a run compiles only what it computes.
+schema library, and each CSV cell by its column's type. A run that
+fails the check writes nothing; a run whose write fails removes every
+file it started. Exit codes: 0 success, 2 configuration error, 3
+precondition rejection, 4 internal-consistency failure, and also any
+other exception, reported with the stage it escaped (parse, resolve,
+compute, check or write). The argument parser is built on the first
+`main` call and reused by every later call in the process; importing
+this module builds nothing and loads no experiment module: each runner
+imports its own (`protective`, `weak`, `pbr` or `ontology`) when it is
+called, so a run compiles only what it computes.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import math
 import os
 import platform
 import sys
-from collections import deque
 from contextlib import contextmanager
 from itertools import chain, combinations
 from pathlib import Path
@@ -391,7 +391,8 @@ SCHEMAS = {
     },
 }
 
-_CSV_CELL_PARSERS = {
+# the exact type of each column's cells, by CSV header
+_CSV_COLUMNS = {
     SCAN_HEADER: (float, float, float, float, float),
     PBR_HEADER: (str, int, int, int, int, int, int),
     PER_STEP_HEADER: (int, float, float),
@@ -446,12 +447,13 @@ def _schema_error(schema: dict, value, where: str = "$") -> str | None:
 
 def validate_artifact(artifact: Artifact) -> Artifact:
     """Check an artifact against its schema before it is written and
-    return it in the form that is checked and written; InternalError on
-    failure. A JSON payload, plain JSON as its runner built it, is checked
-    as it is and the very artifact given comes back; a CSV artifact comes
-    back with each cell as the `str` text its parser accepted. Each column
-    is parsed in one pass; the rows are walked, in order, only to name the
-    first row or cell that fails."""
+    return the very artifact given, which is then written as it is;
+    InternalError on failure. A JSON payload, plain JSON as its runner
+    built it, is checked against the schema its 'kind' names. A CSV
+    payload's header must be a layout of `_CSV_COLUMNS`, and each row must
+    hold one cell of exactly its column's type (a bool, a numpy scalar or
+    a text number is no int or float); the first row or cell that fails
+    is named by its line in the file."""
     name = artifact.path.name
     if artifact.fmt == "json":
         data = artifact.payload
@@ -462,29 +464,17 @@ def validate_artifact(artifact: Artifact) -> Artifact:
             raise InternalError(f"artifact {name} fails its schema: {error}")
         return artifact
     header, rows = artifact.payload
-    parsers = _CSV_CELL_PARSERS.get(tuple(header))
-    if parsers is None:
+    kinds = _CSV_COLUMNS.get(tuple(header))
+    if kinds is None:
         raise InternalError(f"{name}:1: unknown CSV layout {header}")
-    width = len(parsers)
-    text_rows = [list(map(str, row)) for row in rows]
-    try:
-        if not {width}.issuperset(map(len, text_rows)):
-            raise ValueError("a row of the wrong length")
-        for parse, column in zip(parsers, zip(*text_rows)):
-            deque(map(parse, column), maxlen=0)
-    except ValueError:
-        for lineno, cells in enumerate(text_rows, start=2):
-            if len(cells) != width:
-                raise InternalError(f"{name}:{lineno}: expected {width} cells, got {len(cells)}")
-            for cell, parse in zip(cells, parsers):
-                try:
-                    parse(cell)
-                except ValueError as exc:
-                    raise InternalError(
-                        f"{name}:{lineno}: cell {cell!r} fails {parse.__name__}"
-                    ) from exc
-        raise
-    return Artifact(artifact.path, "csv", (header, text_rows))
+    width = len(kinds)
+    for lineno, row in enumerate(rows, start=2):
+        if tuple(map(type, row)) != kinds:
+            if len(row) != width:
+                raise InternalError(f"{name}:{lineno}: expected {width} cells, got {len(row)}")
+            cell, kind = next((c, k) for c, k in zip(row, kinds) if type(c) is not k)
+            raise InternalError(f"{name}:{lineno}: cell {str(cell)!r} fails {kind.__name__}")
+    return artifact
 
 
 # ---------------------------------------------------------------------------
@@ -774,11 +764,18 @@ def _run_nogo(cfg: RunConfig):
     ready, s1, s2 = (parse_state_spec(spec) for spec in (p["ready"], *p["pair"]))
     dim = ready.dim * s1.dim
     before = abs(inner_product(s1, s2))
-    # sweep k's unitary comes from the first 2 * dim**2 uniforms of substream k
+
+    # sweep k's unitary comes from the first 2 * dim**2 uniforms of substream k;
+    # `map` keeps no row past its sweep, so one pass of draws is alive at a time
+    def after(u):
+        return overlap_preservation_check(haar_random_unitary(dim, u), s1, s2, ready)[1]
+
     draws = chain.from_iterable(uniform_chunks(cfg.seed, 0, p["sweeps"], 2 * dim * dim))
-    swept = [overlap_preservation_check(haar_random_unitary(dim, u), s1, s2, ready) for u in draws]
-    afters = [a for _, a in swept]
-    max_change = max((abs(a - b) for b, a in swept), default=0.0)
+    afters = np.fromiter(map(after, draws), float, count=p["sweeps"])
+    # the check's own `before` does not depend on the unitary; rounding is monotone
+    # and odd, so max |a - b| is at the largest or the smallest a, bit for bit
+    b = overlap_preservation_check(np.eye(dim), s1, s2, ready)[0]
+    max_change = float(max(afters.max() - b, b - afters.min())) if p["sweeps"] else None
     data = {
         "kind": "ketlab/nogo",
         "command": "nogo",
@@ -787,12 +784,12 @@ def _run_nogo(cfg: RunConfig):
         "ready": p["ready"],
         "pair": list(p["pair"]),
         "overlap_before": before,
-        "max_abs_change": max_change if afters else None,
-        "mean_overlap_after": float(np.mean(afters)) if afters else None,
+        "max_abs_change": max_change,
+        "mean_overlap_after": float(np.mean(afters)) if p["sweeps"] else None,
     }
     summary = (
         f"overlap {before:.6f} preserved across {p['sweeps']} random unitaries "
-        f"(max change {max_change:.3e})" if afters
+        f"(max change {max_change:.3e})" if p["sweeps"]
         else f"overlap {before:.6f}, no sweeps requested"
     )
     return [Artifact(cfg.output, "json", data)], summary
@@ -1096,9 +1093,9 @@ def _stage(name: str):
 def _write_artifacts(cfg: RunConfig, artifacts: list, paths: list) -> None:
     """Check every artifact and the manifest, their paths first and then
     their contents, and write what was checked: `validate_artifact` hands
-    back each JSON payload as its runner built it and each CSV row as
-    text. Each path goes on `paths` before its write starts, so a write
-    that fails partway leaves its file on the list `run` removes."""
+    back each artifact as its runner built it, a CSV row as cells of its
+    columns' types. Each path goes on `paths` before its write starts, so
+    a write that fails partway leaves its file on the list `run` removes."""
     with _stage("check"):
         manifest = _manifest(cfg, [artifact.path for artifact in artifacts])
         artifacts = [*artifacts, Artifact(_manifest_path(cfg.output), "json", manifest)]

@@ -110,10 +110,11 @@ class ProtectiveRunResult:
     def final_joint(self) -> JointSystemPointerState:
         return self.build_joint()
 
-    def step_rows(self):
-        """(step, survival, pointer_mean) of each cycle run, from step 1."""
-        return zip(range(1, len(self.survivals) + 1), self.survivals.tolist(),
-                   self.pointer_means.tolist())
+    def step_rows(self) -> list:
+        """(step, survival, pointer_mean) of each cycle run, from step 1: an
+        int and two floats, a list the CSV check and writer both read."""
+        return list(zip(range(1, len(self.survivals) + 1), self.survivals.tolist(),
+                        self.pointer_means.tolist()))
 
     def to_json_dict(self) -> dict:
         return {

@@ -156,8 +156,9 @@ def uniform_chunks(seed: int, start: int, stop: int, last: int = 1):
         for p in range(0, last, SUBSTREAM_CHUNK):
             block, end = p // 4, min(p + SUBSTREAM_CHUNK, last)
             blocks = np.arange(block + 1, (end + 3) // 4 + 1, dtype=np.uint64)
-            uniforms = _philox_uniforms(round_keys, blocks, streams, min(4, end - 4 * block))
-            yield uniforms.reshape(len(streams), -1)[:, p - 4 * block:end - 4 * block]
+            # yielded unnamed, so this frame holds no pass while the next is drawn
+            yield (_philox_uniforms(round_keys, blocks, streams, min(4, end - 4 * block))
+                   .reshape(len(streams), -1)[:, p - 4 * block:end - 4 * block])
 
 
 class SubstreamSampler:

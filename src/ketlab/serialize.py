@@ -13,7 +13,8 @@ indent: a list or dict of scalars is one encoder call whose item separator
 carries the newline and indent, and a list of records that share their
 keys and hold only scalars (a per-step log) is one call over all their
 values. Anything else is laid out container by container. CSV rows are
-plain comma-joined fields with no quoting surprises.
+plain comma-joined fields with no quoting surprises, all rendered by one
+`%` format.
 """
 
 from __future__ import annotations
@@ -127,13 +128,16 @@ def load_json(path):
 
 def write_csv(path, header, rows) -> None:
     """Write a CSV with a header row, each cell as its `str`: text as it
-    is, an int or float by repr, so floats round-trip exactly. Fields must
-    not contain commas or newlines."""
-    lines = [",".join(map(str, header))]
-    for row in rows:
-        line = ",".join(map(str, row))
-        if "\n" in line or line.count(",") >= max(len(row), 1):
-            cell = next(c for c in map(str, row) if "," in c or "\n" in c)
-            raise InternalError(f"CSV cell needs quoting, refusing: {cell!r}")
-        lines.append(line)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    is, an int or float by repr, so floats round-trip exactly. All rows are
+    rendered by one `%` format of one template, `%s` cells joined by commas
+    and ended by newlines. Fields must not contain commas or newlines: a
+    body with more of either than its template refuses, naming the first
+    such cell, before the file is opened."""
+    rows = list(rows)
+    template = "".join([",".join(["%s"] * len(row)) + "\n" for row in rows])
+    cells = tuple(chain.from_iterable(rows))
+    body = template % cells
+    if body.count(",") != template.count(",") or body.count("\n") != len(rows):
+        cell = next(c for c in map(str, cells) if "," in c or "\n" in c)
+        raise InternalError(f"CSV cell needs quoting, refusing: {cell!r}")
+    Path(path).write_text(",".join(map(str, header)) + "\n" + body, encoding="utf-8")

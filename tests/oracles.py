@@ -7,15 +7,18 @@ coupling checks compare the package's kernels against them. The weak-value
 formula is the oracle of `weak_pointer_shift` and the direct scan, the
 postselected-cycle readout by inverse FFT and json's own indented encoder
 those of `postselected_cycles` and `dump_json`, `amplitudes_from_json`
-reads back the amplitudes an artifact stores, and `traced_peak` weighs
-the memory a sampler holds at once.
+reads back the amplitudes an artifact stores, `traced_peak` weighs the
+memory a sampler holds at once, and `reference_write_csv`, the row-by-row
+writer `write_csv` replaced, is the oracle of its bytes and refusals.
 """
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+from ketlab.errors import InternalError
 from ketlab.hilbert import (HermitianOperator, StateVector, haar_random_unitary, sigma_x,
                             sigma_y, sigma_z)
 from ketlab.measurement import GridWavefunction, JointSystemPointerState
@@ -99,3 +102,17 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def reference_write_csv(path, header, rows) -> None:
+    """Write a CSV with a header row, each cell as its `str`: text as it
+    is, an int or float by repr, so floats round-trip exactly. Fields must
+    not contain commas or newlines."""
+    lines = [",".join(map(str, header))]
+    for row in rows:
+        line = ",".join(map(str, row))
+        if "\n" in line or line.count(",") >= max(len(row), 1):
+            cell = next(c for c in map(str, row) if "," in c or "\n" in c)
+            raise InternalError(f"CSV cell needs quoting, refusing: {cell!r}")
+        lines.append(line)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

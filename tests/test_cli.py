@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -17,6 +18,7 @@ import pytest
 
 import ketlab.cli
 import ketlab.ontology
+import ketlab.pbr
 import ketlab.rngs
 import ketlab.serialize
 from ketlab import (
@@ -24,14 +26,17 @@ from ketlab import (
     InternalError,
     JointSystemPointerState,
     PointerGrid,
+    haar_random_unitary,
+    overlap_preservation_check,
     steering_table,
     substream,
 )
 from ketlab.cli import (COMMANDS, SCHEMAS, Artifact, CommandSpec, main, parse_state_spec,
                         validate_artifact)
 from ketlab.measurement import inverse_cdf
-from ketlab.serialize import load_json
-from oracles import amplitudes_from_json
+from ketlab.rngs import uniform_chunks
+from ketlab.serialize import dump_json, load_json
+from oracles import amplitudes_from_json, traced_peak
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -64,10 +69,14 @@ def assert_close_payload(got, want, path="$"):
 
 
 def artifact_on_disk(path):
-    """A written file as the Artifact it was written from."""
+    """A written file as the Artifact it was written from: each CSV cell
+    read by its column's type, whose `str` must give the file's text back."""
     if path.suffix == ".json":
         return Artifact(path, "json", load_json(path))
-    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    header, *lines = [line.split(",") for line in path.read_text().splitlines()]
+    kinds = ketlab.cli._CSV_COLUMNS[tuple(header)]
+    rows = [[kind(text) for kind, text in zip(kinds, line)] for line in lines]
+    assert [list(map(str, row)) for row in rows] == lines
     return Artifact(path, "csv", (tuple(header), rows))
 
 
@@ -276,12 +285,13 @@ def _is_plain_json(value) -> bool:
 
 def test_the_writers_get_exactly_what_was_checked(tmp_path, monkeypatch):
     """Every payload the writers receive is the object the check returned:
-    JSON as plain builtins, CSV cells as the text their parsers accepted."""
+    JSON as plain builtins, CSV rows of cells of their columns' types."""
     checked, handed = [], []
     check = ketlab.cli.validate_artifact
 
     def recording_check(artifact):
         checked.append(check(artifact))
+        assert checked[-1] is artifact
         return checked[-1]
 
     def dump(data, path):
@@ -308,12 +318,10 @@ def test_the_writers_get_exactly_what_was_checked(tmp_path, monkeypatch):
         else:
             header, rows = payload
             assert rows is artifact.payload[1]
-            parsers = ketlab.cli._CSV_CELL_PARSERS[header]
+            kinds = ketlab.cli._CSV_COLUMNS[header]
             assert len(rows) == 400
             for row in rows:
-                assert all(type(cell) is str for cell in row)
-                for cell, parse in zip(row, parsers):
-                    parse(cell)
+                assert tuple(map(type, row)) == kinds
 
 
 def test_onto_model_evaluation_path(tmp_path, monkeypatch):
@@ -383,6 +391,42 @@ def test_a_pair_from_a_flag_or_a_config_file_writes_the_same_bytes(tmp_path, mon
     assert sorted(written[0]) == ["nogo.json", "nogo.json.manifest.json"]
     assert written[0] == written[1]
     assert load_json(tmp_path / "flag" / "nogo.json")["pair"] == ["+", "-"]
+
+
+def test_nogo_writes_the_bytes_of_every_sweeps_before_and_after(tmp_path, monkeypatch):
+    """The largest change and the mean overlap after are those of the list
+    of each sweep's (before, after) pair, to the byte, and zero sweeps
+    write null for both."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["nogo", "--sweeps", "100"]) == 0
+    data = load_json(tmp_path / "nogo.json")
+    ready, s1, s2 = (parse_state_spec(spec) for spec in (data["ready"], *data["pair"]))
+    swept = [overlap_preservation_check(haar_random_unitary(4, u), s1, s2, ready)
+             for u in chain.from_iterable(uniform_chunks(data["seed"], 0, 100, 32))]
+    dump_json(dict(data, max_abs_change=max(abs(a - b) for b, a in swept),
+                   mean_overlap_after=float(np.mean([a for _, a in swept]))),
+              tmp_path / "want.json")
+    assert (tmp_path / "nogo.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert main(["nogo", "--sweeps", "0", "-o", "none.json"]) == 0
+    none = load_json(tmp_path / "none.json")
+    assert none["max_abs_change"] is None and none["mean_overlap_after"] is None
+
+
+def test_nogo_memory_does_not_grow_with_sweeps(tmp_path, monkeypatch):
+    """A sweep keeps 8 bytes, its overlap after, so 40,000 sweeps peak
+    within 0.5 MB of 1,000. What is weighed is the runner's bookkeeping per
+    sweep: the unitary and the check are cheap stand-ins, and passes of 32
+    rows keep the draw's own working set to a few kB, which a run of one
+    pass and a run of many then share."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ketlab.rngs, "SUBSTREAM_CHUNK", 2 ** 10)
+    monkeypatch.setattr(ketlab.cli, "haar_random_unitary", lambda dim, u: u)
+    monkeypatch.setattr(ketlab.pbr, "overlap_preservation_check",
+                        lambda u, s1, s2, ready: (0.5, float(u.flat[0])))
+    peaks = [traced_peak(lambda: main(["nogo", "--sweeps", str(n), "-o", f"n{n}.json"]))
+             for n in (1000, 40_000)]
+    assert load_json(tmp_path / "n40000.json")["sweeps"] == 40_000
+    assert peaks[1] < peaks[0] + 5e5
 
 
 @pytest.mark.parametrize("argv", [

@@ -277,8 +277,6 @@ def _measure(seed):
     pytest.param(lambda: list(uniform_chunks(0, -1, 1, 3)), id="stream-negative-start"),
     pytest.param(lambda: list(uniform_chunks(0, np.True_, 1, 3)), id="stream-numpy-bool-start"),
     pytest.param(lambda: list(uniform_chunks(0, 0, 1, 3.0)), id="stream-float-stop"),
-    pytest.param(lambda: list(uniform_chunks(0, 0, 1, 2 ** 130 + 1)),
-                 id="stream-stop-past-2**130"),
     pytest.param(lambda: ketlab.protective_measure(ketlab.ket_plus(), ketlab.sigma_z(), n=5,
                                                    mode="sampled", seed=True),
                  id="sampled-protective-bool-seed"),

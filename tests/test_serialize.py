@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ketlab import InternalError
 from ketlab.serialize import dump_json, load_json, write_csv
-from oracles import canonical_json
+from oracles import canonical_json, reference_write_csv
 
 
 def test_dump_json_is_canonical(tmp_path):
@@ -142,3 +142,46 @@ def test_dump_json_writes_the_oracles_bytes(payload):
         path = Path(tmp) / "payload.json"
         dump_json(payload, path)
         assert path.read_text(encoding="utf-8") == canonical_json(payload)
+
+
+# CSV cells: ints, floats (nan, the infinities, -0.0, 1e300 and subnormals
+# among the edges), their numpy scalars, and text that needs no quoting
+_PLAIN_TEXT = _TEXT.filter(lambda text: "," not in text and "\n" not in text)
+_CELLS = st.one_of(st.integers(), _FLOATS, st.sampled_from([1e300, 2.5e-310, -5e-324]),
+                   st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), _FLOATS.map(np.float64),
+                   _PLAIN_TEXT)
+_CSV_ROWS = st.lists(st.lists(_CELLS, max_size=6), max_size=6)   # of unequal widths
+_QUOTED = st.tuples(_TEXT, st.sampled_from([",", "\n"]), _TEXT).map("".join)
+
+
+@given(st.lists(_PLAIN_TEXT, max_size=6), _CSV_ROWS)
+@example(("x", "n"), [[float("nan"), -0.0], [], [np.float64(1e300), np.int64(-3), 5e-324]])
+def test_write_csv_writes_the_oracles_bytes(header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_csv(got, header, rows)
+        reference_write_csv(want, header, rows)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@given(_CSV_ROWS, st.lists(st.tuples(st.integers(0), st.integers(0), _QUOTED), min_size=1,
+                           max_size=3))
+@example([[1, 2.5]], [(0, 2, "x,y"), (0, 0, "\n")])
+def test_write_csv_refuses_the_cells_the_oracle_refuses(rows, insertions):
+    """A cell holding a comma or a newline, in any row at any position,
+    raises the oracle's message, naming the first such cell, and leaves
+    no file."""
+    for i, j, cell in insertions:
+        i %= len(rows) + 1
+        if i == len(rows):
+            rows.append([])
+        rows[i].insert(j % (len(rows[i]) + 1), cell)
+    messages = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for write in (write_csv, reference_write_csv):
+            path = Path(tmp) / "t.csv"
+            with pytest.raises(InternalError) as refused:
+                write(path, ("a",), rows)
+            assert not path.exists()
+            messages.append(str(refused.value))
+    assert messages[0] == messages[1]
