@@ -14,8 +14,10 @@ does not occur exactly once, or if a run ends other than in passes or
 failures (a collection error, say), and 0 otherwise.
 
 The list must run in under a minute, so rows name the test that kills
-them rather than a whole slow file; `tests/test_scripts.py` checks that
-every anchor still occurs exactly once in the package.
+them rather than a whole slow file, and two rows run at a time, since
+each pays about 2 s of interpreter, pytest and import start-up of its
+own. `tests/test_scripts.py` checks that every anchor still occurs
+exactly once in the package.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -106,8 +109,19 @@ MUTANTS = (
            'body.count(",") != template.count(",") or ', "",
            ("tests/test_serialize.py::test_write_csv_refuses_cells_needing_quotes",)),
     Mutant("nogo's largest change over the overlaps after alone", "cli.py",
-           "max(afters.max() - b, b - afters.min())", "max(afters.max(), -afters.min())",
+           "max(afters.max() - before, before - afters.min())",
+           "max(afters.max(), -afters.min())",
            ("tests/test_cli.py::test_default_runs_match_golden",)),
+    Mutant("the integer rule refuses its low end", "hilbert.py",
+           "low <= int(value) <= high", "low < int(value) <= high",
+           ("tests/test_rngs.py::test_every_integer_argument_takes_exactly_its_range",)),
+    Mutant("the wraparound guard counts no coupling at n = 0", "measurement.py",
+           "couplings = max(couplings, 1)", "couplings = couplings",
+           ("tests/test_cli.py::test_degenerate_sizes_keep_the_exit_code_contract",)),
+    Mutant("nogo reports |<s1|s2>| as the overlap before", "cli.py",
+           "before = overlap_preservation_check(np.eye(dim), s1, s2, ready)[0]",
+           "before = abs(inner_product(s1, s2))",
+           ("tests/test_cli.py::test_nogo_measures_the_change_from_the_before_it_reports",)),
 )
 
 
@@ -140,11 +154,11 @@ def run(mutant: Mutant) -> tuple:
 def main() -> int:
     failed = 0
     total = time.perf_counter()
-    for mutant in MUTANTS:
-        verdict, seconds = run(mutant)
-        failed += verdict != "killed"
-        print(f"{verdict:<9} {seconds:5.1f} s  {mutant.name}  ({', '.join(mutant.tests)})",
-              flush=True)
+    with ThreadPoolExecutor(max_workers=2) as pool:     # `map` yields in row order
+        for mutant, (verdict, seconds) in zip(MUTANTS, pool.map(run, MUTANTS)):
+            failed += verdict != "killed"
+            print(f"{verdict:<9} {seconds:5.1f} s  {mutant.name}  ({', '.join(mutant.tests)})",
+                  flush=True)
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} killed in "
           f"{time.perf_counter() - total:.1f} s")
     return 1 if failed else 0

@@ -74,7 +74,7 @@ from .hilbert import (
 )
 from .measurement import (DEFAULT_COUPLING, DEFAULT_GRID_POINTS, DEFAULT_STEPS,
                           GridWavefunction, default_grid, gaussian_profile, tally)
-from .rngs import uniform_chunks
+from .rngs import MAX_SEED, MAX_SUBSTREAMS, uniform_chunks
 from .serialize import dump_json, load_json, write_csv
 
 DEFAULT_SEED = 7
@@ -187,7 +187,7 @@ def _state_pair(value):
 
 def _seed_value(value):
     n = _as_int(value)
-    if not 0 <= n < 2 ** 128:
+    if not 0 <= n <= MAX_SEED:
         raise ConfigError("seed must be a 128-bit integer (0 <= seed < 2**128)")
     return n
 
@@ -655,7 +655,7 @@ def _run_steer(cfg: RunConfig):
 
     p = cfg.params
     bases = ("z", "x") if p["basis"] == "both" else (p["basis"],)
-    _checked_count(p["trials"], "trials", 2 ** 64 // len(bases))   # one substream a round
+    _checked_count(p["trials"], "trials", MAX_SUBSTREAMS // len(bases))   # one substream a round
     stream = 0
     out = {}
     for basis in bases:
@@ -694,13 +694,13 @@ def _run_onto(cfg: RunConfig):
     model on that scenario: in the bound mode, the witness model that
     attains the bound. Each mode refuses the flags that only the other
     reads, so no manifest echoes a value its run ignored."""
-    from .ontology import (OntologicalModel, born_consistency_gap, monte_carlo_onto,
-                           orthodox_model, overlap, paired_shared_reality_model,
+    from .ontology import (MAX_MC_TRIALS, OntologicalModel, born_consistency_gap,
+                           monte_carlo_onto, orthodox_model, overlap, paired_shared_reality_model,
                            pbr_min_violation, predict, qubit_scenario)
     from .pbr import pbr_scenario
 
     p = cfg.params
-    _checked_count(p["mc_trials"], "mc_trials")
+    _checked_count(p["mc_trials"], "mc_trials", MAX_MC_TRIALS)
     if p["model"] is None and (p["prep"] is not None or p["meas"] is not None):
         raise ConfigError("--prep/--meas only apply when --model is given")
     if p["model"] is None and p["scenario"] != "pbr":
@@ -760,10 +760,12 @@ def _run_nogo(cfg: RunConfig):
     from .pbr import overlap_preservation_check
 
     p = cfg.params
-    _checked_count(p["sweeps"], "sweeps", 2 ** 64)      # one substream a sweep
+    _checked_count(p["sweeps"], "sweeps", MAX_SUBSTREAMS)      # one substream a sweep
     ready, s1, s2 = (parse_state_spec(spec) for spec in (p["ready"], *p["pair"]))
     dim = ready.dim * s1.dim
-    before = abs(inner_product(s1, s2))
+    # the check's own before, |<ready (x) s1|ready (x) s2>|, is the one the change is
+    # measured from; it does not depend on the unitary
+    before = overlap_preservation_check(np.eye(dim), s1, s2, ready)[0]
 
     # sweep k's unitary comes from the first 2 * dim**2 uniforms of substream k;
     # `map` keeps no row past its sweep, so one pass of draws is alive at a time
@@ -772,10 +774,9 @@ def _run_nogo(cfg: RunConfig):
 
     draws = chain.from_iterable(uniform_chunks(cfg.seed, 0, p["sweeps"], 2 * dim * dim))
     afters = np.fromiter(map(after, draws), float, count=p["sweeps"])
-    # the check's own `before` does not depend on the unitary; rounding is monotone
-    # and odd, so max |a - b| is at the largest or the smallest a, bit for bit
-    b = overlap_preservation_check(np.eye(dim), s1, s2, ready)[0]
-    max_change = float(max(afters.max() - b, b - afters.min())) if p["sweeps"] else None
+    # rounding is monotone and odd, so max |a - before| is at the largest or the
+    # smallest a, bit for bit
+    max_change = float(max(afters.max() - before, before - afters.min())) if p["sweeps"] else None
     data = {
         "kind": "ketlab/nogo",
         "command": "nogo",

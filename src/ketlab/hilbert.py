@@ -38,24 +38,18 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _checked_dim(value, what: str = "dim") -> int:
-    """`value` as an int when it is an integer from 1 to MAX_DIM, numpy's
-    included, else PreconditionError (for a bool, a float and text too)."""
-    dim = _checked_count(value, what, MAX_DIM)
-    if dim < 1:
-        raise PreconditionError(f"{what} must be >= 1, got {dim}")
-    return dim
+    """`value` as an int when it is an integer from 1 to MAX_DIM (see
+    `_checked_count`), else PreconditionError."""
+    return _checked_count(value, what, MAX_DIM, 1)
 
 
-def _checked_count(value, what: str, cap: int | None = None) -> int:
-    """`value` as an int when it is a nonnegative integer no larger than
-    `cap`, numpy's included, else PreconditionError (for a bool, a float
-    and text too)."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise PreconditionError(f"{what} must be an integer, got {value!r}")
-    if value < 0:
-        raise PreconditionError(f"{what} must be >= 0, got {value}")
-    if cap is not None and value > cap:
-        raise PreconditionError(f"{what} {value} exceeds the {cap} cap")
+def _checked_count(value, what: str, high: int, low: int = 0) -> int:
+    """`value` as an int when it is an integer from `low` to `high`,
+    numpy's included, else PreconditionError (for a bool, a float and text
+    too): the package's one rule for counts, sizes, indices and seeds."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or not low <= int(value) <= high):
+        raise PreconditionError(f"{what} must be an integer in [{low}, {high}], got {value!r}")
     return int(value)
 
 

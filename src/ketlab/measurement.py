@@ -411,9 +411,13 @@ def coupling_phases(eig: EigenDecomposition, g: float, grid: PointerGrid,
     Row j translates a pointer by g * a_j. A non-finite g is rejected with
     PreconditionError, and one for which `couplings` successive couplings
     could shift the pointer by more than a quarter of the grid extent with
-    WraparoundError (periodic wraparound would corrupt the record).
+    WraparoundError (periodic wraparound would corrupt the record). The
+    guard counts at least one coupling: the rows themselves, and the
+    multipliers built from them, must hold for one, even where no cycle
+    is run.
     """
     g = _finite_real(g, "coupling g")
+    couplings = max(couplings, 1)
     vals = np.asarray(eig.eigenvalues)
     max_shift = float(abs(g) * couplings * np.max(np.abs(vals)))
     if max_shift > grid.extent / 4.0:

@@ -478,9 +478,7 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
     preparation and measurement id the scenario names. More than
     MAX_MC_TRIALS trials are rejected before any draw.
     """
-    trials = _checked_count(trials, "trials")
-    if trials > MAX_MC_TRIALS:
-        raise PreconditionError(f"trials {trials} exceed the {MAX_MC_TRIALS} cap")
+    trials = _checked_count(trials, "trials", MAX_MC_TRIALS)
     counts: dict = {}
     cell = 0
     for prep_id in scenario.preparations:

@@ -37,7 +37,7 @@ from .hilbert import (
     tensor,
 )
 from .measurement import Scenario, born_probabilities, inverse_cdf
-from .rngs import uniform_chunks
+from .rngs import MAX_SUBSTREAMS, uniform_chunks
 
 ORTHONORMAL_TOL = 1e-12   # basis Gram deviation allowed
 UNITARY_TOL = 1e-10       # max |U^H U - 1| entry allowed
@@ -147,7 +147,7 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     Born row as `strong_measure` would, and a `bincount` tallies the cells.
     Unit tests pin the equivalence with the per-trial loop.
     """
-    trials = _checked_count(trials, "trials", 2 ** 64)      # one substream a trial
+    trials = _checked_count(trials, "trials", MAX_SUBSTREAMS)      # one substream a trial
     weights = _number_array(mixture_weights, "mixture_weights")
     if weights.shape != (4,) or np.any(weights < 0):
         raise PreconditionError("mixture_weights must be four nonnegative reals")

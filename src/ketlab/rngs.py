@@ -1,11 +1,13 @@
 """Counter-based random substreams.
 
 Every randomized protocol in this package takes a single master seed, an
-integer in [0, 2**128). Independent units of work (trials, sweep points,
-preparation cells) each get their own substream: substream ``i`` of master
-seed ``s`` is the Philox bit generator ``Philox(key=s)`` with its 256-bit
-counter advanced to ``i * 2**128``. Substreams therefore never overlap, and
-results cannot depend on the order in which trials are executed.
+integer from 0 to `MAX_SEED` = 2**128 - 1. Independent units of work
+(trials, sweep points, preparation cells) each get their own substream, one
+of the `MAX_SUBSTREAMS` = 2**64 of a seed, so a run has at most that many
+units: substream ``i`` of master seed ``s`` is the Philox bit generator
+``Philox(key=s)`` with its 256-bit counter advanced to ``i * 2**128``.
+Substreams therefore never overlap, and results cannot depend on the order
+in which trials are executed.
 
 Every sampler, `strong_measure` and `epr_steering` included, takes an
 integer master seed and draws through one array draw, `uniform_chunks`,
@@ -28,7 +30,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError
+from .hilbert import _checked_count
+
+# The largest master seed, and the number of substreams of one seed: the
+# Philox key is two 64-bit words, and a substream index is one counter word.
+MAX_SEED = 2 ** 128 - 1
+MAX_SUBSTREAMS = 2 ** 64
 
 # Counter stride between substreams, in Philox 256-bit counter units.
 STREAM_STRIDE = 2 ** 128
@@ -51,27 +58,11 @@ _SHIFT32 = np.uint64(32)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
 _WORD = 2 ** 64
 
-# The integers each argument takes: (lowest, highest, the range as printed).
-_SEEDS = (0, 2 ** 128 - 1, "[0, 2**128)")
-_INDICES = (0, _WORD - 1, "[0, 2**64)")     # a substream index
-_BOUNDS = (0, _WORD, "[0, 2**64]")          # start, stop and last of a range
-
-
-def _checked_integer(value, what: str, rule: tuple) -> int:
-    """`value` as an int when it is an integer in the range `rule` names,
-    numpy's included, else PreconditionError (for a bool, a float and text
-    too)."""
-    low, high, span = rule
-    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or not low <= int(value) <= high):
-        raise PreconditionError(f"{what} must be an integer in {span}, got {value!r}")
-    return int(value)
-
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Generator for substream `index` of master seed `seed`."""
-    seed = _checked_integer(seed, "master seed", _SEEDS)
-    index = _checked_integer(index, "substream index", _INDICES)
+    seed = _checked_count(seed, "master seed", MAX_SEED)
+    index = _checked_count(index, "substream index", MAX_SUBSTREAMS - 1)
     return np.random.Generator(np.random.Philox(key=seed, counter=index * STREAM_STRIDE))
 
 
@@ -79,7 +70,7 @@ def _round_keys(seed: int) -> np.ndarray:
     """The ten Philox4x64-10 round keys of master seed `seed`, checked
     first, as a (10, 2, 1) uint64 array: key word w of round r is
     (seed word w + r * W_w) mod 2**64."""
-    seed = _checked_integer(seed, "master seed", _SEEDS)
+    seed = _checked_count(seed, "master seed", MAX_SEED)
     words = (seed % _WORD, seed // _WORD)
     return np.array([[[(words[w] + r * _PHILOX_W[w]) % _WORD] for w in (0, 1)]
                      for r in range(_PHILOX_ROUNDS)], dtype=np.uint64)
@@ -138,16 +129,17 @@ def uniform_chunks(seed: int, start: int, stop: int, last: int = 1):
 
     numpy bumps the counter before each block, so uniform p of substream i
     is word p % 4 of the Philox4x64-10 block of counter
-    i * 2**128 + p // 4 + 1 under key (seed mod 2**64, seed >> 64). With
-    last in [0, 2**64] that block number stays below 2**64, so the counter
-    is [p // 4 + 1, 0, i, 0] and no word carries. A block that holds a
-    whole row is read for only the words the row needs. Each pass costs a
-    fixed number of uint64 array operations.
+    i * 2**128 + p // 4 + 1 under key (seed mod 2**64, seed >> 64). The
+    seed runs from 0 to MAX_SEED, and start, stop and last from 0 to
+    MAX_SUBSTREAMS = 2**64, so that block number stays below 2**64, the
+    counter is [p // 4 + 1, 0, i, 0] and no word carries. A block that
+    holds a whole row is read for only the words the row needs. Each pass
+    costs a fixed number of uint64 array operations.
     """
     round_keys = _round_keys(seed)
-    start = _checked_integer(start, "substream start", _BOUNDS)
-    stop = _checked_integer(stop, "substream stop", _BOUNDS)
-    last = _checked_integer(last, "last uniform", _BOUNDS)
+    start = _checked_count(start, "substream start", MAX_SUBSTREAMS)
+    stop = _checked_count(stop, "substream stop", MAX_SUBSTREAMS)
+    last = _checked_count(last, "last uniform", MAX_SUBSTREAMS)
     if last == 0:                           # no block, however many substreams
         return
     rows = 1 if last > SUBSTREAM_CHUNK else max(1, SUBSTREAM_CHUNK // ((last + 3) // 4))

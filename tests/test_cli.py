@@ -429,6 +429,20 @@ def test_nogo_memory_does_not_grow_with_sweeps(tmp_path, monkeypatch):
     assert peaks[1] < peaks[0] + 5e5
 
 
+def test_nogo_measures_the_change_from_the_before_it_reports(tmp_path, monkeypatch):
+    """`overlap_before` is the check's own |<ready (x) s1|ready (x) s2>|,
+    which for a ready state off the basis is one bit below |<s1|s2>|, and
+    `max_abs_change` is the largest |after - overlap_before| of the sweeps."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["nogo", "--ready", "+", "--pair", "0", "+", "--sweeps", "20"]) == 0
+    data = load_json(tmp_path / "nogo.json")
+    assert data["overlap_before"] == 0.7071067811865474
+    ready, s1, s2 = (parse_state_spec(spec) for spec in ("+", "0", "+"))
+    afters = [overlap_preservation_check(haar_random_unitary(4, u), s1, s2, ready)[1]
+              for u in chain.from_iterable(uniform_chunks(data["seed"], 0, 20, 32))]
+    assert data["max_abs_change"] == max(abs(a - data["overlap_before"]) for a in afters)
+
+
 @pytest.mark.parametrize("argv", [
     ["nogo", "--pair", "0", "q"],
     ["nogo", "--seed", "-1"],
@@ -557,18 +571,25 @@ def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text
     (["steer", "--trials", str(10 ** 19)], 3),            # two bases: over 2**63 each
     (["pbr", "--trials", str(2 ** 64 + 1)], 3),
     (["nogo", "--sweeps", str(2 ** 64 + 1)], 3),
+    # no cycle runs at --n 0, but the first cycle's multipliers are built, so the
+    # wraparound guard counts one coupling: these g would overflow them
+    (["protective", "--n", "0", "--g", "4.3772936931394826e+305"], 3),
+    (["protective", "--n", "0", "--g", "1e306"], 3),
+    (["leak", "--n", "0", "--g", "4.3772936931394826e+305"], 3),
+    (["leak", "--n", "0", "--g", "1e306"], 3),
 ])
 @pytest.mark.filterwarnings("error")
 def test_degenerate_sizes_keep_the_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code):
-    """An exit 3 names each of --phase, --trials and --sweeps it was given."""
+    """An exit 3 names each of --phase, --trials, --sweeps and --mc-trials it
+    was given."""
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code
     if code:
         assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
-    for flag in ("--phase", "--trials", "--sweeps"):
+    for flag in ("--phase", "--trials", "--sweeps", "--mc-trials"):
         if code == 3 and flag in argv:
-            assert flag.lstrip("-") in err, (flag, err)
+            assert flag.lstrip("-").replace("-", "_") in err, (flag, err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,6 +14,8 @@ pulls in through it: every draw, `nogo`'s Haar unitaries and `onto`'s
 Monte Carlo cells included, evaluates the package's own Philox kernel.
 No function of the package names `numpy.random` but `rngs.substream` and
 `SubstreamSampler.select`, the reference that kernel is checked against.
+Only `rngs` writes the seed and substream ranges, and only
+`hilbert._checked_count` refuses a bool as an integer precondition.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported `scipy.optimize` through other tests.
@@ -238,6 +240,56 @@ def test_only_the_reference_substreams_name_numpy_random():
         tree = ast.parse(path.read_text(), filename=str(path))
         found |= _scopes_naming_numpy_random(tree, path.stem)
     assert found == {"rngs.substream", "rngs.SubstreamSampler.select"}
+
+
+_RANGE_ENDS = {2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1, 2 ** 128}
+
+
+def _writes_a_range_end(node) -> bool:
+    """Whether `node` is `2 ** 64` or `2 ** 128`, the same as `1 << k`, or
+    one of the range ends as a literal."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Pow, ast.LShift)):
+        base = 2 if isinstance(node.op, ast.Pow) else 1
+        return (isinstance(node.left, ast.Constant) and node.left.value == base
+                and isinstance(node.right, ast.Constant) and node.right.value in (64, 128))
+    return (isinstance(node, ast.Constant) and type(node.value) is int
+            and node.value in _RANGE_ENDS)
+
+
+def _refuses_a_bool(function) -> bool:
+    """Whether `function` tests `isinstance(_, bool)` and raises
+    PreconditionError: a precondition that refuses a bool as an integer."""
+    def names_bool(node):
+        return isinstance(node, ast.Name) and node.id == "bool"
+
+    tests_bool = any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and any(names_bool(n) for n in ast.walk(node.args[1]))
+        for node in ast.walk(function))
+    raises = any(isinstance(node, ast.Raise) and node.exc is not None
+                 and any(isinstance(n, ast.Name) and n.id == "PreconditionError"
+                         for n in ast.walk(node.exc))
+                 for node in ast.walk(function))
+    return tests_bool and raises
+
+
+def test_the_integer_ranges_and_their_rule_live_in_one_place_each():
+    """Only `rngs` writes the seed and substream ranges (2**128 and 2**64),
+    as MAX_SEED and MAX_SUBSTREAMS, and only `hilbert._checked_count`
+    refuses a bool where an integer is required: every count, size, index
+    and seed is checked by that one rule. (The cli's config coercion and
+    schema check also refuse bools, as config errors, not preconditions.)"""
+    ranges, rules = set(), set()
+    for path in sorted((SRC / "ketlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(map(_writes_a_range_end, ast.walk(tree))):
+            ranges.add(path.stem)
+        rules |= {f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and _refuses_a_bool(node)}
+    assert ranges == {"rngs"}
+    assert rules == {"hilbert._checked_count"}
 
 
 def test_the_parser_is_built_once_on_the_first_main_call(tmp_path):

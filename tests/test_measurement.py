@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,11 +82,12 @@ def test_grid_reads_integer_and_numpy_spacing_and_center_as_floats():
 
 def test_grid_rejects_more_points_than_the_cap():
     assert PointerGrid(MAX_DIM, 0.1).n_points == MAX_DIM
-    with pytest.raises(PreconditionError, match="cap"):
+    message = "n_points must be an integer in [1, 4096], got "
+    with pytest.raises(PreconditionError, match=re.escape(message + "8192") + "$"):
         PointerGrid(2 * MAX_DIM, 0.1)
     # rejected at construction: positions and momenta (8 TiB each) are
     # only computed on first use
-    with pytest.raises(PreconditionError, match="cap"):
+    with pytest.raises(PreconditionError, match=re.escape(message + "1099511627776") + "$"):
         default_grid(1.0, 2 ** 40)
 
 

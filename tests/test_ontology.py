@@ -2,6 +2,7 @@
 constructions, and the certified minimum violation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -632,7 +633,8 @@ def test_monte_carlo_over_the_trial_cap_is_rejected_before_any_draw(monkeypatch)
     monkeypatch.setattr(ketlab.ontology, "uniform_chunks", no_draws)
     scenario = qubit_scenario()
     trials = ketlab.ontology.MAX_MC_TRIALS + 1
-    with pytest.raises(PreconditionError, match=f"trials {trials} exceed the"):
+    message = f"trials must be an integer in [0, 1048576], got {trials}"
+    with pytest.raises(PreconditionError, match=re.escape(message) + "$"):
         monte_carlo_onto(orthodox_model(scenario), scenario, trials)
 
 

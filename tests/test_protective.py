@@ -2,6 +2,7 @@
 weak coupling plus projection back onto the protected state."""
 
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -174,7 +175,7 @@ def test_an_oversized_joint_state_is_rejected_before_any_cycle(tilted_state, mon
 
     monkeypatch.setattr(ketlab.protective, "make_pointer", no_pointer)
     grid = default_grid(1.0, 4096)
-    message = "joint dimension 8192 exceeds the 4096 cap"
+    message = re.escape("joint dimension must be an integer in [1, 4096], got 8192") + "$"
     with pytest.raises(PreconditionError, match=message):
         protective_measure(tilted_state, sigma_z(), n=4000, g=0.0005, grid=grid)
     with pytest.raises(PreconditionError, match=message):
@@ -232,7 +233,7 @@ def test_a_run_over_the_step_cap_is_rejected_before_any_work(tilted_state, monke
 
     monkeypatch.setattr(ketlab.protective, "default_grid", no_grid)
     n = ketlab.protective.MAX_STEPS + 1
-    message = f"step count {n} exceeds the {n - 1} cap"
+    message = re.escape(f"step count must be an integer in [0, {n - 1}], got {n}") + "$"
     with pytest.raises(PreconditionError, match=message):
         protective_measure(tilted_state, sigma_z(), n=n, g=1e-9)
     with pytest.raises(PreconditionError, match=message):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,9 @@ from hypothesis import strategies as st
 
 import ketlab
 import ketlab.cli
+import ketlab.ontology
+import ketlab.pbr
+import ketlab.protective
 from ketlab import rngs
 from ketlab.errors import PreconditionError
 from ketlab.protective import MAX_STEPS
@@ -305,6 +310,74 @@ def test_master_seeds_and_substream_indices_follow_one_rule(call):
     enter, even where the range they bound is empty."""
     with pytest.raises(PreconditionError, match="must be an integer in"):
         call()
+
+
+class _Accepted(Exception):
+    """Raised where a call's work would start: its arguments passed."""
+
+
+def _accepted(*args, **kwargs):
+    raise _Accepted
+
+
+# Each integer argument: the name its message gives it, the lowest and the
+# highest value it takes, and a call that passes it a value.
+INTEGER_ARGUMENTS = {
+    # a grid's point count is a power of two from 16 up, a later rule of its own
+    "grid-n_points": ("n_points", 1, 4096, lambda v: ketlab.PointerGrid(v, 0.1)),
+    "basis-index": ("basis index", 0, 3, lambda v: ketlab.basis_state(4, v)),
+    "protective-n": ("step count", 0, 65536, lambda v: ketlab.protective_measure(
+        ketlab.ket_plus(), ketlab.sigma_z(), n=v)),
+    "monte-carlo-trials": ("trials", 0, 2 ** 20, lambda v: ketlab.monte_carlo_onto(
+        ketlab.orthodox_model(ketlab.qubit_scenario()), ketlab.qubit_scenario(), v)),
+    "pbr-trials": ("trials", 0, 2 ** 64, lambda v: ketlab.pbr_experiment(v)),
+    "chunks-seed": ("master seed", 0, 2 ** 128 - 1, lambda v: next(uniform_chunks(v, 0, 1))),
+    "chunks-start": ("substream start", 0, 2 ** 64,
+                     lambda v: next(uniform_chunks(0, v, 2 ** 64), None)),
+    "chunks-stop": ("substream stop", 0, 2 ** 64, lambda v: next(uniform_chunks(0, 0, v), None)),
+    "chunks-last": ("last uniform", 0, 2 ** 64,
+                    lambda v: next(uniform_chunks(0, 0, 1, v), None)),
+    "substream-seed": ("master seed", 0, 2 ** 128 - 1, lambda v: substream(v, 0)),
+    "substream-index": ("substream index", 0, 2 ** 64 - 1, lambda v: substream(0, v)),
+}
+
+# Each value tried: the value from the argument's (low, high), and whether it is taken.
+TRIED_VALUES = {
+    "low-1": (lambda low, high: low - 1, False),
+    "low": (lambda low, high: low, True),
+    "high": (lambda low, high: high, True),
+    "high+1": (lambda low, high: high + 1, False),
+    "True": (lambda low, high: True, False),
+    "1.0": (lambda low, high: 1.0, False),
+    "text-1": (lambda low, high: "1", False),
+    "np.int64": (lambda low, high: np.int64(low), True),
+}
+
+
+@pytest.mark.parametrize("tried", TRIED_VALUES)
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_every_integer_argument_takes_exactly_its_range(argument, tried, monkeypatch):
+    """Every integer argument takes an int or a numpy integer from its low
+    to its high end, and refuses one past either end, a bool, a float and
+    text with one message; the engines stop where their work would start,
+    so a count at its cap costs nothing."""
+    monkeypatch.setattr(ketlab.protective, "default_grid", _accepted)
+    monkeypatch.setattr(ketlab.ontology, "uniform_chunks", _accepted)
+    monkeypatch.setattr(ketlab.pbr, "uniform_chunks", _accepted)
+    what, low, high, call = INTEGER_ARGUMENTS[argument]
+    make, taken = TRIED_VALUES[tried]
+    value = make(low, high)
+    if taken:
+        try:
+            call(value)
+        except _Accepted:
+            pass
+        except PreconditionError as exc:
+            assert str(exc).startswith("n_points must be a power of two"), exc
+    else:
+        message = f"{what} must be an integer in [{low}, {high}], got {value!r}"
+        with pytest.raises(PreconditionError, match=re.escape(message) + "$"):
+            call(value)
 
 
 def test_numpy_integer_seeds_and_indices_draw_the_same_stream():
