@@ -120,8 +120,12 @@ MUTANTS = (
            ("tests/test_cli.py::test_degenerate_sizes_keep_the_exit_code_contract",)),
     Mutant("nogo reports |<s1|s2>| as the overlap before", "cli.py",
            "before = overlap_preservation_check(np.eye(dim), s1, s2, ready)[0]",
-           "before = abs(inner_product(s1, s2))",
+           "before = abs(complex(np.vdot(s1.amplitudes, s2.amplitudes)))",
            ("tests/test_cli.py::test_nogo_measures_the_change_from_the_before_it_reports",)),
+    Mutant("the cli imports numpy at module level", "cli.py",
+           "from .serialize import dump_json, load_json, write_csv\n",
+           "from .serialize import dump_json, load_json, write_csv\nimport numpy as np\n",
+           ("tests/test_imports.py::test_importing_the_cli_and_its_early_exits_load_no_numpy",)),
 )
 
 

@@ -33,10 +33,14 @@ file it started. Exit codes: 0 success, 2 configuration error, 3
 precondition rejection, 4 internal-consistency failure, and also any
 other exception, reported with the stage it escaped (parse, resolve,
 compute, check or write). The argument parser is built on the first
-`main` call and reused by every later call in the process; importing
-this module builds nothing and loads no experiment module: each runner
-imports its own (`protective`, `weak`, `pbr` or `ontology`) when it is
-called, so a run compiles only what it computes.
+`main` call and reused by every later call in the process. Importing
+this module builds nothing and loads no numpy, nor does parsing, so
+`--help` and a parse error exit without it; resolving loads it only for a
+given --seed (`rngs` holds its range) or a well-formed state spec, so an
+unreadable --config file exits without it too. Each runner imports numpy
+and the modules it computes with (`hilbert`, `measurement`, `rngs`, and
+`protective`, `weak`, `pbr` or `ontology`) when it is called, so a run
+compiles only what it computes.
 """
 
 from __future__ import annotations
@@ -45,44 +49,25 @@ import argparse
 import functools
 import math
 import os
-import platform
 import sys
 from contextlib import contextmanager
 from itertools import chain, combinations
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__
+from . import DEFAULT_COUPLING, DEFAULT_GRID_POINTS, DEFAULT_STEPS, __version__, record
 from .errors import ConfigError, InternalError, LabError, PreconditionError, ScanUndefinedError
-from .hilbert import (
-    StateVector,
-    _checked_count,
-    equal_up_to_phase,
-    expectation,
-    haar_random_unitary,
-    inner_product,
-    ket_minus,
-    ket_one,
-    ket_plus,
-    ket_zero,
-    qubit_state,
-    record,
-    sigma_x,
-    sigma_y,
-    sigma_z,
-)
-from .measurement import (DEFAULT_COUPLING, DEFAULT_GRID_POINTS, DEFAULT_STEPS,
-                          GridWavefunction, default_grid, gaussian_profile, tally)
-from .rngs import MAX_SEED, MAX_SUBSTREAMS, uniform_chunks
 from .serialize import dump_json, load_json, write_csv
+
+if TYPE_CHECKING:
+    from .hilbert import HermitianOperator, StateVector
+    from .measurement import GridWavefunction
 
 DEFAULT_SEED = 7
 DEFAULT_Q = 1.0   # `onto`'s shared-lambda weight, the full PBR overlap
 
-# one instance per name, so every run of an observable shares its `eigen`
-_OBSERVABLES = {"z": sigma_z(), "x": sigma_x(), "y": sigma_y()}
-_NAMED_KETS = {"0": ket_zero, "1": ket_one, "+": ket_plus, "-": ket_minus}
+# the `hilbert` constructor of each named ket
+_NAMED_KETS = {"0": "ket_zero", "1": "ket_one", "+": "ket_plus", "-": "ket_minus"}
 
 SCAN_HEADER = ("x", "re_scan", "im_scan", "re_psi", "im_psi")
 PBR_HEADER = ("preparation", "xi1", "xi2", "xi3", "xi4", "total", "forbidden_xi")
@@ -90,19 +75,30 @@ PER_STEP_HEADER = ("step", "survival", "pointer_mean")
 SWEEP_HEADER = ("g", "inferred_expectation", "absolute_error", "survival")
 
 
+@functools.cache
+def _observable(name: str) -> HermitianOperator:
+    """The Pauli operator `name` ('x', 'y' or 'z') names: one instance per
+    name and process, so every run of an observable shares its `eigen`."""
+    from . import hilbert
+
+    return getattr(hilbert, f"sigma_{name}")()
+
+
 def parse_state_spec(spec: str) -> StateVector:
     """Named qubit ket ('0', '1', '+', '-') or 'theta:phi', the state
     cos(theta)|0> + e^{i phi} sin(theta)|1>: theta is half the Bloch polar
-    angle and phi the azimuthal angle."""
-    if spec in _NAMED_KETS:
-        return _NAMED_KETS[spec]()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) == 2:
-            try:
-                return qubit_state(_as_float(parts[0]), _as_float(parts[1]))
-            except ConfigError:
-                pass
+    angle and phi the azimuthal angle. A spec that names no state raises
+    ConfigError before `hilbert`, and numpy, is loaded."""
+    parts = spec.split(":")
+    if spec in _NAMED_KETS or len(parts) == 2:
+        try:
+            args = () if spec in _NAMED_KETS else tuple(map(_as_float, parts))
+        except ConfigError:
+            pass
+        else:
+            from . import hilbert
+
+            return getattr(hilbert, _NAMED_KETS.get(spec, "qubit_state"))(*args)
     raise ConfigError(
         f"cannot parse state {spec!r}: expected one of 0, 1, +, - or 'theta:phi'"
     )
@@ -187,6 +183,8 @@ def _state_pair(value):
 
 def _seed_value(value):
     n = _as_int(value)
+    from .rngs import MAX_SEED   # the range's one home, which loads numpy
+
     if not 0 <= n <= MAX_SEED:
         raise ConfigError("seed must be a 128-bit integer (0 <= seed < 2**128)")
     return n
@@ -481,11 +479,13 @@ def validate_artifact(artifact: Artifact) -> Artifact:
 # runners
 
 def _run_protective(cfg: RunConfig):
+    from .hilbert import expectation, inner_product, qubit_state
+    from .measurement import default_grid
     from .protective import protective_measure, protective_tomography
 
     p = cfg.params
     psi = qubit_state(p["theta"], p["phi"])
-    op = _OBSERVABLES[p["observable"]]
+    op = _observable(p["observable"])
     grid = default_grid(p["width"], p["grid_points"])
     # the main run and every sweep point differ in g alone
     measure = functools.partial(protective_measure, psi, op, n=p["n"], grid=grid,
@@ -505,7 +505,7 @@ def _run_protective(cfg: RunConfig):
     }
     if p["tomography"]:
         reconstructed, chain_survival = protective_tomography(
-            psi, [_OBSERVABLES[name] for name in "xyz"], n=p["n"], g=p["g"], grid=grid,
+            psi, [_observable(name) for name in "xyz"], n=p["n"], g=p["g"], grid=grid,
             width=p["width"]
         )
         data["tomography"] = {
@@ -546,12 +546,14 @@ def _run_protective(cfg: RunConfig):
 
 
 def _run_leak(cfg: RunConfig):
+    from .hilbert import equal_up_to_phase, inner_product
+    from .measurement import default_grid
     from .protective import protection_leak
 
     p = cfg.params
     prepared = parse_state_spec(p["prepared"])
     protected = parse_state_spec(p["protected"])
-    op = _OBSERVABLES[p["observable"]]
+    op = _observable(p["observable"])
     grid = default_grid(p["width"], p["grid_points"])
     result = protection_leak(
         prepared, protected, op, n=p["n"], g=p["g"], grid=grid, width=p["width"]
@@ -583,6 +585,10 @@ def _scan_input(p) -> GridWavefunction:
     grid, within 20 widths of 0, else PreconditionError naming the flag
     that put it off: off the grid a hump leaves only its tail there, or
     nothing."""
+    import numpy as np
+
+    from .measurement import GridWavefunction, default_grid, gaussian_profile
+
     grid = default_grid(p["width"], p["grid_points"])
     half = p["separation"] / 2.0 if p["profile"] == "double" else 0.0
     for flag, centre in (("offset", p["offset"]), ("separation", p["offset"] + half),
@@ -602,6 +608,8 @@ def _scan_input(p) -> GridWavefunction:
 
 
 def _run_scan(cfg: RunConfig):
+    import numpy as np
+
     from .weak import direct_wavefunction_scan, momentum_zero_amplitude
 
     psi = _scan_input(cfg.params)
@@ -651,7 +659,12 @@ def _run_steer(cfg: RunConfig):
     outcome table, which is computed once per basis; `uniform_chunks`
     draws a basis's rounds as arrays and `tally` walks and counts them, as
     it does each cell of `onto --mc-trials`."""
+    import numpy as np
+
+    from .hilbert import _checked_count
+    from .measurement import tally
     from .pbr import steering_table
+    from .rngs import MAX_SUBSTREAMS, uniform_chunks
 
     p = cfg.params
     bases = ("z", "x") if p["basis"] == "both" else (p["basis"],)
@@ -694,6 +707,7 @@ def _run_onto(cfg: RunConfig):
     model on that scenario: in the bound mode, the witness model that
     attains the bound. Each mode refuses the flags that only the other
     reads, so no manifest echoes a value its run ignored."""
+    from .hilbert import _checked_count
     from .ontology import (MAX_MC_TRIALS, OntologicalModel, born_consistency_gap,
                            monte_carlo_onto, orthodox_model, overlap, paired_shared_reality_model,
                            pbr_min_violation, predict, qubit_scenario)
@@ -757,7 +771,11 @@ def _run_onto(cfg: RunConfig):
 
 
 def _run_nogo(cfg: RunConfig):
+    import numpy as np
+
+    from .hilbert import _checked_count, haar_random_unitary
     from .pbr import overlap_preservation_check
+    from .rngs import MAX_SUBSTREAMS, uniform_chunks
 
     p = cfg.params
     _checked_count(p["sweeps"], "sweeps", MAX_SUBSTREAMS)      # one substream a sweep
@@ -1056,6 +1074,8 @@ def _check_paths(artifacts: list, config: Path | None) -> None:
 
 
 def _manifest(cfg: RunConfig, paths: list) -> dict:
+    import numpy as np   # loaded by the runner, so this binds it
+
     return {
         "kind": "ketlab/manifest",
         "command": cfg.subcommand,
@@ -1070,7 +1090,7 @@ def _manifest(cfg: RunConfig, paths: list) -> dict:
         "versions": {
             "ketlab": __version__,
             "numpy": np.__version__,
-            "python": platform.python_version(),
+            "python": sys.version.split()[0],
         },
         "outputs": [os.path.relpath(p, _manifest_path(cfg.output).parent) for p in paths],
     }

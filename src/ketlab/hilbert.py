@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import record
 from .errors import InternalError, PreconditionError
 
 NORM_TOL = 1e-12           # allowed |sum |a|^2 - 1| at construction
@@ -104,50 +105,6 @@ def complex_json(values: np.ndarray) -> dict:
     """{"re": [...], "im": [...]}: the entries of `values` in row-major order."""
     flat = values.reshape(-1)
     return {"re": flat.real.tolist(), "im": flat.imag.tolist()}
-
-
-def _frozen(self, name, *value):
-    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-
-def record(cls):
-    """Make `cls` a frozen record of the fields its own body annotates.
-
-    The fields, in order, become `__match_args__`. The new `__init__` takes
-    them by position or keyword, fills the rest from class-level defaults,
-    raises TypeError on a missing, unknown or repeated field, and then
-    runs `__post_init__`, which may check the fields and replace them
-    through `object.__setattr__`. Assigning or deleting an attribute raises
-    AttributeError. Equality, hash and repr stay `object`'s, and instances
-    keep a `__dict__` for `cached_property`. Nothing is written out as
-    source and compiled, so decorating a class costs microseconds.
-    """
-    names = tuple(cls.__annotations__)
-    if not names:
-        raise TypeError(f"{cls.__name__} annotates no fields")
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    post_init = getattr(cls, "__post_init__", lambda self: None)
-    # after k positional arguments: the fields left, and the keywords a call may pass
-    tails = tuple((names[k:], frozenset(names[k:])) for k in range(len(names) + 1))
-
-    def __init__(self, *args, **kwargs):
-        rest = {**defaults, **kwargs}
-        try:
-            wanted, allowed = tails[len(args)]          # IndexError: too many by position
-            if not kwargs.keys() <= allowed:
-                raise KeyError("an unknown or repeated field")
-            args += tuple(map(rest.__getitem__, wanted))   # KeyError: a missing field
-        except (IndexError, KeyError):
-            raise TypeError(
-                f"{cls.__name__}{names}: {len(args)} by position, {list(kwargs)}"
-            ) from None
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
-        post_init(self)
-
-    cls.__init__, cls.__match_args__ = __init__, names
-    cls.__setattr__ = cls.__delattr__ = _frozen
-    return cls
 
 
 @record

@@ -43,13 +43,14 @@ from typing import Mapping
 
 import numpy as np
 
+from . import DEFAULT_GRID_POINTS, record
 from .errors import (
     DegenerateInputError,
     PreconditionError,
     WraparoundError,
 )
 from .hilbert import (EigenDecomposition, HermitianOperator, StateVector, _checked_dim,
-                      _finite_real, _number_array, _readonly, complex_json, record)
+                      _finite_real, _number_array, _readonly, complex_json)
 from .rngs import uniform_chunks
 
 MIN_GRID_POINTS = 16
@@ -58,9 +59,6 @@ WIDTH_SPACING_FACTOR = 4.0   # pointer width must cover >= 4 grid spacings
 GRID_NORM_TOL = 1e-10        # allowed norm defect for grid wavefunctions
 DEGENERATE_PROB_TOL = 1e-15  # total Born weight below this cannot be sampled
 FORBIDDEN_TOL = 1e-12        # amplitude |<v_k|psi>| below this forbids outcome k
-DEFAULT_GRID_POINTS = 512
-DEFAULT_STEPS = 400          # protection cycles of a protective run
-DEFAULT_COUPLING = 5e-3      # coupling strength g per protection cycle
 DEFAULT_EXTENT_WIDTHS = 40.0
 BLOCK_ELEMENTS = 2 ** 13     # real entries (64 KB) per array of a block: B cycles x K momenta
 CACHE_SIZE = 8               # default grids, and pointers, kept per process

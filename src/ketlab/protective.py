@@ -45,6 +45,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import DEFAULT_COUPLING, DEFAULT_STEPS
 from .errors import NotPureError, PreconditionError
 from .hilbert import (
     HermitianOperator,
@@ -58,8 +59,6 @@ from .hilbert import (
     record,
 )
 from .measurement import (
-    DEFAULT_COUPLING,
-    DEFAULT_STEPS,
     MIN_PHASE_STEP,
     JointSystemPointerState,
     PointerGrid,

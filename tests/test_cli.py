@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import ketlab.cli
+import ketlab.hilbert
 import ketlab.ontology
 import ketlab.pbr
 import ketlab.rngs
@@ -111,8 +113,30 @@ def test_defaults_reach_the_manifest(tmp_path, monkeypatch, capsys):
     assert manifest["config"]["n"] == 400
     assert manifest["config"]["g"] == 0.005
     assert manifest["outputs"] == ["leak.json"]
+    assert manifest["versions"] == {"ketlab": ketlab.__version__, "numpy": np.__version__,
+                                    "python": platform.python_version()}
     out = capsys.readouterr().out
     assert "wrote:" in out
+
+
+def test_runs_of_one_observable_share_its_solved_eigenproblem(tmp_path, monkeypatch):
+    """Each observable is one operator per process, which keeps its
+    solved `eigen`: a second run of `protective --observable x` solves no
+    eigenproblem. A warm process, perfbench's protective-warm included,
+    pays for each observable's eigenproblem once."""
+    monkeypatch.chdir(tmp_path)
+    solved = []
+    solve = ketlab.hilbert.eigendecompose
+
+    def counted(op):
+        solved.append(op)
+        return solve(op)
+
+    monkeypatch.setattr(ketlab.hilbert, "eigendecompose", counted)
+    assert main(["protective", "--observable", "x"]) == 0
+    first = len(solved)
+    assert main(["protective", "--observable", "x"]) == 0
+    assert len(solved) == first
 
 
 def test_flags_beat_config_file_beats_defaults(tmp_path, monkeypatch):
@@ -420,7 +444,7 @@ def test_nogo_memory_does_not_grow_with_sweeps(tmp_path, monkeypatch):
     pass and a run of many then share."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(ketlab.rngs, "SUBSTREAM_CHUNK", 2 ** 10)
-    monkeypatch.setattr(ketlab.cli, "haar_random_unitary", lambda dim, u: u)
+    monkeypatch.setattr(ketlab.hilbert, "haar_random_unitary", lambda dim, u: u)
     monkeypatch.setattr(ketlab.pbr, "overlap_preservation_check",
                         lambda u, s1, s2, ready: (0.5, float(u.flat[0])))
     peaks = [traced_peak(lambda: main(["nogo", "--sweeps", str(n), "-o", f"n{n}.json"]))

@@ -7,11 +7,15 @@ loads `dataclasses`: ketlab's record types compile no code at import.
 `import ketlab` loads none of its modules, and each public name it lists
 is its module's object, imported on first use. `import ketlab.cli` loads
 no experiment module (`protective`, `pbr`, `ontology`, `weak`), and each
-command loads only those it runs. `python -m ketlab.cli`, the entry point
-a cold run starts through, keeps the exit-code contract. No command loads
-`numpy.random`, nor `_hashlib`, the libcrypto binding that `secrets`
-pulls in through it: every draw, `nogo`'s Haar unitaries and `onto`'s
-Monte Carlo cells included, evaluates the package's own Philox kernel.
+command loads only those it runs. Nor does it load numpy or the modules
+built on it (`hilbert`, `measurement`, `rngs`): `--help`, a command's
+`--help`, a parse error, an unreadable `--config` file and a state spec
+that names no state all exit without numpy. `python -m ketlab.cli`, the
+entry point a cold run starts through, keeps the exit-code contract. No
+command loads `numpy.random`, nor `_hashlib`, the libcrypto binding that
+`secrets` pulls in through it: every draw, `nogo`'s Haar unitaries and
+`onto`'s Monte Carlo cells included, evaluates the package's own Philox
+kernel.
 No function of the package names `numpy.random` but `rngs.substream` and
 `SubstreamSampler.select`, the reference that kernel is checked against.
 Only `rngs` writes the seed and substream ranges, and only
@@ -98,6 +102,27 @@ def test_importing_the_cli_loads_no_experiment_module(tmp_path):
         tmp_path,
     )
     assert seen == []
+
+
+def test_importing_the_cli_and_its_early_exits_load_no_numpy(tmp_path):
+    seen = run_fresh(
+        "import json, sys\n"
+        "import ketlab.cli\n"
+        "physics = ('numpy', 'ketlab.hilbert', 'ketlab.measurement', 'ketlab.rngs')\n"
+        "seen = [[m for m in physics if m in sys.modules]]\n"
+        "for argv in (['--help'], ['protective', '--help'], ['leak', '--no-such-flag'],\n"
+        "             ['pbr', '--config', 'missing.json'], ['--config', 'missing.json', 'pbr'],\n"
+        "             ['leak', '--prepared', 'bad']):\n"
+        "    try:\n"
+        "        code = ketlab.cli.main(argv)\n"
+        "    except SystemExit as exc:   # argparse exits on --help and on a parse error\n"
+        "        code = exc.code\n"
+        "    seen.append([code, 'numpy' in sys.modules])\n"
+        "print(json.dumps(seen))\n",
+        tmp_path,
+    )
+    # a --config after the command is a parse error; before it, the file is read
+    assert seen == [[], [0, False], [0, False], [2, False], [2, False], [2, False], [2, False]]
 
 
 @pytest.mark.parametrize("command,loaded", [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import ketlab
 import ketlab.cli
+import ketlab.hilbert
 import ketlab.ontology
 import ketlab.pbr
 import ketlab.protective
@@ -139,13 +140,13 @@ def test_nogo_draws_sweep_k_from_the_start_of_substream_k(tmp_path, monkeypatch)
     """A sweep's 4 x 4 unitary takes the first 2 * 4**2 = 32 uniforms of
     its own substream."""
     seen = []
-    haar = ketlab.cli.haar_random_unitary
+    haar = ketlab.hilbert.haar_random_unitary
 
     def recording(dim, uniforms):
         seen.append(np.array(uniforms))
         return haar(dim, uniforms)
 
-    monkeypatch.setattr(ketlab.cli, "haar_random_unitary", recording)
+    monkeypatch.setattr(ketlab.hilbert, "haar_random_unitary", recording)
     monkeypatch.chdir(tmp_path)
     seed = 2 ** 100 + 3
     assert ketlab.cli.main(["nogo", "--sweeps", "6", "--seed", str(seed)]) == 0
