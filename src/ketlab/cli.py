@@ -36,8 +36,8 @@ compute, check or write). The argument parser is built on the first
 `main` call and reused by every later call in the process. Importing
 this module builds nothing and loads no numpy, nor does parsing, so
 `--help` and a parse error exit without it; resolving loads it only for a
-given --seed (`rngs` holds its range) or a well-formed state spec, so an
-unreadable --config file exits without it too. Each runner imports numpy
+given --seed (`rngs` holds its range) or a state spec that names a ket or
+holds one ':', so an unreadable --config file exits without it too. Each runner imports numpy
 and the modules it computes with (`hilbert`, `measurement`, `rngs`, and
 `protective`, `weak`, `pbr` or `ontology`) when it is called, so a run
 compiles only what it computes.
@@ -87,18 +87,20 @@ def _observable(name: str) -> HermitianOperator:
 def parse_state_spec(spec: str) -> StateVector:
     """Named qubit ket ('0', '1', '+', '-') or 'theta:phi', the state
     cos(theta)|0> + e^{i phi} sin(theta)|1>: theta is half the Bloch polar
-    angle and phi the azimuthal angle. A spec that names no state raises
-    ConfigError before `hilbert`, and numpy, is loaded."""
-    parts = spec.split(":")
-    if spec in _NAMED_KETS or len(parts) == 2:
-        try:
-            args = () if spec in _NAMED_KETS else tuple(map(_as_float, parts))
-        except ConfigError:
-            pass
-        else:
-            from . import hilbert
+    angle and phi the azimuthal angle."""
+    if spec in _NAMED_KETS:
+        from . import hilbert
 
-            return getattr(hilbert, _NAMED_KETS.get(spec, "qubit_state"))(*args)
+        return getattr(hilbert, _NAMED_KETS[spec])()
+    if ":" in spec:
+        parts = spec.split(":")
+        if len(parts) == 2:
+            from .hilbert import qubit_state
+
+            try:
+                return qubit_state(_as_float(parts[0]), _as_float(parts[1]))
+            except ConfigError:
+                pass
     raise ConfigError(
         f"cannot parse state {spec!r}: expected one of 0, 1, +, - or 'theta:phi'"
     )

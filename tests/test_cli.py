@@ -97,6 +97,9 @@ def compare_csv(got_path, want_path):
 
 def test_parse_state_spec_accepts_names_and_angles():
     assert parse_state_spec("+").amplitudes[0] == pytest.approx(1 / math.sqrt(2))
+    h = ketlab.hilbert
+    for spec, ket in (("0", h.ket_zero), ("1", h.ket_one), ("+", h.ket_plus), ("-", h.ket_minus)):
+        assert np.array_equal(parse_state_spec(spec).amplitudes, ket().amplitudes)
     psi = parse_state_spec("0.5:1.2")
     assert abs(psi.amplitudes[0]) == pytest.approx(math.cos(0.5))
     for bad in ("q", "1:2:3", "a:b"):
