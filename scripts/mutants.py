@@ -122,9 +122,18 @@ MUTANTS = (
            "before = overlap_preservation_check(np.eye(dim), s1, s2, ready)[0]",
            "before = abs(complex(np.vdot(s1.amplitudes, s2.amplitudes)))",
            ("tests/test_cli.py::test_nogo_measures_the_change_from_the_before_it_reports",)),
+    # killed by the oracle test's @example of a float column holding NaN
+    Mutant("a float column written raw without its finiteness guard, NaN as nan",
+           "serialize.py",
+           "kinds == {float} and math.isfinite(sum(column))", "kinds == {float}",
+           ("tests/test_serialize.py::test_dump_json_writes_the_oracles_bytes",)),
+    # killed by the oracle test's @example with the keys "%" and "%s"
+    Mutant("record keys laid into the template without their % doubled", "serialize.py",
+           '.replace("%", "%%") + ": %s"', ' + ": %s"',
+           ("tests/test_serialize.py::test_dump_json_writes_the_oracles_bytes",)),
     Mutant("the cli imports numpy at module level", "cli.py",
-           "from .serialize import dump_json, load_json, write_csv\n",
-           "from .serialize import dump_json, load_json, write_csv\nimport numpy as np\n",
+           "from .serialize import Records, dump_json, load_json, write_csv\n",
+           "from .serialize import Records, dump_json, load_json, write_csv\nimport numpy as np\n",
            ("tests/test_imports.py::test_importing_the_cli_and_its_early_exits_load_no_numpy",)),
 )
 

@@ -18,10 +18,11 @@ configuration error. Every run takes one master seed (default 7);
 trial-level randomness comes from counter-based substreams of it, so
 results do not depend on execution order. Each runner builds its JSON
 payloads from plain Python values, every numpy array converted once by its
-own `tolist()`. At run end every artifact and its manifest (config echo,
-seed, library versions, and each output's path relative to the manifest's
-own directory) is checked, in memory and as built, and only then written,
-from the very object that was checked. The check takes the paths first:
+own `tolist()`, and a per-step log as the columns of a `Records`. At run
+end every artifact and its manifest (config echo, seed, library versions,
+and each output's path relative to the manifest's own directory) is
+checked, in memory and as built, and only then written, from the very
+object that was checked. The check takes the paths first:
 each ends in its format's suffix, and none is shared with another
 artifact or the --config file, names an existing directory, or is a name
 the filesystem cannot look up (a config error). It then checks each
@@ -32,8 +33,9 @@ fails the check writes nothing; a run whose write fails removes every
 file it started. Exit codes: 0 success, 2 configuration error, 3
 precondition rejection, 4 internal-consistency failure, and also any
 other exception, reported with the stage it escaped (parse, resolve,
-compute, check or write). The argument parser is built on the first
-`main` call and reused by every later call in the process. Importing
+compute, check or write); a stdout closed by its reader after the write
+is still 0. The argument parser is built on the first `main` call and
+reused by every later call in the process. Importing
 this module builds nothing and loads no numpy, nor does parsing, so
 `--help` and a parse error exit without it; resolving loads it only for a
 given --seed (`rngs` holds its range) or a state spec that names a ket or
@@ -57,7 +59,7 @@ from typing import TYPE_CHECKING
 
 from . import DEFAULT_COUPLING, DEFAULT_GRID_POINTS, DEFAULT_STEPS, __version__, record
 from .errors import ConfigError, InternalError, LabError, PreconditionError, ScanUndefinedError
-from .serialize import dump_json, load_json, write_csv
+from .serialize import Records, dump_json, load_json, write_csv
 
 if TYPE_CHECKING:
     from .hilbert import HermitianOperator, StateVector
@@ -277,6 +279,7 @@ SCHEMAS = {
                 "required": ["steps", "coupling", "mode", "pointer_mean_shift",
                              "survival_probability", "inferred_expectation",
                              "aborted_at_step", "per_step_log"],
+                "properties": {"per_step_log": {"type": "array"}},
             },
             "tomography": {
                 "type": "object",
@@ -403,14 +406,15 @@ _CSV_COLUMNS = {
 # the JSON Schema keywords `_schema_error` implements; SCHEMAS may use no other
 SCHEMA_KEYWORDS = frozenset({"type", "const", "minimum", "required", "properties",
                              "additionalProperties", "items", "minItems", "maxItems"})
-_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+_JSON_TYPES = {"object": dict, "array": (list, Records), "string": str, "number": (int, float),
                "integer": int, "boolean": bool, "null": type(None)}
 
 
 def _is_type(value, name: str) -> bool:
     """JSON Schema's type test on plain JSON values, with a strict
     integer: a count that was computed as 3.0 fails, although the dialect
-    accepts it. A bool is neither a number nor an integer."""
+    accepts it. A bool is neither a number nor an integer, and a `Records`
+    is an array."""
     if isinstance(value, bool):
         return name == "boolean"
     return isinstance(value, _JSON_TYPES[name])
@@ -419,7 +423,8 @@ def _is_type(value, name: str) -> bool:
 def _schema_error(schema: dict, value, where: str = "$") -> str | None:
     """The first way `value` breaks `schema`, or None when it conforms.
     Each keyword in SCHEMA_KEYWORDS has its JSON Schema meaning: the
-    object, array and number keywords apply only to values of that type."""
+    object, array and number keywords apply only to values of that type.
+    A `Records` conforms when `dump_json` can write it."""
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
     if types and not any(_is_type(value, name) for name in types):
@@ -439,6 +444,11 @@ def _schema_error(schema: dict, value, where: str = "$") -> str | None:
         if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
             return f"{where} has {len(value)} items"
         children = [(schema.get("items"), v, f"{where}[{i}]") for i, v in enumerate(value)]
+    elif isinstance(value, Records):
+        try:
+            value.cells
+        except InternalError as exc:
+            return f"{where}: {exc}"
     for sub, item, path in children:
         if sub and (error := _schema_error(sub, item, path)):
             return error
@@ -449,11 +459,12 @@ def validate_artifact(artifact: Artifact) -> Artifact:
     """Check an artifact against its schema before it is written and
     return the very artifact given, which is then written as it is;
     InternalError on failure. A JSON payload, plain JSON as its runner
-    built it, is checked against the schema its 'kind' names. A CSV
-    payload's header must be a layout of `_CSV_COLUMNS`, and each row must
-    hold one cell of exactly its column's type (a bool, a numpy scalar or
-    a text number is no int or float); the first row or cell that fails
-    is named by its line in the file."""
+    built it (a per-step log as a `Records`), is checked against the
+    schema its 'kind' names. A CSV payload's header must be a layout of
+    `_CSV_COLUMNS`, and each row must hold one cell of exactly its
+    column's type (a bool, a numpy scalar or a text number is no int or
+    float); the first row or cell that fails is named by its line in the
+    file."""
     name = artifact.path.name
     if artifact.fmt == "json":
         data = artifact.payload
@@ -1147,7 +1158,8 @@ def run(cfg: RunConfig) -> list:
     before its file is opened, so even a file the write could not open (a
     read-only one, say) is removed. An exception that is not one of this
     package's errors is raised as an InternalError naming the stage it
-    came from."""
+    came from. A stdout whose reader has gone ends the run as a success,
+    since its artifacts are on disk by then."""
     spec = COMMANDS[cfg.subcommand]
     with _stage("compute"):
         artifacts, summary = spec.runner(cfg)
@@ -1158,8 +1170,13 @@ def run(cfg: RunConfig) -> list:
         for path in paths:
             path.unlink(missing_ok=True)
         raise
-    print(summary)
-    print("wrote: " + ", ".join(str(p) for p in paths))
+    try:
+        print(f"{summary}\nwrote: {', '.join(map(str, paths))}", flush=True)
+    except BrokenPipeError:
+        # stdout's reader has gone, but the artifacts are written and checked;
+        # devnull takes what is left, so the flush at exit fails no more
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return paths
 
 

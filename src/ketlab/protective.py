@@ -33,8 +33,9 @@ over the K momenta the pointer occupies. The cycles run in blocks of
 max(1, BLOCK_ELEMENTS // K), a fixed working set of 64 KB per real block
 array, 106 cycles for the default pointer (K = 77 at any grid size). The
 survivals follow from all weights at once, and the per-step log is two
-float columns. The final joint state, the run's one
-inverse FFT, is built only when it is read.
+float columns, which the JSON artifact takes as they are
+(`serialize.Records`). The final joint state, the run's one inverse FFT,
+is built only when it is read.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .measurement import (
     postselected_multiplier,
 )
 from .rngs import uniform_chunks
+from .serialize import Records
 
 NOT_PURE_TOL = 1e-3          # largest rho eigenvalue below 1 - this: not pure
 ORTHOGONAL_LEAK_TOL = 1e-15  # |<protected|prepared>| below this: empty result
@@ -83,7 +85,9 @@ class ProtectiveRunResult:
 
     The per-step log is two columns, one entry per cycle run: survivals[i]
     is the survival probability and pointer_means[i] the pointer mean after
-    cycle i + 1. `final_joint` is built by `build_joint` on first read.
+    cycle i + 1; `to_json_dict` hands them on as the columns of a
+    `Records`, with no dict per cycle. `final_joint` is built by
+    `build_joint` on first read.
     """
 
     steps: int
@@ -124,10 +128,9 @@ class ProtectiveRunResult:
             "survival_probability": self.survival_probability,
             "inferred_expectation": self.inferred_expectation,
             "aborted_at_step": self.aborted_at_step,
-            "per_step_log": [
-                {"step": step, "survival": survival, "pointer_mean": mean}
-                for step, survival, mean in self.step_rows()
-            ],
+            "per_step_log": Records(("step", "survival", "pointer_mean"), (
+                list(range(1, len(self.survivals) + 1)), self.survivals.tolist(),
+                self.pointer_means.tolist())),
         }
 
 

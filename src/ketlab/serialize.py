@@ -2,47 +2,37 @@
 
 Every artifact the command line writes goes through these helpers so that
 the same configuration and seed always produce byte-identical files. They
-take plain values only: JSON values in, canonical bytes out. JSON is laid
-out exactly as `json.dumps(data, sort_keys=True, indent=2)` would write it,
-plus a trailing newline: keys sorted, two-space indent, strings
-ASCII-escaped, floats by repr() (shortest round-trip) with json's NaN and
-Infinity. With an indent, json falls back to its pure-Python generator
-encoder, which is slow, so `dump_json` lays the containers out itself and
-hands runs of scalars to json's C encoder, which json uses when there is no
-indent: a list or dict of scalars is one encoder call whose item separator
-carries the newline and indent, and a list of records that share their
-keys and hold only scalars (a per-step log) is one call over all their
-values. Anything else is laid out container by container. CSV rows are
-plain comma-joined fields with no quoting surprises, all rendered by one
-`%` format.
+take plain values only: JSON values in, canonical bytes out, where a list
+of records may come as `Records`, its columns. JSON is laid out exactly as
+`json.dumps(data, sort_keys=True, indent=2)` would write it, plus a
+trailing newline: keys sorted, two-space indent, strings ASCII-escaped,
+floats by repr() (shortest round-trip) with json's NaN and Infinity. With
+an indent, json falls back to its pure-Python generator encoder, which is
+slow, so `dump_json` lays the containers out itself and hands runs of
+scalars to json's C encoder, which json uses when there is no indent: a
+list or dict of scalars is one encoder call whose item separator carries
+the newline and indent. A `Records` (a per-step log) is one `%` pass over
+one per-record template, its columns handed in as they are or as the
+encoder's texts, with no dict built per record. Anything else is laid out
+container by container. CSV rows are plain comma-joined fields with no
+quoting surprises, all rendered by one `%` format.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
+from . import record
 from .errors import InternalError
 
 _INDENT = "  "
 _CONSTANTS = {None: "null", True: "true", False: "false"}
-_INF = float("inf")
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def _float_text(value: float) -> str:
-    """json's text for a float: repr, but NaN, Infinity and -Infinity."""
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
 
 
 @functools.cache
@@ -52,52 +42,76 @@ def _encode_run(separator: str):
     return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
 
 
-def _records(value: list, indent: str) -> str | None:
-    """`value` laid out when it is a list of dicts that share one set of
-    text keys and hold only scalars, else None. All their values are one
-    encoder call, split on the newlines ASCII-escaped JSON never holds and
-    filled into one template per record."""
-    first = value[0]
-    if (not {dict}.issuperset(map(type, value)) or not first
-            or not all(type(k) is str for k in first)
-            or not all(map(first.keys().__eq__, map(dict.keys, value)))):
-        return None
-    keys = sorted(first)
-    get = itemgetter(*keys)
-    values = list(map(get, value) if len(keys) == 1 else chain.from_iterable(map(get, value)))
-    if not _SCALARS.issuperset(map(type, values)):
-        return None
-    inner, field = indent + _INDENT, indent + 2 * _INDENT
-    record = "{\n" + field + (",\n" + field).join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
-    ) + "\n" + inner + "}"
-    texts = _encode_run("\n")(values)[1:-1].split("\n")
-    return "[\n" + inner + (",\n" + inner).join([record] * len(value)) % tuple(texts) \
-        + "\n" + indent + "]"
+def _column_cells(column: list) -> list:
+    """A column of plain scalars as the cells of a `%s` template: exact
+    ints, or exact floats whose sum is finite (so each is), as they are,
+    since `str` of those is json's text; any other column as json's
+    C-encoder texts, split on the newlines ASCII-escaped JSON never holds.
+    A cell that is not plain JSON raises InternalError naming its type."""
+    kinds = set(map(type, column))
+    if kinds <= {int} or kinds == {float} and math.isfinite(sum(column)):
+        return column
+    if kinds <= _SCALARS:
+        return _encode_run("\n")(column)[1:-1].split("\n")
+    raise InternalError("cannot serialize value of type " + next(
+        kind for kind in map(type, column) if kind not in _SCALARS).__name__)
+
+
+@record
+class Records:
+    """A JSON list of records held as columns: record i maps keys[j] to
+    columns[j][i]. `dump_json` writes it as it writes that list of dicts."""
+
+    keys: tuple
+    columns: tuple
+
+    @functools.cached_property
+    def cells(self) -> tuple:
+        """The keys sorted, and their columns in that order as
+        `_column_cells`. A key that is not text or repeats, a column that
+        is not a list, columns of unequal lengths or not one per key, and a
+        cell that is not plain JSON raise InternalError."""
+        keys, columns = self.keys, self.columns
+        if not all(type(key) is str for key in keys) or len(set(keys)) < len(keys):
+            raise InternalError(f"records need distinct text keys, not {keys!r}")
+        lengths = [len(column) if type(column) is list else type(column).__name__
+                   for column in columns]
+        if len(columns) != len(keys) or len(set(lengths)) > 1 or str in map(type, lengths):
+            raise InternalError(f"records need one list per key, all of one length: "
+                                f"{len(keys)} keys, columns {lengths}")
+        named = dict(zip(keys, columns))
+        return sorted(named), [_column_cells(named[key]) for key in sorted(named)]
 
 
 def _layout(value, indent: str) -> str:
     """`value` as json's indented encoder writes it at depth `indent`."""
     kind = type(value)
-    if kind is float:
-        return _float_text(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
     if kind is str:
         return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
     if kind is bool or value is None:
         return _CONSTANTS[value]
+    if kind is float:                   # NaN and the infinities, json's way
+        return _encode_run("")([value])[1:-1]
     if kind is list:
         if not value:
             return "[]"
         inner = indent + _INDENT
         if _SCALARS.issuperset(map(type, value)):
             return "[\n" + inner + _encode_run(",\n" + inner)(value)[1:-1] + "\n" + indent + "]"
-        text = _records(value, indent)
-        if text is not None:
-            return text
         items = [_layout(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is Records:
+        keys, cells = value.cells
+        if not cells or not cells[0]:
+            return "[]"
+        inner, field = indent + _INDENT, indent + 2 * _INDENT
+        template = "{\n" + field + (",\n" + field).join(
+            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+        ) + "\n" + inner + "}"
+        return ("[\n" + inner + (",\n" + inner).join([template] * len(cells[0])) + "\n"
+                + indent + "]") % tuple(chain.from_iterable(zip(*cells)))
     if kind is dict and all(type(k) is str for k in value):
         if not value:
             return "{}"
@@ -112,13 +126,13 @@ def _layout(value, indent: str) -> str:
 
 def dump_json(data, path) -> None:
     """Write canonically formatted JSON (sorted keys, indent 2, newline):
-    the bytes `json.dumps(data, sort_keys=True, indent=2)` gives, with
-    each run of scalars and each list of scalar records written by one
-    call to json's C encoder. `data` must be plain JSON: dicts with text
-    keys, lists, and values of exactly str, int, float, bool or None.
-    Anything else (a numpy value, a tuple, a complex number, a subclass of
-    str, int or float) raises InternalError before the file is opened, so
-    a refusal writes nothing."""
+    the bytes `json.dumps(data, sort_keys=True, indent=2)` gives for `data`
+    with each `Records` as its list of dicts, each run of scalars written
+    by one call to json's C encoder. `data` must be plain JSON: dicts with
+    text keys, lists, `Records`, and values of exactly str, int, float,
+    bool or None. Anything else (a numpy value, a tuple, a complex number,
+    a subclass of str, int or float, a malformed `Records`) raises
+    InternalError before the file is opened, so a refusal writes nothing."""
     Path(path).write_text(_layout(data, "") + "\n", encoding="utf-8")
 
 

@@ -37,7 +37,7 @@ from ketlab.cli import (COMMANDS, SCHEMAS, Artifact, CommandSpec, main, parse_st
                         validate_artifact)
 from ketlab.measurement import inverse_cdf
 from ketlab.rngs import uniform_chunks
-from ketlab.serialize import dump_json, load_json
+from ketlab.serialize import Records, dump_json, load_json
 from oracles import amplitudes_from_json, traced_peak
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -301,13 +301,25 @@ def test_help_reads_the_same_from_the_shared_parser(capsys, argv):
     assert [help_text(main), help_text(main)] == [fresh, fresh]
 
 
+_PLAIN = (str, int, float, bool, type(None))
+
+
 def _is_plain_json(value) -> bool:
+    """Plain JSON, where a list of records may come as a `Records` whose
+    keys are distinct text and whose columns are lists of one length,
+    holding plain scalars of exactly their types."""
     kind = type(value)
     if kind is dict:
         return all(type(k) is str and _is_plain_json(v) for k, v in value.items())
     if kind is list:
         return all(_is_plain_json(v) for v in value)
-    return kind in (str, int, float, bool, type(None))
+    if kind is Records:
+        keys, columns = value.keys, value.columns
+        return (all(type(k) is str for k in keys) and len(set(keys)) == len(keys)
+                and len(columns) == len(keys) and all(type(c) is list for c in columns)
+                and len({len(c) for c in columns}) <= 1
+                and all(type(cell) in _PLAIN for c in columns for cell in c))
+    return kind in _PLAIN
 
 
 def test_the_writers_get_exactly_what_was_checked(tmp_path, monkeypatch):
@@ -1141,6 +1153,57 @@ def test_a_run_whose_csv_fails_the_check_writes_nothing(tmp_path, monkeypatch, c
     assert main(["scan"]) == 4
     assert "scan.csv:3: cell '2.5' fails int" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("log,error", [
+    (Records(("step", "survival"), ([1], [np.float64(0.5)])),
+     "cannot serialize value of type float64"),
+    (Records(("step", "survival"), ([1, 2], [0.5])),
+     "records need one list per key, all of one length: 2 keys, columns [2, 1]"),
+    (Records(("step", "step"), ([1], [2])),
+     "records need distinct text keys, not ('step', 'step')"),
+])
+def test_a_run_whose_per_step_log_fails_the_check_writes_nothing(tmp_path, monkeypatch,
+                                                                 capsys, log, error):
+    """A per-step log that `dump_json` would refuse is refused by the check,
+    at the log's place in the artifact, before any file is opened."""
+    runner = COMMANDS["protective"].runner
+
+    def bad_log_runner(cfg):
+        artifacts, summary = runner(cfg)
+        artifacts[0].payload["run"]["per_step_log"] = log
+        return artifacts, summary
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(COMMANDS, "protective", with_runner("protective", bad_log_runner))
+    assert main(["protective", "--n", "5"]) == 4
+    assert (f"protective.json fails its schema: $.run.per_step_log: {error}"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_stdout_closed_by_its_reader_keeps_the_run_a_success(tmp_path, unbuffered):
+    """`ketlab protective -o x.json | (exec 0<&-; true)`: stdout's reader
+    is gone before the summary is printed, after both files are written
+    and checked. The run exits 0, prints no traceback, and keeps them,
+    whether the print fails (unbuffered) or the flush at exit would."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    child = subprocess.Popen([sys.executable, "-m", "ketlab.cli", "protective", "--n", "5",
+                              "-o", "x.json"], cwd=tmp_path, env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert child.wait(timeout=120) == 0, stderr
+    assert stderr == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.json.manifest.json"]
+    assert load_json(tmp_path / "x.json")["run"]["steps"] == 5
 
 
 def test_a_sampled_protective_run_that_aborts_says_where(tmp_path, monkeypatch, capsys):

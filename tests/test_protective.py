@@ -42,6 +42,7 @@ from ketlab.measurement import (
     make_pointer,
 )
 from ketlab.protective import _protective_loop
+from ketlab.serialize import dump_json, load_json
 from oracles import (haar_random_state, pauli_operators, pointer_position_mean, product_state,
                      random_observable, traced_peak)
 
@@ -271,13 +272,19 @@ def test_sampled_aborts_appear_at_the_expected_rate():
         assert len(run.survivals) == run.aborted_at_step - 1
 
 
-def test_run_result_round_trips_to_json(tilted_state):
+def test_run_result_round_trips_to_json(tilted_state, tmp_path):
+    """The per-step log leaves the run as its columns, and its JSON holds
+    one record of those columns' cells per cycle, the CSV's rows."""
     run = protective_measure(tilted_state, sigma_z(), n=5)
     payload = run.to_json_dict()
     assert payload["steps"] == 5
     assert payload["mode"] == "deterministic"
-    assert len(payload["per_step_log"]) == 5
-    assert payload["per_step_log"][0]["step"] == 1
+    log = payload["per_step_log"]
+    assert log.keys == ("step", "survival", "pointer_mean")
+    assert log.columns == ([1, 2, 3, 4, 5], run.survivals.tolist(), run.pointer_means.tolist())
+    dump_json(payload, tmp_path / "run.json")
+    assert load_json(tmp_path / "run.json")["per_step_log"] == [
+        dict(zip(log.keys, row)) for row in run.step_rows()]
 
 
 # ---------------------------------------------------------------------------

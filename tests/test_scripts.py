@@ -77,9 +77,10 @@ def test_artifact_digests_cover_every_file_written(tmp_path):
 
 def test_every_json_artifact_is_what_jsons_own_encoder_writes(tmp_path):
     """The digest runs write the artifacts that take `dump_json`'s runs of
-    scalars and lists of records: per-step logs, joint dumps, manifests.
+    scalars and its `Records`: per-step logs, joint dumps, manifests.
     Each JSON file holds exactly json's indented encoding of what it
-    holds."""
+    holds, and a per-step log's records are the rows of the run's per-step
+    CSV, written from `step_rows()`: steps exactly, floats bit for bit."""
     digests = load_script("artifact_digests")
     digests.digest_lines(tmp_path)
     written = sorted(tmp_path.glob("*.json"))
@@ -88,6 +89,14 @@ def test_every_json_artifact_is_what_jsons_own_encoder_writes(tmp_path):
         assert path.read_bytes() == canonical_json(load_json(path)).encode(), path.name
     # the digests' sampled run aborts where its comment says
     assert load_json(tmp_path / "abort.json")["run"]["aborted_at_step"] == 28
+    for stem, cycles in (("tomo", 400), ("abort", 27)):
+        with open(tmp_path / f"{stem}_steps.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        log = load_json(tmp_path / f"{stem}.json")["run"]["per_step_log"]
+        assert header == ["step", "survival", "pointer_mean"] and len(rows) == cycles
+        assert all(type(record["step"]) is int for record in log)
+        assert [(int(step), float(s).hex(), float(m).hex()) for step, s, m in rows] == [
+            (r["step"], r["survival"].hex(), r["pointer_mean"].hex()) for r in log]
 
 
 def test_the_shared_parser_carries_no_state_between_runs(tmp_path, monkeypatch):

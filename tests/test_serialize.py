@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ketlab import InternalError
-from ketlab.serialize import dump_json, load_json, write_csv
+from ketlab.serialize import Records, dump_json, load_json, write_csv
 from oracles import canonical_json, reference_write_csv
 
 
@@ -58,16 +58,30 @@ def test_write_csv_refuses_cells_needing_quotes(tmp_path):
 def test_dump_json_refuses_values_that_are_not_plain_json(tmp_path):
     """Only plain JSON is laid out: anything else raises, naming its type,
     and leaves no file behind. That holds in a nested list, in a run of
-    scalars and in a list of records alike."""
+    scalars, in a list of records and in a column of `Records` alike, and
+    a `Records` whose keys repeat or are not text, or whose columns are
+    not lists of one length, one per key, is refused too."""
     path = tmp_path / "payload.json"
     for value, kind in [(np.float64(0.5), "float64"), (np.arange(2), "ndarray"),
                         (1 + 2j, "complex"), ((1, 2), "tuple"), (Pair(1, 2), "Pair"),
                         (Label("x"), "Label"), (Count(3), "Count"), ({1: 0}, "dict")]:
-        for payload in ({"nested": [value]}, [0.5, value], [{"a": 1}, {"a": value}]):
+        for payload in ({"nested": [value]}, [0.5, value], [{"a": 1}, {"a": value}],
+                        {"log": Records(("a", "b"), ([1, 2], [0.5, value]))},
+                        [Records(("a",), ([value, 1],))]):
             with pytest.raises(InternalError,
                                match=f"cannot serialize value of type {kind}$"):
                 dump_json(payload, path)
             assert not path.exists()
+    for records, message in [
+        (Records(("a", "b"), ([1], [0.5, 0.25])), r"2 keys, columns \[1, 2\]$"),
+        (Records(("a",), ([1], [2])), r"1 keys, columns \[1, 1\]$"),
+        (Records(("a", "b"), ([0.5], (0.5,))), r"2 keys, columns \[1, 'tuple'\]$"),
+        (Records(("a", "b", "a"), ([1], [2], [3])), "distinct text keys"),
+        (Records(("a", 1), ([1], [2])), "distinct text keys"),
+    ]:
+        with pytest.raises(InternalError, match=message):
+            dump_json({"log": records}, path)
+        assert not path.exists()
 
 
 def test_dump_json_refuses_unknown_types(tmp_path):
@@ -111,23 +125,38 @@ _KEYS = st.one_of(_TEXT, st.sampled_from(["%", "%s", "%%", "{}", "{0}", '"', "ca
 
 
 @st.composite
-def _record_lists(draw):
-    """Two or more records that share their keys and hold only scalars,
-    or a near miss: one record with an extra key, or one holding a
-    container, which must be laid out record by record."""
-    keys = draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True))
-    records = [{key: draw(_LEAVES) for key in keys}
-               for _ in range(draw(st.integers(min_value=2, max_value=5)))]
-    miss = draw(st.sampled_from([None, "extra key", "nested"]))
-    record = records[draw(st.integers(min_value=0, max_value=len(records) - 1))]
-    if miss == "extra key":
-        record[draw(_KEYS.filter(lambda key: key not in keys))] = draw(_LEAVES)
-    elif miss == "nested":
-        record[draw(st.sampled_from(keys))] = draw(st.sampled_from([[], {}, [1.5], {"a": None}]))
-    return records if draw(st.booleans()) else {"log": records}
+def _records(draw):
+    """A `Records` of 0-5 rows whose columns are all ints, all floats
+    (NaN, the infinities, -0.0, 1e16 and 5e-324 among them) or any
+    scalars, under keys that a `%` template would misread."""
+    keys = draw(st.lists(_KEYS, max_size=4, unique=True))
+    rows = draw(st.integers(min_value=0, max_value=5))
+    cells = st.sampled_from([st.integers(), _FLOATS, _LEAVES])
+    return Records(tuple(keys), tuple(draw(st.lists(draw(cells), min_size=rows, max_size=rows))
+                                      for _ in keys))
 
 
-@given(st.one_of(_PAYLOADS, _record_lists()))
+# `Records`, bare or at any depth of lists and dicts
+_RECORD_PAYLOADS = st.recursive(
+    _records(),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(_KEYS, children, max_size=3)),
+    max_leaves=4,
+)
+
+
+def _as_dicts(value):
+    """`value` with each `Records` in it turned into its list of dicts."""
+    if type(value) is Records:
+        return [dict(zip(value.keys, row)) for row in zip(*value.columns)]
+    if type(value) is dict:
+        return {key: _as_dicts(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_as_dicts(item) for item in value]
+    return value
+
+
+@given(st.one_of(_PAYLOADS, _RECORD_PAYLOADS))
 @example({"a": [], "b": {}, "c": [[], {}], "d": [{}]})
 @example({"flags": [True, 1, False, 0]})
 @example({"keys": {"10": 1, "9": 2, "\u00e9": 3, "": 4}})
@@ -137,11 +166,16 @@ def _record_lists(draw):
 @example([{"a": 1}, {"a": [2.5]}])
 @example(float("inf"))
 @example([float("-inf"), {}])
+@example(Records(("mean", "step"), ([0.5, float("nan")], [1, 2])))       # NaN, not nan
+@example({"log": Records(("%", "%s", "b"), ([1.5], ["x"], [None]))})     # keys with %
+@example([Records(("x",), ([1, 0.5, True, None, "a\nb", -0.0],))])
+@example(Records(("a", "b"), ([1e16, 5e-324, 1.7976931348623157e308] * 2, [0] * 6)))
+@example({"empty": Records(("a",), ([],)), "keyless": Records((), ())})
 def test_dump_json_writes_the_oracles_bytes(payload):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "payload.json"
         dump_json(payload, path)
-        assert path.read_text(encoding="utf-8") == canonical_json(payload)
+        assert path.read_text(encoding="utf-8") == canonical_json(_as_dicts(payload))
 
 
 # CSV cells: ints, floats (nan, the infinities, -0.0, 1e300 and subnormals
