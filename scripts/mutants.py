@@ -131,6 +131,14 @@ MUTANTS = (
     Mutant("record keys laid into the template without their % doubled", "serialize.py",
            '.replace("%", "%%") + ": %s"', ' + ": %s"',
            ("tests/test_serialize.py::test_dump_json_writes_the_oracles_bytes",)),
+    Mutant("weak readout protects its preselection", "weak.py",
+           "_protective_loop(psi, post,", "_protective_loop(psi, psi,",
+           ("tests/test_weak.py::"
+            "test_pointer_shift_matches_the_joint_state_readout_on_random_cases",)),
+    # killed by the buffered --help runs, which exit 120 with a BrokenPipeError
+    Mutant("main leaves argparse's help text unflushed", "cli.py",
+           "        _flush_stdout()\n    return 0\n", "        pass\n    return 0\n",
+           ("tests/test_cli.py::test_a_stdout_closed_by_its_reader_keeps_the_run_a_success",)),
     Mutant("the cli imports numpy at module level", "cli.py",
            "from .serialize import Records, dump_json, load_json, write_csv\n",
            "from .serialize import Records, dump_json, load_json, write_csv\nimport numpy as np\n",

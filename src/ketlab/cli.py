@@ -528,8 +528,8 @@ def _run_protective(cfg: RunConfig):
         }
     artifacts = [Artifact(cfg.output, "json", data)]
     if p["per_step_csv"] is not None:
-        artifacts.append(Artifact(Path(p["per_step_csv"]), "csv",
-                                  (PER_STEP_HEADER, result.step_rows())))
+        log = list(zip(*data["run"]["per_step_log"].columns))
+        artifacts.append(Artifact(Path(p["per_step_csv"]), "csv", (PER_STEP_HEADER, log)))
     if p["sweep_g"] is not None:
         rows = []
         for g in p["sweep_g"]:
@@ -1147,6 +1147,17 @@ def _write_artifacts(cfg: RunConfig, artifacts: list, paths: list) -> None:
             raise ConfigError(f"cannot write artifact: {exc}") from exc
 
 
+def _flush_stdout(text: str = "") -> None:
+    """Print `text` and flush stdout. When stdout's reader has gone,
+    devnull takes what is left, so neither this flush nor the one at
+    interpreter exit fails: nobody is left to read it."""
+    try:
+        print(text, end="", flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def run(cfg: RunConfig) -> list:
     """Execute one resolved configuration; returns the written paths.
 
@@ -1170,19 +1181,16 @@ def run(cfg: RunConfig) -> list:
         for path in paths:
             path.unlink(missing_ok=True)
         raise
-    try:
-        print(f"{summary}\nwrote: {', '.join(map(str, paths))}", flush=True)
-    except BrokenPipeError:
-        # stdout's reader has gone, but the artifacts are written and checked;
-        # devnull takes what is left, so the flush at exit fails no more
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    _flush_stdout(f"{summary}\nwrote: {', '.join(map(str, paths))}\n")
     return paths
 
 
 def main(argv=None) -> int:
     """Parse `argv`, resolve its configuration and run it; returns the exit
-    code. The parser is built on the first call and reused by later ones."""
+    code. The parser is built on the first call and reused by later ones.
+    Every way out, argparse's SystemExit after `--help` included, leaves
+    stdout flushed by `_flush_stdout`, so a reader that has gone costs
+    neither a traceback nor the exit code."""
     try:
         with _stage("parse"):
             namespace = _parser().parse_args(argv)
@@ -1198,6 +1206,8 @@ def main(argv=None) -> int:
     except LabError as exc:
         print(f"ketlab: internal error: {exc}", file=sys.stderr)
         return 4
+    finally:    # argparse's SystemExit too, with its --help text still buffered
+        _flush_stdout()
     return 0
 
 

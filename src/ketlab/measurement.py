@@ -26,9 +26,9 @@ x <-> i d/dp gives the first moment from M and its p-derivative M'.
 `postselected_cycles` reads a run of cycles that way, in blocks of real
 powers of |M|^2 times one matrix product, with no inverse FFT, and sums
 only over the momenta the pointer occupies (`occupied_momenta`; the rest
-of its spectrum is FFT rounding): it is the kernel of both a weak readout
-(a run of one cycle) and a protective measurement (a run of consecutive
-protections).
+of its spectrum is FFT rounding): it is the kernel of the protective
+engine, whose runs of consecutive protections include the weak readout, a
+run of one cycle postselected on |post>.
 
 Grid wavefunctions carry the measure: norms are sums of |amplitude|^2
 times the grid spacing, matching the continuum normalization they sample.

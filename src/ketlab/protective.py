@@ -113,12 +113,6 @@ class ProtectiveRunResult:
     def final_joint(self) -> JointSystemPointerState:
         return self.build_joint()
 
-    def step_rows(self) -> list:
-        """(step, survival, pointer_mean) of each cycle run, from step 1: an
-        int and two floats, a list the CSV check and writer both read."""
-        return list(zip(range(1, len(self.survivals) + 1), self.survivals.tolist(),
-                        self.pointer_means.tolist()))
-
     def to_json_dict(self) -> dict:
         return {
             "steps": self.steps,
@@ -165,10 +159,11 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     of op, with c the protected state; the first cycle, which starts from
     the prepared state, uses M1(p) = sum_j <c|v_j><v_j|prepared> exp(-i g a_j p).
     Both are `postselected_multiplier`s, read with their p-derivatives by
-    `postselected_cycles`, the kernel a weak readout runs for one cycle: it
-    returns each cycle's squared norm W_k (W_0 = 1) and pointer mean, read
-    in blocks of real powers of |M|^2 with no inverse FFT, so cycle k's
-    survival weight is W_k / W_(k-1).
+    `postselected_cycles` (a weak readout is this engine's deterministic
+    run of one cycle, with |post> as the protected state): it returns each
+    cycle's squared norm W_k (W_0 = 1) and pointer mean, read in blocks of
+    real powers of |M|^2 with no inverse FFT, so cycle k's survival weight
+    is W_k / W_(k-1).
     A sampled run draws its n uniforms at once and aborts at the first
     cycle whose uniform exceeds its weight, found by one comparison over
     the run. The uniforms are the first n of substream 0 of the integer

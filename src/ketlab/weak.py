@@ -5,7 +5,9 @@ records, to first order in the coupling, when the system is preselected in
 |pre> and postselected in |post>. Unlike an expectation value it is complex
 and can lie far outside the spectrum of A; the imaginary part shows up in
 the pointer momentum rather than its position. `weak_pointer_shift`
-simulates that readout; the formula itself is the tests' oracle.
+simulates that readout as one cycle of the protective engine, postselecting
+on |post> where a protective run protects; the formula itself is the tests'
+oracle.
 
 The direct scan reads a wavefunction off a grid one cell at a time: the
 weak value of the cell projector at x (the discrete stand-in for |x><x|,
@@ -18,35 +20,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    PostselectionError,
-    PreconditionError,
-    ScanUndefinedError,
-    UndefinedWeakValueError,
-)
+from .errors import PostselectionError, ScanUndefinedError, UndefinedWeakValueError
 from .hilbert import HermitianOperator, StateVector, inner_product
-from .measurement import (
-    GridWavefunction,
-    PointerGrid,
-    coupling_phases,
-    make_pointer,
-    postselected_cycles,
-    postselected_multiplier,
-)
+from .measurement import GridWavefunction, PointerGrid
 
 OVERLAP_TOL = 1e-12          # |<post|pre>| below this: weak value undefined
 MOMENTUM_ZERO_TOL = 1e-10    # |<p=0|psi>| below this times sum |psi| h: scan undefined
 POSTSELECT_PROB_TOL = 1e-15  # simulated postselection probability floor
 
 
-def _checked_selection(op: HermitianOperator, pre: StateVector, post: StateVector) -> None:
-    """PreconditionError unless op, pre and post share one dimension, and
-    UndefinedWeakValueError when <post|pre> is numerically zero (the weak
-    value would then be dominated by noise, not physics)."""
-    if not (op.dim == pre.dim == post.dim):
-        raise PreconditionError(
-            f"dimension mismatch: op {op.dim}, pre {pre.dim}, post {post.dim}"
-        )
+def _checked_selection(pre: StateVector, post: StateVector) -> None:
+    """UndefinedWeakValueError when <post|pre> is numerically zero (the weak
+    value would then be dominated by noise, not physics). Pre and post of
+    different dimensions fail `inner_product`'s own check, and the engine
+    checks the operator's dimension against both."""
     overlap = inner_product(post, pre)
     if abs(overlap) <= OVERLAP_TOL:
         raise UndefinedWeakValueError(
@@ -91,20 +78,22 @@ def weak_pointer_shift(psi: StateVector, op: HermitianOperator, post: StateVecto
     postselection success probability). As g -> 0 the shift approaches
     g * Re(weak value).
 
-    This is exactly one cycle of the protective engine: the pointer's
+    This is exactly one deterministic cycle of the protective engine,
+    `_protective_loop`, with |post> where a run protects: the pointer's
     spectrum is multiplied once by M(p) = sum_j <post|v_j><v_j|psi>
-    exp(-i g a_j p), and `postselected_cycles`, the kernel the protective
-    runs read their cycles with, reads a run of one cycle from M and its
-    p-derivative in momentum space: the probability by Parseval, the mean
-    by x <-> i d/dp. Neither the joint system+pointer state nor the
-    postselected pointer is built.
+    exp(-i g a_j p), and the run's one survival and pointer mean are the
+    probability and the shift, read in momentum space. Neither the joint
+    system+pointer state nor the postselected pointer is built, and every
+    input rule of the engine holds: one dimension for op and both states,
+    the MAX_DIM cap on d * N, the pointer's width checks, a finite g within
+    the wraparound guard, and a nonzero g's largest phase step at least
+    MIN_PHASE_STEP.
     """
-    _checked_selection(op, psi, post)
-    pointer = make_pointer(grid, width)
-    eig = op.eigen
-    multiplier = postselected_multiplier(eig, g, coupling_phases(eig, g, grid, 1),
-                                         post.amplitudes, psi.amplitudes)
-    (prob,), (mean,) = postselected_cycles(pointer, multiplier, multiplier, 1)
+    from .protective import _protective_loop   # `scan` never compiles protective
+
+    _checked_selection(psi, post)
+    run = _protective_loop(psi, post, op, 1, g, grid, width, "deterministic", None)
+    (prob,), (mean,) = run.survivals, run.pointer_means
     if prob < POSTSELECT_PROB_TOL:
         raise PostselectionError(
             f"postselection probability {prob:.3e} below {POSTSELECT_PROB_TOL}; "

@@ -1187,7 +1187,9 @@ def test_a_stdout_closed_by_its_reader_keeps_the_run_a_success(tmp_path, unbuffe
     """`ketlab protective -o x.json | (exec 0<&-; true)`: stdout's reader
     is gone before the summary is printed, after both files are written
     and checked. The run exits 0, prints no traceback, and keeps them,
-    whether the print fails (unbuffered) or the flush at exit would."""
+    whether the print fails (unbuffered) or the flush at exit would. So do
+    `ketlab --help` and `ketlab protective --help`, which argparse prints
+    and then exits, and they write no file."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -1195,14 +1197,16 @@ def test_a_stdout_closed_by_its_reader_keeps_the_run_a_success(tmp_path, unbuffe
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    child = subprocess.Popen([sys.executable, "-m", "ketlab.cli", "protective", "--n", "5",
-                              "-o", "x.json"], cwd=tmp_path, env=env,
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    child.stdout.close()
-    stderr = child.stderr.read()
-    assert child.wait(timeout=120) == 0, stderr
-    assert stderr == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.json.manifest.json"]
+    for argv in (["--help"], ["protective", "--help"], ["protective", "--n", "5", "-o", "x.json"]):
+        child = subprocess.Popen([sys.executable, "-m", "ketlab.cli", *argv], cwd=tmp_path,
+                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 text=True)
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=120) == 0, (argv, stderr)
+        assert stderr == "", argv
+        written = [] if "--help" in argv else ["x.json", "x.json.manifest.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == written, argv
     assert load_json(tmp_path / "x.json")["run"]["steps"] == 5
 
 

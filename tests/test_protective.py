@@ -139,7 +139,7 @@ def test_a_coupling_too_small_to_resolve_is_refused(g):
 def test_per_step_log_tracks_survival_and_shift(tilted_state):
     run = protective_measure(tilted_state, sigma_z(), n=20, g=5e-3)
     assert len(run.survivals) == len(run.pointer_means) == 20
-    assert [step for step, _, _ in run.step_rows()] == list(range(1, 21))
+    assert run.to_json_dict()["per_step_log"].columns[0] == list(range(1, 21))
     survivals = run.survivals
     assert all(a >= b - 1e-15 for a, b in zip(survivals, survivals[1:]))
     target_shift = 20 * 5e-3 * expectation(sigma_z(), tilted_state)
@@ -284,7 +284,7 @@ def test_run_result_round_trips_to_json(tilted_state, tmp_path):
     assert log.columns == ([1, 2, 3, 4, 5], run.survivals.tolist(), run.pointer_means.tolist())
     dump_json(payload, tmp_path / "run.json")
     assert load_json(tmp_path / "run.json")["per_step_log"] == [
-        dict(zip(log.keys, row)) for row in run.step_rows()]
+        dict(zip(log.keys, row)) for row in zip(*log.columns)]
 
 
 # ---------------------------------------------------------------------------

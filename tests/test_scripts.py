@@ -80,7 +80,8 @@ def test_every_json_artifact_is_what_jsons_own_encoder_writes(tmp_path):
     scalars and its `Records`: per-step logs, joint dumps, manifests.
     Each JSON file holds exactly json's indented encoding of what it
     holds, and a per-step log's records are the rows of the run's per-step
-    CSV, written from `step_rows()`: steps exactly, floats bit for bit."""
+    CSV, written from the log's columns: steps exactly, floats bit for
+    bit."""
     digests = load_script("artifact_digests")
     digests.digest_lines(tmp_path)
     written = sorted(tmp_path.glob("*.json"))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ketlab.weak
+import ketlab.protective
 from ketlab import (
     GridWavefunction,
     HermitianOperator,
@@ -166,19 +166,27 @@ def test_a_weak_readout_is_one_protective_cycle():
 
 
 def test_pointer_shift_rejects_wraparound_and_dimension_mismatch():
+    """A weak readout refuses what every protective run refuses, with the
+    engine's own messages: a shift past a quarter of the grid, a mismatched
+    operator, a nonzero g too small to resolve, and d * N above MAX_DIM."""
     grid = default_grid(1.0)    # extent 40, quarter 10
     with pytest.raises(WraparoundError):
         weak_pointer_shift(ket_plus(), sigma_z(), ket_zero(), 10.5, grid, 1.0)
     with pytest.raises(PreconditionError):
         weak_pointer_shift(ket_plus(), HermitianOperator(3, np.eye(3)), ket_zero(), 0.1,
                            grid, 1.0)
+    with pytest.raises(PreconditionError, match="coupling g=1e-25 is too small to resolve"):
+        weak_pointer_shift(ket_plus(), sigma_z(), ket_zero(), 1e-25, grid, 1.0)
+    with pytest.raises(PreconditionError, match=r"joint dimension .* \[1, 4096\], got 8192"):
+        weak_pointer_shift(ket_plus(), sigma_z(), ket_zero(), 0.1, PointerGrid(4096, 1.0 / 64.0),
+                           1.0)
 
 
 def test_a_dimension_mismatch_is_rejected_before_the_pointer_is_built(monkeypatch):
     def no_pointer(*args, **kwargs):
         raise AssertionError("the pointer was built for a mismatched readout")
 
-    monkeypatch.setattr(ketlab.weak, "make_pointer", no_pointer)
+    monkeypatch.setattr(ketlab.protective, "make_pointer", no_pointer)
     grid = default_grid(1.0)
     three = StateVector(3, np.array([1.0, 0.0, 0.0]))
     for psi, op, post in [(ket_zero(), HermitianOperator(3, np.eye(3)), ket_zero()),
