@@ -139,6 +139,18 @@ MUTANTS = (
     Mutant("main leaves argparse's help text unflushed", "cli.py",
            "        _flush_stdout()\n    return 0\n", "        pass\n    return 0\n",
            ("tests/test_cli.py::test_a_stdout_closed_by_its_reader_keeps_the_run_a_success",)),
+    Mutant("completeness counts the solve's singular values without the identity",
+           "protective.py", "rank = 1 + int(", "rank = int(",
+           ("tests/test_protective.py::test_protective_tomography_recovers_the_state",)),
+    Mutant("a leak run reuses the first cycle's multiplier", "protective.py",
+           "first if initial is protected or n <= 1", "first if True",
+           ("tests/test_protective.py::test_leak_survival_is_overlap_squared",)),
+    # killed by the fuzzer's @example of an empty --output with a sweep
+    Mutant("the sweep path derived by with_name", "cli.py",
+           'cfg.output.parent / (cfg.output.stem + ".sweep.csv")',
+           'cfg.output.with_name(cfg.output.stem + ".sweep.csv")',
+           ("tests/test_exit_codes.py::"
+            "test_random_invocations_keep_the_exit_code_contract[protective]",)),
     Mutant("the cli imports numpy at module level", "cli.py",
            "from .serialize import Records, dump_json, load_json, write_csv\n",
            "from .serialize import Records, dump_json, load_json, write_csv\nimport numpy as np\n",

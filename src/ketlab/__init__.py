@@ -41,8 +41,8 @@ _EXPORTS = {
     "pbr": "PREPARATION_IDS PbrCounts SteeringSample SteeringTable epr_steering "
            "overlap_preservation_check pbr_experiment pbr_scenario preparation_states "
            "steering_table",
-    "protective": "LeakResult ProtectiveRunResult TomographySet protection_leak "
-                  "protective_measure protective_tomography reconstruct_state",
+    "protective": "LeakResult ProtectiveRunResult protection_leak protective_measure "
+                  "protective_tomography reconstruct_state",
     "rngs": "SubstreamSampler substream",
     "weak": "direct_wavefunction_scan momentum_zero_amplitude weak_pointer_shift",
 }

@@ -541,7 +541,7 @@ def _run_protective(cfg: RunConfig):
             rows.append((g, point.inferred_expectation,
                          abs(point.inferred_expectation - true),
                          point.survival_probability))
-        sweep_path = cfg.output.with_name(cfg.output.stem + ".sweep.csv")
+        sweep_path = cfg.output.parent / (cfg.output.stem + ".sweep.csv")
         artifacts.append(Artifact(sweep_path, "csv", (SWEEP_HEADER, rows)))
     if p["dump_joint"] is not None:
         payload = {"kind": "ketlab/joint-state", **result.final_joint.to_json_dict()}

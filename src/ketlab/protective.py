@@ -158,6 +158,8 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     M(p) = sum_j |<v_j|c>|^2 exp(-i g a_j p) over the eigenpairs (a_j, v_j)
     of op, with c the protected state; the first cycle, which starts from
     the prepared state, uses M1(p) = sum_j <c|v_j><v_j|prepared> exp(-i g a_j p).
+    M is M1 itself when the run protects the very state it prepared, and
+    is never read by a run of at most one cycle; only other runs build it.
     Both are `postselected_multiplier`s, read with their p-derivatives by
     `postselected_cycles` (a weak readout is this engine's deterministic
     run of one cycle, with |post> as the protected state): it returns each
@@ -204,7 +206,8 @@ def _protective_loop(initial: StateVector, protected: StateVector,
         uniforms = np.concatenate([np.empty(0), *(run[0] for run in draw)])
     c = protected.amplitudes
     first = postselected_multiplier(eig, g, phases, c, initial.amplitudes)
-    repeated = postselected_multiplier(eig, g, phases, c, c)
+    repeated = (first if initial is protected or n <= 1
+                else postselected_multiplier(eig, g, phases, c, c))
     weights, means = postselected_cycles(pointer, first, repeated, n)
     step_weights = weights / np.concatenate(([1.0], weights[:-1]))
     misses = np.flatnonzero(uniforms > step_weights)
@@ -274,45 +277,6 @@ def protection_leak(prepared: StateVector, protected: StateVector,
 # ---------------------------------------------------------------------------
 # tomography from protective readouts
 
-@record
-class TomographySet:
-    """Expectation values of an informationally complete operator set.
-
-    The operators, together with the identity (whose expectation is fixed
-    at 1 by normalization), must span the real space of Hermitian matrices:
-    their real embedding (`_real_embedding`, the one `reconstruct_state`
-    solves in) must have rank dim^2. The bare Pauli triple passes for
-    qubits on that reading. The expectations follow the package's number
-    rule (`_number_array`) and must be finite.
-    """
-
-    operators: tuple
-    expectations: tuple
-
-    def __post_init__(self) -> None:
-        ops = tuple(self.operators)
-        exps = _number_array(self.expectations, "expectations")
-        if not ops:
-            raise PreconditionError("tomography needs at least one operator")
-        if exps.shape != (len(ops),):
-            raise PreconditionError(
-                f"{len(ops)} operators but expectation values of shape {exps.shape}"
-            )
-        if not np.all(np.isfinite(exps)):
-            raise PreconditionError("expectations must be finite")
-        d = ops[0].dim
-        if any(o.dim != d for o in ops):
-            raise PreconditionError("tomography operators must share one dimension")
-        stacked = _real_embedding([np.eye(d)] + [o.matrix for o in ops])
-        rank = np.linalg.matrix_rank(stacked, tol=COMPLETENESS_RANK_TOL)
-        if rank < d * d:
-            raise PreconditionError(
-                f"operator set is informationally incomplete: rank {rank} < {d * d}"
-            )
-        object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "expectations", tuple(exps.tolist()))
-
-
 def _real_embedding(matrices) -> np.ndarray:
     """Rows [Re vec M, Im vec M], one per matrix. For Hermitian A and B the
     dot product of their rows is tr(A B), the real Frobenius inner product."""
@@ -320,27 +284,53 @@ def _real_embedding(matrices) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=1)
 
 
-def reconstruct_state(data: TomographySet) -> StateVector:
+def reconstruct_state(operators, expectations) -> StateVector:
     """Least-squares density matrix fit, then the dominant eigenvector.
 
+    At least one operator is needed, all of one dimension d, each with one
+    finite expectation under the package's number rule (`_number_array`).
     rho = 1/d + X with X traceless and Hermitian, and each readout asks
     tr(X T) = <A> - tr(A)/d of the traceless part T = A - tr(A)/d of its
     operator A. In the real embedding of `_real_embedding` that is one
     linear system, solved by one `np.linalg.lstsq`. Its minimum-norm
     solution is a combination of the rows, so X is traceless and Hermitian
-    by construction; for an informationally complete set it is the unique
-    least-squares fit.
+    by construction.
+
+    The set must be informationally complete: together with the identity
+    (whose expectation normalization fixes at 1) the operators must span
+    the real space of Hermitian d x d matrices, a rank of d^2. The
+    identity is orthogonal to every traceless part, so that rank is 1 plus
+    the number of the solve's own singular values above
+    COMPLETENESS_RANK_TOL; a smaller one is PreconditionError. The bare
+    Pauli triple passes for qubits on that reading, and the fit is then
+    the unique least-squares one.
 
     Raises NotPureError when the fitted density matrix has largest
     eigenvalue below 1 - NOT_PURE_TOL: the expectations describe something
     too mixed (noisy or inconsistent input) to report as a ket.
     """
-    d = data.operators[0].dim
+    operators = tuple(operators)
+    exps = _number_array(expectations, "expectations")
+    if not operators:
+        raise PreconditionError("tomography needs at least one operator")
+    if exps.shape != (len(operators),):
+        raise PreconditionError(
+            f"{len(operators)} operators but expectation values of shape {exps.shape}"
+        )
+    if not np.all(np.isfinite(exps)):
+        raise PreconditionError("expectations must be finite")
+    d = operators[0].dim
+    if any(op.dim != d for op in operators):
+        raise PreconditionError("tomography operators must share one dimension")
     identity = np.eye(d)
-    traces = np.array([np.trace(op.matrix).real for op in data.operators])
-    design = _real_embedding([op.matrix - t / d * identity
-                              for op, t in zip(data.operators, traces)])
-    x, *_ = np.linalg.lstsq(design, np.array(data.expectations) - traces / d, rcond=None)
+    traces = np.array([np.trace(op.matrix).real for op in operators])
+    design = _real_embedding([op.matrix - t / d * identity for op, t in zip(operators, traces)])
+    x, _, _, singular_values = np.linalg.lstsq(design, exps - traces / d, rcond=None)
+    rank = 1 + int(np.count_nonzero(singular_values > COMPLETENESS_RANK_TOL))
+    if rank < d * d:
+        raise PreconditionError(
+            f"operator set is informationally incomplete: rank {rank} < {d * d}"
+        )
     rho = identity / d + (x[:d * d] + 1j * x[d * d:]).reshape(d, d)
     vals, vecs = np.linalg.eigh(rho)
     if vals[-1] < 1.0 - NOT_PURE_TOL:
@@ -358,8 +348,10 @@ def protective_tomography(psi: StateVector, operators, n: int = DEFAULT_STEPS,
 
     The pointer is reset between operators. The system needs no carrying
     over: every successful protection returns it exactly to |psi>, so each
-    operator's run starts from |psi>. Returns the reconstructed state and
-    the probability that the whole chain survived protection.
+    operator's run starts from |psi>. The inferred expectations go to
+    `reconstruct_state` as they are, with the operators, so an incomplete
+    set is refused there, after the runs. Returns the reconstructed state
+    and the probability that the whole chain survived protection.
     """
     operators = tuple(operators)
     total_survival = 1.0
@@ -372,5 +364,4 @@ def protective_tomography(psi: StateVector, operators, n: int = DEFAULT_STEPS,
             )
         total_survival *= run.survival_probability
         inferred.append(run.inferred_expectation)
-    reconstructed = reconstruct_state(TomographySet(operators, tuple(inferred)))
-    return reconstructed, total_survival
+    return reconstruct_state(operators, inferred), total_survival

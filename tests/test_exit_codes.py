@@ -121,7 +121,7 @@ def invocations(draw, name):
         "seed": st.one_of(st.integers(min_value=-2, max_value=2 ** 128 + 2), TEXT),
         "output": st.sampled_from([f"{name}.{spec.formats[0]}", "out.json", "out.csv",
                                    "cfg.json", "missing/out.json", "out.txt",
-                                   "x\x1b[1my.txt"]),
+                                   "x\x1b[1my.txt", "", ".", "/"]),
         "format": choices(*spec.formats),
     }
     for key, strategy in [*extras.items(), *((p.name, PARAMS[p.name]) for p in spec.params)]:
@@ -176,6 +176,8 @@ def test_random_invocations_keep_the_exit_code_contract(name, capsys):
     # drawn at random once: no cycle runs, but one coupling's multipliers overflowed
     @example(invocation=(["leak", "--n=0", "--g=4.3772936931394826e+305"], {}))
     @example(invocation=(["protective", "--n=0", "--g=4.377312259312047e+305"], {}))
+    # an output without a name once failed deriving the sweep's path, after the sweep
+    @example(invocation=(["protective", "--output=", "--sweep-g=0.005"], {}))
     def check(invocation):
         argv, config = invocation
         with tempfile.TemporaryDirectory() as tmp:

@@ -14,7 +14,6 @@ from ketlab import (
     NotPureError,
     PreconditionError,
     StateVector,
-    TomographySet,
     WraparoundError,
     default_grid,
     equal_up_to_phase,
@@ -344,14 +343,62 @@ def test_leak_without_cycles_keeps_the_prepared_state():
 
 
 def test_tomography_set_accepts_pauli_triple():
-    ops = pauli_operators()
-    data = TomographySet(ops, (0.0, 0.0, 1.0))
-    assert len(data.operators) == 3
+    assert equal_up_to_phase(reconstruct_state(pauli_operators(), (0.0, 0.0, 1.0)), ket_zero())
 
 
 def test_tomography_set_rejects_incomplete_operators():
-    with pytest.raises(PreconditionError):
-        TomographySet((sigma_z(),), (1.0,))
+    with pytest.raises(PreconditionError,
+                       match="^operator set is informationally incomplete: rank 2 < 4$"):
+        reconstruct_state((sigma_z(),), (1.0,))
+
+
+def test_tomography_set_of_distinct_but_dependent_operators_is_incomplete():
+    """x, y and x + y are three operators, but their traceless parts span
+    only a plane: with the identity that is rank 3, not 4."""
+    ops = (sigma_x(), sigma_y(), HermitianOperator(2, sigma_x().matrix + sigma_y().matrix))
+    with pytest.raises(PreconditionError,
+                       match="^operator set is informationally incomplete: rank 3 < 4$"):
+        reconstruct_state(ops, (1.0, 0.0, 1.0))
+
+
+def test_tomography_set_holding_the_identity_is_complete():
+    """The identity's traceless part is zero, so the solve has one zero
+    singular value; the count's leading 1 stands for the identity, and
+    x, y and z make up the rest of rank 4."""
+    ops = (*pauli_operators(), HermitianOperator(2, np.eye(2)))
+    assert equal_up_to_phase(reconstruct_state(ops, (1.0, 0.0, 0.0, 1.0)), ket_plus())
+
+
+def test_completeness_matches_the_rank_of_the_operators_with_the_identity():
+    """The former rule, kept as the oracle: the rank (`matrix_rank`, tol
+    COMPLETENESS_RANK_TOL) of the real embedding of [1, A_1 .. A_m] is d^2.
+    1000 random sets of d = 2-4 with 1 to d^2 + 1 operators; in half of
+    them, of at least 3, the last is within 1e-12 to 1e-5 of a combination
+    of the first two, so the singular values straddle the tolerance."""
+    rng = np.random.default_rng(45)
+    tol = ketlab.protective.COMPLETENESS_RANK_TOL
+    decisions = set()
+    for trial in range(1000):
+        d = int(rng.integers(2, 5))
+        count = int(rng.integers(3 if trial % 2 else 1, d * d + 2))
+        ops = [random_observable(d, rng) for _ in range(count)]
+        if trial % 2:
+            near = 10.0 ** rng.uniform(-12, -5) * random_observable(d, rng).matrix
+            a, b = rng.standard_normal(2)
+            ops[-1] = HermitianOperator(d, a * ops[0].matrix + b * ops[1].matrix + near)
+        embedding = ketlab.protective._real_embedding([np.eye(d)] + [op.matrix for op in ops])
+        complete = np.linalg.matrix_rank(embedding, tol=tol) == d * d
+        try:
+            reconstruct_state(ops, np.zeros(len(ops)))
+            accepted = True
+        except PreconditionError as exc:
+            assert str(exc).startswith("operator set is informationally incomplete"), exc
+            accepted = False
+        except NotPureError:
+            accepted = True
+        assert accepted == complete, (d, len(ops), trial)
+        decisions.add(complete)
+    assert decisions == {True, False}
 
 
 @pytest.mark.parametrize("ops,exps,message", [
@@ -361,43 +408,41 @@ def test_tomography_set_rejects_incomplete_operators():
 ], ids=["empty", "mixed-dimensions"])
 def test_tomography_set_needs_operators_of_one_dimension(ops, exps, message):
     with pytest.raises(PreconditionError, match=f"^{message}$"):
-        TomographySet(ops, exps)
+        reconstruct_state(ops, exps)
 
 
 def test_tomography_set_rejects_length_mismatch():
-    with pytest.raises(PreconditionError):
-        TomographySet(pauli_operators(), (0.0, 0.0))
+    with pytest.raises(PreconditionError,
+                       match=re.escape("3 operators but expectation values of shape (2,)")):
+        reconstruct_state(pauli_operators(), (0.0, 0.0))
 
 
 @pytest.mark.parametrize("bad", ["0.5", True, None, math.nan, math.inf, -math.inf])
 def test_tomography_set_takes_finite_real_expectations(bad):
     """Numeric text and bools would convert silently and NaN or inf would
-    fail late inside the fit; each is refused at construction."""
+    fail late inside the fit; each is refused before the fit."""
     with pytest.raises(PreconditionError, match="^expectations must"):
-        TomographySet(pauli_operators(), (bad, 0.0, 0.0))
+        reconstruct_state(pauli_operators(), (bad, 0.0, 0.0))
 
 
 def test_reconstruct_state_from_exact_expectations(rng):
     psi = haar_random_state(2, rng)
-    data = TomographySet(
-        pauli_operators(),
-        tuple(expectation(op, psi) for op in pauli_operators()),
-    )
-    rebuilt = reconstruct_state(data)
+    rebuilt = reconstruct_state(
+        pauli_operators(), [expectation(op, psi) for op in pauli_operators()])
     assert abs(np.vdot(rebuilt.amplitudes, psi.amplitudes)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_reconstruct_state_rejects_mixed_expectations():
     # all-zero Bloch vector is the maximally mixed state
     with pytest.raises(NotPureError):
-        reconstruct_state(TomographySet(pauli_operators(), (0.0, 0.0, 0.0)))
+        reconstruct_state(pauli_operators(), (0.0, 0.0, 0.0))
 
 
-def reference_reconstruct_state(data):
+def reference_reconstruct_state(operators, expectations):
     """The former fit, kept as an oracle: coordinates in a Frobenius-
     orthonormal (generalized Gell-Mann) basis of traceless Hermitian
     matrices, built in loops, then the dominant eigenvector."""
-    d = data.operators[0].dim
+    d = operators[0].dim
     basis = []
     for i in range(d):
         for j in range(i + 1, d):
@@ -414,11 +459,11 @@ def reference_reconstruct_state(data):
         basis.append(diag / math.sqrt(float(k * (k + 1))))
     design = np.array([
         [float(np.trace(t @ op.matrix).real) for t in basis]
-        for op in data.operators
+        for op in operators
     ])
     rhs = np.array([
         e - float(np.trace(op.matrix).real) / d
-        for op, e in zip(data.operators, data.expectations)
+        for op, e in zip(operators, expectations)
     ])
     coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     rho = np.eye(d, dtype=complex) / d
@@ -430,17 +475,17 @@ def reference_reconstruct_state(data):
     return StateVector.normalized(vecs[:, -1])
 
 
-def reconstruct_or_none(fit, data):
+def reconstruct_or_none(fit, operators, expectations):
     try:
-        return fit(data)
+        return fit(operators, expectations)
     except NotPureError:
         return None
 
 
-def assert_fits_agree(data):
+def assert_fits_agree(operators, expectations):
     """Both fits raise NotPureError, or both return one state to 1e-12."""
-    new = reconstruct_or_none(reconstruct_state, data)
-    old = reconstruct_or_none(reference_reconstruct_state, data)
+    new = reconstruct_or_none(reconstruct_state, operators, expectations)
+    old = reconstruct_or_none(reference_reconstruct_state, operators, expectations)
     assert (new is None) == (old is None)
     if new is not None:
         phase = np.vdot(new.amplitudes, old.amplitudes)    # unit modulus when they agree
@@ -462,7 +507,7 @@ def test_reconstruction_matches_the_gell_mann_fit_on_random_sets():
         noise = rng.choice([0.0, 1e-4, rng.uniform(0.0, 0.1)])
         exps = [float(np.trace(rho @ op.matrix).real) + noise * rng.standard_normal()
                 for op in ops]
-        rejected += assert_fits_agree(TomographySet(tuple(ops), tuple(exps)))
+        rejected += assert_fits_agree(ops, exps)
     assert 100 < rejected < 900, rejected   # both decisions are exercised
 
 
@@ -474,14 +519,14 @@ def test_reconstruction_matches_the_gell_mann_fit_on_random_sets():
     ((sigma_x(), sigma_y(), sigma_z(), sigma_x(), sigma_y()), (0.6, 0.0, 0.8, 0.3, 0.0)),
 ])
 def test_inconsistent_overcomplete_sets_are_not_pure_on_both_fits(ops, exps):
-    assert assert_fits_agree(TomographySet(ops, exps))
+    assert assert_fits_agree(ops, exps)
 
 
 def test_reconstruction_from_a_slightly_noisy_overcomplete_set(rng):
     psi = haar_random_state(3, rng)
     ops = tuple(random_observable(3, rng) for _ in range(12))
     exps = tuple(expectation(op, psi) + 1e-6 * rng.standard_normal() for op in ops)
-    rebuilt = reconstruct_state(TomographySet(ops, exps))
+    rebuilt = reconstruct_state(ops, exps)
     assert abs(np.vdot(rebuilt.amplitudes, psi.amplitudes)) == pytest.approx(1.0, abs=1e-8)
 
 
