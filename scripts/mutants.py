@@ -6,10 +6,10 @@
 Each row of MUTANTS names a mutant, the file of `src/ketlab` it edits,
 the text it replaces there (which must occur exactly once), the text that
 replaces it, and the tests that must kill it (test files or pytest node
-ids). For each row the script copies `src`, `tests` and `pyproject.toml`
-to a temporary directory, applies that one substitution, runs the row's
-tests there with `pytest -x` and prints `killed` or `SURVIVED` with the
-time the run took. It exits 1 if any mutant survives, if an anchor text
+ids). For each row the script copies `src`, `tests`, `scripts` (which
+the tests load) and `pyproject.toml` to a temporary directory, applies
+that one substitution, runs the row's tests there with `pytest -x` and
+prints `killed` or `SURVIVED` with the time the run took. It exits 1 if any mutant survives, if an anchor text
 does not occur exactly once, or if a run ends other than in passes or
 failures (a collection error, say), and 0 otherwise.
 
@@ -85,6 +85,12 @@ MUTANTS = (
            "table.weights, next(uniform_chunks(seed, 0, 1))[0, 0]",
            "table.weights, next(uniform_chunks(seed, 0, 1, 2))[0, 1]",
            ("tests/test_pbr.py::test_epr_steering_is_the_one_round_of_steer",)),
+    Mutant("pbr walks each Born row with the preparation's uniform", "pbr.py",
+           "uniforms[which == prep, 1]", "uniforms[which == prep, 0]",
+           ("tests/test_pbr.py::test_experiment_replays_trial_by_trial_through_strong_measure",)),
+    Mutant("nogo's sweep budget at the substream budget", "pbr.py",
+           "MAX_SWEEPS = 2 ** 20", "MAX_SWEEPS = 2 ** 64",
+           ("tests/test_cli.py::test_degenerate_sizes_keep_the_exit_code_contract",)),
     Mutant("Philox block counter without numpy's bump", "rngs.py",
            "np.arange(block + 1, (end + 3) // 4 + 1, dtype=np.uint64)",
            "np.arange(block, (end + 3) // 4, dtype=np.uint64)",
@@ -169,8 +175,9 @@ def run(mutant: Mutant) -> tuple:
         copy = Path(tmp)
         shutil.copytree(ROOT / "src", copy / "src",
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        shutil.copytree(ROOT / "tests", copy / "tests",
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        for tree in ("tests", "scripts"):
+            shutil.copytree(ROOT / tree, copy / tree,
+                            ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         (copy / "src" / "ketlab" / mutant.file).write_text(source.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")

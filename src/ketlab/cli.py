@@ -787,11 +787,11 @@ def _run_nogo(cfg: RunConfig):
     import numpy as np
 
     from .hilbert import _checked_count, haar_random_unitary
-    from .pbr import overlap_preservation_check
-    from .rngs import MAX_SUBSTREAMS, uniform_chunks
+    from .pbr import MAX_SWEEPS, overlap_preservation_check
+    from .rngs import uniform_chunks
 
     p = cfg.params
-    _checked_count(p["sweeps"], "sweeps", MAX_SUBSTREAMS)      # one substream a sweep
+    _checked_count(p["sweeps"], "sweeps", MAX_SWEEPS)      # before the overlaps' array
     ready, s1, s2 = (parse_state_spec(spec) for spec in (p["ready"], *p["pair"]))
     dim = ready.dim * s1.dim
     # the check's own before, |<ready (x) s1|ready (x) s2>|, is the one the change is

@@ -278,41 +278,32 @@ class Scenario:
         object.__setattr__(self, "forbidden", forbidden)
 
 
-def inverse_cdf(weights, uniforms, rows=None) -> np.ndarray:
-    """Outcome indices that `uniforms` select from nonnegative `weights`.
+def inverse_cdf(weights, uniforms) -> np.ndarray:
+    """Outcome indices that `uniforms` select from one table of
+    nonnegative `weights`.
 
     The inverse-CDF walk every sampler of this package draws through: a
     uniform u picks the first outcome whose cumulative weight exceeds
-    u * total, where total is the last cumulative weight. `weights` holds
-    one table of n outcomes, or a stack of them (shape (m, n)) that
-    uniform i walks row rows[i] of: a long run of uniforms over a few
-    tables then sums each table once and never copies it per uniform. The cumulative sums are sequential, so a draw matches
-    a walk that adds the weights one by one. Since u < 1, u * total stays
-    below a total that is a normal float, so no outcome of weight zero is
-    ever drawn; only an all-zero or NaN table (or a subnormal total) falls
-    through to the last outcome: the outcomes passed are the n minus those
-    whose cumulative weight exceeds u * total, and nothing exceeds NaN.
-    One shared table is walked by binary search, which is exact on its
-    non-decreasing cumulative weights and sorts NaN last. A stack is
-    walked as n rows of cumulative weights with one entry per uniform, so
-    the count adds n long rows rather than reducing m short ones.
+    u * total, where total is the last cumulative weight. The cumulative
+    sums are sequential, so a draw matches a walk that adds the weights
+    one by one, and the binary search is exact on them, since they never
+    decrease. Since u < 1, u * total stays below a total that is a normal
+    float, so no outcome of weight zero is ever drawn; only an all-zero or
+    NaN table (or a subnormal total) falls through to the last outcome,
+    since the search sorts NaN last.
     """
-    weights = np.asarray(weights, dtype=float)
-    n = weights.shape[-1]
-    cdf = np.cumsum(weights, axis=-1)
-    if cdf.ndim == 1:
-        passed = np.searchsorted(cdf, np.asarray(uniforms) * cdf[-1], side="right")
-    else:
-        cols = np.take(cdf.T, rows, axis=1)
-        passed = n - np.sum(cols > np.asarray(uniforms) * cols[-1], axis=0)
-    return np.minimum(passed, n - 1)
+    cdf = np.cumsum(np.asarray(weights, dtype=float))
+    passed = np.searchsorted(cdf, np.asarray(uniforms) * cdf[-1], side="right")
+    return np.minimum(passed, len(cdf) - 1)
 
 
 def tally(weights, blocks) -> np.ndarray:
     """Counts of each outcome of one table `weights` that the uniforms in
     `blocks` select, by `inverse_cdf`: one walk and one `bincount` per
     block, any shape of block, each tallied before the next is read, so
-    memory stays that of one block however many uniforms there are."""
+    memory stays that of one block however many uniforms there are. Every
+    sampler that counts outcomes counts them here: `steer` per basis,
+    `pbr_experiment` per preparation and `monte_carlo_onto` per cell."""
     counts = np.zeros(len(weights), dtype=np.int64)
     for uniforms in blocks:
         counts += np.bincount(inverse_cdf(weights, uniforms.ravel()), minlength=len(counts))

@@ -36,12 +36,13 @@ from .hilbert import (
     record,
     tensor,
 )
-from .measurement import Scenario, born_probabilities, inverse_cdf
+from .measurement import Scenario, born_probabilities, inverse_cdf, tally
 from .rngs import MAX_SUBSTREAMS, uniform_chunks
 
 ORTHONORMAL_TOL = 1e-12   # basis Gram deviation allowed
 UNITARY_TOL = 1e-10       # max |U^H U - 1| entry allowed
 WEIGHT_SUM_TOL = 1e-9     # mixture weights must sum to 1 within this
+MAX_SWEEPS = 2 ** 20      # `nogo` sweeps a run; it keeps each sweep's 8-byte overlap
 
 PREPARATION_IDS = ("00", "0+", "+0", "++")
 
@@ -140,12 +141,13 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     the preparation, the next drives the projective outcome), so trials
     are independent and reproducible regardless of execution order.
 
-    The preparations are fixed, so their outcome weights are computed once
-    up front. The trials then run as arrays, SUBSTREAM_CHUNK at a time:
-    both uniforms of every trial come from one `uniform_chunks` block, one
-    `inverse_cdf` walk picks the preparations, a second walks each trial's
-    Born row as `strong_measure` would, and a `bincount` tallies the cells.
-    Unit tests pin the equivalence with the per-trial loop.
+    The preparations are fixed, so their Born rows are computed once up
+    front. The trials then run as arrays, one `uniform_chunks` block of
+    both uniforms at a time: one `inverse_cdf` walk over the mixture picks
+    each trial's preparation, and `tally` walks preparation p's Born row
+    with the second uniforms of the trials that picked p: for each trial
+    the walk `strong_measure` takes. Unit tests pin the equivalence with
+    the per-trial loop.
     """
     trials = _checked_count(trials, "trials", MAX_SUBSTREAMS)      # one substream a trial
     weights = _number_array(mixture_weights, "mixture_weights")
@@ -157,13 +159,13 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
         raise PreconditionError(f"mixture_weights sum to {total!r}, expected 1")
     scenario = pbr_scenario()
     xi = scenario.measurements["xi"]
-    born = np.stack([born_probabilities(scenario.preparations[p], xi) for p in PREPARATION_IDS])
-    cells = np.zeros(16, dtype=np.int64)
+    born = [born_probabilities(scenario.preparations[p], xi) for p in PREPARATION_IDS]
+    cells = np.zeros((4, 4), dtype=np.int64)
     for uniforms in uniform_chunks(seed, 0, trials, 2):
         which = inverse_cdf(weights, uniforms[:, 0])
-        outcome = inverse_cdf(born, uniforms[:, 1], rows=which)
-        cells += np.bincount(4 * which + outcome, minlength=16)
-    counts = dict(zip(PREPARATION_IDS, cells.reshape(4, 4).tolist()))
+        for prep, row in enumerate(born):
+            cells[prep] += tally(row, [uniforms[which == prep, 1]])
+    counts = dict(zip(PREPARATION_IDS, cells.tolist()))
     return PbrCounts(counts=counts, trials=trials, seed=int(seed),
                      forbidden_map=_forbidden_map(scenario))
 

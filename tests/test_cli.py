@@ -7,6 +7,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import warnings
@@ -43,6 +44,17 @@ from oracles import amplitudes_from_json, traced_peak
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
+
+
+def _load_digests():
+    spec = importlib.util.spec_from_file_location("artifact_digests",
+                                                  SCRIPTS / "artifact_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DIGESTS = _load_digests()    # scripts/artifact_digests.py, whose COMMANDS the tests run
 
 
 def read_manifest(tmp_path, output_name):
@@ -196,15 +208,11 @@ def test_reruns_are_byte_identical(tmp_path):
     of this process, whose kept eigenbases, grids and pointers the first
     pass (and earlier tests) filled, and in a fresh interpreter, whose
     caches start empty."""
-    spec = importlib.util.spec_from_file_location("artifact_digests",
-                                                  SCRIPTS / "artifact_digests.py")
-    digests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digests)
     runs = []
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
-        runs.append(digests.digest_lines(tmp_path / name))
-    assert len(runs[0]) > 2 * len(digests.COMMANDS)   # every artifact and its manifest
+        runs.append(DIGESTS.digest_lines(tmp_path / name))
+    assert len(runs[0]) > 2 * len(DIGESTS.COMMANDS)   # every artifact and its manifest
     assert runs[0] == runs[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -213,6 +221,30 @@ def test_reruns_are_byte_identical(tmp_path):
     cold = subprocess.run([sys.executable, str(SCRIPTS / "artifact_digests.py")], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     assert cold.stdout.splitlines() == runs[0]
+
+
+@pytest.mark.parametrize("argv", DIGESTS.COMMANDS, ids=" ".join)
+def test_a_digest_run_replays_from_its_manifest(tmp_path, monkeypatch, argv):
+    """The `config` block a run's manifest echoes is the run: written to a
+    --config file and run in a fresh directory (the model file copied in),
+    it writes the same files, byte for byte, manifests included."""
+    run, replay = tmp_path / "run", tmp_path / "replay"
+    run.mkdir()
+    replay.mkdir()
+    DIGESTS.write_model(run)
+    monkeypatch.chdir(run)
+    assert main(list(argv)) == 0
+    (manifest,) = run.glob("*.manifest.json")
+    config = load_json(manifest)["config"]
+    shutil.copy(run / "model.json", replay)
+    (replay / "cfg.json").write_text(json.dumps(config))
+    monkeypatch.chdir(replay)
+    assert main(["--config", "cfg.json", config["subcommand"]]) == 0
+    (replay / "cfg.json").unlink()
+    names = sorted(path.name for path in run.iterdir())
+    assert sorted(path.name for path in replay.iterdir()) == names
+    for name in names:
+        assert (replay / name).read_bytes() == (run / name).read_bytes(), name
 
 
 def test_seed_changes_the_sampled_counts(tmp_path, monkeypatch):
@@ -605,10 +637,12 @@ def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text
     (["pbr", "--weights", "1e308,1e308,1e308,1e308"], 3),   # the weights' sum overflows
     # humps of opposite sign: |<p=0|psi>| = 3.5e-10 is 1e-16 of sum |psi| h, rounding
     (["scan", "--phase", "3.141592653589793", "--width", "1e12", "--separation", "3e12"], 3),
-    # one substream a trial or sweep: more than 2**64 of them, refused before any draw
+    # one substream a trial: more than 2**64 of them, refused before any draw
     (["steer", "--basis", "z", "--trials", str(2 ** 64 + 1)], 3),
     (["steer", "--trials", str(10 ** 19)], 3),            # two bases: over 2**63 each
     (["pbr", "--trials", str(2 ** 64 + 1)], 3),
+    # over MAX_SWEEPS, refused before the overlaps' array (10**12 floats is 7.3 TiB)
+    (["nogo", "--sweeps", str(10 ** 12)], 3),
     (["nogo", "--sweeps", str(2 ** 64 + 1)], 3),
     # no cycle runs at --n 0, but the first cycle's multipliers are built, so the
     # wraparound guard counts one coupling: these g would overflow them
@@ -1375,10 +1409,6 @@ def test_every_digest_command_hands_the_check_plain_json(tmp_path, monkeypatch):
     """Each runner builds its JSON payloads, manifest included, from plain
     builtins: the check reads each as it is, and the writer gets the very
     object that was checked."""
-    spec = importlib.util.spec_from_file_location("artifact_digests",
-                                                  SCRIPTS / "artifact_digests.py")
-    digests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digests)
     checked, dumped = [], []
     check = ketlab.cli.validate_artifact
 
@@ -1392,10 +1422,10 @@ def test_every_digest_command_hands_the_check_plain_json(tmp_path, monkeypatch):
         ketlab.serialize.dump_json(data, path)
 
     monkeypatch.chdir(tmp_path)
-    digests.write_model(tmp_path)
+    DIGESTS.write_model(tmp_path)
     monkeypatch.setattr(ketlab.cli, "validate_artifact", recording_check)
     monkeypatch.setattr(ketlab.cli, "dump_json", dump)
-    for argv in digests.COMMANDS:
+    for argv in DIGESTS.COMMANDS:
         checked.clear()
         dumped.clear()
         assert main(list(argv)) == 0, argv

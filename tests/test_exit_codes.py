@@ -9,7 +9,8 @@ package's own internal errors and never from an exception that escaped a
 stage, print no control character that a value it echoes carried, and a
 run that exits non-zero must leave its directory exactly as it found it.
 Sizes stay small (at most 2048 grid points, 50 cycles, 2000 trials and 5
-sweeps), so no example asks for a large allocation.
+sweeps, or a sweep count past `MAX_SWEEPS`, refused before any draw), so
+no example asks for a large allocation.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ketlab.cli import COMMANDS, main
+from ketlab.pbr import MAX_SWEEPS
 
 CONTRACT_EXITS = {0, 2, 3, 4}
 
@@ -63,7 +65,7 @@ PARAMS = {
     "n": counts(50),
     "grid_points": st.one_of(counts(2048), st.sampled_from([16, 64, 512, 2048])),
     "trials": counts(2000),
-    "sweeps": counts(5),
+    "sweeps": st.one_of(counts(5), st.sampled_from([MAX_SWEEPS + 1, 10 ** 12])),
     "mc_trials": counts(2000),
     "observable": choices("z", "x", "y"),
     "mode": choices("deterministic", "sampled"),

@@ -266,18 +266,10 @@ def test_inverse_cdf_never_draws_an_outcome_of_weight_zero():
     for n in (9, 17):
         tables = rng.random((4000, n))
         tables[np.arange(n) >= rng.integers(1, n, size=(4000, 1))] = 0.0
-        uniforms = np.concatenate([np.full(2000, last), rng.random(2000)])
-        drawn = inverse_cdf(tables, uniforms, rows=np.arange(4000))
-        assert (tables[np.arange(4000), drawn] > 0.0).all()
-        assert list(drawn[:200]) == [sequential_walk(t, last) for t in tables[:200]]
-
-
-def test_inverse_cdf_walks_one_table_per_uniform():
-    rng = np.random.default_rng(3)
-    tables = rng.random((400, 4))
-    uniforms = rng.random(400)
-    got = inverse_cdf(tables, uniforms, rows=np.arange(400))
-    assert list(got) == [sequential_walk(t, u) for t, u in zip(tables, uniforms)]
+        for i, table in enumerate(tables):
+            drawn = inverse_cdf(table, [last, rng.random()])
+            assert (table[drawn] > 0.0).all()
+            assert i >= 200 or drawn[0] == sequential_walk(table, last)
 
 
 def broadcast_walk(weights, uniforms):
@@ -300,24 +292,16 @@ def test_inverse_cdf_matches_the_broadcast_walk_bit_for_bit(n):
     for table in tables:
         np.testing.assert_array_equal(inverse_cdf(table, uniforms),
                                       broadcast_walk(table, uniforms))
-    picks = rng.integers(0, 60, size=len(uniforms))
-    want = broadcast_walk(tables[picks], uniforms)
-    np.testing.assert_array_equal(
-        inverse_cdf(tables[picks], uniforms, rows=np.arange(len(uniforms))), want)
-    np.testing.assert_array_equal(inverse_cdf(tables, uniforms, rows=picks), want)
 
 
 @pytest.mark.parametrize("table", [[np.nan, 1.0], [0.5, np.nan, 0.5], [0.0, 0.0, 0.0]])
 def test_a_nan_or_all_zero_table_falls_through_to_the_last_outcome(table):
-    """On one shared table, on one table per uniform and on a table picked
-    from a stack by `rows` alike; the broadcast oracle would put a NaN
-    table on outcome 0, since nothing is <= NaN."""
+    """The broadcast oracle would put a NaN table on outcome 0, since
+    nothing is <= NaN."""
     uniforms = [0.0, 0.5, 1.0 - 2.0 ** -53]
     last = len(table) - 1
     with np.errstate(invalid="ignore"):
         assert list(inverse_cdf(table, uniforms)) == [last] * 3
-        assert list(inverse_cdf([table] * 3, uniforms, rows=np.arange(3))) == [last] * 3
-        assert list(inverse_cdf([[1.0] * len(table), table], uniforms, rows=[1] * 3)) == [last] * 3
         assert int(inverse_cdf(table, 0.25)) == last
 
 
