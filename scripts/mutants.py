@@ -161,6 +161,18 @@ MUTANTS = (
            "from .serialize import Records, dump_json, load_json, write_csv\n",
            "from .serialize import Records, dump_json, load_json, write_csv\nimport numpy as np\n",
            ("tests/test_imports.py::test_importing_the_cli_and_its_early_exits_load_no_numpy",)),
+    # the run still exits 4, but with a KeyError message instead of the kind rule's
+    Mutant("validate_artifact takes any kind", "cli.py",
+           ' or data.get("kind") not in SCHEMAS', "",
+           ("tests/test_cli.py::test_an_artifact_of_unknown_kind_exits_4_and_writes_nothing",)),
+    Mutant("leak's orthogonal shortcut also at n = 0", "protective.py",
+           "if n and abs(inner_product(protected, initial))",
+           "if abs(inner_product(protected, initial))",
+           ("tests/test_protective.py::"
+            "test_a_leak_of_no_cycles_protects_nothing_and_survives_as_prepared",)),
+    Mutant("a sweep point with no readout written as 0.0", "cli.py",
+           "math.nan if inferred is None", "0.0 if inferred is None",
+           ("tests/test_cli.py::test_a_sampled_sweep_point_that_aborts_at_once_is_a_nan_row",)),
 )
 
 

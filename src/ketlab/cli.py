@@ -26,7 +26,8 @@ object that was checked. The check takes the paths first:
 each ends in its format's suffix, and none is shared with another
 artifact or the --config file, names an existing directory, or is a name
 the filesystem cannot look up (a config error). It then checks each
-JSON artifact against its own schema, with a small in-package reader of
+JSON artifact: it must be an object whose `kind` names a schema, and is
+then checked against that schema, with a small in-package reader of
 exactly the JSON Schema keywords `SCHEMAS` uses, so the runtime needs no
 schema library, and each CSV cell by its column's type. A run that
 fails the check writes nothing; a run whose write fails removes every
@@ -265,11 +266,9 @@ _MONTE_CARLO = {
 
 SCHEMAS = {
     "ketlab/protective-run": {
-        "type": "object",
-        "required": ["kind", "command", "observable", "state", "true_expectation",
+        "required": ["command", "observable", "state", "true_expectation",
                      "absolute_error", "run"],
         "properties": {
-            "kind": {"const": "ketlab/protective-run"},
             "observable": _STR,
             "state": {"type": "object", "required": ["theta", "phi"]},
             "true_expectation": _NUM,
@@ -289,12 +288,10 @@ SCHEMAS = {
         },
     },
     "ketlab/leak": {
-        "type": "object",
-        "required": ["kind", "command", "prepared", "protected", "observable",
+        "required": ["command", "prepared", "protected", "observable",
                      "survival", "predicted_survival", "surviving_state",
                      "matches_protected"],
         "properties": {
-            "kind": {"const": "ketlab/leak"},
             "survival": _NUM,
             "predicted_survival": _NUM,
             "surviving_state": {**_STATE_JSON, "type": ["object", "null"]},
@@ -302,11 +299,9 @@ SCHEMAS = {
         },
     },
     "ketlab/pbr-counts": {
-        "type": "object",
-        "required": ["kind", "command", "trials", "seed", "preparations",
+        "required": ["command", "trials", "seed", "preparations",
                      "counts", "forbidden_outcome"],
         "properties": {
-            "kind": {"const": "ketlab/pbr-counts"},
             "trials": _COUNT,
             "counts": {
                 "type": "object",
@@ -315,10 +310,8 @@ SCHEMAS = {
         },
     },
     "ketlab/steering": {
-        "type": "object",
-        "required": ["kind", "command", "trials", "seed", "bases"],
+        "required": ["command", "trials", "seed", "bases"],
         "properties": {
-            "kind": {"const": "ketlab/steering"},
             "trials": _COUNT,
             "bases": {
                 "type": "object",
@@ -336,12 +329,10 @@ SCHEMAS = {
         },
     },
     "ketlab/violation-bound": {
-        "type": "object",
-        "required": ["kind", "command", "q", "violation_lower_bound", "upper_bound",
+        "required": ["command", "q", "violation_lower_bound", "upper_bound",
                      "duality_gap", "forbidden_sum", "forbidden_mean", "preparations",
                      "forbidden_outcomes", "lambda_pairs", "witnessing_responses"],
         "properties": {
-            "kind": {"const": "ketlab/violation-bound"},
             "q": _NUM,
             "violation_lower_bound": _NUM,
             "upper_bound": _NUM,
@@ -354,37 +345,27 @@ SCHEMAS = {
         },
     },
     "ketlab/model-eval": {
-        "type": "object",
-        "required": ["kind", "command", "scenario", "model", "overlaps", "born_gaps"],
+        "required": ["command", "scenario", "model", "overlaps", "born_gaps"],
         "properties": {
-            "kind": {"const": "ketlab/model-eval"},
             "overlaps": {"type": "array"},
             "born_gaps": {"type": "object"},
             "monte_carlo": _MONTE_CARLO,
         },
     },
     "ketlab/nogo": {
-        "type": "object",
-        "required": ["kind", "command", "sweeps", "seed", "ready", "pair",
+        "required": ["command", "sweeps", "seed", "ready", "pair",
                      "overlap_before", "max_abs_change", "mean_overlap_after"],
         "properties": {
-            "kind": {"const": "ketlab/nogo"},
             "sweeps": _COUNT,
             "overlap_before": _NUM,
             "max_abs_change": _OPT_NUM,
             "mean_overlap_after": _OPT_NUM,
         },
     },
-    "ketlab/joint-state": {
-        "type": "object",
-        "required": ["kind", "system_dim", "grid", "re", "im"],
-        "properties": {"kind": {"const": "ketlab/joint-state"}},
-    },
+    "ketlab/joint-state": {"required": ["system_dim", "grid", "re", "im"]},
     "ketlab/manifest": {
-        "type": "object",
-        "required": ["kind", "command", "config", "seed", "versions", "outputs"],
+        "required": ["command", "config", "seed", "versions", "outputs"],
         "properties": {
-            "kind": {"const": "ketlab/manifest"},
             "versions": {
                 "type": "object",
                 "required": ["ketlab", "numpy", "python"],
@@ -404,7 +385,7 @@ _CSV_COLUMNS = {
 
 
 # the JSON Schema keywords `_schema_error` implements; SCHEMAS may use no other
-SCHEMA_KEYWORDS = frozenset({"type", "const", "minimum", "required", "properties",
+SCHEMA_KEYWORDS = frozenset({"type", "minimum", "required", "properties",
                              "additionalProperties", "items", "minItems", "maxItems"})
 _JSON_TYPES = {"object": dict, "array": (list, Records), "string": str, "number": (int, float),
                "integer": int, "boolean": bool, "null": type(None)}
@@ -424,13 +405,13 @@ def _schema_error(schema: dict, value, where: str = "$") -> str | None:
     """The first way `value` breaks `schema`, or None when it conforms.
     Each keyword in SCHEMA_KEYWORDS has its JSON Schema meaning: the
     object, array and number keywords apply only to values of that type.
-    A `Records` conforms when `dump_json` can write it."""
+    A `Records` conforms when `dump_json` can write it. No schema states
+    that an artifact is an object of its own kind: `validate_artifact`
+    alone checks that, before it calls this."""
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
     if types and not any(_is_type(value, name) for name in types):
         return f"{where} is not of type {' or '.join(types)}"
-    if "const" in schema and value != schema["const"]:
-        return f"{where} is not {schema['const']!r}"
     if "minimum" in schema and _is_type(value, "number") and value < schema["minimum"]:
         return f"{where} is below the minimum {schema['minimum']}"
     children = []
@@ -459,12 +440,13 @@ def validate_artifact(artifact: Artifact) -> Artifact:
     """Check an artifact against its schema before it is written and
     return the very artifact given, which is then written as it is;
     InternalError on failure. A JSON payload, plain JSON as its runner
-    built it (a per-step log as a `Records`), is checked against the
-    schema its 'kind' names. A CSV payload's header must be a layout of
-    `_CSV_COLUMNS`, and each row must hold one cell of exactly its
-    column's type (a bool, a numpy scalar or a text number is no int or
-    float); the first row or cell that fails is named by its line in the
-    file."""
+    built it (a per-step log as a `Records`), must be a dict whose 'kind'
+    names an entry of SCHEMAS, and is then checked against that schema;
+    this is the one place that rule is checked. A CSV payload's header
+    must be a layout of `_CSV_COLUMNS`, and each row must hold one cell of
+    exactly its column's type (a bool, a numpy scalar or a text number is
+    no int or float); the first row or cell that fails is named by its
+    line in the file."""
     name = artifact.path.name
     if artifact.fmt == "json":
         data = artifact.payload
@@ -531,16 +513,16 @@ def _run_protective(cfg: RunConfig):
         log = list(zip(*data["run"]["per_step_log"].columns))
         artifacts.append(Artifact(Path(p["per_step_csv"]), "csv", (PER_STEP_HEADER, log)))
     if p["sweep_g"] is not None:
+        for g in p["sweep_g"]:
+            if p["n"] * g == 0.0:
+                raise PreconditionError(f"sweep coupling g={g!r} yields no inferred expectation")
         rows = []
         for g in p["sweep_g"]:
+            # a sampled point that aborts at its first protection reads out nothing: nan
             point = measure(g=g)
-            if point.inferred_expectation is None:
-                raise PreconditionError(
-                    f"sweep coupling g={g!r} yields no inferred expectation"
-                )
-            rows.append((g, point.inferred_expectation,
-                         abs(point.inferred_expectation - true),
-                         point.survival_probability))
+            inferred = point.inferred_expectation
+            inferred = math.nan if inferred is None else inferred
+            rows.append((g, inferred, abs(inferred - true), point.survival_probability))
         sweep_path = cfg.output.parent / (cfg.output.stem + ".sweep.csv")
         artifacts.append(Artifact(sweep_path, "csv", (SWEEP_HEADER, rows)))
     if p["dump_joint"] is not None:
@@ -856,7 +838,8 @@ COMMANDS = {
                 Param("tomography", _as_bool, False,
                       "also reconstruct the state from x, y, z runs", is_flag=True),
                 Param("sweep_g", _float_list, None,
-                      "comma-separated couplings for an error-vs-g CSV"),
+                      "comma-separated couplings for an error-vs-g CSV; a sampled point "
+                      "that aborts at its first protection reads nan"),
                 Param("per_step_csv", _as_str, None,
                       "write the per-cycle survival/pointer log to this CSV"),
                 Param("dump_joint", _as_str, None,

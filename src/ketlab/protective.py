@@ -150,7 +150,8 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     the pointer occupies, at least MIN_PHASE_STEP: below it the readout is
     rounding, and g = 0 still runs and infers nothing.
     Only then does an orthogonal pair (|<protected|initial>| below
-    ORTHOGONAL_LEAK_TOL, which no protection survives) return None.
+    ORTHOGONAL_LEAK_TOL, which no protection survives) return None, and
+    only when n > 0: a run of no cycles protects nothing and survives.
 
     A successful protection leaves the system exactly in |protected>, so the
     joint state is |protected> (x) phi and the run is a recursion on the
@@ -198,7 +199,7 @@ def _protective_loop(initial: StateVector, protected: StateVector,
             f"coupling g={g!r} is too small to resolve: its largest phase step {step:.3g} "
             f"(|g| max|a_j| max|p| over the pointer's momenta) is below {MIN_PHASE_STEP}"
         )
-    if abs(inner_product(protected, initial)) < ORTHOGONAL_LEAK_TOL:
+    if n and abs(inner_product(protected, initial)) < ORTHOGONAL_LEAK_TOL:
         return None
     uniforms = np.zeros(n)                  # deterministic: no uniform exceeds a weight >= 0
     if mode == "sampled":
@@ -263,8 +264,10 @@ def protection_leak(prepared: StateVector, protected: StateVector,
     The first protection collapses the prepared state into the protected
     one, so the run survives with probability |<protected|prepared>|^2 (up
     to O(g^2) coupling corrections) and survivors emerge in the protected
-    state. An orthogonal pair that passes every check of the run returns
-    the explicit empty result: survival 0 and no surviving state.
+    state. An orthogonal pair that passes every check of a run of at
+    least one cycle returns the explicit empty result: survival 0 and no
+    surviving state. At n = 0 nothing is protected, so every pair survives
+    with survival 1 in the prepared state.
     """
     run = _protective_loop(prepared, protected, op, n, g, grid, width, "deterministic", None)
     if run is None:

@@ -531,6 +531,19 @@ def test_leak_negative_steps_exits_3(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("prepared", ["0", "1e-16:0", "1e-9:0"])
+def test_a_leak_of_no_cycles_survives_as_prepared_at_any_overlap(tmp_path, monkeypatch,
+                                                                  prepared):
+    """No cycle ran, so nothing was protected: an orthogonal pair survives
+    in the state it prepared, as a pair just short of orthogonal does."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["leak", "--prepared", prepared, "--protected", "1", "--n", "0"]) == 0
+    data = load_json(tmp_path / "leak.json")
+    assert (data["survival"], data["matches_protected"]) == (1.0, False)
+    state = data["surviving_state"]
+    assert state["re"] + state["im"] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-8)
+
+
 @pytest.mark.parametrize("argv", [
     ["protective", "--theta", "inf"],
     ["pbr", "--weights", "nan,0,0,1", "--trials", "1000"],
@@ -871,10 +884,17 @@ def test_a_run_that_fails_validation_leaves_no_files(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("payload", [
+    pytest.param({"kind": "ketlab/nope"}, id="unknown-kind"),
+    pytest.param({"command": "steer", "trials": 3}, id="no-kind"),
+    pytest.param([{"kind": "ketlab/steering"}], id="list"),
+])
 def test_an_artifact_of_unknown_kind_exits_4_and_writes_nothing(tmp_path, monkeypatch,
-                                                                 capsys):
+                                                                 capsys, payload):
+    """The schemas do not restate that a JSON artifact is an object whose
+    kind names a schema: `validate_artifact` alone refuses every other."""
     def unknown_kind_runner(cfg):
-        return [Artifact(cfg.output, "json", {"kind": "ketlab/nope"})], "summary"
+        return [Artifact(cfg.output, "json", payload)], "summary"
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setitem(COMMANDS, "steer", with_runner("steer", unknown_kind_runner))
@@ -1291,6 +1311,20 @@ def test_a_sampled_sweep_point_is_the_run_its_coupling_would_be(tmp_path, monkey
     last = (tmp_path / "protective.sweep.csv").read_text().splitlines()[-1].split(",")
     assert [float(last[0]), float(last[1]), float(last[3])] == [
         0.2, run["inferred_expectation"], run["survival_probability"]]
+
+
+def test_a_sampled_sweep_point_that_aborts_at_once_is_a_nan_row(tmp_path, monkeypatch):
+    """At g = 0.25 this seed's sampled run aborts at its first protection,
+    which a main run reports and exits 0 for; as a sweep point it is the
+    same run, written with nan where it has no readout."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["protective", "--observable", "x", "--mode", "sampled", "--n", "40",
+            "--seed", "219"]
+    assert main([*argv, "--g", "0.25", "-o", "alone.json"]) == 0
+    assert load_json(tmp_path / "alone.json")["run"]["aborted_at_step"] == 1
+    assert main([*argv, "--g", "0.01", "--sweep-g", "0.25"]) == 0
+    rows = (tmp_path / "protective.sweep.csv").read_text().splitlines()
+    assert rows[1:] == ["0.25,nan,nan,1.0"]
 
 
 def test_a_sweep_point_without_an_expectation_exits_3(tmp_path, monkeypatch, capsys):

@@ -308,6 +308,17 @@ def test_leak_between_orthogonal_states_is_empty():
     assert result.surviving_state is None
 
 
+def test_a_leak_of_no_cycles_protects_nothing_and_survives_as_prepared():
+    """At n = 0 no protection ran, so an orthogonal pair is no exception:
+    the run survives with certainty in the state it prepared. From the
+    first cycle on, the pair's result is empty."""
+    result = protection_leak(ket_zero(), ket_one(), sigma_z(), n=0)
+    assert result.survival == 1.0
+    assert equal_up_to_phase(result.surviving_state, ket_zero())
+    result = protection_leak(ket_zero(), ket_one(), sigma_z(), n=1)
+    assert (result.survival, result.surviving_state) == (0.0, None)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"n": ketlab.protective.MAX_STEPS + 1},
     {"g": 1e6},                                  # wraps around the grid

@@ -114,7 +114,6 @@ def _edit(keys, value=DROP):
     ("pbr/pbr.json", _edit(["counts", "++"], [0, 0, 0, 0, 0])),
     ("onto/onto.json", _edit(["monte_carlo", "counts", "00", "xi", 1], "many")),
     ("steer/steer.json", _edit(["bases", "z", "outcome_counts", "+1"], 2.5)),
-    ("protective/joint.json", _edit(["kind"], "ketlab/joint")),
     ("protective/protective.json", _edit(["tomography", "reconstructed", "re"])),
     ("nogo/nogo.json.manifest.json", _edit(["outputs", 0], 1)),
     ("leak-orthogonal/leak-orthogonal.json", _edit(["surviving_state"], {"dim": 2})),
