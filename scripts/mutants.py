@@ -173,6 +173,16 @@ MUTANTS = (
     Mutant("a sweep point with no readout written as 0.0", "cli.py",
            "math.nan if inferred is None", "0.0 if inferred is None",
            ("tests/test_cli.py::test_a_sampled_sweep_point_that_aborts_at_once_is_a_nan_row",)),
+    # killed by the property test's @example at q = ONTIC_OVERLAP_TOL
+    Mutant("an overlap at the tolerance shares no reality", "ontology.py",
+           "value >= ONTIC_OVERLAP_TOL", "value > ONTIC_OVERLAP_TOL",
+           ("tests/test_ontology.py::test_shared_reality_overlap_equals_q",)),
+    Mutant("model lambda labels may repeat", "ontology.py",
+           "if len(set(labels)) != len(labels):", "if False:",
+           ("tests/test_ontology.py::test_lambda_space_rejects_empty_and_duplicate_labels",)),
+    Mutant("leak predicts the overlap at n = 0", "cli.py",
+           'if p["n"] > 0 else 1.0', "if True else 1.0",
+           ("tests/test_cli.py::test_a_leak_of_no_cycles_survives_as_prepared_at_any_overlap",)),
 )
 
 

@@ -34,10 +34,9 @@ _EXPORTS = {
     "measurement": "GridWavefunction JointSystemPointerState OutcomeSample PointerGrid "
                    "Scenario born_probabilities couple_pointer default_grid make_pointer "
                    "strong_measure",
-    "ontology": "LambdaSpace MonteCarloReport OntologicalModel OverlapReport ViolationBound "
-                "born_consistency_gap build_shared_reality_model monte_carlo_onto "
-                "orthodox_model overlap paired_shared_reality_model pbr_min_violation "
-                "predict qubit_scenario",
+    "ontology": "MonteCarloReport OntologicalModel ViolationBound born_consistency_gap "
+                "build_shared_reality_model monte_carlo_onto orthodox_model overlap "
+                "paired_shared_reality_model pbr_min_violation predict qubit_scenario",
     "pbr": "PREPARATION_IDS PbrCounts SteeringSample SteeringTable epr_steering "
            "overlap_preservation_check pbr_experiment pbr_scenario preparation_states "
            "steering_table",

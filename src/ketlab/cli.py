@@ -553,7 +553,7 @@ def _run_leak(cfg: RunConfig):
     result = protection_leak(
         prepared, protected, op, n=p["n"], g=p["g"], grid=grid, width=p["width"]
     )
-    predicted = abs(inner_product(protected, prepared)) ** 2
+    predicted = abs(inner_product(protected, prepared)) ** 2 if p["n"] > 0 else 1.0
     surviving = result.surviving_state
     data = {
         "kind": "ketlab/leak",
@@ -567,10 +567,7 @@ def _run_leak(cfg: RunConfig):
         "matches_protected": (None if surviving is None
                               else equal_up_to_phase(surviving, protected)),
     }
-    summary = (
-        f"survival {result.survival:.6f} "
-        f"(|<protected|prepared>|^2 = {predicted:.6f})"
-    )
+    summary = f"survival {result.survival:.6f} (predicted {predicted:.6f})"
     return [Artifact(cfg.output, "json", data)], summary
 
 
@@ -735,7 +732,7 @@ def _run_onto(cfg: RunConfig):
         else:
             model = OntologicalModel.from_json_dict(_read_json(p["model"], "model file"))
             model_name = Path(p["model"]).name
-        overlaps = [dict(vars(overlap(model, a, b)))
+        overlaps = [overlap(model, a, b)
                     for a, b in combinations(sorted(model.preparations), 2)]
         shared_preps = [pid for pid in scenario.preparations if pid in model.preparations]
         born_gaps = {

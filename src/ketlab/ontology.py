@@ -105,10 +105,13 @@ def _distributions(values, what: str, size: int, table: bool = False) -> np.ndar
 
 
 @record
-class LambdaSpace:
-    """Finite set of candidate physical states."""
+class OntologicalModel:
+    """Preparation distributions over the lambda `labels`, a non-empty tuple
+    of distinct text labels, plus outcome response tables."""
 
     labels: tuple
+    preparations: Mapping[str, np.ndarray]
+    responses: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -118,23 +121,7 @@ class LambdaSpace:
             raise PreconditionError("lambda space cannot be empty")
         if len(set(labels)) != len(labels):
             raise PreconditionError("lambda labels must be distinct")
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-
-@record
-class OntologicalModel:
-    """Preparation distributions over lambda plus outcome response tables."""
-
-    lambda_space: LambdaSpace
-    preparations: Mapping[str, np.ndarray]
-    responses: Mapping[str, np.ndarray]
-
-    def __post_init__(self) -> None:
-        size = self.lambda_space.size
+        size = len(labels)
         preps, resps = dict(self.preparations), dict(self.responses)
         if not all(isinstance(key, str) for key in (*preps, *resps)):
             raise PreconditionError("preparation and response ids must be text")
@@ -142,12 +129,13 @@ class OntologicalModel:
                  for key, vec in preps.items()}
         resps = {key: _distributions(table, f"response table {key!r}", size, table=True)
                  for key, table in resps.items()}
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "preparations", preps)
         object.__setattr__(self, "responses", resps)
 
     def to_json_dict(self) -> dict:
         return {
-            "lambda": list(self.lambda_space.labels),
+            "lambda": list(self.labels),
             "preparations": {k: v.tolist() for k, v in self.preparations.items()},
             "responses": {k: table.tolist() for k, table in self.responses.items()},
         }
@@ -165,20 +153,10 @@ class OntologicalModel:
             if not isinstance(data[field], dict):
                 raise PreconditionError(f"model {field!r} must map ids to entries")
         return cls(
-            lambda_space=LambdaSpace(tuple(data["lambda"])),
+            labels=tuple(data["lambda"]),
             preparations=data["preparations"],
             responses=data["responses"],
         )
-
-
-@record
-class OverlapReport:
-    """Variational overlap of two preparation distributions."""
-
-    first: str
-    second: str
-    variational_overlap: float
-    shares_reality: bool
 
 
 def predict(model: OntologicalModel, prep_id: str, meas_id: str) -> np.ndarray:
@@ -196,18 +174,15 @@ def predict(model: OntologicalModel, prep_id: str, meas_id: str) -> np.ndarray:
     return dist
 
 
-def overlap(model: OntologicalModel, first: str, second: str) -> OverlapReport:
-    """sum_lambda min(p_first, p_second): the shared-reality fraction."""
+def overlap(model: OntologicalModel, first: str, second: str) -> dict:
+    """sum_lambda min(p_first, p_second), the shared-reality fraction, as
+    the record `onto` writes for the pair."""
     for key in (first, second):
         if key not in model.preparations:
             raise PreconditionError(f"unknown preparation id {key!r}")
     value = float(np.minimum(model.preparations[first], model.preparations[second]).sum())
-    return OverlapReport(
-        first=first,
-        second=second,
-        variational_overlap=value,
-        shares_reality=value >= ONTIC_OVERLAP_TOL,
-    )
+    return {"first": first, "second": second, "variational_overlap": value,
+            "shares_reality": value >= ONTIC_OVERLAP_TOL}
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +214,7 @@ def orthodox_model(scenario: Scenario) -> OntologicalModel:
             born_probabilities(scenario.preparations[pid], basis) for pid in prep_ids
         ])
     return OntologicalModel(
-        lambda_space=LambdaSpace(prep_ids),
+        labels=prep_ids,
         preparations=preparations,
         responses=responses,
     )
@@ -292,17 +267,13 @@ def build_shared_reality_model(q: float) -> OntologicalModel:
     if not 0.0 <= _finite_real(q, "shared weight q") <= 1.0:
         raise PreconditionError(f"shared weight q must lie in [0, 1], got {q!r}")
     return OntologicalModel(
-        lambda_space=LambdaSpace(SHARED_REALITY_LABELS),
+        labels=SHARED_REALITY_LABELS,
         preparations={
             "0": np.array([q, 1.0 - q, 0.0]),
             "+": np.array([q, 0.0, 1.0 - q]),
         },
         responses={},
     )
-
-
-def _pair_labels(single: LambdaSpace) -> tuple:
-    return tuple(f"{a}|{b}" for a in single.labels for b in single.labels)
 
 
 def paired_shared_reality_model(q: float, xi_responses=None) -> OntologicalModel:
@@ -322,7 +293,7 @@ def paired_shared_reality_model(q: float, xi_responses=None) -> OntologicalModel
     if xi_responses is not None:
         responses["xi"] = xi_responses
     return OntologicalModel(
-        lambda_space=LambdaSpace(_pair_labels(single.lambda_space)),
+        labels=tuple(f"{a}|{b}" for a in single.labels for b in single.labels),
         preparations=preparations,
         responses=responses,
     )
@@ -381,7 +352,7 @@ def _forbidden_cost(q: float) -> tuple:
     pairing = _forbidden_map(pbr_scenario())
     weights = np.stack([model.preparations[p] for p in PREPARATION_IDS])
     forbidden = tuple(pairing[p] for p in PREPARATION_IDS)
-    return weights[np.argsort(forbidden)], forbidden, model.lambda_space.labels
+    return weights[np.argsort(forbidden)], forbidden, model.labels
 
 
 def _violations(cost: np.ndarray, forbidden, table: np.ndarray) -> list:

@@ -535,11 +535,13 @@ def test_leak_negative_steps_exits_3(tmp_path, monkeypatch):
 def test_a_leak_of_no_cycles_survives_as_prepared_at_any_overlap(tmp_path, monkeypatch,
                                                                   prepared):
     """No cycle ran, so nothing was protected: an orthogonal pair survives
-    in the state it prepared, as a pair just short of orthogonal does."""
+    in the state it prepared, as a pair just short of orthogonal does, and
+    that certain survival is what the run predicts."""
     monkeypatch.chdir(tmp_path)
     assert main(["leak", "--prepared", prepared, "--protected", "1", "--n", "0"]) == 0
     data = load_json(tmp_path / "leak.json")
     assert (data["survival"], data["matches_protected"]) == (1.0, False)
+    assert data["predicted_survival"] == 1.0
     state = data["surviving_state"]
     assert state["re"] + state["im"] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-8)
 
@@ -614,7 +616,8 @@ def _labelled(label: str) -> str:
                  '"responses": {"z": [[], []]}}', 3, id="empty-response-rows"),
     *(pytest.param(_labelled(label), 3, id=f"label-{name}") for name, label in [
         ("int", "1"), ("bool", "true"), ("null", "null"), ("object", '{"k": 1}'),
-        ("nested-300-deep", "[" * 300 + '"b"' + "]" * 300)]),
+        ("nested-300-deep", "[" * 300 + '"b"' + "]" * 300), ("repeated", '"a"')]),
+    pytest.param('{"lambda": [], "preparations": {}, "responses": {}}', 3, id="lambda-empty"),
     # every measurement but not preparation "1": Monte Carlo refuses it
     pytest.param(_QUBIT_MODEL.replace('"1": [0, 1], ', "") % ("[1, 0]", "[1, 0]"), 3,
                  id="lacks-a-scenario-preparation"),
@@ -1442,14 +1445,19 @@ def test_an_overflowing_width_exits_3_with_only_its_message(tmp_path, monkeypatc
 def test_every_digest_command_hands_the_check_plain_json(tmp_path, monkeypatch):
     """Each runner builds its JSON payloads, manifest included, from plain
     builtins: the check reads each as it is, and the writer gets the very
-    object that was checked."""
-    checked, dumped = [], []
+    object that was checked. Together the digest runs write every JSON kind
+    and every CSV layout the check knows, so a new format needs its digest
+    line."""
+    checked, dumped, formats = [], [], set()
     check = ketlab.cli.validate_artifact
 
     def recording_check(artifact):
         if artifact.fmt == "json":
             checked.append(artifact.payload)
-        return check(artifact)
+        check(artifact)
+        formats.add(artifact.payload["kind"] if artifact.fmt == "json"
+                    else tuple(artifact.payload[0]))
+        return artifact
 
     def dump(data, path):
         dumped.append(data)
@@ -1466,3 +1474,4 @@ def test_every_digest_command_hands_the_check_plain_json(tmp_path, monkeypatch):
         assert checked and all(_is_plain_json(payload) for payload in checked), argv
         assert len(dumped) == len(checked), argv
         assert all(got is want for got, want in zip(dumped, checked)), argv
+    assert formats == {*SCHEMAS, *ketlab.cli._CSV_COLUMNS}

@@ -91,7 +91,7 @@ def test_the_package_namespace_resolves_each_name_in_its_module(tmp_path):
         "                  wrong]))\n",
         tmp_path,
     )
-    assert seen == ["AttributeError", [True, True], 74, True, []]
+    assert seen == ["AttributeError", [True, True], 72, True, []]
 
 
 def test_importing_the_cli_loads_no_experiment_module(tmp_path):

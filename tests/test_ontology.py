@@ -6,14 +6,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ketlab.ontology
 from ketlab import (
     PREPARATION_IDS,
     CertificationError,
-    LambdaSpace,
     OntologicalModel,
     PreconditionError,
     ViolationBound,
@@ -30,7 +29,7 @@ from ketlab import (
     qubit_scenario,
     substream,
 )
-from ketlab.ontology import DUALITY_GAP_TOL
+from ketlab.ontology import DUALITY_GAP_TOL, ONTIC_OVERLAP_TOL
 from ketlab.pbr import _forbidden_map
 from oracles import traced_peak
 
@@ -45,17 +44,17 @@ EXPECTED_MIN_VIOLATION = {
 
 
 def test_lambda_space_rejects_empty_and_duplicate_labels():
-    with pytest.raises(PreconditionError):
-        LambdaSpace(())
-    with pytest.raises(PreconditionError):
-        LambdaSpace(("a", "b", "a"))
+    with pytest.raises(PreconditionError, match="lambda space cannot be empty"):
+        OntologicalModel((), {}, {})
+    with pytest.raises(PreconditionError, match="lambda labels must be distinct"):
+        OntologicalModel(("a", "b", "a"), {}, {})
     with pytest.raises(PreconditionError, match="lambda labels must be text"):
-        LambdaSpace(("a", 1))   # not converted to "1"
-    assert LambdaSpace(("a", "b")).size == 2
+        OntologicalModel(("a", 1), {}, {})   # not converted to "1"
+    assert OntologicalModel(["a", "b"], {}, {}).labels == ("a", "b")
 
 
 def test_model_rejects_malformed_distributions():
-    space = LambdaSpace(("a", "b"))
+    space = ("a", "b")
     with pytest.raises(PreconditionError):
         OntologicalModel(space, {"p": [0.7, 0.7]}, {})
     with pytest.raises(PreconditionError):
@@ -65,7 +64,7 @@ def test_model_rejects_malformed_distributions():
 
 
 def test_model_rejects_malformed_response_tables():
-    space = LambdaSpace(("a", "b"))
+    space = ("a", "b")
     prep = {"p": [0.5, 0.5]}
     with pytest.raises(PreconditionError):
         OntologicalModel(space, prep, {"m": [[0.5, 0.5]]})  # one row for two lambdas
@@ -82,7 +81,7 @@ def test_model_rejects_malformed_response_tables():
 ])
 def test_model_ids_must_be_text(preparations, responses):
     with pytest.raises(PreconditionError, match="ids must be text"):
-        OntologicalModel(LambdaSpace(("a", "b")), preparations, responses)
+        OntologicalModel(("a", "b"), preparations, responses)
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -91,11 +90,11 @@ def test_model_ids_must_be_text(preparations, responses):
 ])
 def test_a_bad_response_row_is_named_by_its_index(rows, message):
     with pytest.raises(PreconditionError, match=message):
-        OntologicalModel(LambdaSpace(("a", "b", "c")), {"p": [1.0, 0.0, 0.0]}, {"m": rows})
+        OntologicalModel(("a", "b", "c"), {"p": [1.0, 0.0, 0.0]}, {"m": rows})
 
 
 def test_model_rejects_nan_distributions():
-    space = LambdaSpace(("a", "b"))
+    space = ("a", "b")
     with pytest.raises(PreconditionError):
         OntologicalModel(space, {"p": [np.nan, 1.0]}, {})
     with pytest.raises(PreconditionError):
@@ -116,7 +115,7 @@ def test_model_json_rejects_malformed_fields(data):
 
 def test_scenario_measurements_need_one_outcome_per_basis_vector():
     scenario = qubit_scenario()
-    model = OntologicalModel(LambdaSpace(("a",)), {"0": [1.0]}, {"z": [[0.5, 0.25, 0.25]]})
+    model = OntologicalModel(("a",), {"0": [1.0]}, {"z": [[0.5, 0.25, 0.25]]})
     with pytest.raises(PreconditionError, match="3 outcomes"):
         born_consistency_gap(model, scenario, ["0"], "z")
     with pytest.raises(PreconditionError, match="3 outcomes"):
@@ -125,12 +124,12 @@ def test_scenario_measurements_need_one_outcome_per_basis_vector():
 
 def test_model_json_round_trip():
     model = OntologicalModel(
-        LambdaSpace(("a", "b")),
+        ("a", "b"),
         {"p": [0.25, 0.75]},
         {"m": [[1.0, 0.0], [0.25, 0.75]]},
     )
     again = OntologicalModel.from_json_dict(model.to_json_dict())
-    assert again.lambda_space.labels == ("a", "b")
+    assert again.labels == ("a", "b")
     np.testing.assert_allclose(predict(again, "p", "m"), predict(model, "p", "m"))
     with pytest.raises(PreconditionError):
         OntologicalModel.from_json_dict({"lambda": ["a"]})
@@ -170,8 +169,8 @@ def test_orthodox_preparations_never_share_reality():
     for i, first in enumerate(ids):
         for second in ids[i + 1:]:
             report = overlap(model, first, second)
-            assert report.variational_overlap == 0.0
-            assert not report.shares_reality
+            assert report["variational_overlap"] == 0.0
+            assert not report["shares_reality"]
 
 
 def test_born_consistency_gap_is_zero_for_orthodox():
@@ -191,11 +190,12 @@ def test_born_consistency_gap_flags_a_flat_response_model():
 
 
 @given(q=st.floats(min_value=0.0, max_value=1.0))
+@example(q=ONTIC_OVERLAP_TOL)   # an overlap at the tolerance shares reality
 def test_shared_reality_overlap_equals_q(q):
     model = build_shared_reality_model(q)
     report = overlap(model, "0", "+")
-    assert report.variational_overlap == pytest.approx(q, abs=1e-12)
-    assert report.shares_reality == (q >= 1e-12)
+    assert report["variational_overlap"] == pytest.approx(q, abs=1e-12)
+    assert report["shares_reality"] == (q >= 1e-12)
 
 
 def test_shared_reality_rejects_weight_outside_unit_interval():
@@ -209,8 +209,8 @@ def test_paired_model_obeys_preparation_independence():
     q = 0.6
     single = build_shared_reality_model(q)
     paired = paired_shared_reality_model(q)
-    assert len(paired.lambda_space.labels) == 9
-    assert paired.lambda_space.labels[0] == "shared|shared"
+    assert len(paired.labels) == 9
+    assert paired.labels[0] == "shared|shared"
     marginals = {"0": single.preparations["0"], "+": single.preparations["+"]}
     for pid in PREPARATION_IDS:
         np.testing.assert_allclose(
@@ -228,7 +228,7 @@ def test_paired_model_structure_pins_the_bound():
     q = 0.3
     paired = paired_shared_reality_model(q)
     weights = np.stack([paired.preparations[p] for p in PREPARATION_IDS])
-    shared_col = paired.lambda_space.labels.index("shared|shared")
+    shared_col = paired.labels.index("shared|shared")
     np.testing.assert_allclose(weights[:, shared_col], q * q, atol=1e-15)
     for col in range(9):
         if col == shared_col:
@@ -415,7 +415,7 @@ def reference_min_violation(q, resolution=8):
         upper_bound=float(upper),
         duality_gap=float(gap),
         witnessing_responses=candidate,
-        pair_labels=tuple(paired_shared_reality_model(q).lambda_space.labels),
+        pair_labels=tuple(paired_shared_reality_model(q).labels),
         preparation_ids=PREPARATION_IDS,
         forbidden_outcomes=forbidden,
         forbidden_sum=float(sum(
@@ -546,7 +546,7 @@ def reference_monte_carlo_counts(model, scenario, trials, seed):
 def random_model(scenario, rng):
     size = int(rng.integers(1, 7))
     return OntologicalModel(
-        LambdaSpace(tuple(f"l{i}" for i in range(size))),
+        tuple(f"l{i}" for i in range(size)),
         {p: rng.dirichlet(np.full(size, 0.5)) for p in scenario.preparations},
         {m: rng.dirichlet(np.full(basis.dim, 0.5), size=size)
          for m, basis in scenario.measurements.items()},
