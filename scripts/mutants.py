@@ -183,6 +183,22 @@ MUTANTS = (
     Mutant("leak predicts the overlap at n = 0", "cli.py",
            'if p["n"] > 0 else 1.0', "if True else 1.0",
            ("tests/test_cli.py::test_a_leak_of_no_cycles_survives_as_prepared_at_any_overlap",)),
+    Mutant("Born gaps over every scenario preparation", "ontology.py",
+           "if pid in model.preparations:", "if True:",
+           ("tests/test_ontology.py::"
+            "test_born_gaps_cover_only_the_preparations_the_model_defines",)),
+    Mutant("the witness without its xi table", "ontology.py",
+           '{"xi": table}', "{}",
+           ("tests/test_ontology.py::"
+            "test_the_witness_is_the_paired_model_with_its_even_split_table",)),
+    Mutant("model lambda labels given as one string are split", "ontology.py",
+           "if isinstance(self.labels, str):", "if False:",
+           ("tests/test_ontology.py::test_lambda_labels_given_as_one_string_are_refused",)),
+    # no other tier-1 test pins the counts of `pbr --weights`
+    Mutant("pbr reads its --weights in reverse", "cli.py",
+           'pbr_experiment(p["trials"], p["weights"], seed=cfg.seed)',
+           'pbr_experiment(p["trials"], p["weights"][::-1], seed=cfg.seed)',
+           ("tests/test_cli.py::test_digest_runs_match_their_seeded_goldens",)),
 )
 
 

@@ -701,8 +701,8 @@ def _run_onto(cfg: RunConfig):
     reads, so no manifest echoes a value its run ignored."""
     from .hilbert import _checked_count
     from .ontology import (MAX_MC_TRIALS, OntologicalModel, born_consistency_gap,
-                           monte_carlo_onto, orthodox_model, overlap, paired_shared_reality_model,
-                           pbr_min_violation, predict, qubit_scenario)
+                           monte_carlo_onto, orthodox_model, overlap, pbr_min_violation, predict,
+                           qubit_scenario)
     from .pbr import pbr_scenario
 
     p = cfg.params
@@ -718,7 +718,7 @@ def _run_onto(cfg: RunConfig):
     scenario = pbr_scenario() if p["scenario"] == "pbr" else qubit_scenario()
     if p["model"] is None:
         bound = pbr_min_violation(p["q"])
-        model = paired_shared_reality_model(p["q"], xi_responses=bound.witnessing_responses)
+        model = bound.witness
         data = {"kind": "ketlab/violation-bound", "command": "onto",
                 **bound.to_json_dict()}
         summary = (
@@ -734,11 +734,7 @@ def _run_onto(cfg: RunConfig):
             model_name = Path(p["model"]).name
         overlaps = [overlap(model, a, b)
                     for a, b in combinations(sorted(model.preparations), 2)]
-        shared_preps = [pid for pid in scenario.preparations if pid in model.preparations]
-        born_gaps = {
-            meas_id: born_consistency_gap(model, scenario, shared_preps, meas_id)
-            for meas_id in scenario.measurements if meas_id in model.responses
-        }
+        born_gaps = born_consistency_gap(model, scenario)
         data = {
             "kind": "ketlab/model-eval",
             "command": "onto",

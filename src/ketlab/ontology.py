@@ -57,7 +57,7 @@ from .hilbert import (
 )
 from .measurement import Scenario, born_probabilities, tally
 from .pbr import PREPARATION_IDS, _forbidden_map, pbr_scenario
-from .rngs import uniform_chunks
+from .rngs import MAX_SEED, uniform_chunks
 
 DISTRIBUTION_TOL = 1e-12     # rows and preparation vectors must sum to 1 within this
 PREDICT_SUM_TOL = 1e-11      # predicted outcome distributions must sum to 1 within this
@@ -107,13 +107,16 @@ def _distributions(values, what: str, size: int, table: bool = False) -> np.ndar
 @record
 class OntologicalModel:
     """Preparation distributions over the lambda `labels`, a non-empty tuple
-    of distinct text labels, plus outcome response tables."""
+    of distinct text labels (one string is refused, not split into
+    characters), plus outcome response tables."""
 
     labels: tuple
     preparations: Mapping[str, np.ndarray]
     responses: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        if isinstance(self.labels, str):
+            raise PreconditionError(f"lambda labels must be a sequence, got {self.labels!r}")
         labels = tuple(self.labels)
         if not all(isinstance(b, str) for b in labels):
             raise PreconditionError("lambda labels must be text")
@@ -160,10 +163,11 @@ class OntologicalModel:
 
 
 def predict(model: OntologicalModel, prep_id: str, meas_id: str) -> np.ndarray:
-    """Outcome distribution the model assigns to one preparation/measurement."""
-    if prep_id not in model.preparations:
+    """Outcome distribution the model assigns to one preparation/measurement.
+    An id that is not text is unknown."""
+    if not (isinstance(prep_id, str) and prep_id in model.preparations):
         raise PreconditionError(f"unknown preparation id {prep_id!r}")
-    if meas_id not in model.responses:
+    if not (isinstance(meas_id, str) and meas_id in model.responses):
         raise PreconditionError(f"unknown measurement id {meas_id!r}")
     dist = model.preparations[prep_id] @ model.responses[meas_id]
     total = float(dist.sum())
@@ -176,9 +180,10 @@ def predict(model: OntologicalModel, prep_id: str, meas_id: str) -> np.ndarray:
 
 def overlap(model: OntologicalModel, first: str, second: str) -> dict:
     """sum_lambda min(p_first, p_second), the shared-reality fraction, as
-    the record `onto` writes for the pair."""
+    the record `onto` writes for the pair. An id that is not text is
+    unknown."""
     for key in (first, second):
-        if key not in model.preparations:
+        if not (isinstance(key, str) and key in model.preparations):
             raise PreconditionError(f"unknown preparation id {key!r}")
     value = float(np.minimum(model.preparations[first], model.preparations[second]).sum())
     return {"first": first, "second": second, "variational_overlap": value,
@@ -236,22 +241,28 @@ def _scenario_responses(model: OntologicalModel, scenario: Scenario,
     return table
 
 
-def born_consistency_gap(model: OntologicalModel, scenario: Scenario,
-                         prep_ids, meas_id: str) -> float:
-    """Summed total-variation distance between model predictions and Born.
+def born_consistency_gap(model: OntologicalModel, scenario: Scenario) -> dict:
+    """{measurement id: summed total-variation distance between model
+    predictions and Born}, for each scenario measurement the model
+    responds to, summed over the scenario preparations the model defines:
+    the `born_gaps` record `onto` writes.
 
     Summing over the discriminating preparations makes the overlap bound a
     theorem: for orthogonal quantum preparations, variational overlap never
     exceeds this gap, so a gap under 1e-9 forces overlap under 1e-9.
     """
-    gap = 0.0
-    basis = scenario.measurements[meas_id]
-    _scenario_responses(model, scenario, meas_id)
-    for pid in prep_ids:
-        target = born_probabilities(scenario.preparations[pid], basis)
-        got = predict(model, pid, meas_id)
-        gap += 0.5 * float(np.sum(np.abs(got - target)))
-    return gap
+    gaps = {}
+    for meas_id, basis in scenario.measurements.items():
+        if meas_id not in model.responses:
+            continue
+        _scenario_responses(model, scenario, meas_id)
+        gap = 0.0
+        for pid, state in scenario.preparations.items():
+            if pid in model.preparations:
+                got = predict(model, pid, meas_id)
+                gap += 0.5 * float(np.sum(np.abs(got - born_probabilities(state, basis))))
+        gaps[meas_id] = gap
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +287,18 @@ def build_shared_reality_model(q: float) -> OntologicalModel:
     )
 
 
-def paired_shared_reality_model(q: float, xi_responses=None) -> OntologicalModel:
-    """Two independent shared-reality qubits, optionally with a response table.
+def paired_shared_reality_model(q: float) -> OntologicalModel:
+    """Two independent shared-reality qubits, with no response tables.
 
     Preparation independence: each product preparation's distribution over
     lambda pairs is the tensor product of the single-qubit distributions.
-    `xi_responses`, when given, is a (9, 4) response table for the
-    four-outcome measurement, keyed "xi".
     """
     single = build_shared_reality_model(q)
-    marginals = {"0": single.preparations["0"], "+": single.preparations["+"]}
-    preparations = {
-        pid: np.kron(marginals[pid[0]], marginals[pid[1]]) for pid in PREPARATION_IDS
-    }
-    responses = {}
-    if xi_responses is not None:
-        responses["xi"] = xi_responses
     return OntologicalModel(
         labels=tuple(f"{a}|{b}" for a in single.labels for b in single.labels),
-        preparations=preparations,
-        responses=responses,
+        preparations={pid: np.kron(single.preparations[pid[0]], single.preparations[pid[1]])
+                      for pid in PREPARATION_IDS},
+        responses={},
     )
 
 
@@ -310,16 +313,17 @@ class ViolationBound:
     the four preparations; `forbidden_sum` and `forbidden_mean` report the
     same witnessing table under alternative aggregations. lower_bound is
     dual-feasible (no response table can do better), upper_bound is
-    achieved by `witnessing_responses`, and the two agree within
-    `duality_gap` <= DUALITY_GAP_TOL.
+    achieved by `witness`, and the two agree within `duality_gap` <=
+    DUALITY_GAP_TOL. `witness` is the model the bound certifies: the two
+    shared-reality qubits at q, with the witnessing table as its response
+    table "xi" over the nine lambda pairs.
     """
 
     q: float
     lower_bound: float
     upper_bound: float
     duality_gap: float
-    witnessing_responses: np.ndarray
-    pair_labels: tuple
+    witness: OntologicalModel
     preparation_ids: tuple
     forbidden_outcomes: tuple
     forbidden_sum: float
@@ -335,14 +339,15 @@ class ViolationBound:
             "forbidden_mean": self.forbidden_mean,
             "preparations": list(self.preparation_ids),
             "forbidden_outcomes": list(self.forbidden_outcomes),
-            "lambda_pairs": list(self.pair_labels),
-            "witnessing_responses": dict(zip(self.pair_labels,
-                                             self.witnessing_responses.tolist())),
+            "lambda_pairs": list(self.witness.labels),
+            "witnessing_responses": dict(zip(self.witness.labels,
+                                             self.witness.responses["xi"].tolist())),
         }
 
 
 def _forbidden_cost(q: float) -> tuple:
-    """(cost, forbidden, pair_labels) of two shared-reality qubits at q.
+    """(cost, forbidden, model) of two shared-reality qubits at q, `model`
+    being `paired_shared_reality_model(q)`.
 
     forbidden[p] is the outcome preparation p never fires. Row k of `cost`
     holds the weights over lambda pairs of the preparation that forbids
@@ -352,7 +357,7 @@ def _forbidden_cost(q: float) -> tuple:
     pairing = _forbidden_map(pbr_scenario())
     weights = np.stack([model.preparations[p] for p in PREPARATION_IDS])
     forbidden = tuple(pairing[p] for p in PREPARATION_IDS)
-    return weights[np.argsort(forbidden)], forbidden, model.labels
+    return weights[np.argsort(forbidden)], forbidden, model
 
 
 def _violations(cost: np.ndarray, forbidden, table: np.ndarray) -> list:
@@ -384,9 +389,9 @@ def pbr_min_violation(q: float) -> ViolationBound:
     numpy: a gap above DUALITY_GAP_TOL is reported as indeterminate
     (CertificationError), never silently rounded.
     """
-    cost, forbidden, pair_labels = _forbidden_cost(q)
-    witness = _even_split(cost)
-    violations = _violations(cost, forbidden, witness)
+    cost, forbidden, model = _forbidden_cost(q)
+    table = _even_split(cost)
+    violations = _violations(cost, forbidden, table)
     lower = sum(cost.min(axis=0) / len(forbidden))
     upper = max(violations)
     gap = upper - lower
@@ -400,8 +405,7 @@ def pbr_min_violation(q: float) -> ViolationBound:
         lower_bound=float(lower),
         upper_bound=float(upper),
         duality_gap=float(gap),
-        witnessing_responses=witness,
-        pair_labels=tuple(pair_labels),
+        witness=OntologicalModel(model.labels, model.preparations, {"xi": table}),
         preparation_ids=PREPARATION_IDS,
         forbidden_outcomes=forbidden,
         forbidden_sum=float(sum(violations)),
@@ -447,9 +451,11 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
     mod K. An exact zero product is never drawn, so an outcome no lambda
     of the preparation fires stays at 0. The model must define every
     preparation and measurement id the scenario names. More than
-    MAX_MC_TRIALS trials are rejected before any draw.
+    MAX_MC_TRIALS trials, and a seed outside the integer rule's range of
+    master seeds, are rejected before any draw.
     """
     trials = _checked_count(trials, "trials", MAX_MC_TRIALS)
+    seed = _checked_count(seed, "master seed", MAX_SEED)
     counts: dict = {}
     cell = 0
     for prep_id in scenario.preparations:
@@ -471,6 +477,6 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
             for meas_id, k in entries
         ))
     return MonteCarloReport(
-        counts=counts, trials=trials, seed=int(seed),
+        counts=counts, trials=trials, seed=seed,
         max_forbidden_frequency=max_forbidden,
     )

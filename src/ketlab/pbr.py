@@ -39,7 +39,6 @@ from .hilbert import (
 from .measurement import Scenario, born_probabilities, inverse_cdf, tally
 from .rngs import MAX_SUBSTREAMS, uniform_chunks
 
-ORTHONORMAL_TOL = 1e-12   # basis Gram deviation allowed
 UNITARY_TOL = 1e-10       # max |U^H U - 1| entry allowed
 WEIGHT_SUM_TOL = 1e-9     # mixture weights must sum to 1 within this
 MAX_SWEEPS = 2 ** 20      # `nogo` sweeps a run; it keeps each sweep's 8-byte overlap
@@ -56,9 +55,10 @@ def preparation_states() -> dict:
 def pbr_scenario() -> Scenario:
     """The four product preparations and the antidistinguishing measurement.
 
-    The measurement's basis states are checked orthonormal and complete to
-    ORTHONORMAL_TOL and read as a nondegenerate observable (eigenvalues
-    1..4). The `Scenario` derives which outcome each preparation forbids;
+    The measurement's basis states are read as a nondegenerate observable
+    (eigenvalues 1..4), whose `EigenDecomposition` checks them orthonormal;
+    four orthonormal states of a 4-dimensional space are also complete.
+    The `Scenario` derives which outcome each preparation forbids;
     that pairing is checked to give every preparation exactly one
     forbidden outcome, as a bijection onto the four outcomes.
     """
@@ -74,10 +74,6 @@ def pbr_scenario() -> Scenario:
             ((plus, minus), (minus, plus)),
         )
     ])
-    for what, product in (("orthonormal", mat.conj().T @ mat), ("complete", mat @ mat.conj().T)):
-        dev = float(np.max(np.abs(product - np.eye(4))))
-        if dev > ORTHONORMAL_TOL:
-            raise InternalError(f"basis states not {what}: max deviation {dev:.3e}")
     scenario = Scenario("pbr", preparation_states(),
                         {"xi": EigenDecomposition((1.0, 2.0, 3.0, 4.0), mat)})
     hits = {p: tuple(k for _, k in scenario.forbidden.get(p, ())) for p in PREPARATION_IDS}

@@ -46,15 +46,17 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
 
 
-def _load_digests():
-    spec = importlib.util.spec_from_file_location("artifact_digests",
-                                                  SCRIPTS / "artifact_digests.py")
+def _load_regenerate_golden():
+    spec = importlib.util.spec_from_file_location("regenerate_golden",
+                                                  SCRIPTS / "regenerate_golden.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-DIGESTS = _load_digests()    # scripts/artifact_digests.py, whose COMMANDS the tests run
+REGENERATE = _load_regenerate_golden()   # scripts/regenerate_golden.py
+DIGESTS = REGENERATE.load_digests()     # scripts/artifact_digests.py, whose COMMANDS the tests run
+SEEDED_NAMES = sorted(path.name for path in REGENERATE.SEEDED.iterdir())
 
 
 def read_manifest(tmp_path, output_name):
@@ -431,6 +433,42 @@ def test_onto_bound_with_monte_carlo(tmp_path, monkeypatch):
     assert data["violation_lower_bound"] == pytest.approx(0.0625, abs=1e-9)
     assert data["duality_gap"] <= 1e-6
     assert data["monte_carlo"]["trials"] == 400
+
+
+@pytest.mark.parametrize("model_arg,scenario_name", [
+    ("orthodox", "pbr"), ("orthodox", "qubit"), ("model.json", "qubit"), ("part.json", "qubit"),
+])
+def test_onto_writes_the_born_gaps_of_the_library(tmp_path, monkeypatch, model_arg,
+                                                  scenario_name):
+    """`born_gaps` is `born_consistency_gap(model, scenario)` as it stands,
+    for a model file that defines only "0" and "+" of the qubit scenario's
+    four preparations too."""
+    from ketlab import OntologicalModel, born_consistency_gap, orthodox_model, qubit_scenario
+
+    monkeypatch.chdir(tmp_path)
+    scenario = ketlab.pbr.pbr_scenario() if scenario_name == "pbr" else qubit_scenario()
+    full = orthodox_model(qubit_scenario())
+    part = OntologicalModel(full.labels, {k: full.preparations[k] for k in ("0", "+")},
+                            full.responses)
+    dump_json(full.to_json_dict(), tmp_path / "model.json")
+    dump_json(part.to_json_dict(), tmp_path / "part.json")
+    model = {"orthodox": orthodox_model(scenario), "model.json": full, "part.json": part}
+    assert main(["onto", "--model", model_arg, "--scenario", scenario_name]) == 0
+    want = born_consistency_gap(model[model_arg], scenario)
+    assert load_json(tmp_path / "onto.json")["born_gaps"] == want
+    assert list(want) == list(scenario.measurements)
+
+
+def test_onto_samples_the_witness_of_its_bound(tmp_path, monkeypatch):
+    """The bound mode's Monte Carlo is `monte_carlo_onto` of the bound's own
+    witness on PBR's scenario, at the run's seed."""
+    from ketlab import monte_carlo_onto, pbr_min_violation
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["onto", "--q", "0.6", "--mc-trials", "700", "--seed", "11"]) == 0
+    report = monte_carlo_onto(pbr_min_violation(0.6).witness, ketlab.pbr.pbr_scenario(), 700,
+                              seed=11)
+    assert load_json(tmp_path / "onto.json")["monte_carlo"] == report.to_json_dict()
 
 
 def test_config_error_exits(tmp_path, monkeypatch):
@@ -1153,6 +1191,32 @@ def test_default_runs_match_golden(tmp_path, monkeypatch, argv, artifact):
         assert got[key] == want[key], key
     assert set(got["versions"]) == set(want["versions"])
     assert set(got) == set(want)
+
+
+@pytest.fixture(scope="module")
+def digest_run(tmp_path_factory):
+    """The directory of one run of every command in artifact_digests.COMMANDS."""
+    directory = tmp_path_factory.mktemp("digests")
+    DIGESTS.digest_lines(directory)
+    return directory
+
+
+@pytest.mark.parametrize("name", SEEDED_NAMES)
+def test_digest_runs_match_their_seeded_goldens(digest_run, name):
+    """Each artifact under 4 KB that the digest runs write reproduces its
+    file in tests/golden_seeded, which scripts/regenerate_golden.py writes
+    from the same runs: counts and text exactly, floats to 1e-9."""
+    fresh, golden = digest_run / name, REGENERATE.SEEDED / name
+    if name.endswith(".json"):
+        assert_close_payload(load_json(fresh), load_json(golden))
+    else:
+        compare_csv(fresh, golden)
+
+
+def test_every_small_digest_artifact_has_a_seeded_golden(digest_run):
+    """A digest run added with an artifact under 4 KB needs its golden, and
+    a golden whose run is gone goes with it."""
+    assert [path.name for path in REGENERATE.seeded_files(digest_run)] == SEEDED_NAMES
 
 
 def test_default_steer_is_byte_identical_to_golden(tmp_path, monkeypatch):

@@ -20,8 +20,7 @@ from ketlab import (PREPARATION_IDS, born_probabilities, pbr_experiment, pbr_sce
                     protective_measure, qubit_state, sigma_z)
 from ketlab.cli import main
 from ketlab.hilbert import _box_muller, haar_random_unitary
-from ketlab.ontology import (monte_carlo_onto, paired_shared_reality_model, pbr_min_violation,
-                             predict)
+from ketlab.ontology import monte_carlo_onto, pbr_min_violation, predict
 from ketlab.rngs import uniform_chunks
 from ketlab.serialize import load_json
 
@@ -84,10 +83,11 @@ def test_monte_carlo_counts_follow_the_model_in_every_cell():
     """A (preparation, measurement) cell draws lambda from the preparation
     and then an outcome from lambda's response row, so its counts are
     multinomial over `predict(model, preparation, measurement)`. The model
-    is the paired shared-reality one at q = 0.7 with the certified bound's
-    witnessing responses, whose four predictions differ in every cell."""
+    is the certified bound's witness at q = 0.7, the paired shared-reality
+    model with the witnessing responses, whose four predictions differ in
+    every cell."""
     trials, q = 20_000, 0.7
-    model = paired_shared_reality_model(q, xi_responses=pbr_min_violation(q).witnessing_responses)
+    model = pbr_min_violation(q).witness
     report = monte_carlo_onto(model, pbr_scenario(), trials, seed=0)
     for prep in PREPARATION_IDS:
         assert_law(report.counts[prep]["xi"], trials * predict(model, prep, "xi"))

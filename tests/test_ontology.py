@@ -15,6 +15,7 @@ from ketlab import (
     CertificationError,
     OntologicalModel,
     PreconditionError,
+    Scenario,
     ViolationBound,
     born_consistency_gap,
     born_probabilities,
@@ -51,6 +52,14 @@ def test_lambda_space_rejects_empty_and_duplicate_labels():
     with pytest.raises(PreconditionError, match="lambda labels must be text"):
         OntologicalModel(("a", 1), {}, {})   # not converted to "1"
     assert OntologicalModel(["a", "b"], {}, {}).labels == ("a", "b")
+
+
+def test_lambda_labels_given_as_one_string_are_refused():
+    """One string is one label's worth of text, not a sequence of one-letter
+    labels, so it is refused before the labels are read."""
+    for labels in ("ab", "a", ""):
+        with pytest.raises(PreconditionError, match="lambda labels must be a sequence"):
+            OntologicalModel(labels, {"p": [0.5, 0.5]}, {})
 
 
 def test_model_rejects_malformed_distributions():
@@ -117,7 +126,7 @@ def test_scenario_measurements_need_one_outcome_per_basis_vector():
     scenario = qubit_scenario()
     model = OntologicalModel(("a",), {"0": [1.0]}, {"z": [[0.5, 0.25, 0.25]]})
     with pytest.raises(PreconditionError, match="3 outcomes"):
-        born_consistency_gap(model, scenario, ["0"], "z")
+        born_consistency_gap(model, scenario)
     with pytest.raises(PreconditionError, match="3 outcomes"):
         monte_carlo_onto(model, scenario, 10)
 
@@ -143,6 +152,19 @@ def test_predict_rejects_unknown_ids():
         predict(model, "0", "nope")
 
 
+@pytest.mark.parametrize("prep_id,meas_id,message", [
+    (["0"], "z", "unknown preparation id ['0']"),
+    (0, "z", "unknown preparation id 0"),
+    (None, "z", "unknown preparation id None"),
+    ("0", {}, "unknown measurement id {}"),
+    ("0", ("z",), "unknown measurement id ('z',)"),
+])
+def test_predict_refuses_ids_that_are_not_text(prep_id, meas_id, message):
+    model = orthodox_model(qubit_scenario())
+    with pytest.raises(PreconditionError, match="^" + re.escape(message) + "$"):
+        predict(model, prep_id, meas_id)
+
+
 @pytest.mark.parametrize("scenario_factory", [qubit_scenario, pbr_scenario])
 def test_orthodox_model_reproduces_born_exactly(scenario_factory):
     scenario = scenario_factory()
@@ -163,6 +185,17 @@ def test_overlap_rejects_unknown_ids():
             overlap(model, first, second)
 
 
+@pytest.mark.parametrize("first,second,message", [
+    (["0"], "1", "unknown preparation id ['0']"),
+    ("0", {"1": 1}, "unknown preparation id {'1': 1}"),
+    ("0", 1, "unknown preparation id 1"),
+])
+def test_overlap_refuses_ids_that_are_not_text(first, second, message):
+    model = orthodox_model(qubit_scenario())
+    with pytest.raises(PreconditionError, match="^" + re.escape(message) + "$"):
+        overlap(model, first, second)
+
+
 def test_orthodox_preparations_never_share_reality():
     model = orthodox_model(qubit_scenario())
     ids = list(model.preparations)
@@ -175,14 +208,30 @@ def test_orthodox_preparations_never_share_reality():
 
 def test_born_consistency_gap_is_zero_for_orthodox():
     scenario = pbr_scenario()
-    model = orthodox_model(scenario)
-    assert born_consistency_gap(model, scenario, PREPARATION_IDS, "xi") < 1e-15
+    gaps = born_consistency_gap(orthodox_model(scenario), scenario)
+    assert list(gaps) == ["xi"]
+    assert gaps["xi"] < 1e-15
+
+
+def test_born_gaps_cover_only_the_preparations_the_model_defines():
+    """A model of "0" and "1" alone, plus an id the scenario lacks, gets
+    one gap per measurement it responds to, over its own preparations:
+    "0" fires its Born outcome and "1" always the other one."""
+    scenario = qubit_scenario()
+    model = OntologicalModel(("a", "b"), {"0": [1.0, 0.0], "1": [1.0, 0.0], "q": [0.0, 1.0]},
+                             {"z": [[0.0, 1.0], [1.0, 0.0]]})
+    gaps = born_consistency_gap(model, scenario)
+    assert list(gaps) == ["z"]
+    assert gaps["z"] == pytest.approx(1.0, abs=1e-15)
+    assert born_consistency_gap(OntologicalModel(("a",), {}, {"x": [[0.5, 0.5]]}),
+                                scenario) == {"x": 0.0}
 
 
 def test_born_consistency_gap_flags_a_flat_response_model():
     scenario = pbr_scenario()
-    flat = paired_shared_reality_model(0.5, xi_responses=np.full((9, 4), 0.25))
-    assert born_consistency_gap(flat, scenario, PREPARATION_IDS, "xi") > 0.1
+    paired = paired_shared_reality_model(0.5)
+    flat = OntologicalModel(paired.labels, paired.preparations, {"xi": np.full((9, 4), 0.25)})
+    assert born_consistency_gap(flat, scenario)["xi"] > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +307,30 @@ def test_min_violation_certifies_at_arbitrary_q(q):
 
 def test_min_violation_witness_achieves_the_bound():
     bound = pbr_min_violation(0.75)
-    model = paired_shared_reality_model(0.75, xi_responses=bound.witnessing_responses)
+    model = bound.witness
     forbidden = dict(zip(bound.preparation_ids, bound.forbidden_outcomes))
     worst = max(
         predict(model, pid, "xi")[forbidden[pid]] for pid in bound.preparation_ids
     )
     assert worst == pytest.approx(bound.upper_bound, abs=1e-12)
     assert worst >= 0.75**2 / 4.0 - 1e-12
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+def test_the_witness_is_the_paired_model_with_its_even_split_table(q):
+    """The bound carries the model it certifies: the paired shared-reality
+    model at q, whose one response table "xi" is the witnessing table
+    that the payload writes under the nine lambda pairs."""
+    bound = pbr_min_violation(q)
+    paired = paired_shared_reality_model(q)
+    assert bound.witness.labels == paired.labels
+    assert list(bound.witness.preparations) == list(PREPARATION_IDS)
+    for pid in PREPARATION_IDS:
+        np.testing.assert_array_equal(bound.witness.preparations[pid], paired.preparations[pid])
+    assert list(bound.witness.responses) == ["xi"]
+    payload = bound.to_json_dict()
+    assert payload["lambda_pairs"] == list(paired.labels)
+    assert list(payload["witnessing_responses"].values()) == bound.witness.responses["xi"].tolist()
 
 
 def test_min_violation_aggregations_are_consistent():
@@ -370,6 +436,7 @@ def reference_min_violation(q, resolution=8):
     per row with per-pair loops, an LP re-table and a second lower bound
     from the LP's dual weights, kept as the oracle."""
     weights, forbidden = preparation_weights(q)
+    paired = paired_shared_reality_model(q)
     n_pairs, n_out = weights.shape[1], len(forbidden)
     prep_of_outcome = {forbidden[p]: p for p in range(n_out)}
 
@@ -414,8 +481,7 @@ def reference_min_violation(q, resolution=8):
         lower_bound=float(lower),
         upper_bound=float(upper),
         duality_gap=float(gap),
-        witnessing_responses=candidate,
-        pair_labels=tuple(paired_shared_reality_model(q).labels),
+        witness=OntologicalModel(paired.labels, paired.preparations, {"xi": candidate}),
         preparation_ids=PREPARATION_IDS,
         forbidden_outcomes=forbidden,
         forbidden_sum=float(sum(
@@ -501,10 +567,7 @@ def test_monte_carlo_matches_born_for_orthodox():
 
 
 def test_monte_carlo_detects_the_unavoidable_violation():
-    q = 1.0
-    bound = pbr_min_violation(q)
-    model = paired_shared_reality_model(q, xi_responses=bound.witnessing_responses)
-    report = monte_carlo_onto(model, pbr_scenario(), 20000, seed=6)
+    report = monte_carlo_onto(pbr_min_violation(1.0).witness, pbr_scenario(), 20000, seed=6)
     # every preparation is forced onto the shared pair, whose row spreads
     # mass 1/4 onto each forbidden outcome
     assert report.max_forbidden_frequency == pytest.approx(0.25, abs=0.016)
@@ -560,9 +623,7 @@ def test_monte_carlo_counts_equal_the_former_walk_cell_for_cell():
     rng = np.random.default_rng(5)
     cases = [(orthodox_model(s), s) for s in (qubit_scenario(), pbr_scenario())]
     for q in (0.0, 0.3, 0.7, 1.0):
-        bound = pbr_min_violation(q)
-        cases.append((paired_shared_reality_model(q, bound.witnessing_responses),
-                      pbr_scenario()))
+        cases.append((pbr_min_violation(q).witness, pbr_scenario()))
     for _ in range(10):
         for scenario in (qubit_scenario(), pbr_scenario()):
             cases.append((random_model(scenario, rng), scenario))
@@ -582,9 +643,8 @@ def test_monte_carlo_blocks_equal_the_former_walk_at_every_edge(monkeypatch, tri
     Philox block edges, or ends on one, against the per-trial joint walk
     of `reference_monte_carlo_counts`."""
     monkeypatch.setattr(ketlab.rngs, "SUBSTREAM_CHUNK", 8)
-    bound = pbr_min_violation(0.7)
     cases = [(orthodox_model(qubit_scenario()), qubit_scenario()),
-             (paired_shared_reality_model(0.7, bound.witnessing_responses), pbr_scenario())]
+             (pbr_min_violation(0.7).witness, pbr_scenario())]
     for model, scenario in cases:
         for seed in (0, 2 ** 64 + 9):
             got = monte_carlo_onto(model, scenario, trials, seed=seed).counts
@@ -598,7 +658,7 @@ def test_monte_carlo_blocks_equal_the_former_walk_at_every_edge(monkeypatch, tri
 def test_monte_carlo_memory_does_not_grow_with_trials():
     """At the trial cap the sixteen cells hold under 2 MB at once: whole
     runs of 2**20 uniforms per cell would take 8 MiB each."""
-    model = paired_shared_reality_model(0.5, pbr_min_violation(0.5).witnessing_responses)
+    model = pbr_min_violation(0.5).witness
     scenario = pbr_scenario()
     trials = ketlab.ontology.MAX_MC_TRIALS
     assert traced_peak(lambda: monte_carlo_onto(model, scenario, trials, seed=4)) < 2e6
@@ -624,6 +684,22 @@ def test_monte_carlo_trial_counts_must_be_integers(trials):
     scenario = qubit_scenario()
     with pytest.raises(PreconditionError, match="trials must be an integer"):
         monte_carlo_onto(orthodox_model(scenario), scenario, trials)
+
+
+@pytest.mark.parametrize("seed", ["x", "7", 7.0, True, None, -1, 2 ** 128])
+def test_monte_carlo_checks_its_seed_before_any_work(monkeypatch, seed):
+    """A seed outside the integer rule is refused even when no cell would
+    draw, and before any draw when cells would."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a substream was drawn for a bad seed")
+
+    monkeypatch.setattr(ketlab.ontology, "uniform_chunks", no_draws)
+    scenario = qubit_scenario()
+    message = f"master seed must be an integer in [0, {2 ** 128 - 1}], got {seed!r}"
+    model = orthodox_model(scenario)
+    for cells in (Scenario("e", {}, {}), scenario):
+        with pytest.raises(PreconditionError, match="^" + re.escape(message) + "$"):
+            monte_carlo_onto(model, cells, 5, seed=seed)
 
 
 def test_monte_carlo_over_the_trial_cap_is_rejected_before_any_draw(monkeypatch):
