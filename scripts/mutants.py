@@ -199,6 +199,21 @@ MUTANTS = (
            'pbr_experiment(p["trials"], p["weights"], seed=cfg.seed)',
            'pbr_experiment(p["trials"], p["weights"][::-1], seed=cfg.seed)',
            ("tests/test_cli.py::test_digest_runs_match_their_seeded_goldens",)),
+    Mutant("pbr tallies the Born table's rows in reverse", "pbr.py",
+           'enumerate(scenario.born["xi"])', 'enumerate(scenario.born["xi"][::-1])',
+           ("tests/test_pbr.py::test_experiment_replays_trial_by_trial_through_strong_measure",)),
+    Mutant("the orthodox model's one-hot preparations permuted", "ontology.py",
+           "np.eye(len(prep_ids))", "np.eye(len(prep_ids))[::-1]",
+           ("tests/test_ontology.py::test_orthodox_model_reproduces_born_exactly",)),
+    Mutant("a deterministic run skips the seed check", "protective.py",
+           'seed = _checked_count(0 if seed is None else seed, "master seed", MAX_SEED)',
+           'seed = seed if mode == "deterministic" else _checked_count('
+           '0 if seed is None else seed, "master seed", MAX_SEED)',
+           ("tests/test_protective.py::test_a_protective_run_checks_its_seed_in_either_mode",)),
+    # only tomo.json, which is pinned by its reduction alone, holds a chain survival
+    Mutant("protective writes the main run's survival as the tomography chain's", "cli.py",
+           '"chain_survival": chain_survival,', '"chain_survival": result.survival_probability,',
+           ("tests/test_cli.py::test_digest_runs_match_their_golden_reductions",)),
 )
 
 

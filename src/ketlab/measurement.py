@@ -12,10 +12,12 @@ wavepacket off one edge re-enters at the other, so couplings are rejected
 up front unless the total shift stays under a quarter of the grid extent.
 
 A `Scenario` names the preparations and measurements of a
-prepare-and-measure setup and derives which outcomes the Born rule never
-fires: outcome k of a measurement is forbidden for a preparation psi when
-its amplitude |<v_k|psi>| is below FORBIDDEN_TOL. The PBR experiment and
-the ontology module's scenarios are all described this way.
+prepare-and-measure setup and derives, from one overlap per preparation
+and measurement, its Born table `born` and which outcomes the Born rule
+never fires: outcome k of a measurement is forbidden for a preparation psi
+when its amplitude |<v_k|psi>| is below FORBIDDEN_TOL. The PBR experiment
+samples that table, the ontology module's orthodox model is that table,
+and its Born gaps are measured against it.
 
 A coupling followed by a postselection of the system on |post> never needs
 the joint state: it multiplies the pointer's spectrum by
@@ -251,12 +253,17 @@ def born_probabilities(psi: StateVector, basis: EigenDecomposition) -> np.ndarra
 
 @record
 class Scenario:
-    """Named preparations and measurements, with their forbidden outcomes.
+    """Named preparations and measurements, with their Born table and
+    forbidden outcomes, both derived, never passed in.
 
-    `forbidden` is derived, never passed in: it maps each preparation id
-    to the (measurement id, outcome index) pairs whose amplitude
-    |<v_k|psi>| is below FORBIDDEN_TOL, in preparation, measurement and
-    outcome order. Preparations with no forbidden outcome are left out.
+    `born` is the scenario's Born table: it maps each measurement id to a
+    read-only array with one row per preparation, in preparation order,
+    and one column per outcome, row i being `born_probabilities` of the
+    i-th preparation (shape (0, K) when there is none). `forbidden` maps
+    each preparation id to the (measurement id, outcome index) pairs whose
+    amplitude |<v_k|psi>| is below FORBIDDEN_TOL, in preparation,
+    measurement and outcome order. Preparations with no forbidden outcome
+    are left out.
     """
 
     name: str
@@ -265,16 +272,19 @@ class Scenario:
 
     def __post_init__(self) -> None:
         preps, measurements = dict(self.preparations), dict(self.measurements)
+        amplitudes = {meas_id: np.abs([_overlaps(psi, basis) for psi in preps.values()]
+                                      ).reshape(len(preps), basis.dim)
+                      for meas_id, basis in measurements.items()}
         forbidden = {}
-        for prep_id, psi in preps.items():
-            pairs = tuple(
-                (meas_id, int(k)) for meas_id, basis in measurements.items()
-                for k in np.flatnonzero(np.abs(_overlaps(psi, basis)) < FORBIDDEN_TOL)
-            )
+        for i, prep_id in enumerate(preps):
+            pairs = tuple((meas_id, int(k)) for meas_id, rows in amplitudes.items()
+                          for k in np.flatnonzero(rows[i] < FORBIDDEN_TOL))
             if pairs:
                 forbidden[prep_id] = pairs
         object.__setattr__(self, "preparations", preps)
         object.__setattr__(self, "measurements", measurements)
+        object.__setattr__(self, "born", {meas_id: _readonly(rows ** 2)
+                                          for meas_id, rows in amplitudes.items()})
         object.__setattr__(self, "forbidden", forbidden)
 
 

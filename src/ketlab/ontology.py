@@ -11,8 +11,9 @@ identical.
 Two constructions anchor everything:
 
 * the orthodox model, whose lambda IS the prepared quantum state and whose
-  responses are Born probabilities; it reproduces quantum statistics
-  exactly and has zero overlap between distinct preparations, and
+  responses are the scenario's Born table `Scenario.born`; it reproduces
+  quantum statistics exactly and has zero overlap between distinct
+  preparations, and
 * the shared-reality family for {|0>, |+>}: one lambda common to both
   preparations carrying weight q, plus one private lambda each.
 
@@ -55,7 +56,7 @@ from .hilbert import (
     sigma_x,
     sigma_z,
 )
-from .measurement import Scenario, born_probabilities, tally
+from .measurement import Scenario, tally
 from .pbr import PREPARATION_IDS, _forbidden_map, pbr_scenario
 from .rngs import MAX_SEED, uniform_chunks
 
@@ -203,25 +204,17 @@ def qubit_scenario() -> Scenario:
 
 
 def orthodox_model(scenario: Scenario) -> OntologicalModel:
-    """Lambda is the quantum state itself; responses are Born probabilities.
+    """Lambda is the quantum state itself: one-hot preparations, and the
+    scenario's Born table `scenario.born` as the responses.
 
     The model reproduces quantum statistics exactly, and distinct
     preparations never share lambda support: quantum states read as ontic.
     """
     prep_ids = tuple(scenario.preparations)
-    size = len(prep_ids)
-    preparations = {
-        pid: np.eye(size)[i] for i, pid in enumerate(prep_ids)
-    }
-    responses = {}
-    for meas_id, basis in scenario.measurements.items():
-        responses[meas_id] = np.stack([
-            born_probabilities(scenario.preparations[pid], basis) for pid in prep_ids
-        ])
     return OntologicalModel(
         labels=prep_ids,
-        preparations=preparations,
-        responses=responses,
+        preparations=dict(zip(prep_ids, np.eye(len(prep_ids)))),
+        responses=scenario.born,
     )
 
 
@@ -243,24 +236,24 @@ def _scenario_responses(model: OntologicalModel, scenario: Scenario,
 
 def born_consistency_gap(model: OntologicalModel, scenario: Scenario) -> dict:
     """{measurement id: summed total-variation distance between model
-    predictions and Born}, for each scenario measurement the model
-    responds to, summed over the scenario preparations the model defines:
-    the `born_gaps` record `onto` writes.
+    predictions and the rows of the scenario's Born table `scenario.born`},
+    for each scenario measurement the model responds to, summed over the
+    scenario preparations the model defines: the `born_gaps` record `onto`
+    writes.
 
     Summing over the discriminating preparations makes the overlap bound a
     theorem: for orthogonal quantum preparations, variational overlap never
     exceeds this gap, so a gap under 1e-9 forces overlap under 1e-9.
     """
     gaps = {}
-    for meas_id, basis in scenario.measurements.items():
+    for meas_id, rows in scenario.born.items():
         if meas_id not in model.responses:
             continue
         _scenario_responses(model, scenario, meas_id)
         gap = 0.0
-        for pid, state in scenario.preparations.items():
+        for pid, born in zip(scenario.preparations, rows):
             if pid in model.preparations:
-                got = predict(model, pid, meas_id)
-                gap += 0.5 * float(np.sum(np.abs(got - born_probabilities(state, basis))))
+                gap += 0.5 * float(np.sum(np.abs(predict(model, pid, meas_id) - born)))
         gaps[meas_id] = gap
     return gaps
 

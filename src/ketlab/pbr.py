@@ -36,7 +36,7 @@ from .hilbert import (
     record,
     tensor,
 )
-from .measurement import Scenario, born_probabilities, inverse_cdf, tally
+from .measurement import Scenario, inverse_cdf, tally
 from .rngs import MAX_SUBSTREAMS, uniform_chunks
 
 UNITARY_TOL = 1e-10       # max |U^H U - 1| entry allowed
@@ -137,8 +137,9 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     the preparation, the next drives the projective outcome), so trials
     are independent and reproducible regardless of execution order.
 
-    The preparations are fixed, so their Born rows are computed once up
-    front. The trials then run as arrays, one `uniform_chunks` block of
+    The preparations are fixed, so their Born rows are the rows of the
+    scenario's Born table, `pbr_scenario().born["xi"]`, in PREPARATION_IDS
+    order. The trials run as arrays, one `uniform_chunks` block of
     both uniforms at a time: one `inverse_cdf` walk over the mixture picks
     each trial's preparation, and `tally` walks preparation p's Born row
     with the second uniforms of the trials that picked p: for each trial
@@ -154,12 +155,10 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         raise PreconditionError(f"mixture_weights sum to {total!r}, expected 1")
     scenario = pbr_scenario()
-    xi = scenario.measurements["xi"]
-    born = [born_probabilities(scenario.preparations[p], xi) for p in PREPARATION_IDS]
     cells = np.zeros((4, 4), dtype=np.int64)
     for uniforms in uniform_chunks(seed, 0, trials, 2):
         which = inverse_cdf(weights, uniforms[:, 0])
-        for prep, row in enumerate(born):
+        for prep, row in enumerate(scenario.born["xi"]):
             cells[prep] += tally(row, [uniforms[which == prep, 1]])
     counts = dict(zip(PREPARATION_IDS, cells.tolist()))
     return PbrCounts(counts=counts, trials=trials, seed=int(seed),

@@ -70,7 +70,7 @@ from .measurement import (
     postselected_cycles,
     postselected_multiplier,
 )
-from .rngs import uniform_chunks
+from .rngs import MAX_SEED, uniform_chunks
 from .serialize import Records
 
 NOT_PURE_TOL = 1e-3          # largest rho eigenvalue below 1 - this: not pure
@@ -143,7 +143,8 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     """Shared engine: couple, protect, log.
 
     Every input is checked before any work: the mode, n an integer (not a
-    bool) with 0 <= n <= MAX_STEPS, one dimension for op and both states,
+    bool) with 0 <= n <= MAX_STEPS, the master seed (None means 0) by the
+    integer rule in either mode, one dimension for op and both states,
     the MAX_DIM cap on the joint state, the pointer, the checks of
     `coupling_phases` on g (finite, and within the wraparound guard), and
     a nonzero g's largest phase step |g| max|a_j| max|p|, over the momenta
@@ -182,6 +183,7 @@ def _protective_loop(initial: StateVector, protected: StateVector,
     if mode not in ("deterministic", "sampled"):
         raise PreconditionError(f"unknown mode {mode!r}")
     n = _checked_count(n, "step count", MAX_STEPS)
+    seed = _checked_count(0 if seed is None else seed, "master seed", MAX_SEED)
     if not (op.dim == initial.dim == protected.dim):
         raise PreconditionError(
             f"dimension mismatch: operator {op.dim}, prepared {initial.dim}, "
@@ -203,7 +205,7 @@ def _protective_loop(initial: StateVector, protected: StateVector,
         return None
     uniforms = np.zeros(n)                  # deterministic: no uniform exceeds a weight >= 0
     if mode == "sampled":
-        draw = uniform_chunks(0 if seed is None else seed, 0, 1, n)
+        draw = uniform_chunks(seed, 0, 1, n)
         uniforms = np.concatenate([np.empty(0), *(run[0] for run in draw)])
     c = protected.amplitudes
     first = postselected_multiplier(eig, g, phases, c, initial.amplitudes)

@@ -57,6 +57,7 @@ def _load_regenerate_golden():
 REGENERATE = _load_regenerate_golden()   # scripts/regenerate_golden.py
 DIGESTS = REGENERATE.load_digests()     # scripts/artifact_digests.py, whose COMMANDS the tests run
 SEEDED_NAMES = sorted(path.name for path in REGENERATE.SEEDED.iterdir())
+GOLDEN_REDUCTIONS = load_json(REGENERATE.REDUCTIONS)   # {name: reduction} of the larger artifacts
 
 
 def read_manifest(tmp_path, output_name):
@@ -64,7 +65,8 @@ def read_manifest(tmp_path, output_name):
 
 
 def assert_close_payload(got, want, path="$"):
-    """Structural comparison: ints and strings exact, floats to 1e-9."""
+    """Structural comparison: ints and strings exact, floats to 1e-9, NaN
+    equal to NaN."""
     assert type(got) is type(want) or (
         isinstance(got, (int, float)) and isinstance(want, (int, float))
     ), f"{path}: {type(got)} vs {type(want)}"
@@ -79,7 +81,8 @@ def assert_close_payload(got, want, path="$"):
     elif isinstance(want, bool) or want is None:
         assert got is want, f"{path}: {got!r} vs {want!r}"
     elif isinstance(want, float):
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12), f"{path}: {got} vs {want}"
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12, nan_ok=True), \
+            f"{path}: {got} vs {want}"
     else:
         assert got == want, f"{path}: {got!r} vs {want!r}"
 
@@ -1213,10 +1216,23 @@ def test_digest_runs_match_their_seeded_goldens(digest_run, name):
         compare_csv(fresh, golden)
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_REDUCTIONS))
+def test_digest_runs_match_their_golden_reductions(digest_run, name):
+    """Each artifact of 4 KB or more that the digest runs write reduces to
+    its entry in tests/golden_reductions.json, which
+    scripts/regenerate_golden.py writes from the same runs: ints, text,
+    bools and nulls exactly, each number array by its length, sum and
+    extremes, and floats to 1e-9, NaN equal to NaN."""
+    assert_close_payload(REGENERATE.reduction(digest_run / name), GOLDEN_REDUCTIONS[name])
+
+
 def test_every_small_digest_artifact_has_a_seeded_golden(digest_run):
     """A digest run added with an artifact under 4 KB needs its golden, and
-    a golden whose run is gone goes with it."""
+    one of 4 KB or more its reduction; a golden or a reduction whose run is
+    gone goes with it."""
     assert [path.name for path in REGENERATE.seeded_files(digest_run)] == SEEDED_NAMES
+    assert sorted(SEEDED_NAMES + list(GOLDEN_REDUCTIONS)) == [
+        path.name for path in REGENERATE.artifact_files(digest_run)]
 
 
 def test_default_steer_is_byte_identical_to_golden(tmp_path, monkeypatch):

@@ -39,7 +39,8 @@ from ketlab.measurement import (
     postselected_multiplier,
     strong_measure,
 )
-from ketlab.ontology import paired_shared_reality_model
+from ketlab.ontology import orthodox_model, paired_shared_reality_model, qubit_scenario
+from ketlab.pbr import pbr_scenario
 from ketlab.rngs import substream
 from oracles import (amplitudes_from_json, haar_random_state, pointer_marginal,
                      pointer_position_mean, product_state, random_observable,
@@ -523,17 +524,47 @@ def test_joint_state_json_round_trip():
 # ---------------------------------------------------------------------------
 # scenarios
 
+def qutrit_scenario():
+    """A qutrit against its standard basis, with amplitudes of 1e-11 and
+    1e-13 on either side of FORBIDDEN_TOL."""
+    eps, tiny = 1e-11, 1e-13
+    allowed = StateVector(3, np.array([0.0, eps, math.sqrt(1.0 - eps ** 2)]))
+    nearly = StateVector(3, np.array([tiny, math.sqrt(1.0 - tiny ** 2), 0.0]))
+    basis = EigenDecomposition((1.0, 2.0, 3.0), np.eye(3))
+    return Scenario("qutrit", {"allowed": allowed, "nearly": nearly,
+                               "spread": StateVector.normalized(np.ones(3))},
+                    {"std": basis})
+
+
 def test_a_scenario_forbids_exactly_the_outcomes_below_the_amplitude_tolerance():
     """A qutrit against its standard basis: an outcome whose amplitude
     |<v_k|psi>| is below FORBIDDEN_TOL is forbidden; one with amplitude 1e-11
     is allowed, though its Born weight 1e-22 is far below 1e-12."""
     assert FORBIDDEN_TOL == 1e-12
-    eps, tiny = 1e-11, 1e-13
-    allowed = StateVector(3, np.array([0.0, eps, math.sqrt(1.0 - eps ** 2)]))
-    nearly = StateVector(3, np.array([tiny, math.sqrt(1.0 - tiny ** 2), 0.0]))
-    basis = EigenDecomposition((1.0, 2.0, 3.0), np.eye(3))
-    scenario = Scenario("qutrit", {"allowed": allowed, "nearly": nearly,
-                                   "spread": StateVector.normalized(np.ones(3))},
-                        {"std": basis})
-    assert scenario.forbidden == {"allowed": (("std", 0),),
-                                  "nearly": (("std", 0), ("std", 2))}
+    assert qutrit_scenario().forbidden == {"allowed": (("std", 0),),
+                                           "nearly": (("std", 0), ("std", 2))}
+
+
+@pytest.mark.parametrize("build", [qubit_scenario, pbr_scenario, qutrit_scenario])
+def test_a_scenarios_born_table_is_born_probabilities_bit_for_bit(build):
+    """`born[m]` holds one read-only row per preparation, in preparation
+    order, each exactly `born_probabilities`, and the orthodox model's
+    responses are that table, bit for bit."""
+    scenario = build()
+    responses = orthodox_model(scenario).responses
+    assert list(scenario.born) == list(scenario.measurements)
+    for meas_id, basis in scenario.measurements.items():
+        table = scenario.born[meas_id]
+        assert table.shape == (len(scenario.preparations), basis.dim)
+        assert not table.flags.writeable
+        for row, psi in zip(table, scenario.preparations.values()):
+            assert np.array_equal(row, born_probabilities(psi, basis))
+        assert responses[meas_id].tobytes() == table.tobytes()
+
+
+def test_a_scenario_of_no_preparations_has_an_empty_born_table():
+    scenario = Scenario("none", {}, {"z": eigendecompose(sigma_z()),
+                                     "std": EigenDecomposition((1.0, 2.0, 3.0), np.eye(3))})
+    assert {m: table.shape for m, table in scenario.born.items()} == {"z": (0, 2),
+                                                                      "std": (0, 3)}
+    assert scenario.forbidden == {}

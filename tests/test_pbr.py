@@ -106,6 +106,9 @@ def test_pbr_scenario_rejects_a_pairing_that_is_not_a_bijection(monkeypatch):
 
 
 def test_preparation_states_match_raw_construction():
+    """The scenario keeps the preparations in PREPARATION_IDS order, the
+    order of the rows of its Born table that `pbr_experiment` samples."""
+    assert tuple(pbr_scenario().preparations) == tuple(preparation_states()) == PREPARATION_IDS
     raw = raw_preparations()
     for prep_id, state in preparation_states().items():
         np.testing.assert_allclose(state.amplitudes, raw[prep_id], atol=1e-15)

@@ -41,6 +41,7 @@ from ketlab.measurement import (
     make_pointer,
 )
 from ketlab.protective import _protective_loop
+from ketlab.rngs import MAX_SEED
 from ketlab.serialize import dump_json, load_json
 from oracles import (haar_random_state, pauli_operators, pointer_position_mean, product_state,
                      random_observable, traced_peak)
@@ -246,6 +247,19 @@ def test_sampled_runs_are_reproducible(tilted_state):
     assert a.aborted_at_step == b.aborted_at_step
     assert a.survival_probability == b.survival_probability
     assert a.inferred_expectation == b.inferred_expectation
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "sampled"])
+def test_a_protective_run_checks_its_seed_in_either_mode(mode):
+    """The master seed passes the package's integer rule whether or not
+    the run draws from it; None means 0."""
+    for seed in ("x", 1.5, True, -1, 2 ** 128):
+        message = f"master seed must be an integer in [0, {MAX_SEED}], got {seed!r}"
+        with pytest.raises(PreconditionError, match="^" + re.escape(message) + "$"):
+            protective_measure(ket_zero(), sigma_z(), n=5, mode=mode, seed=seed)
+    for seed in (None, 0, MAX_SEED):
+        run = protective_measure(ket_zero(), sigma_z(), n=5, mode=mode, seed=seed)
+        assert run.steps == 5 and run.aborted_at_step is None
 
 
 def test_sampled_eigenstate_never_aborts():
