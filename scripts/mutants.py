@@ -88,9 +88,9 @@ MUTANTS = (
     Mutant("pbr walks each Born row with the preparation's uniform", "pbr.py",
            "uniforms[which == prep, 1]", "uniforms[which == prep, 0]",
            ("tests/test_pbr.py::test_experiment_replays_trial_by_trial_through_strong_measure",)),
-    Mutant("nogo's sweep budget at the substream budget", "pbr.py",
-           "MAX_SWEEPS = 2 ** 20", "MAX_SWEEPS = 2 ** 64",
-           ("tests/test_cli.py::test_degenerate_sizes_keep_the_exit_code_contract",)),
+    Mutant("the draw budget at the substream range", "rngs.py",
+           "MAX_UNIFORMS = 2 ** 25", "MAX_UNIFORMS = 2 ** 64",
+           ("tests/test_cli.py::test_each_sampler_draws_up_to_its_edge_of_the_budget",)),
     Mutant("Philox block counter without numpy's bump", "rngs.py",
            "np.arange(block + 1, (end + 3) // 4 + 1, dtype=np.uint64)",
            "np.arange(block, (end + 3) // 4, dtype=np.uint64)",
@@ -214,6 +214,11 @@ MUTANTS = (
     Mutant("protective writes the main run's survival as the tomography chain's", "cli.py",
            '"chain_survival": chain_survival,', '"chain_survival": result.survival_probability,',
            ("tests/test_cli.py::test_digest_runs_match_their_golden_reductions",)),
+    # tomo.json's fidelity is 1 - 2.3e-13, so its modulus passes every golden's tolerance
+    Mutant("the tomography fidelity written without its square", "cli.py",
+           '"fidelity": abs(inner_product(psi, reconstructed)) ** 2,',
+           '"fidelity": abs(inner_product(psi, reconstructed)),',
+           ("tests/test_cli.py::test_protective_optional_artifacts",)),
 )
 
 

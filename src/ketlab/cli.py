@@ -656,11 +656,11 @@ def _run_steer(cfg: RunConfig):
     from .hilbert import _checked_count
     from .measurement import tally
     from .pbr import steering_table
-    from .rngs import MAX_SUBSTREAMS, uniform_chunks
+    from .rngs import MAX_UNIFORMS, uniform_chunks
 
     p = cfg.params
     bases = ("z", "x") if p["basis"] == "both" else (p["basis"],)
-    _checked_count(p["trials"], "trials", MAX_SUBSTREAMS // len(bases))   # one substream a round
+    _checked_count(p["trials"], "trials", MAX_UNIFORMS // len(bases))   # one uniform a round
     stream = 0
     out = {}
     for basis in bases:
@@ -700,13 +700,12 @@ def _run_onto(cfg: RunConfig):
     attains the bound. Each mode refuses the flags that only the other
     reads, so no manifest echoes a value its run ignored."""
     from .hilbert import _checked_count
-    from .ontology import (MAX_MC_TRIALS, OntologicalModel, born_consistency_gap,
-                           monte_carlo_onto, orthodox_model, overlap, pbr_min_violation, predict,
-                           qubit_scenario)
+    from .ontology import (OntologicalModel, born_consistency_gap, monte_carlo_onto,
+                           orthodox_model, overlap, pbr_min_violation, predict, qubit_scenario)
     from .pbr import pbr_scenario
+    from .rngs import MAX_UNIFORMS
 
     p = cfg.params
-    _checked_count(p["mc_trials"], "mc_trials", MAX_MC_TRIALS)
     if p["model"] is None and (p["prep"] is not None or p["meas"] is not None):
         raise ConfigError("--prep/--meas only apply when --model is given")
     if p["model"] is None and p["scenario"] != "pbr":
@@ -716,6 +715,8 @@ def _run_onto(cfg: RunConfig):
     if (p["prep"] is None) != (p["meas"] is None):
         raise ConfigError("--prep and --meas must be given together")
     scenario = pbr_scenario() if p["scenario"] == "pbr" else qubit_scenario()
+    cells = len(scenario.preparations) * len(scenario.measurements)   # one uniform a trial each
+    _checked_count(p["mc_trials"], "mc_trials", MAX_UNIFORMS // cells)
     if p["model"] is None:
         bound = pbr_min_violation(p["q"])
         model = bound.witness
@@ -762,13 +763,14 @@ def _run_nogo(cfg: RunConfig):
     import numpy as np
 
     from .hilbert import _checked_count, haar_random_unitary
-    from .pbr import MAX_SWEEPS, overlap_preservation_check
-    from .rngs import uniform_chunks
+    from .pbr import overlap_preservation_check
+    from .rngs import MAX_UNIFORMS, uniform_chunks
 
     p = cfg.params
-    _checked_count(p["sweeps"], "sweeps", MAX_SWEEPS)      # before the overlaps' array
     ready, s1, s2 = (parse_state_spec(spec) for spec in (p["ready"], *p["pair"]))
     dim = ready.dim * s1.dim
+    # a sweep's unitary draws 2 * dim**2 uniforms; checked before the overlaps' array
+    _checked_count(p["sweeps"], "sweeps", MAX_UNIFORMS // (2 * dim * dim))
     # the check's own before, |<ready (x) s1|ready (x) s2>|, is the one the change is
     # measured from; it does not depend on the unitary
     before = overlap_preservation_check(np.eye(dim), s1, s2, ready)[0]

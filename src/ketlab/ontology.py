@@ -58,12 +58,11 @@ from .hilbert import (
 )
 from .measurement import Scenario, tally
 from .pbr import PREPARATION_IDS, _forbidden_map, pbr_scenario
-from .rngs import MAX_SEED, uniform_chunks
+from .rngs import MAX_SEED, MAX_UNIFORMS, uniform_chunks
 
 DISTRIBUTION_TOL = 1e-12     # rows and preparation vectors must sum to 1 within this
 PREDICT_SUM_TOL = 1e-11      # predicted outcome distributions must sum to 1 within this
 DUALITY_GAP_TOL = 1e-6       # certification threshold for the violation bound
-MAX_MC_TRIALS = 2 ** 20      # Monte Carlo trials per scenario cell; memory stays flat
 ONTIC_OVERLAP_TOL = 1e-12    # below this, preparations share no lambda support
 
 SHARED_REALITY_LABELS = ("shared", "zero_only", "plus_only")
@@ -444,13 +443,15 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
     mod K. An exact zero product is never drawn, so an outcome no lambda
     of the preparation fires stays at 0. The model must define every
     preparation and measurement id the scenario names. More than
-    MAX_MC_TRIALS trials, and a seed outside the integer rule's range of
-    master seeds, are rejected before any draw.
+    MAX_UNIFORMS // cells trials (one uniform a trial in each of the
+    scenario's preparation x measurement cells), and a seed outside the
+    integer rule's range of master seeds, are rejected before any draw.
     """
-    trials = _checked_count(trials, "trials", MAX_MC_TRIALS)
+    cells = len(scenario.preparations) * len(scenario.measurements)
+    trials = _checked_count(trials, "trials", MAX_UNIFORMS // max(1, cells))
     seed = _checked_count(seed, "master seed", MAX_SEED)
     counts: dict = {}
-    cell = 0
+    draws = (uniform_chunks(seed, cell, cell + 1, trials) for cell in range(cells))
     for prep_id in scenario.preparations:
         if prep_id not in model.preparations:
             raise PreconditionError(f"model lacks preparation {prep_id!r}")
@@ -458,10 +459,8 @@ def monte_carlo_onto(model: OntologicalModel, scenario: Scenario,
         counts[prep_id] = {}
         for meas_id in scenario.measurements:
             table = _scenario_responses(model, scenario, meas_id)
-            joint = tally((prep[:, None] * table).ravel(),
-                          uniform_chunks(seed, cell, cell + 1, trials))
+            joint = tally((prep[:, None] * table).ravel(), next(draws))
             counts[prep_id][meas_id] = joint.reshape(table.shape).sum(axis=0)
-            cell += 1
     max_forbidden = None
     if scenario.forbidden and trials > 0:
         max_forbidden = float(max(

@@ -37,11 +37,10 @@ from .hilbert import (
     tensor,
 )
 from .measurement import Scenario, inverse_cdf, tally
-from .rngs import MAX_SUBSTREAMS, uniform_chunks
+from .rngs import MAX_UNIFORMS, uniform_chunks
 
 UNITARY_TOL = 1e-10       # max |U^H U - 1| entry allowed
 WEIGHT_SUM_TOL = 1e-9     # mixture weights must sum to 1 within this
-MAX_SWEEPS = 2 ** 20      # `nogo` sweeps a run; it keeps each sweep's 8-byte overlap
 
 PREPARATION_IDS = ("00", "0+", "+0", "++")
 
@@ -146,7 +145,7 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     the walk `strong_measure` takes. Unit tests pin the equivalence with
     the per-trial loop.
     """
-    trials = _checked_count(trials, "trials", MAX_SUBSTREAMS)      # one substream a trial
+    trials = _checked_count(trials, "trials", MAX_UNIFORMS // 2)      # two uniforms a trial
     weights = _number_array(mixture_weights, "mixture_weights")
     if weights.shape != (4,) or np.any(weights < 0):
         raise PreconditionError("mixture_weights must be four nonnegative reals")

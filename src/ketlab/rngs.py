@@ -2,12 +2,25 @@
 
 Every randomized protocol in this package takes a single master seed, an
 integer from 0 to `MAX_SEED` = 2**128 - 1. Independent units of work
-(trials, sweep points, preparation cells) each get their own substream, one
-of the `MAX_SUBSTREAMS` = 2**64 of a seed, so a run has at most that many
-units: substream ``i`` of master seed ``s`` is the Philox bit generator
+(trials, sweep points, preparation cells) each get their own substream:
+substream ``i`` of master seed ``s`` is the Philox bit generator
 ``Philox(key=s)`` with its 256-bit counter advanced to ``i * 2**128``.
 Substreams therefore never overlap, and results cannot depend on the order
 in which trials are executed.
+
+Two limits apply, and they are not the same. `MAX_SUBSTREAMS` = 2**64 is
+the counter range: the substream indices, and the uniforms read from one
+substream, that `uniform_chunks` can address without a counter word
+carrying. `MAX_UNIFORMS` = 2**25 is the work budget: the most uniforms one
+run of a sampler draws. Each sampler's count cap is the budget divided by
+the uniforms one unit of its work draws: `pbr_experiment` 2 a trial, a
+`steer` round 1 a basis, `monte_carlo_onto` 1 a trial in each cell of its
+scenario, and a `nogo` sweep 2d**2 for its d-dimensional unitary. A count
+past its cap is refused before any draw, so every accepted run ends on
+a desk: on a shared 2-vCPU host `pbr_experiment` at 2**24 trials takes
+3.5 to 4 s, and `nogo` at 2**20 sweeps about two minutes, most of it
+Haar work rather than drawing. A sampled protective run draws at most
+its 2**16 steps, far inside the budget.
 
 Every sampler, `strong_measure` and `epr_steering` included, takes an
 integer master seed and draws through one array draw, `uniform_chunks`,
@@ -36,6 +49,10 @@ from .hilbert import _checked_count
 # Philox key is two 64-bit words, and a substream index is one counter word.
 MAX_SEED = 2 ** 128 - 1
 MAX_SUBSTREAMS = 2 ** 64
+
+# The work budget: the most uniforms one sampler run draws (see the module
+# docstring for each sampler's reading of it).
+MAX_UNIFORMS = 2 ** 25
 
 # Counter stride between substreams, in Philox 256-bit counter units.
 STREAM_STRIDE = 2 ** 128

@@ -269,7 +269,12 @@ def test_protective_optional_artifacts(tmp_path, monkeypatch):
     ])
     assert code == 0
     data = load_json(tmp_path / "protective.json")
-    assert data["tomography"]["fidelity"] >= 1.0 - 1e-4
+    tomography = data["tomography"]
+    assert tomography["fidelity"] >= 1.0 - 1e-4
+    # the fidelity is |<psi|psi_rebuilt>|^2 of the artifact's own state and rebuilt state
+    psi = ketlab.qubit_state(data["state"]["theta"], data["state"]["phi"]).amplitudes
+    rebuilt = amplitudes_from_json(tomography["reconstructed"])
+    assert abs(abs(np.vdot(psi, rebuilt)) ** 2 - tomography["fidelity"]) <= 1e-15
     assert data["absolute_error"] < 2e-3
     steps = (tmp_path / "steps.csv").read_text().splitlines()
     assert steps[0] == "step,survival,pointer_mean"
@@ -687,18 +692,19 @@ def test_bad_model_files_keep_the_exit_code_contract(tmp_path, monkeypatch, text
     (["scan", "--grid-points", str(2**40)], 3),   # over the cap, before any allocation
     (["protective", "--n", "65537", "--g", "1e-9"], 3),   # over MAX_STEPS
     (["leak", "--n", "65537", "--g", "1e-9"], 3),
-    (["onto", "--mc-trials", "1048577"], 3),              # over MAX_MC_TRIALS
+    (["onto", "--mc-trials", str(2 ** 23 + 1)], 3),       # past the budget over PBR's 4 cells
     (["leak", "--prepared", "0", "--protected", "1", "--n", "65537"], 3),   # orthogonal
     (["leak", "--prepared", "0", "--protected", "1", "--g", "1e6"], 3),
     (["leak", "--prepared", "0", "--protected", "1", "--grid-points", "4096"], 3),
     (["pbr", "--weights", "1e308,1e308,1e308,1e308"], 3),   # the weights' sum overflows
     # humps of opposite sign: |<p=0|psi>| = 3.5e-10 is 1e-16 of sum |psi| h, rounding
     (["scan", "--phase", "3.141592653589793", "--width", "1e12", "--separation", "3e12"], 3),
-    # one substream a trial: more than 2**64 of them, refused before any draw
-    (["steer", "--basis", "z", "--trials", str(2 ** 64 + 1)], 3),
-    (["steer", "--trials", str(10 ** 19)], 3),            # two bases: over 2**63 each
-    (["pbr", "--trials", str(2 ** 64 + 1)], 3),
-    # over MAX_SWEEPS, refused before the overlaps' array (10**12 floats is 7.3 TiB)
+    # past the budget of 2**25 uniforms, refused before any draw: one a round per basis
+    (["steer", "--basis", "z", "--trials", str(2 ** 25 + 1)], 3),
+    (["steer", "--trials", str(2 ** 24 + 1)], 3),         # two bases
+    (["pbr", "--trials", str(2 ** 24 + 1)], 3),           # two uniforms a trial
+    # past 2**20 sweeps of 32 uniforms, refused before the overlaps' array (10**12
+    # floats is 7.3 TiB)
     (["nogo", "--sweeps", str(10 ** 12)], 3),
     (["nogo", "--sweeps", str(2 ** 64 + 1)], 3),
     # no cycle runs at --n 0, but the first cycle's multipliers are built, so the
@@ -720,6 +726,47 @@ def test_degenerate_sizes_keep_the_exit_code_contract(tmp_path, monkeypatch, cap
     for flag in ("--phase", "--trials", "--sweeps", "--mc-trials"):
         if code == 3 and flag in argv:
             assert flag.lstrip("-").replace("-", "_") in err, (flag, err)
+
+
+class _Drawn(BaseException):
+    """Raised where a Philox block would be evaluated; not an Exception, so
+    no stage turns it into an exit code."""
+
+
+def _drawn(*args, **kwargs):
+    raise _Drawn
+
+
+# Each sampler's run at the edge of the budget of 2**25 uniforms: the
+# budget divided by the uniforms one unit of the run draws.
+BUDGET_EDGES = {
+    "pbr": (["pbr"], "--trials", 2 ** 24),                                  # 2 a trial
+    "steer-z": (["steer", "--basis", "z"], "--trials", 2 ** 25),            # 1 a round
+    "steer-both": (["steer", "--basis", "both"], "--trials", 2 ** 24),      # 1 a round a basis
+    "onto-pbr": (["onto"], "--mc-trials", 2 ** 23),                         # 1 a trial, 4 cells
+    "onto-qubit": (["onto", "--model", "orthodox", "--scenario", "qubit"],  # 1 a trial, 8 cells
+                   "--mc-trials", 2 ** 22),
+    "nogo": (["nogo"], "--sweeps", 2 ** 20),                                # 2 * 4**2 a sweep
+}
+
+
+@pytest.mark.parametrize("run", BUDGET_EDGES)
+def test_each_sampler_draws_up_to_its_edge_of_the_budget(tmp_path, monkeypatch, capsys, run):
+    """At its edge a run passes its count check and reaches its first
+    Philox block; one past the edge exits 3 with the integer rule's
+    message naming its flag, evaluates no block and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ketlab.rngs, "_philox_uniforms", _drawn)
+    argv, flag, edge = BUDGET_EDGES[run]
+    with pytest.raises(_Drawn):
+        main([*argv, flag, str(edge)])
+    assert list(tmp_path.iterdir()) == []
+    capsys.readouterr()
+    assert main([*argv, flag, str(edge + 1)]) == 3
+    name = flag.lstrip("-").replace("-", "_")
+    message = f"{name} must be an integer in [0, {edge}], got {edge + 1}"
+    assert capsys.readouterr().err == f"ketlab: precondition rejected: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,8 +9,10 @@ package's own internal errors and never from an exception that escaped a
 stage, print no control character that a value it echoes carried, and a
 run that exits non-zero must leave its directory exactly as it found it.
 Sizes stay small (at most 2048 grid points, 50 cycles, 2000 trials and 5
-sweeps, or a sweep count past `MAX_SWEEPS`, refused before any draw), so
-no example asks for a large allocation.
+sweeps), or are past every sampler's reading of the `MAX_UNIFORMS` budget
+(`MAX_UNIFORMS + 1` or 10**12 trials, Monte Carlo trials or sweeps,
+refused before any draw or allocation), so no example asks for a large
+allocation or a long run.
 """
 
 import contextlib
@@ -26,7 +28,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ketlab.cli import COMMANDS, main
-from ketlab.pbr import MAX_SWEEPS
+from ketlab.rngs import MAX_UNIFORMS
 
 CONTRACT_EXITS = {0, 2, 3, 4}
 
@@ -43,6 +45,11 @@ FLOATS = st.one_of(
 def counts(bound):
     return st.one_of(st.integers(min_value=-3, max_value=bound),
                      st.sampled_from([0, 1, bound]))
+
+
+def sampler_counts(bound):
+    """A small count, or one past every reading of the draw budget."""
+    return st.one_of(counts(bound), st.sampled_from([MAX_UNIFORMS + 1, 10 ** 12]))
 
 
 def choices(*options):
@@ -64,9 +71,9 @@ PARAMS = {
     "offset": FLOATS, "separation": FLOATS, "phase": FLOATS,
     "n": counts(50),
     "grid_points": st.one_of(counts(2048), st.sampled_from([16, 64, 512, 2048])),
-    "trials": counts(2000),
-    "sweeps": st.one_of(counts(5), st.sampled_from([MAX_SWEEPS + 1, 10 ** 12])),
-    "mc_trials": counts(2000),
+    "trials": sampler_counts(2000),
+    "sweeps": sampler_counts(5),
+    "mc_trials": sampler_counts(2000),
     "observable": choices("z", "x", "y"),
     "mode": choices("deterministic", "sampled"),
     "profile": choices("gaussian", "double"),

@@ -656,11 +656,11 @@ def test_monte_carlo_blocks_equal_the_former_walk_at_every_edge(monkeypatch, tri
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():
-    """At the trial cap the sixteen cells hold under 2 MB at once: whole
-    runs of 2**20 uniforms per cell would take 8 MiB each."""
+    """At 2**20 trials a cell the four cells of PBR's scenario hold under
+    2 MB at once: a whole run of 2**20 uniforms would take 8 MiB."""
     model = pbr_min_violation(0.5).witness
     scenario = pbr_scenario()
-    trials = ketlab.ontology.MAX_MC_TRIALS
+    trials = 2 ** 20
     assert traced_peak(lambda: monte_carlo_onto(model, scenario, trials, seed=4)) < 2e6
 
 
@@ -707,9 +707,9 @@ def test_monte_carlo_over_the_trial_cap_is_rejected_before_any_draw(monkeypatch)
         raise AssertionError("a substream was drawn for an over-large run")
 
     monkeypatch.setattr(ketlab.ontology, "uniform_chunks", no_draws)
-    scenario = qubit_scenario()
-    trials = ketlab.ontology.MAX_MC_TRIALS + 1
-    message = f"trials must be an integer in [0, 1048576], got {trials}"
+    scenario = qubit_scenario()     # eight cells of one uniform a trial each
+    trials = 2 ** 22 + 1
+    message = f"trials must be an integer in [0, {2 ** 22}], got {trials}"
     with pytest.raises(PreconditionError, match=re.escape(message) + "$"):
         monte_carlo_onto(orthodox_model(scenario), scenario, trials)
 

@@ -15,6 +15,7 @@ from ketlab import rngs
 from ketlab.errors import PreconditionError
 from ketlab.protective import MAX_STEPS
 from ketlab.rngs import (
+    MAX_UNIFORMS,
     STREAM_STRIDE,
     SUBSTREAM_CHUNK,
     SubstreamSampler,
@@ -329,9 +330,12 @@ INTEGER_ARGUMENTS = {
     "basis-index": ("basis index", 0, 3, lambda v: ketlab.basis_state(4, v)),
     "protective-n": ("step count", 0, 65536, lambda v: ketlab.protective_measure(
         ketlab.ket_plus(), ketlab.sigma_z(), n=v)),
-    "monte-carlo-trials": ("trials", 0, 2 ** 20, lambda v: ketlab.monte_carlo_onto(
+    # a sampler's count runs up to the uniforms budget over the uniforms a unit draws
+    "monte-carlo-trials": ("trials", 0, MAX_UNIFORMS // 8, lambda v: ketlab.monte_carlo_onto(
         ketlab.orthodox_model(ketlab.qubit_scenario()), ketlab.qubit_scenario(), v)),
-    "pbr-trials": ("trials", 0, 2 ** 64, lambda v: ketlab.pbr_experiment(v)),
+    "monte-carlo-pbr-trials": ("trials", 0, MAX_UNIFORMS // 4, lambda v: ketlab.monte_carlo_onto(
+        ketlab.orthodox_model(ketlab.pbr_scenario()), ketlab.pbr_scenario(), v)),
+    "pbr-trials": ("trials", 0, MAX_UNIFORMS // 2, lambda v: ketlab.pbr_experiment(v)),
     "chunks-seed": ("master seed", 0, 2 ** 128 - 1, lambda v: next(uniform_chunks(v, 0, 1))),
     "chunks-start": ("substream start", 0, 2 ** 64,
                      lambda v: next(uniform_chunks(0, v, 2 ** 64), None)),
