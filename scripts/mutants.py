@@ -69,8 +69,13 @@ MUTANTS = (
            "np.sqrt(-2.0 * np.log1p(-u))", "np.sqrt(-np.log1p(-u))",
            ("tests/test_laws.py::test_ginibre_entries_have_exponential_squared_moduli",)),
     Mutant("QR without the phase fix", "hilbert.py",
-           "return q * (d / np.abs(d))", "return q",
+           "return q * (d / np.abs(d))[..., None, :]", "return q",
            ("tests/test_laws.py::test_haar_unitaries_follow_the_haar_law_of_a_corner",)),
+    # a row-phased Q is unitary with the corner law of Haar: only the oracle sees it
+    Mutant("QR phase fix along the row axis", "hilbert.py",
+           "(d / np.abs(d))[..., None, :]", "(d / np.abs(d))[..., :, None]",
+           ("tests/test_hilbert.py::"
+            "test_a_stack_of_uniform_rows_gives_each_rows_unitary_bit_for_bit",)),
     Mutant("Philox high word without its carry", "rngs.py",
            "x_hi += u", "pass",
            ("tests/test_rngs.py",)),

@@ -56,16 +56,19 @@ def seeded_files(directory) -> list:
 
 
 def reduce_values(value):
-    """A JSON value reduced: a non-empty list of numbers to its length,
-    sum, min and max, a non-empty list of records (dicts of one set of
-    keys) to its columns, each reduced, other containers entry by entry,
-    and every scalar (int, float, text, bool, null) as it is."""
+    """A JSON value reduced: a non-empty list of numbers x_0 .. x_(n-1) to
+    its length, sum, min, max and weighted sum (the sum of i * x_i, which
+    a swap of two unequal numbers changes, so row order counts), a
+    non-empty list of records (dicts of one set of keys) to its columns,
+    each reduced, other containers entry by entry, and every scalar (int,
+    float, text, bool, null) as it is."""
     if isinstance(value, dict):
         return {key: reduce_values(item) for key, item in value.items()}
     if not isinstance(value, list):
         return value
     if value and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
-        return {"length": len(value), "sum": sum(value), "min": min(value), "max": max(value)}
+        return {"length": len(value), "sum": sum(value), "min": min(value), "max": max(value),
+                "weighted": sum(i * x for i, x in enumerate(value))}
     if value and all(isinstance(x, dict) and x.keys() == value[0].keys() for x in value):
         return {key: reduce_values([x[key] for x in value]) for key in value[0]}
     return [reduce_values(x) for x in value]

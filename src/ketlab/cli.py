@@ -775,13 +775,13 @@ def _run_nogo(cfg: RunConfig):
     # measured from; it does not depend on the unitary
     before = overlap_preservation_check(np.eye(dim), s1, s2, ready)[0]
 
-    # sweep k's unitary comes from the first 2 * dim**2 uniforms of substream k;
-    # `map` keeps no row past its sweep, so one pass of draws is alive at a time
-    def after(u):
-        return overlap_preservation_check(haar_random_unitary(dim, u), s1, s2, ready)[1]
-
-    draws = chain.from_iterable(uniform_chunks(cfg.seed, 0, p["sweeps"], 2 * dim * dim))
-    afters = np.fromiter(map(after, draws), float, count=p["sweeps"])
+    # sweep k's unitary comes from the first 2 * dim**2 uniforms of substream k; each
+    # pass of draws is built and checked as one stack, and `fromiter` keeps only its
+    # overlaps after, so one pass is alive at a time
+    passes = uniform_chunks(cfg.seed, 0, p["sweeps"], 2 * dim * dim)
+    afters = np.fromiter(chain.from_iterable(
+        overlap_preservation_check(haar_random_unitary(dim, u), s1, s2, ready)[1] for u in passes),
+        float, count=p["sweeps"])
     # rounding is monotone and odd, so max |a - before| is at the largest or the
     # smallest a, bit for bit
     max_change = float(max(afters.max() - before, before - afters.min())) if p["sweeps"] else None

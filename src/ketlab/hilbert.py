@@ -335,15 +335,18 @@ def _box_muller(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def haar_random_unitary(dim: int, uniforms) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix (Mezzadri,
-    Notices AMS 54, 592 (2007)), built from exactly 2 * dim**2 `uniforms`
-    in [0, 1): entry (i, j) is `_box_muller` of uniforms i * dim + j and
+    """Haar-distributed unitaries via QR of complex Ginibre matrices
+    (Mezzadri, Notices AMS 54, 592 (2007)), one per row of `uniforms`, an
+    array of shape (..., 2 * dim**2) in [0, 1): the result has shape
+    (..., dim, dim), so one row gives one unitary and a stack of rows a
+    stack of them, each bit for bit the unitary its row gives alone. Entry
+    (i, j) is `_box_muller` of a row's uniforms i * dim + j and
     dim**2 + i * dim + j."""
     dim = _checked_dim(dim)
-    u = _number_array(uniforms, "uniforms", shape=(2 * dim * dim,))
-    if not np.all((u >= 0.0) & (u < 1.0)):
-        raise PreconditionError("uniforms must lie in [0, 1)")
-    q, r = np.linalg.qr(_box_muller(*u.reshape(2, dim, dim)))
-    # fix the phase ambiguity so the distribution is exactly Haar
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    u = _number_array(uniforms, "uniforms")
+    if u.shape[-1:] != (2 * dim * dim,) or not np.all((u >= 0.0) & (u < 1.0)):
+        raise PreconditionError(f"uniforms must be rows of {2 * dim * dim} numbers in [0, 1)")
+    q, r = np.linalg.qr(_box_muller(*np.moveaxis(u.reshape(u.shape[:-1] + (2, dim, dim)), -3, 0)))
+    # fix the phase ambiguity of each column so the distribution is exactly Haar
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

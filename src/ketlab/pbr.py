@@ -261,30 +261,35 @@ def epr_steering(alice_basis: str, seed: int) -> SteeringSample:
 # overlaps survive unitary evolution
 
 def overlap_preservation_check(u: np.ndarray, s1: StateVector, s2: StateVector,
-                               ready: StateVector) -> tuple[float, float]:
-    """|<ready (x) s1 | ready (x) s2>| before and after a joint unitary.
+                               ready: StateVector) -> tuple[float, float | np.ndarray]:
+    """|<ready (x) s1 | ready (x) s2>| before and after a joint unitary `u`,
+    or after each of an (m, dim, dim) stack of them.
 
     A measurement that left the device in different orthogonal records for
     s1 and s2 would need `after` to differ from `before`; unitarity forbids
-    it, which is the obstruction this check exhibits numerically. Non-unitary
-    input is rejected with the deviation norm.
+    it, which is the obstruction this check exhibits numerically. `after`
+    is a float for one unitary and an array of m floats for a stack, each
+    one `np.vdot` of its own unitary's images, so bit for bit what that
+    unitary gives alone. Non-unitary input, one member of a stack
+    included, is rejected with the largest deviation, and so is a NaN
+    entry, whose deviation is NaN.
     """
     if s1.dim != s2.dim:
         raise PreconditionError(f"system dimension mismatch: {s1.dim} vs {s2.dim}")
     u = _number_array(u, "unitary", complex)
     dim = ready.dim * s1.dim
-    if u.shape != (dim, dim):
+    if u.shape[-2:] != (dim, dim) or u.ndim > 3:
         raise PreconditionError(
-            f"unitary must be {dim}x{dim} for device {ready.dim} (x) system {s1.dim}, "
-            f"got {u.shape}"
+            f"unitary must be {dim}x{dim}, or a stack of them, for device {ready.dim} "
+            f"(x) system {s1.dim}, got {u.shape}"
         )
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-    if dev > UNITARY_TOL:
+    dev = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim)), initial=0.0))
+    if not dev <= UNITARY_TOL:
         raise PreconditionError(
             f"matrix is not unitary: max |U^H U - 1| entry = {dev:.3e}"
         )
-    v1 = np.kron(ready.amplitudes, s1.amplitudes)
-    v2 = np.kron(ready.amplitudes, s2.amplitudes)
+    v1, v2 = np.kron(ready.amplitudes, [s1.amplitudes, s2.amplitudes])
     before = float(abs(np.vdot(v1, v2)))
-    after = float(abs(np.vdot(u @ v1, u @ v2)))
-    return before, after
+    images = zip(*np.reshape([u @ v1, u @ v2], (2, -1, dim)))
+    after = np.array([abs(np.vdot(a, b)) for a, b in images])
+    return before, float(after[0]) if u.ndim == 2 else after

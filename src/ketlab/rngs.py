@@ -18,9 +18,10 @@ the uniforms one unit of its work draws: `pbr_experiment` 2 a trial, a
 scenario, and a `nogo` sweep 2d**2 for its d-dimensional unitary. A count
 past its cap is refused before any draw, so every accepted run ends on
 a desk: on a shared 2-vCPU host `pbr_experiment` at 2**24 trials takes
-3.5 to 4 s, and `nogo` at 2**20 sweeps about two minutes, most of it
-Haar work rather than drawing. A sampled protective run draws at most
-its 2**16 steps, far inside the budget.
+3.5 to 4 s, and a cold `nogo` process at 2**20 sweeps 5 to 7 s, each
+pass of its draws built and checked as one stack of unitaries. A
+sampled protective run draws at most its 2**16 steps, far inside the
+budget.
 
 Every sampler, `strong_measure` and `epr_steering` included, takes an
 integer master seed and draws through one array draw, `uniform_chunks`,

@@ -10,6 +10,9 @@ those of `postselected_cycles` and `dump_json`, `amplitudes_from_json`
 reads back the amplitudes an artifact stores, `traced_peak` weighs the
 memory a sampler holds at once, and `reference_write_csv`, the row-by-row
 writer `write_csv` replaced, is the oracle of its bytes and refusals.
+`reference_haar_random_unitary` and `reference_overlap_preservation_check`,
+the one-matrix bodies that `nogo`'s stacked draw replaced, are the oracles
+of each row of a stack.
 """
 
 import json
@@ -18,10 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ketlab.errors import InternalError
-from ketlab.hilbert import (HermitianOperator, StateVector, haar_random_unitary, sigma_x,
-                            sigma_y, sigma_z)
+from ketlab.errors import InternalError, PreconditionError
+from ketlab.hilbert import (HermitianOperator, StateVector, _box_muller, _checked_dim,
+                            _number_array, haar_random_unitary, sigma_x, sigma_y, sigma_z)
 from ketlab.measurement import GridWavefunction, JointSystemPointerState
+from ketlab.pbr import UNITARY_TOL
 
 
 def projector(psi: StateVector) -> HermitianOperator:
@@ -116,3 +120,43 @@ def reference_write_csv(path, header, rows) -> None:
             raise InternalError(f"CSV cell needs quoting, refusing: {cell!r}")
         lines.append(line)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_haar_random_unitary(dim: int, uniforms) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix (Mezzadri,
+    Notices AMS 54, 592 (2007)), built from exactly 2 * dim**2 `uniforms`
+    in [0, 1): entry (i, j) is `_box_muller` of uniforms i * dim + j and
+    dim**2 + i * dim + j."""
+    dim = _checked_dim(dim)
+    u = _number_array(uniforms, "uniforms", shape=(2 * dim * dim,))
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise PreconditionError("uniforms must lie in [0, 1)")
+    q, r = np.linalg.qr(_box_muller(*u.reshape(2, dim, dim)))
+    # fix the phase ambiguity so the distribution is exactly Haar
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def reference_overlap_preservation_check(u: np.ndarray, s1: StateVector, s2: StateVector,
+                                         ready: StateVector) -> tuple[float, float]:
+    """|<ready (x) s1 | ready (x) s2>| before and after one joint unitary,
+    checked as one dim x dim matrix."""
+    if s1.dim != s2.dim:
+        raise PreconditionError(f"system dimension mismatch: {s1.dim} vs {s2.dim}")
+    u = _number_array(u, "unitary", complex)
+    dim = ready.dim * s1.dim
+    if u.shape != (dim, dim):
+        raise PreconditionError(
+            f"unitary must be {dim}x{dim} for device {ready.dim} (x) system {s1.dim}, "
+            f"got {u.shape}"
+        )
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+    if dev > UNITARY_TOL:
+        raise PreconditionError(
+            f"matrix is not unitary: max |U^H U - 1| entry = {dev:.3e}"
+        )
+    v1 = np.kron(ready.amplitudes, s1.amplitudes)
+    v2 = np.kron(ready.amplitudes, s2.amplitudes)
+    before = float(abs(np.vdot(v1, v2)))
+    after = float(abs(np.vdot(u @ v1, u @ v2)))
+    return before, after

@@ -37,7 +37,7 @@ from ketlab import (
 from ketlab.cli import (COMMANDS, SCHEMAS, Artifact, CommandSpec, main, parse_state_spec,
                         validate_artifact)
 from ketlab.measurement import inverse_cdf
-from ketlab.rngs import uniform_chunks
+from ketlab.rngs import SUBSTREAM_CHUNK, uniform_chunks
 from ketlab.serialize import Records, dump_json, load_json
 from oracles import amplitudes_from_json, traced_peak
 
@@ -532,18 +532,38 @@ def test_nogo_writes_the_bytes_of_every_sweeps_before_and_after(tmp_path, monkey
 def test_nogo_memory_does_not_grow_with_sweeps(tmp_path, monkeypatch):
     """A sweep keeps 8 bytes, its overlap after, so 40,000 sweeps peak
     within 0.5 MB of 1,000. What is weighed is the runner's bookkeeping per
-    sweep: the unitary and the check are cheap stand-ins, and passes of 32
-    rows keep the draw's own working set to a few kB, which a run of one
-    pass and a run of many then share."""
+    sweep: the unitaries and the check are cheap stand-ins of a pass's
+    shapes (its stack of rows, and a view of one float a row, which holds
+    its whole pass, so a runner that keeps any pass's result past the pass
+    grows by the pass), and passes of 32 rows keep the draw's own working
+    set to a few kB, which a run of one pass and a run of many then share."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(ketlab.rngs, "SUBSTREAM_CHUNK", 2 ** 10)
     monkeypatch.setattr(ketlab.hilbert, "haar_random_unitary", lambda dim, u: u)
     monkeypatch.setattr(ketlab.pbr, "overlap_preservation_check",
-                        lambda u, s1, s2, ready: (0.5, float(u.flat[0])))
+                        lambda u, s1, s2, ready: (0.5, u[:, 0]))
     peaks = [traced_peak(lambda: main(["nogo", "--sweeps", str(n), "-o", f"n{n}.json"]))
              for n in (1000, 40_000)]
     assert load_json(tmp_path / "n40000.json")["sweeps"] == 40_000
     assert peaks[1] < peaks[0] + 5e5
+
+
+def test_nogo_builds_and_checks_each_pass_of_draws_in_one_call(tmp_path, monkeypatch):
+    """A pass of `uniform_chunks` holds SUBSTREAM_CHUNK // 8 rows of 32
+    uniforms (1,024), so 76 sweeps more are two passes: one Haar call and
+    one check a pass, besides the check of the overlap before, and none a
+    sweep."""
+    rows = SUBSTREAM_CHUNK // 8
+    shapes = {"haar": [], "check": []}
+    haar, check = ketlab.hilbert.haar_random_unitary, ketlab.pbr.overlap_preservation_check
+    monkeypatch.setattr(ketlab.hilbert, "haar_random_unitary",
+                        lambda dim, u: shapes["haar"].append(u.shape) or haar(dim, u))
+    monkeypatch.setattr(ketlab.pbr, "overlap_preservation_check",
+                        lambda u, *states: shapes["check"].append(u.shape) or check(u, *states))
+    monkeypatch.chdir(tmp_path)
+    assert main(["nogo", "--sweeps", str(rows + 76)]) == 0
+    assert shapes == {"haar": [(rows, 32), (76, 32)],
+                      "check": [(4, 4), (rows, 4, 4), (76, 4, 4)]}
 
 
 def test_nogo_measures_the_change_from_the_before_it_reports(tmp_path, monkeypatch):

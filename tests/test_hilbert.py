@@ -30,8 +30,9 @@ from ketlab.hilbert import (
 )
 from ketlab.measurement import GridWavefunction, JointSystemPointerState, PointerGrid
 from ketlab.ontology import OntologicalModel
+from ketlab.rngs import uniform_chunks
 from oracles import (amplitudes_from_json, haar_random_state, pauli_operators, projector,
-                     random_observable)
+                     random_observable, reference_haar_random_unitary)
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -413,10 +414,33 @@ def test_haar_unitary_is_unitary(seed):
     pytest.param(np.append(np.full(7, 0.5), np.nan), id="nan"),
     pytest.param(["0.5"] * 8, id="text"),
     pytest.param(np.random.default_rng(0), id="generator"),
+    pytest.param(np.full((3, 7), 0.5), id="stack-too-few"),
+    pytest.param(np.append(np.full(23, 0.5), 1.0).reshape(3, 8), id="stack-last-row-one"),
+    pytest.param(np.float64(0.5), id="scalar"),
 ])
 def test_haar_unitaries_take_two_dim_squared_uniforms_in_the_unit_interval(uniforms):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^uniforms must (be rows of 8|hold) "):
         haar_random_unitary(2, uniforms)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_a_stack_of_uniform_rows_gives_each_rows_unitary_bit_for_bit(dim, rows):
+    """One stacked QR and phase fix give row i the unitary the one-matrix
+    oracle builds from row i alone, to the bit, and one row alone gives
+    one unitary."""
+    (uniforms,) = uniform_chunks(dim, 0, rows, 2 * dim * dim)
+    stack = haar_random_unitary(dim, uniforms)
+    assert stack.shape == (rows, dim, dim)
+    for row, u in zip(uniforms, stack):
+        assert u.tobytes() == reference_haar_random_unitary(dim, row).tobytes()
+    one = haar_random_unitary(dim, uniforms[-1])
+    assert one.shape == (dim, dim)
+    assert one.tobytes() == stack[-1].tobytes()
+
+
+def test_an_empty_stack_of_uniform_rows_gives_an_empty_stack():
+    assert haar_random_unitary(3, np.zeros((0, 18))).shape == (0, 3, 3)
 
 
 def test_haar_state_is_normalized(rng):

@@ -33,7 +33,7 @@ from ketlab import (
 )
 from ketlab.errors import InternalError
 from ketlab.hilbert import EigenDecomposition, canonical_phase
-from ketlab.cli import main
+from ketlab.cli import main, parse_state_spec
 from ketlab.measurement import born_outcomes, born_probabilities, inverse_cdf
 from ketlab.pbr import (
     PREPARATION_IDS,
@@ -41,8 +41,8 @@ from ketlab.pbr import (
     _forbidden_map,
     _singlet,
 )
-from ketlab.rngs import SUBSTREAM_CHUNK, SubstreamSampler
-from oracles import traced_peak
+from ketlab.rngs import SUBSTREAM_CHUNK, SubstreamSampler, uniform_chunks
+from oracles import reference_overlap_preservation_check, traced_peak
 
 KET0 = np.array([1.0, 0.0])
 KETP = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -448,6 +448,16 @@ def test_overlap_check_rejects_non_unitary_matrix():
         overlap_preservation_check(0.5 * np.eye(4), ket_zero(), ket_plus(), ket_zero())
 
 
+@pytest.mark.parametrize("stack", [False, True])
+def test_overlap_check_refuses_a_nan_unitary(stack):
+    """A NaN deviation is no deviation within the tolerance."""
+    u = np.eye(4)
+    u[2, 1] = np.nan
+    with pytest.raises(PreconditionError, match=r"^matrix is not unitary: .* = nan$"):
+        overlap_preservation_check(np.stack([np.eye(4), u]) if stack else u,
+                                   ket_zero(), ket_plus(), ket_zero())
+
+
 def test_overlap_check_rejects_wrong_shape():
     with pytest.raises(PreconditionError):
         overlap_preservation_check(np.eye(2), ket_zero(), ket_plus(), ket_zero())
@@ -459,6 +469,57 @@ def test_overlap_check_takes_a_unitary_of_numbers_only():
     for entries in (np.eye(4).astype(str), np.eye(4, dtype=bool), np.eye(4).astype(str).tolist()):
         with pytest.raises(PreconditionError, match="^unitary must hold numbers$"):
             overlap_preservation_check(entries, ket_zero(), ket_plus(), ket_zero())
+
+
+def _nogo_stack(rows: int) -> np.ndarray:
+    """The 4 x 4 unitaries of `nogo`'s first `rows` sweeps at seed 7, as one stack."""
+    (uniforms,) = uniform_chunks(7, 0, rows, 32)
+    return haar_random_unitary(4, uniforms)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("ready, first, second", [
+    ("0", "0", "+"), ("0", "+", "-"), ("+", "0", "+"), ("0.3:0.2", "0.1:1.0", "-"),
+])
+def test_a_stack_check_gives_each_unitarys_overlaps_bit_for_bit(ready, first, second, rows):
+    """Checking a stack gives the before of the one-matrix oracle and, for
+    each member, the after the oracle gives for that unitary alone, to the
+    bit (one `np.vdot` a unitary: a batched product moves the last bit of
+    some); one unitary gives a float after, as before."""
+    ready, s1, s2 = (parse_state_spec(spec) for spec in (ready, first, second))
+    stack = _nogo_stack(rows)
+    before, after = overlap_preservation_check(stack, s1, s2, ready)
+    assert isinstance(after, np.ndarray) and after.shape == (rows,)
+    assert [(before, a) for a in after.tolist()] == [
+        reference_overlap_preservation_check(u, s1, s2, ready) for u in stack]
+    one = overlap_preservation_check(stack[-1], s1, s2, ready)
+    assert type(one[1]) is float
+    assert one == reference_overlap_preservation_check(stack[-1], s1, s2, ready)
+
+
+@pytest.mark.parametrize("bad", [0, 3, 6], ids=["first", "middle", "last"])
+def test_a_stack_with_one_non_unitary_member_is_refused_as_that_member(bad):
+    stack = _nogo_stack(7)
+    stack[bad] *= 0.5
+    states = (ket_zero(), ket_plus(), ket_zero())
+    with pytest.raises(PreconditionError, match="^matrix is not unitary") as alone:
+        reference_overlap_preservation_check(stack[bad], *states)
+    with pytest.raises(PreconditionError) as stacked:
+        overlap_preservation_check(stack, *states)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_overlap_check_refuses_a_stack_of_stacks():
+    with pytest.raises(PreconditionError, match="^unitary must be 4x4, or a stack of them"):
+        overlap_preservation_check(_nogo_stack(2)[None], ket_zero(), ket_plus(), ket_zero())
+
+
+def test_an_empty_stack_checks_no_overlap_after():
+    before, after = overlap_preservation_check(np.zeros((0, 4, 4)), ket_zero(), ket_plus(),
+                                               ket_zero())
+    assert before == reference_overlap_preservation_check(np.eye(4), ket_zero(), ket_plus(),
+                                                          ket_zero())[0]
+    assert isinstance(after, np.ndarray) and after.shape == (0,)
 
 
 def test_overlap_check_rejects_mismatched_system_states():

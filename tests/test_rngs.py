@@ -139,7 +139,7 @@ def test_uniform_chunks_of_several_blocks_match_substreams_across_chunk_edges(mo
 
 def test_nogo_draws_sweep_k_from_the_start_of_substream_k(tmp_path, monkeypatch):
     """A sweep's 4 x 4 unitary takes the first 2 * 4**2 = 32 uniforms of
-    its own substream."""
+    its own substream: the rows of the blocks the Haar calls get, in order."""
     seen = []
     haar = ketlab.hilbert.haar_random_unitary
 
@@ -151,7 +151,7 @@ def test_nogo_draws_sweep_k_from_the_start_of_substream_k(tmp_path, monkeypatch)
     monkeypatch.chdir(tmp_path)
     seed = 2 ** 100 + 3
     assert ketlab.cli.main(["nogo", "--sweeps", "6", "--seed", str(seed)]) == 0
-    np.testing.assert_array_equal(np.array(seen),
+    np.testing.assert_array_equal(np.concatenate(seen),
                                   np.array([substream(seed, k).random(32) for k in range(6)]))
 
 

@@ -129,6 +129,19 @@ def test_regenerate_golden_runs_each_command_of_the_cli(monkeypatch):
     assert commands[-1] == ["added"]
 
 
+def test_a_reduction_sees_two_swapped_values():
+    """Length, sum, min and max are blind to row order; the weighted sum
+    of i * x_i is not, in a number list or a column of records."""
+    reduce_values = load_script("regenerate_golden").reduce_values
+    assert reduce_values([0.5, 2.0, 3]) == {"length": 3, "sum": 5.5, "min": 0.5, "max": 3,
+                                            "weighted": 8.0}
+    assert reduce_values([0.5, 3, 2.0]) != reduce_values([0.5, 2.0, 3])
+    rows = [{"step": 1, "survival": 0.9}, {"step": 2, "survival": 0.8}]
+    swapped = [dict(rows[0], survival=0.8), dict(rows[1], survival=0.9)]
+    assert reduce_values(swapped)["step"] == reduce_values(rows)["step"]
+    assert reduce_values(swapped)["survival"] != reduce_values(rows)["survival"]
+
+
 def test_code_lines_skip_docstrings_comments_and_blanks():
     snippet = '''"""Module docstring,
 over two lines."""
