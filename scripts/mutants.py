@@ -126,6 +126,9 @@ MUTANTS = (
     Mutant("the integer rule refuses its low end", "hilbert.py",
            "low <= int(value) <= high", "low < int(value) <= high",
            ("tests/test_rngs.py::test_every_integer_argument_takes_exactly_its_range",)),
+    Mutant("non-finite entries pass the number rule", "hilbert.py",
+           "if not np.isfinite(arr).all():", "if False:",
+           ("tests/test_hilbert.py::test_a_non_finite_entry_is_refused_before_any_arithmetic",)),
     Mutant("the wraparound guard counts no coupling at n = 0", "measurement.py",
            "couplings = max(couplings, 1)", "couplings = couplings",
            ("tests/test_cli.py::test_degenerate_sizes_keep_the_exit_code_contract",)),

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Rebuild tests/golden from the CLI factory defaults (seed 7), and
-tests/golden_seeded and tests/golden_reductions.json from the runs of
-scripts/artifact_digests.py.
+"""Rebuild the three golden stores from one run of
+scripts/artifact_digests.py, which pins each artifact it writes once:
+tests/golden holds each command's artifact at its factory defaults (seed 7)
+with its manifest, tests/golden_seeded every other artifact under 4 KB,
+and tests/golden_reductions.json a reduction of each larger one.
 
 Run after an intentional change to any default or seeded output:
 
@@ -11,7 +13,6 @@ then review the diff before committing.
 """
 
 import importlib.util
-import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -27,12 +28,13 @@ SEEDED = GOLDEN.parent / "golden_seeded"   # tests/golden holds files only
 REDUCTIONS = GOLDEN.parent / "golden_reductions.json"
 SEEDED_MAX_BYTES = 4096   # a larger artifact is pinned by its reduction
 
-# every subcommand with no flags, in the order of the CLI's command table
-COMMANDS = tuple([name] for name in cli.COMMANDS)
+# {command: the artifact it writes with no flags}, in the order of the
+# CLI's command table; the digest run's bare commands write them
+DEFAULTS = {name: f"{name}.{spec.formats[0]}" for name, spec in cli.COMMANDS.items()}
 
 
 def load_digests():
-    """scripts/artifact_digests.py, whose COMMANDS the seeded goldens run."""
+    """scripts/artifact_digests.py, whose COMMANDS write every golden."""
     spec = importlib.util.spec_from_file_location("artifact_digests",
                                                   SCRIPTS / "artifact_digests.py")
     module = importlib.util.module_from_spec(spec)
@@ -50,9 +52,10 @@ def artifact_files(directory) -> list:
 
 def seeded_files(directory) -> list:
     """The artifacts of a digest run in `directory` that have a seeded
-    golden, sorted by name: every one under SEEDED_MAX_BYTES."""
+    golden, sorted by name: every one under SEEDED_MAX_BYTES but the
+    DEFAULTS, which tests/golden holds."""
     return [path for path in artifact_files(directory)
-            if path.stat().st_size < SEEDED_MAX_BYTES]
+            if path.stat().st_size < SEEDED_MAX_BYTES and path.name not in DEFAULTS.values()]
 
 
 def reduce_values(value):
@@ -89,31 +92,27 @@ def reduction(path):
 
 def reductions(directory) -> dict:
     """{name: reduction} of each artifact of a digest run in `directory`
-    that has no seeded golden."""
-    small = seeded_files(directory)
+    that has neither a default nor a seeded golden."""
     return {path.name: reduction(path) for path in artifact_files(directory)
-            if path not in small}
+            if path.stat().st_size >= SEEDED_MAX_BYTES and path.name not in DEFAULTS.values()}
+
+
+def refill(store, paths) -> None:
+    """Empty the directory `store` and copy `paths` into it."""
+    shutil.rmtree(store, ignore_errors=True)
+    store.mkdir(parents=True)
+    for path in paths:
+        shutil.copy(path, store)
 
 
 def regenerate() -> None:
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    os.chdir(GOLDEN)
-    for argv in COMMANDS:
-        code = cli.main(list(argv))
-        if code != 0:
-            raise SystemExit(f"ketlab {' '.join(argv)} exited {code}")
-
-
-def regenerate_seeded() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         load_digests().digest_lines(tmp)
-        shutil.rmtree(SEEDED, ignore_errors=True)
-        SEEDED.mkdir(parents=True)
-        for path in seeded_files(tmp):
-            shutil.copy(path, SEEDED)
+        refill(GOLDEN, [Path(tmp, name + suffix) for name in DEFAULTS.values()
+                        for suffix in ("", ".manifest.json")])
+        refill(SEEDED, seeded_files(tmp))
         dump_json(reductions(tmp), REDUCTIONS)
 
 
 if __name__ == "__main__":
     regenerate()
-    regenerate_seeded()

@@ -73,29 +73,31 @@ def _finite_real(value, what: str) -> float:
 
 
 def _number_array(values, what: str, dtype: type = float, shape: tuple | None = None):
-    """A fresh `dtype` array (float or complex) holding `values`, of
-    exactly `shape` when one is given, else PreconditionError.
+    """A fresh `dtype` array (float or complex) of finite numbers holding
+    `values`, of exactly `shape` when one is given, else PreconditionError.
 
     An ndarray is checked by its dtype. Anything else is laid out by numpy
-    as an object array, refused past two dimensions, then checked in one
+    as an object array, refused past 32 dimensions, then checked in one
     flat pass: every entry must be an int or a float, numpy's included, or
     a complex number when `dtype` is complex. Text, bools, None, ragged
-    and deeper nesting are refused, as are ints past 1e308."""
+    and deeper nesting are refused, as are ints past 1e308. Every entry
+    of the built array must then be finite: NaN and infinities are
+    refused before any arithmetic on them can warn."""
     types, kinds, name = ((_COMPLEX, "iufc", "numbers") if dtype is complex
                           else (_REAL, "iuf", "real numbers"))
     try:
         if not isinstance(values, np.ndarray):
             values = np.array(values, dtype=object)
-        if values.dtype == object:
-            # numpy nests to 64 dimensions but iterates only 32: count them first
-            ok = values.ndim <= 2 and all(_is_number(v, types) for v in values.flat)
-        else:
-            ok = values.dtype.kind in kinds
+        # numpy nests to 64 dimensions but iterates only 32: count them first
+        ok = (values.ndim <= 32 and all(_is_number(v, types) for v in values.flat)
+              if values.dtype == object else values.dtype.kind in kinds)
         arr = np.array(values, dtype=dtype) if ok else None
     except (ValueError, OverflowError):
         arr = None
     if arr is None:
         raise PreconditionError(f"{what} must hold {name}")
+    if not np.isfinite(arr).all():
+        raise PreconditionError(f"{what} must be finite")
     if shape is not None and arr.shape != shape:
         raise PreconditionError(f"expected shape {shape}, got {arr.shape}")
     return arr
@@ -168,10 +170,11 @@ class EigenDecomposition:
     """Eigenvalues (ascending) and an orthonormal eigenbasis of an observable,
     the eigenvectors as the columns of `basis_matrix`, in order.
 
-    Both follow the package's number rule (`_number_array`), and the
-    eigenvalues must be finite. The Gram matrix of the columns must be the
-    identity: each column's norm^2 within NORM_TOL, as a `StateVector`'s
-    is, and every other entry within EIGEN_TOL.
+    Both follow the package's number rule (`_number_array`), so every
+    entry is finite, and the eigenvalues must be sorted. The Gram matrix
+    of the columns must be the identity: each column's norm^2 within
+    NORM_TOL, as a `StateVector`'s is, and every other entry within
+    EIGEN_TOL.
     """
 
     eigenvalues: tuple
@@ -183,8 +186,8 @@ class EigenDecomposition:
             raise PreconditionError("basis_matrix must hold one eigenvector per column")
         _checked_dim(mat.shape[0], "basis dimension")
         vals = _number_array(self.eigenvalues, "eigenvalues", shape=mat.shape[1:])
-        if not (np.all(np.isfinite(vals)) and np.all(vals[1:] >= vals[:-1])):
-            raise PreconditionError("eigenvalues must be finite and sorted ascending")
+        if not np.all(vals[1:] >= vals[:-1]):
+            raise PreconditionError("eigenvalues must be sorted ascending")
         dev = np.abs(mat.conj().T @ mat - np.eye(len(vals)))
         norm_dev, gram_dev = float(np.max(np.diagonal(dev))), float(np.max(dev))
         if not (norm_dev <= NORM_TOL and gram_dev <= EIGEN_TOL):

@@ -188,9 +188,11 @@ class GridWavefunction:
     def normalized(cls, grid: PointerGrid, amplitudes) -> "GridWavefunction":
         """Build a wavefunction from unnormalized amplitudes on `grid`."""
         amps = _number_array(amplitudes, "amplitudes", complex)
-        # a zero, infinite or nan norm gives amplitudes the check rejects
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return cls(grid, amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * grid.spacing)))
+        with np.errstate(over="ignore"):   # huge entries give an infinite norm
+            norm = math.sqrt(float(np.sum(np.abs(amps) ** 2) * grid.spacing))
+        if not 0.0 < norm < math.inf:
+            raise PreconditionError(f"cannot normalize a grid wavefunction of norm {norm!r}")
+        return cls(grid, amps / norm)
 
 
 @record

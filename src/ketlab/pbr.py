@@ -149,8 +149,7 @@ def pbr_experiment(trials: int, mixture_weights=(0.25, 0.25, 0.25, 0.25),
     weights = _number_array(mixture_weights, "mixture_weights")
     if weights.shape != (4,) or np.any(weights < 0):
         raise PreconditionError("mixture_weights must be four nonnegative reals")
-    with np.errstate(over="ignore"):   # an inf sum fails below
-        total = float(weights.sum())
+    total = sum(weights.tolist())   # Python floats: an inf sum, with no warning, fails below
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         raise PreconditionError(f"mixture_weights sum to {total!r}, expected 1")
     scenario = pbr_scenario()
@@ -271,8 +270,8 @@ def overlap_preservation_check(u: np.ndarray, s1: StateVector, s2: StateVector,
     is a float for one unitary and an array of m floats for a stack, each
     one `np.vdot` of its own unitary's images, so bit for bit what that
     unitary gives alone. Non-unitary input, one member of a stack
-    included, is rejected with the largest deviation, and so is a NaN
-    entry, whose deviation is NaN.
+    included, is rejected with the largest deviation; a NaN or infinite
+    entry is refused by the number rule before that product.
     """
     if s1.dim != s2.dim:
         raise PreconditionError(f"system dimension mismatch: {s1.dim} vs {s2.dim}")

@@ -322,8 +322,6 @@ def reconstruct_state(operators, expectations) -> StateVector:
         raise PreconditionError(
             f"{len(operators)} operators but expectation values of shape {exps.shape}"
         )
-    if not np.all(np.isfinite(exps)):
-        raise PreconditionError("expectations must be finite")
     d = operators[0].dim
     if any(op.dim != d for op in operators):
         raise PreconditionError("tomography operators must share one dimension")

@@ -1225,50 +1225,36 @@ def test_a_narrow_gaussian_scans_to_its_own_profile(tmp_path, monkeypatch):
     assert np.ptp(ratio) <= 1e-12 * ratio[0]
 
 
-# every subcommand at its defaults, with the artifact it writes; each has a
-# golden. scripts/regenerate_golden.py rebuilds them by running each command
-# of ketlab.cli.COMMANDS with no flags, and tests/test_scripts.py checks that
-# those runs are this list
-DEFAULT_RUNS = [
-    (["protective"], "protective.json"),
-    (["leak"], "leak.json"),
-    (["scan"], "scan.csv"),
-    (["pbr"], "pbr.csv"),
-    (["steer"], "steer.json"),
-    (["onto"], "onto.json"),
-    (["nogo"], "nogo.json"),
-]
-
-
-@pytest.mark.parametrize("argv,artifact", DEFAULT_RUNS)
-def test_default_runs_match_golden(tmp_path, monkeypatch, argv, artifact):
-    """Every subcommand at factory defaults (seed 7) must reproduce the
-    checked-in artifact and its manifest. Counts compare exactly; floats to
-    1e-9, leaving room for BLAS-level variation across machines. Manifest
-    versions compare by key only, since the host's libraries differ from
-    the ones the goldens were written with."""
-    monkeypatch.chdir(tmp_path)
-    assert main(argv) == 0
-    golden = GOLDEN_DIR / artifact
-    fresh = tmp_path / artifact
-    if artifact.endswith(".json"):
-        assert_close_payload(load_json(fresh), load_json(golden))
-    else:
-        compare_csv(fresh, golden)
-    got = read_manifest(tmp_path, artifact)
-    want = read_manifest(GOLDEN_DIR, artifact)
-    for key in ("kind", "command", "config", "seed", "outputs"):
-        assert got[key] == want[key], key
-    assert set(got["versions"]) == set(want["versions"])
-    assert set(got) == set(want)
-
-
 @pytest.fixture(scope="module")
 def digest_run(tmp_path_factory):
     """The directory of one run of every command in artifact_digests.COMMANDS."""
     directory = tmp_path_factory.mktemp("digests")
     DIGESTS.digest_lines(directory)
     return directory
+
+
+@pytest.mark.parametrize("argv,artifact", [
+    ([command], artifact) for command, artifact in REGENERATE.DEFAULTS.items()])
+def test_default_runs_match_golden(digest_run, argv, artifact):
+    """Every subcommand at factory defaults (seed 7), as the digest runs
+    make it, must reproduce its artifact and manifest in tests/golden.
+    Counts compare exactly; floats to 1e-9, leaving room for BLAS-level
+    variation across machines. Manifest versions compare by key only,
+    since the host's libraries differ from the ones the goldens were
+    written with."""
+    assert argv in DIGESTS.COMMANDS
+    golden = GOLDEN_DIR / artifact
+    fresh = digest_run / artifact
+    if artifact.endswith(".json"):
+        assert_close_payload(load_json(fresh), load_json(golden))
+    else:
+        compare_csv(fresh, golden)
+    got = read_manifest(digest_run, artifact)
+    want = read_manifest(GOLDEN_DIR, artifact)
+    for key in ("kind", "command", "config", "seed", "outputs"):
+        assert got[key] == want[key], key
+    assert set(got["versions"]) == set(want["versions"])
+    assert set(got) == set(want)
 
 
 @pytest.mark.parametrize("name", SEEDED_NAMES)
@@ -1294,20 +1280,23 @@ def test_digest_runs_match_their_golden_reductions(digest_run, name):
 
 
 def test_every_small_digest_artifact_has_a_seeded_golden(digest_run):
-    """A digest run added with an artifact under 4 KB needs its golden, and
-    one of 4 KB or more its reduction; a golden or a reduction whose run is
-    gone goes with it."""
+    """Each artifact of the digest runs has exactly one pin: a default one
+    its file in tests/golden, another under 4 KB its file in
+    tests/golden_seeded, and a larger one its reduction. The three stores'
+    names together are the run's, each once, so no two stores share a
+    name; a digest run added needs its pin, and a pin whose run is gone
+    goes with it."""
+    defaults = [path.name for path in REGENERATE.artifact_files(GOLDEN_DIR)]
+    assert defaults == sorted(REGENERATE.DEFAULTS.values())
     assert [path.name for path in REGENERATE.seeded_files(digest_run)] == SEEDED_NAMES
-    assert sorted(SEEDED_NAMES + list(GOLDEN_REDUCTIONS)) == [
+    assert sorted(defaults + SEEDED_NAMES + list(GOLDEN_REDUCTIONS)) == [
         path.name for path in REGENERATE.artifact_files(digest_run)]
 
 
-def test_default_steer_is_byte_identical_to_golden(tmp_path, monkeypatch):
+def test_default_steer_is_byte_identical_to_golden(digest_run):
     """Steering rounds draw against a per-basis outcome table; the default
     run must still write the checked-in artifact byte for byte."""
-    monkeypatch.chdir(tmp_path)
-    assert main(["steer"]) == 0
-    assert (tmp_path / "steer.json").read_bytes() == (GOLDEN_DIR / "steer.json").read_bytes()
+    assert (digest_run / "steer.json").read_bytes() == (GOLDEN_DIR / "steer.json").read_bytes()
 
 
 def test_manifest_lists_outputs_relative_to_its_own_directory(tmp_path, monkeypatch):

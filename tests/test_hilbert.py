@@ -30,6 +30,7 @@ from ketlab.hilbert import (
 )
 from ketlab.measurement import GridWavefunction, JointSystemPointerState, PointerGrid
 from ketlab.ontology import OntologicalModel
+from ketlab.pbr import overlap_preservation_check
 from ketlab.rngs import uniform_chunks
 from oracles import (amplitudes_from_json, haar_random_state, pauli_operators, projector,
                      random_observable, reference_haar_random_unitary)
@@ -111,6 +112,29 @@ def test_value_constructors_take_numbers_complex_ones_included(name):
             make([bad, *entries[1:]])
     with pytest.raises(PreconditionError, match="must hold numbers$"):
         make(np.array(entries).astype(str))
+
+
+_FINITE_CASES = {   # (entries, make, the index of the entry made non-finite)
+    **{name: (*case, 0) for name, case in _VALUE_CONSTRUCTORS.items()},
+    "operator off the diagonal": (*_VALUE_CONSTRUCTORS["operator"], 1),
+    "eigenbasis": ([1.0, 0.0, 0.0, 1.0],
+                   lambda e: EigenDecomposition((0.0, 1.0), [e[:2], e[2:]]), 0),
+    "unitary": (np.eye(4).ravel().tolist(),
+                lambda e: overlap_preservation_check(np.reshape(e, (4, 4)), ket_zero(), ket_plus(),
+                                                     ket_zero()), 0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(_FINITE_CASES))
+def test_a_non_finite_entry_is_refused_before_any_arithmetic(name, value):
+    """NaN and infinities are refused by the number rule, as "<what> must
+    be finite", before a norm, a Hermitian or a Gram check computes with
+    them: a RuntimeWarning from that arithmetic fails the suite."""
+    entries, make, index = _FINITE_CASES[name]
+    make(entries)
+    with pytest.raises(PreconditionError, match=" must be finite$"):
+        make([value if i == index else e for i, e in enumerate(entries)])
 
 
 
@@ -419,8 +443,22 @@ def test_haar_unitary_is_unitary(seed):
     pytest.param(np.float64(0.5), id="scalar"),
 ])
 def test_haar_unitaries_take_two_dim_squared_uniforms_in_the_unit_interval(uniforms):
-    with pytest.raises(PreconditionError, match=r"^uniforms must (be rows of 8|hold) "):
+    with pytest.raises(PreconditionError, match=r"^uniforms must (be rows of 8 |hold |be finite$)"):
         haar_random_unitary(2, uniforms)
+
+
+def test_nested_lists_take_the_array_path_up_to_numpys_32_dimensions():
+    """A stack of uniform rows as nested lists gives the unitaries the
+    array gives. numpy iterates at most 32 dimensions, so a list nested 33
+    deep is refused as not numbers, and one nested 32 deep is taken."""
+    (u,) = uniform_chunks(0, 0, 3, 8)
+    np.testing.assert_array_equal(haar_random_unitary(2, u.tolist()), haar_random_unitary(2, u))
+    deep = 0.5
+    for _ in range(32):
+        deep = [deep]
+    assert ketlab.hilbert._number_array(deep, "x").shape == (1,) * 32
+    with pytest.raises(PreconditionError, match="^x must hold real numbers$"):
+        ketlab.hilbert._number_array([deep], "x")
 
 
 @pytest.mark.parametrize("rows", [1, 7])

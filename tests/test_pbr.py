@@ -450,10 +450,11 @@ def test_overlap_check_rejects_non_unitary_matrix():
 
 @pytest.mark.parametrize("stack", [False, True])
 def test_overlap_check_refuses_a_nan_unitary(stack):
-    """A NaN deviation is no deviation within the tolerance."""
+    """A NaN entry, in one unitary or a stack, is refused by the number
+    rule before the unitarity product computes with it."""
     u = np.eye(4)
     u[2, 1] = np.nan
-    with pytest.raises(PreconditionError, match=r"^matrix is not unitary: .* = nan$"):
+    with pytest.raises(PreconditionError, match="^unitary must be finite$"):
         overlap_preservation_check(np.stack([np.eye(4), u]) if stack else u,
                                    ket_zero(), ket_plus(), ket_zero())
 
@@ -464,8 +465,13 @@ def test_overlap_check_rejects_wrong_shape():
 
 
 def test_overlap_check_takes_a_unitary_of_numbers_only():
-    """Text and bools would convert to matrix entries silently."""
+    """Text and bools would convert to matrix entries silently. Nested
+    lists, a stack's included, check as their array does."""
     overlap_preservation_check(np.eye(4).tolist(), ket_zero(), ket_plus(), ket_zero())
+    stack = np.eye(4)[None]
+    np.testing.assert_equal(
+        overlap_preservation_check(stack.tolist(), ket_zero(), ket_plus(), ket_zero()),
+        overlap_preservation_check(stack, ket_zero(), ket_plus(), ket_zero()))
     for entries in (np.eye(4).astype(str), np.eye(4, dtype=bool), np.eye(4).astype(str).tolist()):
         with pytest.raises(PreconditionError, match="^unitary must hold numbers$"):
             overlap_preservation_check(entries, ket_zero(), ket_plus(), ket_zero())

@@ -16,15 +16,11 @@ TESTS = Path(__file__).resolve().parent
 SCRIPTS = TESTS.parent / "scripts"
 
 
-def load_module(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def load_script(name):
-    return load_module(name, SCRIPTS / f"{name}.py")
 
 
 def run_script(name, monkeypatch, *args):
@@ -113,20 +109,22 @@ def test_the_shared_parser_carries_no_state_between_runs(tmp_path, monkeypatch):
 
 
 def test_every_golden_default_run_is_regenerated():
-    """A default command added to the golden test must also be rebuilt by
-    scripts/regenerate_golden.py, and the other way round."""
-    golden_runs = load_module("golden_runs", TESTS / "test_cli.py").DEFAULT_RUNS
-    commands = load_script("regenerate_golden").COMMANDS
-    assert [argv for argv, _ in golden_runs] == list(commands)
+    """tests/golden holds each command's default artifact as the one
+    digest run of scripts/regenerate_golden.py writes it: that run holds
+    each command with no flags."""
+    digests = load_script("artifact_digests")
+    assert all([command] in digests.COMMANDS
+               for command in load_script("regenerate_golden").DEFAULTS)
 
 
 def test_regenerate_golden_runs_each_command_of_the_cli(monkeypatch):
-    """The script's runs come from the CLI's command table, so a command
-    added there is regenerated without a second list to keep in step."""
+    """The script's defaults come from the CLI's command table, so a
+    command added there has its golden without a second list to keep in
+    step."""
     monkeypatch.setitem(ketlab.cli.COMMANDS, "added", ketlab.cli.COMMANDS["leak"])
-    commands = load_script("regenerate_golden").COMMANDS
-    assert list(commands) == [[name] for name in ketlab.cli.COMMANDS]
-    assert commands[-1] == ["added"]
+    defaults = load_script("regenerate_golden").DEFAULTS
+    assert list(defaults) == list(ketlab.cli.COMMANDS)
+    assert defaults["added"] == "added.json"
 
 
 def test_a_reduction_sees_two_swapped_values():
