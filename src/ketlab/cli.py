@@ -63,14 +63,14 @@ from .errors import ConfigError, InternalError, LabError, PreconditionError, Sca
 from .serialize import Records, dump_json, load_json, write_csv
 
 if TYPE_CHECKING:
-    from .hilbert import HermitianOperator, StateVector
+    from .hilbert import StateVector
     from .measurement import GridWavefunction
 
 DEFAULT_SEED = 7
 DEFAULT_Q = 1.0   # `onto`'s shared-lambda weight, the full PBR overlap
 
-# the `hilbert` constructor of each named ket
-_NAMED_KETS = {"0": "ket_zero", "1": "ket_one", "+": "ket_plus", "-": "ket_minus"}
+# the names of `hilbert.QUBIT_KETS`, known here without importing numpy
+_NAMED_KETS = ("0", "1", "+", "-")
 
 SCAN_HEADER = ("x", "re_scan", "im_scan", "re_psi", "im_psi")
 PBR_HEADER = ("preparation", "xi1", "xi2", "xi3", "xi4", "total", "forbidden_xi")
@@ -78,23 +78,14 @@ PER_STEP_HEADER = ("step", "survival", "pointer_mean")
 SWEEP_HEADER = ("g", "inferred_expectation", "absolute_error", "survival")
 
 
-@functools.cache
-def _observable(name: str) -> HermitianOperator:
-    """The Pauli operator `name` ('x', 'y' or 'z') names: one instance per
-    name and process, so every run of an observable shares its `eigen`."""
-    from . import hilbert
-
-    return getattr(hilbert, f"sigma_{name}")()
-
-
 def parse_state_spec(spec: str) -> StateVector:
     """Named qubit ket ('0', '1', '+', '-') or 'theta:phi', the state
     cos(theta)|0> + e^{i phi} sin(theta)|1>: theta is half the Bloch polar
     angle and phi the azimuthal angle."""
     if spec in _NAMED_KETS:
-        from . import hilbert
+        from .hilbert import QUBIT_KETS
 
-        return getattr(hilbert, _NAMED_KETS[spec])()
+        return QUBIT_KETS[spec]()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) == 2:
@@ -474,13 +465,13 @@ def validate_artifact(artifact: Artifact) -> Artifact:
 # runners
 
 def _run_protective(cfg: RunConfig):
-    from .hilbert import expectation, inner_product, qubit_state
+    from .hilbert import expectation, inner_product, pauli, qubit_state
     from .measurement import default_grid
     from .protective import protective_measure, protective_tomography
 
     p = cfg.params
     psi = qubit_state(p["theta"], p["phi"])
-    op = _observable(p["observable"])
+    op = pauli(p["observable"])
     grid = default_grid(p["width"], p["grid_points"])
     # the main run and every sweep point differ in g alone
     measure = functools.partial(protective_measure, psi, op, n=p["n"], grid=grid,
@@ -500,7 +491,7 @@ def _run_protective(cfg: RunConfig):
     }
     if p["tomography"]:
         reconstructed, chain_survival = protective_tomography(
-            psi, [_observable(name) for name in "xyz"], n=p["n"], g=p["g"], grid=grid,
+            psi, [pauli(name) for name in "xyz"], n=p["n"], g=p["g"], grid=grid,
             width=p["width"]
         )
         data["tomography"] = {
@@ -541,14 +532,14 @@ def _run_protective(cfg: RunConfig):
 
 
 def _run_leak(cfg: RunConfig):
-    from .hilbert import equal_up_to_phase, inner_product
+    from .hilbert import equal_up_to_phase, inner_product, pauli
     from .measurement import default_grid
     from .protective import protection_leak
 
     p = cfg.params
     prepared = parse_state_spec(p["prepared"])
     protected = parse_state_spec(p["protected"])
-    op = _observable(p["observable"])
+    op = pauli(p["observable"])
     grid = default_grid(p["width"], p["grid_points"])
     result = protection_leak(
         prepared, protected, op, n=p["n"], g=p["g"], grid=grid, width=p["width"]

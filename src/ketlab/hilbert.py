@@ -7,6 +7,14 @@ Conventions, fixed package-wide:
 * Global phase carries no physics. States are compared with
   `equal_up_to_phase`, never componentwise.
 * hbar = 1 throughout.
+* The qubit vocabulary lives here once: `QUBIT_KETS` maps the names "0",
+  "1", "+" and "-" to their ket constructors, and `pauli` gives the one
+  operator of each name "x", "y" and "z" per process, so every run and
+  scenario that reads a Pauli shares its kept `eigen`.
+* Operator checks are measured at the operator's scale: the Hermitian,
+  reconstruction and imaginary-residue tolerances are multiplied by
+  max(1, max |A_ij|), and the degeneracy tolerance by max(1, max |a_j|).
+  At unit scale, the Paulis' included, they are the bare constants below.
 
 Every type in this module is an immutable value (a `record` over
 read-only arrays), so instances can be shared freely across threads.
@@ -17,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -25,12 +33,18 @@ from . import record
 from .errors import InternalError, PreconditionError
 
 NORM_TOL = 1e-12           # allowed |sum |a|^2 - 1| at construction
-HERMITIAN_TOL = 1e-12      # allowed max-entry |M - M^H| at construction
-EIGEN_TOL = 1e-10          # reconstruction / orthonormality tolerance
-DEGENERACY_TOL = 1e-10     # eigenvalues closer than this share an eigenspace
-IMAG_RESIDUE_TOL = 1e-10   # expectation() aborts above this imaginary part
+HERMITIAN_TOL = 1e-12      # allowed max-entry |M - M^H| at construction, times _scale
+EIGEN_TOL = 1e-10          # orthonormality tolerance; reconstruction's times _scale
+DEGENERACY_TOL = 1e-10     # eigenvalues closer than this times _scale share an eigenspace
+IMAG_RESIDUE_TOL = 1e-10   # expectation() aborts above this imaginary part times _scale
 PHASE_TOL = 1e-10          # equal-up-to-phase tolerance on |<a|b>|
 MAX_DIM = 4096             # desk-scale cap, system (x) pointer included
+
+
+def _scale(values) -> float:
+    """max(1, max |v|) over `values`: the factor that turns a unit-scale
+    tolerance into one for an operator or spectrum of that size."""
+    return max(1.0, float(np.max(np.abs(values))))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -119,7 +133,8 @@ class StateVector:
     def __post_init__(self) -> None:
         dim = _checked_dim(self.dim)
         amps = _number_array(self.amplitudes, "amplitudes", complex, (dim,))
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):   # a huge entry fails below
+            norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise PreconditionError(
                 f"state norm^2 = {norm_sq!r} differs from 1 by more than {NORM_TOL}"
@@ -131,9 +146,10 @@ class StateVector:
     def normalized(cls, amplitudes) -> "StateVector":
         """Build a state from unnormalized amplitudes."""
         amps = _number_array(amplitudes, "amplitudes", complex).reshape(-1)
-        norm = float(np.linalg.norm(amps))
-        if norm <= 0.0:
-            raise PreconditionError("cannot normalize an all-zero vector")
+        with np.errstate(over="ignore", invalid="ignore"):   # huge entries give an infinite norm
+            norm = float(np.linalg.norm(amps))
+        if not 0.0 < norm < math.inf:
+            raise PreconditionError(f"cannot normalize a vector of norm {norm!r}")
         return cls(len(amps), amps / norm)
 
     def to_json_dict(self) -> dict:
@@ -150,10 +166,12 @@ class HermitianOperator:
     def __post_init__(self) -> None:
         dim = _checked_dim(self.dim)
         mat = _number_array(self.matrix, "matrix", complex, (dim, dim))
-        dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if not dev <= HERMITIAN_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):   # a huge skew pair fails below
+            dev = float(np.max(np.abs(mat - mat.conj().T)))
+        tol = HERMITIAN_TOL * _scale(mat)
+        if not dev <= tol:
             raise PreconditionError(
-                f"matrix is not Hermitian: max |M - M^H| entry = {dev:.3e}"
+                f"matrix is not Hermitian: max |M - M^H| entry = {dev:.3e} (allowed {tol:.3e})"
             )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", _readonly(mat))
@@ -188,7 +206,8 @@ class EigenDecomposition:
         vals = _number_array(self.eigenvalues, "eigenvalues", shape=mat.shape[1:])
         if not np.all(vals[1:] >= vals[:-1]):
             raise PreconditionError("eigenvalues must be sorted ascending")
-        dev = np.abs(mat.conj().T @ mat - np.eye(len(vals)))
+        with np.errstate(over="ignore", invalid="ignore"):   # a huge entry fails below
+            dev = np.abs(mat.conj().T @ mat - np.eye(len(vals)))
         norm_dev, gram_dev = float(np.max(np.diagonal(dev))), float(np.max(dev))
         if not (norm_dev <= NORM_TOL and gram_dev <= EIGEN_TOL):
             raise PreconditionError(
@@ -204,15 +223,16 @@ class EigenDecomposition:
 
     @cached_property
     def groups(self) -> tuple:
-        """Degenerate eigenvalues clustered within DEGENERACY_TOL.
+        """Degenerate eigenvalues clustered within DEGENERACY_TOL times the
+        spectrum's `_scale`.
 
         Returns ((value, (index, ...)), ...) with one entry per distinct
         outcome; `value` is the mean eigenvalue of the cluster. A cluster
         ends wherever two consecutive eigenvalues differ by more than
-        DEGENERACY_TOL.
+        that tolerance.
         """
         vals = np.array(self.eigenvalues)
-        cuts = np.flatnonzero(np.diff(vals) > DEGENERACY_TOL) + 1
+        cuts = np.flatnonzero(np.diff(vals) > DEGENERACY_TOL * _scale(vals)) + 1
         return tuple((float(np.mean(vals[idx])), tuple(idx.tolist()))
                      for idx in np.split(np.arange(len(vals)), cuts))
 
@@ -234,13 +254,15 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 
 def expectation(op: HermitianOperator, psi: StateVector) -> float:
-    """<psi|op|psi>; any imaginary residue is checked, then discarded."""
+    """<psi|op|psi>; any imaginary residue is checked against
+    IMAG_RESIDUE_TOL times the operator's `_scale`, then discarded."""
     if op.dim != psi.dim:
         raise PreconditionError(f"dimension mismatch: operator {op.dim} vs state {psi.dim}")
     val = complex(np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes))
-    if abs(val.imag) >= IMAG_RESIDUE_TOL:
+    tol = IMAG_RESIDUE_TOL * _scale(op.matrix)
+    if not abs(val.imag) <= tol:
         raise InternalError(
-            f"expectation value has imaginary residue {val.imag:.3e} (>= {IMAG_RESIDUE_TOL})"
+            f"expectation value has imaginary residue {val.imag:.3e} (allowed {tol:.3e})"
         )
     return float(val.real)
 
@@ -249,8 +271,9 @@ def eigendecompose(op: HermitianOperator) -> EigenDecomposition:
     """Full eigendecomposition with ascending eigenvalues.
 
     The reconstruction sum_i a_i |v_i><v_i| is checked against the input
-    to EIGEN_TOL; a failure there (or non-convergence) is an internal
-    error, not a caller mistake.
+    to EIGEN_TOL times the operator's `_scale`; a failure there (a NaN
+    included, or non-convergence) is an internal error, not a caller
+    mistake.
     """
     try:
         vals, vecs = np.linalg.eigh(op.matrix)
@@ -258,9 +281,9 @@ def eigendecompose(op: HermitianOperator) -> EigenDecomposition:
         raise InternalError(
             f"eigendecomposition did not converge for matrix:\n{op.matrix!r}"
         ) from exc
-    recon = (vecs * vals) @ vecs.conj().T
-    dev = float(np.max(np.abs(recon - op.matrix)))
-    if dev > EIGEN_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN fails below
+        dev = float(np.max(np.abs((vecs * vals) @ vecs.conj().T - op.matrix)))
+    if not dev <= EIGEN_TOL * _scale(op.matrix):
         raise InternalError(
             f"eigendecomposition reconstruction off by {dev:.3e} for matrix:\n{op.matrix!r}"
         )
@@ -325,6 +348,22 @@ def sigma_y() -> HermitianOperator:
 
 def sigma_z() -> HermitianOperator:
     return HermitianOperator(2, np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+# each read builds a fresh ket, as its constructor does
+QUBIT_KETS = {"0": ket_zero, "1": ket_one, "+": ket_plus, "-": ket_minus}
+# each builds its operator once: `pauli` gives one per name and process
+_PAULIS = {"x": cache(sigma_x), "y": cache(sigma_y), "z": cache(sigma_z)}
+
+
+def pauli(name: str) -> HermitianOperator:
+    """The Pauli operator sigma_<name> for `name` 'x', 'y' or 'z': one
+    instance per name and process, so every run and scenario that reads it
+    shares its kept `eigen`. Any other name, one that is not text
+    included, is a PreconditionError."""
+    if not (isinstance(name, str) and name in _PAULIS):
+        raise PreconditionError(f"a Pauli is named 'x', 'y' or 'z', got {name!r}")
+    return _PAULIS[name]()
 
 
 # ---------------------------------------------------------------------------

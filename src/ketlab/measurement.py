@@ -143,7 +143,8 @@ def _default_grid(width: float, n_points: int) -> PointerGrid:
 
 def _unit_grid_norm(amps: np.ndarray, grid: PointerGrid, what: str) -> np.ndarray:
     """`amps`, read-only, once their grid norm sum |a|^2 * spacing is 1."""
-    norm = float(np.sum(np.abs(amps) ** 2) * grid.spacing)
+    with np.errstate(over="ignore", invalid="ignore"):   # a huge entry fails below
+        norm = float(np.sum(np.abs(amps) ** 2) * grid.spacing)
     if not abs(norm - 1.0) <= GRID_NORM_TOL:
         raise PreconditionError(
             f"{what} norm {norm!r} differs from 1 by more than {GRID_NORM_TOL}"

@@ -43,18 +43,13 @@ import numpy as np
 
 from .errors import CertificationError, InternalError, PreconditionError
 from .hilbert import (
+    QUBIT_KETS,
     _checked_count,
     _finite_real,
     _number_array,
     _readonly,
-    eigendecompose,
-    ket_minus,
-    ket_one,
-    ket_plus,
-    ket_zero,
+    pauli,
     record,
-    sigma_x,
-    sigma_z,
 )
 from .measurement import Scenario, tally
 from .pbr import PREPARATION_IDS, _forbidden_map, pbr_scenario
@@ -197,8 +192,8 @@ def qubit_scenario() -> Scenario:
     """Single-qubit z and x measurements on the four standard preparations."""
     return Scenario(
         name="qubit_zx",
-        preparations={"0": ket_zero(), "1": ket_one(), "+": ket_plus(), "-": ket_minus()},
-        measurements={"z": eigendecompose(sigma_z()), "x": eigendecompose(sigma_x())},
+        preparations={name: ket() for name, ket in QUBIT_KETS.items()},
+        measurements={m: pauli(m).eigen for m in "zx"},
     )
 
 

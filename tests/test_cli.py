@@ -1611,3 +1611,7 @@ def test_every_digest_command_hands_the_check_plain_json(tmp_path, monkeypatch):
         assert len(dumped) == len(checked), argv
         assert all(got is want for got, want in zip(dumped, checked)), argv
     assert formats == {*SCHEMAS, *ketlab.cli._CSV_COLUMNS}
+
+
+def test_the_cli_names_the_qubit_kets_hilbert_builds():
+    assert ketlab.cli._NAMED_KETS == tuple(ketlab.hilbert.QUBIT_KETS)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -577,3 +578,92 @@ def test_an_operator_solves_its_eigenbasis_once(monkeypatch):
     assert calls == [op]
     assert sigma_x().eigen is not op.eigen     # another instance solves its own
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the qubit vocabulary
+
+@pytest.mark.parametrize("name, build", [("x", sigma_x), ("y", sigma_y), ("z", sigma_z)])
+def test_pauli_is_one_operator_per_name(name, build):
+    op = ketlab.hilbert.pauli(name)
+    assert ketlab.hilbert.pauli(name) is op
+    np.testing.assert_array_equal(op.matrix, build().matrix)
+
+
+@pytest.mark.parametrize("name", ["w", "", "xy", "X", ["x"], None, 0])
+def test_pauli_refuses_any_other_name(name):
+    with pytest.raises(PreconditionError, match="'x', 'y' or 'z'"):
+        ketlab.hilbert.pauli(name)
+
+
+def test_the_qubit_kets_are_fresh_on_each_read():
+    kets = ketlab.hilbert.QUBIT_KETS
+    assert tuple(kets) == ("0", "1", "+", "-")
+    for name, build in zip(kets, (ket_zero, ket_one, ket_plus, ket_minus)):
+        assert kets[name]() is not kets[name]()
+        np.testing.assert_array_equal(kets[name]().amplitudes, build().amplitudes)
+
+
+# ---------------------------------------------------------------------------
+# operator checks at the operator's scale
+
+def _random_hermitian(rng, dim, scale):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2 * scale
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5, 1e6, 1e8, 1e20, 1e100])
+def test_operator_checks_accept_every_scale(scale):
+    """A valid operator of any size decomposes and has a real expectation,
+    and one entry a few ulp off Hermitian is accepted: each check's
+    tolerance grows with max |A_ij|."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        mat = _random_hermitian(rng, 4, scale)
+        op = HermitianOperator(4, mat)
+        eigendecompose(op)
+        expectation(op, StateVector.normalized(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        mat[0, 1] = np.nextafter(np.nextafter(mat[0, 1].real, np.inf), np.inf) + 1j * mat[0, 1].imag
+        HermitianOperator(4, mat)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e7, 1e100])
+def test_a_degenerate_pair_is_one_group_at_any_scale(scale):
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        u = haar_random_unitary(4, rng.random(32))
+        mat = (u * (scale * np.array([1.0, 1.0, 2.0, 3.0]))) @ u.conj().T
+        groups = HermitianOperator(4, (mat + mat.conj().T) / 2).eigen.groups
+        assert [len(idx) for _, idx in groups] == [2, 1, 1]
+
+
+def test_unit_scale_operators_keep_the_bare_thresholds():
+    with pytest.raises(PreconditionError, match="not Hermitian"):
+        HermitianOperator(2, [[0.0, 1.0], [1.0 + 2e-12, 0.0]])
+    assert len(EigenDecomposition((0.0, 2e-10), np.eye(2)).groups) == 2
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: StateVector(2, [1e200, 0]), id="state"),
+    pytest.param(lambda: StateVector.normalized([1e308, 1e308]), id="normalized"),
+    pytest.param(lambda: HermitianOperator(2, [[0, 1e308], [-1e308, 0]]), id="operator"),
+    pytest.param(lambda: EigenDecomposition((0.0, 1.0), [[1e200, 0], [0, 1]]), id="eigen"),
+    pytest.param(lambda: overlap_preservation_check(
+        np.diag([1e200, 1, 1, 1]), ket_zero(), ket_zero(), ket_zero()), id="overlap-check"),
+    pytest.param(lambda: GridWavefunction(PointerGrid(16, 0.5), [1e200] + [0] * 15),
+                 id="grid"),
+    pytest.param(lambda: JointSystemPointerState(
+        2, PointerGrid(16, 0.5), [[1e200] + [0] * 15, [0] * 16]), id="joint"),
+])
+def test_huge_finite_entries_are_refused_without_a_warning(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError):
+            build()
+
+
+def test_normalizing_refuses_a_norm_that_overflows_in_its_own_words():
+    with pytest.raises(PreconditionError, match="cannot normalize a vector of norm inf"):
+        StateVector.normalized([1e308, 1e308])
+    with pytest.raises(PreconditionError, match="cannot normalize a vector of norm 0.0"):
+        StateVector.normalized([0.0, 0.0])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import ketlab.hilbert
 import ketlab.ontology
 from ketlab import (
     PREPARATION_IDS,
@@ -756,3 +757,20 @@ def test_monte_carlo_json_payload():
     assert payload["max_forbidden_frequency"] == 0.0
     assert set(payload["counts"]) == {"0", "1", "+", "-"}
     assert sum(payload["counts"]["0"]["z"]) == 100
+
+
+def test_the_qubit_scenario_shares_the_paulis_eigenbases(monkeypatch):
+    solved = []
+    solve = ketlab.hilbert.eigendecompose
+
+    def counted(op):
+        solved.append(op)
+        return solve(op)
+
+    monkeypatch.setattr(ketlab.hilbert, "eigendecompose", counted)
+    for _ in range(2):
+        scenario = qubit_scenario()
+        for m in "zx":
+            assert scenario.measurements[m] is ketlab.hilbert.pauli(m).eigen
+    assert tuple(scenario.preparations) == ("0", "1", "+", "-")
+    assert len(solved) <= 2

@@ -3,6 +3,7 @@ overlap-preservation check."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -534,3 +535,10 @@ def test_overlap_check_rejects_mismatched_system_states():
     three = StateVector(3, np.array([1.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(PreconditionError):
         overlap_preservation_check(np.eye(6), ket_zero(), three, ket_zero())
+
+
+@pytest.mark.parametrize("basis", ["y", ["z"], None])
+def test_steering_table_refuses_any_other_basis(basis):
+    message = f"alice_basis must be 'z' or 'x', got {basis!r}"
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        steering_table(basis)
