@@ -227,6 +227,15 @@ MUTANTS = (
            '"fidelity": abs(inner_product(psi, reconstructed)) ** 2,',
            '"fidelity": abs(inner_product(psi, reconstructed)),',
            ("tests/test_cli.py::test_protective_optional_artifacts",)),
+    Mutant("the process entry ends every run with exit code 0", "cli.py",
+           "os._exit(code)", "os._exit(0)",
+           ("tests/test_imports.py::test_the_module_entry_point_keeps_the_exit_code_contract",)),
+    Mutant("the process entry skips the atexit callbacks", "cli.py",
+           "atexit._run_exitfuncs()", "pass",
+           ("tests/test_imports.py::test_an_atexit_callback_registered_before_entry_still_runs",)),
+    Mutant("the process entry ends a profiled run too", "cli.py",
+           "if _watched():", "if False:",
+           ("tests/test_imports.py::test_a_profiled_run_exits_normally_and_prints_its_profile",)),
 )
 
 

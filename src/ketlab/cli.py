@@ -44,14 +44,25 @@ holds one ':', so an unreadable --config file exits without it too. Each runner 
 and the modules it computes with (`hilbert`, `measurement`, `rngs`, and
 `protective`, `weak`, `pbr` or `ontology`) when it is called, so a run
 compiles only what it computes.
+
+`main(argv)` is the in-process entry: it returns the exit code. The
+`ketlab` command and `python -m ketlab.cli` end through `entry`, which
+runs `main` on `sys.argv`, then the registered atexit callbacks, flushes
+stdout and stderr and ends the process with `os._exit`, so it skips the
+interpreter's module teardown. Under a trace or profile hook (a profiler
+or a coverage tool) the process exits normally instead. A flag's value may
+start with a minus sign and a digit or '.': `--phi -1e-3` reads as
+`--phi=-1e-3`.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from itertools import chain, combinations
@@ -916,6 +927,18 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token of a minus sign and then a
+    digit or a '.' as a value, so `--phi -1e-3` and `--pair -0.5:1 0` parse
+    as `--phi=-1e-3` does. argparse itself takes only a plain negative
+    decimal for a value. No ketlab option string looks like a number, and
+    each subparser is built as the class of its parent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for every subcommand in COMMANDS, on every call.
 
@@ -923,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     `parse_args` on every build (perfbench's tracer does), and a cached
     parser would stack those wrappers and keep them after the profiler is
     removed. `main` reuses one parser through `_parser` instead."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ketlab",
         description="seeded quantum measurement experiments with artifact output",
         argument_default=argparse.SUPPRESS,
@@ -1180,5 +1203,38 @@ def main(argv=None) -> int:
     return 0
 
 
+def _watched() -> bool:
+    """Whether a trace or profile hook, or on Python 3.12+ a
+    `sys.monitoring` tool (cProfile registers as one there), watches this
+    process: it reports only at a normal interpreter exit."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6))
+
+
+def entry() -> int:
+    """The process entry of the `ketlab` command and `python -m ketlab.cli`:
+    `main` on `sys.argv`, and then, in a process no hook watches, the end
+    of the process without module teardown. The registered atexit
+    callbacks run, stdout and stderr are flushed, and `os._exit` ends the
+    process with `main`'s code. That is safe because every artifact is
+    closed by its write before `main` returns, and this package registers
+    no atexit callback and starts no thread. A watched process gets the
+    code back for a normal exit, so a profiler still writes its report.
+    argparse's SystemExit (`--help`, a usage error) exits normally too."""
+    code = main(sys.argv[1:])
+    if _watched():
+        return code
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:        # a reader that has gone costs no traceback and no exit code
+            stream.flush()
+        except (AttributeError, OSError, ValueError):   # None, gone or closed
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

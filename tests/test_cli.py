@@ -187,6 +187,30 @@ def test_config_file_rejections(tmp_path, monkeypatch):
     assert main(["--config", str(retired), "onto"]) == 2
 
 
+@pytest.mark.parametrize("typed,spelled", [
+    (["protective", "--phi", "-1e-3"], ["protective", "--phi=-1e-3"]),
+    (["scan", "--offset", "-1e0"], ["scan", "--offset=-1e0"]),
+    (["protective", "--sweep-g", "-0.001,0.002"], ["protective", "--sweep-g=-0.001,0.002"]),
+    (["leak", "--prepared", "-0.5:1"], ["leak", "--prepared=-0.5:1"]),
+    # a two-valued flag has no `=` spelling, so its config file gives the pair
+    (["nogo", "--pair", "-0.5:1", "0"], ["--config", "../pair.json", "nogo"]),
+])
+def test_a_value_that_starts_like_a_negative_number_is_read_as_one(tmp_path, monkeypatch,
+                                                                   typed, spelled):
+    """argparse reads only a plain negative decimal after a flag as its
+    value; `-1e-3`, `-0.001,0.002` and `-0.5:1` run as their `=` or config
+    file spellings do, artifacts byte for byte."""
+    (tmp_path / "pair.json").write_text(json.dumps({"pair": ["-0.5:1", "0"]}))
+    written = []
+    for name, argv in (("typed", typed), ("spelled", spelled)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(argv) == 0, argv
+        written.append({p.name: p.read_bytes() for p in Path.cwd().iterdir()})
+    assert written[0] == written[1]
+    assert len(written[0]) >= 2
+
+
 @pytest.mark.parametrize("argv,outputs", [
     (["protective"], ["protective.json"]),
     (["leak"], ["leak.json"]),

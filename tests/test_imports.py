@@ -11,7 +11,9 @@ command loads only those it runs. Nor does it load numpy or the modules
 built on it (`hilbert`, `measurement`, `rngs`): `--help`, a command's
 `--help`, a parse error, an unreadable `--config` file and a state spec
 that names no state all exit without numpy. `python -m ketlab.cli`, the
-entry point a cold run starts through, keeps the exit-code contract. No
+entry point a cold run starts through, keeps the exit-code contract and
+every line it prints, runs the atexit callbacks before it ends without
+teardown, and exits normally under a profiler. No
 command loads `numpy.random`, nor `_hashlib`, the libcrypto binding that
 `secrets` pulls in through it: every draw, `nogo`'s Haar unitaries and
 `onto`'s Monte Carlo cells included, evaluates the package's own Philox
@@ -336,13 +338,44 @@ def test_the_parser_is_built_once_on_the_first_main_call(tmp_path):
     assert seen == [0, [0, 0, 0], 1]
 
 
-@pytest.mark.parametrize("argv,code", [
-    (["leak", "--n", "5"], 0),
-    (["leak", "--n", "-1"], 3),
-    (["leak", "--no-such-flag"], 2),
-])
-def test_the_module_entry_point_keeps_the_exit_code_contract(tmp_path, argv, code):
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["leak", "--n", "5"], 0,
+     "survival 0.500000 (predicted 0.500000)\nwrote: leak.json, leak.json.manifest.json\n", ""),
+    (["leak", "--n", "-1"], 3, "",
+     "ketlab: precondition rejected: step count must be an integer in [0, 65536], got -1\n"),
+    (["leak", "--no-such-flag"], 2, "",   # argparse's usage lines come first
+     "ketlab: error: unrecognized arguments: --no-such-flag\n"),
+    (["leak", "--n", "x"], 2, "",
+     "ketlab: config error: parameter 'n': expected an integer, got 'x'\n"),
+], ids=["argv0-0", "argv1-3", "argv2-2", "argv3-2"])
+def test_the_module_entry_point_keeps_the_exit_code_contract(tmp_path, monkeypatch,
+                                                            argv, code, out, err):
+    """Through pipes, so stdout is block-buffered: every line `main` printed
+    reaches its reader before the process ends without teardown."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     done = fresh(["-m", "ketlab.cli", *argv], tmp_path, check=False)
     assert done.returncode == code, done.stderr
+    assert done.stdout == out
+    assert done.stderr.endswith(err)
+    assert done.stderr == err or done.stderr.startswith("usage: ketlab ")
     written = ["leak.json", "leak.json.manifest.json"] if code == 0 else []
     assert sorted(p.name for p in tmp_path.iterdir()) == written
+
+
+def test_a_profiled_run_exits_normally_and_prints_its_profile(tmp_path):
+    """Under cProfile (a profile hook, or a `sys.monitoring` tool on 3.12+)
+    `entry` hands its code back, so the profiler prints its report."""
+    done = fresh(["-m", "cProfile", "-m", "ketlab.cli", "leak", "--n", "5"], tmp_path)
+    assert done.stdout.startswith("survival 0.500000 (predicted 0.500000)\n")
+    assert "ncalls  tottime  percall  cumtime  percall filename:lineno(function)" in done.stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["leak.json", "leak.json.manifest.json"]
+
+
+def test_an_atexit_callback_registered_before_entry_still_runs(tmp_path):
+    done = fresh(["-c",
+                  "import atexit, sys\n"
+                  "import ketlab.cli\n"
+                  "atexit.register(print, 'callback ran')\n"
+                  "sys.argv = ['ketlab', 'leak', '--n', '5']\n"
+                  "sys.exit(ketlab.cli.entry())\n"], tmp_path)
+    assert done.stdout.endswith("leak.json.manifest.json\ncallback ran\n")
