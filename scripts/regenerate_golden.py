@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Rebuild the three golden stores from one run of
-scripts/artifact_digests.py, which pins each artifact it writes once:
-tests/golden holds each command's artifact at its factory defaults (seed 7)
-with its manifest, tests/golden_seeded every other artifact under 4 KB,
-and tests/golden_reductions.json a reduction of each larger one.
+"""Rebuild the golden store, tests/golden, from one run of
+scripts/artifact_digests.py, which pins each artifact it writes once: it
+holds each command's artifact at its factory defaults (seed 7) with its
+manifest, every other artifact under 4 KB, and in reductions.json a
+reduction of each larger one.
 
 Run after an intentional change to any default or seeded output:
 
@@ -21,11 +21,8 @@ from ketlab import cli
 from ketlab.serialize import dump_json, load_json
 
 SCRIPTS = Path(__file__).resolve().parent
-GOLDEN = SCRIPTS.parent / "tests" / "golden"
-SEEDED = GOLDEN.parent / "golden_seeded"   # tests/golden holds files only
-# beside both directories: perfbench reads every entry of tests/golden as a
-# file, and the seeded goldens' test every file of SEEDED as an artifact
-REDUCTIONS = GOLDEN.parent / "golden_reductions.json"
+GOLDEN = SCRIPTS.parent / "tests" / "golden"   # files only: perfbench reads each as text
+REDUCTIONS = GOLDEN / "reductions.json"
 SEEDED_MAX_BYTES = 4096   # a larger artifact is pinned by its reduction
 
 # {command: the artifact it writes with no flags}, in the order of the
@@ -43,17 +40,19 @@ def load_digests():
 
 
 def artifact_files(directory) -> list:
-    """The artifacts of a digest run in `directory`, sorted by name. The
-    manifests, which name the host's library versions, and the model file
-    the runs read are not artifacts of a run."""
+    """The artifacts of a digest run in `directory`, or the file pins of
+    GOLDEN, sorted by name. The manifests, which name the host's library
+    versions, the model file the runs read and the reductions are not
+    artifacts of a run."""
     return sorted(path for path in Path(directory).iterdir()
-                  if not path.name.endswith(".manifest.json") and path.name != "model.json")
+                  if not path.name.endswith(".manifest.json")
+                  and path.name not in ("model.json", REDUCTIONS.name))
 
 
 def seeded_files(directory) -> list:
     """The artifacts of a digest run in `directory` that have a seeded
     golden, sorted by name: every one under SEEDED_MAX_BYTES but the
-    DEFAULTS, which tests/golden holds."""
+    DEFAULTS."""
     return [path for path in artifact_files(directory)
             if path.stat().st_size < SEEDED_MAX_BYTES and path.name not in DEFAULTS.values()]
 
@@ -109,8 +108,7 @@ def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         load_digests().digest_lines(tmp)
         refill(GOLDEN, [Path(tmp, name + suffix) for name in DEFAULTS.values()
-                        for suffix in ("", ".manifest.json")])
-        refill(SEEDED, seeded_files(tmp))
+                        for suffix in ("", ".manifest.json")] + seeded_files(tmp))
         dump_json(reductions(tmp), REDUCTIONS)
 
 

@@ -43,7 +43,10 @@ given --seed (`rngs` holds its range) or a state spec that names a ket or
 holds one ':', so an unreadable --config file exits without it too. Each runner imports numpy
 and the modules it computes with (`hilbert`, `measurement`, `rngs`, and
 `protective`, `weak`, `pbr` or `ontology`) when it is called, so a run
-compiles only what it computes.
+loads no module that only another command needs. Modules still load
+whole: with no bytecode on disk, a default `protective` run compiles all seven
+runners of this module, the sampling half of `measurement` and the
+samplers of `rngs`, code it never runs.
 
 `main(argv)` is the in-process entry: it returns the exit code. The
 `ketlab` command and `python -m ketlab.cli` end through `entry`, which

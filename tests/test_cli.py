@@ -2,7 +2,6 @@
 artifact writing and validation, exit codes, and the golden default runs."""
 
 import errno
-import importlib.util
 import json
 import math
 import os
@@ -39,24 +38,15 @@ from ketlab.cli import (COMMANDS, SCHEMAS, Artifact, CommandSpec, main, parse_st
 from ketlab.measurement import inverse_cdf
 from ketlab.rngs import SUBSTREAM_CHUNK, uniform_chunks
 from ketlab.serialize import Records, dump_json, load_json
+from conftest import SCRIPTS, load_script
 from oracles import amplitudes_from_json, traced_peak
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
-
-
-def _load_regenerate_golden():
-    spec = importlib.util.spec_from_file_location("regenerate_golden",
-                                                  SCRIPTS / "regenerate_golden.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-REGENERATE = _load_regenerate_golden()   # scripts/regenerate_golden.py
+REGENERATE = load_script("regenerate_golden")
 DIGESTS = REGENERATE.load_digests()     # scripts/artifact_digests.py, whose COMMANDS the tests run
-SEEDED_NAMES = sorted(path.name for path in REGENERATE.SEEDED.iterdir())
+GOLDEN_DIR = REGENERATE.GOLDEN   # every pin: the defaults, the seeded files and the reductions
+SEEDED_NAMES = [path.name for path in REGENERATE.artifact_files(GOLDEN_DIR)   # each file pin
+                if path.name not in REGENERATE.DEFAULTS.values()]              # but a default's
 GOLDEN_REDUCTIONS = load_json(REGENERATE.REDUCTIONS)   # {name: reduction} of the larger artifacts
 
 
@@ -1249,12 +1239,18 @@ def test_a_narrow_gaussian_scans_to_its_own_profile(tmp_path, monkeypatch):
     assert np.ptp(ratio) <= 1e-12 * ratio[0]
 
 
-@pytest.fixture(scope="module")
-def digest_run(tmp_path_factory):
-    """The directory of one run of every command in artifact_digests.COMMANDS."""
-    directory = tmp_path_factory.mktemp("digests")
-    DIGESTS.digest_lines(directory)
-    return directory
+def test_the_golden_store_is_flat_text_with_every_default():
+    """tests/golden holds files only, each UTF-8 text, since perfbench's
+    cold-cli reads every entry there as text; each command's default
+    artifact and its manifest is one of them, and no other manifest is."""
+    entries = sorted(GOLDEN_DIR.iterdir())
+    assert entries and all(path.is_file() for path in entries)
+    for path in entries:
+        path.read_bytes().decode("utf-8")
+    names = [path.name for path in entries]
+    assert set(REGENERATE.DEFAULTS.values()) <= set(names)
+    assert [name for name in names if name.endswith(".manifest.json")] == sorted(
+        f"{artifact}.manifest.json" for artifact in REGENERATE.DEFAULTS.values())
 
 
 @pytest.mark.parametrize("argv,artifact", [
@@ -1267,13 +1263,14 @@ def test_default_runs_match_golden(digest_run, argv, artifact):
     since the host's libraries differ from the ones the goldens were
     written with."""
     assert argv in DIGESTS.COMMANDS
+    directory, _ = digest_run
     golden = GOLDEN_DIR / artifact
-    fresh = digest_run / artifact
+    fresh = directory / artifact
     if artifact.endswith(".json"):
         assert_close_payload(load_json(fresh), load_json(golden))
     else:
         compare_csv(fresh, golden)
-    got = read_manifest(digest_run, artifact)
+    got = read_manifest(directory, artifact)
     want = read_manifest(GOLDEN_DIR, artifact)
     for key in ("kind", "command", "config", "seed", "outputs"):
         assert got[key] == want[key], key
@@ -1283,10 +1280,10 @@ def test_default_runs_match_golden(digest_run, argv, artifact):
 
 @pytest.mark.parametrize("name", SEEDED_NAMES)
 def test_digest_runs_match_their_seeded_goldens(digest_run, name):
-    """Each artifact under 4 KB that the digest runs write reproduces its
-    file in tests/golden_seeded, which scripts/regenerate_golden.py writes
-    from the same runs: counts and text exactly, floats to 1e-9."""
-    fresh, golden = digest_run / name, REGENERATE.SEEDED / name
+    """Each other artifact under 4 KB that the digest runs write
+    reproduces its file in tests/golden, which scripts/regenerate_golden.py
+    writes from the same runs: counts and text exactly, floats to 1e-9."""
+    fresh, golden = digest_run[0] / name, GOLDEN_DIR / name
     if name.endswith(".json"):
         assert_close_payload(load_json(fresh), load_json(golden))
     else:
@@ -1296,31 +1293,30 @@ def test_digest_runs_match_their_seeded_goldens(digest_run, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_REDUCTIONS))
 def test_digest_runs_match_their_golden_reductions(digest_run, name):
     """Each artifact of 4 KB or more that the digest runs write reduces to
-    its entry in tests/golden_reductions.json, which
+    its entry in tests/golden/reductions.json, which
     scripts/regenerate_golden.py writes from the same runs: ints, text,
     bools and nulls exactly, each number array by its length, sum and
     extremes, and floats to 1e-9, NaN equal to NaN."""
-    assert_close_payload(REGENERATE.reduction(digest_run / name), GOLDEN_REDUCTIONS[name])
+    assert_close_payload(REGENERATE.reduction(digest_run[0] / name), GOLDEN_REDUCTIONS[name])
 
 
 def test_every_small_digest_artifact_has_a_seeded_golden(digest_run):
-    """Each artifact of the digest runs has exactly one pin: a default one
-    its file in tests/golden, another under 4 KB its file in
-    tests/golden_seeded, and a larger one its reduction. The three stores'
-    names together are the run's, each once, so no two stores share a
-    name; a digest run added needs its pin, and a pin whose run is gone
-    goes with it."""
-    defaults = [path.name for path in REGENERATE.artifact_files(GOLDEN_DIR)]
-    assert defaults == sorted(REGENERATE.DEFAULTS.values())
-    assert [path.name for path in REGENERATE.seeded_files(digest_run)] == SEEDED_NAMES
-    assert sorted(defaults + SEEDED_NAMES + list(GOLDEN_REDUCTIONS)) == [
-        path.name for path in REGENERATE.artifact_files(digest_run)]
+    """Each artifact of the digest runs has exactly one pin in tests/golden:
+    a default one or another under 4 KB its file there, and a larger one
+    its entry in reductions.json. The file pins and the reduction keys
+    together are the run's artifact names, each once; a digest run added
+    needs its pin, and a pin whose run is gone goes with it."""
+    directory, _ = digest_run
+    assert [path.name for path in REGENERATE.seeded_files(directory)] == SEEDED_NAMES
+    pins = [path.name for path in REGENERATE.artifact_files(GOLDEN_DIR)]
+    assert sorted(pins + list(GOLDEN_REDUCTIONS)) == [
+        path.name for path in REGENERATE.artifact_files(directory)]
 
 
 def test_default_steer_is_byte_identical_to_golden(digest_run):
     """Steering rounds draw against a per-basis outcome table; the default
     run must still write the checked-in artifact byte for byte."""
-    assert (digest_run / "steer.json").read_bytes() == (GOLDEN_DIR / "steer.json").read_bytes()
+    assert (digest_run[0] / "steer.json").read_bytes() == (GOLDEN_DIR / "steer.json").read_bytes()
 
 
 def test_manifest_lists_outputs_relative_to_its_own_directory(tmp_path, monkeypatch):

@@ -1,26 +1,16 @@
 """The example scripts still run against the package and keep their promises."""
 
+import ast
 import csv
 import hashlib
-import importlib.util
 import runpy
 import sys
-from pathlib import Path
 
 import ketlab.cli
 from ketlab.ontology import DUALITY_GAP_TOL
 from ketlab.serialize import load_json
+from conftest import SCRIPTS, load_script
 from oracles import canonical_json
-
-TESTS = Path(__file__).resolve().parent
-SCRIPTS = TESTS.parent / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def run_script(name, monkeypatch, *args):
@@ -59,37 +49,36 @@ def test_run_all_experiments_writes_every_artifact_and_manifest(tmp_path, monkey
     assert sorted(manifests) == sorted(f"{n}.manifest.json" for n in artifacts)
 
 
-def test_artifact_digests_cover_every_file_written(tmp_path):
-    digests = load_script("artifact_digests")
-    lines = digests.digest_lines(tmp_path)
-    written = sorted(p.name for p in tmp_path.iterdir())
+def test_artifact_digests_cover_every_file_written(digest_run):
+    directory, lines = digest_run
+    written = sorted(p.name for p in directory.iterdir())
     assert [line.split("  ", 1)[1] for line in lines] == written
     # one manifest per command, so no run overwrote another's files
-    assert sum(name.endswith(".manifest.json") for name in written) == len(digests.COMMANDS)
+    assert sum(name.endswith(".manifest.json") for name in written) == len(
+        load_script("artifact_digests").COMMANDS)
     for line in lines:
         digest, name = line.split("  ", 1)
-        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == hashlib.sha256((directory / name).read_bytes()).hexdigest()
 
 
-def test_every_json_artifact_is_what_jsons_own_encoder_writes(tmp_path):
+def test_every_json_artifact_is_what_jsons_own_encoder_writes(digest_run):
     """The digest runs write the artifacts that take `dump_json`'s runs of
     scalars and its `Records`: per-step logs, joint dumps, manifests.
     Each JSON file holds exactly json's indented encoding of what it
     holds, and a per-step log's records are the rows of the run's per-step
     CSV, written from the log's columns: steps exactly, floats bit for
     bit."""
-    digests = load_script("artifact_digests")
-    digests.digest_lines(tmp_path)
-    written = sorted(tmp_path.glob("*.json"))
-    assert len(written) > len(digests.COMMANDS)
+    directory, _ = digest_run
+    written = sorted(directory.glob("*.json"))
+    assert len(written) > len(load_script("artifact_digests").COMMANDS)
     for path in written:
         assert path.read_bytes() == canonical_json(load_json(path)).encode(), path.name
     # the digests' sampled run aborts where its comment says
-    assert load_json(tmp_path / "abort.json")["run"]["aborted_at_step"] == 28
+    assert load_json(directory / "abort.json")["run"]["aborted_at_step"] == 28
     for stem, cycles in (("tomo", 400), ("abort", 27)):
-        with open(tmp_path / f"{stem}_steps.csv", newline="") as f:
+        with open(directory / f"{stem}_steps.csv", newline="") as f:
             header, *rows = csv.reader(f)
-        log = load_json(tmp_path / f"{stem}.json")["run"]["per_step_log"]
+        log = load_json(directory / f"{stem}.json")["run"]["per_step_log"]
         assert header == ["step", "survival", "pointer_mean"] and len(rows) == cycles
         assert all(type(record["step"]) is int for record in log)
         assert [(int(step), float(s).hex(), float(m).hex()) for step, s, m in rows] == [
@@ -140,6 +129,38 @@ def test_a_reduction_sees_two_swapped_values():
     assert reduce_values(swapped)["survival"] != reduce_values(rows)["survival"]
 
 
+def test_bench_pairs_records_both_sides_of_a_pair(tmp_path, monkeypatch):
+    """One pair of a short protective-warm run writes the record's every
+    key: HEAD as both revisions, each end-to-end metric and the host speed
+    per side, and each end-to-end metric's verdict. Its timings are not
+    checked. It needs `git`, `tar` and a git checkout, as the script does."""
+    bench_pairs = load_script("bench_pairs")
+    monkeypatch.setattr(bench_pairs, "PAIRS", 1)
+    monkeypatch.setattr(bench_pairs, "WORKLOADS", ["protective-warm"])
+    monkeypatch.setattr(bench_pairs, "SECONDS", 0.5)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--label", "t"]) == 0
+    record = load_json(tmp_path / "BENCH_t.json")
+    assert set(record) == {"label", "base", "change", "pairs", "seed", "seconds", "python",
+                           "numpy", "cpu_count", "workloads"}
+    head = bench_pairs.git("rev-parse", "HEAD")
+    assert record["base"] == {"rev": head}
+    assert record["change"]["rev"] == head and isinstance(record["change"]["dirty"], bool)
+    names = [metric["name"] for metric in bench_pairs.BENCHMARK["end_to_end"]]
+    (workload,) = record["workloads"].values()
+    assert set(workload) == {"base", "change", "verdicts"}
+    for side in ("base", "change"):
+        assert set(workload[side]) == {*names, "host_speed"}
+        for summary in workload[side].values():
+            assert set(summary) == {"median", "q1", "q3", "values"}
+            assert len(summary["values"]) == 1
+    assert list(workload["verdicts"]) == names
+    for verdict in workload["verdicts"].values():
+        assert set(verdict) == {"better", "bound", "pairs_won", "pairs", "gain", "worse_by",
+                                "within_bound"}
+        assert verdict["pairs"] == 1
+
+
 def test_code_lines_skip_docstrings_comments_and_blanks():
     snippet = '''"""Module docstring,
 over two lines."""
@@ -170,3 +191,22 @@ def test_every_mutant_anchor_occurs_once_in_the_package():
     for row in mutants.MUTANTS:
         assert sources[row.file].count(row.old) == 1, row.name
         assert sum(text.count(row.old) for text in sources.values()) == 1, row.name
+
+
+def test_every_mutant_names_tests_that_exist():
+    """Each test a row of scripts/mutants.py names is a file of the
+    repository, and each `::name` after it (less any `[case]` id) a
+    function defined at the top of that file, read by a static parse, so
+    a renamed or deleted test fails here rather than in the mutant run."""
+    mutants = load_script("mutants")
+    defined = {}
+    for row in mutants.MUTANTS:
+        for test in row.tests:
+            file, _, name = test.partition("::")
+            name = name.partition("[")[0]
+            path = mutants.ROOT / file
+            assert path.is_file(), (row.name, test)
+            if file not in defined:
+                defined[file] = {node.name for node in ast.parse(path.read_text()).body
+                                 if isinstance(node, ast.FunctionDef)}
+            assert not name or name in defined[file], (row.name, test)
