@@ -16,13 +16,17 @@ failures (a collection error, say), and 0 otherwise.
 The list must run in under a minute, so rows name the test that kills
 them rather than a whole slow file, and two rows run at a time, since
 each pays about 2 s of interpreter, pytest and import start-up of its
-own. `tests/test_scripts.py` checks that every anchor still occurs
+own. The closing line gives the wall time and the CPU seconds of all the
+test runs together: the runs are CPU-bound, so a loaded host stretches the
+first and not the second, while a longer list stretches both.
+`tests/test_scripts.py` checks that every anchor still occurs
 exactly once in the package.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -227,6 +231,10 @@ MUTANTS = (
            '"fidelity": abs(inner_product(psi, reconstructed)) ** 2,',
            '"fidelity": abs(inner_product(psi, reconstructed)),',
            ("tests/test_cli.py::test_protective_optional_artifacts",)),
+    Mutant("rngs imports numpy.random", "rngs.py",
+           "import numpy as np\n\nfrom .hilbert",
+           "import numpy as np\nimport numpy.random\n\nfrom .hilbert",
+           ("tests/test_imports.py::test_a_cold_run_loads_only_the_modules_its_command_runs",)),
     Mutant("the process entry ends every run with exit code 0", "cli.py",
            "os._exit(code)", "os._exit(0)",
            ("tests/test_imports.py::test_the_module_entry_point_keeps_the_exit_code_contract",)),
@@ -274,8 +282,10 @@ def main() -> int:
             failed += verdict != "killed"
             print(f"{verdict:<9} {seconds:5.1f} s  {mutant.name}  ({', '.join(mutant.tests)})",
                   flush=True)
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} killed in "
-          f"{time.perf_counter() - total:.1f} s")
+          f"{time.perf_counter() - total:.1f} s, "
+          f"{children.ru_utime + children.ru_stime:.1f} s of CPU")
     return 1 if failed else 0
 
 

@@ -1,30 +1,25 @@
-"""Cold-start cost: importing the package and running its commands never
-loads the LP solver, and no command needs scipy at all; nothing at run
-time loads `jsonschema` either. Both serve only as the tests' oracles.
-Importing `ketlab.cli` builds no argument parser; the first `main` call
-builds the one every later call reuses. Neither the import nor a run
-loads `dataclasses`: ketlab's record types compile no code at import.
-`import ketlab` loads none of its modules, and each public name it lists
-is its module's object, imported on first use. `import ketlab.cli` loads
-no experiment module (`protective`, `pbr`, `ontology`, `weak`), and each
-command loads only those it runs. Nor does it load numpy or the modules
-built on it (`hilbert`, `measurement`, `rngs`): `--help`, a command's
-`--help`, a parse error, an unreadable `--config` file and a state spec
-that names no state all exit without numpy. `python -m ketlab.cli`, the
-entry point a cold run starts through, keeps the exit-code contract and
-every line it prints, runs the atexit callbacks before it ends without
-teardown, and exits normally under a profiler. No
-command loads `numpy.random`, nor `_hashlib`, the libcrypto binding that
-`secrets` pulls in through it: every draw, `nogo`'s Haar unitaries and
-`onto`'s Monte Carlo cells included, evaluates the package's own Philox
-kernel.
-No function of the package names `numpy.random` but `rngs.substream` and
-`SubstreamSampler.select`, the reference that kernel is checked against.
-Only `rngs` writes the seed and substream ranges, and only
-`hilbert._checked_count` refuses a bool as an integer precondition.
+"""Cold-start cost, read off `sys.modules` in fresh interpreters, because
+this test process has long since imported `scipy.optimize` through other
+tests.
 
-Each check runs in a fresh interpreter, because this test process has
-long since imported `scipy.optimize` through other tests.
+The census runs each row of CENSUS, one command line, in its own
+interpreter and takes three snapshots:
+
+- after `import ketlab`, no `ketlab.*` module is loaded, nor numpy nor a
+  foreign module: each public name is imported from its module on first use;
+- after `import ketlab.cli`, no experiment module, no numpy and no
+  foreign module is loaded;
+- after `main(argv)`, the run has exited 0 having loaded exactly the
+  row's experiment modules and no foreign module.
+
+The experiment modules are `protective`, `pbr`, `ontology` and `weak`,
+and numpy loads only with the modules built on it (`hilbert`,
+`measurement`, `rngs`), which only a run imports. The foreign modules are
+those no cold run needs. `scipy.optimize`, the LP solver, and `jsonschema`
+serve only as the tests' oracles. `dataclasses` is not needed because
+ketlab's record types compile no code at import. `numpy.random`, and
+`_hashlib`, the libcrypto binding that `secrets` pulls in through it, are
+not needed because every draw evaluates the package's own Philox kernel.
 """
 
 import ast
@@ -35,6 +30,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ketlab.cli import COMMANDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -58,18 +55,49 @@ def run_fresh(code: str, cwd) -> dict:
 
 
 EXPERIMENT_MODULES = ("ontology", "pbr", "protective", "weak")
-LOADED_EXPERIMENTS = ("[m for m in " + repr(EXPERIMENT_MODULES)
-                      + " if 'ketlab.' + m in sys.modules]")
+FOREIGN_MODULES = ("scipy.optimize", "jsonschema", "dataclasses", "numpy.random", "_hashlib")
+
+# one command line per row, with the experiment modules its run loads
+CENSUS = (
+    (["protective"], ["protective"]),
+    (["protective", "--mode", "sampled", "--seed", "9"], ["protective"]),
+    (["protective", "--tomography"], ["protective"]),
+    (["leak"], ["protective"]),
+    (["scan"], ["weak"]),
+    (["pbr"], ["pbr"]),
+    (["steer"], ["pbr"]),
+    (["onto"], ["ontology", "pbr"]),
+    (["onto", "--mc-trials", "1000"], ["ontology", "pbr"]),
+    (["nogo"], ["pbr"]),
+)
+
+CENSUS_RUN = """\
+import json, sys
+def snapshot():
+    return sorted(m for m in sys.modules if m.startswith('ketlab.') or m in {watched!r})
+import ketlab
+package = snapshot()
+import ketlab.cli
+cli = snapshot()
+code = ketlab.cli.main({argv!r})
+print(json.dumps([package, cli, code, snapshot()]))
+"""
 
 
-def test_importing_the_package_loads_none_of_its_modules(tmp_path):
-    seen = run_fresh(
-        "import json, sys\n"
-        "import ketlab\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ketlab.'))))\n",
-        tmp_path,
-    )
-    assert seen == []
+@pytest.mark.parametrize("argv,loaded", CENSUS, ids=[" ".join(argv) for argv, _ in CENSUS])
+def test_a_cold_run_loads_only_the_modules_its_command_runs(tmp_path, argv, loaded):
+    package, cli, code, run = run_fresh(
+        CENSUS_RUN.format(watched=("numpy", *FOREIGN_MODULES), argv=argv), tmp_path)
+    experiments = {f"ketlab.{m}" for m in EXPERIMENT_MODULES}
+    assert package == []
+    assert experiments.union(["numpy"], FOREIGN_MODULES).intersection(cli) == set()
+    assert code == 0
+    assert sorted(experiments.intersection(run)) == [f"ketlab.{m}" for m in loaded]
+    assert set(FOREIGN_MODULES).intersection(run) == set()
+
+
+def test_the_census_runs_every_command():
+    assert {argv[0] for argv, _ in CENSUS} == set(COMMANDS)
 
 
 def test_the_package_namespace_resolves_each_name_in_its_module(tmp_path):
@@ -96,17 +124,10 @@ def test_the_package_namespace_resolves_each_name_in_its_module(tmp_path):
     assert seen == ["AttributeError", [True, True], 72, True, []]
 
 
-def test_importing_the_cli_loads_no_experiment_module(tmp_path):
-    seen = run_fresh(
-        "import json, sys\n"
-        "import ketlab.cli\n"
-        f"print(json.dumps({LOADED_EXPERIMENTS}))\n",
-        tmp_path,
-    )
-    assert seen == []
-
-
 def test_importing_the_cli_and_its_early_exits_load_no_numpy(tmp_path):
+    """`--help`, a command's `--help`, a parse error, an unreadable
+    `--config` file and a state spec that names no state all exit without
+    numpy or the modules built on it."""
     seen = run_fresh(
         "import json, sys\n"
         "import ketlab.cli\n"
@@ -127,108 +148,22 @@ def test_importing_the_cli_and_its_early_exits_load_no_numpy(tmp_path):
     assert seen == [[], [0, False], [0, False], [2, False], [2, False], [2, False], [2, False]]
 
 
-@pytest.mark.parametrize("command,loaded", [
-    ("protective", ["protective"]),
-    ("leak", ["protective"]),
-    ("scan", ["weak"]),
-    ("pbr", ["pbr"]),
-    ("steer", ["pbr"]),
-    ("nogo", ["pbr"]),
-    ("onto", ["ontology", "pbr"]),
-])
-def test_each_command_loads_only_the_experiment_modules_it_runs(tmp_path, command, loaded):
-    seen = run_fresh(
-        "import json, sys\n"
-        "from ketlab.cli import main\n"
-        f"code = main([{command!r}])\n"
-        f"print(json.dumps([code, {LOADED_EXPERIMENTS}]))\n",
-        tmp_path,
-    )
-    assert seen == [0, loaded]
-
-
-def test_importing_the_package_does_not_load_the_lp_solver(tmp_path):
-    seen = run_fresh(
-        "import json, sys\n"
-        "import ketlab\n"
-        "after_package = 'scipy.optimize' in sys.modules\n"
-        "import ketlab.cli\n"
-        "after_cli = 'scipy.optimize' in sys.modules\n"
-        "print(json.dumps([after_package, after_cli]))\n",
-        tmp_path,
-    )
-    assert seen == [False, False]
-
-
-def test_default_commands_do_not_load_the_lp_solver(tmp_path):
-    seen = run_fresh(
-        "import json, sys\n"
-        "from ketlab.cli import main\n"
-        "codes = [main(['onto']), main(['onto', '--mc-trials', '1000']),\n"
-        "         main(['pbr']), main(['steer'])]\n"
-        "print(json.dumps([codes, 'scipy.optimize' in sys.modules]))\n",
-        tmp_path,
-    )
-    assert seen == [[0, 0, 0, 0], False]
-
-
 def test_every_default_runs_without_scipy(tmp_path):
     """scipy is a test oracle only: with it unimportable, every command at
     its defaults, and `onto` with Monte Carlo trials, still exits 0."""
     seen = run_fresh(
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
-        "from ketlab.cli import main\n"
-        "codes = [main([name]) for name in\n"
-        "         ('protective', 'leak', 'scan', 'pbr', 'steer', 'onto', 'nogo')]\n"
+        "from ketlab.cli import COMMANDS, main\n"
+        "codes = [main([name]) for name in COMMANDS]\n"
         "codes.append(main(['onto', '--q', '0.7', '--mc-trials', '1000']))\n"
         "print(json.dumps(codes))\n",
         tmp_path,
     )
-    assert seen == [0] * 8
+    assert seen == [0] * (len(COMMANDS) + 1)
     data = json.loads((tmp_path / "onto.json").read_text())
     assert data["duality_gap"] <= 1e-15
     assert abs(data["violation_lower_bound"] - 0.7 ** 2 / 4) <= 1e-15
-
-
-def test_cold_runs_do_not_load_jsonschema(tmp_path):
-    seen = run_fresh(
-        "import json, sys\n"
-        "import ketlab.cli\n"
-        "seen = ['jsonschema' in sys.modules]\n"
-        "for argv in (['onto'], ['pbr'], ['steer']):\n"
-        "    seen.append([ketlab.cli.main(argv), 'jsonschema' in sys.modules])\n"
-        "print(json.dumps(seen))\n",
-        tmp_path,
-    )
-    assert seen == [False, [0, False], [0, False], [0, False]]
-
-
-def test_cold_runs_do_not_load_dataclasses(tmp_path):
-    seen = run_fresh(
-        "import json, sys\n"
-        "import ketlab.cli\n"
-        "seen = ['dataclasses' in sys.modules]\n"
-        "seen.append([ketlab.cli.main(['protective']), 'dataclasses' in sys.modules])\n"
-        "print(json.dumps(seen))\n",
-        tmp_path,
-    )
-    assert seen == [False, [0, False]]
-
-
-def test_no_command_loads_numpy_random(tmp_path):
-    seen = run_fresh(
-        "import json, sys\n"
-        "import ketlab.cli\n"
-        "argvs = (['protective'], ['protective', '--mode', 'sampled', '--seed', '9'],\n"
-        "         ['protective', '--tomography'], ['leak'], ['scan'], ['pbr'], ['steer'],\n"
-        "         ['onto'], ['onto', '--mc-trials', '1000'], ['nogo'])\n"
-        "seen = [[ketlab.cli.main(argv), 'numpy.random' in sys.modules,\n"
-        "         '_hashlib' in sys.modules] for argv in argvs]\n"
-        "print(json.dumps(seen))\n",
-        tmp_path,
-    )
-    assert seen == [[0, False, False]] * 10
 
 
 def _names_numpy_random(node) -> bool:
@@ -320,6 +255,8 @@ def test_the_integer_ranges_and_their_rule_live_in_one_place_each():
 
 
 def test_the_parser_is_built_once_on_the_first_main_call(tmp_path):
+    """Importing `ketlab.cli` builds no argument parser; the first `main`
+    call builds the one every later call reuses."""
     seen = run_fresh(
         "import json\n"
         "import ketlab.cli\n"
